@@ -1197,6 +1197,31 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
     }
 
+    /// The single vertex a scan into the not-yet-bound `var` seeds from,
+    /// if it is pinned to one: by a same-named pre-anchored name
+    /// ([`Runtime::anchor_for`]) or by a pending WHERE conjunct `var == p`
+    /// with `p` pre-anchored (a vertex parameter). Such a scan binds that
+    /// vertex instead of binding every candidate and filtering all but
+    /// one row away, so a point read does not slow down as its vertex
+    /// type grows; the conjunct stays pending and is still applied.
+    fn scan_anchor(
+        &self,
+        var: &str,
+        pending: &[usize],
+        conjuncts: &[(Expr, Vec<String>)],
+    ) -> Option<VertexId> {
+        self.anchor_for(var).or_else(|| {
+            pending.iter().find_map(|&i| match &conjuncts[i].0 {
+                Expr::Binary { op: BinOp::Eq, lhs, rhs } => match (&**lhs, &**rhs) {
+                    (Expr::Ident(a), Expr::Ident(b)) if a == var => self.anchor_for(b),
+                    (Expr::Ident(a), Expr::Ident(b)) if b == var => self.anchor_for(a),
+                    _ => None,
+                },
+                _ => None,
+            })
+        })
+    }
+
     // ---- SELECT block -------------------------------------------------------
 
     fn exec_select(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
@@ -1296,7 +1321,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     } else {
                         // Vertex scan (type / set / param named `name`).
                         let spec = self.resolve_spec(name)?;
-                        rows = self.bind_vertex(rows, &mut vars, alias, &spec)?;
+                        let anchor = self.scan_anchor(alias, &pending, &bp.conjuncts);
+                        rows = self.bind_vertex(rows, &mut vars, alias, &spec, anchor)?;
                     }
                     rows = self.apply_ready_filters(rows, &mut pending, &bp.conjuncts, &vars, &table_refs)?;
                     let n = rows.len() as u64;
@@ -1312,7 +1338,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         .var
                         .clone()
                         .unwrap_or_else(|| fresh_anon(&mut anon));
-                    rows = self.bind_vertex(rows, &mut vars, &var, &spec)?;
+                    let anchor = self.scan_anchor(&var, &pending, &bp.conjuncts);
+                    rows = self.bind_vertex(rows, &mut vars, &var, &spec, anchor)?;
                     rows = self.apply_ready_filters(rows, &mut pending, &bp.conjuncts, &vars, &table_refs)?;
                     let n = rows.len() as u64;
                     self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
@@ -1582,6 +1609,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         vars: &mut FxHashMap<String, usize>,
         var: &str,
         spec: &Spec,
+        anchored: Option<VertexId>,
     ) -> Result<MorselTable> {
         if let Some(&col) = vars.get(var) {
             // Join on the existing column: one contiguous scan.
@@ -1599,7 +1627,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
         let col = new_var(vars, var)?;
         debug_assert_eq!(col, rows.width());
-        let anchored = self.anchor_for(var);
         let candidates: Vec<VertexId> = match anchored {
             Some(v) => {
                 if spec.matches(self.graph(), v) {

@@ -1,27 +1,45 @@
 //! In-memory property graph storage.
 //!
 //! Vertices and edges carry typed attribute rows. Adjacency is stored in
-//! **compressed sparse row** (CSR) form: one flat `Vec<AdjEntry>` shared
-//! by all vertices, a per-vertex offset array, and a per-`(vertex, edge
+//! **compressed sparse row** (CSR) form, cut into chunks of 256
+//! consecutive vertices: each chunk holds one flat `Vec<AdjEntry>` for
+//! its vertices, a per-vertex offset array, and a per-`(vertex, edge
 //! type)` offset array so typed traversal and degree queries are slice
 //! lookups instead of filtered scans. Within a vertex's CSR range entries
 //! are grouped by edge type and, inside each type group, ordered
-//! `Out < Und < In` (stable on insertion order), which is what lets
-//! `outdegree`/`indegree` answer with a binary partition point.
+//! `Out < Und < In` (stable on insertion order, i.e. ascending edge id),
+//! which is what lets `outdegree`/`indegree` answer with a binary
+//! partition point. That order is a function of the logical graph only —
+//! never of how many finalizes, commits or checkpoints produced it.
 //!
-//! Mutation stays cheap: `add_vertex`/`add_edge` append to a small
-//! per-vertex *overlay* that readers transparently chain after the CSR
-//! range. [`Graph::finalize`] (called by [`GraphBuilder::build`], the
-//! loaders and the generators) folds the overlay back into the flat
-//! arrays, so steady-state traversal touches only contiguous memory.
+//! **Structural sharing.** Everything bulky sits behind an `Arc`: the
+//! schema, the vertex / edge / per-type id stores (chunked copy-on-write
+//! vectors of 256 elements, attribute rows `Arc<[Value]>`), and the
+//! CSR chunks. [`Graph::clone`] therefore copies a few chunk-pointer
+//! spines and shares the rest; a write copies only the chunk it lands
+//! in. This is what lets [`crate::wal::LiveGraph`] publish a new
+//! snapshot per mutation batch at a cost proportional to the batch.
+//!
+//! Mutation stays cheap: `add_vertex`/`add_edge` only append to the
+//! stores. The adjacency entries of edges added since the last finalize
+//! form a per-vertex *overlay* that readers transparently chain after the
+//! CSR range; it is derived from the edge store the first time such a
+//! graph is read, so a bulk load never materializes it.
+//! [`Graph::finalize`] (called by [`GraphBuilder::build`], the loaders,
+//! the generators and [`crate::mutate::apply_batch`]) folds those entries
+//! into the CSR — rebuilding only the chunks that hold an endpoint of a
+//! new edge or a vertex added since the last finalize — so steady-state
+//! traversal touches only contiguous memory.
 
+use crate::cow::{CowVec, CHUNK};
 use crate::schema::{ETypeId, Schema, SchemaError, VTypeId};
 use crate::value::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a vertex (dense, global across vertex types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VertexId(pub u32);
 
 /// Identifier of an edge (dense, global across edge types).
@@ -63,18 +81,43 @@ pub struct AdjEntry {
     pub other: VertexId,
 }
 
-#[derive(Debug, Clone)]
-struct VertexData {
-    vtype: VTypeId,
-    attrs: Box<[Value]>,
+/// One vertex's or edge's attribute values. Shared between snapshots, so
+/// copying a store chunk bumps reference counts instead of deep-cloning
+/// values; a row without attributes (most edge types) allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Row(Option<Arc<[Value]>>);
+
+impl Row {
+    fn new(values: Vec<Value>) -> Row {
+        Row(if values.is_empty() { None } else { Some(values.into()) })
+    }
+
+    #[inline]
+    fn values(&self) -> &[Value] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+
+    /// Overwrites one value, copying the row first if a snapshot shares it.
+    fn set(&mut self, idx: usize, value: Value) {
+        let row = self.0.as_mut().expect("attribute index out of range");
+        Arc::make_mut(row)[idx] = value;
+    }
 }
 
-#[derive(Debug, Clone)]
+// `Default` (all ids 0, no attributes) only fills the unused slots of a
+// store's last chunk; such a value is never read as a vertex or an edge.
+#[derive(Debug, Clone, Default)]
+struct VertexData {
+    vtype: VTypeId,
+    attrs: Row,
+}
+
+#[derive(Debug, Clone, Default)]
 struct EdgeData {
     etype: ETypeId,
     src: VertexId,
     dst: VertexId,
-    attrs: Box<[Value]>,
+    attrs: Row,
 }
 
 /// Errors raised by graph mutation.
@@ -111,46 +154,142 @@ impl From<SchemaError> for GraphError {
     }
 }
 
-/// The finalized flat adjacency arrays. `offsets` covers the vertices
-/// that existed at the last [`Graph::finalize`]; vertices added since
-/// live entirely in the overlay.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    /// All adjacency entries, grouped by vertex, then edge type, then
-    /// [`dir_rank`], stable on edge-insertion order.
+/// What a pre-sized entry buffer holds until every slot is written.
+const UNSET: AdjEntry =
+    AdjEntry { etype: ETypeId(0), dir: Dir::Out, edge: EdgeId(0), other: VertexId(0) };
+
+/// The finalized adjacency of [`CHUNK`] consecutive vertices (fewer in
+/// the graph's last chunk). Immutable once built: a finalize that touches
+/// one of its vertices builds a replacement, so snapshots share every
+/// chunk a batch left alone.
+#[derive(Debug)]
+struct CsrChunk {
+    /// The chunk's adjacency entries, grouped by vertex, then edge type,
+    /// then [`dir_rank`], stable on edge-insertion order.
     adj: Vec<AdjEntry>,
-    /// `offsets[v]..offsets[v + 1]` is vertex `v`'s slice of `adj`.
-    /// Length `covered + 1` (empty when never finalized).
-    offsets: Vec<u32>,
-    /// `type_offsets[v * ntypes + t]` is the start of vertex `v`'s
+    /// `offsets[i]..offsets[i + 1]` is the chunk's `i`-th vertex's slice
+    /// of `adj`. Inline, so finding a slice costs one load past the chunk
+    /// pointer; slots past the chunk's last vertex hold `adj.len()`.
+    offsets: [u32; CHUNK + 1],
+    /// `type_offsets[i * ntypes + t]` is the start of the `i`-th vertex's
     /// type-`t` group; the group ends at the next element. Length
-    /// `covered * ntypes + 1` (empty when never finalized).
+    /// `vertices * ntypes + 1`.
     type_offsets: Vec<u32>,
 }
 
-impl Csr {
-    /// Number of vertices the finalized arrays cover.
-    fn covered(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+impl CsrChunk {
+    /// The `i`-th vertex's adjacency slice (empty past the last vertex).
+    #[inline]
+    fn vertex_slice(&self, i: usize) -> &[AdjEntry] {
+        &self.adj[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Vertex `v`'s finalized adjacency slice (empty if not covered).
-    fn vertex_slice(&self, v: usize) -> &[AdjEntry] {
-        if v + 1 < self.offsets.len() {
-            &self.adj[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    /// The `i`-th vertex's type-`t` group (empty past the last vertex).
+    fn type_slice(&self, i: usize, t: usize, ntypes: usize) -> &[AdjEntry] {
+        let k = i * ntypes + t;
+        if ntypes > 0 && k + 1 < self.type_offsets.len() {
+            &self.adj[self.type_offsets[k] as usize..self.type_offsets[k + 1] as usize]
         } else {
             &[]
         }
     }
+}
 
-    /// Vertex `v`'s finalized type-`t` group (empty if not covered).
-    fn type_slice(&self, v: usize, t: usize, ntypes: usize) -> &[AdjEntry] {
-        let i = v * ntypes + t;
-        if ntypes > 0 && i + 1 < self.type_offsets.len() {
-            &self.adj[self.type_offsets[i] as usize..self.type_offsets[i + 1] as usize]
-        } else {
-            &[]
+/// A [`CsrChunk`] being rebuilt by [`Graph::finalize`]: every vertex keeps
+/// the entries it has in the chunk being replaced and gains the pending
+/// ones, which arrive in insertion order in two passes — [`count`] each,
+/// [`lay_out`] the chunk, [`place`] each — so that nothing is buffered
+/// outside the chunk's own arrays.
+///
+/// [`count`]: ChunkBuilder::count
+/// [`lay_out`]: ChunkBuilder::lay_out
+/// [`place`]: ChunkBuilder::place
+struct ChunkBuilder {
+    /// Per vertex: first the number of pending entries counted, then
+    /// (once laid out) where in `chunk.adj` its next pending entry goes.
+    slots: [u32; CHUNK],
+    chunk: CsrChunk,
+}
+
+impl ChunkBuilder {
+    fn new() -> Box<ChunkBuilder> {
+        let chunk =
+            CsrChunk { adj: Vec::new(), offsets: [0; CHUNK + 1], type_offsets: Vec::new() };
+        Box::new(ChunkBuilder { slots: [0; CHUNK], chunk })
+    }
+
+    fn count(&mut self, v: VertexId) {
+        self.slots[v.0 as usize % CHUNK] += 1;
+    }
+
+    /// Sizes the chunk for its `vertices`: each keeps `old`'s entries, in
+    /// place at the front of its slice, with room behind them for the
+    /// pending entries counted so far.
+    fn lay_out(&mut self, old: Option<&CsrChunk>, vertices: usize) {
+        let kept = |i: usize| old.map_or(&[][..], |c| c.vertex_slice(i));
+        let CsrChunk { adj, offsets, .. } = &mut self.chunk;
+        let mut total = 0;
+        for (i, (end, gained)) in offsets[1..].iter_mut().zip(&self.slots).enumerate() {
+            if i < vertices {
+                total += kept(i).len() as u32 + gained;
+            }
+            *end = total;
         }
+        *adj = vec![UNSET; total as usize];
+        for (i, (start, slot)) in offsets.iter().zip(&mut self.slots).enumerate().take(vertices) {
+            let end_of_kept = *start as usize + kept(i).len();
+            adj[*start as usize..end_of_kept].copy_from_slice(kept(i));
+            *slot = end_of_kept as u32;
+        }
+    }
+
+    fn place(&mut self, v: VertexId, entry: AdjEntry) {
+        let slot = &mut self.slots[v.0 as usize % CHUNK];
+        self.chunk.adj[*slot as usize] = entry;
+        *slot += 1;
+    }
+
+    /// Orders every slice that gained entries and derives the type
+    /// groups. Pending entries carry larger edge ids than the kept ones
+    /// and were placed in insertion order, so a stable sort on
+    /// `(edge type, dir rank)` lands them exactly where a from-scratch
+    /// build would. `covered` of the chunk's `vertices` were there at the
+    /// last finalize (in `old`); `degree_log2` is the graph's degree
+    /// histogram, moved for every vertex whose degree did.
+    fn finish(
+        self: Box<Self>,
+        old: Option<&CsrChunk>,
+        covered: usize,
+        vertices: usize,
+        ntypes: usize,
+        degree_log2: &mut [u64],
+    ) -> CsrChunk {
+        let CsrChunk { mut adj, offsets, .. } = self.chunk;
+        let mut type_offsets = Vec::with_capacity(vertices * ntypes + 1);
+        for i in 0..vertices {
+            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+            let kept = old.map_or(0, |c| c.vertex_slice(i).len());
+            if end - start > kept {
+                adj[start..end].sort_by_key(|a| (a.etype.0, dir_rank(a.dir)));
+            }
+            if i >= covered {
+                degree_log2[degree_bucket(end - start)] += 1;
+            } else if end - start > kept {
+                degree_log2[degree_bucket(kept)] -= 1;
+                degree_log2[degree_bucket(end - start)] += 1;
+            }
+            // Per-(vertex, type) group boundaries.
+            let mut cur = start;
+            for t in 0..ntypes {
+                type_offsets.push(cur as u32);
+                while cur < end && adj[cur].etype.0 as usize == t {
+                    cur += 1;
+                }
+            }
+            debug_assert_eq!(cur, end, "entry with out-of-range edge type");
+        }
+        type_offsets.push(adj.len() as u32);
+        CsrChunk { adj, offsets, type_offsets }
     }
 }
 
@@ -252,15 +391,21 @@ impl<'a> IntoIterator for &AdjView<'a> {
 /// entry count.
 pub const DEGREE_BUCKETS: usize = 33;
 
-/// Cardinality and degree statistics collected by [`Graph::finalize`],
-/// consumed by the query planner's cost model.
+/// The [`DEGREE_BUCKETS`] bucket of a vertex with `degree` entries.
+fn degree_bucket(degree: usize) -> usize {
+    ((usize::BITS - degree.leading_zeros()) as usize).min(DEGREE_BUCKETS - 1)
+}
+
+/// Cardinality and degree statistics kept current by [`Graph::finalize`]
+/// (which adds what arrived since the previous one — the result equals a
+/// recount from scratch), consumed by the query planner's cost model.
 ///
 /// All numbers describe the finalized topology (the CSR arrays); edges
 /// added to the mutation overlay afterwards are not counted until the
 /// next finalize. Everything is deterministic: the same graph always
 /// produces the same statistics, which is what keeps cost-based plans —
 /// and therefore query results — reproducible.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Identity of the finalized topology: a process-unique, monotone
     /// token stamped by each [`Graph::finalize`] call (0 = never
@@ -284,9 +429,29 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
+    /// All-zero statistics for a schema with the given type counts.
+    fn new(vertex_types: usize, edge_types: usize) -> GraphStats {
+        GraphStats {
+            epoch: 0,
+            vertex_counts: vec![0; vertex_types],
+            edge_counts: vec![0; edge_types],
+            out_by_type: vec![0; vertex_types * edge_types],
+            in_by_type: vec![0; vertex_types * edge_types],
+            etype_stride: edge_types,
+            degree_log2: vec![0; DEGREE_BUCKETS],
+        }
+    }
+
     /// The finalize token (0 = never finalized).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// These statistics with the epoch zeroed: what two builds of the
+    /// same logical graph must agree on.
+    #[cfg(test)]
+    pub(crate) fn sans_epoch(&self) -> GraphStats {
+        GraphStats { epoch: 0, ..self.clone() }
     }
 
     /// Total vertices across all types.
@@ -350,41 +515,123 @@ impl GraphStats {
 /// always means "never finalized".
 static FINALIZE_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
+/// The vertices of one type, ascending by id (= insertion order): a
+/// borrowed view over the graph's chunked id store that reads like a
+/// slice (`len`, indexing, `iter`, `last`, `to_vec`, `for &v in ..`).
+#[derive(Clone, Copy)]
+pub struct VertexList<'a> {
+    ids: &'a CowVec<VertexId>,
+}
+
+impl<'a> VertexList<'a> {
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    pub fn last(&self) -> Option<&'a VertexId> {
+        self.ids.last()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &'a VertexId> + 'a {
+        self.ids.iter()
+    }
+
+    pub fn to_vec(&self) -> Vec<VertexId> {
+        let mut ids = Vec::with_capacity(self.len());
+        self.ids.slices().for_each(|chunk| ids.extend_from_slice(chunk));
+        ids
+    }
+}
+
+impl Index<usize> for VertexList<'_> {
+    type Output = VertexId;
+
+    #[inline]
+    fn index(&self, i: usize) -> &VertexId {
+        &self.ids[i]
+    }
+}
+
+impl<'a> IntoIterator for VertexList<'a> {
+    type Item = &'a VertexId;
+    type IntoIter = Box<dyn Iterator<Item = &'a VertexId> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.ids.iter())
+    }
+}
+
 /// The property graph: schema + vertex/edge stores + CSR adjacency.
-#[derive(Debug, Clone, Default)]
+///
+/// Cloning is cheap and shares storage with the original (see the module
+/// docs); the clone and the original then diverge copy-on-write.
+#[derive(Debug, Clone)]
 pub struct Graph {
-    schema: Schema,
-    vertices: Vec<VertexData>,
-    edges: Vec<EdgeData>,
-    by_type: Vec<Vec<VertexId>>,
-    csr: Csr,
-    /// Adjacency entries added since the last finalize, per vertex
-    /// (insertion order; readers chain these after the CSR slice).
-    overlay: Vec<Vec<AdjEntry>>,
-    /// Total entries across `overlay` (0 ⇔ fully finalized).
+    schema: Arc<Schema>,
+    vertices: CowVec<VertexData>,
+    edges: CowVec<EdgeData>,
+    by_type: Vec<CowVec<VertexId>>,
+    /// Finalized adjacency: chunk `c` covers vertices
+    /// `c * CHUNK..(c + 1) * CHUNK`, up to `finalized_vertices`.
+    csr: Vec<Arc<CsrChunk>>,
+    /// The adjacency entries of the edges added since the last finalize,
+    /// per vertex in insertion order (readers chain these after the CSR
+    /// slice). Derived from `edges[finalized_edges..]` by the first read
+    /// that needs it and kept current by `add_edge` from then on; never
+    /// built for a graph that is finalized before it is read.
+    overlay: OnceLock<Vec<Vec<AdjEntry>>>,
+    /// Total entries the overlay holds once derived (0 ⇔ no pending
+    /// edges).
     overlay_entries: usize,
-    /// Planner statistics from the last [`Graph::finalize`].
+    /// How many vertices and edges the CSR chunks and `stats` cover: the
+    /// counts at the last [`Graph::finalize`].
+    finalized_vertices: usize,
+    finalized_edges: usize,
+    /// Planner statistics as of the last [`Graph::finalize`].
     stats: GraphStats,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new(Schema::default())
+    }
 }
 
 impl Graph {
     /// Creates an empty graph over `schema`.
     pub fn new(schema: Schema) -> Self {
-        let nt = schema.vertex_type_count();
+        Graph::with_schema(Arc::new(schema))
+    }
+
+    fn with_schema(schema: Arc<Schema>) -> Self {
+        let (nvt, net) = (schema.vertex_type_count(), schema.edge_type_count());
         Graph {
             schema,
-            vertices: Vec::new(),
-            edges: Vec::new(),
-            by_type: vec![Vec::new(); nt],
-            csr: Csr::default(),
-            overlay: Vec::new(),
+            vertices: CowVec::default(),
+            edges: CowVec::default(),
+            by_type: vec![CowVec::default(); nvt],
+            csr: Vec::new(),
+            overlay: OnceLock::new(),
             overlay_entries: 0,
-            stats: GraphStats::default(),
+            finalized_vertices: 0,
+            finalized_edges: 0,
+            stats: GraphStats::new(nvt, net),
         }
     }
 
-    /// Planner statistics collected by the last [`Graph::finalize`]
-    /// (default/empty if the graph was never finalized).
+    /// An empty graph sharing this graph's schema.
+    pub(crate) fn empty_like(&self) -> Graph {
+        Graph::with_schema(self.schema.clone())
+    }
+
+    /// Planner statistics as of the last [`Graph::finalize`] (all zero,
+    /// epoch 0, if the graph was never finalized).
     pub fn stats(&self) -> &GraphStats {
         &self.stats
     }
@@ -401,10 +648,10 @@ impl Graph {
         self.edges.len()
     }
 
-    /// Whether every adjacency entry lives in the flat CSR arrays (no
-    /// pending mutation overlay).
+    /// Whether every adjacency entry lives in the CSR chunks (no pending
+    /// mutation overlay, no vertex added since the last finalize).
     pub fn is_finalized(&self) -> bool {
-        self.overlay_entries == 0 && self.csr.covered() == self.vertices.len()
+        self.overlay_entries == 0 && self.finalized_vertices == self.vertices.len()
     }
 
     /// Number of adjacency entries currently living in the mutation
@@ -428,12 +675,8 @@ impl Graph {
             });
         }
         let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(VertexData {
-            vtype: vt,
-            attrs: attrs.into_boxed_slice(),
-        });
+        self.vertices.push(VertexData { vtype: vt, attrs: Row::new(attrs) });
         self.by_type[vt.0 as usize].push(id);
-        self.overlay.push(Vec::new());
         Ok(id)
     }
 
@@ -475,139 +718,126 @@ impl Graph {
                 endpoint: self.schema.vertex_type(dst_t).name.clone(),
             });
         }
-        let directed = def.directed;
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(EdgeData { etype: et, src, dst, attrs: attrs.into_boxed_slice() });
-        if directed {
-            self.overlay[src.0 as usize]
-                .push(AdjEntry { etype: et, dir: Dir::Out, edge: id, other: dst });
-            self.overlay[dst.0 as usize]
-                .push(AdjEntry { etype: et, dir: Dir::In, edge: id, other: src });
-            self.overlay_entries += 2;
-        } else {
-            self.overlay[src.0 as usize]
-                .push(AdjEntry { etype: et, dir: Dir::Und, edge: id, other: dst });
-            self.overlay_entries += 1;
-            if src != dst {
-                self.overlay[dst.0 as usize]
-                    .push(AdjEntry { etype: et, dir: Dir::Und, edge: id, other: src });
-                self.overlay_entries += 1;
+        self.edges.push(EdgeData { etype: et, src, dst, attrs: Row::new(attrs) });
+        // An overlay a reader already derived is kept current, so a
+        // build-and-probe loop pays for the derivation once.
+        let entries = self.endpoint_entries(id);
+        self.overlay_entries += entries.clone().count();
+        if let Some(tails) = self.overlay.get_mut() {
+            tails.resize(self.vertices.len(), Vec::new());
+            for (v, entry) in entries {
+                tails[v.0 as usize].push(entry);
             }
         }
         Ok(id)
     }
 
-    /// Rebuilds the flat CSR arrays from the edge store and clears the
-    /// mutation overlay. O(V + E); idempotent. Loaders, generators and
-    /// [`GraphBuilder::build`] call this so query execution sees flat,
-    /// type-grouped adjacency.
-    pub fn finalize(&mut self) {
-        let nv = self.vertices.len();
-        let nt = self.schema.edge_type_count();
-        let mut counts = vec![0u32; nv + 1];
-        let emit_counts = |e: &EdgeData, counts: &mut Vec<u32>| {
-            let directed = self.schema.edge_type(e.etype).directed;
-            counts[e.src.0 as usize + 1] += 1;
-            if directed || e.src != e.dst {
-                counts[e.dst.0 as usize + 1] += 1;
-            }
+    /// The adjacency entries edge `e` contributes, in the order they
+    /// enter their vertices' adjacency: the source's, then the target's
+    /// (an undirected self-loop is recorded once).
+    fn endpoint_entries(
+        &self,
+        e: EdgeId,
+    ) -> impl Iterator<Item = (VertexId, AdjEntry)> + Clone + 'static {
+        let EdgeData { etype, src, dst, .. } = self.edges[e.0 as usize];
+        let entry = |dir, other| AdjEntry { etype, dir, edge: e, other };
+        let entries = if self.schema.edge_type(etype).directed {
+            [Some((src, entry(Dir::Out, dst))), Some((dst, entry(Dir::In, src)))]
+        } else {
+            [Some((src, entry(Dir::Und, dst))), (src != dst).then(|| (dst, entry(Dir::Und, src)))]
         };
-        for e in &self.edges {
-            emit_counts(e, &mut counts);
-        }
-        // Prefix-sum into offsets.
-        for i in 0..nv {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let total = *offsets.last().unwrap_or(&0) as usize;
-        let mut adj = vec![
-            AdjEntry { etype: ETypeId(0), dir: Dir::Out, edge: EdgeId(0), other: VertexId(0) };
-            total
-        ];
-        let mut cursor: Vec<u32> = offsets[..nv].to_vec();
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            let directed = self.schema.edge_type(e.etype).directed;
-            let mut place = |v: VertexId, entry: AdjEntry, cursor: &mut Vec<u32>| {
-                let c = &mut cursor[v.0 as usize];
-                adj[*c as usize] = entry;
-                *c += 1;
-            };
-            if directed {
-                place(
-                    e.src,
-                    AdjEntry { etype: e.etype, dir: Dir::Out, edge: id, other: e.dst },
-                    &mut cursor,
-                );
-                place(
-                    e.dst,
-                    AdjEntry { etype: e.etype, dir: Dir::In, edge: id, other: e.src },
-                    &mut cursor,
-                );
-            } else {
-                place(
-                    e.src,
-                    AdjEntry { etype: e.etype, dir: Dir::Und, edge: id, other: e.dst },
-                    &mut cursor,
-                );
-                if e.src != e.dst {
-                    place(
-                        e.dst,
-                        AdjEntry { etype: e.etype, dir: Dir::Und, edge: id, other: e.src },
-                        &mut cursor,
-                    );
-                }
-            }
-        }
-        // Group each vertex's slice by (edge type, direction rank),
-        // stable on insertion order.
-        for v in 0..nv {
-            adj[offsets[v] as usize..offsets[v + 1] as usize]
-                .sort_by_key(|a| (a.etype.0, dir_rank(a.dir)));
-        }
-        // Per-(vertex, type) group boundaries.
-        let mut type_offsets = vec![0u32; nv * nt + 1];
-        for v in 0..nv {
-            let end = offsets[v + 1] as usize;
-            let mut cur = offsets[v] as usize;
-            for t in 0..nt {
-                type_offsets[v * nt + t] = cur as u32;
-                while cur < end && adj[cur].etype.0 as usize == t {
-                    cur += 1;
-                }
-            }
-            debug_assert_eq!(cur, end, "entry with out-of-range edge type");
-        }
-        if let Some(last) = type_offsets.last_mut() {
-            *last = total as u32;
-        }
-        self.csr = Csr { adj, offsets, type_offsets };
-        for o in &mut self.overlay {
-            o.clear();
-        }
-        self.overlay.resize(nv, Vec::new());
-        self.overlay_entries = 0;
-        self.collect_stats();
+        entries.into_iter().flatten()
     }
 
-    /// Rebuilds [`GraphStats`] from the vertex/edge stores. One pass over
-    /// the edges plus one over the CSR offsets; called by
-    /// [`Graph::finalize`] so statistics always describe the finalized
-    /// topology.
-    fn collect_stats(&mut self) {
-        let nvt = self.schema.vertex_type_count();
+    /// Edges added since the last finalize.
+    fn pending_edges(&self) -> impl Iterator<Item = EdgeId> {
+        (self.finalized_edges as u32..self.edges.len() as u32).map(EdgeId)
+    }
+
+    /// `v`'s overlay tail (empty on a finalized graph).
+    #[inline]
+    fn pending(&self, v: usize) -> &[AdjEntry] {
+        if self.overlay_entries == 0 {
+            return &[];
+        }
+        let tails = self.overlay.get_or_init(|| {
+            let mut tails = vec![Vec::new(); self.vertices.len()];
+            for e in self.pending_edges() {
+                for (v, entry) in self.endpoint_entries(e) {
+                    tails[v.0 as usize].push(entry);
+                }
+            }
+            tails
+        });
+        tails.get(v).map_or(&[], Vec::as_slice)
+    }
+
+    /// Folds the edges added since the last finalize into the CSR and
+    /// brings the statistics up to date under a fresh epoch. Only the CSR
+    /// chunks that hold an endpoint of such an edge, or a vertex added
+    /// since the last finalize, are rebuilt — O(V + E) for a bulk load,
+    /// O(what changed) plus one pass over the chunk spine afterwards —
+    /// and the result is the same adjacency, in the same order, as
+    /// finalizing a from-scratch copy of the graph once. Loaders,
+    /// generators, [`GraphBuilder::build`] and
+    /// [`crate::mutate::apply_batch`] call this so query execution sees
+    /// flat, type-grouped adjacency.
+    pub fn finalize(&mut self) {
+        let nv = self.vertices.len();
         let net = self.schema.edge_type_count();
-        let mut s = GraphStats {
-            epoch: FINALIZE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            vertex_counts: self.by_type.iter().map(|v| v.len() as u64).collect(),
-            edge_counts: vec![0; net],
-            out_by_type: vec![0; nvt * net],
-            in_by_type: vec![0; nvt * net],
-            etype_stride: net,
-            degree_log2: vec![0; DEGREE_BUCKETS],
+        let chunks = nv.div_ceil(CHUNK);
+
+        // Rebuild every chunk that gains a vertex the CSR does not cover
+        // yet or holds an endpoint of a pending edge — and only those.
+        let first_grown = if nv > self.finalized_vertices {
+            self.finalized_vertices / CHUNK
+        } else {
+            chunks
         };
-        for e in &self.edges {
+        let mut builders: Vec<Option<Box<ChunkBuilder>>> =
+            (0..chunks).map(|c| (c >= first_grown).then(ChunkBuilder::new)).collect();
+        for e in self.pending_edges() {
+            for (v, _) in self.endpoint_entries(e) {
+                builders[v.0 as usize / CHUNK].get_or_insert_with(ChunkBuilder::new).count(v);
+            }
+        }
+        fn old(csr: &[Arc<CsrChunk>], c: usize) -> Option<&CsrChunk> {
+            csr.get(c).map(Arc::as_ref)
+        }
+        let vertices_in = |c: usize| (nv - c * CHUNK).min(CHUNK);
+        for (c, builder) in builders.iter_mut().enumerate() {
+            if let Some(builder) = builder {
+                builder.lay_out(old(&self.csr, c), vertices_in(c));
+            }
+        }
+        for e in self.pending_edges() {
+            for (v, entry) in self.endpoint_entries(e) {
+                let builder = builders[v.0 as usize / CHUNK].as_mut();
+                builder.expect("a builder was made when the entry was counted").place(v, entry);
+            }
+        }
+        for (c, builder) in builders.into_iter().enumerate() {
+            let Some(builder) = builder else { continue };
+            let rebuilt = Arc::new(builder.finish(
+                old(&self.csr, c),
+                self.finalized_vertices.saturating_sub(c * CHUNK).min(CHUNK),
+                vertices_in(c),
+                net,
+                &mut self.stats.degree_log2,
+            ));
+            match self.csr.get_mut(c) {
+                Some(slot) => *slot = rebuilt,
+                None => self.csr.push(rebuilt),
+            }
+        }
+
+        let s = &mut self.stats;
+        for (count, ids) in s.vertex_counts.iter_mut().zip(&self.by_type) {
+            *count = ids.len() as u64;
+        }
+        for e in self.finalized_edges..self.edges.len() {
+            let e = &self.edges[e];
             let et = e.etype.0 as usize;
             s.edge_counts[et] += 1;
             let src_t = self.vertices[e.src.0 as usize].vtype.0 as usize;
@@ -627,12 +857,11 @@ impl Graph {
                 }
             }
         }
-        for v in 0..self.vertices.len() {
-            let deg = (self.csr.offsets[v + 1] - self.csr.offsets[v]) as u64;
-            let bucket = (64 - deg.leading_zeros() as usize).min(DEGREE_BUCKETS - 1);
-            s.degree_log2[bucket] += 1;
-        }
-        self.stats = s;
+        s.epoch = FINALIZE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.overlay = OnceLock::new();
+        self.overlay_entries = 0;
+        self.finalized_vertices = nv;
+        self.finalized_edges = self.edges.len();
     }
 
     /// The type of vertex `v`.
@@ -653,7 +882,7 @@ impl Graph {
 
     /// Vertex attribute by column index.
     pub fn vertex_attr(&self, v: VertexId, idx: usize) -> &Value {
-        &self.vertices[v.0 as usize].attrs[idx]
+        &self.vertices[v.0 as usize].attrs.values()[idx]
     }
 
     /// Vertex attribute by name (schema lookup each call; the evaluator
@@ -666,7 +895,7 @@ impl Graph {
 
     /// Edge attribute by column index.
     pub fn edge_attr(&self, e: EdgeId, idx: usize) -> &Value {
-        &self.edges[e.0 as usize].attrs[idx]
+        &self.edges[e.0 as usize].attrs.values()[idx]
     }
 
     /// Edge attribute by name.
@@ -678,13 +907,23 @@ impl Graph {
 
     /// Overwrites a vertex attribute (used by loaders and mutation tests).
     pub fn set_vertex_attr(&mut self, v: VertexId, idx: usize, value: Value) {
-        self.vertices[v.0 as usize].attrs[idx] = value;
+        self.vertices.get_mut(v.0 as usize).attrs.set(idx, value);
     }
 
     /// Overwrites an edge attribute (the edge twin of
     /// [`Graph::set_vertex_attr`], used by the mutation batch applier).
     pub fn set_edge_attr(&mut self, e: EdgeId, idx: usize, value: Value) {
-        self.edges[e.0 as usize].attrs[idx] = value;
+        self.edges.get_mut(e.0 as usize).attrs.set(idx, value);
+    }
+
+    /// `v`'s finalized adjacency slice (empty if the CSR does not cover
+    /// it yet).
+    #[inline]
+    fn csr_slice(&self, v: usize) -> &[AdjEntry] {
+        match self.csr.get(v / CHUNK) {
+            Some(chunk) => chunk.vertex_slice(v % CHUNK),
+            None => &[],
+        }
     }
 
     /// All adjacency entries of `v`: the finalized CSR slice chained with
@@ -693,10 +932,7 @@ impl Graph {
     #[inline]
     pub fn adjacency(&self, v: VertexId) -> AdjView<'_> {
         let i = v.0 as usize;
-        AdjView {
-            base: self.csr.vertex_slice(i),
-            tail: self.overlay.get(i).map(|o| o.as_slice()).unwrap_or(&[]),
-        }
+        AdjView { base: self.csr_slice(i), tail: self.pending(i) }
     }
 
     /// Adjacency entries of `v` with edge type `etype` — a direct slice
@@ -708,15 +944,13 @@ impl Graph {
         etype: ETypeId,
     ) -> impl Iterator<Item = &AdjEntry> {
         let i = v.0 as usize;
-        let nt = self.schema.edge_type_count();
-        let base = self.csr.type_slice(i, etype.0 as usize, nt);
-        let tail = self.overlay.get(i).map(|o| o.as_slice()).unwrap_or(&[]);
-        base.iter().chain(tail.iter().filter(move |a| a.etype == etype))
+        let base = self.csr_groups(i, Some(etype)).flatten();
+        base.chain(self.pending(i).iter().filter(move |a| a.etype == etype))
     }
 
     /// All vertices of type `vt`, in insertion order.
-    pub fn vertices_of_type(&self, vt: VTypeId) -> &[VertexId] {
-        &self.by_type[vt.0 as usize]
+    pub fn vertices_of_type(&self, vt: VTypeId) -> VertexList<'_> {
+        VertexList { ids: &self.by_type[vt.0 as usize] }
     }
 
     /// Iterator over all vertex ids.
@@ -736,64 +970,70 @@ impl Graph {
         group.partition_point(|a| dir_rank(a.dir) < below)
     }
 
+    /// `v`'s finalized type groups — the one for `etype`, or all of them
+    /// (empty slices if the CSR does not cover `v` yet).
+    fn csr_groups(
+        &self,
+        v: usize,
+        etype: Option<ETypeId>,
+    ) -> impl Iterator<Item = &[AdjEntry]> + '_ {
+        let ntypes = self.schema.edge_type_count();
+        let chunk = self.csr.get(v / CHUNK);
+        let types = match etype {
+            Some(t) => t.0 as usize..t.0 as usize + 1,
+            None => 0..ntypes,
+        };
+        types.map(move |t| chunk.map_or(&[][..], |c| c.type_slice(v % CHUNK, t, ntypes)))
+    }
+
     /// GSQL's `v.outdegree()`: number of edges leaving `v` (directed out
     /// plus undirected incident). With `etype`, restricted to that type.
     pub fn outdegree(&self, v: VertexId, etype: Option<ETypeId>) -> usize {
         let i = v.0 as usize;
-        let nt = self.schema.edge_type_count();
         // CSR part: per type group, `Out` + `Und` entries form the prefix
         // before the first `In` entry.
-        let base: usize = match etype {
-            Some(t) => Self::rank_prefix(self.csr.type_slice(i, t.0 as usize, nt), 2),
-            None => (0..nt)
-                .map(|t| Self::rank_prefix(self.csr.type_slice(i, t, nt), 2))
-                .sum(),
-        };
+        let base: usize = self.csr_groups(i, etype).map(|g| Self::rank_prefix(g, 2)).sum();
         let tail = self
-            .overlay
-            .get(i)
-            .map(|o| {
-                o.iter()
-                    .filter(|a| a.dir != Dir::In && etype.is_none_or(|t| a.etype == t))
-                    .count()
-            })
-            .unwrap_or(0);
+            .pending(i)
+            .iter()
+            .filter(|a| a.dir != Dir::In && etype.is_none_or(|t| a.etype == t))
+            .count();
         base + tail
     }
 
     /// Number of edges entering `v` (directed in plus undirected incident).
     pub fn indegree(&self, v: VertexId, etype: Option<ETypeId>) -> usize {
         let i = v.0 as usize;
-        let nt = self.schema.edge_type_count();
         // CSR part: `Und` + `In` entries form the suffix at and after the
         // first non-`Out` entry.
-        let base: usize = match etype {
-            Some(t) => {
-                let g = self.csr.type_slice(i, t.0 as usize, nt);
-                g.len() - Self::rank_prefix(g, 1)
-            }
-            None => (0..nt)
-                .map(|t| {
-                    let g = self.csr.type_slice(i, t, nt);
-                    g.len() - Self::rank_prefix(g, 1)
-                })
-                .sum(),
-        };
+        let base: usize =
+            self.csr_groups(i, etype).map(|g| g.len() - Self::rank_prefix(g, 1)).sum();
         let tail = self
-            .overlay
-            .get(i)
-            .map(|o| {
-                o.iter()
-                    .filter(|a| a.dir != Dir::Out && etype.is_none_or(|t| a.etype == t))
-                    .count()
-            })
-            .unwrap_or(0);
+            .pending(i)
+            .iter()
+            .filter(|a| a.dir != Dir::Out && etype.is_none_or(|t| a.etype == t))
+            .count();
         base + tail
     }
 
     /// Total degree of `v`.
     pub fn degree(&self, v: VertexId) -> usize {
         self.adjacency(v).len()
+    }
+
+    /// `(shared, total)`: of this graph's store and CSR chunks, how many
+    /// are the very same allocation as `other`'s chunk at that position.
+    #[cfg(test)]
+    pub(crate) fn chunks_shared_with(&self, other: &Graph) -> (usize, usize) {
+        let mut shared = self.vertices.shared_chunks(&other.vertices)
+            + self.edges.shared_chunks(&other.edges)
+            + self.csr.iter().zip(&other.csr).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        let mut total = self.vertices.chunk_count() + self.edges.chunk_count() + self.csr.len();
+        for (ids, theirs) in self.by_type.iter().zip(&other.by_type) {
+            shared += ids.shared_chunks(theirs);
+            total += ids.chunk_count();
+        }
+        (shared, total)
     }
 }
 
@@ -1015,7 +1255,7 @@ mod tests {
         let vt = g.schema().vertex_type_id("Person").unwrap();
         let a = g.add_vertex(vt, vec![Value::from("a")]).unwrap();
         let b = g.add_vertex(vt, vec![Value::from("b")]).unwrap();
-        assert_eq!(g.vertices_of_type(vt), &[a, b]);
+        assert_eq!(g.vertices_of_type(vt).to_vec(), [a, b]);
     }
 
     /// Reference adjacency model: the exact entries `add_edge` used to
@@ -1156,6 +1396,31 @@ mod tests {
         assert!(g.is_finalized());
         assert_eq!(g.adjacency(v0).len(), before + 1);
         assert_eq!(g.adjacency(nv).len(), 1);
+    }
+
+    #[test]
+    fn reads_between_adds_see_every_pending_edge() {
+        // A reader derives the overlay; later adds must keep it current,
+        // for old and for newly added vertices alike.
+        let mut g = scrambled_graph();
+        g.finalize();
+        let vt = g.schema().vertex_type_id("Person").unwrap();
+        let follows = g.schema().edge_type_id("Follows").unwrap();
+        let knows = g.schema().edge_type_id("Knows").unwrap();
+        for i in 0..4 {
+            let nv = g.add_vertex(vt, vec![Value::from(format!("late{i}"))]).unwrap();
+            g.add_edge(follows, VertexId(i), nv, vec![]).unwrap();
+            g.add_edge(knows, nv, nv, vec![Value::Int(1)]).unwrap();
+            let naive = naive_adjacency(&g);
+            for v in g.vertices() {
+                let mut got = g.adjacency(v).to_vec();
+                got.sort_by_key(|a| (a.edge, a.dir as u8));
+                let mut want = naive[v.0 as usize].clone();
+                want.sort_by_key(|a| (a.edge, a.dir as u8));
+                assert_eq!(got, want, "after add {i}, {v:?}");
+            }
+            assert_eq!(g.overlay_entry_count(), 3 * (i as usize + 1));
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`value`] — the dynamically-typed attribute [`value::Value`]
 //!   with total ordering and hashing (usable as grouping keys),
 //! * [`schema`] — vertex/edge type definitions with typed attributes,
-//! * [`graph`] — columnar vertex/edge storage plus per-vertex adjacency
-//!   grouped by `(edge type, direction)`,
+//! * [`graph`] — vertex/edge stores plus per-vertex CSR adjacency grouped
+//!   by `(edge type, direction)`, chunked and structurally shared so that
+//!   cloning a graph is cheap and a mutation batch costs O(batch),
 //! * [`bigcount`] — arbitrary-precision unsigned counters for path
 //!   multiplicities (the experiments count up to `2^30` paths and the
 //!   engine must not overflow on adversarial inputs),
@@ -44,6 +45,7 @@
 
 pub mod algo;
 pub mod bigcount;
+mod cow;
 pub mod datetime;
 pub mod fxhash;
 pub mod generators;

@@ -10,11 +10,11 @@ use crate::value::ValueType;
 use std::fmt;
 
 /// Identifier of a vertex type within a [`Schema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VTypeId(pub u32);
 
 /// Identifier of an edge type within a [`Schema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ETypeId(pub u32);
 
 /// A typed attribute declaration.

@@ -46,6 +46,7 @@ use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 // ---- CRC-32 (IEEE 802.3), table-driven ----------------------------------
 
@@ -397,6 +398,20 @@ pub struct WalStats {
     pub replayed: AtomicU64,
     /// Bytes appended since open.
     pub bytes: AtomicU64,
+    /// Nanoseconds commits spent producing the next snapshot in memory
+    /// (clone the published graph, apply the batch), in total.
+    pub apply_ns: AtomicU64,
+    /// Nanoseconds spent inside the fsync calls counted by `fsyncs`.
+    pub fsync_ns: AtomicU64,
+    /// Checkpoints written since open (periodic, forced and at drain).
+    pub checkpoints: AtomicU64,
+    /// Nanoseconds those checkpoints took, WAL trim included.
+    pub checkpoint_ns: AtomicU64,
+}
+
+/// Adds the time since `started` to a nanosecond total.
+fn add_elapsed(total: &AtomicU64, started: Instant) {
+    total.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Appends frames to `wal.log`, fsyncing per [`FlushPolicy`].
@@ -457,6 +472,7 @@ impl WalWriter {
             return Err(Self::poisoned_err());
         }
         if self.unsynced > 0 {
+            let started = Instant::now();
             if let Err(e) = self.file.sync_all() {
                 // Post-fsync-failure page-cache state is undefined
                 // (kernel may drop the dirty pages): poison.
@@ -464,6 +480,7 @@ impl WalWriter {
                 return Err(e);
             }
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            add_elapsed(&self.stats.fsync_ns, started);
             self.unsynced = 0;
         }
         Ok(())
@@ -590,15 +607,21 @@ struct WriterState {
     dir: Option<PathBuf>,
     batches_since_ckpt: u64,
     checkpoint_every: u64,
+    /// The seq of `checkpoint.cur`, if this process loaded or wrote that
+    /// file; `None` when recovery found it missing or unusable.
+    cur_ckpt_seq: Option<u64>,
 }
 
 /// A mutable graph behind epoch-pinned snapshots, optionally durable.
 ///
 /// Readers call [`LiveGraph::snapshot`] and get an `Arc<Graph>` frozen at
 /// that instant — a pinned epoch that no later commit mutates. The writer
-/// path is serialized by a mutex: clone the current snapshot, apply the
-/// batch, append it to the WAL (write-**ahead**: durable before visible),
-/// then publish the new snapshot atomically.
+/// path is serialized by a mutex: clone the current snapshot (cheap — the
+/// clone shares every store and CSR chunk with it), apply the batch
+/// (copying only the chunks it touches), append it to the WAL
+/// (write-**ahead**: durable before visible), then publish the new
+/// snapshot atomically. Successive snapshots thus share everything the
+/// batches between them left alone.
 pub struct LiveGraph {
     /// The current snapshot and the seq of the last batch folded into
     /// it, published together so readers can pin both atomically.
@@ -618,6 +641,7 @@ impl LiveGraph {
                 dir: None,
                 batches_since_ckpt: 0,
                 checkpoint_every: 0,
+                cur_ckpt_seq: None,
             }),
             stats: Arc::new(WalStats::default()),
         }
@@ -757,6 +781,7 @@ impl LiveGraph {
                     dir: Some(dir.to_path_buf()),
                     batches_since_ckpt: 0,
                     checkpoint_every,
+                    cur_ckpt_seq: (report.checkpoint != "prev").then_some(ckpt_seq),
                 }),
                 stats,
             },
@@ -822,10 +847,15 @@ impl LiveGraph {
             return Ok((BatchSummary::default(), w.seq));
         }
         // Apply to a private clone; the published snapshot stays intact
-        // until the batch is durable.
+        // until the batch is durable. The clone shares its storage with
+        // the snapshot and the batch copies only the chunks it writes to
+        // (see `crate::graph`), so this costs O(batch) — except for a
+        // batch that deletes, which compacts in O(graph).
+        let started = Instant::now();
         let mut next = Graph::clone(&self.snapshot());
         let summary =
             apply_batch(&mut next, ops).map_err(|e| CommitError::Graph(e.to_string()))?;
+        add_elapsed(&self.stats.apply_ns, started);
         let seq = w.seq + 1;
         if let Some(wal) = w.wal.as_mut() {
             wal.append(seq, ops).map_err(|e| CommitError::Wal(e.to_string()))?;
@@ -844,7 +874,7 @@ impl LiveGraph {
             // inconsistent store — but say so instead of hiding it. (A
             // trim/reopen failure also drops the writer, so the next
             // commit fails loudly and the server degrades to read-only.)
-            if let Err(e) = Self::checkpoint_locked(&mut w, &self.snapshot()) {
+            if let Err(e) = self.checkpoint_locked(&mut w) {
                 eprintln!("gsql: warning: periodic checkpoint failed (WAL retained): {e}");
             }
         }
@@ -863,7 +893,20 @@ impl LiveGraph {
     /// Forces a checkpoint now (clean shutdown, tests).
     pub fn checkpoint_now(&self) -> Result<(), CommitError> {
         let mut w = self.writer.lock().unwrap();
-        Self::checkpoint_locked(&mut w, &self.snapshot())
+        self.checkpoint_locked(&mut w)
+    }
+
+    /// Checkpoints the published snapshot (a no-op in memory), counting
+    /// it and its duration in [`WalStats`] when it succeeds.
+    fn checkpoint_locked(&self, w: &mut WriterState) -> Result<(), CommitError> {
+        let Some(dir) = w.dir.clone() else {
+            return Ok(());
+        };
+        let started = Instant::now();
+        Self::write_checkpoint(w, &dir, &self.snapshot())?;
+        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        add_elapsed(&self.stats.checkpoint_ns, started);
+        Ok(())
     }
 
     /// Checkpoint protocol (under the writer lock):
@@ -872,10 +915,7 @@ impl LiveGraph {
     /// 3. Rotate cur → prev, temp → cur, fsync the directory.
     /// 4. Trim WAL frames already covered by **prev** (so prev + the
     ///    remaining log can still fully recover if cur is lost).
-    fn checkpoint_locked(w: &mut WriterState, snap: &Arc<Graph>) -> Result<(), CommitError> {
-        let Some(dir) = w.dir.clone() else {
-            return Ok(()); // in-memory: nothing to do
-        };
+    fn write_checkpoint(w: &mut WriterState, dir: &Path, snap: &Graph) -> Result<(), CommitError> {
         let io = |e: std::io::Error| CommitError::Wal(e.to_string());
         if let Some(wal) = w.wal.as_mut() {
             wal.sync().map_err(|e| CommitError::Wal(e.to_string()))?;
@@ -889,19 +929,18 @@ impl LiveGraph {
         // the renames still leaves one complete checkpoint behind.
         let tmp = dir.join("checkpoint.new");
         loader::atomic_write_bytes(&tmp, text.as_bytes()).map_err(io)?;
+        // A `cur` this process neither loaded nor wrote (recovery fell
+        // back to `prev`) counts as seq 0: it is rotated, nothing is
+        // trimmed on its account.
         let prev_seq = if cur.exists() {
-            let prev_seq = std::fs::read_to_string(&cur)
-                .ok()
-                .and_then(|t| checkpoint_from_str(&t).ok())
-                .map(|(_, s)| s)
-                .unwrap_or(0);
             std::fs::rename(&cur, &prev).map_err(io)?;
-            prev_seq
+            w.cur_ckpt_seq.unwrap_or(0)
         } else {
             0
         };
         std::fs::rename(&tmp, &cur).map_err(io)?;
-        if let Ok(d) = File::open(&dir) {
+        w.cur_ckpt_seq = Some(w.seq);
+        if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();
         }
         w.batches_since_ckpt = 0;
@@ -1083,6 +1122,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One new customer who buys and likes existing products: edges of
+    /// both types at vertices that already have some, so where the new
+    /// adjacency entries land depends on the (type, direction, edge id)
+    /// order being restored, not on arrival order.
+    fn attach_ops(g: &Graph, tag: i64) -> Vec<MutationOp> {
+        let s = g.schema();
+        let bought = s.edge_type_id("Bought").unwrap();
+        let likes = s.edge_type_id("Likes").unwrap();
+        let new = VertexId(g.vertex_count() as u32);
+        let product = g.vertices_of_type(s.vertex_type_id("Product").unwrap())[0];
+        let mut ops = mk_ops(g, 1);
+        ops.push(MutationOp::AddEdge { etype: likes, src: new, dst: product, attrs: vec![] });
+        ops.push(MutationOp::AddEdge {
+            etype: bought,
+            src: new,
+            dst: product,
+            attrs: vec![Value::Int(tag), Value::Double(0.5)],
+        });
+        ops.push(MutationOp::AddEdge { etype: likes, src: VertexId(0), dst: product, attrs: vec![] });
+        ops
+    }
+
+    fn adjacency_lists(g: &Graph) -> Vec<Vec<crate::graph::AdjEntry>> {
+        g.vertices().map(|v| g.adjacency(v).to_vec()).collect()
+    }
+
     #[test]
     #[cfg_attr(miri, ignore)] // real filesystem
     fn checkpoint_trims_wal_and_prev_still_recovers() {
@@ -1090,19 +1155,33 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let seed = sales_graph();
         let (live, _) = LiveGraph::open(&dir, seed.clone(), FlushPolicy::Always, 0).unwrap();
-        let ops = mk_ops(&live.snapshot(), 1);
-        live.commit(&ops).unwrap();
+        live.commit(&attach_ops(&live.snapshot(), 1)).unwrap();
         live.checkpoint_now().unwrap();
-        live.commit(&ops).unwrap();
+        live.commit(&attach_ops(&live.snapshot(), 2)).unwrap();
         let expect = save_to_string(&live.snapshot()).unwrap();
+        let expect_adjacency = adjacency_lists(&live.snapshot());
+        assert_eq!(live.stats().checkpoints.load(Ordering::Relaxed), 1);
+        assert!(live.stats().checkpoint_ns.load(Ordering::Relaxed) > 0);
         drop(live);
+
+        // Recovery is history-independent: the live graph took two
+        // incremental commits; `cur` (seq 1) + one replayed frame and
+        // `prev` (seq 0) + two replayed frames must both give its bytes
+        // and its adjacency order, entry for entry.
+        let (live1, rep) = LiveGraph::open(&dir, seed.clone(), FlushPolicy::Always, 0).unwrap();
+        assert_eq!((rep.checkpoint.as_str(), rep.frames_replayed), ("cur", 1));
+        assert_eq!(save_to_string(&live1.snapshot()).unwrap(), expect);
+        assert_eq!(adjacency_lists(&live1.snapshot()), expect_adjacency);
+        drop(live1);
 
         // cur checkpoint (seq 1) exists; delete it to force the prev path.
         assert!(dir.join(CKPT_PREV).exists());
         std::fs::remove_file(dir.join(CKPT_CUR)).unwrap();
         let (live2, rep) = LiveGraph::open(&dir, seed, FlushPolicy::Always, 0).unwrap();
-        assert_eq!(rep.checkpoint, "prev");
+        assert_eq!((rep.checkpoint.as_str(), rep.frames_replayed), ("prev", 2));
         assert_eq!(save_to_string(&live2.snapshot()).unwrap(), expect);
+        assert_eq!(adjacency_lists(&live2.snapshot()), expect_adjacency);
+        assert!(live2.snapshot().is_finalized());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1127,6 +1206,36 @@ mod tests {
         assert_eq!(rep.checkpoint, "prev");
         assert!(!rep.warnings.is_empty());
         assert_eq!(save_to_string(&live2.snapshot()).unwrap(), expect);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // real filesystem
+    fn checkpoint_after_prev_fallback_trims_nothing() {
+        let dir = std::env::temp_dir().join(format!("gsql-wal-pf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = sales_graph();
+        let (live, _) = LiveGraph::open(&dir, seed.clone(), FlushPolicy::Always, 0).unwrap();
+        live.commit(&mk_ops(&live.snapshot(), 1)).unwrap();
+        live.checkpoint_now().unwrap();
+        live.commit(&mk_ops(&live.snapshot(), 1)).unwrap();
+        let expect = save_to_string(&live.snapshot()).unwrap();
+        drop(live);
+
+        // cur (seq 1) keeps its header and loses half its body.
+        let cur = dir.join(CKPT_CUR);
+        let text = std::fs::read(&cur).unwrap();
+        std::fs::write(&cur, &text[..text.len() / 2]).unwrap();
+        let (live2, rep) = LiveGraph::open(&dir, seed.clone(), FlushPolicy::Always, 0).unwrap();
+        assert_eq!((rep.checkpoint.as_str(), rep.frames_replayed), ("prev", 2));
+        // The damaged file's header does not decide what the trim drops.
+        live2.checkpoint_now().unwrap();
+        let (frames, _, _) = decode_frames(&std::fs::read(dir.join(WAL_FILE)).unwrap());
+        assert_eq!(frames.len(), 2);
+        drop(live2);
+        let (live3, rep) = LiveGraph::open(&dir, seed, FlushPolicy::Always, 0).unwrap();
+        assert_eq!((rep.checkpoint.as_str(), rep.frames_replayed), ("cur", 0));
+        assert_eq!(save_to_string(&live3.snapshot()).unwrap(), expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -84,6 +84,12 @@ fn metrics(shared: &Shared) -> Response {
                 ("fsyncs".into(), load(&wal.fsyncs)),
                 ("replayed".into(), load(&wal.replayed)),
                 ("bytes".into(), load(&wal.bytes)),
+                // Where a slow `/mutate` went: producing the snapshot in
+                // memory, the fsyncs, or a checkpoint it set off.
+                ("apply_ns".into(), load(&wal.apply_ns)),
+                ("fsync_ns".into(), load(&wal.fsync_ns)),
+                ("checkpoints".into(), load(&wal.checkpoints)),
+                ("checkpoint_ns".into(), load(&wal.checkpoint_ns)),
                 ("durable".into(), Json::Bool(shared.live.is_durable())),
                 ("read_only".into(), Json::Bool(shared.read_only())),
             ]),

@@ -827,6 +827,14 @@ fn mutate_commits_while_query_rejects_mutating_statements() {
     let wal = m.get("wal").expect("metrics has wal section");
     assert_eq!(wal.get("durable"), Some(&Json::Bool(false)));
     assert_eq!(wal.get("read_only"), Some(&Json::Bool(false)));
+    // Where the commit's time went: it was applied in memory, and an
+    // in-memory server neither fsyncs nor checkpoints.
+    let wal_count = |k: &str| wal.get(k).and_then(Json::as_i64).unwrap();
+    assert!(wal_count("apply_ns") > 0, "{m}");
+    assert_eq!(
+        (wal_count("fsync_ns"), wal_count("checkpoints"), wal_count("checkpoint_ns")),
+        (0, 0, 0)
+    );
     let get = |k: &str| m.get(k).and_then(Json::as_i64).unwrap();
     assert_eq!(get("admitted"), get("completed") + get("failed") + get("cancelled"));
     server.shutdown();

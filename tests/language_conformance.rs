@@ -581,6 +581,51 @@ fn vertex_set_algebra() {
 }
 
 #[test]
+fn scan_pinned_to_a_vertex_parameter_is_a_point_read() {
+    // `WHERE s == who` pins the scan variable to one vertex. The scan
+    // seeds from that vertex (either operand order) instead of binding
+    // every candidate and filtering all but one row away: same answer as
+    // the same-name anchor `V:who`, same rows materialized — a point read
+    // does not slow down as its vertex type grows.
+    let out_neighbours = |from: &str, filter: &str| {
+        format!(
+            "CREATE QUERY G (vertex<V> who) {{
+               SELECT t.name AS n INTO T FROM {from} -(E>)- V:t {filter} ORDER BY t.name ASC;
+             }}"
+        )
+    };
+    let names = |out: &gsql_core::QueryOutput| -> Vec<Value> {
+        out.table("T").unwrap().rows.iter().map(|r| r[0].clone()).collect()
+    };
+    let g = pgraph::generators::erdos_renyi(300, 4.0 / 300.0, 11);
+    let mut nonempty = 0;
+    for who in g.vertices().step_by(19) {
+        let args = [("who", Value::Vertex(who))];
+        let run = |src: String| Engine::new(&g).run_text(&src, &args).unwrap();
+        let anchored = run(out_neighbours("V:who", ""));
+        let pinned = run(out_neighbours("V:s", "WHERE s == who"));
+        let flipped = run(out_neighbours("V:s", "WHERE who == s AND t.name <> \"\""));
+        nonempty += usize::from(!names(&anchored).is_empty());
+        assert_eq!(names(&pinned), names(&anchored));
+        assert_eq!(names(&flipped), names(&anchored));
+        assert_eq!(pinned.report.rows_materialized, anchored.report.rows_materialized);
+    }
+    assert!(nonempty > 0);
+    // A vertex of another type satisfies neither the scan nor the filter.
+    let g = sales_graph();
+    let product = g.vertices_of_type(g.schema().vertex_type_id("Product").unwrap())[0];
+    let out = Engine::new(&g)
+        .run_text(
+            "CREATE QUERY G (vertex who) {
+               SELECT c.name AS cust INTO T FROM Customer:c WHERE c == who;
+             }",
+            &[("who", Value::Vertex(product))],
+        )
+        .unwrap();
+    assert!(out.table("T").unwrap().rows.is_empty());
+}
+
+#[test]
 fn case_expressions() {
     let out = run(r#"
         CREATE QUERY G () {
