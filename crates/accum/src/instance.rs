@@ -1167,30 +1167,29 @@ mod tests {
 
     #[test]
     fn exact_merge_classification() {
-        let r = reg();
-        assert!(AccumType::Sum(ValueType::Int).is_exact_merge(&r));
-        assert!(AccumType::Min.is_exact_merge(&r));
-        assert!(AccumType::Max.is_exact_merge(&r));
-        assert!(AccumType::Or.is_exact_merge(&r));
-        assert!(AccumType::And.is_exact_merge(&r));
-        assert!(AccumType::Set.is_exact_merge(&r));
-        assert!(AccumType::Bag.is_exact_merge(&r));
-        assert!(AccumType::Map(Box::new(AccumType::Bag)).is_exact_merge(&r));
+        assert!(AccumType::Sum(ValueType::Int).is_exact_merge());
+        assert!(AccumType::Min.is_exact_merge());
+        assert!(AccumType::Max.is_exact_merge());
+        assert!(AccumType::Or.is_exact_merge());
+        assert!(AccumType::And.is_exact_merge());
+        assert!(AccumType::Set.is_exact_merge());
+        assert!(AccumType::Bag.is_exact_merge());
+        assert!(AccumType::Map(Box::new(AccumType::Bag)).is_exact_merge());
         assert!(AccumType::GroupBy {
             key_arity: 1,
             nested: vec![AccumType::Sum(ValueType::Int), AccumType::Set],
         }
-        .is_exact_merge(&r));
+        .is_exact_merge());
         // Float folds, concatenators, heaps, user accums: not exact.
-        assert!(!AccumType::Sum(ValueType::Double).is_exact_merge(&r));
-        assert!(!AccumType::Sum(ValueType::Str).is_exact_merge(&r));
-        assert!(!AccumType::Avg.is_exact_merge(&r));
-        assert!(!AccumType::List.is_exact_merge(&r));
-        assert!(!AccumType::Array.is_exact_merge(&r));
-        assert!(!AccumType::Heap { capacity: 2, fields: vec![] }.is_exact_merge(&r));
-        assert!(!AccumType::User("ProductAccum".into()).is_exact_merge(&r));
+        assert!(!AccumType::Sum(ValueType::Double).is_exact_merge());
+        assert!(!AccumType::Sum(ValueType::Str).is_exact_merge());
+        assert!(!AccumType::Avg.is_exact_merge());
+        assert!(!AccumType::List.is_exact_merge());
+        assert!(!AccumType::Array.is_exact_merge());
+        assert!(!AccumType::Heap { capacity: 2, fields: vec![] }.is_exact_merge());
+        assert!(!AccumType::User("ProductAccum".into()).is_exact_merge());
         assert!(
-            !AccumType::Map(Box::new(AccumType::Avg)).is_exact_merge(&r),
+            !AccumType::Map(Box::new(AccumType::Avg)).is_exact_merge(),
             "exactness must recurse through containers"
         );
     }

@@ -134,11 +134,12 @@ impl AccumType {
         }
     }
 
-    /// Whether partitioned (per-shard) accumulation followed by
+    /// Whether partitioned accumulation followed by
     /// [`crate::instance::Accum::merge`] in *any* partition arrangement
     /// produces a state **bit-identical** to sequential accumulation —
-    /// the gate the scatter-gather executor uses before splitting an
-    /// ACCUM clause across shards.
+    /// the per-type condition behind the engine's parallel-fold gate
+    /// (decided by the abstract interpreter, `gsql-core`'s
+    /// `lint/absint.rs`).
     ///
     /// Stricter than [`is_order_invariant`](Self::is_order_invariant):
     /// `Avg` and `SumAccum<DOUBLE>` are order-invariant mathematically
@@ -146,8 +147,7 @@ impl AccumType {
     /// compares only its spec fields, so field-equal ties are resolved by
     /// insertion order. Those merge *correctly* but not *identically*,
     /// and are excluded.
-    #[allow(clippy::only_used_in_recursion)] // registry threads through to nested Map/GroupBy cells
-    pub fn is_exact_merge(&self, registry: &UserAccumRegistry) -> bool {
+    pub fn is_exact_merge(&self) -> bool {
         match self {
             AccumType::Sum(ValueType::Int)
             | AccumType::Min
@@ -156,9 +156,9 @@ impl AccumType {
             | AccumType::And
             | AccumType::Set
             | AccumType::Bag => true,
-            AccumType::Map(v) => v.is_exact_merge(registry),
+            AccumType::Map(v) => v.is_exact_merge(),
             AccumType::GroupBy { nested, .. } => {
-                nested.iter().all(|n| n.is_exact_merge(registry))
+                nested.iter().all(AccumType::is_exact_merge)
             }
             // f64 folds, concatenating types, tie-truncating heaps, and
             // opaque user accumulators: merge order would show through.

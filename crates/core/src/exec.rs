@@ -7,7 +7,7 @@ use crate::error::{Error, Result};
 use crate::eval::{eval, truthy, Binding, Bindings, Env, RowRef, VAccStore};
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
-use crate::plan::{BlockPlan, HopStrategy, LowerCtx, QueryPlan};
+use crate::plan::{BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
 use crate::profile::{Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{reach_on, GraphView, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
@@ -162,11 +162,11 @@ impl<'g> Engine<'g> {
     }
 
     /// Routes kernel execution through `shards` — the scatter-gather
-    /// path: reachability kernels are scheduled and accounted per owner
-    /// shard, ACCUM clauses with exclusively combine-merged (`+=`)
-    /// exact-merge accumulators scatter across shards and gather through
-    /// [`accum::Accum::merge`] in deterministic shard order, and the
-    /// [`ResourceReport`] carries a per-shard breakdown. Query output is
+    /// path: reachability kernels read adjacency from their key's owner
+    /// shard segment and are accounted per owner shard, and the
+    /// [`ResourceReport`] carries a per-shard breakdown. Everything that
+    /// never reads adjacency (ACCUM/POST_ACCUM folds, filters,
+    /// projections) runs exactly as on the flat path. Query output is
     /// **byte-identical** to flat execution at any shard count × any
     /// parallelism (the segments serve bit-identical adjacency and every
     /// merge is deterministic).
@@ -239,7 +239,12 @@ impl<'g> Engine<'g> {
         profile: bool,
     ) -> Result<(QueryOutput, Option<Profile>)> {
         let plan = prepared.plan_for(self.graph.stats().epoch(), self.semantics, || {
-            self.plan(prepared.query())
+            std::sync::Arc::new(crate::plan::lower_query_with(
+                prepared.query(),
+                self.semantics,
+                Some(&self.lower_ctx()),
+                prepared.facts(self.semantics),
+            ))
         });
         self.run_planned(prepared.query(), args, profile, &plan)
     }
@@ -317,12 +322,16 @@ impl<'g> Engine<'g> {
     /// statistics. This is the plan [`Engine::run`] runs and
     /// [`Engine::explain`] renders.
     pub fn plan(&self, query: &Query) -> std::sync::Arc<QueryPlan> {
-        let ctx = LowerCtx {
-            graph: self.graph,
-            tables: &self.tables,
-            shards: self.active_shards(),
-        };
-        std::sync::Arc::new(crate::plan::lower_query(query, self.semantics, Some(&ctx)))
+        std::sync::Arc::new(crate::plan::lower_query(
+            query,
+            self.semantics,
+            Some(&self.lower_ctx()),
+        ))
+    }
+
+    /// What the planner may consult about this engine's environment.
+    fn lower_ctx(&self) -> LowerCtx<'_> {
+        LowerCtx { graph: self.graph, tables: &self.tables, shards: self.active_shards() }
     }
 
     /// Builds the query plan ([`crate::Plan`]) this engine executes
@@ -513,79 +522,152 @@ impl Spec {
     }
 }
 
-/// One accumulator-input emission from the Map phase.
-struct Emission {
+/// One accumulator write produced by interpreting an ACCUM / POST_ACCUM
+/// statement ([`emit`]); where it lands is the clause's [`Sink`].
+struct Emission<'m> {
     target: EmitTarget,
     value: Value,
     /// `true` = `+=` (combine), `false` = `=` (assign).
     combine: bool,
-    mult: BigCount,
+    /// The emitting item's multiplicity (a binding-table row's path
+    /// count; 1 for POST_ACCUM's distinct vertices).
+    mult: &'m BigCount,
 }
 
+/// An emission's destination; `name` indexes the clause's
+/// [`target_names`].
 #[derive(Clone, Copy)]
 enum EmitTarget {
     V { name: usize, vertex: VertexId },
     G { name: usize },
 }
 
-/// Identity-seeded accumulator partials folded by one scatter worker
-/// (per shard or per morsel-stealing thread). Globals key by interned
-/// target index, vertex cells by `(target, VertexId)`; both merge into
-/// the live stores in a deterministic order — ascending shard / morsel,
-/// then ascending key — via [`Runtime::merge_partial`]. The `bool` in
-/// each cell records whether the cell was ever written by a plain `=`
-/// assignment: such cells *replace* the live state on merge instead of
-/// combining into it (sound only under the absint-proven gates — see
-/// `lint/absint.rs`).
+/// The distinct accumulator names a clause writes, in first-appearance
+/// order (vertex and global targets share the list; the [`EmitTarget`]
+/// variant says which namespace an index addresses).
+fn target_names(stmts: &[AccStmt]) -> Vec<&str> {
+    let mut names: Vec<&str> = Vec::new();
+    for s in stmts {
+        if let AccStmt::VAcc { name, .. } | AccStmt::GAcc { name, .. } = s {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+    }
+    names
+}
+
+/// The one interpreter of an ACCUM / POST_ACCUM statement: evaluates
+/// `stmt` for the item bound in `env`. A local declaration binds into
+/// `acc_locals` (visible to the item's later statements) and yields
+/// nothing; an accumulator write yields its [`Emission`].
+fn emit<'m>(
+    env: &Env<'_>,
+    stmt: &AccStmt,
+    acc_locals: &mut FxHashMap<String, Value>,
+    names: &[&str],
+    mult: &'m BigCount,
+) -> Result<Option<Emission<'m>>> {
+    let name_idx = |n: &str| {
+        names.iter().position(|x| *x == n).expect("target_names covers every statement")
+    };
+    let env = Env { acc_locals: Some(acc_locals), ..*env };
+    Ok(match stmt {
+        AccStmt::LocalDecl { name, expr } => {
+            let v = eval(&env, expr)?;
+            acc_locals.insert(name.clone(), v);
+            None
+        }
+        AccStmt::VAcc { var, name, combine, expr } => {
+            let value = eval(&env, expr)?;
+            let vertex = crate::eval::resolve_vertex(&env, var)?;
+            let target = EmitTarget::V { name: name_idx(name), vertex };
+            Some(Emission { target, value, combine: *combine, mult })
+        }
+        AccStmt::GAcc { name, combine, expr } => {
+            let value = eval(&env, expr)?;
+            let target = EmitTarget::G { name: name_idx(name) };
+            Some(Emission { target, value, combine: *combine, mult })
+        }
+    })
+}
+
+/// How a clause's emissions reach the live stores — the only thing that
+/// differs between ACCUM and POST_ACCUM, parallel and sequential.
+#[derive(Clone, Copy, PartialEq)]
+enum Sink {
+    /// The plan's [`FoldVerdict`] holds: each morsel folds into an
+    /// identity-seeded [`AccumPartial`]; partials merge into the live
+    /// stores in ascending morsel order.
+    Partials,
+    /// ACCUM without the verdict: emissions concatenate in row order and
+    /// apply after the whole Map (snapshot semantics, the row-order
+    /// Reduce of parallelism 1).
+    Snapshot,
+    /// POST_ACCUM's sequential apply: each statement lands immediately,
+    /// visible to the next statement and the next vertex.
+    Live,
+}
+
+/// The declared type of each of a clause's [`target_names`], per
+/// namespace — the identity seeds of its partials' cells.
+struct Seeds {
+    v: Vec<Option<AccumType>>,
+    g: Vec<Option<AccumType>>,
+}
+
+/// Identity-seeded accumulator partials folded from one morsel. Globals
+/// key by interned target index, vertex cells by `(target, VertexId)`;
+/// both merge into the live stores in a deterministic order — ascending
+/// morsel, then ascending key — via [`Runtime::merge_partial`]. The
+/// `bool` in each cell records whether the cell was ever written by a
+/// plain `=` assignment: such cells *replace* the live state on merge
+/// instead of combining into it (sound only under
+/// [`FoldVerdict::Proven`] — see `lint/absint.rs`).
 #[derive(Default)]
 struct AccumPartial {
     g: FxHashMap<usize, (Accum, bool)>,
     v: FxHashMap<(usize, VertexId), (Accum, bool)>,
 }
 
-/// Fold one Map-phase emission into a worker-local partial. Only
-/// reachable under the exact-merge gate ([`Runtime::accum_scatter_exact`])
-/// or the absint-proven gate from the block plan, so every target is a
-/// declared accumulator of a known type. `+=` emissions combine into the
-/// identity-seeded cell; `=` emissions assign and mark the cell so
-/// [`Runtime::merge_partial`] replaces rather than merges the live state
-/// (legal because the proven gate guarantees either a row-invariant RHS
-/// or per-vertex suffix-replay equivalence).
-fn fold_into_partial(
-    part: &mut AccumPartial,
-    em: Emission,
-    v_types: &[Option<AccumType>],
-    g_types: &[Option<AccumType>],
-    registry: &UserAccumRegistry,
-) -> Result<()> {
-    use std::collections::hash_map::Entry;
-    let cell = match em.target {
-        EmitTarget::V { name, vertex } => match part.v.entry((name, vertex)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let ty = v_types[name].as_ref().ok_or_else(|| {
-                    Error::runtime("parallel-fold gate admitted an undeclared accumulator")
-                })?;
-                e.insert((Accum::new(ty, registry)?, false))
-            }
-        },
-        EmitTarget::G { name } => match part.g.entry(name) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let ty = g_types[name].as_ref().ok_or_else(|| {
-                    Error::runtime("parallel-fold gate admitted an undeclared accumulator")
-                })?;
-                e.insert((Accum::new(ty, registry)?, false))
-            }
-        },
-    };
-    if em.combine {
-        cell.0.combine_with_multiplicity(em.value, &em.mult, registry)?;
-    } else {
-        cell.0.assign(em.value)?;
-        cell.1 = true;
+impl AccumPartial {
+    /// Folds one emission in. Only reached when the block plan's
+    /// [`FoldVerdict`] is parallel, which the abstract interpreter grants
+    /// only to clauses whose every target is declared. `+=` emissions
+    /// combine into the identity-seeded cell; `=` emissions assign and
+    /// mark the cell so [`Runtime::merge_partial`] replaces rather than
+    /// merges the live state.
+    fn fold(
+        &mut self,
+        em: Emission<'_>,
+        seeds: &Seeds,
+        registry: &UserAccumRegistry,
+    ) -> Result<()> {
+        use std::collections::hash_map::Entry;
+        let seed = |ty: &Option<AccumType>| -> Result<(Accum, bool)> {
+            let ty = ty.as_ref().ok_or_else(|| {
+                Error::runtime("parallel-fold verdict admitted an undeclared accumulator")
+            })?;
+            Ok((Accum::new(ty, registry)?, false))
+        };
+        let cell = match em.target {
+            EmitTarget::V { name, vertex } => match self.v.entry((name, vertex)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(seed(&seeds.v[name])?),
+            },
+            EmitTarget::G { name } => match self.g.entry(name) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(seed(&seeds.g[name])?),
+            },
+        };
+        if em.combine {
+            cell.0.combine_with_multiplicity(em.value, em.mult, registry)?;
+        } else {
+            cell.0.assign(em.value)?;
+            cell.1 = true;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 struct Runtime<'e, 'g> {
@@ -604,8 +686,8 @@ struct Runtime<'e, 'g> {
     vaccs: FxHashMap<String, VAccStore>,
     gaccs: FxHashMap<String, Accum>,
     /// Declared types of the global accumulators (the instances in
-    /// `gaccs` don't retain their descriptor; the scatter-gather exact-
-    /// merge gate needs it).
+    /// `gaccs` don't retain their descriptor; a partial fold seeds its
+    /// cells from it).
     gacc_types: FxHashMap<String, AccumType>,
     prev_vaccs: FxHashMap<String, VAccStore>,
     prev_gaccs: FxHashMap<String, Accum>,
@@ -1265,15 +1347,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // The static walk mispredicted the runtime semantics (an
             // IF-guarded USE SEMANTICS) or the block reached us outside
             // the planned query: lower it on the fly.
-            _ => {
-                let ctx =
-                    LowerCtx { graph: self.graph(), tables: &self.eng.tables, shards: self.shards };
-                std::sync::Arc::new(crate::plan::lower_block_only(
-                    block,
-                    self.semantics,
-                    Some(&ctx),
-                ))
-            }
+            _ => std::sync::Arc::new(crate::plan::lower_block_only(
+                block,
+                self.semantics,
+                Some(&self.eng.lower_ctx()),
+                &self.plan.facts,
+            )),
         };
         let mut pending: Vec<usize> = (0..bp.conjuncts.len()).collect();
 
@@ -1427,7 +1506,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
-            self.run_accum(&block.accum, &rows, &vars, &table_refs, bp.accum_parallel_proven)?;
+            self.run_accum(&block.accum, &rows, &vars, &table_refs, bp.accum_fold)?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
                 accum_bytes: bytes,
@@ -1450,8 +1529,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 &block.post_accum,
                 &rows,
                 &vars,
-                &table_refs,
-                bp.post_accum_parallel_proven,
+                bp.post_accum_fold,
             )?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
@@ -1583,7 +1661,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let rows_ref = &rows;
         let run = dispatch(self.guard, workers, &ranges, |_, range| {
             let mut keep: Vec<usize> = Vec::new();
-            for r in range {
+            for r in range.clone() {
                 let env = Env {
                     row: Some(RowRef { vars, bindings: rows_ref.bindings_at(r), tables }),
                     ..self.env()
@@ -1889,153 +1967,40 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(out.finish())
     }
 
-    /// Runs one reachability kernel on the main thread, routing through
-    /// the sharded view when scatter-gather is active and attributing
-    /// the kernel to the key's owner shard.
+    /// Runs one reachability kernel on the main thread (a reach-cache
+    /// miss of the sequential row loop).
     fn reach_keyed(&mut self, key: VertexId, nfa: &CompiledDarpe) -> Result<ReachMap> {
-        let view = match self.shards {
-            Some(sh) => GraphView::Sharded(sh),
-            None => GraphView::Flat(self.graph()),
-        };
-        let before_v = self.stats.vertices_touched;
-        let before_e = self.stats.edges_scanned;
-        let t0 = std::time::Instant::now();
-        let r = reach_on(view, key, nfa, self.semantics, self.guard, &mut self.stats);
-        if let Some(sh) = self.shards {
-            self.guard.note_shard(
-                sh.owner(key),
-                self.stats.vertices_touched - before_v,
-                self.stats.edges_scanned - before_e,
-                1,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        r
+        let (graph, shards, semantics, guard) =
+            (self.graph(), self.shards, self.semantics, self.guard);
+        keyed_kernel(graph, shards, key, nfa, semantics, guard, &mut self.stats)
     }
 
-    /// Runs one reachability kernel per key across `Engine::parallelism`
-    /// scoped worker threads (work-stealing over the shared key list) and
-    /// returns the per-key [`ReachMap`]s.
+    /// Runs one reachability kernel per key through the engine's one
+    /// scheduler ([`dispatch`], items = keys) and returns the per-key
+    /// [`ReachMap`]s.
     ///
-    /// Determinism: each worker collects into a local [`MatchStats`] and
-    /// the counters (all sums) merge into `self.stats` after the scope, so
-    /// totals match sequential execution exactly. The shared [`QueryGuard`]
-    /// is checkpointed inside every kernel loop, so cancellation and budget
-    /// exhaustion stop all workers. A panicking worker poisons the guard
-    /// (stopping siblings at their next checkpoint) and surfaces as a
-    /// structured `WorkerPanic`; otherwise the error for the smallest key
-    /// index wins, mirroring the order the sequential loop would fail in.
+    /// Determinism: each kernel counts into its own [`MatchStats`] and
+    /// the counters (all sums) merge into `self.stats` in key order, so
+    /// totals match sequential execution exactly. The shared
+    /// [`QueryGuard`] is checkpointed inside every kernel loop, so
+    /// cancellation and budget exhaustion stop all workers.
     fn parallel_kernels(
         &mut self,
         keys: &[VertexId],
         nfa: &CompiledDarpe,
     ) -> Result<FxHashMap<VertexId, ReachMap>> {
-        let graph = self.graph();
-        let semantics = self.semantics;
-        let guard = self.guard;
-        let shards = self.shards;
-        let view = match shards {
-            Some(sh) => GraphView::Sharded(sh),
-            None => GraphView::Flat(graph),
-        };
-        // Scatter schedule: indices into `keys`, grouped by owner shard
-        // and interleaved round-robin so the work-stealing counter serves
-        // every shard fairly — one hot shard cannot monopolize the
-        // worker pool's early slots.
-        let schedule: Vec<usize> = match shards {
-            Some(sh) => {
-                let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); sh.shard_count()];
-                for (i, k) in keys.iter().enumerate() {
-                    by_shard[sh.owner(*k)].push(i);
-                }
-                let mut out = Vec::with_capacity(keys.len());
-                let mut cursor = vec![0usize; by_shard.len()];
-                loop {
-                    let mut pushed = false;
-                    for (sdx, q) in by_shard.iter().enumerate() {
-                        if let Some(&i) = q.get(cursor[sdx]) {
-                            out.push(i);
-                            cursor[sdx] += 1;
-                            pushed = true;
-                        }
-                    }
-                    if !pushed {
-                        break;
-                    }
-                }
-                out
-            }
-            None => (0..keys.len()).collect(),
-        };
-        let schedule = &schedule;
-        let nworkers = self.eng.parallelism.min(keys.len());
-        let next_key = std::sync::atomic::AtomicUsize::new(0);
-        type WorkerOut = (MatchStats, Vec<(usize, Result<ReachMap>)>);
-        let worker_out: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nworkers)
-                .map(|_| {
-                    let next_key = &next_key;
-                    s.spawn(move || -> WorkerOut {
-                        let mut stats = MatchStats::default();
-                        let mut done: Vec<(usize, Result<ReachMap>)> = Vec::new();
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || loop {
-                                let si =
-                                    next_key.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if si >= schedule.len() {
-                                    break;
-                                }
-                                let i = schedule[si];
-                                let before_v = stats.vertices_touched;
-                                let before_e = stats.edges_scanned;
-                                let t0 = std::time::Instant::now();
-                                let r = reach_on(
-                                    view, keys[i], nfa, semantics, guard, &mut stats,
-                                );
-                                if let Some(sh) = shards {
-                                    guard.note_shard(
-                                        sh.owner(keys[i]) as usize,
-                                        stats.vertices_touched - before_v,
-                                        stats.edges_scanned - before_e,
-                                        1,
-                                        t0.elapsed().as_nanos() as u64,
-                                    );
-                                }
-                                let failed = r.is_err();
-                                done.push((i, r));
-                                if failed {
-                                    break;
-                                }
-                            },
-                        ));
-                        if let Err(payload) = caught {
-                            guard.poison();
-                            done.push((usize::MAX, Err(guard.worker_panic_error(payload.as_ref()))));
-                        }
-                        (stats, done)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        (
-                            MatchStats::default(),
-                            vec![(usize::MAX, Err(Error::runtime("kernel thread panicked")))],
-                        )
-                    })
-                })
-                .collect()
-        });
-        let mut maps: Vec<Option<ReachMap>> = keys.iter().map(|_| None).collect();
-        let mut first_err: Option<(usize, Error)> = None;
+        let (graph, shards, semantics, guard) =
+            (self.graph(), self.shards, self.semantics, self.guard);
+        let run = dispatch(guard, self.eng.parallelism, keys, |_, &key| {
+            let mut stats = MatchStats::default();
+            let map = keyed_kernel(graph, shards, key, nfa, semantics, guard, &mut stats)?;
+            Ok((map, stats))
+        })?;
         if self.prof.is_some() {
             // Per-worker kernel distribution for the enclosing hop span —
             // how evenly the work-stealing fan-out spread the kernels.
-            self.prof_hop_workers =
-                worker_out.iter().map(|(stats, _)| stats.kernel_calls).collect();
-            if let Some(sh) = self.shards {
+            self.prof_hop_workers = run.per_worker;
+            if let Some(sh) = shards {
                 // Per-shard distribution: one kernel per key, attributed
                 // to the key's owner.
                 let mut per = vec![0u64; sh.shard_count()];
@@ -2045,404 +2010,190 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 self.prof_hop_shards = per;
             }
         }
-        for (stats, done) in worker_out {
+        let mut maps = FxHashMap::default();
+        for (key, (map, stats)) in keys.iter().zip(run.results) {
             self.stats.merge(&stats);
-            for (i, r) in done {
-                match r {
-                    Ok(m) => maps[i] = Some(m),
-                    Err(e) => {
-                        let replace = match &first_err {
-                            None => true,
-                            Some((pi, pe)) => {
-                                if pe.kind() == crate::error::ErrorKind::WorkerPanic {
-                                    false
-                                } else if e.kind() == crate::error::ErrorKind::WorkerPanic {
-                                    true
-                                } else {
-                                    i < *pi
-                                }
-                            }
-                        };
-                        if replace {
-                            first_err = Some((i, e));
-                        }
-                    }
-                }
-            }
+            maps.insert(*key, map);
         }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        Ok(keys
-            .iter()
-            .zip(maps)
-            .map(|(k, m)| (*k, m.expect("kernel completed without result or error")))
-            .collect())
+        Ok(maps)
     }
 
-    // ---- ACCUM --------------------------------------------------------------
+    // ---- ACCUM / POST_ACCUM -------------------------------------------------
 
-    /// Scatter-gather gate for one ACCUM clause: every statement must
-    /// combine (`+=`) into a declared accumulator whose type merges
-    /// exactly ([`AccumType::is_exact_merge`]). Assignments, unknown
-    /// targets, and order-sensitive types force the row-order fold.
-    fn accum_scatter_exact(&self, stmts: &[AccStmt]) -> bool {
-        stmts.iter().all(|s| match s {
-            AccStmt::LocalDecl { .. } => true,
-            AccStmt::VAcc { name, combine, .. } => {
-                *combine
-                    && self
-                        .vaccs
-                        .get(name)
-                        .is_some_and(|st| st.ty.is_exact_merge(&self.eng.registry))
+    /// The live accumulator an emission or a partial's cell lands in.
+    fn target_cell(&mut self, target: EmitTarget, names: &[&str]) -> Result<&mut Accum> {
+        match target {
+            EmitTarget::V { name, vertex } => {
+                let store = self.vaccs.get_mut(names[name]).ok_or_else(|| {
+                    Error::runtime(format!("undeclared accumulator `@{}`", names[name]))
+                })?;
+                Ok(store.cell_mut(vertex))
             }
-            AccStmt::GAcc { name, combine, .. } => {
-                *combine
-                    && self
-                        .gacc_types
-                        .get(name)
-                        .is_some_and(|ty| ty.is_exact_merge(&self.eng.registry))
-            }
-        })
+            EmitTarget::G { name } => self.gaccs.get_mut(names[name]).ok_or_else(|| {
+                Error::runtime(format!("undeclared accumulator `@@{}`", names[name]))
+            }),
+        }
     }
 
-    /// Merge one worker's identity-seeded partial into the live stores:
+    /// Applies one emission to the live stores (the sequential Reduce).
+    fn apply_emission(&mut self, em: Emission<'_>, names: &[&str]) -> Result<()> {
+        let eng = self.eng;
+        let cell = self.target_cell(em.target, names)?;
+        if em.combine {
+            cell.combine_with_multiplicity(em.value, em.mult, &eng.registry)?;
+        } else {
+            cell.assign(em.value)?;
+        }
+        Ok(())
+    }
+
+    /// Merges one morsel's identity-seeded partial into the live stores:
     /// globals in ascending target order, vertex cells in ascending
     /// `(target, VertexId)` order, so the merge sequence is a pure
-    /// function of the data partitioning, never of worker timing.
+    /// function of the morsel boundaries, never of worker timing.
     ///
     /// Cells marked as assigned *replace* the live state wholesale:
     /// under the proven ACCUM gate every partial assigned the same
     /// row-invariant value, and under the proven POST_ACCUM gate the
     /// last partial's state replays the sequential suffix exactly, so
-    /// replacement in ascending partition order reproduces the
-    /// sequential fold byte-for-byte.
+    /// replacement in ascending morsel order reproduces the sequential
+    /// fold byte-for-byte.
     fn merge_partial(&mut self, part: AccumPartial, names: &[&str]) -> Result<()> {
         let mut globals: Vec<(usize, (Accum, bool))> = part.g.into_iter().collect();
-        globals.sort_by_key(|(idx, _)| *idx);
-        for (idx, (acc, assigned)) in globals {
-            let live = self.gaccs.get_mut(names[idx]).ok_or_else(|| {
-                Error::runtime(format!("undeclared accumulator `@@{}`", names[idx]))
-            })?;
+        globals.sort_by_key(|(name, _)| *name);
+        let mut vcells: Vec<((usize, VertexId), (Accum, bool))> = part.v.into_iter().collect();
+        vcells.sort_by_key(|(k, _)| *k);
+        let cells = globals
+            .into_iter()
+            .map(|(name, c)| (EmitTarget::G { name }, c))
+            .chain(vcells.into_iter().map(|((name, vertex), c)| (EmitTarget::V { name, vertex }, c)));
+        let eng = self.eng;
+        for (target, (acc, assigned)) in cells {
+            let live = self.target_cell(target, names)?;
             if assigned {
                 *live = acc;
             } else {
-                live.merge(acc, &self.eng.registry)?;
-            }
-        }
-        let mut cells: Vec<((usize, VertexId), (Accum, bool))> = part.v.into_iter().collect();
-        cells.sort_by_key(|(k, _)| *k);
-        for ((idx, vertex), (acc, assigned)) in cells {
-            let store = self.vaccs.get_mut(names[idx]).ok_or_else(|| {
-                Error::runtime(format!("undeclared accumulator `@{}`", names[idx]))
-            })?;
-            let cell = store.cell_mut(vertex);
-            if assigned {
-                *cell = acc;
-            } else {
-                cell.merge(acc, &self.eng.registry)?;
+                live.merge(acc, &eng.registry)?;
             }
         }
         Ok(())
     }
 
+    /// Runs one accumulator clause over the items `ranges` partition —
+    /// the single implementation behind ACCUM (items are binding-table
+    /// rows) and POST_ACCUM (items are the distinct vertices of one
+    /// column). `bind(i)` yields item `i`'s bindings and multiplicity;
+    /// every statement goes through [`emit`], and `sink` alone decides
+    /// how the emissions reach the live stores.
+    fn run_clause<'r>(
+        &mut self,
+        stmts: &[AccStmt],
+        ranges: &[std::ops::Range<usize>],
+        vars: &FxHashMap<String, usize>,
+        tables: &[&Table],
+        bind: impl Fn(usize) -> (Bindings<'r>, &'r BigCount) + Sync,
+        sink: Sink,
+    ) -> Result<()> {
+        let names = target_names(stmts);
+        let names = names.as_slice();
+        if sink == Sink::Live {
+            for i in ranges.iter().cloned().flatten() {
+                self.guard.checkpoint()?;
+                let (bindings, mult) = bind(i);
+                let mut acc_locals = FxHashMap::default();
+                for stmt in stmts {
+                    // The environment is rebuilt per statement: the
+                    // previous statement's write is already live.
+                    let env = Env { row: Some(RowRef { vars, bindings, tables }), ..self.env() };
+                    if let Some(em) = emit(&env, stmt, &mut acc_locals, names, mult)? {
+                        self.apply_emission(em, names)?;
+                    }
+                }
+            }
+            return self.guard.note_accum_bytes(self.accum_footprint());
+        }
+
+        // Map one item against the pre-clause state: the live stores are
+        // never written while workers run, so visibility is identical at
+        // any parallelism.
+        let guard = self.guard;
+        let map_item = |i: usize, out: &mut dyn FnMut(Emission<'r>) -> Result<()>| -> Result<()> {
+            guard.checkpoint()?;
+            let (bindings, mult) = bind(i);
+            let env = Env { row: Some(RowRef { vars, bindings, tables }), ..self.env() };
+            let mut acc_locals = FxHashMap::default();
+            for stmt in stmts {
+                if let Some(em) = emit(&env, stmt, &mut acc_locals, names, mult)? {
+                    out(em)?;
+                }
+            }
+            Ok(())
+        };
+        let n_items = ranges.last().map_or(0, |r| r.end);
+        let workers = self.workers_for(n_items);
+        if sink == Sink::Partials {
+            // Exact-merge combiners are associative at the representation
+            // level and proven assigns replay, so merging the morsels'
+            // partials in ascending order is byte-identical to the
+            // sequential item-order fold at any parallelism and any
+            // morsel size.
+            let registry = &self.eng.registry;
+            let seeds = Seeds {
+                v: names.iter().map(|n| self.vaccs.get(*n).map(|st| st.ty.clone())).collect(),
+                g: names.iter().map(|n| self.gacc_types.get(*n).cloned()).collect(),
+            };
+            let run = dispatch(guard, workers, ranges, |_, range| {
+                let mut part = AccumPartial::default();
+                for i in range.clone() {
+                    map_item(i, &mut |em| part.fold(em, &seeds, registry))?;
+                }
+                Ok(part)
+            })?;
+            if self.prof.is_some() {
+                self.prof_op_workers = run.per_worker;
+            }
+            for part in run.results {
+                self.merge_partial(part, names)?;
+            }
+        } else {
+            // Float sums, heaps, concatenation, unproven assigns: the
+            // Map still runs morsel-parallel — it only reads — but the
+            // emissions concatenate in ascending morsel order (= item
+            // order) and fold sequentially, exactly as at parallelism 1.
+            let run = dispatch(guard, workers, ranges, |_, range| {
+                let mut out = Vec::new();
+                for i in range.clone() {
+                    map_item(i, &mut |em| {
+                        out.push(em);
+                        Ok(())
+                    })?;
+                }
+                Ok(out)
+            })?;
+            if self.prof.is_some() {
+                self.prof_op_workers = run.per_worker;
+            }
+            for em in run.results.into_iter().flatten() {
+                self.apply_emission(em, names)?;
+            }
+        }
+        self.guard.note_accum_bytes(self.accum_footprint())
+    }
+
+    /// ACCUM: one Map over the binding-table rows against the pre-clause
+    /// snapshot, then the Reduce the plan's verdict allows.
     fn run_accum(
         &mut self,
         stmts: &[AccStmt],
         rows: &MorselTable,
         vars: &FxHashMap<String, usize>,
         tables: &[&Table],
-        proven: bool,
+        fold: FoldVerdict,
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
         let ranges = self.note_morsels(rows.len());
-        // Intern target accumulator names.
-        let mut names: Vec<&str> = Vec::new();
-        for s in stmts {
-            if let AccStmt::VAcc { name, .. } | AccStmt::GAcc { name, .. } = s {
-                if !names.contains(&name.as_str()) {
-                    names.push(name);
-                }
-            }
-        }
-        let name_idx = |n: &str| -> Result<usize> {
-            names.iter().position(|x| *x == n).ok_or_else(|| {
-                Error::runtime(format!("accumulator `{n}` is not a target of this ACCUM clause"))
-            })
-        };
-
-        // Map phase: evaluate one row's statements against the snapshot
-        // (live stores are never written during the Map, so visibility is
-        // identical at any parallelism).
-        let guard = self.guard;
-        let map_row = |r: usize| -> Result<Vec<Emission>> {
-            guard.checkpoint()?;
-            let mut acc_locals: FxHashMap<String, Value> = FxHashMap::default();
-            let mut out = Vec::with_capacity(stmts.len());
-            for stmt in stmts {
-                let env = Env {
-                    row: Some(RowRef { vars, bindings: rows.bindings_at(r), tables }),
-                    acc_locals: Some(&acc_locals),
-                    ..self.env()
-                };
-                match stmt {
-                    AccStmt::LocalDecl { name, expr } => {
-                        let v = eval(&env, expr)?;
-                        acc_locals.insert(name.clone(), v);
-                    }
-                    AccStmt::VAcc { var, name, combine, expr } => {
-                        let value = eval(&env, expr)?;
-                        let vertex = crate::eval::resolve_vertex(&env, var)?;
-                        out.push(Emission {
-                            target: EmitTarget::V { name: name_idx(name)?, vertex },
-                            value,
-                            combine: *combine,
-                            mult: rows.mult(r).clone(),
-                        });
-                    }
-                    AccStmt::GAcc { name, combine, expr } => {
-                        let value = eval(&env, expr)?;
-                        out.push(Emission {
-                            target: EmitTarget::G { name: name_idx(name)? },
-                            value,
-                            combine: *combine,
-                            mult: rows.mult(r).clone(),
-                        });
-                    }
-                }
-            }
-            Ok(out)
-        };
-        // The syntactic gate (every statement `+=`-combines into an
-        // exact-merge type) or the absint-proven gate from the block plan
-        // (which additionally admits `=` assigns whose RHS is proven
-        // row-invariant) both license the partial-fold paths below.
-        let parallel = self.accum_scatter_exact(stmts) || proven;
-        let v_types: Vec<Option<AccumType>> = if parallel {
-            names.iter().map(|n| self.vaccs.get(*n).map(|st| st.ty.clone())).collect()
-        } else {
-            Vec::new()
-        };
-        let g_types: Vec<Option<AccumType>> = if parallel {
-            names.iter().map(|n| self.gacc_types.get(*n).cloned()).collect()
-        } else {
-            Vec::new()
-        };
-
-        // Scatter-gather ACCUM: when sharding is active and the clause
-        // passes the exact-merge gate (or the absint-proven gate),
-        // partition the rows by the owner shard of each row's first
-        // vertex binding, fold every partition into identity-seeded
-        // per-shard partials on scoped workers, and merge the partials
-        // into the live stores in ascending shard order. Exact-merge
-        // combiners are associative and commutative at the
-        // representation level — and proven row-invariant assigns write
-        // the same value from every partition — so the merged state is
-        // bit-identical to the sequential row-order fold at any shard
-        // count (shard partitions are not contiguous row ranges, which
-        // is why the proven gate forbids mixing `=` and `+=` on one
-        // accumulator).
-        if let Some(sh) = self.shards {
-            if rows.len() >= 2 && parallel {
-                let registry = &self.eng.registry;
-                let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); sh.shard_count()];
-                for i in 0..rows.len() {
-                    let shard = (0..rows.width())
-                        .find_map(|c| match rows.binding(i, c) {
-                            Binding::Vertex(v) => Some(sh.owner(*v)),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-                    by_shard[shard].push(i);
-                }
-                let parts: Vec<(usize, Vec<usize>)> = by_shard
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, idxs)| !idxs.is_empty())
-                    .collect();
-                type ShardOut = (usize, u64, std::result::Result<AccumPartial, (usize, Error)>);
-                let guard = self.guard;
-                let outs: Vec<ShardOut> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = parts
-                        .iter()
-                        .map(|(shard, idxs)| {
-                            let map_row = &map_row;
-                            let v_types = &v_types;
-                            let g_types = &g_types;
-                            scope.spawn(move || -> ShardOut {
-                                let t0 = std::time::Instant::now();
-                                let caught = std::panic::catch_unwind(
-                                    std::panic::AssertUnwindSafe(
-                                        || -> std::result::Result<AccumPartial, (usize, Error)> {
-                                            let mut part = AccumPartial::default();
-                                            for &ri in idxs {
-                                                let ems = map_row(ri).map_err(|e| (ri, e))?;
-                                                for em in ems {
-                                                    fold_into_partial(
-                                                        &mut part, em, v_types, g_types, registry,
-                                                    )
-                                                    .map_err(|e| (ri, e))?;
-                                                }
-                                            }
-                                            Ok(part)
-                                        },
-                                    ),
-                                );
-                                let r = match caught {
-                                    Ok(r) => r,
-                                    Err(payload) => {
-                                        guard.poison();
-                                        Err((
-                                            usize::MAX,
-                                            guard.worker_panic_error(payload.as_ref()),
-                                        ))
-                                    }
-                                };
-                                (*shard, t0.elapsed().as_nanos() as u64, r)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                (
-                                    0,
-                                    0,
-                                    Err((
-                                        usize::MAX,
-                                        Error::runtime("accum scatter thread panicked"),
-                                    )),
-                                )
-                            })
-                        })
-                        .collect()
-                });
-                // The error for the smallest original row index wins
-                // (the row the sequential fold would have failed on);
-                // a worker panic outranks ordinary errors.
-                let mut first_err: Option<(usize, Error)> = None;
-                let mut partials: Vec<(usize, AccumPartial)> = Vec::with_capacity(outs.len());
-                for (shard, busy_ns, r) in outs {
-                    self.guard.note_shard(shard, 0, 0, 0, busy_ns);
-                    match r {
-                        Ok(p) => partials.push((shard, p)),
-                        Err((ri, e)) => {
-                            let replace = match &first_err {
-                                None => true,
-                                Some((pi, pe)) => {
-                                    if pe.kind() == crate::error::ErrorKind::WorkerPanic {
-                                        false
-                                    } else if e.kind() == crate::error::ErrorKind::WorkerPanic {
-                                        true
-                                    } else {
-                                        ri < *pi
-                                    }
-                                }
-                            };
-                            if replace {
-                                first_err = Some((ri, e));
-                            }
-                        }
-                    }
-                }
-                if let Some((_, e)) = first_err {
-                    return Err(e);
-                }
-                // Gather: merge partials in ascending shard order —
-                // globals by target index, vertex cells by (target,
-                // VertexId) — so the merge sequence is a pure function
-                // of the sharding, never of worker timing.
-                partials.sort_by_key(|(shard, _)| *shard);
-                for (_, part) in partials {
-                    self.merge_partial(part, &names)?;
-                }
-                self.guard.note_accum_bytes(self.accum_footprint())?;
-                return Ok(());
-            }
-        }
-
-        let workers = self.workers_for(rows.len());
-
-        // Morsel-parallel fold (exact-merge or absint-proven): each
-        // worker folds its morsels into identity-seeded accumulator
-        // partials; partials merge into the live stores in ascending
-        // morsel order via [`Accum::merge`] (combines) or wholesale
-        // replacement (proven assigns). Exact-merge combiners are
-        // associative at the representation level, so the merged state
-        // is byte-identical to the sequential row-order fold at any
-        // parallelism and any morsel size.
-        if parallel && !rows.is_empty() {
-            let registry = &self.eng.registry;
-            let v_types = &v_types;
-            let g_types = &g_types;
-            let run = dispatch(guard, workers, &ranges, |_, range| {
-                let mut part = AccumPartial::default();
-                for r in range {
-                    for em in map_row(r)? {
-                        fold_into_partial(&mut part, em, v_types, g_types, registry)?;
-                    }
-                }
-                Ok(part)
-            })?;
-            if self.prof.is_some() {
-                self.prof_op_workers = run.per_worker.clone();
-            }
-            for part in run.results {
-                self.merge_partial(part, &names)?;
-            }
-            self.guard.note_accum_bytes(self.accum_footprint())?;
-            return Ok(());
-        }
-
-        // Non-exact-merge fallback (float sums, heaps, concat,
-        // assignments): the Map phase still runs morsel-parallel — it
-        // only reads the snapshot — but the emissions concatenate in
-        // ascending morsel order (= row order) and the Reduce phase
-        // folds them sequentially, exactly as at parallelism 1.
-        let run = dispatch(guard, workers, &ranges, |_, range| {
-            let mut out = Vec::new();
-            for r in range {
-                out.extend(map_row(r)?);
-            }
-            Ok(out)
-        })?;
-        if self.prof.is_some() {
-            self.prof_op_workers = run.per_worker.clone();
-        }
-        let emissions: Vec<Emission> = run.results.into_iter().flatten().collect();
-
-        // Reduce phase: fold emissions into accumulators in row order.
-        for e in emissions {
-            match e.target {
-                EmitTarget::V { name, vertex } => {
-                    let store = self
-                        .vaccs
-                        .get_mut(names[name])
-                        .ok_or_else(|| {
-                            Error::runtime(format!("undeclared accumulator `@{}`", names[name]))
-                        })?;
-                    let cell = store.cell_mut(vertex);
-                    if e.combine {
-                        cell.combine_with_multiplicity(e.value, &e.mult, &self.eng.registry)?;
-                    } else {
-                        cell.assign(e.value)?;
-                    }
-                }
-                EmitTarget::G { name } => {
-                    let acc = self.gaccs.get_mut(names[name]).ok_or_else(|| {
-                        Error::runtime(format!("undeclared accumulator `@@{}`", names[name]))
-                    })?;
-                    if e.combine {
-                        acc.combine_with_multiplicity(e.value, &e.mult, &self.eng.registry)?;
-                    } else {
-                        acc.assign(e.value)?;
-                    }
-                }
-            }
-        }
-        self.guard.note_accum_bytes(self.accum_footprint())?;
-        Ok(())
+        let sink = if fold.parallel() { Sink::Partials } else { Sink::Snapshot };
+        self.run_clause(stmts, &ranges, vars, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
     }
 
     /// Estimated heap footprint of all live accumulator state, in bytes.
@@ -2460,264 +2211,48 @@ impl<'e, 'g> Runtime<'e, 'g> {
         total
     }
 
-    // ---- POST_ACCUM -----------------------------------------------------------
-
+    /// POST_ACCUM: the clause runs once per distinct vertex of the one
+    /// FROM variable it references, in ascending vertex order — or once,
+    /// bound to nothing, when it references none and any row matched.
     fn run_post_accum(
         &mut self,
         stmts: &[AccStmt],
         rows: &MorselTable,
         vars: &FxHashMap<String, usize>,
-        tables: &[&Table],
-        proven: bool,
+        fold: FoldVerdict,
     ) -> Result<()> {
-        let var = post_accum_var(stmts, vars)?;
-        let vertices: Vec<VertexId> = match &var {
-            None => Vec::new(),
-            Some(v) => {
-                let col = vars[v];
-                let mut set: Vec<VertexId> = rows
-                    .col(col)
-                    .iter()
-                    .filter_map(|b| match b {
-                        Binding::Vertex(x) => Some(*x),
-                        _ => None,
-                    })
-                    .collect();
-                set.sort();
-                set.dedup();
-                set
-            }
+        let one = BigCount::one();
+        let Some(var) = post_accum_var(stmts, vars)? else {
+            let once = morsel_ranges(usize::from(!rows.is_empty()), 1);
+            let bind = |_| (Bindings::Row(&[]), &one);
+            return self.run_clause(stmts, &once, &FxHashMap::default(), &[], bind, Sink::Live);
         };
-        let _ = tables;
-
-        let exec_one = |rt: &mut Self, bindings: &[Binding], pvars: &FxHashMap<String, usize>| -> Result<()> {
-            let mut acc_locals: FxHashMap<String, Value> = FxHashMap::default();
-            for stmt in stmts {
-                // POST_ACCUM applies each statement immediately (visible to
-                // the next statement), per distinct vertex.
-                let value = {
-                    let env = Env {
-                        row: Some(RowRef {
-                            vars: pvars,
-                            bindings: Bindings::Row(bindings),
-                            tables: &[],
-                        }),
-                        acc_locals: Some(&acc_locals),
-                        ..rt.env()
-                    };
-                    match stmt {
-                        AccStmt::LocalDecl { name, expr } => {
-                            let v = eval(&env, expr)?;
-                            acc_locals.insert(name.clone(), v);
-                            continue;
-                        }
-                        AccStmt::VAcc { expr, .. } | AccStmt::GAcc { expr, .. } => eval(&env, expr)?,
-                    }
-                };
-                match stmt {
-                    AccStmt::VAcc { var: v, name, combine, .. } => {
-                        let vertex = {
-                            let env = Env {
-                                row: Some(RowRef {
-                                    vars: pvars,
-                                    bindings: Bindings::Row(bindings),
-                                    tables: &[],
-                                }),
-                                acc_locals: Some(&acc_locals),
-                                ..rt.env()
-                            };
-                            crate::eval::resolve_vertex(&env, v)?
-                        };
-                        let store = rt.vaccs.get_mut(name).ok_or_else(|| {
-                            Error::runtime(format!("undeclared accumulator `@{name}`"))
-                        })?;
-                        let cell = store.cell_mut(vertex);
-                        if *combine {
-                            cell.combine(value, &rt.eng.registry)?;
-                        } else {
-                            cell.assign(value)?;
-                        }
-                    }
-                    AccStmt::GAcc { name, combine, .. } => {
-                        let acc = rt.gaccs.get_mut(name).ok_or_else(|| {
-                            Error::runtime(format!("undeclared accumulator `@@{name}`"))
-                        })?;
-                        if *combine {
-                            acc.combine(value, &rt.eng.registry)?;
-                        } else {
-                            acc.assign(value)?;
-                        }
-                    }
-                    AccStmt::LocalDecl { .. } => unreachable!(),
-                }
-            }
-            Ok(())
+        let mut vertices: Vec<VertexId> = rows
+            .col(vars[&var])
+            .iter()
+            .filter_map(|b| match b {
+                Binding::Vertex(x) => Some(*x),
+                _ => None,
+            })
+            .collect();
+        vertices.sort();
+        vertices.dedup();
+        let vertices: Vec<Binding> = vertices.into_iter().map(Binding::Vertex).collect();
+        // Morsel accounting is a pure function of the distinct-vertex
+        // count, independent of which sink runs below.
+        let ranges = self.note_morsels(vertices.len());
+        let mut pvars = FxHashMap::default();
+        pvars.insert(var, 0usize);
+        // The verdict licenses partials — no statement reads an
+        // accumulator the clause writes, so the Map sees the same state
+        // at every vertex — and they pay only with more than one worker.
+        let sink = if fold.parallel() && self.workers_for(vertices.len()) > 1 {
+            Sink::Partials
+        } else {
+            Sink::Live
         };
-
-        match var {
-            None => {
-                if !rows.is_empty() {
-                    let pvars = FxHashMap::default();
-                    exec_one(self, &[], &pvars)?;
-                }
-            }
-            Some(v) => {
-                // Morsel accounting is a pure function of the distinct-
-                // vertex count, independent of which path runs below.
-                let ranges = self.note_morsels(vertices.len());
-                let mut pvars = FxHashMap::default();
-                pvars.insert(v.clone(), 0usize);
-                let workers = self.workers_for(vertices.len());
-                if workers > 1 && (self.post_accum_parallel_exact(stmts) || proven) {
-                    // Morsel-parallel POST_ACCUM: legal when every
-                    // statement `+=`-combines into an exact-merge
-                    // accumulator AND no expression reads an accumulator
-                    // this clause targets (a live read would observe
-                    // earlier vertices' writes under the sequential
-                    // per-vertex semantics) — or when the absint pass
-                    // proved the looser gate that additionally admits
-                    // `=` assigns (vertex cells are disjoint per vertex;
-                    // global assigns replay the sequential suffix via
-                    // the last partial). Workers fold into identity-
-                    // seeded partials; partials merge in ascending morsel
-                    // (= ascending vertex) order, reproducing the
-                    // sequential fold byte-for-byte.
-                    let mut names: Vec<&str> = Vec::new();
-                    for s in stmts {
-                        if let AccStmt::VAcc { name, .. } | AccStmt::GAcc { name, .. } = s {
-                            if !names.contains(&name.as_str()) {
-                                names.push(name);
-                            }
-                        }
-                    }
-                    let name_idx = |n: &str| -> usize {
-                        names.iter().position(|x| *x == n).expect("name interned above")
-                    };
-                    let v_types: Vec<Option<AccumType>> =
-                        names.iter().map(|n| self.vaccs.get(*n).map(|st| st.ty.clone())).collect();
-                    let g_types: Vec<Option<AccumType>> =
-                        names.iter().map(|n| self.gacc_types.get(*n).cloned()).collect();
-                    let registry = &self.eng.registry;
-                    let guard = self.guard;
-                    let vertices = &vertices;
-                    let pvars = &pvars;
-                    let v_types_ref = &v_types;
-                    let g_types_ref = &g_types;
-                    let run = dispatch(guard, workers, &ranges, |_, range| {
-                        let mut part = AccumPartial::default();
-                        for vi in range {
-                            guard.checkpoint()?;
-                            let bindings = [Binding::Vertex(vertices[vi])];
-                            let mut acc_locals: FxHashMap<String, Value> = FxHashMap::default();
-                            for stmt in stmts {
-                                let env = Env {
-                                    row: Some(RowRef {
-                                        vars: pvars,
-                                        bindings: Bindings::Row(&bindings),
-                                        tables: &[],
-                                    }),
-                                    acc_locals: Some(&acc_locals),
-                                    ..self.env()
-                                };
-                                match stmt {
-                                    AccStmt::LocalDecl { name, expr } => {
-                                        let val = eval(&env, expr)?;
-                                        acc_locals.insert(name.clone(), val);
-                                    }
-                                    AccStmt::VAcc { var: v2, name, combine, expr } => {
-                                        let value = eval(&env, expr)?;
-                                        let target = crate::eval::resolve_vertex(&env, v2)?;
-                                        fold_into_partial(
-                                            &mut part,
-                                            Emission {
-                                                target: EmitTarget::V {
-                                                    name: name_idx(name),
-                                                    vertex: target,
-                                                },
-                                                value,
-                                                combine: *combine,
-                                                mult: BigCount::one(),
-                                            },
-                                            v_types_ref,
-                                            g_types_ref,
-                                            registry,
-                                        )?;
-                                    }
-                                    AccStmt::GAcc { name, combine, expr } => {
-                                        let value = eval(&env, expr)?;
-                                        fold_into_partial(
-                                            &mut part,
-                                            Emission {
-                                                target: EmitTarget::G { name: name_idx(name) },
-                                                value,
-                                                combine: *combine,
-                                                mult: BigCount::one(),
-                                            },
-                                            v_types_ref,
-                                            g_types_ref,
-                                            registry,
-                                        )?;
-                                    }
-                                }
-                            }
-                        }
-                        Ok(part)
-                    })?;
-                    if self.prof.is_some() {
-                        self.prof_op_workers = run.per_worker.clone();
-                    }
-                    for part in run.results {
-                        self.merge_partial(part, &names)?;
-                    }
-                } else {
-                    for vertex in vertices {
-                        self.guard.checkpoint()?;
-                        exec_one(self, &[Binding::Vertex(vertex)], &pvars)?;
-                    }
-                }
-            }
-        }
-        self.guard.note_accum_bytes(self.accum_footprint())?;
-        Ok(())
-    }
-
-    /// Parallel gate for one POST_ACCUM clause: on top of the exact-merge
-    /// scatter gate ([`Runtime::accum_scatter_exact`]), no statement
-    /// expression may read an accumulator this clause also targets — a
-    /// live read observes earlier vertices' writes under the sequential
-    /// per-vertex semantics, so iteration order would matter. Snapshot
-    /// reads (`v.@a'`) are always safe.
-    fn post_accum_parallel_exact(&self, stmts: &[AccStmt]) -> bool {
-        if !self.accum_scatter_exact(stmts) {
-            return false;
-        }
-        let mut v_targets: Vec<&str> = Vec::new();
-        let mut g_targets: Vec<&str> = Vec::new();
-        for s in stmts {
-            match s {
-                AccStmt::VAcc { name, .. } => v_targets.push(name),
-                AccStmt::GAcc { name, .. } => g_targets.push(name),
-                AccStmt::LocalDecl { .. } => {}
-            }
-        }
-        let mut ok = true;
-        for s in stmts {
-            let expr = match s {
-                AccStmt::LocalDecl { expr, .. }
-                | AccStmt::VAcc { expr, .. }
-                | AccStmt::GAcc { expr, .. } => expr,
-            };
-            expr.walk(&mut |sub| match sub {
-                Expr::VAcc { name, prev: false, .. } if v_targets.contains(&name.as_str()) => {
-                    ok = false;
-                }
-                Expr::GAcc(name) if g_targets.contains(&name.as_str()) => {
-                    ok = false;
-                }
-                _ => {}
-            });
-        }
-        ok
+        let bind = |i: usize| (Bindings::Row(std::slice::from_ref(&vertices[i])), &one);
+        self.run_clause(stmts, &ranges, &pvars, &[], bind, sink)
     }
 
     // ---- outputs ----------------------------------------------------------------
@@ -2804,7 +2339,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             let guard = self.guard;
             let run = dispatch(guard, workers, &ranges, |_, range| {
                 let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
-                for r in range {
+                for r in range.clone() {
                     let env = Env {
                         row: Some(RowRef { vars, bindings: rows.bindings_at(r), tables }),
                         ..self.env()
@@ -2900,7 +2435,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let agg_exprs_ref = &agg_exprs;
         let run = dispatch(guard, workers, &ranges, |_, range| {
             let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
-            for r in range {
+            for r in range.clone() {
                 let env = Env {
                     row: Some(RowRef { vars, bindings: rows.bindings_at(r), tables }),
                     ..self.env()
@@ -3070,6 +2605,37 @@ impl<'e, 'g> Runtime<'e, 'g> {
 }
 
 // ---- helpers -------------------------------------------------------------
+
+/// Runs one reachability kernel for `key`, reading adjacency through
+/// the sharded view when scatter-gather is active and attributing the
+/// kernel's work to the key's owner shard.
+fn keyed_kernel(
+    graph: &Graph,
+    shards: Option<&ShardedGraph>,
+    key: VertexId,
+    nfa: &CompiledDarpe,
+    semantics: PathSemantics,
+    guard: &QueryGuard,
+    stats: &mut MatchStats,
+) -> Result<ReachMap> {
+    let view = match shards {
+        Some(sh) => GraphView::Sharded(sh),
+        None => GraphView::Flat(graph),
+    };
+    let (before_v, before_e) = (stats.vertices_touched, stats.edges_scanned);
+    let t0 = std::time::Instant::now();
+    let r = reach_on(view, key, nfa, semantics, guard, stats);
+    if let Some(sh) = shards {
+        guard.note_shard(
+            sh.owner(key),
+            stats.vertices_touched - before_v,
+            stats.edges_scanned - before_e,
+            1,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+    r
+}
 
 fn proto_type(acc: &Accum) -> AccumType {
     // Recover a displayable type for diagnostics from the instance kind.

@@ -29,7 +29,7 @@
 //! stores and defers all writes as emissions, so expression reads never
 //! observe same-phase writes on any execution path. That makes the
 //! following clause shapes byte-identical between the sequential fold
-//! and partitioned partial folds (morsel ranges or shard scatter):
+//! and partial folds over morsel ranges:
 //!
 //! * **ACCUM**: per accumulator, either every write is a `+=` combine
 //!   and the accumulator type merges exactly
@@ -38,8 +38,9 @@
 //!   binding of the phase — literals, parameters, global-accumulator
 //!   snapshot reads and pure functions thereof). Mixing `=` and `+=`
 //!   on one accumulator is rejected: partial replay only matches a
-//!   sequential *suffix* when partials are contiguous row ranges, which
-//!   the shard-scatter path does not guarantee.
+//!   sequential *suffix* while rows keep their order, which the
+//!   planner's hop reversal (licensed by this same gate) does not
+//!   guarantee.
 //! * **POST-ACCUM**: iterates *distinct* vertices, so vertex-
 //!   accumulator writes touch disjoint cells and any per-vertex
 //!   statement list replays exactly within one partial. The gate
@@ -677,7 +678,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                     match ty {
                         None => note(format!("`{display}` is not declared"), &mut reason),
                         Some(ty) => {
-                            if *combine && !ty.is_exact_merge(self.cx.registry) {
+                            if *combine && !ty.is_exact_merge() {
                                 note(
                                     format!("`{display}` ({ty}) does not merge exactly across partials"),
                                     &mut reason,
@@ -744,7 +745,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 match ty {
                     None => note(format!("`{display}` is not declared"), &mut reason),
                     Some(ty) => {
-                        if combine && !ty.is_exact_merge(self.cx.registry) {
+                        if combine && !ty.is_exact_merge() {
                             note(
                                 format!("`{display}` ({ty}) does not merge exactly across partials"),
                                 &mut reason,

@@ -6,8 +6,8 @@
 //! parallel-fold gates for ACCUM / POST-ACCUM clauses, and WHILE loop
 //! bounds. Everything here is *facts*, not heuristics: a `true` gate or
 //! a `Some(false)` conjunct is a proof obligation the planner, the
-//! morsel executor, the shard merger and the server admission gate are
-//! all allowed to act on.
+//! morsel executor and the server admission gate are all allowed to act
+//! on.
 //!
 //! The JSON rendering ([`QueryFacts::render_json`]) is a stable schema
 //! consumed by `gsql_shell CHECK` and `POST /lint` (under a `"facts"`
@@ -63,8 +63,7 @@ pub struct BlockFacts {
     /// `split_conjuncts` order over the WHERE clause.
     pub conjunct_const: Vec<Option<bool>>,
     /// Proven gate: the ACCUM clause may run as a parallel partial fold
-    /// (morsel- or shard-partitioned) with results byte-identical to
-    /// the sequential fold.
+    /// over morsels with results byte-identical to the sequential fold.
     pub accum_parallel: bool,
     /// Why the ACCUM gate failed (None when it holds or the clause is
     /// empty).

@@ -1,5 +1,5 @@
 //! Columnar morsels: the chunked binding-table representation and the
-//! work-stealing dispatch loop that drives vectorized execution.
+//! work-stealing dispatch loop that drives every parallel operator.
 //!
 //! The binding table is stored **column-major** ([`MorselTable`]): one
 //! `Vec<Binding>` per FROM variable plus a parallel multiplicity vector.
@@ -13,22 +13,23 @@
 //! Parallel operators split the table into **morsels** — contiguous row
 //! ranges of [`Engine::morsel_size`](crate::Engine::with_morsel_size)
 //! rows (default [`DEFAULT_MORSEL_SIZE`]) — and feed them to
-//! `dispatch`: scoped workers steal morsel indices from a shared
-//! atomic counter, results land in a slot per morsel, and the caller
-//! consumes them in ascending morsel order. Ascending-order consumption
-//! is what keeps every merge deterministic: the sequence of
-//! accumulator-partial merges (ACCUM/POST_ACCUM) or row-result
-//! concatenations (filters, projections, group keys) is a pure function
-//! of the table, never of worker timing — the engine's byte-identical-
-//! at-any-parallelism invariant (see `docs/EXECUTION.md`).
+//! `dispatch`, the engine's one scheduler (the Kleene-hop kernel
+//! fan-out feeds it kernel keys instead of row ranges): scoped workers
+//! steal item indices from a shared atomic counter, results land in a
+//! slot per item, and the caller consumes them in ascending item order.
+//! Ascending-order consumption is what keeps every merge deterministic:
+//! the sequence of accumulator-partial merges (ACCUM/POST_ACCUM) or
+//! row-result concatenations (filters, projections, group keys) is a
+//! pure function of the table, never of worker timing — the engine's
+//! byte-identical-at-any-parallelism invariant (see
+//! `docs/EXECUTION.md`).
 //!
-//! Error semantics mirror the kernel fan-out in `exec.rs`: the shared
-//! [`QueryGuard`] is checkpointed at every morsel boundary (cancellation
-//! and budget trips stay prompt mid-clause), a panicking worker poisons
-//! the guard and surfaces as a structured `WorkerPanic` that outranks
-//! ordinary errors, and otherwise the error from the smallest morsel
-//! index wins — the same failure the sequential fold would have hit
-//! first.
+//! Error semantics: the shared [`QueryGuard`] is checkpointed at every
+//! item boundary (cancellation and budget trips stay prompt
+//! mid-clause), a panicking worker poisons the guard and surfaces as a
+//! structured `WorkerPanic` that outranks ordinary errors, and otherwise
+//! the error from the smallest item index wins — the same failure the
+//! sequential loop would have hit first.
 
 use crate::error::{Error, Result};
 use crate::eval::Binding;
@@ -172,43 +173,46 @@ pub fn morsel_ranges(len: usize, size: usize) -> Vec<Range<usize>> {
 /// The outcome of a [`dispatch`] run.
 #[derive(Debug)]
 pub(crate) struct MorselRun<T> {
-    /// One result per morsel, in ascending morsel order.
+    /// One result per item, in ascending item order.
     pub results: Vec<T>,
-    /// Morsels completed per worker (the PROFILE `workers` distribution;
+    /// Items completed per worker (the PROFILE `workers` distribution;
     /// varies with timing and is never consulted for results).
     pub per_worker: Vec<u64>,
 }
 
-/// Runs `work(morsel_index, row_range)` over every morsel on up to
-/// `workers` scoped threads stealing morsel indices from a shared
-/// counter. `workers <= 1` (or a single morsel) runs inline on the
-/// caller's thread — the same loop shape, so counters and error choice
-/// are identical at any worker count.
+/// The engine's one scheduler: runs `work(index, item)` over every item
+/// — morsel row ranges for the vectorized operators, kernel keys for
+/// the Kleene-hop fan-out — on `min(workers, items.len())` scoped
+/// threads stealing item indices from a shared counter. One worker (or
+/// a single item) runs inline on the caller's thread — the same loop
+/// shape, so counters and error choice are identical at any worker
+/// count.
 ///
-/// The guard is checkpointed before each morsel. On failure the error
-/// for the smallest morsel index is returned (a `WorkerPanic` outranks
+/// The guard is checkpointed before each item. On failure the error for
+/// the smallest item index is returned (a `WorkerPanic` outranks
 /// ordinary errors and poisons the guard, stopping siblings at their
 /// next checkpoint).
-pub(crate) fn dispatch<T, F>(
+pub(crate) fn dispatch<I, T, F>(
     guard: &QueryGuard,
     workers: usize,
-    ranges: &[Range<usize>],
+    items: &[I],
     work: F,
 ) -> Result<MorselRun<T>>
 where
+    I: Sync,
     T: Send,
-    F: Fn(usize, Range<usize>) -> Result<T> + Sync,
+    F: Fn(usize, &I) -> Result<T> + Sync,
 {
-    let n = ranges.len();
+    let n = items.len();
     if n == 0 {
         return Ok(MorselRun { results: Vec::new(), per_worker: Vec::new() });
     }
     let nworkers = workers.max(1).min(n);
     if nworkers == 1 {
         let mut results = Vec::with_capacity(n);
-        for (i, r) in ranges.iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
             guard.checkpoint()?;
-            results.push(work(i, r.clone())?);
+            results.push(work(i, item)?);
         }
         return Ok(MorselRun { results, per_worker: vec![n as u64] });
     }
@@ -227,9 +231,7 @@ where
                             if i >= n {
                                 break;
                             }
-                            let r = guard
-                                .checkpoint()
-                                .and_then(|()| work(i, ranges[i].clone()));
+                            let r = guard.checkpoint().and_then(|()| work(i, &items[i]));
                             let failed = r.is_err();
                             done.push((i, r));
                             if failed {
@@ -248,7 +250,7 @@ where
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or_else(|_| {
-                    vec![(usize::MAX, Err(Error::runtime("morsel worker panicked")))]
+                    vec![(usize::MAX, Err(Error::runtime("dispatch worker panicked")))]
                 })
             })
             .collect()
@@ -289,7 +291,7 @@ where
     Ok(MorselRun {
         results: slots
             .into_iter()
-            .map(|s| s.expect("morsel completed without result or error"))
+            .map(|s| s.expect("item completed without result or error"))
             .collect(),
         per_worker,
     })
@@ -376,5 +378,46 @@ mod tests {
             .unwrap_err();
             assert!(err.to_string().contains("boom at 3"), "workers={workers}: {err}");
         }
+    }
+
+    #[test]
+    fn dispatch_runs_a_single_item_inline() {
+        let g = guard();
+        let caller = std::thread::current().id();
+        let run = dispatch(&g, 8, &[7u32], |i, item| {
+            assert_eq!(std::thread::current().id(), caller, "single item left the caller's thread");
+            Ok((i, *item))
+        })
+        .unwrap();
+        assert_eq!(run.results, vec![(0, 7)]);
+        assert_eq!(run.per_worker, vec![1]);
+    }
+
+    #[test]
+    fn dispatch_panic_outranks_errors_poisons_and_a_fresh_guard_recovers() {
+        let items: Vec<usize> = (0..8).collect();
+        let g = guard();
+        // Both workers are inside their first item before either
+        // proceeds, so the ordinary error at index 0 and the panic at
+        // index 1 are both guaranteed to happen.
+        let both_started = std::sync::Barrier::new(2);
+        let err = dispatch(&g, 2, &items, |i, _| -> Result<()> {
+            if i < 2 {
+                both_started.wait();
+            }
+            match i {
+                0 => Err(Error::runtime("ordinary error at 0")),
+                1 => panic!("boom at 1"),
+                _ => Ok(()),
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), crate::error::ErrorKind::WorkerPanic, "{err}");
+        assert!(err.to_string().contains("boom at 1"), "{err}");
+        // The guard is poisoned: anything still checkpointing it stops.
+        assert!(g.checkpoint().is_err());
+        // A fresh guard (what every `Engine::run` creates) is unaffected.
+        let run = dispatch(&guard(), 2, &items, |i, _| Ok(i)).unwrap();
+        assert_eq!(run.results, items);
     }
 }

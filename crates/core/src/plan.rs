@@ -38,17 +38,17 @@
 //! surviving row set is a product of per-item filters and each alias's
 //! first-occurrence order equals its own generation order), every output
 //! is a vertex fragment (table outputs are row-order sensitive), and
-//! every ACCUM statement is a combine (`+=`) into an exact-merge
-//! accumulator ([`accum::AccumType::is_exact_merge`]). Under that gate
-//! results stay byte-identical across plans, shard counts, parallelism
-//! levels, and statistics refreshes.
+//! the ACCUM clause folds [`FoldVerdict::Exact`] (every statement a `+=`
+//! combine into an exact-merge accumulator). Under that gate results
+//! stay byte-identical across plans, shard counts, parallelism levels,
+//! and statistics refreshes.
 
 use crate::ast::*;
 use crate::explain::{Plan, PlanNode};
+use crate::lint::QueryFacts;
 use crate::semantics::PathSemantics;
 use crate::table::Table;
 use darpe::{Darpe, DarpeDir, Symbol};
-use accum::AccumType;
 use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::Graph;
 use pgraph::schema::ETypeId;
@@ -117,11 +117,51 @@ impl HopStrategy {
     }
 }
 
+/// How one ACCUM / POST_ACCUM clause may fold — the engine's single
+/// parallel-fold gate. Decided here, once per plan, from the abstract
+/// interpreter's [`BlockFacts`](crate::lint::BlockFacts); EXPLAIN's
+/// strategy phrase, the FROM/hop reordering gates and the executor all
+/// read this one value, and the executor trusts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldVerdict {
+    /// Proven, and every statement is a `+=` combine into an exact-merge
+    /// accumulator: partials merge byte-identically under *any*
+    /// partitioning or row order.
+    Exact,
+    /// Proven with `=` assigns (row-invariant in ACCUM; per-vertex
+    /// disjoint or suffix-replayed in POST_ACCUM): partials over
+    /// contiguous ranges, merged in ascending order, reproduce the
+    /// sequential fold.
+    Proven,
+    /// Not proven: the row-order fold.
+    Sequential,
+}
+
+impl FoldVerdict {
+    fn decide(proven: bool, stmts: &[AccStmt]) -> Self {
+        let all_combine = stmts.iter().all(|s| match s {
+            AccStmt::LocalDecl { .. } => true,
+            AccStmt::VAcc { combine, .. } | AccStmt::GAcc { combine, .. } => *combine,
+        });
+        match (proven, all_combine) {
+            (false, _) => FoldVerdict::Sequential,
+            (true, true) => FoldVerdict::Exact,
+            (true, false) => FoldVerdict::Proven,
+        }
+    }
+
+    /// `true` when the clause may fold into per-range partials.
+    pub fn parallel(self) -> bool {
+        self != FoldVerdict::Sequential
+    }
+}
+
 /// The executable plan for one SELECT block: the split WHERE conjuncts
-/// (with the FROM variables each references) and the per-hop strategy
-/// choices. The executor's pushdown worklist is a list of *indices*
-/// into [`BlockPlan::conjuncts`], so per-execution bookkeeping never
-/// clones or re-walks the AST.
+/// (with the FROM variables each references), the per-hop strategy
+/// choices and the fold verdict of each accumulator clause. The
+/// executor's pushdown worklist is a list of *indices* into
+/// [`BlockPlan::conjuncts`], so per-execution bookkeeping never clones
+/// or re-walks the AST.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     /// The path semantics this block was lowered under. The executor
@@ -139,18 +179,10 @@ pub struct BlockPlan {
     /// found a strictly cheaper order *and* the output-invariance gate
     /// held (see the module docs' determinism contract).
     pub from_order: Vec<usize>,
-    /// Absint-proven parallel gate for the ACCUM clause (pass 6,
-    /// `lint/absint.rs`) — strictly wider than the syntactic exact-merge
-    /// gate: it additionally admits `=` assigns whose RHS is proven
-    /// row-invariant. The executor runs the partial-fold paths when
-    /// either gate holds; results stay byte-identical at every
-    /// parallelism and shard count.
-    pub accum_parallel_proven: bool,
-    /// Absint-proven parallel gate for the POST_ACCUM clause: no live
-    /// read of a clause-targeted accumulator, exact-merge combines, and
-    /// assigns admitted via per-vertex cell disjointness (vertex
-    /// accumulators) or sequential suffix-replay (globals).
-    pub post_accum_parallel_proven: bool,
+    /// Fold verdict for the ACCUM clause.
+    pub accum_fold: FoldVerdict,
+    /// Fold verdict for the POST_ACCUM clause.
+    pub post_accum_fold: FoldVerdict,
     /// Reversed whole-pattern rewrites, keyed by FROM-item index: the
     /// cost model proved the reversed traversal strictly cheaper and
     /// the block's outputs invariant under row reordering, so the
@@ -178,6 +210,11 @@ pub struct QueryPlan {
     /// key on this: a re-finalized graph invalidates cached plans.
     pub epoch: u64,
     blocks: FxHashMap<usize, Arc<BlockPlan>>,
+    /// The abstract-interpretation facts the fold verdicts and conjunct
+    /// constancy were read from (AST-identity keyed, like `blocks`) —
+    /// kept so a block re-lowered at run time decides from the same
+    /// facts.
+    pub(crate) facts: Arc<QueryFacts>,
 }
 
 impl QueryPlan {
@@ -196,61 +233,69 @@ struct LowerState<'a, 'c> {
     /// Planner-visible vertex-set cardinalities (`S = SELECT ...` feeds
     /// later blocks' scans).
     vset_est: FxHashMap<String, f64>,
-    /// Declared accumulator types (vertex and global share a namespace
-    /// here), collected from the query body — the FROM-reorder gate
-    /// checks ACCUM targets against [`AccumType::is_exact_merge`].
-    /// Empty for [`lower_block_only`], which has no query context.
-    accum_types: FxHashMap<String, AccumType>,
     /// Abstract-interpretation facts for the whole query (pass 6,
     /// `lint/absint.rs`): proven parallel gates, conjunct constancy and
-    /// WHILE bounds, keyed by AST block identity. `None` for
-    /// [`lower_block_only`], which has no query context to analyze.
-    facts: Option<crate::lint::QueryFacts>,
+    /// WHILE bounds, keyed by AST block identity.
+    facts: &'c QueryFacts,
 }
 
 /// Lowers `query` into a [`QueryPlan`] under `semantics`, cost-based
-/// when `ctx` supplies graph statistics.
+/// when `ctx` supplies graph statistics, running the abstract
+/// interpreter for the facts — the entry point for callers holding
+/// only a parsed query.
 pub(crate) fn lower_query(
     query: &Query,
     semantics: PathSemantics,
     ctx: Option<&LowerCtx<'_>>,
 ) -> QueryPlan {
+    let facts =
+        crate::lint::compute_facts(query, semantics, &accum::UserAccumRegistry::new());
+    lower_query_with(query, semantics, ctx, Arc::new(facts))
+}
+
+/// [`lower_query`] over facts the caller already holds. `facts` must be
+/// the abstract interpreter's result for this same `query` allocation
+/// (they are AST-identity keyed); they depend only on the AST and the
+/// semantics, so a prepared statement computes them once and passes
+/// them to every re-plan.
+pub(crate) fn lower_query_with(
+    query: &Query,
+    semantics: PathSemantics,
+    ctx: Option<&LowerCtx<'_>>,
+    facts: Arc<QueryFacts>,
+) -> QueryPlan {
     let mut root = PlanNode::new(
         "query",
         format!("QUERY {} [{:?} semantics]", query.name, semantics),
     );
-    let mut accum_types = FxHashMap::default();
-    collect_accum_types(&query.body, &mut accum_types);
-    // Run the abstract interpreter once per lowering: its proven gates
-    // and conjunct constancy feed the strategy choices and estimates
-    // below, keyed by AST block identity (same allocation as the blocks
-    // walked here).
-    let facts =
-        crate::lint::compute_facts(query, semantics, &accum::UserAccumRegistry::new());
     let mut st = LowerState {
         ctx,
         params: &query.params,
         blocks: FxHashMap::default(),
         block_no: 0,
         vset_est: FxHashMap::default(),
-        accum_types,
-        facts: Some(facts),
+        facts: &facts,
     };
     lower_stmts(&query.body, semantics, &mut st, &mut root.children);
+    let blocks = st.blocks;
     QueryPlan {
         epoch: ctx.map_or(0, |c| c.graph.stats().epoch()),
         semantics,
         plan: Plan { query: query.name.clone(), semantics, root },
-        blocks: st.blocks,
+        blocks,
+        facts,
     }
 }
 
 /// Lowers a single block outside a whole-query walk — the executor's
 /// fallback when the runtime semantics diverge from the static plan.
+/// `facts` are the static plan's: fold verdicts do not depend on path
+/// semantics, so the re-lowered block folds exactly as planned.
 pub(crate) fn lower_block_only(
     block: &SelectBlock,
     semantics: PathSemantics,
     ctx: Option<&LowerCtx<'_>>,
+    facts: &QueryFacts,
 ) -> BlockPlan {
     let mut st = LowerState {
         ctx,
@@ -258,8 +303,7 @@ pub(crate) fn lower_block_only(
         blocks: FxHashMap::default(),
         block_no: 0,
         vset_est: FxHashMap::default(),
-        accum_types: FxHashMap::default(),
-        facts: None,
+        facts,
     };
     let (_, bp, _) = lower_block(block, semantics, 1, &mut st);
     bp
@@ -361,32 +405,6 @@ fn lower_stmts(
                 let mut node = PlanNode::new("foreach", format!("FOREACH {var}:"));
                 lower_stmts(body, semantics, st, &mut node.children);
                 out.push(node);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Walks statements (including WHILE/IF/FOREACH bodies) collecting every
-/// accumulator declaration's type, for the FROM-reorder exactness gate.
-fn collect_accum_types(stmts: &[Stmt], out: &mut FxHashMap<String, AccumType>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::AccumDecl { ty, decls } => {
-                for d in decls {
-                    // `@x` and `@@x` are distinct namespaces: key with
-                    // the sigil so the gate never reads the wrong type.
-                    let key =
-                        if d.global { format!("@@{}", d.name) } else { format!("@{}", d.name) };
-                    out.insert(key, ty.clone());
-                }
-            }
-            Stmt::While { body, .. } | Stmt::Foreach { body, .. } => {
-                collect_accum_types(body, out);
-            }
-            Stmt::If { then_branch, else_branch, .. } => {
-                collect_accum_types(then_branch, out);
-                collect_accum_types(else_branch, out);
             }
             _ => {}
         }
@@ -663,16 +681,20 @@ fn standalone_item_cost(
 /// * every output is a vertex set (table outputs are row-order
 ///   sensitive);
 /// * there is no GROUP BY;
-/// * every ACCUM statement is a `+=` combine into an accumulator whose
-///   declared type merges exactly ([`AccumType::is_exact_merge`]) —
-///   reordering permutes combine order, which only exact-merge
-///   combiners are guaranteed not to observe bit-for-bit.
+/// * the ACCUM clause folds [`FoldVerdict::Exact`] — reordering
+///   permutes combine order, which only exact-merge combiners are
+///   guaranteed not to observe bit-for-bit.
 fn choose_from_order(
     block: &SelectBlock,
     conjuncts: &[(Expr, Vec<String>)],
+    accum_fold: FoldVerdict,
     st: &LowerState<'_, '_>,
 ) -> Vec<usize> {
-    if st.ctx.is_none() || block.from.len() < 2 || block.group_by.is_some() {
+    if st.ctx.is_none()
+        || block.from.len() < 2
+        || block.group_by.is_some()
+        || accum_fold != FoldVerdict::Exact
+    {
         return Vec::new();
     }
     for frag in &block.outputs {
@@ -681,28 +703,6 @@ fn choose_from_order(
             && matches!(frag.items[0].expr, Expr::Ident(_));
         if !vertex_set {
             return Vec::new();
-        }
-    }
-    let registry = accum::UserAccumRegistry::new();
-    for acc in &block.accum {
-        let key = match acc {
-            AccStmt::LocalDecl { .. } => continue,
-            AccStmt::VAcc { name, combine, .. } => {
-                if !combine {
-                    return Vec::new();
-                }
-                format!("@{name}")
-            }
-            AccStmt::GAcc { name, combine, .. } => {
-                if !combine {
-                    return Vec::new();
-                }
-                format!("@@{name}")
-            }
-        };
-        match st.accum_types.get(&key) {
-            Some(ty) if ty.is_exact_merge(&registry) => {}
-            _ => return Vec::new(),
         }
     }
     let var_sets: Vec<FxHashSet<String>> = block
@@ -739,71 +739,6 @@ fn choose_from_order(
     } else {
         order
     }
-}
-
-/// Plan-time mirror of the runtime exact-merge scatter gate: true when
-/// every statement `+=`-combines into an accumulator whose declared
-/// type merges exactly ([`AccumType::is_exact_merge`]). Decides the
-/// ACCUM strategy annotation shown by EXPLAIN; the executor re-checks
-/// the same condition against its live stores at run time.
-fn accum_exact_merge(stmts: &[AccStmt], st: &LowerState<'_, '_>) -> bool {
-    let registry = accum::UserAccumRegistry::new();
-    stmts.iter().all(|s| {
-        let key = match s {
-            AccStmt::LocalDecl { .. } => return true,
-            AccStmt::VAcc { name, combine, .. } => {
-                if !combine {
-                    return false;
-                }
-                format!("@{name}")
-            }
-            AccStmt::GAcc { name, combine, .. } => {
-                if !combine {
-                    return false;
-                }
-                format!("@@{name}")
-            }
-        };
-        st.accum_types.get(&key).is_some_and(|ty| ty.is_exact_merge(&registry))
-    })
-}
-
-/// Plan-time mirror of the runtime POST_ACCUM parallel gate: the
-/// exact-merge condition plus no statement expression reading an
-/// accumulator the clause also targets live (snapshot reads `v.@a'`
-/// are safe — a live read would observe earlier vertices' writes under
-/// the sequential per-vertex semantics).
-fn post_accum_parallel(stmts: &[AccStmt], st: &LowerState<'_, '_>) -> bool {
-    if !accum_exact_merge(stmts, st) {
-        return false;
-    }
-    let mut v_targets: Vec<&str> = Vec::new();
-    let mut g_targets: Vec<&str> = Vec::new();
-    for s in stmts {
-        match s {
-            AccStmt::VAcc { name, .. } => v_targets.push(name),
-            AccStmt::GAcc { name, .. } => g_targets.push(name),
-            AccStmt::LocalDecl { .. } => {}
-        }
-    }
-    let mut ok = true;
-    for s in stmts {
-        let expr = match s {
-            AccStmt::LocalDecl { expr, .. }
-            | AccStmt::VAcc { expr, .. }
-            | AccStmt::GAcc { expr, .. } => expr,
-        };
-        expr.walk(&mut |sub| match sub {
-            Expr::VAcc { name, prev: false, .. } if v_targets.contains(&name.as_str()) => {
-                ok = false;
-            }
-            Expr::GAcc(name) if g_targets.contains(&name.as_str()) => {
-                ok = false;
-            }
-            _ => {}
-        });
-    }
-    ok
 }
 
 /// Recursively reverses a DARPE: concatenation order flips and every
@@ -903,8 +838,7 @@ fn anchored_card(
 /// Row order changes under reversal, so the gate requires: aggregate-
 /// only outputs with exact (`count`/`min`/`max`) aggregates, no GROUP
 /// BY / HAVING / ORDER BY / LIMIT, and an order-invariant ACCUM clause
-/// (syntactically exact-merge, or proven row-invariant by the absint
-/// pass). POST_ACCUM is always safe — it iterates the sorted distinct
+/// (any [`FoldVerdict`] but `Sequential`). POST_ACCUM is always safe — it iterates the sorted distinct
 /// vertex set, a pure function of the row *multiset*. Vertex-set
 /// outputs are excluded (their stored order is first-occurrence row
 /// order, which PRINT and later scans observe).
@@ -960,14 +894,16 @@ fn lower_block(
 ) -> (PlanNode, BlockPlan, f64) {
     let mut node = PlanNode::new("block", format!("BLOCK {no}:"));
     let with_est = st.ctx.is_some();
-    // Absint facts for this block (AST-identity keyed; `None` under
-    // `lower_block_only`). Cloned so the closures below don't hold a
-    // borrow of `st`.
-    let bf = st.facts.as_ref().and_then(|f| f.block_facts(block)).cloned();
-    // Parallel-fold gates proven by the abstract interpreter (strictly
-    // wider than the syntactic checks; see `lint/absint.rs`).
-    let accum_proven = bf.as_ref().is_some_and(|f| f.accum_parallel);
-    let post_proven = bf.as_ref().is_some_and(|f| f.post_accum_parallel);
+    // Absint facts for this block (AST-identity keyed). The fold
+    // verdicts are decided here, once, from the gates the abstract
+    // interpreter proved (see `lint/absint.rs`); everything below and
+    // the executor read them.
+    let facts: &QueryFacts = st.facts;
+    let bf = facts.block_facts(block);
+    let accum_fold =
+        FoldVerdict::decide(bf.is_some_and(|f| f.accum_parallel), &block.accum);
+    let post_accum_fold =
+        FoldVerdict::decide(bf.is_some_and(|f| f.post_accum_parallel), &block.post_accum);
 
     // Conjunct bookkeeping: split WHERE once, here — the executor reads
     // this exact list (by index) instead of re-splitting per run.
@@ -997,8 +933,7 @@ fn lower_block(
     // with `split_conjuncts` order (the same split used above). A proven-
     // FALSE conjunct zeroes the estimate; a proven-TRUE one keeps every
     // row instead of paying the default selectivity.
-    let conj_const: Vec<Option<bool>> =
-        bf.as_ref().map(|f| f.conjunct_const.clone()).unwrap_or_default();
+    let conj_const: &[Option<bool>] = bf.map_or(&[], |f| &f.conjunct_const);
     let conjunct_rows = |i: usize, rows: f64, c: &Expr| -> (f64, &'static str) {
         match conj_const.get(i).copied().flatten() {
             Some(false) => (0.0, " [proven false: empty]"),
@@ -1033,7 +968,7 @@ fn lower_block(
         }
     };
 
-    let from_order = choose_from_order(block, &conjuncts, st);
+    let from_order = choose_from_order(block, &conjuncts, accum_fold, st);
     if !from_order.is_empty() {
         let order_str: Vec<String> = from_order.iter().map(|i| i.to_string()).collect();
         node.children.push(PlanNode::new(
@@ -1048,12 +983,9 @@ fn lower_block(
     // is the cheaper anchor and every row consumer is order-invariant.
     // The plan walk below (and the executor, via
     // [`BlockPlan::rewritten_from`]) then traverses the rewritten item.
-    let accum_order_invariant = block.accum.is_empty()
-        || accum_exact_merge(&block.accum, st)
-        || accum_proven;
     let mut rewritten_from: FxHashMap<usize, FromItem> = FxHashMap::default();
     if let Some((rev, fwd, bwd)) =
-        choose_hop_reversal(block, &conjuncts, accum_order_invariant, st)
+        choose_hop_reversal(block, &conjuncts, accum_fold.parallel(), st)
     {
         node.children.push(PlanNode::new(
             "hop-reorder",
@@ -1278,17 +1210,14 @@ fn lower_block(
         }
         node.children.push(f);
     }
-    // Parallel-fold gates: the syntactic exact-merge check keeps its
-    // historical EXPLAIN phrasing; clauses only the abstract interpreter
-    // can prove safe get a distinct "proven" phrasing so plans show
-    // *why* they run parallel.
+    // The fold verdicts, as EXPLAIN phrases (pinned by the goldens):
+    // clauses that need the abstract interpreter's `=` reasoning say
+    // "proven", so plans show *why* they run parallel.
     if !block.accum.is_empty() {
-        let strategy = if accum_exact_merge(&block.accum, st) {
-            "morsel-parallel exact-merge fold"
-        } else if accum_proven {
-            "morsel-parallel proven fold (absint)"
-        } else {
-            "sequential emission fold"
+        let strategy = match accum_fold {
+            FoldVerdict::Exact => "morsel-parallel exact-merge fold",
+            FoldVerdict::Proven => "morsel-parallel proven fold (absint)",
+            FoldVerdict::Sequential => "sequential emission fold",
         };
         let mut a = PlanNode::new(
             "accum",
@@ -1303,12 +1232,10 @@ fn lower_block(
         node.children.push(a);
     }
     if !block.post_accum.is_empty() {
-        let strategy = if post_accum_parallel(&block.post_accum, st) {
-            "morsel-parallel fold"
-        } else if post_proven {
-            "morsel-parallel proven apply (absint)"
-        } else {
-            "sequential per-vertex apply"
+        let strategy = match post_accum_fold {
+            FoldVerdict::Exact => "morsel-parallel fold",
+            FoldVerdict::Proven => "morsel-parallel proven apply (absint)",
+            FoldVerdict::Sequential => "sequential per-vertex apply",
         };
         let mut a = PlanNode::new(
             "post-accum",
@@ -1358,8 +1285,8 @@ fn lower_block(
             conjuncts,
             strategies,
             from_order,
-            accum_parallel_proven: accum_proven,
-            post_accum_parallel_proven: post_proven,
+            accum_fold,
+            post_accum_fold,
             rewritten_from,
         },
         rows,

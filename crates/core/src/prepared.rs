@@ -29,6 +29,7 @@
 
 use crate::ast::{Param, ParamType, Query};
 use crate::error::Result;
+use crate::lint::QueryFacts;
 use crate::plan::QueryPlan;
 use crate::semantics::PathSemantics;
 use pgraph::value::Value;
@@ -141,11 +142,19 @@ pub struct PreparedQuery {
     /// `(graph finalize epoch, semantics, plan)` — one cached optimized
     /// plan serving arbitrarily many parameter bindings.
     plan: PlanSlot,
+    /// `(semantics, facts)` — the abstract interpreter's result, which
+    /// depends only on the AST and the semantics: computed once per
+    /// statement, read by every re-plan and every pre-admission gate.
+    facts: FactsSlot,
 }
 
 /// Shared cache slot for the statement's one optimized plan, keyed on
 /// the graph finalize epoch and semantics it was lowered under.
 type PlanSlot = Arc<Mutex<Option<(u64, PathSemantics, Arc<QueryPlan>)>>>;
+
+/// Shared cache slot for the statement's abstract-interpretation facts,
+/// keyed on the semantics they were computed under.
+type FactsSlot = Arc<Mutex<Option<(PathSemantics, Arc<QueryFacts>)>>>;
 
 impl PreparedQuery {
     /// Parses `src` into a reusable handle. All lexer/parser rejections
@@ -158,6 +167,7 @@ impl PreparedQuery {
             query: Arc::new(query),
             fingerprint: fingerprint(src),
             plan: Arc::new(Mutex::new(None)),
+            facts: Arc::new(Mutex::new(None)),
         })
     }
 
@@ -306,14 +316,27 @@ impl PreparedQuery {
         )
     }
 
-    /// The abstract-interpretation facts alone (no diagnostics) — the
-    /// cheap form the server's per-request pre-admission gate uses.
-    pub fn facts(&self, semantics: crate::PathSemantics) -> crate::lint::QueryFacts {
-        crate::lint::compute_facts(
+    /// The abstract-interpretation facts alone (no diagnostics),
+    /// computed on the first call per semantics and cached beside the
+    /// plan slot (clones share it) — what the server's per-request
+    /// pre-admission gate and every re-plan read.
+    pub fn facts(&self, semantics: PathSemantics) -> Arc<QueryFacts> {
+        // A panic while the slot is held can only come from the analyzer
+        // itself, before the slot is written: the `Option` inside is
+        // valid at every step, so a poisoned lock is safe to re-enter.
+        let mut slot = self.facts.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((s, facts)) = slot.as_ref() {
+            if *s == semantics {
+                return facts.clone();
+            }
+        }
+        let facts = Arc::new(crate::lint::compute_facts(
             &self.query,
             semantics,
             &accum::UserAccumRegistry::new(),
-        )
+        ));
+        *slot = Some((semantics, facts.clone()));
+        facts
     }
 }
 
@@ -374,6 +397,30 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &d));
         let e = p.plan_for(8, PathSemantics::NonRepeatedEdge, mk);
         assert!(!Arc::ptr_eq(&d, &e));
+    }
+
+    #[test]
+    fn facts_are_computed_once_per_semantics_and_shared_by_clones() {
+        let p = PreparedQuery::prepare(
+            "CREATE QUERY q () { SumAccum<int> @@n; S = SELECT v FROM V:v ACCUM @@n += 1; }",
+        )
+        .unwrap();
+        let a = p.facts(PathSemantics::AllShortestPaths);
+        assert!(a.blocks[0].accum_parallel);
+        // Same semantics, also through a clone: the cached analysis.
+        assert!(Arc::ptr_eq(&a, &p.facts(PathSemantics::AllShortestPaths)));
+        assert!(Arc::ptr_eq(&a, &p.clone().facts(PathSemantics::AllShortestPaths)));
+        // The facts index the prepared AST itself, so plans lowered from
+        // them find their blocks.
+        let Some(crate::ast::Stmt::VSetAssign {
+            source: crate::ast::VSetSource::Select(block), ..
+        }) = p.query().body.get(1)
+        else {
+            panic!("unexpected AST shape");
+        };
+        assert!(a.block_facts(block).is_some());
+        // Another semantics re-analyzes.
+        assert!(!Arc::ptr_eq(&a, &p.facts(PathSemantics::NonRepeatedEdge)));
     }
 
     #[test]

@@ -490,7 +490,9 @@ fn run_query(
     // proves the query's WHILE loops must exceed this request's
     // iteration budget (`D003`), the run is *guaranteed* to trip the
     // governor — refuse it with the proven bound before it is admitted
-    // or occupies an execution slot.
+    // or occupies an execution slot. The facts are cached on the
+    // prepared statement: the analyzer runs once per statement, not once
+    // per request.
     let facts = prepared.facts(shared.cfg.semantics);
     if let Some(d) = gsql_core::lint::budget_findings(&facts, &budget).into_iter().next() {
         shared.metrics.proven_rejections.fetch_add(1, Ordering::Relaxed);
