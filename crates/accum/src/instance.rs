@@ -1,13 +1,26 @@
 //! Live accumulator instances: the combiner `⊕`, assignment, snapshots,
 //! and the multiplicity shortcut of Theorem 7.1.
+//!
+//! Every collection accumulator caches the estimated footprint of its
+//! contents in a `bytes` field that each mutation keeps in step, so
+//! [`Accum::estimated_bytes`] — read by the engine's memory budget after
+//! every accumulator clause — costs O(1) instead of a walk over the
+//! contents.
 
 use crate::types::{AccumType, HeapField, SortDir};
 use crate::user::{UserAccum, UserAccumRegistry};
 use pgraph::bigcount::BigCount;
-use pgraph::value::{Value, ValueType};
+use pgraph::fxhash::FxHashMap;
+use pgraph::value::{MemSize, Value, ValueType};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, hash_map, BTreeMap};
 use std::fmt;
+
+/// A `GroupByAccum`'s group table: key tuple → the group's nested
+/// accumulators. Hashed (`Value`'s `Hash` agrees with its `Eq`); the
+/// group order becomes visible only in [`Accum::value`], which sorts by
+/// key.
+pub type GroupTable = FxHashMap<Value, Vec<Accum>>;
 
 /// Errors from accumulator operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,14 +106,34 @@ pub enum Accum {
     /// `AndAccum`: boolean conjunction.
     And(bool),
     /// `SetAccum`: deduplicated elements, kept sorted.
-    Set(Vec<Value>),
+    Set {
+        /// The elements, ascending.
+        items: Vec<Value>,
+        /// Cached estimated bytes of `items`.
+        bytes: usize,
+    },
     /// `BagAccum`: element → occurrence count (counts are [`BigCount`]
     /// so path multiplicities absorb without expansion).
-    Bag(BTreeMap<Value, BigCount>),
+    Bag {
+        /// Occurrence count per distinct element.
+        counts: BTreeMap<Value, BigCount>,
+        /// Cached estimated bytes of `counts`.
+        bytes: usize,
+    },
     /// `ListAccum`: ordered append (order-dependent).
-    List(Vec<Value>),
+    List {
+        /// The elements, in append order.
+        items: Vec<Value>,
+        /// Cached estimated bytes of `items`.
+        bytes: usize,
+    },
     /// `ArrayAccum`: ordered append; fixed-size semantics not modeled.
-    Array(Vec<Value>),
+    Array {
+        /// The elements, in append order.
+        items: Vec<Value>,
+        /// Cached estimated bytes of `items`.
+        bytes: usize,
+    },
     /// `MapAccum`: key → nested accumulator.
     Map {
         /// The live nested accumulator per key.
@@ -108,6 +141,9 @@ pub enum Accum {
         /// Declared type used to instantiate nested accumulators on
         /// first touch of a new key.
         value_type: Box<AccumType>,
+        /// Cached estimated bytes of `entries` (keys and nested
+        /// accumulators).
+        bytes: usize,
     },
     /// `HeapAccum`: capacity-bounded top-k of tuples.
     Heap {
@@ -117,6 +153,8 @@ pub enum Accum {
         fields: Vec<HeapField>,
         /// Retained tuples, kept sorted best-first.
         items: Vec<Value>,
+        /// Cached estimated bytes of `items`.
+        bytes: usize,
     },
     /// `GroupByAccum`: SQL GROUP BY as an accumulator (paper Example 12).
     GroupBy {
@@ -124,8 +162,12 @@ pub enum Accum {
         key_arity: usize,
         /// Declared types of the nested per-group accumulators.
         nested: Vec<AccumType>,
-        /// Key tuple → live nested accumulators for that group.
-        groups: BTreeMap<Value, Vec<Accum>>,
+        /// Key tuple → live nested accumulators for that group (boxed,
+        /// keeping every `Accum` at 64 bytes).
+        groups: Box<GroupTable>,
+        /// Cached estimated bytes of `groups` (keys and nested
+        /// accumulators).
+        bytes: usize,
     },
     /// A user-defined accumulator behind the [`UserAccum`] trait object.
     User(Box<dyn UserAccum>),
@@ -144,22 +186,24 @@ impl Accum {
             AccumType::Avg => Accum::Avg { sum: 0.0, count: 0 },
             AccumType::Or => Accum::Or(false),
             AccumType::And => Accum::And(true),
-            AccumType::Set => Accum::Set(Vec::new()),
-            AccumType::Bag => Accum::Bag(BTreeMap::new()),
-            AccumType::List => Accum::List(Vec::new()),
-            AccumType::Array => Accum::Array(Vec::new()),
+            AccumType::Set => Accum::Set { items: Vec::new(), bytes: 0 },
+            AccumType::Bag => Accum::Bag { counts: BTreeMap::new(), bytes: 0 },
+            AccumType::List => Accum::List { items: Vec::new(), bytes: 0 },
+            AccumType::Array => Accum::Array { items: Vec::new(), bytes: 0 },
             AccumType::Map(v) => {
-                Accum::Map { entries: BTreeMap::new(), value_type: v.clone() }
+                Accum::Map { entries: BTreeMap::new(), value_type: v.clone(), bytes: 0 }
             }
             AccumType::Heap { capacity, fields } => Accum::Heap {
                 capacity: *capacity,
                 fields: fields.clone(),
                 items: Vec::new(),
+                bytes: 0,
             },
             AccumType::GroupBy { key_arity, nested } => Accum::GroupBy {
                 key_arity: *key_arity,
                 nested: nested.clone(),
-                groups: BTreeMap::new(),
+                groups: Box::default(),
+                bytes: 0,
             },
             AccumType::User(name) => Accum::User(
                 registry
@@ -170,13 +214,12 @@ impl Accum {
     }
 
     /// Estimated heap footprint in bytes (inline + owned allocations),
-    /// used by the query engine's accumulator memory budget. Collection
-    /// accumulators recurse into their contents via
-    /// [`pgraph::value::MemSize`].
+    /// used by the query engine's accumulator memory budget. O(1) for
+    /// collections: each caches its contents' [`MemSize`] total (a
+    /// `MapAccum` entry or a group counts its key plus its nested
+    /// accumulators; a bag entry its key plus one [`BigCount`]).
     pub fn estimated_bytes(&self) -> usize {
-        use pgraph::value::MemSize;
-        let inline = std::mem::size_of::<Accum>();
-        inline
+        std::mem::size_of::<Accum>()
             + match self {
                 Accum::SumInt(_)
                 | Accum::SumDouble(_)
@@ -187,29 +230,32 @@ impl Accum {
                 Accum::Min(v) | Accum::Max(v) => {
                     v.as_ref().map_or(0, MemSize::estimated_bytes)
                 }
-                Accum::Set(xs) | Accum::List(xs) | Accum::Array(xs) => {
-                    xs.iter().map(MemSize::estimated_bytes).sum()
-                }
-                Accum::Bag(entries) => entries
-                    .keys()
-                    .map(|k| k.estimated_bytes() + std::mem::size_of::<BigCount>())
-                    .sum(),
-                Accum::Map { entries, .. } => entries
-                    .iter()
-                    .map(|(k, v)| k.estimated_bytes() + v.estimated_bytes())
-                    .sum(),
-                Accum::Heap { items, .. } => {
-                    items.iter().map(MemSize::estimated_bytes).sum()
-                }
-                Accum::GroupBy { groups, .. } => groups
-                    .iter()
-                    .map(|(k, accs)| {
-                        k.estimated_bytes()
-                            + accs.iter().map(Accum::estimated_bytes).sum::<usize>()
-                    })
-                    .sum(),
+                Accum::Set { bytes, .. }
+                | Accum::Bag { bytes, .. }
+                | Accum::List { bytes, .. }
+                | Accum::Array { bytes, .. }
+                | Accum::Map { bytes, .. }
+                | Accum::Heap { bytes, .. }
+                | Accum::GroupBy { bytes, .. } => *bytes,
                 Accum::User(u) => u.estimated_bytes(),
             }
+    }
+
+    /// Number of elements of a collection accumulator — the length of
+    /// its [`Accum::value`] (a bag's distinct elements, a map's keys, a
+    /// group-by's groups) without building it. `None` for scalars and
+    /// user accumulators.
+    pub fn size(&self) -> Option<usize> {
+        match self {
+            Accum::Set { items, .. }
+            | Accum::List { items, .. }
+            | Accum::Array { items, .. }
+            | Accum::Heap { items, .. } => Some(items.len()),
+            Accum::Bag { counts, .. } => Some(counts.len()),
+            Accum::Map { entries, .. } => Some(entries.len()),
+            Accum::GroupBy { groups, .. } => Some(groups.len()),
+            _ => None,
+        }
     }
 
     /// The combiner `⊕` — folds one input into the internal value.
@@ -267,43 +313,26 @@ impl Accum {
                 })?;
                 *v &= b;
             }
-            Accum::Set(items) => {
-                if let Err(pos) = items.binary_search(&input) {
-                    items.insert(pos, input);
-                }
+            Accum::Set { items, bytes } => set_insert(items, bytes, input),
+            Accum::Bag { counts, bytes } => bag_slot(counts, bytes, input).add_u64(1),
+            Accum::List { items, bytes } | Accum::Array { items, bytes } => {
+                *bytes += input.estimated_bytes();
+                items.push(input);
             }
-            Accum::Bag(counts) => {
-                counts.entry(input).or_insert_with(BigCount::zero).add_u64(1);
-            }
-            Accum::List(items) | Accum::Array(items) => items.push(input),
-            Accum::Map { entries, value_type } => {
+            Accum::Map { entries, value_type, bytes } => {
                 let (k, v) = split_map_input(input)?;
-                let nested = match entries.entry(k) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(Accum::new(value_type, registry)?)
-                    }
-                };
-                nested.combine(v, registry)?;
+                let nested = map_slot(entries, bytes, k, value_type, registry)?;
+                tracked(bytes, std::slice::from_mut(nested), |n| n[0].combine(v, registry))?;
             }
-            Accum::Heap { capacity, fields, items } => {
-                heap_insert(items, input, fields, *capacity);
+            Accum::Heap { capacity, fields, items, bytes } => {
+                heap_insert(items, bytes, input, fields, *capacity);
             }
-            Accum::GroupBy { key_arity, nested, groups } => {
+            Accum::GroupBy { key_arity, nested, groups, bytes } => {
                 let (key, vals) = split_groupby_input(input, *key_arity, nested.len())?;
-                let slot = match groups.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        let mut fresh = Vec::with_capacity(nested.len());
-                        for ty in nested.iter() {
-                            fresh.push(Accum::new(ty, registry)?);
-                        }
-                        e.insert(fresh)
-                    }
-                };
-                for (a, v) in slot.iter_mut().zip(vals) {
-                    a.combine(v, registry)?;
-                }
+                let slot = group_slot(groups, bytes, key, nested, registry)?;
+                tracked(bytes, slot, |accs| {
+                    accs.iter_mut().zip(vals).try_for_each(|(a, v)| a.combine(v, registry))
+                })?;
             }
             Accum::User(u) => u.combine(input)?,
         }
@@ -335,7 +364,7 @@ impl Accum {
         }
         match self {
             // Multiplicity-insensitive: once is enough.
-            Accum::Min(_) | Accum::Max(_) | Accum::Or(_) | Accum::And(_) | Accum::Set(_) => {
+            Accum::Min(_) | Accum::Max(_) | Accum::Or(_) | Accum::And(_) | Accum::Set { .. } => {
                 self.combine(input, registry)
             }
             // A heap keeps at most `capacity` copies: inserting
@@ -381,42 +410,28 @@ impl Accum {
                 *count += m;
                 Ok(())
             }
-            Accum::Bag(counts) => {
-                counts
-                    .entry(input)
-                    .or_insert_with(BigCount::zero)
-                    .add_assign(mult);
+            Accum::Bag { counts, bytes } => {
+                bag_slot(counts, bytes, input).add_assign(mult);
                 Ok(())
             }
-            Accum::Map { entries, value_type } => {
+            Accum::Map { entries, value_type, bytes } => {
                 let (k, v) = split_map_input(input)?;
-                let nested = match entries.entry(k) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(Accum::new(value_type, registry)?)
-                    }
-                };
-                nested.combine_with_multiplicity(v, mult, registry)
+                let nested = map_slot(entries, bytes, k, value_type, registry)?;
+                tracked(bytes, std::slice::from_mut(nested), |n| {
+                    n[0].combine_with_multiplicity(v, mult, registry)
+                })
             }
-            Accum::GroupBy { key_arity, nested, groups } => {
+            Accum::GroupBy { key_arity, nested, groups, bytes } => {
                 let (key, vals) = split_groupby_input(input, *key_arity, nested.len())?;
-                let slot = match groups.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        let mut fresh = Vec::with_capacity(nested.len());
-                        for ty in nested.iter() {
-                            fresh.push(Accum::new(ty, registry)?);
-                        }
-                        e.insert(fresh)
-                    }
-                };
-                for (a, v) in slot.iter_mut().zip(vals) {
-                    a.combine_with_multiplicity(v, mult, registry)?;
-                }
-                Ok(())
+                let slot = group_slot(groups, bytes, key, nested, registry)?;
+                tracked(bytes, slot, |accs| {
+                    accs.iter_mut()
+                        .zip(vals)
+                        .try_for_each(|(a, v)| a.combine_with_multiplicity(v, mult, registry))
+                })
             }
             // Order-dependent: expand literally while tolerable.
-            Accum::SumStr(_) | Accum::List(_) | Accum::Array(_) | Accum::User(_) => {
+            Accum::SumStr(_) | Accum::List { .. } | Accum::Array { .. } | Accum::User(_) => {
                 let name = self.kind_name();
                 match mult.to_u64() {
                     Some(m) if m <= EXPANSION_CAP => {
@@ -477,57 +492,65 @@ impl Accum {
             }
             (Accum::Or(a), Accum::Or(b)) => *a |= b,
             (Accum::And(a), Accum::And(b)) => *a &= b,
-            (Accum::Set(items), Accum::Set(other)) => {
+            (Accum::Set { items, bytes }, Accum::Set { items: other, .. }) => {
                 for v in other {
-                    if let Err(pos) = items.binary_search(&v) {
-                        items.insert(pos, v);
-                    }
+                    set_insert(items, bytes, v);
                 }
             }
-            (Accum::Bag(counts), Accum::Bag(other)) => {
+            (Accum::Bag { counts, bytes }, Accum::Bag { counts: other, .. }) => {
                 for (k, c) in other {
-                    counts.entry(k).or_insert_with(BigCount::zero).add_assign(&c);
+                    bag_slot(counts, bytes, k).add_assign(&c);
                 }
             }
-            (Accum::List(items), Accum::List(other))
-            | (Accum::Array(items), Accum::Array(other)) => items.extend(other),
+            (Accum::List { items, bytes }, Accum::List { items: other, bytes: b })
+            | (Accum::Array { items, bytes }, Accum::Array { items: other, bytes: b }) => {
+                *bytes += b;
+                items.extend(other);
+            }
             (
-                Accum::Map { entries, .. },
+                Accum::Map { entries, bytes, .. },
                 Accum::Map { entries: other, .. },
             ) => {
                 for (k, nested) in other {
                     match entries.entry(k) {
-                        std::collections::btree_map::Entry::Occupied(e) => {
-                            e.into_mut().merge(nested, registry)?;
+                        btree_map::Entry::Occupied(e) => {
+                            tracked(bytes, std::slice::from_mut(e.into_mut()), |n| {
+                                n[0].merge(nested, registry)
+                            })?;
                         }
-                        std::collections::btree_map::Entry::Vacant(e) => {
+                        btree_map::Entry::Vacant(e) => {
                             // Partition-local state moves in wholesale —
                             // it already equals neutral ⊕ its inputs.
+                            *bytes += e.key().estimated_bytes() + nested.estimated_bytes();
                             e.insert(nested);
                         }
                     }
                 }
             }
             (
-                Accum::Heap { capacity, fields, items },
+                Accum::Heap { capacity, fields, items, bytes },
                 Accum::Heap { items: other, .. },
             ) => {
                 for v in other {
-                    heap_insert(items, v, fields, *capacity);
+                    heap_insert(items, bytes, v, fields, *capacity);
                 }
             }
             (
-                Accum::GroupBy { groups, .. },
+                Accum::GroupBy { groups, bytes, .. },
                 Accum::GroupBy { groups: other, .. },
             ) => {
-                for (k, accs) in other {
+                // Groups are independent, so the table's iteration order
+                // cannot change the merged state.
+                for (k, accs) in *other {
                     match groups.entry(k) {
-                        std::collections::btree_map::Entry::Occupied(e) => {
-                            for (a, b) in e.into_mut().iter_mut().zip(accs) {
-                                a.merge(b, registry)?;
-                            }
+                        hash_map::Entry::Occupied(e) => {
+                            tracked(bytes, e.into_mut(), |mine| {
+                                mine.iter_mut().zip(accs).try_for_each(|(a, b)| a.merge(b, registry))
+                            })?;
                         }
-                        std::collections::btree_map::Entry::Vacant(e) => {
+                        hash_map::Entry::Vacant(e) => {
+                            *bytes += e.key().estimated_bytes()
+                                + accs.iter().map(Accum::estimated_bytes).sum::<usize>();
                             e.insert(accs);
                         }
                     }
@@ -576,36 +599,42 @@ impl Accum {
                     got: value.clone(),
                 })?
             }
-            Accum::Set(items) => match value {
-                Value::Set(xs) | Value::List(xs) => {
-                    let mut xs = xs;
-                    xs.sort();
-                    xs.dedup();
-                    *items = xs;
+            Accum::Set { items, bytes } => {
+                match value {
+                    Value::Set(xs) | Value::List(xs) => {
+                        let mut xs = xs;
+                        xs.sort();
+                        xs.dedup();
+                        *items = xs;
+                    }
+                    other => {
+                        *items = vec![other];
+                    }
                 }
-                other => {
-                    *items = vec![other];
-                }
-            },
-            Accum::Bag(counts) => {
+                *bytes = content_bytes(items);
+            }
+            Accum::Bag { counts, bytes } => {
                 counts.clear();
+                *bytes = 0;
                 match value {
                     Value::Set(xs) | Value::List(xs) => {
                         for x in xs {
-                            counts.entry(x).or_insert_with(BigCount::zero).add_u64(1);
+                            bag_slot(counts, bytes, x).add_u64(1);
                         }
                     }
-                    other => {
-                        counts.insert(other, BigCount::one());
-                    }
+                    other => bag_slot(counts, bytes, other).add_u64(1),
                 }
             }
-            Accum::List(items) | Accum::Array(items) => match value {
-                Value::List(xs) | Value::Set(xs) => *items = xs,
-                other => *items = vec![other],
-            },
-            Accum::Map { entries, .. } => {
+            Accum::List { items, bytes } | Accum::Array { items, bytes } => {
+                match value {
+                    Value::List(xs) | Value::Set(xs) => *items = xs,
+                    other => *items = vec![other],
+                }
+                *bytes = content_bytes(items);
+            }
+            Accum::Map { entries, bytes, .. } => {
                 entries.clear();
+                *bytes = 0;
                 if !matches!(value, Value::Null) {
                     return Err(AccumError::TypeMismatch {
                         expected: "null (maps can only be cleared)",
@@ -613,8 +642,9 @@ impl Accum {
                     });
                 }
             }
-            Accum::Heap { items, .. } => {
+            Accum::Heap { items, bytes, .. } => {
                 items.clear();
+                *bytes = 0;
                 if !matches!(value, Value::Null) {
                     return Err(AccumError::TypeMismatch {
                         expected: "null (heaps can only be cleared)",
@@ -622,8 +652,9 @@ impl Accum {
                     });
                 }
             }
-            Accum::GroupBy { groups, .. } => {
+            Accum::GroupBy { groups, bytes, .. } => {
                 groups.clear();
+                *bytes = 0;
                 if !matches!(value, Value::Null) {
                     return Err(AccumError::TypeMismatch {
                         expected: "null (group-by accumulators can only be cleared)",
@@ -651,8 +682,8 @@ impl Accum {
                 }
             }
             Accum::Or(v) | Accum::And(v) => Value::Bool(*v),
-            Accum::Set(items) => Value::Set(items.clone()),
-            Accum::Bag(counts) => {
+            Accum::Set { items, .. } => Value::Set(items.clone()),
+            Accum::Bag { counts, .. } => {
                 // A bag surfaces as a map element -> count.
                 Value::Map(
                     counts
@@ -667,7 +698,7 @@ impl Accum {
                         .collect(),
                 )
             }
-            Accum::List(items) | Accum::Array(items) => Value::List(items.clone()),
+            Accum::List { items, .. } | Accum::Array { items, .. } => Value::List(items.clone()),
             Accum::Map { entries, .. } => Value::Map(
                 entries
                     .iter()
@@ -675,14 +706,20 @@ impl Accum {
                     .collect(),
             ),
             Accum::Heap { items, .. } => Value::List(items.clone()),
-            Accum::GroupBy { groups, .. } => Value::Map(
-                groups
-                    .iter()
-                    .map(|(k, accs)| {
-                        (k.clone(), Value::Tuple(accs.iter().map(Accum::value).collect()))
-                    })
-                    .collect(),
-            ),
+            Accum::GroupBy { groups, .. } => {
+                // The one place the group order is observable: ascending
+                // key, as a `Value::Map` always is.
+                let mut by_key: Vec<(&Value, &Vec<Accum>)> = groups.iter().collect();
+                by_key.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                Value::Map(
+                    by_key
+                        .into_iter()
+                        .map(|(k, accs)| {
+                            (k.clone(), Value::Tuple(accs.iter().map(Accum::value).collect()))
+                        })
+                        .collect(),
+                )
+            }
             Accum::User(u) => u.value(),
         }
     }
@@ -698,10 +735,10 @@ impl Accum {
             Accum::Avg { .. } => "AvgAccum",
             Accum::Or(_) => "OrAccum",
             Accum::And(_) => "AndAccum",
-            Accum::Set(_) => "SetAccum",
-            Accum::Bag(_) => "BagAccum",
-            Accum::List(_) => "ListAccum",
-            Accum::Array(_) => "ArrayAccum",
+            Accum::Set { .. } => "SetAccum",
+            Accum::Bag { .. } => "BagAccum",
+            Accum::List { .. } => "ListAccum",
+            Accum::Array { .. } => "ArrayAccum",
             Accum::Map { .. } => "MapAccum",
             Accum::Heap { .. } => "HeapAccum",
             Accum::GroupBy { .. } => "GroupByAccum",
@@ -767,12 +804,112 @@ fn heap_cmp(a: &Value, b: &Value, fields: &[HeapField]) -> Ordering {
     Ordering::Equal
 }
 
-fn heap_insert(items: &mut Vec<Value>, input: Value, fields: &[HeapField], capacity: usize) {
+/// Inserts `input` into the sorted, capacity-bounded `items`, keeping
+/// `bytes` in step. An input that ranks strictly below the last item of
+/// a full heap would only be inserted at the end and truncated again, so
+/// it is rejected before the search; ties still take the search, which
+/// keeps the tie order of the plain sort-insert.
+fn heap_insert(
+    items: &mut Vec<Value>,
+    bytes: &mut usize,
+    input: Value,
+    fields: &[HeapField],
+    capacity: usize,
+) {
+    if items.len() >= capacity
+        && items.last().is_some_and(|last| heap_cmp(last, &input, fields) == Ordering::Less)
+    {
+        return;
+    }
     let pos = items
         .binary_search_by(|probe| heap_cmp(probe, &input, fields))
         .unwrap_or_else(|p| p);
+    *bytes += input.estimated_bytes();
     items.insert(pos, input);
-    items.truncate(capacity);
+    if items.len() > capacity {
+        for dropped in items.drain(capacity..) {
+            *bytes -= dropped.estimated_bytes();
+        }
+    }
+}
+
+/// Estimated bytes of a run of elements.
+fn content_bytes(items: &[Value]) -> usize {
+    items.iter().map(MemSize::estimated_bytes).sum()
+}
+
+/// Inserts `v` into the sorted, deduplicated `items` of a set.
+fn set_insert(items: &mut Vec<Value>, bytes: &mut usize, v: Value) {
+    if let Err(pos) = items.binary_search(&v) {
+        *bytes += v.estimated_bytes();
+        items.insert(pos, v);
+    }
+}
+
+/// The count cell of bag element `v`, created at zero on first touch.
+fn bag_slot<'a>(
+    counts: &'a mut BTreeMap<Value, BigCount>,
+    bytes: &mut usize,
+    v: Value,
+) -> &'a mut BigCount {
+    match counts.entry(v) {
+        btree_map::Entry::Occupied(e) => e.into_mut(),
+        btree_map::Entry::Vacant(e) => {
+            *bytes += e.key().estimated_bytes() + std::mem::size_of::<BigCount>();
+            e.insert(BigCount::zero())
+        }
+    }
+}
+
+/// The nested accumulator of map key `k`, created neutral on first touch.
+fn map_slot<'a>(
+    entries: &'a mut BTreeMap<Value, Accum>,
+    bytes: &mut usize,
+    k: Value,
+    value_type: &AccumType,
+    registry: &UserAccumRegistry,
+) -> Result<&'a mut Accum, AccumError> {
+    Ok(match entries.entry(k) {
+        btree_map::Entry::Occupied(e) => e.into_mut(),
+        btree_map::Entry::Vacant(e) => {
+            let fresh = Accum::new(value_type, registry)?;
+            *bytes += e.key().estimated_bytes() + fresh.estimated_bytes();
+            e.insert(fresh)
+        }
+    })
+}
+
+/// The nested accumulators of group `key`, created neutral on first touch.
+fn group_slot<'a>(
+    groups: &'a mut GroupTable,
+    bytes: &mut usize,
+    key: Value,
+    nested: &[AccumType],
+    registry: &UserAccumRegistry,
+) -> Result<&'a mut Vec<Accum>, AccumError> {
+    Ok(match groups.entry(key) {
+        hash_map::Entry::Occupied(e) => e.into_mut(),
+        hash_map::Entry::Vacant(e) => {
+            let fresh = nested
+                .iter()
+                .map(|ty| Accum::new(ty, registry))
+                .collect::<Result<Vec<_>, _>>()?;
+            *bytes += e.key().estimated_bytes()
+                + fresh.iter().map(Accum::estimated_bytes).sum::<usize>();
+            e.insert(fresh)
+        }
+    })
+}
+
+/// Runs `f` over nested accumulators and moves their container's cached
+/// `bytes` by the change in their footprint — also when `f` fails part
+/// way, so the cache never drifts from the contents.
+fn tracked<T>(bytes: &mut usize, accs: &mut [Accum], f: impl FnOnce(&mut [Accum]) -> T) -> T {
+    let before: usize = accs.iter().map(Accum::estimated_bytes).sum();
+    let out = f(accs);
+    let after: usize = accs.iter().map(Accum::estimated_bytes).sum();
+    *bytes = *bytes - before + after;
+    out
 }
 
 #[cfg(test)]
@@ -1163,6 +1300,13 @@ mod tests {
         let mut s = mk(&AccumType::Sum(ValueType::Int));
         let err = s.merge(mk(&AccumType::Min), &r);
         assert!(matches!(err, Err(AccumError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    fn accum_stays_64_bytes() {
+        // Every instance's estimate counts its inline size, so a layout
+        // change would move every query's `peak_accum_bytes`.
+        assert_eq!(std::mem::size_of::<Accum>(), 64);
     }
 
     #[test]

@@ -575,10 +575,11 @@ impl Expr {
         let mut found = false;
         self.walk(&mut |e| {
             if let Expr::Call { func, args, star } = e {
-                let f = func.to_ascii_lowercase();
                 if *star
                     || (args.len() == 1
-                        && matches!(f.as_str(), "count" | "sum" | "avg" | "min" | "max"))
+                        && ["count", "sum", "avg", "min", "max"]
+                            .iter()
+                            .any(|a| func.eq_ignore_ascii_case(a)))
                 {
                     found = true;
                 }

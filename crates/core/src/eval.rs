@@ -56,25 +56,52 @@ pub struct VAccStore {
     /// declaration initializer, e.g. `SumAccum<float> @score = 1`).
     pub prototype: Accum,
     /// Lazily-populated cells, indexed by `VertexId`.
-    pub cells: Vec<Option<Accum>>,
+    cells: Vec<Option<Accum>>,
+    /// Running [`Accum::estimated_bytes`] total of the populated cells,
+    /// kept by [`VAccStore::update`], the store's only write path.
+    cell_bytes: u64,
 }
 
 impl VAccStore {
-    /// Read the current value at `v` (prototype value if untouched).
-    pub fn value_at(&self, v: VertexId) -> Value {
-        match self.cells.get(v.0 as usize).and_then(|c| c.as_ref()) {
-            Some(a) => a.value(),
-            None => self.prototype.value(),
-        }
+    /// A store for `vertices` vertices, every cell at `prototype`.
+    pub(crate) fn new(ty: AccumType, prototype: Accum, vertices: usize) -> Self {
+        VAccStore { ty, prototype, cells: vec![None; vertices], cell_bytes: 0 }
     }
 
-    /// Mutable access, materializing the cell from the prototype.
-    pub fn cell_mut(&mut self, v: VertexId) -> &mut Accum {
+    /// The accumulator at `v` (the prototype if untouched).
+    pub(crate) fn accum_at(&self, v: VertexId) -> &Accum {
+        self.cells.get(v.0 as usize).and_then(|c| c.as_ref()).unwrap_or(&self.prototype)
+    }
+
+    /// Read the current value at `v` (prototype value if untouched).
+    pub fn value_at(&self, v: VertexId) -> Value {
+        self.accum_at(v).value()
+    }
+
+    /// Runs `f` on `v`'s accumulator, materializing it from the prototype
+    /// first, and keeps the store's byte total in step.
+    pub(crate) fn update<R>(&mut self, v: VertexId, f: impl FnOnce(&mut Accum) -> R) -> R {
         let idx = v.0 as usize;
         if idx >= self.cells.len() {
             self.cells.resize(idx + 1, None);
         }
-        self.cells[idx].get_or_insert_with(|| self.prototype.clone())
+        let cell = self.cells[idx].get_or_insert_with(|| {
+            // Charge the clone, not the prototype: a clone drops any spare
+            // capacity the prototype's buffers had.
+            let cell = self.prototype.clone();
+            self.cell_bytes += cell.estimated_bytes() as u64;
+            cell
+        });
+        let before = cell.estimated_bytes() as u64;
+        let out = f(cell);
+        self.cell_bytes = self.cell_bytes - before + cell.estimated_bytes() as u64;
+        out
+    }
+
+    /// Estimated footprint of the store — prototype plus populated cells
+    /// — in O(1).
+    pub(crate) fn estimated_bytes(&self) -> u64 {
+        self.prototype.estimated_bytes() as u64 + self.cell_bytes
     }
 }
 
@@ -152,12 +179,10 @@ pub struct Env<'a> {
     pub acc_locals: Option<&'a FxHashMap<String, Value>>,
     /// Live vertex accumulator stores (`v.@a`).
     pub vaccs: &'a FxHashMap<String, VAccStore>,
-    /// Pre-block snapshots (`v.@a'`).
+    /// Pre-block snapshots (`v.@a'`) of the stores the query reads primed.
     pub prev_vaccs: &'a FxHashMap<String, VAccStore>,
     /// Live global accumulators (`@@a`).
     pub gaccs: &'a FxHashMap<String, Accum>,
-    /// Pre-block global snapshots (`@@a'`).
-    pub prev_gaccs: &'a FxHashMap<String, Accum>,
     /// Named vertex sets in scope.
     pub vsets: &'a FxHashMap<String, Vec<VertexId>>,
     /// Aggregate resolver for SELECT/HAVING/ORDER BY over groups.
@@ -342,11 +367,29 @@ fn attr_error(graph: &Graph, v: VertexId, field: &str) -> Error {
     Error::runtime(format!("vertex type `{}` has no attribute `{field}`", ty.name))
 }
 
+/// `name` lower-cased (ASCII) into `buf` — builtin function and method
+/// names match case-insensitively without allocating per call. Names
+/// longer than the buffer, which no builtin is, lower-case on the heap.
+pub(crate) fn ascii_lower<'b>(name: &str, buf: &'b mut [u8; 16]) -> std::borrow::Cow<'b, str> {
+    match buf.get_mut(..name.len()) {
+        Some(out) => {
+            out.copy_from_slice(name.as_bytes());
+            out.make_ascii_lowercase();
+            std::borrow::Cow::Borrowed(
+                std::str::from_utf8(out).expect("ASCII lower-casing keeps UTF-8 valid"),
+            )
+        }
+        None => std::borrow::Cow::Owned(name.to_ascii_lowercase()),
+    }
+}
+
 fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> {
-    let f = func.to_ascii_lowercase();
+    let mut buf = [0u8; 16];
+    let f = ascii_lower(func, &mut buf);
+    let f = f.as_ref();
     let is_aggregate = star
-        || matches!(f.as_str(), "count" | "sum" | "avg")
-        || (args.len() == 1 && matches!(f.as_str(), "min" | "max"));
+        || matches!(f, "count" | "sum" | "avg")
+        || (args.len() == 1 && matches!(f, "min" | "max"));
     if is_aggregate {
         return Err(Error::runtime(format!(
             "aggregate `{func}` used outside SELECT/HAVING/ORDER BY context"
@@ -366,7 +409,7 @@ fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> 
             Err(Error::runtime(format!("`{func}` expects {n} argument(s), got {}", vals.len())))
         }
     };
-    match f.as_str() {
+    match f {
         "log" | "ln" => {
             arity(1)?;
             Ok(Value::Double(num(&vals[0])?.ln()))
@@ -529,23 +572,33 @@ fn dt_arg(v: &Value) -> Result<i64> {
 }
 
 fn eval_method(env: &Env, base: &Expr, method: &str, args: &[Expr]) -> Result<Value> {
-    let m = method.to_ascii_lowercase();
+    let mut buf = [0u8; 16];
+    let m = ascii_lower(method, &mut buf);
+    let m = m.as_ref();
     // Vertex methods work on the *variable* so we can reach the graph.
     if let Expr::Ident(var) = base {
-        match m.as_str() {
+        match m {
             "outdegree" | "indegree" | "degree" => {
                 let v = resolve_vertex(env, var)?;
                 let etype = match args.first() {
                     None => None,
                     Some(e) => {
-                        let name = eval(env, e)?;
-                        let name = str_arg(&name)?.to_string();
-                        Some(env.graph.schema().edge_type_id(&name).ok_or_else(|| {
+                        // A literal edge-type name is borrowed, not
+                        // evaluated into a fresh string per row.
+                        let evaluated;
+                        let name = match e {
+                            Expr::Str(s) => s.as_str(),
+                            e => {
+                                evaluated = eval(env, e)?;
+                                str_arg(&evaluated)?
+                            }
+                        };
+                        Some(env.graph.schema().edge_type_id(name).ok_or_else(|| {
                             Error::runtime(format!("unknown edge type `{name}`"))
                         })?)
                     }
                 };
-                let d = match m.as_str() {
+                let d = match m {
                     "outdegree" => env.graph.outdegree(v, etype),
                     "indegree" => env.graph.indegree(v, etype),
                     _ => env.graph.degree(v),
@@ -564,9 +617,27 @@ fn eval_method(env: &Env, base: &Expr, method: &str, args: &[Expr]) -> Result<Va
             _ => {}
         }
     }
+    // `.size()` of a collection accumulator reads its length instead of
+    // building its value.
+    if m == "size" {
+        let acc = match base {
+            Expr::GAcc(name) => env.gaccs.get(name),
+            Expr::VAcc { var, name, prev } => {
+                let stores = if *prev { env.prev_vaccs } else { env.vaccs };
+                match stores.get(name) {
+                    Some(store) => Some(store.accum_at(resolve_vertex(env, var)?)),
+                    None => None,
+                }
+            }
+            _ => None,
+        };
+        if let Some(n) = acc.and_then(Accum::size) {
+            return Ok(Value::Int(n as i64));
+        }
+    }
     // Collection methods evaluate the base as a value.
     let b = eval(env, base)?;
-    match (m.as_str(), &b) {
+    match (m, &b) {
         ("size", Value::List(xs)) | ("size", Value::Set(xs)) | ("size", Value::Tuple(xs)) => {
             Ok(Value::Int(xs.len() as i64))
         }

@@ -387,7 +387,6 @@ impl<'g> Engine<'g> {
             gaccs: FxHashMap::default(),
             gacc_types: FxHashMap::default(),
             prev_vaccs: FxHashMap::default(),
-            prev_gaccs: FxHashMap::default(),
             out_tables: BTreeMap::new(),
             prints: Vec::new(),
             returned: None,
@@ -600,12 +599,16 @@ enum Sink {
     /// identity-seeded [`AccumPartial`]; partials merge into the live
     /// stores in ascending morsel order.
     Partials,
-    /// ACCUM without the verdict: emissions concatenate in row order and
-    /// apply after the whole Map (snapshot semantics, the row-order
-    /// Reduce of parallelism 1).
+    /// ACCUM without the verdict whose statements read an accumulator
+    /// the clause writes: emissions concatenate in row order and apply
+    /// after the whole Map (snapshot semantics, the row-order Reduce of
+    /// parallelism 1).
     Snapshot,
-    /// POST_ACCUM's sequential apply: each statement lands immediately,
-    /// visible to the next statement and the next vertex.
+    /// Sequential apply on the caller's thread: each statement lands
+    /// immediately, visible to the next statement and the next item —
+    /// POST_ACCUM's per-vertex apply, and ACCUM without the verdict when
+    /// no statement reads what the clause writes (nothing can see the
+    /// early writes, so the row-order Reduce needs no buffer).
     Live,
 }
 
@@ -689,8 +692,9 @@ struct Runtime<'e, 'g> {
     /// `gaccs` don't retain their descriptor; a partial fold seeds its
     /// cells from it).
     gacc_types: FxHashMap<String, AccumType>,
+    /// Snapshots, taken at each block's start, of the stores the query
+    /// reads primed (`v.@a'`; [`QueryPlan`] lists them).
     prev_vaccs: FxHashMap<String, VAccStore>,
-    prev_gaccs: FxHashMap<String, Accum>,
     out_tables: BTreeMap<String, Table>,
     prints: Vec<String>,
     returned: Option<ReturnValue>,
@@ -781,7 +785,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
             vaccs: &self.vaccs,
             prev_vaccs: &self.prev_vaccs,
             gaccs: &self.gaccs,
-            prev_gaccs: &self.prev_gaccs,
             vsets: &self.vsets,
             agg: None,
         }
@@ -814,11 +817,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     } else {
                         self.vaccs.insert(
                             d.name.clone(),
-                            VAccStore {
-                                ty: ty.clone(),
-                                prototype: proto,
-                                cells: vec![None; self.graph().vertex_count()],
-                            },
+                            VAccStore::new(ty.clone(), proto, self.graph().vertex_count()),
                         );
                     }
                 }
@@ -1493,9 +1492,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
         self.stats.binding_rows += rows.len() as u64;
 
-        // 3. Snapshot for `@a'` reads.
-        self.prev_vaccs = self.vaccs.clone();
-        self.prev_gaccs = self.gaccs.clone();
+        // 3. Snapshot for `@a'` reads — of the stores something reads
+        // primed, not of every store.
+        self.prev_vaccs = self
+            .plan
+            .primed_vaccs
+            .iter()
+            .filter_map(|n| Some((n.clone(), self.vaccs.get(n)?.clone())))
+            .collect();
 
         // 4. ACCUM (Map phase + Reduce phase, snapshot semantics).
         if !block.accum.is_empty() {
@@ -1506,7 +1510,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
-            self.run_accum(&block.accum, &rows, &vars, &table_refs, bp.accum_fold)?;
+            self.run_accum(&block.accum, &rows, &vars, &table_refs, &bp)?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
                 accum_bytes: bytes,
@@ -2020,31 +2024,42 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     // ---- ACCUM / POST_ACCUM -------------------------------------------------
 
-    /// The live accumulator an emission or a partial's cell lands in.
-    fn target_cell(&mut self, target: EmitTarget, names: &[&str]) -> Result<&mut Accum> {
+    /// The one write path into the live stores: runs `write` on the
+    /// accumulator an emission or a partial's cell lands in (through
+    /// [`VAccStore::update`] for vertex cells, which keeps the store's
+    /// byte total).
+    fn write_target(
+        &mut self,
+        target: EmitTarget,
+        names: &[&str],
+        write: impl FnOnce(&mut Accum) -> std::result::Result<(), accum::AccumError>,
+    ) -> Result<()> {
         match target {
             EmitTarget::V { name, vertex } => {
                 let store = self.vaccs.get_mut(names[name]).ok_or_else(|| {
                     Error::runtime(format!("undeclared accumulator `@{}`", names[name]))
                 })?;
-                Ok(store.cell_mut(vertex))
+                Ok(store.update(vertex, write)?)
             }
-            EmitTarget::G { name } => self.gaccs.get_mut(names[name]).ok_or_else(|| {
-                Error::runtime(format!("undeclared accumulator `@@{}`", names[name]))
-            }),
+            EmitTarget::G { name } => {
+                let acc = self.gaccs.get_mut(names[name]).ok_or_else(|| {
+                    Error::runtime(format!("undeclared accumulator `@@{}`", names[name]))
+                })?;
+                Ok(write(acc)?)
+            }
         }
     }
 
     /// Applies one emission to the live stores (the sequential Reduce).
     fn apply_emission(&mut self, em: Emission<'_>, names: &[&str]) -> Result<()> {
-        let eng = self.eng;
-        let cell = self.target_cell(em.target, names)?;
-        if em.combine {
-            cell.combine_with_multiplicity(em.value, em.mult, &eng.registry)?;
-        } else {
-            cell.assign(em.value)?;
-        }
-        Ok(())
+        let registry = &self.eng.registry;
+        self.write_target(em.target, names, |cell| {
+            if em.combine {
+                cell.combine_with_multiplicity(em.value, em.mult, registry)
+            } else {
+                cell.assign(em.value)
+            }
+        })
     }
 
     /// Merges one morsel's identity-seeded partial into the live stores:
@@ -2067,14 +2082,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
             .into_iter()
             .map(|(name, c)| (EmitTarget::G { name }, c))
             .chain(vcells.into_iter().map(|((name, vertex), c)| (EmitTarget::V { name, vertex }, c)));
-        let eng = self.eng;
+        let registry = &self.eng.registry;
         for (target, (acc, assigned)) in cells {
-            let live = self.target_cell(target, names)?;
-            if assigned {
-                *live = acc;
-            } else {
-                live.merge(acc, &eng.registry)?;
-            }
+            self.write_target(target, names, |live| {
+                if assigned {
+                    *live = acc;
+                    Ok(())
+                } else {
+                    live.merge(acc, registry)
+                }
+            })?;
         }
         Ok(())
     }
@@ -2181,34 +2198,37 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     /// ACCUM: one Map over the binding-table rows against the pre-clause
-    /// snapshot, then the Reduce the plan's verdict allows.
+    /// snapshot, then the Reduce the plan's verdict allows. A sequential
+    /// verdict whose statements read none of the clause's targets applies
+    /// each emission as it is produced: with no such read, the rows see
+    /// the pre-clause state either way, and nothing is buffered.
     fn run_accum(
         &mut self,
         stmts: &[AccStmt],
         rows: &MorselTable,
         vars: &FxHashMap<String, usize>,
         tables: &[&Table],
-        fold: FoldVerdict,
+        bp: &BlockPlan,
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
         let ranges = self.note_morsels(rows.len());
-        let sink = if fold.parallel() { Sink::Partials } else { Sink::Snapshot };
+        let sink = match (bp.accum_fold.parallel(), bp.accum_in_place) {
+            (true, _) => Sink::Partials,
+            (false, true) => Sink::Live,
+            (false, false) => Sink::Snapshot,
+        };
+        if sink == Sink::Live && self.prof.is_some() && !ranges.is_empty() {
+            // Every morsel ran on the caller's thread.
+            self.prof_op_workers = vec![ranges.len() as u64];
+        }
         self.run_clause(stmts, &ranges, vars, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
     }
 
-    /// Estimated heap footprint of all live accumulator state, in bytes.
+    /// Estimated heap footprint of all live accumulator state, in bytes —
+    /// O(stores): every accumulator and store keeps its own total.
     fn accum_footprint(&self) -> u64 {
-        let mut total = 0u64;
-        for acc in self.gaccs.values() {
-            total += acc.estimated_bytes() as u64;
-        }
-        for store in self.vaccs.values() {
-            total += store.prototype.estimated_bytes() as u64;
-            for cell in store.cells.iter().flatten() {
-                total += cell.estimated_bytes() as u64;
-            }
-        }
-        total
+        let globals: u64 = self.gaccs.values().map(|a| a.estimated_bytes() as u64).sum();
+        globals + self.vaccs.values().map(VAccStore::estimated_bytes).sum::<u64>()
     }
 
     /// POST_ACCUM: the clause runs once per distinct vertex of the one
@@ -2546,7 +2566,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let Expr::Call { func, star, .. } = expr else {
             return Err(Error::runtime("not an aggregate expression"));
         };
-        let f = func.to_ascii_lowercase();
+        let mut buf = [0u8; 16];
+        let f = crate::eval::ascii_lower(func, &mut buf);
+        let f = f.as_ref();
         if *star {
             // count(*): sum of multiplicities.
             let mut total = BigCount::zero();
@@ -2568,7 +2590,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 continue;
             }
             count.add_assign(rows.mult(i));
-            match f.as_str() {
+            match f {
                 "sum" | "avg" => {
                     let x = v.as_f64().ok_or_else(|| Error::type_error("numeric", &v))?;
                     sum += x * rows.mult(i).to_f64();
@@ -2584,7 +2606,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 _ => {}
             }
         }
-        Ok(match f.as_str() {
+        Ok(match f {
             "count" => count
                 .to_i64()
                 .map(Value::Int)
@@ -2648,10 +2670,10 @@ fn proto_type(acc: &Accum) -> AccumType {
         Accum::Avg { .. } => AccumType::Avg,
         Accum::Or(_) => AccumType::Or,
         Accum::And(_) => AccumType::And,
-        Accum::Set(_) => AccumType::Set,
-        Accum::Bag(_) => AccumType::Bag,
-        Accum::List(_) => AccumType::List,
-        Accum::Array(_) => AccumType::Array,
+        Accum::Set { .. } => AccumType::Set,
+        Accum::Bag { .. } => AccumType::Bag,
+        Accum::List { .. } => AccumType::List,
+        Accum::Array { .. } => AccumType::Array,
         Accum::Map { value_type, .. } => AccumType::Map(value_type.clone()),
         Accum::Heap { capacity, fields, .. } => {
             AccumType::Heap { capacity: *capacity, fields: fields.clone() }
@@ -2734,10 +2756,12 @@ fn collect_var_refs(e: &Expr, out: &mut Vec<String>) {
 fn is_aggregate_call(e: &Expr) -> bool {
     match e {
         Expr::Call { func, args, star } => {
-            let f = func.to_ascii_lowercase();
+            let is = |name: &str| func.eq_ignore_ascii_case(name);
             *star
-                || matches!(f.as_str(), "count" | "sum" | "avg")
-                || (args.len() == 1 && matches!(f.as_str(), "min" | "max"))
+                || is("count")
+                || is("sum")
+                || is("avg")
+                || (args.len() == 1 && (is("min") || is("max")))
         }
         _ => false,
     }

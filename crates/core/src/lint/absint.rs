@@ -707,21 +707,14 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 *reason = Some(r);
             }
         };
-        let mut v_targets: FxHashSet<&str> = FxHashSet::default();
-        let mut g_targets: FxHashSet<&str> = FxHashSet::default();
-        let mut vars: FxHashSet<&str> = FxHashSet::default();
-        for s in stmts {
-            match s {
-                AccStmt::VAcc { var, name, .. } => {
-                    v_targets.insert(name);
-                    vars.insert(var);
-                }
-                AccStmt::GAcc { name, .. } => {
-                    g_targets.insert(name);
-                }
-                AccStmt::LocalDecl { .. } => {}
-            }
-        }
+        let targets = ClauseTargets::of(stmts);
+        let vars: FxHashSet<&str> = stmts
+            .iter()
+            .filter_map(|s| match s {
+                AccStmt::VAcc { var, .. } => Some(var.as_str()),
+                _ => None,
+            })
+            .collect();
         if vars.len() > 1 {
             note("statements target more than one vertex variable".to_string(), &mut reason);
         }
@@ -756,24 +749,71 @@ impl<'a, 'c> Analyzer<'a, 'c> {
             }
             // No expression may read an accumulator this clause writes:
             // such a read would observe partial (per-worker) state.
-            expr.walk(&mut |e| match e {
-                Expr::VAcc { name, prev: false, .. } if v_targets.contains(name.as_str()) => {
-                    note(
-                        format!("reads `@{name}` while the same clause writes it"),
-                        &mut reason,
-                    );
-                }
-                Expr::GAcc(name) if g_targets.contains(name.as_str()) => {
-                    note(
-                        format!("reads `@@{name}` while the same clause writes it"),
-                        &mut reason,
-                    );
-                }
-                _ => {}
-            });
+            if let Some(r) = targets.read_in(expr) {
+                note(r, &mut reason);
+            }
         }
         (reason.is_none(), reason)
     }
+}
+
+/// The accumulators one ACCUM / POST_ACCUM clause writes, by namespace.
+struct ClauseTargets<'s> {
+    v: FxHashSet<&'s str>,
+    g: FxHashSet<&'s str>,
+}
+
+impl<'s> ClauseTargets<'s> {
+    fn of(stmts: &'s [AccStmt]) -> Self {
+        let mut t = ClauseTargets { v: FxHashSet::default(), g: FxHashSet::default() };
+        for s in stmts {
+            match s {
+                AccStmt::VAcc { name, .. } => {
+                    t.v.insert(name);
+                }
+                AccStmt::GAcc { name, .. } => {
+                    t.g.insert(name);
+                }
+                AccStmt::LocalDecl { .. } => {}
+            }
+        }
+        t
+    }
+
+    /// The first read in `expr` of an accumulator the clause writes —
+    /// `v.@a` (the primed snapshot `v.@a'` is exempt) or `@@a` — as a
+    /// reason.
+    fn read_in(&self, expr: &Expr) -> Option<String> {
+        let mut found = None;
+        expr.walk(&mut |e| {
+            if found.is_some() {
+                return;
+            }
+            found = match e {
+                Expr::VAcc { name, prev: false, .. } if self.v.contains(name.as_str()) => {
+                    Some(format!("reads `@{name}` while the same clause writes it"))
+                }
+                Expr::GAcc(name) if self.g.contains(name.as_str()) => {
+                    Some(format!("reads `@@{name}` while the same clause writes it"))
+                }
+                _ => None,
+            };
+        });
+        found
+    }
+}
+
+/// Whether any statement of a clause reads (unprimed) an accumulator the
+/// clause writes — the read-your-target walk behind both the POST_ACCUM
+/// gate and the in-place apply of a sequential ACCUM fold.
+pub(crate) fn reads_own_target(stmts: &[AccStmt]) -> bool {
+    let targets = ClauseTargets::of(stmts);
+    stmts.iter().any(|s| {
+        let (AccStmt::LocalDecl { expr, .. }
+        | AccStmt::VAcc { expr, .. }
+        | AccStmt::GAcc { expr, .. }) = s;
+        targets.read_in(expr).is_some()
+    })
 }
 
 /// Applies a SELECT block's global-accumulator effects to the abstract

@@ -181,6 +181,11 @@ pub struct BlockPlan {
     pub from_order: Vec<usize>,
     /// Fold verdict for the ACCUM clause.
     pub accum_fold: FoldVerdict,
+    /// No ACCUM statement reads (unprimed) an accumulator the clause
+    /// writes (the read-your-target walk behind the POST_ACCUM gate), so
+    /// under a [`FoldVerdict::Sequential`] verdict each emission applies
+    /// as it is produced instead of after the whole Map.
+    pub accum_in_place: bool,
     /// Fold verdict for the POST_ACCUM clause.
     pub post_accum_fold: FoldVerdict,
     /// Reversed whole-pattern rewrites, keyed by FROM-item index: the
@@ -215,6 +220,11 @@ pub struct QueryPlan {
     /// kept so a block re-lowered at run time decides from the same
     /// facts.
     pub(crate) facts: Arc<QueryFacts>,
+    /// The vertex accumulators the query reads primed (`v.@a'`) anywhere,
+    /// in first-appearance order: the only stores a block's start
+    /// snapshots. (Query-wide, not per block: a WHERE clause or a PRINT
+    /// reads the snapshot of the latest block to start.)
+    pub(crate) primed_vaccs: Vec<String>,
 }
 
 impl QueryPlan {
@@ -278,12 +288,23 @@ pub(crate) fn lower_query_with(
     };
     lower_stmts(&query.body, semantics, &mut st, &mut root.children);
     let blocks = st.blocks;
+    let mut primed_vaccs: Vec<String> = Vec::new();
+    crate::lint::query_exprs(query, &mut |e, _| {
+        e.walk(&mut |sub| {
+            if let Expr::VAcc { name, prev: true, .. } = sub {
+                if !primed_vaccs.contains(name) {
+                    primed_vaccs.push(name.clone());
+                }
+            }
+        })
+    });
     QueryPlan {
         epoch: ctx.map_or(0, |c| c.graph.stats().epoch()),
         semantics,
         plan: Plan { query: query.name.clone(), semantics, root },
         blocks,
         facts,
+        primed_vaccs,
     }
 }
 
@@ -1286,6 +1307,7 @@ fn lower_block(
             strategies,
             from_order,
             accum_fold,
+            accum_in_place: !crate::lint::reads_own_target(&block.accum),
             post_accum_fold,
             rewritten_from,
         },
