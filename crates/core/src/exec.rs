@@ -7,7 +7,7 @@ use crate::error::{Error, Result};
 use crate::eval::{eval, truthy, Binding, Bindings, Env, RowRef, VAccStore};
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
-use crate::plan::{BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
+use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
 use crate::profile::{Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{reach_on, GraphView, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
@@ -16,9 +16,9 @@ use accum::{Accum, AccumType, UserAccumRegistry};
 use darpe::{resolve_symbol, CompiledDarpe, SymbolSpec};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::{FxHashMap, FxHashSet};
-use pgraph::graph::{Graph, VertexId};
+use pgraph::graph::{AdjEntry, Graph, VertexId};
 use pgraph::mutate::MutationOp;
-use pgraph::schema::{AttrDef, VTypeId};
+use pgraph::schema::{AttrDef, ETypeId, VTypeId};
 use pgraph::shard::ShardedGraph;
 use pgraph::value::{Value, ValueType};
 use std::collections::BTreeMap;
@@ -1436,26 +1436,23 @@ impl<'e, 'g> Runtime<'e, 'g> {
                             self.prof_hop_workers.clear();
                             self.prof_hop_shards.clear();
                         }
-                        let mut to_spec = self.resolve_spec(&hop.to.name)?;
+                        let to_spec = self.resolve_spec(&hop.to.name)?;
                         let to_var = hop
                             .to
                             .var
                             .clone()
                             .unwrap_or_else(|| fresh_anon(&mut anon));
-                        if !vars.contains_key(&to_var) {
-                            // Sargable pushdown: WHERE conjuncts that
-                            // reference only the hop's target variable
-                            // narrow the candidate set *before* the
-                            // reachability kernel runs — this is what lets
-                            // enumerative kernels anchor on the target
-                            // (Q_n's `t.name == tgtName`).
-                            to_spec = self.refine_spec(
-                                to_spec, &to_var, &mut pending, &bp.conjuncts,
-                            )?;
-                        }
+                        // Sargable pushdown: WHERE conjuncts that
+                        // reference only the hop's unbound target are
+                        // consumed by the hop itself (see `extend_hop`).
+                        let target_conds = if vars.contains_key(&to_var) {
+                            Vec::new()
+                        } else {
+                            take_target_conjuncts(&to_var, &mut pending, &bp.conjuncts)
+                        };
                         rows = self.extend_hop(
-                            rows, &mut vars, prev_col, hop, &to_var, &to_spec,
-                            bp.strategy_for(hop),
+                            rows, &mut vars, prev_col, hop, &to_var, to_spec,
+                            &target_conds, bp.strategy_for(hop),
                         )?;
                         rows = self.apply_ready_filters(
                             rows, &mut pending, &bp.conjuncts, &vars, &table_refs,
@@ -1574,52 +1571,41 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(vertex_result)
     }
 
-    /// Narrows a vertex spec using pending WHERE conjuncts that reference
-    /// only `var`: each such conjunct is evaluated over the spec's
-    /// candidates and consumed. Returns the narrowed spec.
-    fn refine_spec(
+    /// Whether vertex `v`, bound alone to the one variable of `var_col`,
+    /// satisfies every conjunct of `conds` (tested in order, stopping at
+    /// the first that fails).
+    fn target_passes(
         &self,
-        spec: Spec,
-        var: &str,
-        pending: &mut Vec<usize>,
-        conjuncts: &[(Expr, Vec<String>)],
-    ) -> Result<Spec> {
-        let applicable: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, &ci)| {
-                let refs = &conjuncts[ci].1;
-                refs.len() == 1 && refs[0] == var
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if applicable.is_empty() {
+        var_col: &FxHashMap<String, usize>,
+        v: VertexId,
+        conds: &[&Expr],
+    ) -> Result<bool> {
+        let bindings = [Binding::Vertex(v)];
+        let env = Env {
+            row: Some(RowRef { vars: var_col, bindings: Bindings::Row(&bindings), tables: &[] }),
+            ..self.env()
+        };
+        for c in conds {
+            if !truthy(&eval(&env, c)?)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Narrows a vertex spec to the candidates that satisfy `conds` (the
+    /// target-only conjuncts of a Kleene hop into `var`), so the
+    /// reachability kernel can anchor on the surviving set.
+    fn refine_spec(&self, spec: Spec, var: &str, conds: &[&Expr]) -> Result<Spec> {
+        if conds.is_empty() {
             return Ok(spec);
         }
-        let conds: Vec<&Expr> = applicable
-            .iter()
-            .rev()
-            .map(|&i| &conjuncts[pending.remove(i)].0)
-            .collect();
-        let mut pvars = FxHashMap::default();
-        pvars.insert(var.to_string(), 0usize);
+        let var_col = FxHashMap::from_iter([(var.to_string(), 0usize)]);
         let mut keep = FxHashSet::default();
-        'cand: for v in spec.candidates(self.graph()) {
-            let bindings = [Binding::Vertex(v)];
-            let env = Env {
-                row: Some(RowRef {
-                    vars: &pvars,
-                    bindings: Bindings::Row(&bindings),
-                    tables: &[],
-                }),
-                ..self.env()
-            };
-            for c in &conds {
-                if !truthy(&eval(&env, c)?)? {
-                    continue 'cand;
-                }
+        for v in spec.candidates(self.graph()) {
+            if self.target_passes(&var_col, v, conds)? {
+                keep.insert(v);
             }
-            keep.insert(v);
         }
         Ok(Spec::Set(keep))
     }
@@ -1735,6 +1721,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     /// Extends the binding table across one pattern hop.
     ///
+    /// `target_conds` are the WHERE conjuncts that name only the hop's
+    /// unbound target `to_var` (sargable anchors). A single-edge hop
+    /// tests them on each vertex it reaches, once per vertex; a Kleene
+    /// hop first narrows `to_spec` to the vertices that pass them, since
+    /// its kernel may anchor on that set.
+    ///
     /// `plan_strategy` is the planner's cost-based choice for this hop;
     /// it is advisory — runtime conditions (is the target actually
     /// anchored? how large did the spec-refined set turn out?) always
@@ -1748,7 +1740,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         prev_col: usize,
         hop: &Hop,
         to_var: &str,
-        to_spec: &Spec,
+        to_spec: Spec,
+        target_conds: &[&Expr],
         plan_strategy: Option<HopStrategy>,
     ) -> Result<MorselTable> {
         let graph = self.graph();
@@ -1757,8 +1750,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         if let Some(sym) = hop.darpe.as_single_symbol() {
             // Single-edge hop: scan the source column contiguously,
-            // enumerate adjacency, optionally binding the edge variable.
+            // walk each source's typed adjacency slice, optionally
+            // binding the edge variable.
             let spec: SymbolSpec = resolve_symbol(sym, graph.schema())?;
+            // The target conjuncts' verdict per reached vertex.
+            let mut passes: FxHashMap<VertexId, bool> = FxHashMap::default();
+            let to_col = if target_conds.is_empty() {
+                FxHashMap::default()
+            } else {
+                FxHashMap::from_iter([(to_var.to_string(), 0usize)])
+            };
             let edge_col = match &hop.edge_var {
                 Some(name) => Some(new_var(vars, name)?),
                 None => None,
@@ -1774,9 +1775,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
             for r in 0..rows.len() {
                 let before = b.len();
                 let src = vertex_at(&rows, r, prev_col, to_var)?;
-                let adj = graph.adjacency(src);
-                edges_scanned += adj.len() as u64;
-                for a in adj {
+                for a in hop_adjacency(graph, src, spec.etype) {
+                    edges_scanned += 1;
                     if !spec.matches(a.etype, a.dir) {
                         continue;
                     }
@@ -1790,6 +1790,19 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     }
                     if let Some(c) = existing_to {
                         if *rows.binding(r, c) != Binding::Vertex(a.other) {
+                            continue;
+                        }
+                    }
+                    if !target_conds.is_empty() {
+                        let pass = match passes.get(&a.other) {
+                            Some(&pass) => pass,
+                            None => {
+                                let pass = self.target_passes(&to_col, a.other, target_conds)?;
+                                passes.insert(a.other, pass);
+                                pass
+                            }
+                        };
+                        if !pass {
                             continue;
                         }
                     }
@@ -1812,7 +1825,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
 
         // Kleene / composite hop: reachability kernel per distinct source,
-        // producing (target, multiplicity) pairs — never paths.
+        // producing (target, multiplicity) pairs — never paths. The target
+        // conjuncts narrow the candidate set *before* the kernel runs —
+        // this is what lets enumerative kernels anchor on the target
+        // (Q_n's `t.name == tgtName`).
+        let to_spec = self.refine_spec(to_spec, to_var, target_conds)?;
         let nfa = CompiledDarpe::compile(&hop.darpe, graph.schema())?;
         if existing_to.is_none() {
             new_var(vars, to_var)?;
@@ -1917,12 +1934,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
             };
             if let Some(rev) = &rev_nfa {
                 // Backward kernel(s) keyed by target vertex.
-                let targets: Vec<VertexId> = match (bound_target, &spec_targets) {
-                    (Some(t), _) => vec![t],
-                    (None, Some(ts)) => ts.clone(),
+                let single;
+                let targets: &[VertexId] = match (bound_target, &spec_targets) {
+                    (Some(t), _) => {
+                        single = [t];
+                        &single
+                    }
+                    (None, Some(ts)) => ts,
                     (None, None) => unreachable!("reverse kernel requires a target anchor"),
                 };
-                for t in targets {
+                for &t in targets {
                     if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(t) {
                         cache_misses += 1;
                         e.insert(self.reach_keyed(t, rev)?);
@@ -2692,6 +2713,38 @@ fn new_var(vars: &mut FxHashMap<String, usize>, name: &str) -> Result<usize> {
     let idx = vars.len();
     vars.insert(name.to_string(), idx);
     Ok(idx)
+}
+
+/// Takes the pending WHERE conjuncts that name only `var` — the unbound
+/// target of the next hop — off the worklist, last pending first (the
+/// order the hop tests them in).
+fn take_target_conjuncts<'c>(
+    var: &str,
+    pending: &mut Vec<usize>,
+    conjuncts: &'c [(Expr, Vec<String>)],
+) -> Vec<&'c Expr> {
+    let mut taken = Vec::new();
+    for i in (0..pending.len()).rev() {
+        if names_only(&conjuncts[pending[i]].1, var) {
+            taken.push(&conjuncts[pending.remove(i)].0);
+        }
+    }
+    taken
+}
+
+/// The adjacency entries of `v` a single-edge hop over edge type `etype`
+/// can cross: that type's slice of the typed CSR, or every entry for the
+/// wildcard (`None`). Either way in adjacency order.
+fn hop_adjacency(
+    graph: &Graph,
+    v: VertexId,
+    etype: Option<ETypeId>,
+) -> impl Iterator<Item = &AdjEntry> {
+    let (typed, any) = match etype {
+        Some(t) => (Some(graph.adjacency_of_type(v, t)), None),
+        None => (None, Some(graph.adjacency(v))),
+    };
+    typed.into_iter().flatten().chain(any.into_iter().flatten())
 }
 
 fn fresh_anon(counter: &mut usize) -> String {

@@ -616,6 +616,13 @@ fn collect_refs(e: &Expr, out: &mut Vec<String>) {
     });
 }
 
+/// Whether a WHERE conjunct whose FROM-variable references are `refs`
+/// names only `var` — a sargable anchor of the hop into an unbound `var`,
+/// consumed by that hop rather than by a later filter.
+pub(crate) fn names_only(refs: &[String], var: &str) -> bool {
+    refs.len() == 1 && refs[0] == var
+}
+
 /// Splits an expression on top-level `AND` into conjuncts.
 pub(crate) fn split_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
     if let Expr::Binary { op: BinOp::And, lhs, rhs } = e {
@@ -1080,9 +1087,7 @@ fn lower_block(
                         Some(tv) if !bound.contains(tv) => conjuncts
                             .iter()
                             .enumerate()
-                            .filter(|(i, (_, refs))| {
-                                live[*i] && refs.len() == 1 && refs[0] == *tv
-                            })
+                            .filter(|(i, (_, refs))| live[*i] && names_only(refs, tv))
                             .map(|(i, _)| i)
                             .collect(),
                         _ => Vec::new(),

@@ -209,7 +209,9 @@ fn bfs_count(
         guard.checkpoint()?;
         let (v, q) = states[i];
         let d = dist[i];
-        let c = cnt[i].clone();
+        // This state only adds into states one level deeper, never into
+        // itself: take its count out instead of cloning it.
+        let c = std::mem::take(&mut cnt[i]);
         let adj = view.adjacency(v);
         edges_scanned += adj.len() as u64;
         for a in adj {
@@ -226,12 +228,12 @@ fn bfs_count(
                 }
                 Some(&j) => {
                     if dist[j] == d + 1 {
-                        let add = c.clone();
-                        cnt[j].add_assign(&add);
+                        cnt[j].add_assign(&c);
                     }
                 }
             }
         }
+        cnt[i] = c;
     }
     stats.product_states += states.len() as u64;
     stats.vertices_touched += states.len() as u64;
@@ -252,8 +254,7 @@ fn bfs_count(
                 if dist[i] < slot.0 {
                     *slot = (dist[i], cnt[i].clone());
                 } else if dist[i] == slot.0 {
-                    let add = cnt[i].clone();
-                    slot.1.add_assign(&add);
+                    slot.1.add_assign(&cnt[i]);
                 }
             }
         }

@@ -32,6 +32,9 @@ pub fn count_shortest_paths(g: &Graph, src: VertexId, dst: VertexId) -> Option<(
                 break;
             }
         }
+        // `u` only adds into neighbours one level deeper, never into
+        // itself: take its count out instead of cloning it per neighbour.
+        let cu = std::mem::take(&mut cnt[u.0 as usize]);
         for a in g.adjacency(u) {
             if a.dir == Dir::In {
                 continue;
@@ -39,13 +42,13 @@ pub fn count_shortest_paths(g: &Graph, src: VertexId, dst: VertexId) -> Option<(
             let v = a.other.0 as usize;
             if dist[v] == u32::MAX {
                 dist[v] = du + 1;
-                cnt[v] = cnt[u.0 as usize].clone();
+                cnt[v] = cu.clone();
                 q.push_back(a.other);
             } else if dist[v] == du + 1 {
-                let add = cnt[u.0 as usize].clone();
-                cnt[v].add_assign(&add);
+                cnt[v].add_assign(&cu);
             }
         }
+        cnt[u.0 as usize] = cu;
     }
     if dist[dst.0 as usize] == u32::MAX {
         None

@@ -1,6 +1,7 @@
 //! Property-based tests for the pgraph substrate: BigCount arithmetic
-//! against u128 ground truth, loader round-trips on random graphs, and
-//! BFS-counting invariants.
+//! against u128 ground truth and against a reference limb-vector
+//! implementation, loader round-trips on random graphs, and BFS-counting
+//! invariants.
 
 use pgraph::bigcount::BigCount;
 use pgraph::generators::{erdos_renyi, grid, ve_schema};
@@ -8,8 +9,16 @@ use pgraph::graph::{Graph, GraphBuilder, VertexId};
 use pgraph::loader::{load_from_string, save_to_string};
 use pgraph::value::Value;
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+/// Cases per BigCount property: a handful under Miri, which runs these in
+/// CI (`cargo miri test -p pgraph --test properties bigcount`).
+const CASES: u32 = if cfg!(miri) { 2 } else { 64 };
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
     /// BigCount addition agrees with u128 on values that fit.
     #[test]
     fn bigcount_add_matches_u128(a in 0u128..u128::MAX / 2, b in 0u128..u128::MAX / 2) {
@@ -55,6 +64,284 @@ proptest! {
         let mut y = b.clone();
         y.add_assign(&a);
         prop_assert_eq!(x, y);
+    }
+}
+
+/// The reference: the plain limb-vector counter `BigCount` replaced (every
+/// value a heap vector, no inline case). Invariant: no trailing zero limb.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RefCount {
+    limbs: Vec<u64>,
+}
+
+impl RefCount {
+    fn trim(mut self) -> Self {
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
+        }
+        self
+    }
+
+    fn from_u128(v: u128) -> Self {
+        RefCount { limbs: vec![v as u64, (v >> 64) as u64] }.trim()
+    }
+
+    fn pow2(k: usize) -> Self {
+        let mut limbs = vec![0u64; k / 64 + 1];
+        limbs[k / 64] = 1u64 << (k % 64);
+        RefCount { limbs }.trim()
+    }
+
+    fn add_assign(&mut self, other: &RefCount) {
+        let n = self.limbs.len().max(other.limbs.len());
+        self.limbs.resize(n, 0);
+        let mut carry = 0u64;
+        for i in 0..n {
+            let b = other.limbs.get(i).copied().unwrap_or(0);
+            let (s1, c1) = self.limbs[i].overflowing_add(b);
+            let (s2, c2) = s1.overflowing_add(carry);
+            self.limbs[i] = s2;
+            carry = (c1 as u64) + (c2 as u64);
+        }
+        if carry != 0 {
+            self.limbs.push(carry);
+        }
+    }
+
+    fn mul(&self, other: &RefCount) -> RefCount {
+        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
+        for (i, &a) in self.limbs.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &b) in other.limbs.iter().enumerate() {
+                let cur = out[i + j] as u128 + (a as u128) * (b as u128) + carry;
+                out[i + j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let mut k = i + other.limbs.len();
+            while carry != 0 {
+                let cur = out[k] as u128 + carry;
+                out[k] = cur as u64;
+                carry = cur >> 64;
+                k += 1;
+            }
+        }
+        RefCount { limbs: out }.trim()
+    }
+
+    fn to_f64(&self) -> f64 {
+        let mut acc = 0.0f64;
+        for &limb in self.limbs.iter().rev() {
+            acc = acc * 1.8446744073709552e19 + limb as f64;
+        }
+        acc
+    }
+
+    fn to_u64(&self) -> Option<u64> {
+        match self.limbs.len() {
+            0 => Some(0),
+            1 => Some(self.limbs[0]),
+            _ => None,
+        }
+    }
+
+    fn bits(&self) -> usize {
+        match self.limbs.last() {
+            None => 0,
+            Some(&top) => 64 * (self.limbs.len() - 1) + (64 - top.leading_zeros() as usize),
+        }
+    }
+
+    fn cmp(&self, other: &RefCount) -> Ordering {
+        match self.limbs.len().cmp(&other.limbs.len()) {
+            Ordering::Equal => self.limbs.iter().rev().cmp(other.limbs.iter().rev()),
+            o => o,
+        }
+    }
+
+    /// Decimal digits, by repeated division by ten.
+    fn to_decimal(&self) -> String {
+        if self.limbs.is_empty() {
+            return "0".into();
+        }
+        let mut work = self.limbs.clone();
+        let mut digits = Vec::new();
+        while !work.is_empty() {
+            let mut rem = 0u128;
+            for limb in work.iter_mut().rev() {
+                let cur = (rem << 64) | *limb as u128;
+                *limb = (cur / 10) as u64;
+                rem = cur % 10;
+            }
+            while work.last() == Some(&0) {
+                work.pop();
+            }
+            digits.push(b'0' + rem as u8);
+        }
+        digits.reverse();
+        String::from_utf8(digits).unwrap()
+    }
+}
+
+/// A count given by how to build it, so both implementations can be
+/// built alike.
+#[derive(Clone, Debug)]
+enum Seed {
+    U64(u64),
+    U128(u128),
+    Pow2(usize),
+}
+
+impl Seed {
+    fn big(&self) -> BigCount {
+        match *self {
+            Seed::U64(v) => BigCount::from(v),
+            Seed::U128(v) => BigCount::from(v),
+            Seed::Pow2(k) => BigCount::pow2(k),
+        }
+    }
+
+    fn reference(&self) -> RefCount {
+        match *self {
+            Seed::U64(v) => RefCount::from_u128(v as u128),
+            Seed::U128(v) => RefCount::from_u128(v),
+            Seed::Pow2(k) => RefCount::pow2(k),
+        }
+    }
+}
+
+/// Words that sit on or next to the edges of the inline range.
+fn boundary_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..4,
+        (0u64..4).prop_map(|k| u64::MAX - k),
+        (0u64..4).prop_map(|k| (1u64 << 32) + k),
+        (0u64..4).prop_map(|k| (1u64 << 63) - 1 + k),
+        any::<u64>(),
+    ]
+}
+
+/// Counts around 2^64 and 2^128, plus powers of two up to 2^300.
+fn seed() -> impl Strategy<Value = Seed> {
+    prop_oneof![
+        boundary_u64().prop_map(Seed::U64),
+        (0u128..4).prop_map(|k| Seed::U128((1u128 << 64) + k)),
+        (1u128..4).prop_map(|k| Seed::U128((1u128 << 64) - k)),
+        (0u128..4).prop_map(|k| Seed::U128(u128::MAX - k)),
+        any::<u128>().prop_map(Seed::U128),
+        (0usize..300).prop_map(Seed::Pow2),
+        prop_oneof![Just(63usize), Just(64), Just(127), Just(128)].prop_map(Seed::Pow2),
+    ]
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    Add(Seed),
+    AddU64(u64),
+    Mul(Seed),
+    MulU64(u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        seed().prop_map(Op::Add),
+        boundary_u64().prop_map(Op::AddU64),
+        seed().prop_map(Op::Mul),
+        boundary_u64().prop_map(Op::MulU64),
+    ]
+}
+
+fn hash_of(c: &BigCount) -> u64 {
+    let mut h = DefaultHasher::new();
+    c.hash(&mut h);
+    h.finish()
+}
+
+/// Every observation of `got` equals the reference's.
+fn check_same(got: &BigCount, want: &RefCount) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.to_string(), want.to_decimal());
+    prop_assert_eq!(got.to_u64(), want.to_u64());
+    prop_assert_eq!(got.to_f64().to_bits(), want.to_f64().to_bits());
+    prop_assert_eq!(got.bits(), want.bits());
+    prop_assert_eq!(got.is_zero(), want.limbs.is_empty());
+    prop_assert_eq!(got.is_one(), want.limbs == [1]);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// A sequence of sums and products, run on `BigCount` and on the
+    /// reference alike, crosses 2^64 and 2^128 in both directions
+    /// (multiplying by zero comes back) and agrees at every step.
+    #[test]
+    fn bigcount_matches_reference_through_op_sequences(
+        start in seed(),
+        ops in prop::collection::vec(op(), 1..6),
+    ) {
+        let (mut got, mut want) = (start.big(), start.reference());
+        check_same(&got, &want)?;
+        for op in &ops {
+            match op {
+                Op::Add(s) => {
+                    got.add_assign(&s.big());
+                    want.add_assign(&s.reference());
+                }
+                Op::AddU64(k) => {
+                    got.add_u64(*k);
+                    want.add_assign(&RefCount::from_u128(*k as u128));
+                }
+                Op::Mul(s) => {
+                    got = got.mul(&s.big());
+                    want = want.mul(&s.reference());
+                }
+                Op::MulU64(k) => {
+                    got.mul_u64(*k);
+                    want = want.mul(&RefCount::from_u128(*k as u128));
+                }
+            }
+            check_same(&got, &want)?;
+        }
+    }
+
+    /// `Ord` and `Eq` agree with the reference across the inline and the
+    /// limb-vector forms, and equal counts hash alike.
+    #[test]
+    fn bigcount_order_and_equality_match_reference(a in seed(), b in seed(), k in boundary_u64()) {
+        // Shift both by the same product so pairs straddle 2^64 and 2^128.
+        let (mut x, mut y) = (a.big(), b.big());
+        x.mul_u64(k);
+        y.mul_u64(k);
+        let scale = RefCount::from_u128(k as u128);
+        let (rx, ry) = (a.reference().mul(&scale), b.reference().mul(&scale));
+        prop_assert_eq!(x.cmp(&y), rx.cmp(&ry));
+        prop_assert_eq!(x == y, rx == ry);
+        if x == y {
+            prop_assert_eq!(hash_of(&x), hash_of(&y));
+        }
+    }
+
+    /// One value has one form: a `u128` below 2^64 is the `u64` it holds,
+    /// a sum that carries into 2^64 is `pow2(64)`, and anything times zero
+    /// is zero — equal, and hashing alike.
+    #[test]
+    fn bigcount_has_one_canonical_form(v in boundary_u64(), s in seed()) {
+        let (from64, from128) = (BigCount::from(v), BigCount::from(v as u128));
+        prop_assert_eq!(&from64, &from128);
+        prop_assert_eq!(hash_of(&from64), hash_of(&from128));
+
+        let mut carried = BigCount::from(u64::MAX);
+        carried.add_u64(1);
+        prop_assert_eq!(&carried, &BigCount::pow2(64));
+        prop_assert_eq!(hash_of(&carried), hash_of(&BigCount::pow2(64)));
+
+        let zero = s.big().mul(&BigCount::zero());
+        prop_assert!(zero.is_zero());
+        prop_assert_eq!(&zero, &BigCount::zero());
+        prop_assert_eq!(hash_of(&zero), hash_of(&BigCount::zero()));
+        let mut cleared = s.big();
+        cleared.mul_u64(0);
+        prop_assert!(cleared.is_zero());
+        prop_assert_eq!(hash_of(&cleared), hash_of(&BigCount::default()));
     }
 }
 
