@@ -41,7 +41,6 @@
 //! SET memory_limit = 256MB
 //! SET iteration_limit = 10000
 //! SET parallelism = 4
-//! SET shards = 4
 //! SET report = on
 //! SET profile = on
 //! ```
@@ -75,7 +74,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gsql_shell <graph.pg|:sales|:linkedin|:diamond30|:snb[=sf]> \
-         [--semantics <flavor>] [--shards <n>] [--explain] [--profile] [--check] [--json] \
+         [--semantics <flavor>] [--explain] [--profile] [--check] [--json] \
          [--arg k=v ...] (<query.gsql> | -)\n\
          run `gsql_shell --help` for the full option and SET-directive reference"
     );
@@ -107,9 +106,6 @@ fn help() -> ExitCode {
          \x20                      docs/PLAN_FORMAT.md for the schema)\n\
          \x20 --arg k=v            bind a query parameter (repeatable);\n\
          \x20                      int / float / true|false / string / vertex:<id>\n\
-         \x20 --shards <n>         partition the graph into <n> shards and run the\n\
-         \x20                      scatter-gather executor (output is byte-identical\n\
-         \x20                      to unsharded execution; see docs/SHARDING.md)\n\
          \x20 -h, --help           this help\n\
          \n\
          The query text may start with `EXPLAIN`, `PROFILE` or `CHECK` (same\n\
@@ -123,8 +119,6 @@ fn help() -> ExitCode {
          \x20 SET memory_limit = <sz>    max accumulator bytes (e.g. 256MB, 1GB)\n\
          \x20 SET iteration_limit = <n>  max WHILE iterations\n\
          \x20 SET parallelism = <n>      Map-phase worker threads (>= 1)\n\
-         \x20 SET shards = <n>           scatter-gather shard count (>= 1; overrides\n\
-         \x20                            the --shards flag; 1 = unsharded)\n\
          \x20 SET report = on|off        print the ResourceReport to stderr\n\
          \x20 SET profile = on|off       per-operator profiling (same as --profile)\n\
          \x20 SET lint = on|strict|off   lint before running: `on` prints findings\n\
@@ -185,8 +179,6 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 struct ShellSettings {
     budget: Budget,
     parallelism: Option<usize>,
-    /// `SET shards = N`: scatter-gather shard count (overrides `--shards`).
-    shards: Option<usize>,
     report: bool,
     profile: bool,
     lint: LintMode,
@@ -213,7 +205,6 @@ enum LintMode {
 fn extract_set_directives(source: &str) -> Result<(ShellSettings, String), String> {
     let mut budget = Budget::default();
     let mut parallelism = None;
-    let mut shards = None;
     let mut report = false;
     let mut profile = false;
     let mut lint = LintMode::Off;
@@ -278,16 +269,11 @@ fn extract_set_directives(source: &str) -> Result<(ShellSettings, String), Strin
                             || format!("SET parallelism expects a positive integer, got `{value}`"),
                         )?)
                 }
-                "shards" => {
-                    shards = Some(value.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(
-                        || format!("SET shards expects a positive integer, got `{value}`"),
-                    )?)
-                }
                 other => {
                     return Err(format!(
                         "unknown SET key `{other}` (expected timeout, deadline_ms, \
                          row_limit, path_budget, memory_limit, iteration_limit, \
-                         parallelism, shards, report, profile, lint, autosave)"
+                         parallelism, report, profile, lint, autosave)"
                     ))
                 }
             }
@@ -297,7 +283,7 @@ fn extract_set_directives(source: &str) -> Result<(ShellSettings, String), Strin
         rest.push(line);
     }
     Ok((
-        ShellSettings { budget, parallelism, shards, report, profile, lint, autosave },
+        ShellSettings { budget, parallelism, report, profile, lint, autosave },
         rest.join("\n"),
     ))
 }
@@ -351,7 +337,6 @@ fn main() -> ExitCode {
     let mut do_profile = false;
     let mut do_check = false;
     let mut json = false;
-    let mut cli_shards: Option<usize> = None;
     let mut args: Vec<(String, Value)> = Vec::new();
 
     let mut it = argv.into_iter();
@@ -364,16 +349,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 semantics = s;
-            }
-            "--shards" => {
-                let Some(n) = it.next() else { return usage() };
-                match n.parse::<usize>() {
-                    Ok(n) if n >= 1 => cli_shards = Some(n),
-                    _ => {
-                        eprintln!("--shards expects a positive integer, got `{n}`");
-                        return ExitCode::from(2);
-                    }
-                }
             }
             "--explain" => do_explain = true,
             "--profile" => do_profile = true,
@@ -482,16 +457,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // `SET shards` (query header) overrides the `--shards` flag; a
-    // count of 1 means unsharded. The partitioned view is built once and
-    // shared by EXPLAIN and execution.
-    let sharded = match settings.shards.or(cli_shards) {
-        Some(n) if n > 1 => Some(pgraph::shard::ShardedGraph::build(
-            &graph,
-            pgraph::shard::ShardSpec::hash(n),
-        )),
-        _ => None,
-    };
     let do_explain = do_explain || mode == QueryMode::Explain;
     let do_profile =
         (do_profile || settings.profile || mode == QueryMode::Profile) && !do_explain;
@@ -500,10 +465,7 @@ fn main() -> ExitCode {
         // `explain_plan`) annotates each operator with `est_rows` /
         // `est_cost` from the loaded graph's statistics — the same plan
         // the executor would run.
-        let mut engine = Engine::new(&graph).with_semantics(semantics);
-        if let Some(sh) = &sharded {
-            engine = engine.with_sharding(sh);
-        }
+        let engine = Engine::new(&graph).with_semantics(semantics);
         match engine.explain(&query) {
             Ok(plan) => {
                 if json {
@@ -524,9 +486,6 @@ fn main() -> ExitCode {
         Engine::new(&graph).with_semantics(semantics).with_budget(settings.budget);
     if let Some(n) = settings.parallelism {
         engine = engine.with_parallelism(n);
-    }
-    if let Some(sh) = &sharded {
-        engine = engine.with_sharding(sh);
     }
     let arg_refs: Vec<(&str, Value)> =
         args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();

@@ -9,7 +9,7 @@ use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
 use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
 use crate::profile::{Profile, Profiler, Span, SpanExtra};
-use crate::semantics::{reach_on, GraphView, MatchStats, PathSemantics, ReachMap};
+use crate::semantics::{reach, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
 use crate::tractable;
 use accum::{Accum, AccumType, UserAccumRegistry};
@@ -19,7 +19,6 @@ use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::{AdjEntry, Graph, VertexId};
 use pgraph::mutate::MutationOp;
 use pgraph::schema::{AttrDef, ETypeId, VTypeId};
-use pgraph::shard::ShardedGraph;
 use pgraph::value::{Value, ValueType};
 use std::collections::BTreeMap;
 
@@ -83,8 +82,6 @@ pub struct Engine<'g> {
     /// Rows per morsel for the vectorized operators (ACCUM/POST_ACCUM,
     /// filters, group-by/projection evaluation).
     morsel_size: usize,
-    /// Sharded view for scatter-gather execution ([`Engine::with_sharding`]).
-    shards: Option<&'g ShardedGraph>,
 }
 
 impl<'g> Engine<'g> {
@@ -104,7 +101,6 @@ impl<'g> Engine<'g> {
             cancel: CancelHandle::new(),
             parallelism,
             morsel_size: env_morsel_size(),
-            shards: None,
         }
     }
 
@@ -159,32 +155,6 @@ impl<'g> Engine<'g> {
     pub fn with_morsel_size(mut self, n: usize) -> Self {
         self.morsel_size = n.max(1);
         self
-    }
-
-    /// Routes kernel execution through `shards` — the scatter-gather
-    /// path: reachability kernels read adjacency from their key's owner
-    /// shard segment and are accounted per owner shard, and the
-    /// [`ResourceReport`] carries a per-shard breakdown. Everything that
-    /// never reads adjacency (ACCUM/POST_ACCUM folds, filters,
-    /// projections) runs exactly as on the flat path. Query output is
-    /// **byte-identical** to flat execution at any shard count × any
-    /// parallelism (the segments serve bit-identical adjacency and every
-    /// merge is deterministic).
-    ///
-    /// A stale sharding (one whose [`ShardedGraph::matches`] no longer
-    /// holds for this engine's graph — it mutated since the build) or a
-    /// single-shard one is silently ignored: execution falls back to the
-    /// flat path.
-    pub fn with_sharding(mut self, shards: &'g ShardedGraph) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// The sharded view execution will actually use: the configured one,
-    /// unless it is stale for this graph or trivially single-shard.
-    fn active_shards(&self) -> Option<&'g ShardedGraph> {
-        self.shards
-            .filter(|s| s.shard_count() > 1 && s.matches(self.graph))
     }
 
     /// Runs the static analyzer ([`crate::lint`]) over a parsed query
@@ -299,10 +269,7 @@ impl<'g> Engine<'g> {
         profile: bool,
         plan: &QueryPlan,
     ) -> Result<(QueryOutput, Option<Profile>)> {
-        let mut guard = QueryGuard::new(self.budget.clone(), self.cancel.clone());
-        if let Some(shards) = self.active_shards() {
-            guard = guard.with_shards(shards.shard_count());
-        }
+        let guard = QueryGuard::new(self.budget.clone(), self.cancel.clone());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.run_inner(query, args, &guard, profile, plan)
         }));
@@ -331,7 +298,7 @@ impl<'g> Engine<'g> {
 
     /// What the planner may consult about this engine's environment.
     fn lower_ctx(&self) -> LowerCtx<'_> {
-        LowerCtx { graph: self.graph, tables: &self.tables, shards: self.active_shards() }
+        LowerCtx { graph: self.graph, tables: &self.tables }
     }
 
     /// Builds the query plan ([`crate::Plan`]) this engine executes
@@ -394,9 +361,7 @@ impl<'g> Engine<'g> {
             prof: profile.then(Profiler::new),
             prof_hop_cache: (0, 0),
             prof_hop_workers: Vec::new(),
-            prof_hop_shards: Vec::new(),
             prof_op_workers: Vec::new(),
-            shards: self.active_shards(),
             mutations: Vec::new(),
             pending_vertices: 0,
         };
@@ -709,14 +674,9 @@ struct Runtime<'e, 'g> {
     /// Per-worker kernel counts of the most recent parallel fan-out,
     /// collected only when profiling.
     prof_hop_workers: Vec<u64>,
-    /// Per-shard kernel counts of the most recent scatter fan-out,
-    /// collected only when profiling on the sharded path.
-    prof_hop_shards: Vec<u64>,
     /// Per-worker morsel counts of the most recent ACCUM/POST_ACCUM
     /// dispatch, collected only when profiling.
     prof_op_workers: Vec<u64>,
-    /// Validated sharded view for this execution (`None` = flat path).
-    shards: Option<&'g ShardedGraph>,
     /// Mutation ops emitted by INSERT/UPDATE/DELETE, in statement order.
     mutations: Vec<MutationOp>,
     /// Vertices inserted so far this query: `INSERT EDGE` endpoints may
@@ -743,8 +703,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     /// Accounts a morsel dispatch over `n_rows` rows and returns the
     /// morsel ranges. The count is a pure function of the row count and
-    /// the configured morsel size — identical at any parallelism and
-    /// on the sharded path, so it is safe to compare across runs.
+    /// the configured morsel size — identical at any parallelism, so it
+    /// is safe to compare across runs.
     fn note_morsels(&mut self, n_rows: usize) -> Vec<std::ops::Range<usize>> {
         let ranges = morsel_ranges(n_rows, self.eng.morsel_size);
         self.stats.morsels_dispatched += ranges.len() as u64;
@@ -1434,7 +1394,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         if span.is_some() {
                             self.prof_hop_cache = (0, 0);
                             self.prof_hop_workers.clear();
-                            self.prof_hop_shards.clear();
                         }
                         let to_spec = self.resolve_spec(&hop.to.name)?;
                         let to_var = hop
@@ -1464,7 +1423,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
                                 cache_hits: self.prof_hop_cache.0,
                                 cache_misses: self.prof_hop_cache.1,
                                 workers: std::mem::take(&mut self.prof_hop_workers),
-                                shards: std::mem::take(&mut self.prof_hop_shards),
                                 ..SpanExtra::default()
                             };
                             self.prof_exit(span, extra);
@@ -1873,7 +1831,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // row order, multiplicities, and output bytes are identical to
         // parallelism 1.
         let mut cache: FxHashMap<VertexId, ReachMap> = FxHashMap::default();
-        if self.eng.parallelism > 1 || self.shards.is_some() {
+        if self.eng.parallelism > 1 {
             let mut keys: Vec<VertexId> = Vec::new();
             let mut seen: FxHashSet<VertexId> = FxHashSet::default();
             'scan: for r in 0..rows.len() {
@@ -1995,9 +1953,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// Runs one reachability kernel on the main thread (a reach-cache
     /// miss of the sequential row loop).
     fn reach_keyed(&mut self, key: VertexId, nfa: &CompiledDarpe) -> Result<ReachMap> {
-        let (graph, shards, semantics, guard) =
-            (self.graph(), self.shards, self.semantics, self.guard);
-        keyed_kernel(graph, shards, key, nfa, semantics, guard, &mut self.stats)
+        let (graph, semantics, guard) = (self.graph(), self.semantics, self.guard);
+        reach(graph, key, nfa, semantics, guard, &mut self.stats)
     }
 
     /// Runs one reachability kernel per key through the engine's one
@@ -2014,26 +1971,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
         keys: &[VertexId],
         nfa: &CompiledDarpe,
     ) -> Result<FxHashMap<VertexId, ReachMap>> {
-        let (graph, shards, semantics, guard) =
-            (self.graph(), self.shards, self.semantics, self.guard);
+        let (graph, semantics, guard) = (self.graph(), self.semantics, self.guard);
         let run = dispatch(guard, self.eng.parallelism, keys, |_, &key| {
             let mut stats = MatchStats::default();
-            let map = keyed_kernel(graph, shards, key, nfa, semantics, guard, &mut stats)?;
+            let map = reach(graph, key, nfa, semantics, guard, &mut stats)?;
             Ok((map, stats))
         })?;
         if self.prof.is_some() {
             // Per-worker kernel distribution for the enclosing hop span —
             // how evenly the work-stealing fan-out spread the kernels.
             self.prof_hop_workers = run.per_worker;
-            if let Some(sh) = shards {
-                // Per-shard distribution: one kernel per key, attributed
-                // to the key's owner.
-                let mut per = vec![0u64; sh.shard_count()];
-                for k in keys {
-                    per[sh.owner(*k)] += 1;
-                }
-                self.prof_hop_shards = per;
-            }
         }
         let mut maps = FxHashMap::default();
         for (key, (map, stats)) in keys.iter().zip(run.results) {
@@ -2648,37 +2595,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
 }
 
 // ---- helpers -------------------------------------------------------------
-
-/// Runs one reachability kernel for `key`, reading adjacency through
-/// the sharded view when scatter-gather is active and attributing the
-/// kernel's work to the key's owner shard.
-fn keyed_kernel(
-    graph: &Graph,
-    shards: Option<&ShardedGraph>,
-    key: VertexId,
-    nfa: &CompiledDarpe,
-    semantics: PathSemantics,
-    guard: &QueryGuard,
-    stats: &mut MatchStats,
-) -> Result<ReachMap> {
-    let view = match shards {
-        Some(sh) => GraphView::Sharded(sh),
-        None => GraphView::Flat(graph),
-    };
-    let (before_v, before_e) = (stats.vertices_touched, stats.edges_scanned);
-    let t0 = std::time::Instant::now();
-    let r = reach_on(view, key, nfa, semantics, guard, stats);
-    if let Some(sh) = shards {
-        guard.note_shard(
-            sh.owner(key),
-            stats.vertices_touched - before_v,
-            stats.edges_scanned - before_e,
-            1,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    r
-}
 
 fn proto_type(acc: &Accum) -> AccumType {
     // Recover a displayable type for diagnostics from the instance kind.

@@ -111,23 +111,6 @@ impl CancelHandle {
     }
 }
 
-/// Per-shard slice of the resource accounting when a query ran on the
-/// scatter-gather path (`Engine::with_sharding`). Kernel work scheduled
-/// on a shard is charged to that shard's slot; the totals in
-/// [`ResourceReport`] remain the global, shard-count-independent sums.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Vertex visits performed by kernels scheduled on this shard.
-    pub vertices_touched: u64,
-    /// Adjacency entries examined by kernels scheduled on this shard.
-    pub edges_scanned: u64,
-    /// Kernel invocations (reach calls) keyed to this shard.
-    pub kernel_calls: u64,
-    /// Wall-clock nanoseconds workers spent running this shard's kernels
-    /// (sums across workers, so it can exceed elapsed time).
-    pub busy_ns: u64,
-}
-
 /// Post-execution resource accounting, returned on success
 /// ([`crate::QueryOutput::report`]) and attached to every resource
 /// failure.
@@ -149,14 +132,10 @@ pub struct ResourceReport {
     /// Morsels dispatched by the vectorized operators (ACCUM/POST_ACCUM,
     /// WHERE filters, group-by/projection evaluation), cumulative. A
     /// pure function of table sizes and the configured morsel size —
-    /// identical at any parallelism or shard count.
+    /// identical at any parallelism.
     pub morsels_dispatched: u64,
     /// Wall-clock time from `Engine::run` entry to the snapshot.
     pub elapsed: Duration,
-    /// Per-shard breakdown of kernel work; empty unless the query ran on
-    /// the scatter-gather path. The sums here are a subset of the global
-    /// counters above (scans and non-kernel work stay unattributed).
-    pub shards: Vec<ShardReport>,
 }
 
 fn fmt_count(n: u64) -> String {
@@ -193,18 +172,7 @@ impl fmt::Display for ResourceReport {
             fmt_bytes(self.peak_accum_bytes),
             fmt_count(self.while_iterations),
             self.elapsed.as_secs_f64(),
-        )?;
-        if !self.shards.is_empty() {
-            write!(f, "; {} shards, kernel calls [", self.shards.len())?;
-            for (i, s) in self.shards.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", fmt_count(s.kernel_calls))?;
-            }
-            write!(f, "]")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -231,21 +199,6 @@ pub struct QueryGuard {
     peak_bytes: AtomicU64,
     while_iters: AtomicU64,
     morsels: AtomicU64,
-    /// One slot per shard when executing on the scatter-gather path
-    /// (empty otherwise) — the per-shard sub-governors. Kernel work is
-    /// charged to its shard's slot *in addition to* the global counters;
-    /// budget dimensions trip on the global totals so limits behave
-    /// identically at any shard count.
-    shard_slots: Vec<ShardSlot>,
-}
-
-/// Atomic per-shard counters backing [`ShardReport`].
-#[derive(Default)]
-struct ShardSlot {
-    vertices: AtomicU64,
-    edges: AtomicU64,
-    kernel_calls: AtomicU64,
-    busy_ns: AtomicU64,
 }
 
 impl QueryGuard {
@@ -268,17 +221,7 @@ impl QueryGuard {
             peak_bytes: AtomicU64::new(0),
             while_iters: AtomicU64::new(0),
             morsels: AtomicU64::new(0),
-            shard_slots: Vec::new(),
         }
-    }
-
-    /// Equips the guard with `n` per-shard accounting slots (builder —
-    /// call before sharing the guard across workers). With slots in
-    /// place, [`note_shard`](Self::note_shard) attributes kernel work and
-    /// [`report`](Self::report) carries the per-shard breakdown.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shard_slots = (0..n).map(|_| ShardSlot::default()).collect();
-        self
     }
 
     /// A guard that enforces nothing (still collects the report).
@@ -308,16 +251,6 @@ impl QueryGuard {
             while_iterations: self.while_iters.load(Ordering::Relaxed),
             morsels_dispatched: self.morsels.load(Ordering::Relaxed),
             elapsed: self.start.elapsed(),
-            shards: self
-                .shard_slots
-                .iter()
-                .map(|s| ShardReport {
-                    vertices_touched: s.vertices.load(Ordering::Relaxed),
-                    edges_scanned: s.edges.load(Ordering::Relaxed),
-                    kernel_calls: s.kernel_calls.load(Ordering::Relaxed),
-                    busy_ns: s.busy_ns.load(Ordering::Relaxed),
-                })
-                .collect(),
         }
     }
 
@@ -447,7 +380,7 @@ impl QueryGuard {
     /// loop. Pure accounting (no budget dimension limits morsels): the
     /// total feeds [`ResourceReport`] and server metrics, and — being a
     /// pure function of table sizes and the configured morsel size — is
-    /// identical at any parallelism or shard count.
+    /// identical at any parallelism.
     #[inline]
     pub fn note_morsels(&self, n: u64) {
         if n != 0 {
@@ -467,39 +400,6 @@ impl QueryGuard {
         if edges != 0 {
             self.edges.fetch_add(edges, Ordering::Relaxed);
         }
-    }
-
-    /// Attributes kernel work to shard `shard`'s accounting slot (a
-    /// no-op when the guard has no shard slots or `shard` is out of
-    /// range). Pure accounting on top of [`note_visits`]: the global
-    /// counters are charged separately by the kernels themselves, so
-    /// budget enforcement is independent of shard attribution.
-    ///
-    /// [`note_visits`]: Self::note_visits
-    pub fn note_shard(&self, shard: usize, vertices: u64, edges: u64, kernels: u64, busy_ns: u64) {
-        let Some(slot) = self.shard_slots.get(shard) else {
-            return;
-        };
-        if vertices != 0 {
-            slot.vertices.fetch_add(vertices, Ordering::Relaxed);
-        }
-        if edges != 0 {
-            slot.edges.fetch_add(edges, Ordering::Relaxed);
-        }
-        if kernels != 0 {
-            slot.kernel_calls.fetch_add(kernels, Ordering::Relaxed);
-        }
-        if busy_ns != 0 {
-            slot.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of per-shard accounting slots ([`with_shards`]); 0 on the
-    /// flat execution path.
-    ///
-    /// [`with_shards`]: Self::with_shards
-    pub fn shard_slot_count(&self) -> usize {
-        self.shard_slots.len()
     }
 
     /// Marks the execution poisoned after a Map worker panicked, stopping
@@ -605,7 +505,6 @@ mod tests {
             while_iterations: 0,
             morsels_dispatched: 0,
             elapsed: Duration::from_millis(1500),
-            shards: Vec::new(),
         };
         let s = r.to_string();
         assert!(s.contains("12 rows"), "{s}");
@@ -614,33 +513,6 @@ mod tests {
         assert!(s.contains("7 edges scanned"), "{s}");
         assert!(s.contains("64.0 KiB"), "{s}");
         assert!(s.contains("1.500s"), "{s}");
-    }
-
-    #[test]
-    fn shard_slots_attribute_without_affecting_budgets() {
-        let g = QueryGuard::new(
-            Budget::default().with_max_binding_rows(1),
-            CancelHandle::new(),
-        )
-        .with_shards(3);
-        assert_eq!(g.shard_slot_count(), 3);
-        g.note_shard(0, 10, 20, 1, 5_000);
-        g.note_shard(2, 1, 2, 3, 4);
-        g.note_shard(2, 1, 2, 3, 4);
-        g.note_shard(99, 1, 1, 1, 1); // out of range: ignored
-        let r = g.report();
-        assert_eq!(r.shards.len(), 3);
-        assert_eq!(r.shards[0].vertices_touched, 10);
-        assert_eq!(r.shards[0].busy_ns, 5_000);
-        assert_eq!(r.shards[1], ShardReport::default());
-        assert_eq!(r.shards[2].kernel_calls, 6);
-        // Attribution is not enforcement: globals untouched, no trips.
-        assert_eq!(r.vertices_touched, 0);
-        let s = r.to_string();
-        assert!(s.contains("3 shards"), "{s}");
-        // A shard-less report renders exactly as before.
-        let flat = QueryGuard::unlimited().report();
-        assert!(!flat.to_string().contains("shards"));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod tractable;
 pub use error::{Error, ErrorKind, ResourceError, Result};
 pub use exec::{Engine, QueryOutput, ReturnValue};
 pub use explain::{explain, explain_plan, Plan, PlanNode};
-pub use governor::{Budget, CancelHandle, QueryGuard, ResourceReport, ShardReport};
+pub use governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 pub use lint::{lint_query, lint_query_with, Diagnostic, Severity};
 pub use morsel::{MorselTable, DEFAULT_MORSEL_SIZE};
 pub use parser::{parse_query, parse_query_with_mode, QueryMode};

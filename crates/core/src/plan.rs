@@ -40,8 +40,8 @@
 //! is a vertex fragment (table outputs are row-order sensitive), and
 //! the ACCUM clause folds [`FoldVerdict::Exact`] (every statement a `+=`
 //! combine into an exact-merge accumulator). Under that gate results
-//! stay byte-identical across plans, shard counts, parallelism levels,
-//! and statistics refreshes.
+//! stay byte-identical across plans, parallelism levels and statistics
+//! refreshes.
 
 use crate::ast::*;
 use crate::explain::{Plan, PlanNode};
@@ -52,7 +52,6 @@ use darpe::{Darpe, DarpeDir, Symbol};
 use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::Graph;
 use pgraph::schema::ETypeId;
-use pgraph::shard::ShardedGraph;
 use std::sync::Arc;
 
 /// Rows an equality conjunct (`x.a == c`) is assumed to keep: a point
@@ -74,9 +73,6 @@ pub(crate) struct LowerCtx<'a> {
     pub graph: &'a Graph,
     /// Registered relational input tables.
     pub tables: &'a FxHashMap<String, Table>,
-    /// Active sharded view, when the engine executes scatter-gather —
-    /// EXPLAIN then annotates kernel hops with per-shard fan-out nodes.
-    pub shards: Option<&'a ShardedGraph>,
 }
 
 /// The execution strategy the planner chose for one pattern hop.
@@ -1164,34 +1160,6 @@ fn lower_block(
                         rows = out_rows;
                         cost_total += cost;
                         annotate(&mut hop_node, rows, cost);
-                        // Scatter-gather fan-out: kernel hops run
-                        // shard-local, so show the per-shard slice of the
-                        // estimate (proportional to owned vertices for
-                        // rows, stored adjacency entries for cost).
-                        if strategy != HopStrategy::Adjacency {
-                            if let Some(sh) = ctx.shards {
-                                let per = sh.shard_stats();
-                                let tot_v =
-                                    per.iter().map(|s| s.vertices).sum::<usize>().max(1) as f64;
-                                let tot_e =
-                                    per.iter().map(|s| s.entries).sum::<usize>().max(1) as f64;
-                                for (i, ss) in per.iter().enumerate() {
-                                    let mut f = PlanNode::new(
-                                        "shard-fanout",
-                                        format!(
-                                            "shard {i}: {} vertices, {} adj entries ({} cross-shard)",
-                                            ss.vertices, ss.entries, ss.cross_entries
-                                        ),
-                                    );
-                                    annotate(
-                                        &mut f,
-                                        rows * ss.vertices as f64 / tot_v,
-                                        cost * ss.entries as f64 / tot_e,
-                                    );
-                                    hop_node.children.push(f);
-                                }
-                            }
-                        }
                     }
                     // Consume the sargable conjuncts (highest index
                     // first so earlier indices stay valid).
@@ -1346,7 +1314,7 @@ mod tests {
     fn stats_lowering_annotates_estimates() {
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
         assert_eq!(plan.epoch, g.stats().epoch());
@@ -1365,7 +1333,7 @@ mod tests {
         // cheaper, so the planner runs the counting kernel backward.
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(
             "CREATE QUERY allpairs (STRING tgtName) {
                SumAccum<int> @@n;
@@ -1395,7 +1363,7 @@ mod tests {
         // estimated target. Ties keep the forward kernel.
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
         let text = plan.plan.render();
@@ -1406,7 +1374,7 @@ mod tests {
     fn block_plans_key_on_ast_identity_and_carry_strategies() {
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::NonRepeatedEdge, Some(&ctx));
         let mut seen_backward = false;
@@ -1439,7 +1407,7 @@ mod tests {
     fn from_reorder_moves_cheaper_item_first() {
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(
             "CREATE QUERY two (STRING aName) {
                SumAccum<int> @@n;
@@ -1471,7 +1439,7 @@ mod tests {
     fn from_reorder_refuses_cross_item_conjuncts_and_inexact_accums() {
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
+        let ctx = LowerCtx { graph: &g, tables: &tables };
         let cross = parse_query(
             "CREATE QUERY two (STRING aName) {
                SumAccum<int> @@n;
@@ -1505,26 +1473,5 @@ mod tests {
             other => panic!("unexpected stmt {other:?}"),
         };
         assert!(plan.block_for(block).unwrap().from_order.is_empty());
-    }
-
-    /// A sharded lowering context hangs per-shard fan-out estimates off
-    /// every kernel hop.
-    #[test]
-    fn sharded_ctx_adds_fanout_nodes_under_kernel_hops() {
-        use pgraph::shard::{ShardSpec, ShardedGraph};
-        let (g, _) = diamond_chain(12);
-        let sharded = ShardedGraph::build(&g, ShardSpec::hash(4));
-        let tables = ctx_tables();
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: Some(&sharded) };
-        let q = parse_query(&stdlib::qn("V", "E")).unwrap();
-        let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
-        let text = plan.plan.render();
-        assert!(text.contains("shard 0:"), "{text}");
-        assert!(text.contains("shard 3:"), "{text}");
-        assert!(text.contains("cross-shard"), "{text}");
-        // Unsharded context: no fan-out nodes.
-        let ctx = LowerCtx { graph: &g, tables: &tables, shards: None };
-        let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
-        assert!(!plan.plan.render().contains("shard 0:"));
     }
 }

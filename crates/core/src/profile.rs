@@ -75,10 +75,6 @@ pub struct ProfileNode {
     /// (empty when the operator never fanned out; summed slot-wise over
     /// calls).
     pub workers: Vec<u64>,
-    /// Per-shard kernel-invocation distribution for scatter-gather
-    /// fan-outs (empty when execution was unsharded; summed slot-wise
-    /// over calls).
-    pub shards: Vec<u64>,
     /// Child operators, in first-execution order.
     pub children: Vec<ProfileNode>,
 }
@@ -209,10 +205,6 @@ fn render_into(node: &ProfileNode, depth: usize, out: &mut String) {
         let w: Vec<String> = node.workers.iter().map(u64::to_string).collect();
         parts.push(format!("workers [{}]", w.join(" ")));
     }
-    if !node.shards.is_empty() {
-        let w: Vec<String> = node.shards.iter().map(u64::to_string).collect();
-        parts.push(format!("shards [{}]", w.join(" ")));
-    }
     writeln!(out, "  [{}]", parts.join(", ")).unwrap();
     for c in &node.children {
         render_into(c, depth + 1, out);
@@ -251,13 +243,6 @@ fn node_json(out: &mut String, node: &ProfileNode) {
         }
         write!(out, "{w}").unwrap();
     }
-    out.push_str("],\"shards\":[");
-    for (i, w) in node.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{w}").unwrap();
-    }
     out.push_str("],\"children\":[");
     for (i, c) in node.children.iter().enumerate() {
         if i > 0 {
@@ -281,8 +266,6 @@ pub(crate) struct SpanExtra {
     pub accum_bytes: u64,
     /// Per-worker kernel counts from a parallel fan-out.
     pub workers: Vec<u64>,
-    /// Per-shard kernel counts from a scatter-gather fan-out.
-    pub shards: Vec<u64>,
 }
 
 /// An open span returned by [`Profiler::enter`]; hand it back to
@@ -391,14 +374,6 @@ impl Profiler {
                 *slot += w;
             }
         }
-        if !extra.shards.is_empty() {
-            if node.extra.shards.len() < extra.shards.len() {
-                node.extra.shards.resize(extra.shards.len(), 0);
-            }
-            for (slot, w) in node.extra.shards.iter_mut().zip(&extra.shards) {
-                *slot += w;
-            }
-        }
     }
 
     /// Finalizes collection into a [`Profile`]. The root absorbs the
@@ -459,7 +434,6 @@ fn build(nodes: &[Collected], i: usize) -> ProfileNode {
         cache_misses: n.extra.cache_misses,
         accum_bytes: n.extra.accum_bytes,
         workers: n.extra.workers.clone(),
-        shards: n.extra.shards.clone(),
         children: n.children.iter().map(|&c| build(nodes, c)).collect(),
     }
 }

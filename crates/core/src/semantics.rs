@@ -19,36 +19,8 @@ use crate::governor::QueryGuard;
 use darpe::{CompiledDarpe, Dfa, DfaStateId};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::FxHashMap;
-use pgraph::graph::{AdjView, EdgeId, Graph, VertexId};
-use pgraph::shard::ShardedGraph;
+use pgraph::graph::{EdgeId, Graph, VertexId};
 use std::collections::VecDeque;
-
-/// The adjacency source a kernel traverses: the flat graph, or a
-/// [`ShardedGraph`] whose per-shard CSR segments serve each vertex's
-/// adjacency. A sharded view returns entries **bit-identical** to the
-/// flat graph it was built from (same entries, same order — see
-/// `pgraph::shard`), so kernel results are independent of the view; only
-/// scheduling and accounting differ. Traversal transparently crosses
-/// shard boundaries: "shard-local" execution means the kernel for a key
-/// vertex is *scheduled and accounted* on that vertex's owner shard, not
-/// that edges stop at the boundary.
-#[derive(Clone, Copy)]
-pub(crate) enum GraphView<'a> {
-    /// Adjacency served by [`Graph::adjacency`].
-    Flat(&'a Graph),
-    /// Adjacency served by the owner shard's segment.
-    Sharded(&'a ShardedGraph),
-}
-
-impl<'a> GraphView<'a> {
-    #[inline]
-    fn adjacency(&self, v: VertexId) -> AdjView<'a> {
-        match self {
-            GraphView::Flat(g) => g.adjacency(v),
-            GraphView::Sharded(s) => s.adjacency(v),
-        }
-    }
-}
 
 /// The pattern-match legality flavor used for Kleene (multi-edge) DARPEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +79,7 @@ pub struct MatchStats {
     /// Morsels dispatched by the vectorized operators (ACCUM/POST_ACCUM,
     /// WHERE filters, group-by/projection evaluation). A pure function
     /// of table sizes and the configured morsel size — identical at any
-    /// parallelism or shard count.
+    /// parallelism.
     pub morsels_dispatched: u64,
 }
 
@@ -146,33 +118,19 @@ pub fn reach(
     guard: &QueryGuard,
     stats: &mut MatchStats,
 ) -> Result<ReachMap> {
-    reach_on(GraphView::Flat(graph), src, nfa, semantics, guard, stats)
-}
-
-/// [`reach`] over an explicit [`GraphView`] — the entry point the
-/// scatter-gather executor uses to route adjacency through per-shard CSR
-/// segments. Results are view-independent (see [`GraphView`]).
-pub(crate) fn reach_on(
-    view: GraphView<'_>,
-    src: VertexId,
-    nfa: &CompiledDarpe,
-    semantics: PathSemantics,
-    guard: &QueryGuard,
-    stats: &mut MatchStats,
-) -> Result<ReachMap> {
     stats.kernel_calls += 1;
     match semantics {
-        PathSemantics::AllShortestPaths => bfs_count(view, src, nfa, false, guard, stats),
-        PathSemantics::ShortestOne => bfs_count(view, src, nfa, true, guard, stats),
+        PathSemantics::AllShortestPaths => bfs_count(graph, src, nfa, false, guard, stats),
+        PathSemantics::ShortestOne => bfs_count(graph, src, nfa, true, guard, stats),
         PathSemantics::AllShortestPathsEnumerate => {
-            let targets = bfs_count(view, src, nfa, false, guard, stats)?;
-            enumerate_shortest(view, src, nfa, &targets, guard, stats)
+            let targets = bfs_count(graph, src, nfa, false, guard, stats)?;
+            enumerate_shortest(graph, src, nfa, &targets, guard, stats)
         }
         PathSemantics::NonRepeatedEdge => {
-            enumerate_simple(view, src, nfa, false, guard, stats)
+            enumerate_simple(graph, src, nfa, false, guard, stats)
         }
         PathSemantics::NonRepeatedVertex => {
-            enumerate_simple(view, src, nfa, true, guard, stats)
+            enumerate_simple(graph, src, nfa, true, guard, stats)
         }
     }
 }
@@ -182,7 +140,7 @@ pub(crate) fn reach_on(
 /// shortest-path counts. Because the automaton is deterministic, each
 /// graph path has exactly one run, so run counts are path counts.
 fn bfs_count(
-    view: GraphView<'_>,
+    graph: &Graph,
     src: VertexId,
     nfa: &CompiledDarpe,
     clamp_to_one: bool,
@@ -212,7 +170,7 @@ fn bfs_count(
         // This state only adds into states one level deeper, never into
         // itself: take its count out instead of cloning it.
         let c = std::mem::take(&mut cnt[i]);
-        let adj = view.adjacency(v);
+        let adj = graph.adjacency(v);
         edges_scanned += adj.len() as u64;
         for a in adj {
             let Some(nq) = dfa.next(q, a.etype, a.dir) else { continue };
@@ -274,7 +232,7 @@ fn bfs_count(
 /// depth and counts arrivals that hit a target at exactly its shortest
 /// length.
 fn enumerate_shortest(
-    view: GraphView<'_>,
+    graph: &Graph,
     src: VertexId,
     nfa: &CompiledDarpe,
     targets: &ReachMap,
@@ -317,7 +275,7 @@ fn enumerate_shortest(
             stack.pop();
             continue;
         }
-        let adj = view.adjacency(v);
+        let adj = graph.adjacency(v);
         let mut advanced = false;
         let start_edge = stack.last().unwrap().next_edge;
         for (off, a) in adj.iter_from(start_edge).enumerate() {
@@ -346,7 +304,7 @@ fn enumerate_shortest(
 /// product automaton by DFS — Cypher's / Gremlin's strategy, exponential
 /// in the worst case and the baseline of Table 1.
 fn enumerate_simple(
-    view: GraphView<'_>,
+    graph: &Graph,
     src: VertexId,
     nfa: &CompiledDarpe,
     vertex_flavor: bool,
@@ -393,7 +351,7 @@ fn enumerate_simple(
                 }
             }
         }
-        let adj = view.adjacency(v);
+        let adj = graph.adjacency(v);
         let start_edge = stack.last().unwrap().next_edge;
         let mut advanced = false;
         for (off, a) in adj.iter_from(start_edge).enumerate() {

@@ -344,8 +344,8 @@ fn person_rng(seed: u64, i: usize) -> StdRng {
 ///   a per-person seeded RNG (`person_rng`) instead of being stored.
 ///
 /// The returned [`GenReport`] carries the generator's auxiliary
-/// high-water mark; the `bench_ldbc` harness asserts it stays flat as
-/// `sf` grows.
+/// high-water mark; `streamed_generation_is_deterministic_and_scales`
+/// asserts it stays flat as `sf` grows.
 pub fn generate_into<S: GraphSink + ?Sized>(params: SnbParams, sink: &mut S) -> GenReport {
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5eed_11dc);
     let mut em = Emitter { sink, vertices: 0, edges: 0, since_flush: 0, chunks: 0 };
@@ -555,8 +555,8 @@ pub fn generate_into<S: GraphSink + ?Sized>(params: SnbParams, sink: &mut S) -> 
 }
 
 /// Streams a graph through a [`GraphBuilder`] sink and finalizes it:
-/// the scale-capable entry point (`bench_ldbc` uses it for SF10-class
-/// graphs that the eager [`generate`]'s side tables would bloat).
+/// the scale-capable entry point for SF10-class graphs that the eager
+/// [`generate`]'s side tables would bloat.
 pub fn generate_streamed(params: SnbParams) -> (Graph, GenReport) {
     let mut b = GraphBuilder::new(snb_schema());
     let report = generate_into(params, &mut b);

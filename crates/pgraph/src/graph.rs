@@ -308,15 +308,6 @@ pub type AdjIter<'a> =
     std::iter::Chain<std::slice::Iter<'a, AdjEntry>, std::slice::Iter<'a, AdjEntry>>;
 
 impl<'a> AdjView<'a> {
-    /// A view over a single contiguous slice (no overlay tail) — the
-    /// shape a [`crate::shard::ShardedGraph`] segment serves, where each
-    /// owned vertex's CSR slice and overlay tail were concatenated into
-    /// one run at build time.
-    #[inline]
-    pub fn from_slice(base: &'a [AdjEntry]) -> AdjView<'a> {
-        AdjView { base, tail: &[] }
-    }
-
     #[inline]
     pub fn len(&self) -> usize {
         self.base.len() + self.tail.len()
@@ -657,8 +648,7 @@ impl Graph {
     /// Number of adjacency entries currently living in the mutation
     /// overlay (0 right after [`Graph::finalize`]). Together with the
     /// stats epoch and the vertex/edge counts this fingerprints the
-    /// adjacency structure — [`crate::shard::ShardedGraph::matches`]
-    /// uses it to detect staleness.
+    /// adjacency structure.
     pub fn overlay_entry_count(&self) -> usize {
         self.overlay_entries
     }

@@ -24,9 +24,7 @@
 //! * [`algo`] — native reference implementations (BFS shortest-path
 //!   counting, PageRank, WCC, SSSP, triangles) used to cross-validate the
 //!   GSQL interpreter,
-//! * [`loader`] — a plain-text serialization format for graphs,
-//! * [`shard`] — vertex-partitioned per-shard CSR segments
-//!   ([`shard::ShardedGraph`]) backing the scatter-gather executor.
+//! * [`loader`] — a plain-text serialization format for graphs.
 //!
 //! # Example
 //!
@@ -53,13 +51,11 @@ pub mod graph;
 pub mod loader;
 pub mod mutate;
 pub mod schema;
-pub mod shard;
 pub mod value;
 pub mod wal;
 
 pub use bigcount::BigCount;
 pub use graph::{Dir, EdgeId, Graph, GraphBuilder, VertexId};
-pub use shard::{ShardPolicy, ShardSpec, ShardedGraph};
 pub use mutate::{BatchSummary, MutationOp};
 pub use wal::{CommitError, FlushPolicy, LiveGraph, RecoveryError, RecoveryReport};
 pub use schema::{AttrDef, ETypeId, EdgeTypeDef, Schema, VTypeId, VertexTypeDef};

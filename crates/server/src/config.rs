@@ -26,9 +26,6 @@ pub struct ServerConfig {
     /// Intra-query Map/kernel threads per request
     /// (`Engine::with_parallelism`).
     pub parallelism: usize,
-    /// Scatter-gather shard count (`Engine::with_sharding`); 1 =
-    /// unsharded. Output is byte-identical at any value.
-    pub shards: usize,
     /// Path-legality semantics for every query.
     pub semantics: PathSemantics,
     /// Default per-request resource envelope (see `--default-*` flags);
@@ -59,7 +56,6 @@ impl Default for ServerConfig {
             max_prepared: 1024,
             max_body_bytes: 1 << 20,
             parallelism: 1,
-            shards: 1,
             semantics: PathSemantics::AllShortestPaths,
             // Serving defaults are bounded on purpose: an unbounded
             // query on a shared service is an outage, not a feature.
@@ -192,7 +188,6 @@ pub fn parse_args(argv: &[String]) -> Result<(ServerConfig, String), String> {
             "--parallelism" => {
                 cfg.parallelism = parse_pos(&value("--parallelism")?, "--parallelism")?
             }
-            "--shards" => cfg.shards = parse_pos(&value("--shards")?, "--shards")?,
             "--semantics" => {
                 let name = value("--semantics")?;
                 cfg.semantics = gsql_core::parser::parse_semantics(&name)
@@ -260,7 +255,6 @@ usage: gsql-serve --graph <graph.pg|:sales|:linkedin|:diamond<n>|:snb[=sf]>
                   [--max-prepared N]                 pinned prepared statements (1024)
                   [--max-body-bytes N|KB|MB]         request body cap before 413 (1MB)
                   [--parallelism N]                  intra-query threads (1)
-                  [--shards N]                       scatter-gather shards (1)
                   [--semantics <flavor>]             path-legality semantics
                   [--default-deadline D]             per-query deadline (30s)
                   [--max-deadline D]                 ceiling for header deadlines (120s)

@@ -246,11 +246,7 @@ fn explain(shared: &Shared, req: &Request) -> Response {
 /// execution would actually use.
 fn explain_response(shared: &Shared, prepared: &Arc<PreparedQuery>, cache_hit: bool) -> Response {
     let snapshot = shared.live.snapshot();
-    let sharded = shared.shards.for_snapshot(shared.cfg.shards, &snapshot, &shared.metrics);
-    let mut engine = Engine::new(&snapshot).with_semantics(shared.cfg.semantics);
-    if let Some(sh) = &sharded {
-        engine = engine.with_sharding(sh);
-    }
+    let engine = Engine::new(&snapshot).with_semantics(shared.cfg.semantics);
     let plan = match engine.explain(prepared.query()) {
         Ok(p) => p,
         Err(e) => return query_error(shared, &e, false),
@@ -507,14 +503,10 @@ fn run_query(
     // the commit below: a batch's vertex/edge ids are only meaningful
     // against this exact snapshot.
     let (snapshot, pinned_seq) = shared.live.snapshot_pinned();
-    let sharded = shared.shards.for_snapshot(shared.cfg.shards, &snapshot, &shared.metrics);
-    let mut engine = Engine::new(&snapshot)
+    let engine = Engine::new(&snapshot)
         .with_semantics(shared.cfg.semantics)
         .with_parallelism(shared.cfg.parallelism)
         .with_budget(budget);
-    if let Some(sh) = &sharded {
-        engine = engine.with_sharding(sh);
-    }
     let outcome = {
         // Register with the watchdog only for the duration of the run:
         // the token must drop before we touch the socket to respond.

@@ -114,15 +114,6 @@ pub struct Metrics {
     pub mutation_ops: AtomicU64,
     /// WAL write failures (each flips the server read-only).
     pub wal_errors: AtomicU64,
-    /// Scatter-gather topology: shard count of the active sharded view
-    /// (0 until one is built) and its vertex-imbalance ratio in
-    /// thousandths (1000 = perfectly balanced).
-    pub shard_count: AtomicU64,
-    pub shard_imbalance_milli: AtomicU64,
-    /// Busiest-shard wall time summed over all queries: each query
-    /// contributes the max per-shard `busy_ns` from its resource
-    /// report. Large gaps vs mean latency indicate a hot shard.
-    pub hot_shard_busy_ns: AtomicU64,
     /// End-to-end query latency (admission to response serialization).
     pub latency: Histogram,
     // Aggregated ResourceReport totals over all executed queries
@@ -147,13 +138,6 @@ struct OpTotals {
 }
 
 impl Metrics {
-    /// Records the active scatter-gather topology (shard-cache rebuild).
-    pub fn set_shard_topology(&self, count: usize, imbalance_ratio: f64) {
-        self.shard_count.store(count as u64, Ordering::Relaxed);
-        self.shard_imbalance_milli
-            .store((imbalance_ratio * 1000.0).round() as u64, Ordering::Relaxed);
-    }
-
     pub fn absorb_report(&self, r: &ResourceReport) {
         self.rows_total.fetch_add(r.rows_materialized, Ordering::Relaxed);
         self.paths_total.fetch_add(r.paths_enumerated, Ordering::Relaxed);
@@ -161,9 +145,6 @@ impl Metrics {
         self.vertices_total.fetch_add(r.vertices_touched, Ordering::Relaxed);
         self.edges_total.fetch_add(r.edges_scanned, Ordering::Relaxed);
         self.morsels_total.fetch_add(r.morsels_dispatched, Ordering::Relaxed);
-        if let Some(hot) = r.shards.iter().map(|s| s.busy_ns).max() {
-            self.hot_shard_busy_ns.fetch_add(hot, Ordering::Relaxed);
-        }
         self.peak_accum_bytes.fetch_max(r.peak_accum_bytes, Ordering::Relaxed);
     }
 
@@ -229,19 +210,6 @@ impl Metrics {
                     ("edges_scanned".into(), load(&self.edges_total)),
                     ("morsels_dispatched".into(), load(&self.morsels_total)),
                     ("peak_accum_bytes".into(), load(&self.peak_accum_bytes)),
-                ]),
-            ),
-            (
-                "shard".into(),
-                Json::Obj(vec![
-                    ("count".into(), load(&self.shard_count)),
-                    (
-                        "imbalance_ratio".into(),
-                        Json::Double(
-                            self.shard_imbalance_milli.load(Ordering::Relaxed) as f64 / 1000.0,
-                        ),
-                    ),
-                    ("hot_shard_busy_ns".into(), load(&self.hot_shard_busy_ns)),
                 ]),
             ),
             (

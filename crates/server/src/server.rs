@@ -24,8 +24,6 @@ use crate::http::{self, RecvError, Response};
 use crate::metrics::Metrics;
 use crate::plan_cache::PlanCache;
 use gsql_core::CancelHandle;
-use pgraph::graph::Graph;
-use pgraph::shard::{ShardSpec, ShardedGraph};
 use pgraph::wal::LiveGraph;
 use std::io::{self, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,49 +48,7 @@ pub struct Shared {
     /// Set on the first WAL write failure: mutations are refused with
     /// 503 while reads keep serving the last durable snapshot.
     pub read_only: AtomicBool,
-    /// Cached sharded view for scatter-gather execution (`--shards N`).
-    pub shards: ShardCache,
     conns: ConnRegistry,
-}
-
-/// Lazily (re)built [`ShardedGraph`] for the current live snapshot.
-///
-/// A sharded view is immutable and fingerprinted against the graph it
-/// was built from; after a `/mutate` commit publishes a new snapshot
-/// the cached view no longer [`ShardedGraph::matches`] it and is
-/// rebuilt on the next query. Requests between commit and rebuild that
-/// race the lock simply run unsharded — output is byte-identical
-/// either way, so this is a performance cache, never a correctness
-/// dependency.
-#[derive(Default)]
-pub struct ShardCache {
-    cached: Mutex<Option<Arc<ShardedGraph>>>,
-}
-
-impl ShardCache {
-    /// The sharded view of `snapshot`, rebuilding if the cache is
-    /// empty or was built for an earlier snapshot. Returns `None` when
-    /// `count <= 1` (sharding disabled).
-    pub fn for_snapshot(
-        &self,
-        count: usize,
-        snapshot: &Arc<Graph>,
-        metrics: &Metrics,
-    ) -> Option<Arc<ShardedGraph>> {
-        if count <= 1 {
-            return None;
-        }
-        let mut cached = self.cached.lock().unwrap();
-        if let Some(sh) = cached.as_ref() {
-            if sh.matches(snapshot) {
-                return Some(sh.clone());
-            }
-        }
-        let sh = Arc::new(ShardedGraph::from_arc(snapshot, ShardSpec::hash(count)));
-        metrics.set_shard_topology(sh.shard_count(), sh.imbalance_ratio());
-        *cached = Some(sh.clone());
-        Some(sh)
-    }
 }
 
 /// Live connections, so drain can unblock workers parked in idle
@@ -230,7 +186,6 @@ impl Server {
             watchdog: Watchdog::default(),
             shutdown: AtomicBool::new(false),
             read_only: AtomicBool::new(false),
-            shards: ShardCache::default(),
             conns: ConnRegistry::default(),
             live,
             cfg,

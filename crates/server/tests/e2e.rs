@@ -915,48 +915,3 @@ fn kill_nine_then_restart_recovers_byte_identical_results() {
     child.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn sharded_server_is_byte_identical_and_metrics_reconcile() {
-    // A sharded server must serve the exact bytes an unsharded local
-    // engine produces, expose the shard topology in /metrics, and keep
-    // the admission invariant intact.
-    let (server, addr) = start(|cfg| {
-        cfg.shards = 4;
-        cfg.parallelism = 4;
-    });
-    let mut c = Client::connect(addr).unwrap();
-
-    let mut ok = 0u64;
-    for tgt in ["v4", "v8", "v11"] {
-        let resp = c.post_json("/query", &[], &qn_body(tgt)).unwrap();
-        assert_eq!(resp.status, 200);
-        let want = local_result(
-            &stdlib::qn("V", "E"),
-            &[("srcName", Value::from("v0")), ("tgtName", Value::from(tgt))],
-        );
-        assert_eq!(result_bytes(&resp), want, "sharded result must be byte-identical");
-        ok += 1;
-    }
-    // One failure to make the reconciliation non-trivial.
-    let resp = c
-        .post_json("/query", &[], r#"{"query":"CREATE QUERY bad () { PRINT @@nope; }"}"#)
-        .unwrap();
-    assert_ne!(resp.status, 200);
-
-    let m = c.get("/metrics").unwrap().json().unwrap();
-    let get = |k: &str| m.get(k).and_then(Json::as_i64).unwrap();
-    assert_eq!(
-        get("admitted"),
-        get("completed") + get("failed") + get("cancelled"),
-        "admission invariant under sharding: {m}"
-    );
-    assert_eq!(get("completed"), ok as i64);
-    let shard = m.get("shard").expect("shard section");
-    assert_eq!(shard.get("count").and_then(Json::as_i64), Some(4));
-    assert!(
-        shard.get("imbalance_ratio").is_some() && shard.get("hot_shard_busy_ns").is_some(),
-        "shard gauges present: {m}"
-    );
-    server.shutdown();
-}

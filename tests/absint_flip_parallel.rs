@@ -3,7 +3,7 @@
 //! POST_ACCUM clauses the *syntactic* gate could not parallelize now
 //! run morsel-parallel because the interval/constancy analysis proves
 //! them order-invariant — and the output stays byte-identical to
-//! sequential execution at every parallelism level and shard count.
+//! sequential execution at every parallelism level.
 //!
 //! The enumerated flips (all `POST_ACCUM` accumulator *assignments*
 //! that the fixpoint analysis proves row-invariant or per-vertex
@@ -19,19 +19,17 @@
 //!
 //! Each test asserts both halves of the contract: the plan actually
 //! takes the proven strategy (EXPLAIN says so), and the results are
-//! identical across parallelism {1, 2, 8} and shard counts {1, 4}.
+//! identical across parallelism {1, 2, 8}.
 
 use gsql_core::{parse_query, stdlib, Engine, QueryOutput, ResourceReport};
 use pgraph::generators::{diamond_chain, erdos_renyi, sales_graph};
 use pgraph::graph::Graph;
-use pgraph::shard::{ShardSpec, ShardedGraph};
 use pgraph::value::Value;
 
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
-const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// The governor counters that must be schedule-invariant (everything
-/// except wall-clock `elapsed` and per-shard busy breakdowns).
+/// except wall-clock `elapsed`).
 fn report_counts(r: &ResourceReport) -> (u64, u64, u64, u64) {
     (r.rows_materialized, r.paths_enumerated, r.peak_accum_bytes, r.while_iterations)
 }
@@ -70,24 +68,13 @@ fn assert_proven_blocks(graph: &Graph, src: &str, min: usize, label: &str) {
     );
 }
 
-/// Runs `src` sequentially (parallelism 1, unsharded) as the reference,
-/// then sweeps parallelism × shard count, asserting byte-identity.
+/// Runs `src` sequentially (parallelism 1) as the reference, then sweeps
+/// parallelism, asserting byte-identity.
 fn sweep(graph: &Graph, src: &str, args: &[(&str, Value)], label: &str) {
     let reference = Engine::new(graph).with_parallelism(1).run_text(src, args).unwrap();
     for &par in &PARALLELISMS {
         let out = Engine::new(graph).with_parallelism(par).run_text(src, args).unwrap();
         assert_identical(&reference, &out, &format!("{label} par={par}"));
-    }
-    for &shards in &SHARD_COUNTS {
-        let sharded = ShardedGraph::build(graph, ShardSpec::hash(shards));
-        for &par in &PARALLELISMS {
-            let out = Engine::new(graph)
-                .with_parallelism(par)
-                .with_sharding(&sharded)
-                .run_text(src, args)
-                .unwrap();
-            assert_identical(&reference, &out, &format!("{label} shards={shards} par={par}"));
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The executor has one scheduler (`morsel::dispatch`) and one
 //! parallel-fold gate (the block plan's fold verdict). These tests pin
 //! what that buys end to end: worker counts bounded by
-//! `Engine::parallelism` whatever the shard count, worker panics
+//! `Engine::parallelism`, worker panics
 //! contained on the dispatch path, and the run-time re-lowering fallback
 //! folding exactly as the static plan decided.
 
@@ -10,7 +10,6 @@ use gsql_core::{parse_query, Engine, ErrorKind, ProfileNode, QueryOutput};
 use ldbc_snb::{generate, queries, SnbParams};
 use pgraph::generators::erdos_renyi;
 use pgraph::graph::Graph;
-use pgraph::shard::{ShardSpec, ShardedGraph};
 use pgraph::value::Value;
 
 /// ~2.5k binding rows through an all-`+=` integer ACCUM (an exact-merge
@@ -45,22 +44,21 @@ fn accum_workers(engine: &Engine, src: &str) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn fold_worker_count_is_bounded_by_parallelism_not_by_shard_count() {
-    // Both kinds of fold under a 4-shard view: Q_acc (a sequential
-    // emission fold) and the fan-out (an exact-merge fold). Neither may
-    // start more workers than `parallelism`, however many shards exist.
+fn fold_worker_count_is_bounded_by_parallelism() {
+    // Both kinds of fold: Q_acc (a sequential emission fold) and the
+    // fan-out (an exact-merge fold). Neither may start more workers than
+    // `parallelism`.
     let snb = generate(SnbParams::new(0.05, 31));
     let er = fanout_graph();
     let cases: [(&Graph, String, &str); 2] =
         [(&snb, queries::q_acc(), "q_acc"), (&er, FANOUT.to_string(), "fanout")];
     for (graph, src, label) in &cases {
-        let sharded = ShardedGraph::build(graph, ShardSpec::hash(4));
         for par in [1usize, 2] {
-            let engine = Engine::new(graph).with_parallelism(par).with_sharding(&sharded);
+            let engine = Engine::new(graph).with_parallelism(par);
             for workers in accum_workers(&engine, src) {
                 assert!(
                     !workers.is_empty() && workers.len() <= par,
-                    "{label} parallelism={par} shards=4: ACCUM ran on {} workers ({workers:?})",
+                    "{label} parallelism={par}: ACCUM ran on {} workers ({workers:?})",
                     workers.len()
                 );
             }
@@ -102,20 +100,16 @@ fn a_panic_on_a_dispatch_worker_is_contained_and_the_engine_recovers() {
           PRINT R.size();
         }
     "#;
-    let sharded = ShardedGraph::build(&g, ShardSpec::hash(4));
-    for (par, shards) in [(1usize, false), (4, false), (4, true)] {
+    for par in [1usize, 4] {
         let mut engine = Engine::new(&g).with_parallelism(par);
-        if shards {
-            engine = engine.with_sharding(&sharded);
-        }
         engine.registry_mut().register("ReadBombAccum", || Box::<ReadBomb>::default());
         let err = engine.run_text(boom, &[]).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::WorkerPanic, "parallelism={par} shards={shards}");
+        assert_eq!(err.kind(), ErrorKind::WorkerPanic, "parallelism={par}");
         assert!(err.to_string().contains("ReadBomb read"), "payload lost: {err}");
         // A fresh run on the same engine — fan-out and fold through the
         // same dispatch — succeeds.
         let ok = engine.run_text(FANOUT, &[]).unwrap();
-        assert_eq!(ok.prints.len(), 2, "parallelism={par} shards={shards}");
+        assert_eq!(ok.prints.len(), 2, "parallelism={par}");
     }
 }
 
@@ -145,30 +139,21 @@ fn if_guarded_use_semantics_block_folds_as_planned() {
           PRINT R[R.@hits, R.@seen];
         }
     "#;
-    let run = |flag: i64, par: usize, sharded: Option<&ShardedGraph>| {
-        let mut engine = Engine::new(&g).with_parallelism(par);
-        if let Some(sh) = sharded {
-            engine = engine.with_sharding(sh);
-        }
-        engine.run_text(src, &[("flag", Value::Int(flag))]).unwrap()
+    let run = |flag: i64, par: usize| {
+        Engine::new(&g)
+            .with_parallelism(par)
+            .run_text(src, &[("flag", Value::Int(flag))])
+            .unwrap()
     };
-    let planned = run(0, 1, None);
-    let reference = run(1, 1, None);
+    let planned = run(0, 1);
+    let reference = run(1, 1);
     assert_ne!(
         observable(&planned).0,
         observable(&reference).0,
         "the guarded USE SEMANTICS did not take effect, so the fallback was not exercised"
     );
-    let sharded = ShardedGraph::build(&g, ShardSpec::hash(4));
     for par in [1usize, 4] {
-        for sh in [None, Some(&sharded)] {
-            let out = run(1, par, sh);
-            assert_eq!(
-                observable(&reference),
-                observable(&out),
-                "parallelism={par} shards={}",
-                if sh.is_some() { 4 } else { 1 }
-            );
-        }
+        let out = run(1, par);
+        assert_eq!(observable(&reference), observable(&out), "parallelism={par}");
     }
 }

@@ -3,7 +3,7 @@
 //! run the same queries with 1, 2 and 8 Map threads and require
 //! bit-identical outputs, including property-based randomized workloads.
 
-use gsql_core::{stdlib, Engine, ErrorKind, QueryOutput, ResourceReport};
+use gsql_core::{stdlib, Engine, ErrorKind, PathSemantics, QueryOutput, ResourceReport};
 use ldbc_snb::{generate, queries, SnbParams};
 use pgraph::generators::{diamond_chain, erdos_renyi, random_sales_graph};
 use pgraph::value::Value;
@@ -78,13 +78,29 @@ fn grouping_workload_is_thread_count_invariant() {
 
 #[test]
 fn qn_counting_is_thread_count_invariant() {
-    let (g, _) = diamond_chain(30);
+    // The counting kernel on a long chain, and the path-materializing
+    // enumerative kernel on a short one.
     let q = stdlib::qn("V", "E");
-    let args = [("srcName", Value::from("v0")), ("tgtName", Value::from("v30"))];
-    let reference = Engine::new(&g).with_parallelism(1).run_text(&q, &args).unwrap();
-    for threads in [2usize, 8] {
-        let out = Engine::new(&g).with_parallelism(threads).run_text(&q, &args).unwrap();
-        assert_identical(&reference, &out, &format!("Qn threads={threads}"));
+    for (n, semantics) in [
+        (30, PathSemantics::AllShortestPaths),
+        (14, PathSemantics::AllShortestPathsEnumerate),
+    ] {
+        let (g, _) = diamond_chain(n);
+        let args = [
+            ("srcName", Value::from("v0")),
+            ("tgtName", Value::from(format!("v{n}"))),
+        ];
+        let engine = |threads| {
+            Engine::new(&g)
+                .with_semantics(semantics)
+                .with_parallelism(threads)
+        };
+        let reference = engine(1).run_text(&q, &args).unwrap();
+        for threads in [2usize, 8] {
+            let out = engine(threads).run_text(&q, &args).unwrap();
+            let label = format!("Qn {semantics:?} threads={threads}");
+            assert_identical(&reference, &out, &label);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //!   rows reaching the same target (`ic3`'s `MsgIn>` → `Country`), an
 //!   anchored target, a vertex-set target, a wildcard hop, a table
 //!   output and a Kleene hop — byte-identical at parallelism {1, 4} ×
-//!   shards {1, 4} × morsel size {1, 1024}.
+//!   morsel size {1, 1024}.
 //! * A conjunct that fails on a vertex the hop reaches fails the query;
 //!   one that would fail only on a vertex the hop never reaches does not,
 //!   because a single-edge hop tests the conjunct where it reaches a
@@ -22,7 +22,6 @@ use gsql_core::{Engine, ErrorKind, QueryOutput};
 use ldbc_snb::{generate, queries, SnbParams};
 use pgraph::datetime::to_epoch;
 use pgraph::graph::{Graph, GraphBuilder, VertexId};
-use pgraph::shard::{ShardSpec, ShardedGraph};
 use pgraph::value::Value;
 use std::path::PathBuf;
 
@@ -232,22 +231,14 @@ fn render_all<'g>(g: &'g Graph, configure: impl Fn(Engine<'g>) -> Engine<'g>) ->
 }
 
 #[test]
-fn target_anchors_are_golden_at_any_parallelism_shards_and_morsel_size() {
+fn target_anchors_are_golden_at_any_parallelism_and_morsel_size() {
     let g = generate(SnbParams::new(0.05, 2024));
     let reference = render_all(&g, |e| e.with_parallelism(1).with_morsel_size(1024));
     check_golden("target_anchor.txt", &reference);
-    for shards in [1usize, 4] {
-        let sharded = ShardedGraph::build(&g, ShardSpec::hash(shards));
-        for par in [1usize, 4] {
-            for morsel in [1usize, 1024] {
-                let out = render_all(&g, |e| {
-                    e.with_parallelism(par).with_morsel_size(morsel).with_sharding(&sharded)
-                });
-                assert!(
-                    out == reference,
-                    "shards={shards} parallelism={par} morsel={morsel}: output diverged"
-                );
-            }
+    for par in [1usize, 4] {
+        for morsel in [1usize, 1024] {
+            let out = render_all(&g, |e| e.with_parallelism(par).with_morsel_size(morsel));
+            assert!(out == reference, "parallelism={par} morsel={morsel}: output diverged");
         }
     }
 }

@@ -27,11 +27,9 @@ SOURCES = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 REQUIRED_EDGES = [
     ("README.md", "docs/EXECUTION.md"),
     ("docs/PLAN_FORMAT.md", "EXECUTION.md"),
-    ("docs/SHARDING.md", "EXECUTION.md"),
     ("docs/DURABILITY.md", "EXECUTION.md"),
     ("docs/LINTS.md", "EXECUTION.md"),
     ("docs/EXECUTION.md", "PLAN_FORMAT.md"),
-    ("docs/EXECUTION.md", "SHARDING.md"),
     ("docs/EXECUTION.md", "DURABILITY.md"),
     ("docs/EXECUTION.md", "LINTS.md"),
 ]
