@@ -12,15 +12,185 @@ use crate::user::{UserAccum, UserAccumRegistry};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::FxHashMap;
 use pgraph::value::{MemSize, Value, ValueType};
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::{btree_map, hash_map, BTreeMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A `GroupByAccum`'s group table: key tuple → the group's nested
+/// A `GroupByAccum`'s group table: key fields → the group's nested
 /// accumulators. Hashed (`Value`'s `Hash` agrees with its `Eq`); the
 /// group order becomes visible only in [`Accum::value`], which sorts by
 /// key.
-pub type GroupTable = FxHashMap<Value, Vec<Accum>>;
+pub type GroupTable = FxHashMap<GroupKey, Vec<Accum>>;
+
+/// One accumulator input. Probes — a group or map lookup, a heap's rank
+/// test, a set's membership search — read it in place; an accumulator
+/// copies only what it keeps, moving an owned input and cloning a
+/// borrowed one.
+#[derive(Debug, Clone)]
+pub enum Input<'a> {
+    /// One value, owned or borrowed.
+    Value(Cow<'a, Value>),
+    /// A tuple given field by field — an ACCUM `(k1, .. -> a1, ..)`
+    /// emission. A `GroupByAccum` or `MapAccum` splits it into a key and
+    /// per-nested-accumulator inputs without building it; any other
+    /// accumulator receives it as one [`Value::Tuple`].
+    Tuple(Vec<Cow<'a, Value>>),
+}
+
+impl<'a> Input<'a> {
+    /// The input as one owned value (a field-wise tuple becomes a
+    /// [`Value::Tuple`]).
+    pub fn into_value(self) -> Value {
+        self.into_cow().into_owned()
+    }
+
+    /// The input with everything it borrows copied, so it can outlive
+    /// what it borrowed from (a field-wise tuple stays field-wise).
+    pub fn into_owned(self) -> Input<'static> {
+        match self {
+            Input::Value(v) => Input::Value(Cow::Owned(v.into_owned())),
+            Input::Tuple(fields) => {
+                Input::Tuple(fields.into_iter().map(|f| Cow::Owned(f.into_owned())).collect())
+            }
+        }
+    }
+
+    /// The input as one value, still borrowed if it was.
+    fn into_cow(self) -> Cow<'a, Value> {
+        match self {
+            Input::Value(v) => v,
+            Input::Tuple(fields) => {
+                Cow::Owned(Value::Tuple(fields.into_iter().map(Cow::into_owned).collect()))
+            }
+        }
+    }
+
+    /// The input when it is one value; `None` for a field-wise tuple.
+    fn scalar(&self) -> Option<&Value> {
+        match self {
+            Input::Value(v) => Some(v),
+            Input::Tuple(_) => None,
+        }
+    }
+
+    /// The fields of a tuple input (an owned tuple gives its fields up);
+    /// any other input comes back as the value it is.
+    fn into_fields(self) -> Result<Vec<Cow<'a, Value>>, Value> {
+        match self {
+            Input::Tuple(fields) => Ok(fields),
+            Input::Value(Cow::Owned(Value::Tuple(xs))) => Ok(xs.into_iter().map(Cow::Owned).collect()),
+            Input::Value(Cow::Borrowed(Value::Tuple(xs))) => Ok(xs.iter().map(Cow::Borrowed).collect()),
+            Input::Value(other) => Err(other.into_owned()),
+        }
+    }
+}
+
+impl From<Value> for Input<'_> {
+    fn from(v: Value) -> Self {
+        Input::Value(Cow::Owned(v))
+    }
+}
+
+impl<'a> From<&'a Value> for Input<'a> {
+    fn from(v: &'a Value) -> Self {
+        Input::Value(Cow::Borrowed(v))
+    }
+}
+
+impl<'a> From<Cow<'a, Value>> for Input<'a> {
+    fn from(v: Cow<'a, Value>) -> Self {
+        Input::Value(v)
+    }
+}
+
+/// A group key's fields, however they are held: a stored [`GroupKey`] or
+/// a probe borrowing an input's fields. A [`GroupTable`] hashes and
+/// compares keys through this view, so a probe finds its group without
+/// building an owned key.
+pub trait KeyFields {
+    /// Number of key fields.
+    fn arity(&self) -> usize;
+    /// Key field `i` (`i < arity()`).
+    fn field(&self, i: usize) -> &Value;
+}
+
+impl Hash for dyn KeyFields + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.arity());
+        for i in 0..self.arity() {
+            self.field(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for dyn KeyFields + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && (0..self.arity()).all(|i| self.field(i) == other.field(i))
+    }
+}
+
+impl Eq for dyn KeyFields + '_ {}
+
+/// A `GroupByAccum` group's key as stored: its fields, owned. It renders
+/// as the [`Value::Tuple`] of its fields and is charged as one.
+#[derive(Debug, Clone)]
+pub struct GroupKey(Vec<Value>);
+
+impl GroupKey {
+    /// The key's fields, in declaration order.
+    pub fn fields(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+impl KeyFields for GroupKey {
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
+
+impl Hash for GroupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyFields).hash(state)
+    }
+}
+
+impl PartialEq for GroupKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for GroupKey {}
+
+impl<'a> Borrow<dyn KeyFields + 'a> for GroupKey {
+    fn borrow(&self) -> &(dyn KeyFields + 'a) {
+        self
+    }
+}
+
+impl MemSize for GroupKey {
+    fn estimated_bytes(&self) -> usize {
+        std::mem::size_of::<Value>() + content_bytes(&self.0)
+    }
+}
+
+/// A lookup key borrowing an input's leading fields.
+struct KeyProbe<'s, 'a>(&'s [Cow<'a, Value>]);
+
+impl KeyFields for KeyProbe<'_, '_> {
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
 
 /// Errors from accumulator operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,83 +428,66 @@ impl Accum {
         }
     }
 
-    /// The combiner `⊕` — folds one input into the internal value.
-    pub fn combine(&mut self, input: Value, registry: &UserAccumRegistry) -> Result<(), AccumError> {
+    /// The combiner `⊕` — folds one input into the internal value. The
+    /// input is read in place; only what the accumulator keeps is copied
+    /// (see [`Input`]).
+    pub fn combine<'a>(
+        &mut self,
+        input: impl Into<Input<'a>>,
+        registry: &UserAccumRegistry,
+    ) -> Result<(), AccumError> {
+        let input = input.into();
         match self {
-            Accum::SumInt(v) => {
-                let x = input.as_i64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "integer",
-                    got: input.clone(),
-                })?;
-                *v = v.wrapping_add(x);
-            }
-            Accum::SumDouble(v) => {
-                let x = input.as_f64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "numeric",
-                    got: input.clone(),
-                })?;
-                *v += x;
-            }
-            Accum::SumStr(v) => match input {
-                Value::Str(s) => v.push_str(&s),
-                other => {
-                    return Err(AccumError::TypeMismatch { expected: "string", got: other })
+            Accum::SumInt(v) => *v = v.wrapping_add(scalar(input, "integer", Value::as_i64)?),
+            Accum::SumDouble(v) => *v += scalar(input, "numeric", Value::as_f64)?,
+            Accum::SumStr(v) => match input.scalar() {
+                Some(Value::Str(s)) => v.push_str(s),
+                _ => {
+                    return Err(AccumError::TypeMismatch {
+                        expected: "string",
+                        got: input.into_value(),
+                    })
                 }
             },
             Accum::Min(slot) => {
-                if slot.as_ref().is_none_or(|cur| input < *cur) {
-                    *slot = Some(input);
+                let input = input.into_cow();
+                if slot.as_ref().is_none_or(|cur| *input < *cur) {
+                    *slot = Some(input.into_owned());
                 }
             }
             Accum::Max(slot) => {
-                if slot.as_ref().is_none_or(|cur| input > *cur) {
-                    *slot = Some(input);
+                let input = input.into_cow();
+                if slot.as_ref().is_none_or(|cur| *input > *cur) {
+                    *slot = Some(input.into_owned());
                 }
             }
             Accum::Avg { sum, count } => {
-                let x = input.as_f64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "numeric",
-                    got: input.clone(),
-                })?;
-                *sum += x;
+                *sum += scalar(input, "numeric", Value::as_f64)?;
                 *count += 1;
             }
-            Accum::Or(v) => {
-                let b = input.as_bool().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "boolean",
-                    got: input.clone(),
-                })?;
-                *v |= b;
-            }
-            Accum::And(v) => {
-                let b = input.as_bool().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "boolean",
-                    got: input.clone(),
-                })?;
-                *v &= b;
-            }
-            Accum::Set { items, bytes } => set_insert(items, bytes, input),
-            Accum::Bag { counts, bytes } => bag_slot(counts, bytes, input).add_u64(1),
+            Accum::Or(v) => *v |= scalar(input, "boolean", Value::as_bool)?,
+            Accum::And(v) => *v &= scalar(input, "boolean", Value::as_bool)?,
+            Accum::Set { items, bytes } => set_insert(items, bytes, input.into_cow()),
+            Accum::Bag { counts, bytes } => bag_add(counts, bytes, input.into_cow(), |c| c.add_u64(1)),
             Accum::List { items, bytes } | Accum::Array { items, bytes } => {
+                let input = input.into_value();
                 *bytes += input.estimated_bytes();
                 items.push(input);
             }
             Accum::Map { entries, value_type, bytes } => {
                 let (k, v) = split_map_input(input)?;
-                let nested = map_slot(entries, bytes, k, value_type, registry)?;
-                tracked(bytes, std::slice::from_mut(nested), |n| n[0].combine(v, registry))?;
+                map_apply(entries, bytes, k, value_type, registry, |n| n.combine(v, registry))?;
             }
             Accum::Heap { capacity, fields, items, bytes } => {
-                heap_insert(items, bytes, input, fields, *capacity);
+                heap_insert(items, bytes, input.into_cow(), fields, *capacity);
             }
             Accum::GroupBy { key_arity, nested, groups, bytes } => {
-                let (key, vals) = split_groupby_input(input, *key_arity, nested.len())?;
-                let slot = group_slot(groups, bytes, key, nested, registry)?;
-                tracked(bytes, slot, |accs| {
-                    accs.iter_mut().zip(vals).try_for_each(|(a, v)| a.combine(v, registry))
+                let fields = split_groupby_input(input, *key_arity, nested.len())?;
+                group_apply(groups, bytes, fields, *key_arity, nested, registry, |a, v| {
+                    a.combine(v, registry)
                 })?;
             }
-            Accum::User(u) => u.combine(input)?,
+            Accum::User(u) => u.combine(input.into_value())?,
         }
         Ok(())
     }
@@ -350,12 +503,13 @@ impl Accum {
     /// * order-dependent accumulators fall back to literal expansion up
     ///   to `EXPANSION_CAP` (2^20), erroring beyond (outside the
     ///   tractable class).
-    pub fn combine_with_multiplicity(
+    pub fn combine_with_multiplicity<'a>(
         &mut self,
-        input: Value,
+        input: impl Into<Input<'a>>,
         mult: &BigCount,
         registry: &UserAccumRegistry,
     ) -> Result<(), AccumError> {
+        let input = input.into();
         if mult.is_zero() {
             return Ok(());
         }
@@ -372,16 +526,14 @@ impl Accum {
             Accum::Heap { capacity, .. } => {
                 let copies = BigCount::from(*capacity as u64).min(mult.clone());
                 let copies = copies.to_u64().unwrap_or(*capacity as u64);
+                let input = input.into_cow();
                 for _ in 0..copies {
-                    self.combine(input.clone(), registry)?;
+                    self.combine(&*input, registry)?;
                 }
                 Ok(())
             }
             Accum::SumInt(v) => {
-                let x = input.as_i64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "integer",
-                    got: input.clone(),
-                })?;
+                let x = scalar(input, "integer", Value::as_i64)?;
                 let m = mult.to_i64().ok_or_else(|| AccumError::MultiplicityOverflow {
                     accum: "SumAccum<INT>".into(),
                     multiplicity: mult.to_string(),
@@ -390,18 +542,11 @@ impl Accum {
                 Ok(())
             }
             Accum::SumDouble(v) => {
-                let x = input.as_f64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "numeric",
-                    got: input.clone(),
-                })?;
-                *v += x * mult.to_f64();
+                *v += scalar(input, "numeric", Value::as_f64)? * mult.to_f64();
                 Ok(())
             }
             Accum::Avg { sum, count } => {
-                let x = input.as_f64().ok_or_else(|| AccumError::TypeMismatch {
-                    expected: "numeric",
-                    got: input.clone(),
-                })?;
+                let x = scalar(input, "numeric", Value::as_f64)?;
                 let m = mult.to_u64().ok_or_else(|| AccumError::MultiplicityOverflow {
                     accum: "AvgAccum".into(),
                     multiplicity: mult.to_string(),
@@ -411,23 +556,19 @@ impl Accum {
                 Ok(())
             }
             Accum::Bag { counts, bytes } => {
-                bag_slot(counts, bytes, input).add_assign(mult);
+                bag_add(counts, bytes, input.into_cow(), |c| c.add_assign(mult));
                 Ok(())
             }
             Accum::Map { entries, value_type, bytes } => {
                 let (k, v) = split_map_input(input)?;
-                let nested = map_slot(entries, bytes, k, value_type, registry)?;
-                tracked(bytes, std::slice::from_mut(nested), |n| {
-                    n[0].combine_with_multiplicity(v, mult, registry)
+                map_apply(entries, bytes, k, value_type, registry, |n| {
+                    n.combine_with_multiplicity(v, mult, registry)
                 })
             }
             Accum::GroupBy { key_arity, nested, groups, bytes } => {
-                let (key, vals) = split_groupby_input(input, *key_arity, nested.len())?;
-                let slot = group_slot(groups, bytes, key, nested, registry)?;
-                tracked(bytes, slot, |accs| {
-                    accs.iter_mut()
-                        .zip(vals)
-                        .try_for_each(|(a, v)| a.combine_with_multiplicity(v, mult, registry))
+                let fields = split_groupby_input(input, *key_arity, nested.len())?;
+                group_apply(groups, bytes, fields, *key_arity, nested, registry, |a, v| {
+                    a.combine_with_multiplicity(v, mult, registry)
                 })
             }
             // Order-dependent: expand literally while tolerable.
@@ -435,8 +576,9 @@ impl Accum {
                 let name = self.kind_name();
                 match mult.to_u64() {
                     Some(m) if m <= EXPANSION_CAP => {
+                        let input = input.into_cow();
                         for _ in 0..m {
-                            self.combine(input.clone(), registry)?;
+                            self.combine(&*input, registry)?;
                         }
                         Ok(())
                     }
@@ -494,12 +636,12 @@ impl Accum {
             (Accum::And(a), Accum::And(b)) => *a &= b,
             (Accum::Set { items, bytes }, Accum::Set { items: other, .. }) => {
                 for v in other {
-                    set_insert(items, bytes, v);
+                    set_insert(items, bytes, Cow::Owned(v));
                 }
             }
             (Accum::Bag { counts, bytes }, Accum::Bag { counts: other, .. }) => {
                 for (k, c) in other {
-                    bag_slot(counts, bytes, k).add_assign(&c);
+                    bag_add(counts, bytes, Cow::Owned(k), |n| n.add_assign(&c));
                 }
             }
             (Accum::List { items, bytes }, Accum::List { items: other, bytes: b })
@@ -532,7 +674,7 @@ impl Accum {
                 Accum::Heap { items: other, .. },
             ) => {
                 for v in other {
-                    heap_insert(items, bytes, v, fields, *capacity);
+                    heap_insert(items, bytes, Cow::Owned(v), fields, *capacity);
                 }
             }
             (
@@ -619,10 +761,10 @@ impl Accum {
                 match value {
                     Value::Set(xs) | Value::List(xs) => {
                         for x in xs {
-                            bag_slot(counts, bytes, x).add_u64(1);
+                            bag_add(counts, bytes, Cow::Owned(x), |c| c.add_u64(1));
                         }
                     }
-                    other => bag_slot(counts, bytes, other).add_u64(1),
+                    other => bag_add(counts, bytes, Cow::Owned(other), |c| c.add_u64(1)),
                 }
             }
             Accum::List { items, bytes } | Accum::Array { items, bytes } => {
@@ -709,13 +851,14 @@ impl Accum {
             Accum::GroupBy { groups, .. } => {
                 // The one place the group order is observable: ascending
                 // key, as a `Value::Map` always is.
-                let mut by_key: Vec<(&Value, &Vec<Accum>)> = groups.iter().collect();
-                by_key.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                let mut by_key: Vec<(&GroupKey, &Vec<Accum>)> = groups.iter().collect();
+                by_key.sort_unstable_by(|a, b| a.0.fields().cmp(b.0.fields()));
                 Value::Map(
                     by_key
                         .into_iter()
                         .map(|(k, accs)| {
-                            (k.clone(), Value::Tuple(accs.iter().map(Accum::value).collect()))
+                            let key = Value::Tuple(k.fields().to_vec());
+                            (key, Value::Tuple(accs.iter().map(Accum::value).collect()))
                         })
                         .collect(),
                 )
@@ -747,36 +890,41 @@ impl Accum {
     }
 }
 
-/// Splits a `MapAccum` input `(k -> v)`, encoded as a 2-tuple.
-fn split_map_input(input: Value) -> Result<(Value, Value), AccumError> {
-    match input {
-        Value::Tuple(mut xs) if xs.len() == 2 => {
-            let v = xs.pop().unwrap();
-            let k = xs.pop().unwrap();
-            Ok((k, v))
-        }
-        other => Err(AccumError::TypeMismatch { expected: "(key -> value) pair", got: other }),
+/// A scalar accumulator's input read through `view` (`as_i64`,
+/// `as_f64`, `as_bool`), or the type mismatch naming `expected`.
+fn scalar<T>(input: Input<'_>, expected: &'static str, view: fn(&Value) -> Option<T>) -> Result<T, AccumError> {
+    match input.scalar().and_then(view) {
+        Some(x) => Ok(x),
+        None => Err(AccumError::TypeMismatch { expected, got: input.into_value() }),
     }
 }
 
-/// Splits a `GroupByAccum` input `(k1..kn -> a1..am)`, encoded as an
+/// Splits a `MapAccum` input `(k -> v)`, a 2-tuple, into its key and
+/// value without copying either.
+fn split_map_input(input: Input<'_>) -> Result<(Cow<'_, Value>, Input<'_>), AccumError> {
+    let mismatch = |got| AccumError::TypeMismatch { expected: "(key -> value) pair", got };
+    match input.into_fields() {
+        Ok(mut xs) if xs.len() == 2 => {
+            let v = xs.pop().expect("two fields");
+            let k = xs.pop().expect("two fields");
+            Ok((k, Input::Value(v)))
+        }
+        Ok(xs) => Err(mismatch(Input::Tuple(xs).into_value())),
+        Err(other) => Err(mismatch(other)),
+    }
+}
+
+/// The fields of a `GroupByAccum` input `(k1..kn -> a1..am)`, an
 /// `(n+m)`-tuple.
 fn split_groupby_input(
-    input: Value,
+    input: Input<'_>,
     key_arity: usize,
     value_arity: usize,
-) -> Result<(Value, Vec<Value>), AccumError> {
-    match input {
-        Value::Tuple(xs) if xs.len() == key_arity + value_arity => {
-            let mut xs = xs;
-            let vals = xs.split_off(key_arity);
-            Ok((Value::Tuple(xs), vals))
-        }
-        Value::Tuple(xs) => Err(AccumError::ArityMismatch {
-            expected: key_arity + value_arity,
-            got: xs.len(),
-        }),
-        other => Err(AccumError::TypeMismatch { expected: "group-by tuple", got: other }),
+) -> Result<Vec<Cow<'_, Value>>, AccumError> {
+    match input.into_fields() {
+        Ok(xs) if xs.len() == key_arity + value_arity => Ok(xs),
+        Ok(xs) => Err(AccumError::ArityMismatch { expected: key_arity + value_arity, got: xs.len() }),
+        Err(other) => Err(AccumError::TypeMismatch { expected: "group-by tuple", got: other }),
     }
 }
 
@@ -805,14 +953,15 @@ fn heap_cmp(a: &Value, b: &Value, fields: &[HeapField]) -> Ordering {
 }
 
 /// Inserts `input` into the sorted, capacity-bounded `items`, keeping
-/// `bytes` in step. An input that ranks strictly below the last item of
-/// a full heap would only be inserted at the end and truncated again, so
-/// it is rejected before the search; ties still take the search, which
-/// keeps the tie order of the plain sort-insert.
+/// `bytes` in step. The candidate is ranked where it lies and copied
+/// only once it makes the cut: an input that ranks strictly below the
+/// last item of a full heap would only be inserted at the end and
+/// truncated again, so it is rejected before the search; ties still take
+/// the search, which keeps the tie order of the plain sort-insert.
 fn heap_insert(
     items: &mut Vec<Value>,
     bytes: &mut usize,
-    input: Value,
+    input: Cow<'_, Value>,
     fields: &[HeapField],
     capacity: usize,
 ) {
@@ -824,6 +973,7 @@ fn heap_insert(
     let pos = items
         .binary_search_by(|probe| heap_cmp(probe, &input, fields))
         .unwrap_or_else(|p| p);
+    let input = input.into_owned();
     *bytes += input.estimated_bytes();
     items.insert(pos, input);
     if items.len() > capacity {
@@ -838,67 +988,81 @@ fn content_bytes(items: &[Value]) -> usize {
     items.iter().map(MemSize::estimated_bytes).sum()
 }
 
-/// Inserts `v` into the sorted, deduplicated `items` of a set.
-fn set_insert(items: &mut Vec<Value>, bytes: &mut usize, v: Value) {
+/// Inserts `v` into the sorted, deduplicated `items` of a set, copying
+/// it only when it is new.
+fn set_insert(items: &mut Vec<Value>, bytes: &mut usize, v: Cow<'_, Value>) {
     if let Err(pos) = items.binary_search(&v) {
+        let v = v.into_owned();
         *bytes += v.estimated_bytes();
         items.insert(pos, v);
     }
 }
 
-/// The count cell of bag element `v`, created at zero on first touch.
-fn bag_slot<'a>(
-    counts: &'a mut BTreeMap<Value, BigCount>,
+/// Runs `add` on the count cell of bag element `v`, created at zero
+/// (and `v` copied) on first touch.
+fn bag_add(
+    counts: &mut BTreeMap<Value, BigCount>,
     bytes: &mut usize,
-    v: Value,
-) -> &'a mut BigCount {
-    match counts.entry(v) {
-        btree_map::Entry::Occupied(e) => e.into_mut(),
-        btree_map::Entry::Vacant(e) => {
-            *bytes += e.key().estimated_bytes() + std::mem::size_of::<BigCount>();
-            e.insert(BigCount::zero())
-        }
+    v: Cow<'_, Value>,
+    add: impl FnOnce(&mut BigCount),
+) {
+    if let Some(c) = counts.get_mut(&*v) {
+        return add(c);
     }
+    let v = v.into_owned();
+    *bytes += v.estimated_bytes() + std::mem::size_of::<BigCount>();
+    add(counts.entry(v).or_insert_with(BigCount::zero));
 }
 
-/// The nested accumulator of map key `k`, created neutral on first touch.
-fn map_slot<'a>(
-    entries: &'a mut BTreeMap<Value, Accum>,
+/// Runs `f` on the nested accumulator of map key `k`, created neutral
+/// (and `k` copied) on first touch, keeping `bytes` in step.
+fn map_apply(
+    entries: &mut BTreeMap<Value, Accum>,
     bytes: &mut usize,
-    k: Value,
+    k: Cow<'_, Value>,
     value_type: &AccumType,
     registry: &UserAccumRegistry,
-) -> Result<&'a mut Accum, AccumError> {
-    Ok(match entries.entry(k) {
-        btree_map::Entry::Occupied(e) => e.into_mut(),
-        btree_map::Entry::Vacant(e) => {
-            let fresh = Accum::new(value_type, registry)?;
-            *bytes += e.key().estimated_bytes() + fresh.estimated_bytes();
-            e.insert(fresh)
-        }
-    })
+    f: impl FnOnce(&mut Accum) -> Result<(), AccumError>,
+) -> Result<(), AccumError> {
+    if let Some(n) = entries.get_mut(&*k) {
+        return tracked(bytes, std::slice::from_mut(n), |n| f(&mut n[0]));
+    }
+    let fresh = Accum::new(value_type, registry)?;
+    let k = k.into_owned();
+    *bytes += k.estimated_bytes() + fresh.estimated_bytes();
+    let n = entries.entry(k).or_insert(fresh);
+    tracked(bytes, std::slice::from_mut(n), |n| f(&mut n[0]))
 }
 
-/// The nested accumulators of group `key`, created neutral on first touch.
-fn group_slot<'a>(
-    groups: &'a mut GroupTable,
+/// Runs `f` on each nested accumulator of the group keyed by the first
+/// `key_arity` of `fields`, with the remaining fields as inputs. The
+/// group is found by a borrowed probe; a new group (neutral nested
+/// accumulators) is the only place a key is copied.
+fn group_apply(
+    groups: &mut GroupTable,
     bytes: &mut usize,
-    key: Value,
+    mut fields: Vec<Cow<'_, Value>>,
+    key_arity: usize,
     nested: &[AccumType],
     registry: &UserAccumRegistry,
-) -> Result<&'a mut Vec<Accum>, AccumError> {
-    Ok(match groups.entry(key) {
-        hash_map::Entry::Occupied(e) => e.into_mut(),
-        hash_map::Entry::Vacant(e) => {
-            let fresh = nested
-                .iter()
-                .map(|ty| Accum::new(ty, registry))
-                .collect::<Result<Vec<_>, _>>()?;
-            *bytes += e.key().estimated_bytes()
-                + fresh.iter().map(Accum::estimated_bytes).sum::<usize>();
-            e.insert(fresh)
-        }
-    })
+    f: impl Fn(&mut Accum, Input<'_>) -> Result<(), AccumError>,
+) -> Result<(), AccumError> {
+    let fold = |accs: &mut [Accum], vals: std::vec::Drain<'_, Cow<'_, Value>>| {
+        accs.iter_mut().zip(vals).try_for_each(|(a, v)| f(a, Input::Value(v)))
+    };
+    let probe = KeyProbe(&fields[..key_arity]);
+    if let Some(accs) = groups.get_mut(&probe as &dyn KeyFields) {
+        return tracked(bytes, accs, |accs| fold(accs, fields.drain(key_arity..)));
+    }
+    let mut fresh = nested
+        .iter()
+        .map(|ty| Accum::new(ty, registry))
+        .collect::<Result<Vec<_>, _>>()?;
+    let key = GroupKey(fields.drain(..key_arity).map(Cow::into_owned).collect());
+    *bytes += key.estimated_bytes() + fresh.iter().map(Accum::estimated_bytes).sum::<usize>();
+    let out = tracked(bytes, &mut fresh, |accs| fold(accs, fields.drain(..)));
+    groups.insert(key, fresh);
+    out
 }
 
 /// Runs `f` over nested accumulators and moves their container's cached

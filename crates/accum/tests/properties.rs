@@ -10,13 +10,17 @@
 //!   algorithms they replaced: heaps with the sort-insert (ties with
 //!   distinguishing payloads included), hashed group tables with a
 //!   `BTreeMap`, the cached footprint with a full recount, and `size()`
-//!   with the length of `value()`.
+//!   with the length of `value()`;
+//! * an input lent by reference or field by field (borrowed group
+//!   probes, heap candidates ranked in place) leaves exactly the state an
+//!   owned input leaves.
 
 use accum::types::{HeapField, SortDir};
-use accum::{Accum, AccumType, UserAccumRegistry};
+use accum::{Accum, AccumType, Input, UserAccumRegistry};
 use pgraph::bigcount::BigCount;
 use pgraph::value::{MemSize, Value, ValueType};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -484,5 +488,89 @@ proptest! {
                 prop_assert_eq!(a.size(), len, "{} size() after {}", ty, what);
             }
         }
+    }
+
+    /// Borrowed and field-wise inputs — a group found by a borrowed key
+    /// probe, a heap candidate ranked in place and copied only when it
+    /// makes the cut — give the owned input's state, `size()` and cached
+    /// bytes, and both match the `BTreeMap` group table and the plain
+    /// heap sort-insert, with ties on both sort fields and
+    /// multiplicities above one.
+    #[test]
+    fn borrowed_probes_match_owned_input_and_references(
+        xs in prop::collection::vec((0u64..12, 0i64..3, 0i64..2, 0i64..1000, 1u64..4), 0..60),
+        cap in 1usize..5,
+    ) {
+        let r = reg();
+        let fields = vec![
+            HeapField { index: 0, dir: SortDir::Desc },
+            HeapField { index: 1, dir: SortDir::Asc },
+        ];
+        let heap = AccumType::Heap { capacity: cap, fields: fields.clone() };
+        let nested = vec![heap.clone(), AccumType::Sum(ValueType::Int), AccumType::Bag];
+        let group_by = AccumType::GroupBy { key_arity: 1, nested: nested.clone() };
+        let tuple = |&(_, a, b, payload, _): &(u64, i64, i64, i64, u64)| {
+            Value::Tuple(vec![Value::Int(a), Value::Int(b), Value::Int(payload)])
+        };
+        // Inputs are clones, so their strings carry no spare capacity and
+        // an owned copy is charged exactly like a cloned borrow.
+        let group_input = |x: &(u64, i64, i64, i64, u64)| {
+            Value::Tuple(vec![tricky_key(x.0), tuple(x), Value::Int(x.1), Value::Int(x.2)]).clone()
+        };
+        for (ty, input) in [
+            (&heap, &tuple as &dyn Fn(&(u64, i64, i64, i64, u64)) -> Value),
+            (&group_by, &group_input as &dyn Fn(&(u64, i64, i64, i64, u64)) -> Value),
+        ] {
+            let mut owned = Accum::new(ty, &r).unwrap();
+            let mut borrowed = Accum::new(ty, &r).unwrap();
+            let mut fieldwise = Accum::new(ty, &r).unwrap();
+            for x in &xs {
+                let v = input(x);
+                let mu = BigCount::from(x.4);
+                owned.combine_with_multiplicity(v.clone(), &mu, &r).unwrap();
+                borrowed.combine_with_multiplicity(&v, &mu, &r).unwrap();
+                let Value::Tuple(parts) = &v else { unreachable!("tuple inputs") };
+                let lent = Input::Tuple(parts.iter().map(Cow::Borrowed).collect());
+                fieldwise.combine_with_multiplicity(lent, &mu, &r).unwrap();
+            }
+            for other in [&borrowed, &fieldwise] {
+                prop_assert_eq!(other.value().to_string(), owned.value().to_string(), "{}", ty);
+                prop_assert_eq!(other.size(), owned.size(), "{} size()", ty);
+                prop_assert_eq!(other.estimated_bytes(), owned.estimated_bytes(), "{} bytes", ty);
+                prop_assert_eq!(other.estimated_bytes(), recount(other), "{} recount", ty);
+            }
+        }
+
+        // The references, fed the same inputs with the same multiplicities.
+        let mut ref_heap = Vec::new();
+        let mut ref_groups: BTreeMap<Value, Vec<Accum>> = BTreeMap::new();
+        for x in &xs {
+            for _ in 0..x.4.min(cap as u64) {
+                ref_heap_insert(&mut ref_heap, tuple(x), &fields, cap);
+            }
+            let Value::Tuple(mut parts) = group_input(x) else { unreachable!() };
+            let vals = parts.split_off(1);
+            let slot = ref_groups
+                .entry(Value::Tuple(parts))
+                .or_insert_with(|| nested.iter().map(|t| Accum::new(t, &r).unwrap()).collect());
+            for (a, v) in slot.iter_mut().zip(vals) {
+                a.combine_with_multiplicity(v, &BigCount::from(x.4), &r).unwrap();
+            }
+        }
+        let mut h = Accum::new(&heap, &r).unwrap();
+        let mut g = Accum::new(&group_by, &r).unwrap();
+        for x in &xs {
+            h.combine_with_multiplicity(tuple(x), &BigCount::from(x.4), &r).unwrap();
+            g.combine_with_multiplicity(group_input(x), &BigCount::from(x.4), &r).unwrap();
+        }
+        prop_assert_eq!(h.value().to_string(), Value::List(ref_heap).to_string());
+        let rendered = Value::Map(
+            ref_groups
+                .iter()
+                .map(|(k, accs)| (k.clone(), Value::Tuple(accs.iter().map(Accum::value).collect())))
+                .collect(),
+        );
+        prop_assert_eq!(g.value().to_string(), rendered.to_string());
+        prop_assert_eq!(g.size(), Some(ref_groups.len()));
     }
 }

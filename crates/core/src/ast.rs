@@ -532,7 +532,7 @@ pub enum BinOp {
 
 impl Expr {
     /// Walks the expression tree, applying `f` to every node.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn walk<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
         f(self);
         match self {
             Expr::Call { args, .. } | Expr::Tuple(args) => {

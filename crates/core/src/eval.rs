@@ -1,22 +1,45 @@
-//! Expression evaluation.
+//! Expression binding and evaluation.
 //!
-//! GSQL expressions are evaluated against an [`Env`] that layers (from
-//! innermost to outermost): ACCUM-local variables, the current binding
-//! row, statement-level locals (`FOREACH` variables), query parameters,
-//! and the accumulator stores. Vertex accumulator reads `v.@a` see the
-//! live store; `v.@a'` sees the snapshot taken at the start of the
-//! current query block (paper Section 5, PageRank's previous-iteration
-//! score).
+//! An expression runs in two steps. [`Binder::bind`] lowers an [`Expr`]
+//! once per block execution into a [`BExpr`] whose leaves are slots, so
+//! every name is resolved there and nowhere else, with the precedence
+//! ACCUM local > binding-row variable > statement local (`FOREACH`) >
+//! query parameter > vertex set:
+//!
+//! * a row column index ([`BExpr::Col`]) or an ACCUM-local slot
+//!   ([`BExpr::Local`]);
+//! * a constant for parameters, statement locals and vertex sets, which
+//!   cannot change within a block;
+//! * an accumulator store id — `v.@a` reads the live store, `v.@a'` the
+//!   snapshot taken at the start of the current query block (paper
+//!   Section 5, PageRank's previous-iteration score);
+//! * an attribute with a per-vertex-type (and per-edge-type, per-table)
+//!   index table, a builtin enum, a resolved edge type for `outdegree`;
+//! * an aggregate or group-key slot in grouped SELECT output.
+//!
+//! A name the binder cannot resolve becomes a [`BExpr::Fail`] leaf that
+//! raises the runtime error when, and only when, it is evaluated.
+//!
+//! [`Eval::eval`] then evaluates the bound tree against one row with no
+//! name lookups. Inside an ACCUM or POST_ACCUM clause the binder also
+//! numbers values ([`Binder::clause`]): structurally identical subtrees
+//! share a register, computed at its first use in a row and reused for
+//! the rest of that row.
 
-use crate::ast::{BinOp, Expr, UnOp};
+use crate::ast::{AccStmt, BinOp, Expr, UnOp};
 use crate::datetime;
 use crate::error::{Error, Result};
 use crate::table::Table;
-use accum::{Accum, AccumType, UserAccumRegistry};
+use accum::{Accum, AccumType, Input};
 use pgraph::fxhash::FxHashMap;
 use pgraph::graph::{EdgeId, Graph, VertexId};
+use pgraph::schema::ETypeId;
 use pgraph::value::Value;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// What a FROM-clause variable is bound to in one binding-table row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,26 +128,11 @@ impl VAccStore {
     }
 }
 
-/// One row of a binding table: variable bindings plus the row's
-/// multiplicity (the number of legal path combinations witnessing it —
-/// the compressed representation of Appendix A).
-#[derive(Debug, Clone)]
-pub struct BindingRow {
-    /// Variable bindings, positionally aligned with the block's variable
-    /// map.
-    pub bindings: Vec<Binding>,
-    /// Multiplicity: number of legal path combinations witnessing this
-    /// row.
-    pub mult: pgraph::bigcount::BigCount,
-}
-
 /// Where a row's bindings live: a contiguous row-major slice (single
 /// synthesized rows — PRINT projections, POST_ACCUM's per-vertex row,
-/// spec refinement) or one row of a column-major
+/// target conjuncts) or one row of a column-major
 /// [`MorselTable`](crate::morsel::MorselTable) chunk, addressed without
-/// materializing the row. Evaluation is storage-agnostic: batch
-/// evaluation over a morsel reuses the scalar evaluator with a
-/// `Columnar` cursor per row.
+/// materializing the row.
 #[derive(Clone, Copy)]
 pub enum Bindings<'a> {
     /// A contiguous slice holding one row's bindings.
@@ -148,260 +156,1215 @@ impl<'a> Bindings<'a> {
     }
 }
 
-/// Borrowed view of one row during evaluation.
+/// One row under evaluation: its bindings and the FROM tables that
+/// [`Binding::Row`] entries index.
 #[derive(Clone, Copy)]
-pub struct RowRef<'a> {
-    /// Variable name → position in `bindings`.
-    pub vars: &'a FxHashMap<String, usize>,
+pub struct Row<'a> {
     /// The row's bindings (row-major or columnar).
     pub bindings: Bindings<'a>,
     /// FROM-clause tables referenced by `Binding::Row`.
     pub tables: &'a [&'a Table],
 }
 
-/// Aggregate resolver used during grouped SELECT evaluation.
-pub type AggResolver<'a> = &'a dyn Fn(&Expr) -> Option<Value>;
+impl Row<'_> {
+    /// No bindings: statement-level expressions.
+    pub const EMPTY: Row<'static> = Row { bindings: Bindings::Row(&[]), tables: &[] };
+}
 
-/// The evaluation environment.
+/// The accumulator state a bound expression reads, indexed by the store
+/// ids the binder resolved.
 #[derive(Clone, Copy)]
-pub struct Env<'a> {
+pub struct Env<'a, 's> {
     /// The graph queried.
     pub graph: &'a Graph,
-    /// User-defined accumulator registry.
-    pub registry: &'a UserAccumRegistry,
-    /// Query parameter values.
-    pub params: &'a FxHashMap<String, Value>,
-    /// Statement-level locals (FOREACH variables).
-    pub locals: Option<&'a FxHashMap<String, Value>>,
-    /// The current binding row, if evaluating inside a block.
-    pub row: Option<RowRef<'a>>,
-    /// ACCUM-clause local declarations of the current acc-execution.
-    pub acc_locals: Option<&'a FxHashMap<String, Value>>,
-    /// Live vertex accumulator stores (`v.@a`).
-    pub vaccs: &'a FxHashMap<String, VAccStore>,
-    /// Pre-block snapshots (`v.@a'`) of the stores the query reads primed.
-    pub prev_vaccs: &'a FxHashMap<String, VAccStore>,
-    /// Live global accumulators (`@@a`).
-    pub gaccs: &'a FxHashMap<String, Accum>,
-    /// Named vertex sets in scope.
-    pub vsets: &'a FxHashMap<String, Vec<VertexId>>,
-    /// Aggregate resolver for SELECT/HAVING/ORDER BY over groups.
-    pub agg: Option<AggResolver<'a>>,
+    /// Live vertex accumulator stores (`v.@a`), by store id.
+    pub vaccs: &'s [VAccStore],
+    /// Pre-block snapshots (`v.@a'`) of the stores the query reads
+    /// primed, by store id (`None` for the others).
+    pub prev_vaccs: &'s [Option<VAccStore>],
+    /// Live global accumulators (`@@a`), by store id.
+    pub gaccs: &'s [Accum],
 }
 
-impl<'a> Env<'a> {
-    fn lookup_binding(&self, name: &str) -> Option<&'a Binding> {
-        let row = self.row.as_ref()?;
-        let idx = *row.vars.get(name)?;
-        row.bindings.get(idx)
-    }
+/// A vertex an expression names through a variable, resolved like
+/// `v.@a`, `v.attr` and `v.outdegree()` resolve it: a row column, else a
+/// statement local or parameter holding a vertex. ACCUM locals are not
+/// consulted.
+#[derive(Debug, Clone)]
+pub enum VSrc {
+    /// Row column `col`, bound to variable `var`.
+    Col {
+        /// Column index.
+        col: usize,
+        /// The variable, for error messages.
+        var: String,
+    },
+    /// A local or parameter holding this vertex.
+    Fixed(VertexId),
+    /// Nothing holds a vertex under this name.
+    Unbound(String),
+}
 
-    /// Resolves a bare identifier.
-    fn ident(&self, name: &str) -> Result<Value> {
-        if let Some(locals) = self.acc_locals {
-            if let Some(v) = locals.get(name) {
-                return Ok(v.clone());
-            }
-        }
-        if let Some(b) = self.lookup_binding(name) {
-            let tables = self
-                .row
-                .as_ref()
-                .ok_or_else(|| {
-                    Error::runtime(format!("`{name}` referenced outside a binding row"))
-                })?
-                .tables;
-            return Ok(b.to_value(tables));
-        }
-        if let Some(locals) = self.locals {
-            if let Some(v) = locals.get(name) {
-                return Ok(v.clone());
-            }
-        }
-        if let Some(v) = self.params.get(name) {
-            return Ok(v.clone());
-        }
-        if let Some(set) = self.vsets.get(name) {
-            return Ok(Value::new_set(set.iter().map(|v| Value::Vertex(*v)).collect()));
-        }
-        Err(Error::runtime(format!("unknown identifier `{name}`")))
+/// `base.field`: the base and the field's position per vertex type, edge
+/// type and FROM table.
+#[derive(Clone)]
+pub struct AttrRef {
+    base: VSrc,
+    field: String,
+    /// The field's position per vertex type, then per edge type
+    /// ([`pgraph::schema::Schema::attr_positions`]; `None`: no type has it).
+    types: Option<Arc<[Option<u32>]>>,
+    /// Where the edge-type entries of `types` start.
+    edges_at: usize,
+    /// The field's column per FROM table.
+    tables: Box<[Option<u32>]>,
+}
+
+/// The position tables follow from the field name, so the name stands
+/// for them (this is also the value-numbering key).
+impl std::fmt::Debug for AttrRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}.{}", self.base, self.field)
     }
 }
 
-/// Evaluates `expr` under `env`.
-pub fn eval(env: &Env, expr: &Expr) -> Result<Value> {
-    if let Some(agg) = env.agg {
-        if let Some(v) = agg(expr) {
-            return Ok(v);
+/// The edge-type argument of `outdegree`/`indegree`/`degree`.
+#[derive(Debug, Clone)]
+pub enum EdgeArg {
+    /// No argument: every edge type.
+    Any,
+    /// A literal or block-constant name, resolved at bind time.
+    Type(ETypeId),
+    /// A block-constant argument that fails when evaluated.
+    Bad(Error),
+    /// A row-dependent name, looked up per evaluation.
+    Dyn(Box<BExpr>),
+}
+
+/// Which degree a vertex-degree method counts.
+#[derive(Debug, Clone, Copy)]
+pub enum Degree {
+    /// `outdegree`.
+    Out,
+    /// `indegree`.
+    In,
+    /// `degree`.
+    All,
+}
+
+/// The accumulator behind `.size()`, read without building its value.
+#[derive(Debug, Clone)]
+pub enum AccSize {
+    /// `@@a.size()`.
+    G(usize),
+    /// `v.@a.size()` / `v.@a'.size()`.
+    V {
+        /// The vertex.
+        vertex: VSrc,
+        /// Store id.
+        store: usize,
+        /// Reads the pre-block snapshot.
+        prev: bool,
+    },
+}
+
+/// A collection method, by name.
+#[derive(Debug, Clone, Copy)]
+pub enum Method {
+    /// `.size()`.
+    Size,
+    /// `.contains(x)`.
+    Contains,
+    /// `.get(k)`.
+    Get,
+    /// Anything else: an error on evaluation.
+    Other,
+}
+
+/// A scalar builtin function, by name (matched case-insensitively).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Builtin {
+    /// `log` / `ln`.
+    Ln,
+    /// `log2`.
+    Log2,
+    /// `log10`.
+    Log10,
+    /// `exp`.
+    Exp,
+    /// `sqrt`.
+    Sqrt,
+    /// `abs`.
+    Abs,
+    /// `floor`.
+    Floor,
+    /// `ceil`.
+    Ceil,
+    /// `round`.
+    Round,
+    /// `pow`.
+    Pow,
+    /// Two-argument `min`.
+    Min,
+    /// Two-argument `max`.
+    Max,
+    /// `float` / `double`.
+    Float,
+    /// `int`.
+    Int,
+    /// `str` / `to_string`.
+    Str,
+    /// `lower`.
+    Lower,
+    /// `upper`.
+    Upper,
+    /// `length`.
+    Length,
+    /// `argmax`.
+    ArgMax,
+    /// `argmin`.
+    ArgMin,
+    /// `coalesce`.
+    Coalesce,
+    /// `year`.
+    Year,
+    /// `month`.
+    Month,
+    /// `day`.
+    Day,
+    /// `to_datetime`.
+    ToDatetime,
+    /// Not a builtin (the lower-cased name): an error once the arguments
+    /// are evaluated.
+    Unknown(String),
+}
+
+impl Builtin {
+    fn parse(lower: &str) -> Builtin {
+        match lower {
+            "log" | "ln" => Builtin::Ln,
+            "log2" => Builtin::Log2,
+            "log10" => Builtin::Log10,
+            "exp" => Builtin::Exp,
+            "sqrt" => Builtin::Sqrt,
+            "abs" => Builtin::Abs,
+            "floor" => Builtin::Floor,
+            "ceil" => Builtin::Ceil,
+            "round" => Builtin::Round,
+            "pow" => Builtin::Pow,
+            "min" => Builtin::Min,
+            "max" => Builtin::Max,
+            "float" | "double" => Builtin::Float,
+            "int" => Builtin::Int,
+            "str" | "to_string" => Builtin::Str,
+            "lower" => Builtin::Lower,
+            "upper" => Builtin::Upper,
+            "length" => Builtin::Length,
+            "argmax" => Builtin::ArgMax,
+            "argmin" => Builtin::ArgMin,
+            "coalesce" => Builtin::Coalesce,
+            "year" => Builtin::Year,
+            "month" => Builtin::Month,
+            "day" => Builtin::Day,
+            "to_datetime" => Builtin::ToDatetime,
+            other => Builtin::Unknown(other.to_string()),
         }
     }
-    match expr {
-        Expr::Null => Ok(Value::Null),
-        Expr::Int(v) => Ok(Value::Int(*v)),
-        Expr::Double(v) => Ok(Value::Double(*v)),
-        Expr::Str(s) => Ok(Value::Str(s.clone())),
-        Expr::Bool(b) => Ok(Value::Bool(*b)),
-        Expr::Ident(name) => env.ident(name),
-        Expr::Attr { base, field } => eval_attr(env, base, field),
-        Expr::VAcc { var, name, prev } => {
-            let v = resolve_vertex(env, var)?;
-            let stores = if *prev { env.prev_vaccs } else { env.vaccs };
-            let store = stores
-                .get(name)
-                .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@{name}`")))?;
-            Ok(store.value_at(v))
-        }
-        Expr::GAcc(name) => {
-            let acc = env
-                .gaccs
-                .get(name)
-                .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@@{name}`")))?;
-            Ok(acc.value())
-        }
-        Expr::Call { func, args, star } => eval_call(env, func, args, *star),
-        Expr::Method { base, method, args } => eval_method(env, base, method, args),
-        Expr::Unary { op, expr } => {
-            let v = eval(env, expr)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Double(d) => Ok(Value::Double(-d)),
-                    other => Err(Error::type_error("numeric", &other)),
-                },
-                UnOp::Not => match v {
-                    Value::Bool(b) => Ok(Value::Bool(!b)),
-                    other => Err(Error::type_error("boolean", &other)),
-                },
+}
+
+/// A bound expression: an [`Expr`] with every name resolved to a slot.
+#[derive(Debug, Clone)]
+pub enum BExpr {
+    /// A value fixed for the whole block: a literal, a parameter, a
+    /// statement local, a vertex set.
+    Const(Value),
+    /// The current row's column.
+    Col(usize),
+    /// An ACCUM-local slot (one per declaration).
+    Local(usize),
+    /// A value-numbered register of the clause ([`Program::regs`]).
+    Reg(usize),
+    /// `base.field`.
+    Attr(Box<AttrRef>),
+    /// `v.@name` / `v.@name'`.
+    VAcc {
+        /// The vertex.
+        vertex: VSrc,
+        /// Store id (`None`: undeclared).
+        store: Option<usize>,
+        /// Reads the pre-block snapshot.
+        prev: bool,
+        /// The accumulator, for error messages.
+        name: String,
+    },
+    /// `@@name`.
+    GAcc {
+        /// Store id (`None`: undeclared).
+        store: Option<usize>,
+        /// The accumulator, for error messages.
+        name: String,
+    },
+    /// A builtin call; `func` is the name as written.
+    Call {
+        /// The builtin.
+        f: Builtin,
+        /// The name as written, for error messages.
+        func: String,
+        /// Arguments.
+        args: Vec<BExpr>,
+    },
+    /// `v.outdegree(..)`, `v.indegree(..)`, `v.degree()`.
+    Degree {
+        /// Which degree.
+        kind: Degree,
+        /// The vertex.
+        vertex: VSrc,
+        /// The edge type counted.
+        etype: EdgeArg,
+    },
+    /// `v.type()`.
+    VType(VSrc),
+    /// `v.id()`.
+    VId(VSrc),
+    /// `.size()` of an accumulator: its length when it has one, else the
+    /// `fallback` method call on its value.
+    AccSize {
+        /// The accumulator.
+        acc: AccSize,
+        /// The general `.size()` call.
+        fallback: Box<BExpr>,
+    },
+    /// A collection method on a value.
+    Method {
+        /// Which method.
+        method: Method,
+        /// The name as written, for error messages.
+        name: String,
+        /// Receiver.
+        base: Box<BExpr>,
+        /// Arguments.
+        args: Vec<BExpr>,
+    },
+    /// Unary operator.
+    Unary {
+        /// The operator.
+        op: UnOp,
+        /// Operand.
+        expr: Box<BExpr>,
+    },
+    /// Binary operator.
+    Binary {
+        /// The operator.
+        op: BinOp,
+        /// Left operand.
+        lhs: Box<BExpr>,
+        /// Right operand.
+        rhs: Box<BExpr>,
+    },
+    /// A tuple: `(a, b)` or `(k1, k2 -> a1)` (keys, then values).
+    Tuple(Vec<BExpr>),
+    /// `CASE WHEN .. THEN .. ELSE .. END`.
+    Case {
+        /// `(condition, result)` pairs, tried in order.
+        branches: Vec<(BExpr, BExpr)>,
+        /// `ELSE` result (NULL when absent).
+        default: Option<Box<BExpr>>,
+    },
+    /// Grouped output: aggregate number `i` of the group.
+    Agg(usize),
+    /// Grouped output: group key `i` (NULL outside the current grouping
+    /// set).
+    GroupKey(usize),
+    /// A name the binder could not resolve: raises when evaluated.
+    Fail(Error),
+}
+
+impl BExpr {
+    fn for_each_child(&mut self, f: &mut impl FnMut(&mut BExpr)) {
+        match self {
+            BExpr::Call { args, .. } | BExpr::Tuple(args) => args.iter_mut().for_each(f),
+            BExpr::Method { base, args, .. } => {
+                f(base);
+                args.iter_mut().for_each(f);
             }
-        }
-        Expr::Binary { op, lhs, rhs } => eval_binary(env, *op, lhs, rhs),
-        Expr::ArrowTuple { keys, vals } => {
-            let mut items = Vec::with_capacity(keys.len() + vals.len());
-            for e in keys.iter().chain(vals) {
-                items.push(eval(env, e)?);
+            BExpr::AccSize { fallback: e, .. }
+            | BExpr::Degree { etype: EdgeArg::Dyn(e), .. }
+            | BExpr::Unary { expr: e, .. } => f(e),
+            BExpr::Binary { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
             }
-            Ok(Value::Tuple(items))
-        }
-        Expr::Tuple(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for e in items {
-                out.push(eval(env, e)?);
-            }
-            Ok(Value::Tuple(out))
-        }
-        Expr::Case { branches, default } => {
-            for (cond, val) in branches {
-                if truthy(&eval(env, cond)?)? {
-                    return eval(env, val);
+            BExpr::Case { branches, default } => {
+                for (c, v) in branches {
+                    f(c);
+                    f(v);
+                }
+                if let Some(d) = default {
+                    f(d);
                 }
             }
-            match default {
-                Some(d) => eval(env, d),
-                None => Ok(Value::Null),
+            _ => {}
+        }
+    }
+}
+
+/// One ACCUM / POST_ACCUM statement, bound.
+#[derive(Debug)]
+pub enum BStmt {
+    /// `x = e`: binds ACCUM-local slot `slot` for the item's later
+    /// statements.
+    Local {
+        /// The slot.
+        slot: usize,
+        /// Its value.
+        expr: BExpr,
+    },
+    /// `v.@a (+)= e` / `@@a (+)= e`.
+    Write {
+        /// Where the write lands.
+        target: BTarget,
+        /// `true` for `+=`.
+        combine: bool,
+        /// The written value.
+        expr: BExpr,
+    },
+}
+
+/// An accumulator write's destination, resolved to a store id.
+#[derive(Debug)]
+pub enum BTarget {
+    /// `v.@name`.
+    V {
+        /// The vertex.
+        vertex: VSrc,
+        /// Store id (`None`: undeclared).
+        store: Option<usize>,
+        /// The accumulator, for error messages.
+        name: String,
+    },
+    /// `@@name`.
+    G {
+        /// Store id (`None`: undeclared).
+        store: Option<usize>,
+        /// The accumulator, for error messages.
+        name: String,
+    },
+}
+
+/// A bound ACCUM / POST_ACCUM clause: its statements and the registers
+/// they share.
+#[derive(Debug, Default)]
+pub struct Program {
+    /// The statements, in order.
+    pub stmts: Vec<BStmt>,
+    /// Register definitions: each defines a subtree that occurs more
+    /// than once in the clause; it references only lower registers.
+    pub regs: Vec<BExpr>,
+    /// Number of ACCUM-local slots.
+    pub locals: usize,
+}
+
+/// What names resolve against while binding.
+#[derive(Clone, Copy)]
+pub struct Scope<'s> {
+    /// The graph queried (schema lookups).
+    pub graph: &'s Graph,
+    /// Query parameters.
+    pub params: &'s FxHashMap<String, Value>,
+    /// Statement locals (`FOREACH` variables).
+    pub locals: &'s FxHashMap<String, Value>,
+    /// Named vertex sets.
+    pub vsets: &'s FxHashMap<String, Vec<VertexId>>,
+    /// Vertex accumulator name → store id.
+    pub vacc_ids: &'s FxHashMap<String, usize>,
+    /// Global accumulator name → store id.
+    pub gacc_ids: &'s FxHashMap<String, usize>,
+    /// Binding-row variable → column.
+    pub vars: &'s FxHashMap<String, usize>,
+    /// FROM tables, in `Binding::Row` order.
+    pub tables: &'s [&'s Table],
+}
+
+/// Grouped SELECT output binding: expressions equal to one of `aggs`
+/// become [`BExpr::Agg`], then those equal to one of `keys`
+/// [`BExpr::GroupKey`].
+#[derive(Clone, Copy)]
+pub struct GroupNames<'s> {
+    /// The aggregate calls, by position.
+    pub aggs: &'s [Expr],
+    /// The GROUP BY keys, by position.
+    pub keys: &'s [Expr],
+}
+
+/// Value numbering of one clause: every non-leaf subtree becomes a
+/// register keyed by its shape over its children's registers; accumulator
+/// reads are keyed with the number of writes to that accumulator earlier
+/// in the clause, so a read after a write never reuses a read before it.
+#[derive(Default)]
+struct Numbering {
+    regs: Vec<BExpr>,
+    index: FxHashMap<String, usize>,
+    writes: FxHashMap<(bool, String), u32>,
+}
+
+/// Lowers expressions to [`BExpr`]s against a [`Scope`].
+pub struct Binder<'s> {
+    scope: Scope<'s>,
+    group: Option<GroupNames<'s>>,
+    acc_locals: FxHashMap<String, usize>,
+    numbering: Option<Numbering>,
+}
+
+impl<'s> Binder<'s> {
+    /// A binder over `scope`.
+    pub fn new(scope: Scope<'s>) -> Self {
+        Binder { scope, group: None, acc_locals: FxHashMap::default(), numbering: None }
+    }
+
+    /// A binder for grouped SELECT output over `scope`.
+    pub fn grouped(scope: Scope<'s>, group: GroupNames<'s>) -> Self {
+        Binder { group: Some(group), ..Binder::new(scope) }
+    }
+
+    /// Binds an ACCUM / POST_ACCUM clause, numbering its values when some
+    /// subexpression occurs twice.
+    pub fn clause(scope: Scope<'s>, stmts: &[AccStmt]) -> Program {
+        let numbering = repeats_a_subexpression(stmts).then(Numbering::default);
+        let mut b = Binder { numbering, ..Binder::new(scope) };
+        let mut locals = 0;
+        let mut out = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            out.push(match stmt {
+                AccStmt::LocalDecl { name, expr } => {
+                    let expr = b.bind(expr);
+                    b.acc_locals.insert(name.clone(), locals);
+                    locals += 1;
+                    BStmt::Local { slot: locals - 1, expr }
+                }
+                AccStmt::VAcc { var, name, combine, expr } => {
+                    let expr = b.bind(expr);
+                    let target = BTarget::V {
+                        vertex: b.vsrc(var),
+                        store: b.scope.vacc_ids.get(name).copied(),
+                        name: name.clone(),
+                    };
+                    b.note_write(false, name);
+                    BStmt::Write { target, combine: *combine, expr }
+                }
+                AccStmt::GAcc { name, combine, expr } => {
+                    let expr = b.bind(expr);
+                    let target =
+                        BTarget::G { store: b.scope.gacc_ids.get(name).copied(), name: name.clone() };
+                    b.note_write(true, name);
+                    BStmt::Write { target, combine: *combine, expr }
+                }
+            });
+        }
+        let regs = b.numbering.take().map(|n| n.regs).unwrap_or_default();
+        inline_single_uses(Program { stmts: out, regs, locals })
+    }
+
+    fn note_write(&mut self, global: bool, name: &str) {
+        if let Some(n) = &mut self.numbering {
+            *n.writes.entry((global, name.to_string())).or_default() += 1;
+        }
+    }
+
+    /// Binds `e`. Never fails: an unresolvable name becomes a
+    /// [`BExpr::Fail`] leaf.
+    pub fn bind(&mut self, e: &Expr) -> BExpr {
+        if let Some(g) = self.group {
+            if let Some(pos) = g.aggs.iter().position(|a| a == e) {
+                return BExpr::Agg(pos);
+            }
+            if let Some(pos) = g.keys.iter().position(|k| k == e) {
+                return BExpr::GroupKey(pos);
             }
         }
+        let (bound, acc_read) = match e {
+            Expr::Null => (BExpr::Const(Value::Null), None),
+            Expr::Int(v) => (BExpr::Const(Value::Int(*v)), None),
+            Expr::Double(v) => (BExpr::Const(Value::Double(*v)), None),
+            Expr::Str(s) => (BExpr::Const(Value::Str(s.clone())), None),
+            Expr::Bool(b) => (BExpr::Const(Value::Bool(*b)), None),
+            Expr::Ident(name) => (self.ident(name), None),
+            Expr::Attr { base, field } => (self.attr(base, field), None),
+            Expr::VAcc { var, name, prev } => (
+                BExpr::VAcc {
+                    vertex: self.vsrc(var),
+                    store: self.scope.vacc_ids.get(name).copied(),
+                    prev: *prev,
+                    name: name.clone(),
+                },
+                Some((false, name)),
+            ),
+            Expr::GAcc(name) => (
+                BExpr::GAcc { store: self.scope.gacc_ids.get(name).copied(), name: name.clone() },
+                Some((true, name)),
+            ),
+            Expr::Call { func, args, star } => (self.call(func, args, *star), None),
+            Expr::Method { base, method, args } => (self.method(base, method, args), None),
+            Expr::Unary { op, expr } => {
+                (BExpr::Unary { op: *op, expr: Box::new(self.bind(expr)) }, None)
+            }
+            Expr::Binary { op, lhs, rhs } => (
+                BExpr::Binary { op: *op, lhs: Box::new(self.bind(lhs)), rhs: Box::new(self.bind(rhs)) },
+                None,
+            ),
+            Expr::ArrowTuple { keys, vals } => {
+                (BExpr::Tuple(keys.iter().chain(vals).map(|x| self.bind(x)).collect()), None)
+            }
+            Expr::Tuple(items) => (BExpr::Tuple(items.iter().map(|x| self.bind(x)).collect()), None),
+            Expr::Case { branches, default } => (
+                BExpr::Case {
+                    branches: branches.iter().map(|(c, v)| (self.bind(c), self.bind(v))).collect(),
+                    default: default.as_ref().map(|d| Box::new(self.bind(d))),
+                },
+                None,
+            ),
+        };
+        self.number(bound, acc_read)
+    }
+
+    /// Under value numbering, replaces a non-leaf node by the register of
+    /// its shape, allocating the register on first sight.
+    fn number(&mut self, e: BExpr, acc_read: Option<(bool, &String)>) -> BExpr {
+        let Some(n) = &mut self.numbering else { return e };
+        if matches!(e, BExpr::Const(_) | BExpr::Col(_) | BExpr::Local(_) | BExpr::Reg(_)) {
+            return e;
+        }
+        // The key is the node's shape over its children's registers; an
+        // accumulator read also carries the writes before it.
+        let mut key = format!("{e:?}");
+        if let Some((global, name)) = acc_read {
+            let version = n.writes.get(&(global, name.clone())).copied().unwrap_or(0);
+            let _ = write!(key, "#{version}");
+        }
+        let next = n.regs.len();
+        let reg = *n.index.entry(key).or_insert(next);
+        if reg == next {
+            n.regs.push(e);
+        }
+        BExpr::Reg(reg)
+    }
+
+    fn ident(&self, name: &str) -> BExpr {
+        if let Some(&slot) = self.acc_locals.get(name) {
+            return BExpr::Local(slot);
+        }
+        if let Some(&col) = self.scope.vars.get(name) {
+            return BExpr::Col(col);
+        }
+        if let Some(v) = self.scope.locals.get(name).or_else(|| self.scope.params.get(name)) {
+            return BExpr::Const(v.clone());
+        }
+        if let Some(set) = self.scope.vsets.get(name) {
+            return BExpr::Const(Value::new_set(set.iter().map(|v| Value::Vertex(*v)).collect()));
+        }
+        BExpr::Fail(Error::runtime(format!("unknown identifier `{name}`")))
+    }
+
+    /// Resolves a variable that must denote a vertex (`v.@acc`, `v.attr`
+    /// on vertices, `v.outdegree()`, ...).
+    fn vsrc(&self, var: &str) -> VSrc {
+        if let Some(&col) = self.scope.vars.get(var) {
+            return VSrc::Col { col, var: var.to_string() };
+        }
+        if let Some(Value::Vertex(v)) = self.scope.locals.get(var) {
+            return VSrc::Fixed(*v);
+        }
+        match self.scope.params.get(var) {
+            Some(Value::Vertex(v)) => VSrc::Fixed(*v),
+            _ => VSrc::Unbound(var.to_string()),
+        }
+    }
+
+    fn attr(&self, base: &str, field: &str) -> BExpr {
+        let schema = self.scope.graph.schema();
+        BExpr::Attr(Box::new(AttrRef {
+            base: self.vsrc(base),
+            field: field.to_string(),
+            types: schema.attr_positions(field).cloned(),
+            edges_at: schema.vertex_type_count(),
+            tables: self.scope.tables.iter().map(|t| t.column_index(field).map(|i| i as u32)).collect(),
+        }))
+    }
+
+    fn call(&mut self, func: &str, args: &[Expr], star: bool) -> BExpr {
+        let lower = func.to_ascii_lowercase();
+        let is_aggregate = star
+            || matches!(lower.as_str(), "count" | "sum" | "avg")
+            || (args.len() == 1 && matches!(lower.as_str(), "min" | "max"));
+        if is_aggregate {
+            return BExpr::Fail(Error::runtime(format!(
+                "aggregate `{func}` used outside SELECT/HAVING/ORDER BY context"
+            )));
+        }
+        BExpr::Call {
+            f: Builtin::parse(&lower),
+            func: func.to_string(),
+            args: args.iter().map(|a| self.bind(a)).collect(),
+        }
+    }
+
+    fn method(&mut self, base: &Expr, method: &str, args: &[Expr]) -> BExpr {
+        let m = method.to_ascii_lowercase();
+        // Vertex methods work on the *variable* so they can reach the graph.
+        if let Expr::Ident(var) = base {
+            let kind = match m.as_str() {
+                "outdegree" => Some(Degree::Out),
+                "indegree" => Some(Degree::In),
+                "degree" => Some(Degree::All),
+                _ => None,
+            };
+            if let Some(kind) = kind {
+                let etype = match args.first() {
+                    None => EdgeArg::Any,
+                    Some(Expr::Str(s)) => self.edge_type(&Value::Str(s.clone())),
+                    Some(e) => match self.bind(e) {
+                        BExpr::Const(v) => self.edge_type(&v),
+                        e => EdgeArg::Dyn(Box::new(e)),
+                    },
+                };
+                return BExpr::Degree { kind, vertex: self.vsrc(var), etype };
+            }
+            match m.as_str() {
+                "type" => return BExpr::VType(self.vsrc(var)),
+                "id" => return BExpr::VId(self.vsrc(var)),
+                _ => {}
+            }
+        }
+        let kind = match m.as_str() {
+            "size" => Method::Size,
+            "contains" => Method::Contains,
+            "get" => Method::Get,
+            _ => Method::Other,
+        };
+        // `.size()` of a collection accumulator reads its length instead
+        // of building its value.
+        let acc = match (kind, base) {
+            (Method::Size, Expr::GAcc(name)) => self.scope.gacc_ids.get(name).map(|&id| AccSize::G(id)),
+            (Method::Size, Expr::VAcc { var, name, prev }) => {
+                self.scope.vacc_ids.get(name).map(|&store| AccSize::V {
+                    vertex: self.vsrc(var),
+                    store,
+                    prev: *prev,
+                })
+            }
+            _ => None,
+        };
+        let call = BExpr::Method {
+            method: kind,
+            name: method.to_string(),
+            base: Box::new(self.bind(base)),
+            args: args.iter().map(|a| self.bind(a)).collect(),
+        };
+        match acc {
+            Some(acc) => BExpr::AccSize { acc, fallback: Box::new(self.number(call, None)) },
+            None => call,
+        }
+    }
+
+    /// A block-constant edge-type argument, resolved now.
+    fn edge_type(&self, v: &Value) -> EdgeArg {
+        match v.as_str() {
+            None => EdgeArg::Bad(Error::type_error("string", v)),
+            Some(name) => match self.scope.graph.schema().edge_type_id(name) {
+                Some(t) => EdgeArg::Type(t),
+                None => EdgeArg::Bad(Error::runtime(format!("unknown edge type `{name}`"))),
+            },
+        }
     }
 }
 
-/// Resolves a variable that must denote a vertex (for `v.@acc`, `v.attr`
-/// on vertices, `v.outdegree()`, ...).
-pub fn resolve_vertex(env: &Env, var: &str) -> Result<VertexId> {
-    if let Some(b) = env.lookup_binding(var) {
-        if let Binding::Vertex(v) = b {
-            return Ok(*v);
-        }
-        return Err(Error::runtime(format!("variable `{var}` is not a vertex")));
+/// Whether two of the clause's non-literal subexpressions are equal as
+/// written — the cheap test that numbering can share anything (equal
+/// text may still bind apart, as around an ACCUM-local redeclaration,
+/// which numbering itself tells apart).
+fn repeats_a_subexpression(stmts: &[AccStmt]) -> bool {
+    let mut subs: Vec<&Expr> = Vec::new();
+    for stmt in stmts {
+        let (AccStmt::LocalDecl { expr, .. } | AccStmt::VAcc { expr, .. } | AccStmt::GAcc { expr, .. }) =
+            stmt;
+        expr.walk(&mut |e| {
+            if !matches!(e, Expr::Null | Expr::Int(_) | Expr::Double(_) | Expr::Str(_) | Expr::Bool(_) | Expr::Ident(_)) {
+                subs.push(e);
+            }
+        });
     }
-    if let Some(locals) = env.locals {
-        if let Some(Value::Vertex(v)) = locals.get(var) {
-            return Ok(*v);
+    subs.iter().enumerate().any(|(i, a)| subs[i + 1..].iter().any(|b| a == b))
+}
+
+/// Inlines every register referenced once: a register is worth its slot
+/// only when a row reads it twice.
+fn inline_single_uses(mut p: Program) -> Program {
+    fn count(e: &mut BExpr, uses: &mut [u32]) {
+        if let BExpr::Reg(i) = e {
+            uses[*i] += 1;
+        }
+        e.for_each_child(&mut |c| count(c, uses));
+    }
+    fn rewrite(e: &mut BExpr, defs: &mut [Option<BExpr>], renumber: &[Option<usize>]) {
+        if let BExpr::Reg(i) = *e {
+            match renumber[i] {
+                Some(j) => *e = BExpr::Reg(j),
+                None => *e = defs[i].take().expect("a single-use register is inlined once"),
+            }
+            return;
+        }
+        e.for_each_child(&mut |c| rewrite(c, defs, renumber));
+    }
+    let mut uses = vec![0u32; p.regs.len()];
+    for r in &mut p.regs {
+        count(r, &mut uses);
+    }
+    for s in &mut p.stmts {
+        let (BStmt::Local { expr, .. } | BStmt::Write { expr, .. }) = s;
+        count(expr, &mut uses);
+    }
+    let mut kept = 0;
+    let renumber: Vec<Option<usize>> = uses
+        .iter()
+        .map(|&u| {
+            (u > 1).then(|| {
+                kept += 1;
+                kept - 1
+            })
+        })
+        .collect();
+    // Definitions reference only lower registers, so rewriting in
+    // ascending order leaves every inlined child ready for its one user.
+    let mut defs: Vec<Option<BExpr>> = Vec::with_capacity(p.regs.len());
+    for mut r in std::mem::take(&mut p.regs) {
+        rewrite(&mut r, &mut defs, &renumber);
+        defs.push(Some(r));
+    }
+    for s in &mut p.stmts {
+        let (BStmt::Local { expr, .. } | BStmt::Write { expr, .. }) = s;
+        rewrite(expr, &mut defs, &renumber);
+    }
+    p.regs = renumber
+        .iter()
+        .zip(defs)
+        .filter_map(|(r, d)| r.and(d))
+        .collect();
+    p
+}
+
+/// A register's value: the value, and whether handing it out must copy
+/// it with its strings' spare capacity (an owned computed string — a
+/// concatenation — is charged by capacity, and each use of the
+/// expression it stands for would have computed its own).
+struct Slot<'a> {
+    v: Cow<'a, Value>,
+    exact: bool,
+}
+
+/// One item's ACCUM-local slots and registers, reset between items.
+#[derive(Default)]
+pub struct Frame<'a> {
+    locals: Vec<OnceCell<Cow<'a, Value>>>,
+    regs: Vec<OnceCell<Slot<'a>>>,
+}
+
+impl<'a> Frame<'a> {
+    /// Empty slots for `p`.
+    pub fn new(p: &Program) -> Self {
+        Frame {
+            locals: (0..p.locals).map(|_| OnceCell::new()).collect(),
+            regs: (0..p.regs.len()).map(|_| OnceCell::new()).collect(),
         }
     }
-    match env.params.get(var) {
-        Some(Value::Vertex(v)) => Ok(*v),
-        _ => Err(Error::runtime(format!("`{var}` is not bound to a vertex"))),
+
+    /// Forgets the previous item's values.
+    pub fn reset(&mut self) {
+        self.locals.iter_mut().for_each(|c| drop(c.take()));
+        self.regs.iter_mut().for_each(|c| drop(c.take()));
     }
 }
 
-fn eval_attr(env: &Env, base: &str, field: &str) -> Result<Value> {
-    // FOREACH variable or parameter holding a vertex also supports `.attr`.
-    if let Some(b) = env.lookup_binding(base) {
-        return match b {
-            Binding::Vertex(v) => env
-                .graph
-                .vertex_attr_by_name(*v, field)
-                .cloned()
-                .ok_or_else(|| attr_error(env.graph, *v, field)),
-            Binding::Edge(e) => env
-                .graph
-                .edge_attr_by_name(*e, field)
-                .cloned()
-                .ok_or_else(|| Error::runtime(format!("edge has no attribute `{field}`"))),
-            Binding::Row { table, row } => {
-                let t = *env
-                    .row
-                    .as_ref()
-                    .and_then(|r| r.tables.get(*table))
-                    .ok_or_else(|| {
-                        Error::runtime(format!(
-                            "`{base}` is a table binding with no backing table in scope"
-                        ))
-                    })?;
-                let idx = t
-                    .column_index(field)
-                    .ok_or_else(|| Error::runtime(format!("table `{}` has no column `{field}`", t.name)))?;
-                Ok(t.rows[*row][idx].clone())
+/// Grouped output context: the current group's aggregates and its
+/// representative row's keys.
+pub struct Group<'g> {
+    /// Aggregate values, by [`BExpr::Agg`] position.
+    pub aggs: &'g [Value],
+    /// The representative row's GROUP BY key values.
+    pub keys: &'g [Value],
+    /// The key positions of the current grouping set.
+    pub set: &'g [usize],
+}
+
+/// Evaluates bound expressions against one row.
+pub struct Eval<'a, 'f, 's> {
+    /// Graph and accumulator stores.
+    pub env: Env<'a, 's>,
+    /// The row.
+    pub row: Row<'a>,
+    /// The clause's register definitions (empty outside clauses).
+    pub regs: &'a [BExpr],
+    /// The item's slots.
+    pub frame: &'f Frame<'a>,
+    /// The group, in grouped output.
+    pub group: Option<&'f Group<'f>>,
+}
+
+impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
+    /// Evaluates `e`. The result borrows the graph, the bound tree or a
+    /// register where it can.
+    #[inline]
+    pub fn eval(&self, e: &'a BExpr) -> Result<Cow<'f, Value>> {
+        // Leaves read in place; only inner nodes take the full walk.
+        match e {
+            BExpr::Const(v) => Ok(Cow::Borrowed(v)),
+            BExpr::Reg(i) => self.reg(*i),
+            BExpr::Local(slot) => match self.frame.locals[*slot].get() {
+                Some(v) => Ok(Cow::Borrowed(&**v)),
+                None => Err(Error::runtime("ACCUM local read before its declaration")),
+            },
+            e => self.eval_node(e),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_node(&self, e: &'a BExpr) -> Result<Cow<'f, Value>> {
+        Ok(match e {
+            BExpr::Const(_) | BExpr::Reg(_) | BExpr::Local(_) => self.eval(e)?,
+            BExpr::Col(col) => Cow::Owned(self.binding(*col)?.to_value(self.row.tables)),
+            BExpr::Attr(a) => self.attr(a)?,
+            BExpr::VAcc { vertex, store, prev, name } => {
+                let v = self.vertex(vertex)?;
+                let store = match (store, prev) {
+                    (Some(id), false) => self.env.vaccs.get(*id),
+                    (Some(id), true) => self.env.prev_vaccs.get(*id).and_then(Option::as_ref),
+                    (None, _) => None,
+                };
+                let store = store
+                    .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@{name}`")))?;
+                Cow::Owned(store.value_at(v))
+            }
+            BExpr::GAcc { store, name } => {
+                let acc = store
+                    .and_then(|id| self.env.gaccs.get(id))
+                    .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@@{name}`")))?;
+                Cow::Owned(acc.value())
+            }
+            BExpr::Call { f, func, args } => Cow::Owned(match args.as_slice() {
+                [a] => call(f, func, std::slice::from_ref(&self.eval(a)?))?,
+                args => {
+                    let vals = args.iter().map(|a| self.eval(a)).collect::<Result<Vec<_>>>()?;
+                    call(f, func, &vals)?
+                }
+            }),
+            BExpr::Degree { kind, vertex, etype } => {
+                let v = self.vertex(vertex)?;
+                let etype = match etype {
+                    EdgeArg::Any => None,
+                    EdgeArg::Type(t) => Some(*t),
+                    EdgeArg::Bad(err) => return Err(err.clone()),
+                    EdgeArg::Dyn(e) => {
+                        let name = self.eval(e)?;
+                        let name = str_arg(&name)?;
+                        Some(self.env.graph.schema().edge_type_id(name).ok_or_else(|| {
+                            Error::runtime(format!("unknown edge type `{name}`"))
+                        })?)
+                    }
+                };
+                let g = self.env.graph;
+                let d = match kind {
+                    Degree::Out => g.outdegree(v, etype),
+                    Degree::In => g.indegree(v, etype),
+                    Degree::All => g.degree(v),
+                };
+                Cow::Owned(Value::Int(d as i64))
+            }
+            BExpr::VType(vertex) => {
+                let v = self.vertex(vertex)?;
+                let g = self.env.graph;
+                Cow::Owned(Value::Str(g.schema().vertex_type(g.vertex_type_of(v)).name.clone()))
+            }
+            BExpr::VId(vertex) => Cow::Owned(Value::Int(self.vertex(vertex)?.0 as i64)),
+            BExpr::AccSize { acc, fallback } => {
+                let acc = match acc {
+                    AccSize::G(id) => self.env.gaccs.get(*id),
+                    AccSize::V { vertex, store, prev } => {
+                        let store = if *prev {
+                            self.env.prev_vaccs.get(*store).and_then(Option::as_ref)
+                        } else {
+                            self.env.vaccs.get(*store)
+                        };
+                        match store {
+                            Some(store) => Some(store.accum_at(self.vertex(vertex)?)),
+                            None => None,
+                        }
+                    }
+                };
+                match acc.and_then(Accum::size) {
+                    Some(n) => Cow::Owned(Value::Int(n as i64)),
+                    None => self.eval(fallback)?,
+                }
+            }
+            BExpr::Method { method, name, base, args } => {
+                Cow::Owned(self.method(*method, name, base, args)?)
+            }
+            BExpr::Unary { op, expr } => {
+                let v = self.eval(expr)?;
+                Cow::Owned(match (op, &*v) {
+                    (UnOp::Neg, Value::Int(i)) => Value::Int(-i),
+                    (UnOp::Neg, Value::Double(d)) => Value::Double(-d),
+                    (UnOp::Neg, other) => return Err(Error::type_error("numeric", other)),
+                    (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
+                    (UnOp::Not, other) => return Err(Error::type_error("boolean", other)),
+                })
+            }
+            BExpr::Binary { op, lhs, rhs } => Cow::Owned(self.binary(*op, lhs, rhs)?),
+            BExpr::Tuple(items) => Cow::Owned(Value::Tuple(
+                items.iter().map(|e| self.eval(e).map(Cow::into_owned)).collect::<Result<_>>()?,
+            )),
+            BExpr::Case { branches, default } => {
+                for (cond, val) in branches {
+                    if truthy(&*self.eval(cond)?)? {
+                        return self.eval(val);
+                    }
+                }
+                match default {
+                    Some(d) => self.eval(d)?,
+                    None => Cow::Owned(Value::Null),
+                }
+            }
+            BExpr::Agg(pos) => Cow::Borrowed(&self.grouped()?.aggs[*pos]),
+            BExpr::GroupKey(pos) => {
+                let g = self.grouped()?;
+                if g.set.contains(pos) {
+                    Cow::Borrowed(&g.keys[*pos])
+                } else {
+                    Cow::Owned(Value::Null)
+                }
+            }
+            BExpr::Fail(err) => return Err(err.clone()),
+        })
+    }
+
+    /// Evaluates an accumulator input: a top-level tuple stays field by
+    /// field, so a group or map probes it without building it.
+    pub fn input(&self, e: &'a BExpr) -> Result<Input<'f>> {
+        match e {
+            BExpr::Tuple(items) => {
+                Ok(Input::Tuple(items.iter().map(|e| self.eval(e)).collect::<Result<_>>()?))
+            }
+            e => Ok(Input::Value(self.eval(e)?)),
+        }
+    }
+
+    /// Evaluates `e` into a value that outlives the row's registers:
+    /// borrowed only from the graph or the bound tree.
+    fn detached(&self, e: &'a BExpr) -> Result<Cow<'a, Value>> {
+        Ok(match e {
+            BExpr::Const(v) => Cow::Borrowed(v),
+            BExpr::Attr(a) => self.attr(a)?,
+            e => Cow::Owned(self.eval(e)?.into_owned()),
+        })
+    }
+
+    /// Binds ACCUM-local `slot` to the value of `e` for this item.
+    pub fn set_local(&self, slot: usize, e: &'a BExpr) -> Result<()> {
+        let v = self.detached(e)?;
+        // A slot is declared once per item; the frame was reset before it.
+        let _ = self.frame.locals[slot].set(v);
+        Ok(())
+    }
+
+    /// Register `i`: computed at its first use in the row, then reused.
+    #[inline]
+    fn reg(&self, i: usize) -> Result<Cow<'f, Value>> {
+        let slot = match self.frame.regs[i].get() {
+            Some(slot) => slot,
+            None => self.fill(i)?,
+        };
+        Ok(if slot.exact { Cow::Owned(clone_exact(&slot.v)) } else { Cow::Borrowed(&*slot.v) })
+    }
+
+    #[inline(never)]
+    fn fill(&self, i: usize) -> Result<&'f Slot<'a>> {
+        let regs = self.regs;
+        let v = self.detached(&regs[i])?;
+        let exact = matches!(v, Cow::Owned(ref v) if spare_capacity(v));
+        let cell = &self.frame.regs[i];
+        let _ = cell.set(Slot { v, exact });
+        Ok(cell.get().expect("register just set"))
+    }
+
+    fn grouped(&self) -> Result<&'f Group<'f>> {
+        self.group.ok_or_else(|| Error::runtime("aggregate read outside grouped output"))
+    }
+
+    fn binding(&self, col: usize) -> Result<&'a Binding> {
+        self.row
+            .bindings
+            .get(col)
+            .ok_or_else(|| Error::runtime("variable referenced outside a binding row"))
+    }
+
+    /// The vertex `src` denotes in this row.
+    pub fn vertex(&self, src: &VSrc) -> Result<VertexId> {
+        match src {
+            VSrc::Col { col, var } => match self.binding(*col)? {
+                Binding::Vertex(v) => Ok(*v),
+                _ => Err(Error::runtime(format!("variable `{var}` is not a vertex"))),
+            },
+            VSrc::Fixed(v) => Ok(*v),
+            VSrc::Unbound(var) => Err(Error::runtime(format!("`{var}` is not bound to a vertex"))),
+        }
+    }
+
+    fn attr(&self, a: &'a AttrRef) -> Result<Cow<'a, Value>> {
+        let g = self.env.graph;
+        let at = |tab: &[Option<u32>], i: usize| tab.get(i).copied().flatten().map(|i| i as usize);
+        let types = a.types.as_deref().unwrap_or_default();
+        let vertex_attr = |v: VertexId| -> Result<Cow<'a, Value>> {
+            let vt = g.vertex_type_of(v);
+            match at(&types[..a.edges_at.min(types.len())], vt.0 as usize) {
+                Some(i) => Ok(Cow::Borrowed(g.vertex_attr(v, i))),
+                None => Err(Error::runtime(format!(
+                    "vertex type `{}` has no attribute `{}`",
+                    g.schema().vertex_type(vt).name,
+                    a.field
+                ))),
             }
         };
-    }
-    // Fall back to locals / params that hold a vertex.
-    let v = resolve_vertex(env, base)?;
-    env.graph
-        .vertex_attr_by_name(v, field)
-        .cloned()
-        .ok_or_else(|| attr_error(env.graph, v, field))
-}
-
-fn attr_error(graph: &Graph, v: VertexId, field: &str) -> Error {
-    let ty = graph.schema().vertex_type(graph.vertex_type_of(v));
-    Error::runtime(format!("vertex type `{}` has no attribute `{field}`", ty.name))
-}
-
-/// `name` lower-cased (ASCII) into `buf` — builtin function and method
-/// names match case-insensitively without allocating per call. Names
-/// longer than the buffer, which no builtin is, lower-case on the heap.
-pub(crate) fn ascii_lower<'b>(name: &str, buf: &'b mut [u8; 16]) -> std::borrow::Cow<'b, str> {
-    match buf.get_mut(..name.len()) {
-        Some(out) => {
-            out.copy_from_slice(name.as_bytes());
-            out.make_ascii_lowercase();
-            std::borrow::Cow::Borrowed(
-                std::str::from_utf8(out).expect("ASCII lower-casing keeps UTF-8 valid"),
-            )
+        match &a.base {
+            VSrc::Col { col, var } => match *self.binding(*col)? {
+                Binding::Vertex(v) => vertex_attr(v),
+                Binding::Edge(e) => match at(&types[a.edges_at.min(types.len())..], g.edge_type_of(e).0 as usize) {
+                    Some(i) => Ok(Cow::Borrowed(g.edge_attr(e, i))),
+                    None => Err(Error::runtime(format!("edge has no attribute `{}`", a.field))),
+                },
+                Binding::Row { table, row } => {
+                    let t = *self.row.tables.get(table).ok_or_else(|| {
+                        Error::runtime(format!(
+                            "`{var}` is a table binding with no backing table in scope"
+                        ))
+                    })?;
+                    match at(&a.tables, table) {
+                        Some(i) => Ok(Cow::Borrowed(&t.rows[row][i])),
+                        None => Err(Error::runtime(format!(
+                            "table `{}` has no column `{}`",
+                            t.name, a.field
+                        ))),
+                    }
+                }
+            },
+            src => vertex_attr(self.vertex(src)?),
         }
-        None => std::borrow::Cow::Owned(name.to_ascii_lowercase()),
+    }
+
+    fn method(&self, m: Method, name: &str, base: &'a BExpr, args: &'a [BExpr]) -> Result<Value> {
+        let b = self.eval(base)?;
+        match (m, &*b) {
+            (Method::Size, Value::List(xs) | Value::Set(xs) | Value::Tuple(xs)) => {
+                Ok(Value::Int(xs.len() as i64))
+            }
+            (Method::Size, Value::Map(xs)) => Ok(Value::Int(xs.len() as i64)),
+            (Method::Size, Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
+            (Method::Contains, Value::List(xs) | Value::Set(xs)) => {
+                let needle = self.eval(&args[0])?;
+                Ok(Value::Bool(xs.contains(&needle)))
+            }
+            (Method::Get, Value::Map(entries)) => {
+                let key = self.eval(&args[0])?;
+                Ok(entries
+                    .iter()
+                    .find(|(k, _)| *k == *key)
+                    .map(|(_, v)| v.clone())
+                    .unwrap_or(Value::Null))
+            }
+            (_, b) => Err(Error::runtime(format!("unknown method `{name}` on `{b}`"))),
+        }
+    }
+
+    fn binary(&self, op: BinOp, lhs: &'a BExpr, rhs: &'a BExpr) -> Result<Value> {
+        // Short-circuit logicals.
+        match op {
+            BinOp::And => {
+                if !truthy(&*self.eval(lhs)?)? {
+                    return Ok(Value::Bool(false));
+                }
+                return Ok(Value::Bool(truthy(&*self.eval(rhs)?)?));
+            }
+            BinOp::Or => {
+                if truthy(&*self.eval(lhs)?)? {
+                    return Ok(Value::Bool(true));
+                }
+                return Ok(Value::Bool(truthy(&*self.eval(rhs)?)?));
+            }
+            _ => {}
+        }
+        let (l, r) = (self.eval(lhs)?, self.eval(rhs)?);
+        let (l, r) = (&*l, &*r);
+        match op {
+            BinOp::Add => match (l, r) {
+                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
+                (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
+                (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+                _ => numeric_op(l, r, |a, b| a + b),
+            },
+            BinOp::Sub => match (l, r) {
+                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
+                _ => numeric_op(l, r, |a, b| a - b),
+            },
+            BinOp::Mul => match (l, r) {
+                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
+                _ => numeric_op(l, r, |a, b| a * b),
+            },
+            BinOp::Div => match (l, r) {
+                (Value::Int(_), Value::Int(0)) => Err(Error::runtime("integer division by zero")),
+                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
+                _ => numeric_op(l, r, |a, b| a / b),
+            },
+            BinOp::Mod => match (l, r) {
+                (Value::Int(_), Value::Int(0)) => Err(Error::runtime("modulo by zero")),
+                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.rem_euclid(*b))),
+                _ => numeric_op(l, r, |a, b| a.rem_euclid(b)),
+            },
+            BinOp::Eq => Ok(Value::Bool(l == r)),
+            BinOp::Ne => Ok(Value::Bool(l != r)),
+            BinOp::Lt => Ok(Value::Bool(l.cmp(r) == Ordering::Less)),
+            BinOp::Le => Ok(Value::Bool(l.cmp(r) != Ordering::Greater)),
+            BinOp::Gt => Ok(Value::Bool(l.cmp(r) == Ordering::Greater)),
+            BinOp::Ge => Ok(Value::Bool(l.cmp(r) != Ordering::Less)),
+            BinOp::And | BinOp::Or => unreachable!("handled above"),
+        }
     }
 }
 
-fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> {
-    let mut buf = [0u8; 16];
-    let f = ascii_lower(func, &mut buf);
-    let f = f.as_ref();
-    let is_aggregate = star
-        || matches!(f, "count" | "sum" | "avg")
-        || (args.len() == 1 && matches!(f, "min" | "max"));
-    if is_aggregate {
-        return Err(Error::runtime(format!(
-            "aggregate `{func}` used outside SELECT/HAVING/ORDER BY context"
-        )));
+/// Whether `v` holds a string with spare capacity.
+fn spare_capacity(v: &Value) -> bool {
+    match v {
+        Value::Str(s) => s.capacity() != s.len(),
+        Value::Tuple(xs) | Value::List(xs) | Value::Set(xs) => xs.iter().any(spare_capacity),
+        Value::Map(xs) => xs.iter().any(|(k, v)| spare_capacity(k) || spare_capacity(v)),
+        _ => false,
     }
-    let mut vals = Vec::with_capacity(args.len());
-    for a in args {
-        vals.push(eval(env, a)?);
+}
+
+/// A deep copy of `v` whose strings keep their capacity.
+fn clone_exact(v: &Value) -> Value {
+    match v {
+        Value::Str(s) => {
+            let mut t = String::with_capacity(s.capacity());
+            t.push_str(s);
+            Value::Str(t)
+        }
+        Value::Tuple(xs) => Value::Tuple(xs.iter().map(clone_exact).collect()),
+        Value::List(xs) => Value::List(xs.iter().map(clone_exact).collect()),
+        Value::Set(xs) => Value::Set(xs.iter().map(clone_exact).collect()),
+        Value::Map(xs) => Value::Map(xs.iter().map(|(k, v)| (clone_exact(k), clone_exact(v))).collect()),
+        other => other.clone(),
     }
-    let num = |v: &Value| -> Result<f64> {
-        v.as_f64().ok_or_else(|| Error::type_error("numeric", v))
-    };
+}
+
+/// Applies builtin `f` (written `func`) to its evaluated arguments.
+fn call(f: &Builtin, func: &str, vals: &[Cow<'_, Value>]) -> Result<Value> {
+    let num = |v: &Value| -> Result<f64> { v.as_f64().ok_or_else(|| Error::type_error("numeric", v)) };
     let arity = |n: usize| -> Result<()> {
         if vals.len() == n {
             Ok(())
@@ -409,98 +1372,72 @@ fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> 
             Err(Error::runtime(format!("`{func}` expects {n} argument(s), got {}", vals.len())))
         }
     };
+    let unary = |g: fn(f64) -> f64| -> Result<Value> {
+        arity(1)?;
+        Ok(Value::Double(g(num(&vals[0])?)))
+    };
     match f {
-        "log" | "ln" => {
+        Builtin::Ln => unary(f64::ln),
+        Builtin::Log2 => unary(f64::log2),
+        Builtin::Log10 => unary(f64::log10),
+        Builtin::Exp => unary(f64::exp),
+        Builtin::Sqrt => unary(f64::sqrt),
+        Builtin::Floor => unary(f64::floor),
+        Builtin::Ceil => unary(f64::ceil),
+        Builtin::Round => unary(f64::round),
+        Builtin::Float => unary(|x| x),
+        Builtin::Abs => {
             arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.ln()))
-        }
-        "log2" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.log2()))
-        }
-        "log10" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.log10()))
-        }
-        "exp" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.exp()))
-        }
-        "sqrt" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.sqrt()))
-        }
-        "abs" => {
-            arity(1)?;
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Int(i) => Ok(Value::Int(i.abs())),
                 other => Ok(Value::Double(num(other)?.abs())),
             }
         }
-        "floor" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.floor()))
-        }
-        "ceil" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.ceil()))
-        }
-        "round" => {
-            arity(1)?;
-            Ok(Value::Double(num(&vals[0])?.round()))
-        }
-        "pow" => {
+        Builtin::Pow => {
             arity(2)?;
             Ok(Value::Double(num(&vals[0])?.powf(num(&vals[1])?)))
         }
         // Scalar two-argument min/max (one-argument forms are aggregates).
-        "min" => {
+        Builtin::Min => {
             arity(2)?;
-            Ok(if vals[0] <= vals[1] { vals[0].clone() } else { vals[1].clone() })
+            Ok(if vals[0] <= vals[1] { vals[0].clone() } else { vals[1].clone() }.into_owned())
         }
-        "max" => {
+        Builtin::Max => {
             arity(2)?;
-            Ok(if vals[0] >= vals[1] { vals[0].clone() } else { vals[1].clone() })
+            Ok(if vals[0] >= vals[1] { vals[0].clone() } else { vals[1].clone() }.into_owned())
         }
-        "float" | "double" => {
+        Builtin::Int => {
             arity(1)?;
-            Ok(Value::Double(num(&vals[0])?))
+            vals[0].as_i64().map(Value::Int).ok_or_else(|| Error::type_error("integer-convertible", &vals[0]))
         }
-        "int" => {
-            arity(1)?;
-            vals[0]
-                .as_i64()
-                .map(Value::Int)
-                .ok_or_else(|| Error::type_error("integer-convertible", &vals[0]))
-        }
-        "str" | "to_string" => {
+        Builtin::Str => {
             arity(1)?;
             Ok(Value::Str(vals[0].to_string()))
         }
-        "lower" => {
+        Builtin::Lower => {
             arity(1)?;
             Ok(Value::Str(str_arg(&vals[0])?.to_lowercase()))
         }
-        "upper" => {
+        Builtin::Upper => {
             arity(1)?;
             Ok(Value::Str(str_arg(&vals[0])?.to_uppercase()))
         }
-        "length" => {
+        Builtin::Length => {
             arity(1)?;
             Ok(Value::Int(str_arg(&vals[0])?.chars().count() as i64))
         }
         // argmax/argmin over a map value: the key with the extreme value
         // (ties break to the smallest key). NULL on empty maps.
-        "argmax" | "argmin" => {
+        Builtin::ArgMax | Builtin::ArgMin => {
             arity(1)?;
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Map(entries) => {
                     let mut best: Option<(&Value, &Value)> = None;
                     for (k, v) in entries {
                         let better = match &best {
                             None => true,
                             Some((_, bv)) => {
-                                if f == "argmax" {
+                                if *f == Builtin::ArgMax {
                                     v > bv
                                 } else {
                                     v < bv
@@ -516,27 +1453,24 @@ fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> 
                 other => Err(Error::type_error("map", other)),
             }
         }
-        "coalesce" => {
-            for v in &vals {
-                if !matches!(v, Value::Null) {
-                    return Ok(v.clone());
-                }
-            }
-            Ok(Value::Null)
-        }
-        "year" => {
+        Builtin::Coalesce => Ok(vals
+            .iter()
+            .find(|v| !matches!(***v, Value::Null))
+            .map(|v| (**v).clone())
+            .unwrap_or(Value::Null)),
+        Builtin::Year => {
             arity(1)?;
             Ok(Value::Int(datetime::year(dt_arg(&vals[0])?)))
         }
-        "month" => {
+        Builtin::Month => {
             arity(1)?;
             Ok(Value::Int(datetime::month(dt_arg(&vals[0])?)))
         }
-        "day" => {
+        Builtin::Day => {
             arity(1)?;
             Ok(Value::Int(datetime::day(dt_arg(&vals[0])?)))
         }
-        "to_datetime" => {
+        Builtin::ToDatetime => {
             arity(3)?;
             let y = vals[0].as_i64().ok_or_else(|| Error::type_error("int", &vals[0]))?;
             let m = vals[1].as_i64().ok_or_else(|| Error::type_error("int", &vals[1]))?;
@@ -556,7 +1490,7 @@ fn eval_call(env: &Env, func: &str, args: &[Expr], star: bool) -> Result<Value> 
             }
             Ok(Value::DateTime(datetime::to_epoch(y, m as u32, d as u32)))
         }
-        other => Err(Error::runtime(format!("unknown function `{other}`"))),
+        Builtin::Unknown(name) => Err(Error::runtime(format!("unknown function `{name}`"))),
     }
 }
 
@@ -568,160 +1502,6 @@ fn dt_arg(v: &Value) -> Result<i64> {
     match v {
         Value::DateTime(t) | Value::Int(t) => Ok(*t),
         other => Err(Error::type_error("datetime", other)),
-    }
-}
-
-fn eval_method(env: &Env, base: &Expr, method: &str, args: &[Expr]) -> Result<Value> {
-    let mut buf = [0u8; 16];
-    let m = ascii_lower(method, &mut buf);
-    let m = m.as_ref();
-    // Vertex methods work on the *variable* so we can reach the graph.
-    if let Expr::Ident(var) = base {
-        match m {
-            "outdegree" | "indegree" | "degree" => {
-                let v = resolve_vertex(env, var)?;
-                let etype = match args.first() {
-                    None => None,
-                    Some(e) => {
-                        // A literal edge-type name is borrowed, not
-                        // evaluated into a fresh string per row.
-                        let evaluated;
-                        let name = match e {
-                            Expr::Str(s) => s.as_str(),
-                            e => {
-                                evaluated = eval(env, e)?;
-                                str_arg(&evaluated)?
-                            }
-                        };
-                        Some(env.graph.schema().edge_type_id(name).ok_or_else(|| {
-                            Error::runtime(format!("unknown edge type `{name}`"))
-                        })?)
-                    }
-                };
-                let d = match m {
-                    "outdegree" => env.graph.outdegree(v, etype),
-                    "indegree" => env.graph.indegree(v, etype),
-                    _ => env.graph.degree(v),
-                };
-                return Ok(Value::Int(d as i64));
-            }
-            "type" => {
-                let v = resolve_vertex(env, var)?;
-                let t = env.graph.schema().vertex_type(env.graph.vertex_type_of(v));
-                return Ok(Value::Str(t.name.clone()));
-            }
-            "id" => {
-                let v = resolve_vertex(env, var)?;
-                return Ok(Value::Int(v.0 as i64));
-            }
-            _ => {}
-        }
-    }
-    // `.size()` of a collection accumulator reads its length instead of
-    // building its value.
-    if m == "size" {
-        let acc = match base {
-            Expr::GAcc(name) => env.gaccs.get(name),
-            Expr::VAcc { var, name, prev } => {
-                let stores = if *prev { env.prev_vaccs } else { env.vaccs };
-                match stores.get(name) {
-                    Some(store) => Some(store.accum_at(resolve_vertex(env, var)?)),
-                    None => None,
-                }
-            }
-            _ => None,
-        };
-        if let Some(n) = acc.and_then(Accum::size) {
-            return Ok(Value::Int(n as i64));
-        }
-    }
-    // Collection methods evaluate the base as a value.
-    let b = eval(env, base)?;
-    match (m, &b) {
-        ("size", Value::List(xs)) | ("size", Value::Set(xs)) | ("size", Value::Tuple(xs)) => {
-            Ok(Value::Int(xs.len() as i64))
-        }
-        ("size", Value::Map(xs)) => Ok(Value::Int(xs.len() as i64)),
-        ("size", Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
-        ("contains", Value::List(xs)) | ("contains", Value::Set(xs)) => {
-            let needle = eval(env, &args[0])?;
-            Ok(Value::Bool(xs.contains(&needle)))
-        }
-        ("get", Value::Map(entries)) => {
-            let key = eval(env, &args[0])?;
-            Ok(entries
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Null))
-        }
-        _ => Err(Error::runtime(format!("unknown method `{method}` on `{b}`"))),
-    }
-}
-
-fn eval_binary(env: &Env, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Value> {
-    // Short-circuit logicals.
-    match op {
-        BinOp::And => {
-            let l = truthy(&eval(env, lhs)?)?;
-            if !l {
-                return Ok(Value::Bool(false));
-            }
-            return Ok(Value::Bool(truthy(&eval(env, rhs)?)?));
-        }
-        BinOp::Or => {
-            let l = truthy(&eval(env, lhs)?)?;
-            if l {
-                return Ok(Value::Bool(true));
-            }
-            return Ok(Value::Bool(truthy(&eval(env, rhs)?)?));
-        }
-        _ => {}
-    }
-    let l = eval(env, lhs)?;
-    let r = eval(env, rhs)?;
-    match op {
-        BinOp::Add => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-            (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-            (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-            _ => numeric_op(&l, &r, |a, b| a + b),
-        },
-        BinOp::Sub => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-            _ => numeric_op(&l, &r, |a, b| a - b),
-        },
-        BinOp::Mul => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-            _ => numeric_op(&l, &r, |a, b| a * b),
-        },
-        BinOp::Div => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    Err(Error::runtime("integer division by zero"))
-                } else {
-                    Ok(Value::Int(a / b))
-                }
-            }
-            _ => numeric_op(&l, &r, |a, b| a / b),
-        },
-        BinOp::Mod => match (&l, &r) {
-            (Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    Err(Error::runtime("modulo by zero"))
-                } else {
-                    Ok(Value::Int(a.rem_euclid(*b)))
-                }
-            }
-            _ => numeric_op(&l, &r, |a, b| a.rem_euclid(b)),
-        },
-        BinOp::Eq => Ok(Value::Bool(l == r)),
-        BinOp::Ne => Ok(Value::Bool(l != r)),
-        BinOp::Lt => Ok(Value::Bool(l.cmp(&r) == Ordering::Less)),
-        BinOp::Le => Ok(Value::Bool(l.cmp(&r) != Ordering::Greater)),
-        BinOp::Gt => Ok(Value::Bool(l.cmp(&r) == Ordering::Greater)),
-        BinOp::Ge => Ok(Value::Bool(l.cmp(&r) != Ordering::Less)),
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
 }
 

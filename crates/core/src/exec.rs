@@ -4,7 +4,10 @@
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::eval::{eval, truthy, Binding, Bindings, Env, RowRef, VAccStore};
+use crate::eval::{
+    truthy, BExpr, BStmt, BTarget, Binder, Binding, Bindings, Env, Eval, Frame, Group, GroupNames,
+    Program, Row, Scope, VAccStore,
+};
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
 use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
@@ -12,7 +15,7 @@ use crate::profile::{Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{reach, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
 use crate::tractable;
-use accum::{Accum, AccumType, UserAccumRegistry};
+use accum::{Accum, AccumType, Input, UserAccumRegistry};
 use darpe::{resolve_symbol, CompiledDarpe, SymbolSpec};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::{FxHashMap, FxHashSet};
@@ -20,6 +23,7 @@ use pgraph::graph::{AdjEntry, Graph, VertexId};
 use pgraph::mutate::MutationOp;
 use pgraph::schema::{AttrDef, ETypeId, VTypeId};
 use pgraph::value::{Value, ValueType};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Cap on literal row expansion when a non-aggregate projection meets a
@@ -350,10 +354,12 @@ impl<'g> Engine<'g> {
             params,
             locals: FxHashMap::default(),
             vsets: FxHashMap::default(),
-            vaccs: FxHashMap::default(),
-            gaccs: FxHashMap::default(),
-            gacc_types: FxHashMap::default(),
-            prev_vaccs: FxHashMap::default(),
+            vaccs: Vec::new(),
+            vacc_ids: FxHashMap::default(),
+            gaccs: Vec::new(),
+            gacc_types: Vec::new(),
+            gacc_ids: FxHashMap::default(),
+            prev_vaccs: Vec::new(),
             out_tables: BTreeMap::new(),
             prints: Vec::new(),
             returned: None,
@@ -487,10 +493,12 @@ impl Spec {
 }
 
 /// One accumulator write produced by interpreting an ACCUM / POST_ACCUM
-/// statement ([`emit`]); where it lands is the clause's [`Sink`].
-struct Emission<'m> {
-    target: EmitTarget,
-    value: Value,
+/// statement ([`emit`]); where it lands is the clause's [`Sink`]. The
+/// value borrows the row's registers, the graph and the bound clause
+/// where it can, so an accumulator copies only what it keeps.
+struct Emission<'p, 'f, 'm> {
+    target: Target<'p>,
+    value: Input<'f>,
     /// `true` = `+=` (combine), `false` = `=` (assign).
     combine: bool,
     /// The emitting item's multiplicity (a binding-table row's path
@@ -498,62 +506,79 @@ struct Emission<'m> {
     mult: &'m BigCount,
 }
 
-/// An emission's destination; `name` indexes the clause's
-/// [`target_names`].
+/// An emission's destination: a store id, or the name of an undeclared
+/// accumulator, which fails when the write is applied.
 #[derive(Clone, Copy)]
-enum EmitTarget {
-    V { name: usize, vertex: VertexId },
-    G { name: usize },
+enum Target<'p> {
+    V { store: Option<usize>, vertex: VertexId, name: &'p str },
+    G { store: Option<usize>, name: &'p str },
 }
 
-/// The distinct accumulator names a clause writes, in first-appearance
-/// order (vertex and global targets share the list; the [`EmitTarget`]
-/// variant says which namespace an index addresses).
-fn target_names(stmts: &[AccStmt]) -> Vec<&str> {
-    let mut names: Vec<&str> = Vec::new();
-    for s in stmts {
-        if let AccStmt::VAcc { name, .. } | AccStmt::GAcc { name, .. } = s {
-            if !names.contains(&name.as_str()) {
-                names.push(name);
+/// A declared accumulator cell: a vertex store's cell or a global.
+#[derive(Clone, Copy)]
+enum Cell {
+    V { store: usize, vertex: VertexId },
+    G { store: usize },
+}
+
+impl Target<'_> {
+    fn cell(self) -> Result<Cell> {
+        match self {
+            Target::V { store: Some(store), vertex, .. } => Ok(Cell::V { store, vertex }),
+            Target::G { store: Some(store), .. } => Ok(Cell::G { store }),
+            Target::V { name, .. } => Err(Error::runtime(format!("undeclared accumulator `@{name}`"))),
+            Target::G { name, .. } => {
+                Err(Error::runtime(format!("undeclared accumulator `@@{name}`")))
             }
         }
     }
-    names
 }
 
-/// The one interpreter of an ACCUM / POST_ACCUM statement: evaluates
-/// `stmt` for the item bound in `env`. A local declaration binds into
-/// `acc_locals` (visible to the item's later statements) and yields
-/// nothing; an accumulator write yields its [`Emission`].
-fn emit<'m>(
-    env: &Env<'_>,
-    stmt: &AccStmt,
-    acc_locals: &mut FxHashMap<String, Value>,
-    names: &[&str],
+/// The one interpreter of a bound ACCUM / POST_ACCUM statement:
+/// evaluates `stmt` for the item bound in `ev`. A local declaration fills
+/// its slot (visible to the item's later statements) and yields nothing;
+/// an accumulator write yields its [`Emission`].
+fn emit<'p, 'f, 'm>(
+    ev: &Eval<'p, 'f, '_>,
+    stmt: &'p BStmt,
     mult: &'m BigCount,
-) -> Result<Option<Emission<'m>>> {
-    let name_idx = |n: &str| {
-        names.iter().position(|x| *x == n).expect("target_names covers every statement")
-    };
-    let env = Env { acc_locals: Some(acc_locals), ..*env };
+) -> Result<Option<Emission<'p, 'f, 'm>>> {
     Ok(match stmt {
-        AccStmt::LocalDecl { name, expr } => {
-            let v = eval(&env, expr)?;
-            acc_locals.insert(name.clone(), v);
+        BStmt::Local { slot, expr } => {
+            ev.set_local(*slot, expr)?;
             None
         }
-        AccStmt::VAcc { var, name, combine, expr } => {
-            let value = eval(&env, expr)?;
-            let vertex = crate::eval::resolve_vertex(&env, var)?;
-            let target = EmitTarget::V { name: name_idx(name), vertex };
-            Some(Emission { target, value, combine: *combine, mult })
-        }
-        AccStmt::GAcc { name, combine, expr } => {
-            let value = eval(&env, expr)?;
-            let target = EmitTarget::G { name: name_idx(name) };
+        BStmt::Write { target, combine, expr } => {
+            let value = ev.input(expr)?;
+            let target = match target {
+                BTarget::V { vertex, store, name } => {
+                    Target::V { store: *store, vertex: ev.vertex(vertex)?, name }
+                }
+                BTarget::G { store, name } => Target::G { store: *store, name },
+            };
             Some(Emission { target, value, combine: *combine, mult })
         }
     })
+}
+
+/// Maps one item of a clause: resets the item's registers, evaluates its
+/// statements and hands each emission to `out`.
+fn map_item<'p, 'm>(
+    env: Env<'p, '_>,
+    prog: &'p Program,
+    frame: &mut Frame<'p>,
+    (bindings, mult): (Bindings<'p>, &'m BigCount),
+    tables: &'p [&'p Table],
+    out: &mut impl FnMut(Emission<'p, '_, 'm>) -> Result<()>,
+) -> Result<()> {
+    frame.reset();
+    let ev = Eval { env, row: Row { bindings, tables }, regs: &prog.regs, frame, group: None };
+    for stmt in &prog.stmts {
+        if let Some(em) = emit(&ev, stmt, mult)? {
+            out(em)?;
+        }
+    }
+    Ok(())
 }
 
 /// How a clause's emissions reach the live stores — the only thing that
@@ -577,21 +602,14 @@ enum Sink {
     Live,
 }
 
-/// The declared type of each of a clause's [`target_names`], per
-/// namespace — the identity seeds of its partials' cells.
-struct Seeds {
-    v: Vec<Option<AccumType>>,
-    g: Vec<Option<AccumType>>,
-}
-
 /// Identity-seeded accumulator partials folded from one morsel. Globals
-/// key by interned target index, vertex cells by `(target, VertexId)`;
-/// both merge into the live stores in a deterministic order — ascending
-/// morsel, then ascending key — via [`Runtime::merge_partial`]. The
-/// `bool` in each cell records whether the cell was ever written by a
-/// plain `=` assignment: such cells *replace* the live state on merge
-/// instead of combining into it (sound only under
-/// [`FoldVerdict::Proven`] — see `lint/absint.rs`).
+/// key by store id, vertex cells by `(store, VertexId)`; both merge into
+/// the live stores in a deterministic order — ascending morsel, then
+/// ascending key — via [`Runtime::merge_partial`]. The `bool` in each
+/// cell records whether the cell was ever written by a plain `=`
+/// assignment: such cells *replace* the live state on merge instead of
+/// combining into it (sound only under [`FoldVerdict::Proven`] — see
+/// `lint/absint.rs`).
 #[derive(Default)]
 struct AccumPartial {
     g: FxHashMap<usize, (Accum, bool)>,
@@ -602,36 +620,35 @@ impl AccumPartial {
     /// Folds one emission in. Only reached when the block plan's
     /// [`FoldVerdict`] is parallel, which the abstract interpreter grants
     /// only to clauses whose every target is declared. `+=` emissions
-    /// combine into the identity-seeded cell; `=` emissions assign and
-    /// mark the cell so [`Runtime::merge_partial`] replaces rather than
-    /// merges the live state.
+    /// combine into the cell, seeded with the identity of the store's
+    /// declared type (`vaccs` / `gtypes`, by store id); `=` emissions
+    /// assign and mark the cell so [`Runtime::merge_partial`] replaces
+    /// rather than merges the live state.
     fn fold(
         &mut self,
-        em: Emission<'_>,
-        seeds: &Seeds,
+        em: Emission<'_, '_, '_>,
+        vaccs: &[VAccStore],
+        gtypes: &[AccumType],
         registry: &UserAccumRegistry,
     ) -> Result<()> {
         use std::collections::hash_map::Entry;
-        let seed = |ty: &Option<AccumType>| -> Result<(Accum, bool)> {
-            let ty = ty.as_ref().ok_or_else(|| {
-                Error::runtime("parallel-fold verdict admitted an undeclared accumulator")
-            })?;
-            Ok((Accum::new(ty, registry)?, false))
-        };
-        let cell = match em.target {
-            EmitTarget::V { name, vertex } => match self.v.entry((name, vertex)) {
+        let seed = |ty: &AccumType| -> Result<(Accum, bool)> { Ok((Accum::new(ty, registry)?, false)) };
+        let cell = match em.target.cell().map_err(|_| {
+            Error::runtime("parallel-fold verdict admitted an undeclared accumulator")
+        })? {
+            Cell::V { store, vertex } => match self.v.entry((store, vertex)) {
                 Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(seed(&seeds.v[name])?),
+                Entry::Vacant(e) => e.insert(seed(&vaccs[store].ty)?),
             },
-            EmitTarget::G { name } => match self.g.entry(name) {
+            Cell::G { store } => match self.g.entry(store) {
                 Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(seed(&seeds.g[name])?),
+                Entry::Vacant(e) => e.insert(seed(&gtypes[store])?),
             },
         };
         if em.combine {
             cell.0.combine_with_multiplicity(em.value, em.mult, registry)?;
         } else {
-            cell.0.assign(em.value)?;
+            cell.0.assign(em.value.into_value())?;
             cell.1 = true;
         }
         Ok(())
@@ -651,15 +668,20 @@ struct Runtime<'e, 'g> {
     params: FxHashMap<String, Value>,
     locals: FxHashMap<String, Value>,
     vsets: FxHashMap<String, Vec<VertexId>>,
-    vaccs: FxHashMap<String, VAccStore>,
-    gaccs: FxHashMap<String, Accum>,
+    /// Vertex accumulator stores, by store id; `vacc_ids` names them.
+    /// Only the binder looks a name up.
+    vaccs: Vec<VAccStore>,
+    vacc_ids: FxHashMap<String, usize>,
+    /// Global accumulators, by store id; `gacc_ids` names them.
+    gaccs: Vec<Accum>,
     /// Declared types of the global accumulators (the instances in
     /// `gaccs` don't retain their descriptor; a partial fold seeds its
     /// cells from it).
-    gacc_types: FxHashMap<String, AccumType>,
+    gacc_types: Vec<AccumType>,
+    gacc_ids: FxHashMap<String, usize>,
     /// Snapshots, taken at each block's start, of the stores the query
-    /// reads primed (`v.@a'`; [`QueryPlan`] lists them).
-    prev_vaccs: FxHashMap<String, VAccStore>,
+    /// reads primed (`v.@a'`; [`QueryPlan`] lists them), by store id.
+    prev_vaccs: Vec<Option<VAccStore>>,
     out_tables: BTreeMap<String, Table>,
     prints: Vec<String>,
     returned: Option<ReturnValue>,
@@ -734,20 +756,55 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
     }
 
-    fn env<'a>(&'a self) -> Env<'a> {
+    /// The accumulator state bound expressions read.
+    fn env(&self) -> Env<'g, '_> {
         Env {
             graph: self.eng.graph,
-            registry: &self.eng.registry,
-            params: &self.params,
-            locals: Some(&self.locals),
-            row: None,
-            acc_locals: None,
             vaccs: &self.vaccs,
             prev_vaccs: &self.prev_vaccs,
             gaccs: &self.gaccs,
-            vsets: &self.vsets,
-            agg: None,
         }
+    }
+
+    /// What names resolve against for a block whose rows bind `vars`
+    /// over FROM tables `tables`.
+    fn scope<'s>(&'s self, vars: &'s FxHashMap<String, usize>, tables: &'s [&'s Table]) -> Scope<'s> {
+        Scope {
+            graph: self.eng.graph,
+            params: &self.params,
+            locals: &self.locals,
+            vsets: &self.vsets,
+            vacc_ids: &self.vacc_ids,
+            gacc_ids: &self.gacc_ids,
+            vars,
+            tables,
+        }
+    }
+
+    /// Binds `e` against the statement-level scope (no row).
+    fn bind_once(&self, e: &Expr) -> BExpr {
+        Binder::new(self.scope(&FxHashMap::default(), &[])).bind(e)
+    }
+
+    /// Evaluates bound `e` against `row`.
+    fn eval_in<'a>(&self, e: &'a BExpr, row: Row<'a>) -> Result<Value> {
+        let frame = Frame::default();
+        let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
+        ev.eval(e).map(Cow::into_owned)
+    }
+
+    /// Binds and evaluates a statement-level expression (PRINT, WHILE/IF
+    /// conditions, LIMIT, INSERT values, ...).
+    fn eval_once(&self, e: &Expr) -> Result<Value> {
+        self.eval_in(&self.bind_once(e), Row::EMPTY)
+    }
+
+    fn limit_value(&self, e: &Expr) -> Result<usize> {
+        let v = self.eval_once(e)?;
+        v.as_i64()
+            .filter(|n| *n >= 0)
+            .map(|n| n as usize)
+            .ok_or_else(|| Error::type_error("non-negative integer LIMIT", &v))
     }
 
     // ---- statement execution --------------------------------------------
@@ -768,17 +825,30 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 for d in decls {
                     let mut proto = Accum::new(ty, &self.eng.registry)?;
                     if let Some(init) = &d.init {
-                        let v = eval(&self.env(), init)?;
-                        proto.assign(v)?;
+                        proto.assign(self.eval_once(init)?)?;
                     }
+                    // A redeclaration replaces the store under its id.
                     if d.global {
-                        self.gaccs.insert(d.name.clone(), proto);
-                        self.gacc_types.insert(d.name.clone(), ty.clone());
+                        match self.gacc_ids.get(&d.name) {
+                            Some(&id) => {
+                                self.gaccs[id] = proto;
+                                self.gacc_types[id] = ty.clone();
+                            }
+                            None => {
+                                self.gacc_ids.insert(d.name.clone(), self.gaccs.len());
+                                self.gaccs.push(proto);
+                                self.gacc_types.push(ty.clone());
+                            }
+                        }
                     } else {
-                        self.vaccs.insert(
-                            d.name.clone(),
-                            VAccStore::new(ty.clone(), proto, self.graph().vertex_count()),
-                        );
+                        let store = VAccStore::new(ty.clone(), proto, self.graph().vertex_count());
+                        match self.vacc_ids.get(&d.name) {
+                            Some(&id) => self.vaccs[id] = store,
+                            None => {
+                                self.vacc_ids.insert(d.name.clone(), self.vaccs.len());
+                                self.vaccs.push(store);
+                            }
+                        }
                     }
                 }
             }
@@ -827,10 +897,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 self.semantics = *sem;
             }
             Stmt::GAccAssign { name, combine, expr } => {
-                let v = eval(&self.env(), expr)?;
+                let v = self.eval_once(expr)?;
                 let acc = self
-                    .gaccs
-                    .get_mut(name)
+                    .gacc_ids
+                    .get(name)
+                    .map(|&id| &mut self.gaccs[id])
                     .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@@{name}`")))?;
                 if *combine {
                     acc.combine(v, &self.eng.registry)?;
@@ -851,7 +922,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 return flow;
             }
             Stmt::If { cond, then_branch, else_branch } => {
-                let c = eval(&self.env(), cond)?;
+                let c = self.eval_once(cond)?;
                 let branch = if truthy(&c)? { then_branch } else { else_branch };
                 if let Flow::Returned = self.exec_stmts(branch)? {
                     return Ok(Flow::Returned);
@@ -909,7 +980,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 )));
             }
             for (i, e) in values.iter().enumerate() {
-                let v = eval(&self.env(), e)?;
+                let v = self.eval_once(e)?;
                 row[i] = coerce_attr(v, attrs[i].ty, &attrs[i].name)?;
             }
         } else {
@@ -931,7 +1002,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     )));
                 }
                 seen[idx] = true;
-                let v = eval(&self.env(), e)?;
+                let v = self.eval_once(e)?;
                 row[idx] = coerce_attr(v, attrs[idx].ty, c)?;
             }
         }
@@ -961,7 +1032,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// (provisional ids follow the snapshot's vertex count).
     fn endpoint_vertex(&mut self, e: &Expr) -> Result<VertexId> {
         let total = self.graph().vertex_count() + self.pending_vertices;
-        match eval(&self.env(), e)? {
+        match self.eval_once(e)? {
             Value::Vertex(v) if (v.0 as usize) < total => Ok(v),
             Value::Vertex(v) => Err(Error::runtime(format!(
                 "endpoint vertex id {} out of range (graph + this query's inserts = {total})",
@@ -997,41 +1068,30 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     /// Shared UPDATE/DELETE candidate loop: resolves the target spec,
-    /// binds `var` to each candidate vertex (snapshot order), applies the
-    /// optional WHERE filter, and calls `apply` for survivors.
+    /// binds `var` to each candidate vertex (snapshot order) as a
+    /// one-column row, applies the optional WHERE filter, and calls
+    /// `apply` for survivors.
     fn for_each_target(
         &mut self,
         target: &VSpec,
         where_clause: Option<&Expr>,
         mut apply: impl FnMut(&mut Self, VertexId) -> Result<()>,
     ) -> Result<()> {
-        let var = target.var.clone().unwrap_or_else(|| target.name.clone());
         let candidates = self.resolve_spec(&target.name)?.candidates(self.graph());
-        let saved = self.locals.remove(&var);
-        let run = || -> Result<()> {
-            for v in candidates {
-                self.guard.note_visits(1, 0);
-                self.locals.insert(var.clone(), Value::Vertex(v));
-                if let Some(cond) = where_clause {
-                    let keep = truthy(&eval(&self.env(), cond)?)?;
-                    if !keep {
-                        continue;
-                    }
+        let vars = target_vars(target);
+        let cond = where_clause.map(|c| Binder::new(self.scope(&vars, &[])).bind(c));
+        for v in candidates {
+            self.guard.note_visits(1, 0);
+            if let Some(cond) = &cond {
+                let bindings = [Binding::Vertex(v)];
+                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                if !truthy(&self.eval_in(cond, row)?)? {
+                    continue;
                 }
-                apply(self, v)?;
             }
-            Ok(())
-        };
-        let result = run();
-        match saved {
-            Some(old) => {
-                self.locals.insert(var, old);
-            }
-            None => {
-                self.locals.remove(&var);
-            }
+            apply(self, v)?;
         }
-        result
+        Ok(())
     }
 
     fn exec_update(
@@ -1048,8 +1108,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 )));
             }
         }
+        let vars = target_vars(target);
+        let mut binder = Binder::new(self.scope(&vars, &[]));
+        let values: Vec<BExpr> = sets.iter().map(|(_, _, e)| binder.bind(e)).collect();
         self.for_each_target(target, where_clause, |rt, v| {
-            for (_, attr, expr) in sets {
+            for ((_, attr, _), value) in sets.iter().zip(&values) {
                 let vt = rt.graph().vertex_type_of(v);
                 let idx =
                     rt.graph().schema().vertex_attr_index(vt, attr).ok_or_else(|| {
@@ -1059,7 +1122,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         ))
                     })?;
                 let ty = rt.graph().schema().vertex_type(vt).attrs[idx].ty;
-                let val = coerce_attr(eval(&rt.env(), expr)?, ty, attr)?;
+                let bindings = [Binding::Vertex(v)];
+                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                let val = coerce_attr(rt.eval_in(value, row)?, ty, attr)?;
                 rt.mutations.push(MutationOp::SetVertexAttr { v, attr: idx, value: val });
             }
             Ok(())
@@ -1081,7 +1146,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
     ) -> Result<Flow> {
         let max_iter = match limit {
             Some(e) => {
-                let v = eval(&self.env(), e)?;
+                let v = self.eval_once(e)?;
                 let n = v.as_i64().ok_or_else(|| Error::type_error("integer LIMIT", &v))?;
                 if n < 0 {
                     return Err(Error::runtime(format!(
@@ -1095,7 +1160,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let mut iters = 0u64;
         while iters < max_iter {
             self.guard.tick_while()?;
-            let c = eval(&self.env(), cond)?;
+            let c = self.eval_once(cond)?;
             if !truthy(&c)? {
                 break;
             }
@@ -1108,7 +1173,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     fn exec_foreach(&mut self, var: &str, iterable: &Expr, body: &[Stmt]) -> Result<Flow> {
-        let it = eval(&self.env(), iterable)?;
+        let it = self.eval_once(iterable)?;
         let items: Vec<Value> = match it {
             Value::List(xs) | Value::Set(xs) | Value::Tuple(xs) => xs,
             Value::Map(entries) => {
@@ -1144,7 +1209,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 return Ok(ReturnValue::VSet(s.clone()));
             }
         }
-        Ok(ReturnValue::Value(eval(&self.env(), expr)?))
+        Ok(ReturnValue::Value(self.eval_once(expr)?))
     }
 
     fn exec_print(&mut self, items: &[PrintItem]) -> Result<()> {
@@ -1158,7 +1223,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                             continue;
                         }
                     }
-                    let v = eval(&self.env(), expr)?;
+                    let v = self.eval_once(expr)?;
                     self.prints.push(format!("{label} = {v}"));
                 }
                 PrintItem::VSetProjection { set, items } => {
@@ -1169,21 +1234,15 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         .get(set)
                         .cloned()
                         .ok_or_else(|| Error::runtime(format!("unknown vertex set `{set}`")))?;
-                    let mut vars = FxHashMap::default();
-                    vars.insert(set.clone(), 0usize);
+                    let vars = FxHashMap::from_iter([(set.clone(), 0usize)]);
+                    let mut binder = Binder::new(self.scope(&vars, &[]));
+                    let items: Vec<BExpr> = items.iter().map(|it| binder.bind(&it.expr)).collect();
                     for v in vs {
                         let bindings = [Binding::Vertex(v)];
-                        let env = Env {
-                            row: Some(RowRef {
-                                vars: &vars,
-                                bindings: Bindings::Row(&bindings),
-                                tables: &[],
-                            }),
-                            ..self.env()
-                        };
+                        let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
                         let mut cells = Vec::with_capacity(items.len());
-                        for it in items {
-                            cells.push(eval(&env, &it.expr)?.to_string());
+                        for it in &items {
+                            cells.push(self.eval_in(it, row)?.to_string());
                         }
                         self.prints.push(format!("{set}: {}", cells.join(", ")));
                     }
@@ -1277,14 +1336,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
     fn exec_select_inner(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
         // Static tractability check against the declared accumulators.
         let vacc_types: FxHashMap<String, AccumType> = self
-            .vaccs
+            .vacc_ids
             .iter()
-            .map(|(n, s)| (n.clone(), s.ty.clone()))
+            .map(|(n, &id)| (n.clone(), self.vaccs[id].ty.clone()))
             .collect();
         let gacc_types: FxHashMap<String, AccumType> = self
-            .gaccs
+            .gacc_ids
             .iter()
-            .map(|(n, a)| (n.clone(), proto_type(a)))
+            .map(|(n, &id)| (n.clone(), proto_type(&self.gaccs[id])))
             .collect();
         tractable::check_block(
             block,
@@ -1449,12 +1508,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         // 3. Snapshot for `@a'` reads — of the stores something reads
         // primed, not of every store.
-        self.prev_vaccs = self
-            .plan
-            .primed_vaccs
-            .iter()
-            .filter_map(|n| Some((n.clone(), self.vaccs.get(n)?.clone())))
-            .collect();
+        self.prev_vaccs = vec![None; self.vaccs.len()];
+        for n in &self.plan.primed_vaccs {
+            if let Some(&id) = self.vacc_ids.get(n) {
+                self.prev_vaccs[id] = Some(self.vaccs[id].clone());
+            }
+        }
 
         // 4. ACCUM (Map phase + Reduce phase, snapshot semantics).
         if !block.accum.is_empty() {
@@ -1529,22 +1588,27 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(vertex_result)
     }
 
-    /// Whether vertex `v`, bound alone to the one variable of `var_col`,
-    /// satisfies every conjunct of `conds` (tested in order, stopping at
-    /// the first that fails).
-    fn target_passes(
-        &self,
-        var_col: &FxHashMap<String, usize>,
-        v: VertexId,
-        conds: &[&Expr],
-    ) -> Result<bool> {
+    /// Binds the target-only conjuncts of a hop into `var`, which they
+    /// see as the one column of a single-vertex row.
+    fn bind_target_conds(&self, var: &str, conds: &[&Expr]) -> Vec<BExpr> {
+        if conds.is_empty() {
+            return Vec::new();
+        }
+        let vars = FxHashMap::from_iter([(var.to_string(), 0usize)]);
+        let mut binder = Binder::new(self.scope(&vars, &[]));
+        conds.iter().map(|c| binder.bind(c)).collect()
+    }
+
+    /// Whether vertex `v`, bound alone to the target variable, satisfies
+    /// every conjunct of `conds` (tested in order, stopping at the first
+    /// that fails).
+    fn target_passes(&self, v: VertexId, conds: &[BExpr]) -> Result<bool> {
         let bindings = [Binding::Vertex(v)];
-        let env = Env {
-            row: Some(RowRef { vars: var_col, bindings: Bindings::Row(&bindings), tables: &[] }),
-            ..self.env()
-        };
+        let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+        let frame = Frame::default();
+        let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
         for c in conds {
-            if !truthy(&eval(&env, c)?)? {
+            if !truthy(&*ev.eval(c)?)? {
                 return Ok(false);
             }
         }
@@ -1558,10 +1622,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
         if conds.is_empty() {
             return Ok(spec);
         }
-        let var_col = FxHashMap::from_iter([(var.to_string(), 0usize)]);
+        let conds = self.bind_target_conds(var, conds);
         let mut keep = FxHashSet::default();
         for v in spec.candidates(self.graph()) {
-            if self.target_passes(&var_col, v, conds)? {
+            if self.target_passes(v, &conds)? {
                 keep.insert(v);
             }
         }
@@ -1604,17 +1668,17 @@ impl<'e, 'g> Runtime<'e, 'g> {
         vars: &FxHashMap<String, usize>,
         tables: &[&Table],
     ) -> Result<MorselTable> {
+        let cond = Binder::new(self.scope(vars, tables)).bind(cond);
         let ranges = self.note_morsels(rows.len());
         let workers = self.workers_for(rows.len());
         let rows_ref = &rows;
         let run = dispatch(self.guard, workers, &ranges, |_, range| {
+            let frame = Frame::default();
             let mut keep: Vec<usize> = Vec::new();
             for r in range.clone() {
-                let env = Env {
-                    row: Some(RowRef { vars, bindings: rows_ref.bindings_at(r), tables }),
-                    ..self.env()
-                };
-                if truthy(&eval(&env, cond)?)? {
+                let row = Row { bindings: rows_ref.bindings_at(r), tables };
+                let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
+                if truthy(&*ev.eval(&cond)?)? {
                     keep.push(r);
                 }
             }
@@ -1713,11 +1777,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             let spec: SymbolSpec = resolve_symbol(sym, graph.schema())?;
             // The target conjuncts' verdict per reached vertex.
             let mut passes: FxHashMap<VertexId, bool> = FxHashMap::default();
-            let to_col = if target_conds.is_empty() {
-                FxHashMap::default()
-            } else {
-                FxHashMap::from_iter([(to_var.to_string(), 0usize)])
-            };
+            let target_conds = self.bind_target_conds(to_var, target_conds);
             let edge_col = match &hop.edge_var {
                 Some(name) => Some(new_var(vars, name)?),
                 None => None,
@@ -1755,7 +1815,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         let pass = match passes.get(&a.other) {
                             Some(&pass) => pass,
                             None => {
-                                let pass = self.target_passes(&to_col, a.other, target_conds)?;
+                                let pass = self.target_passes(a.other, &target_conds)?;
                                 passes.insert(a.other, pass);
                                 pass
                             }
@@ -1998,41 +2058,31 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// byte total).
     fn write_target(
         &mut self,
-        target: EmitTarget,
-        names: &[&str],
+        cell: Cell,
         write: impl FnOnce(&mut Accum) -> std::result::Result<(), accum::AccumError>,
     ) -> Result<()> {
-        match target {
-            EmitTarget::V { name, vertex } => {
-                let store = self.vaccs.get_mut(names[name]).ok_or_else(|| {
-                    Error::runtime(format!("undeclared accumulator `@{}`", names[name]))
-                })?;
-                Ok(store.update(vertex, write)?)
-            }
-            EmitTarget::G { name } => {
-                let acc = self.gaccs.get_mut(names[name]).ok_or_else(|| {
-                    Error::runtime(format!("undeclared accumulator `@@{}`", names[name]))
-                })?;
-                Ok(write(acc)?)
-            }
+        match cell {
+            Cell::V { store, vertex } => Ok(self.vaccs[store].update(vertex, write)?),
+            Cell::G { store } => Ok(write(&mut self.gaccs[store])?),
         }
     }
 
     /// Applies one emission to the live stores (the sequential Reduce).
-    fn apply_emission(&mut self, em: Emission<'_>, names: &[&str]) -> Result<()> {
+    fn apply_emission(&mut self, em: Emission<'_, '_, '_>) -> Result<()> {
         let registry = &self.eng.registry;
-        self.write_target(em.target, names, |cell| {
-            if em.combine {
-                cell.combine_with_multiplicity(em.value, em.mult, registry)
+        let Emission { target, value, combine, mult } = em;
+        self.write_target(target.cell()?, |cell| {
+            if combine {
+                cell.combine_with_multiplicity(value, mult, registry)
             } else {
-                cell.assign(em.value)
+                cell.assign(value.into_value())
             }
         })
     }
 
     /// Merges one morsel's identity-seeded partial into the live stores:
-    /// globals in ascending target order, vertex cells in ascending
-    /// `(target, VertexId)` order, so the merge sequence is a pure
+    /// globals in ascending store order, vertex cells in ascending
+    /// `(store, VertexId)` order, so the merge sequence is a pure
     /// function of the morsel boundaries, never of worker timing.
     ///
     /// Cells marked as assigned *replace* the live state wholesale:
@@ -2041,18 +2091,18 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// last partial's state replays the sequential suffix exactly, so
     /// replacement in ascending morsel order reproduces the sequential
     /// fold byte-for-byte.
-    fn merge_partial(&mut self, part: AccumPartial, names: &[&str]) -> Result<()> {
+    fn merge_partial(&mut self, part: AccumPartial) -> Result<()> {
         let mut globals: Vec<(usize, (Accum, bool))> = part.g.into_iter().collect();
-        globals.sort_by_key(|(name, _)| *name);
+        globals.sort_by_key(|(store, _)| *store);
         let mut vcells: Vec<((usize, VertexId), (Accum, bool))> = part.v.into_iter().collect();
         vcells.sort_by_key(|(k, _)| *k);
         let cells = globals
             .into_iter()
-            .map(|(name, c)| (EmitTarget::G { name }, c))
-            .chain(vcells.into_iter().map(|((name, vertex), c)| (EmitTarget::V { name, vertex }, c)));
+            .map(|(store, c)| (Cell::G { store }, c))
+            .chain(vcells.into_iter().map(|((store, vertex), c)| (Cell::V { store, vertex }, c)));
         let registry = &self.eng.registry;
-        for (target, (acc, assigned)) in cells {
-            self.write_target(target, names, |live| {
+        for (cell, (acc, assigned)) in cells {
+            self.write_target(cell, |live| {
                 if assigned {
                     *live = acc;
                     Ok(())
@@ -2064,56 +2114,46 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(())
     }
 
-    /// Runs one accumulator clause over the items `ranges` partition —
-    /// the single implementation behind ACCUM (items are binding-table
-    /// rows) and POST_ACCUM (items are the distinct vertices of one
-    /// column). `bind(i)` yields item `i`'s bindings and multiplicity;
-    /// every statement goes through [`emit`], and `sink` alone decides
-    /// how the emissions reach the live stores.
+    /// Runs one bound accumulator clause over the items `ranges`
+    /// partition — the single implementation behind ACCUM (items are
+    /// binding-table rows) and POST_ACCUM (items are the distinct
+    /// vertices of one column). `bind(i)` yields item `i`'s bindings and
+    /// multiplicity; every statement goes through [`emit`] with the
+    /// item's registers in a [`Frame`], and `sink` alone decides how the
+    /// emissions reach the live stores.
     fn run_clause<'r>(
         &mut self,
-        stmts: &[AccStmt],
+        prog: &Program,
         ranges: &[std::ops::Range<usize>],
-        vars: &FxHashMap<String, usize>,
         tables: &[&Table],
         bind: impl Fn(usize) -> (Bindings<'r>, &'r BigCount) + Sync,
         sink: Sink,
     ) -> Result<()> {
-        let names = target_names(stmts);
-        let names = names.as_slice();
         if sink == Sink::Live {
+            let mut frame = Frame::new(prog);
             for i in ranges.iter().cloned().flatten() {
                 self.guard.checkpoint()?;
                 let (bindings, mult) = bind(i);
-                let mut acc_locals = FxHashMap::default();
-                for stmt in stmts {
-                    // The environment is rebuilt per statement: the
+                frame.reset();
+                for stmt in &prog.stmts {
+                    // The evaluator is rebuilt per statement: the
                     // previous statement's write is already live.
-                    let env = Env { row: Some(RowRef { vars, bindings, tables }), ..self.env() };
-                    if let Some(em) = emit(&env, stmt, &mut acc_locals, names, mult)? {
-                        self.apply_emission(em, names)?;
+                    let row = Row { bindings, tables };
+                    let ev =
+                        Eval { env: self.env(), row, regs: &prog.regs, frame: &frame, group: None };
+                    if let Some(em) = emit(&ev, stmt, mult)? {
+                        self.apply_emission(em)?;
                     }
                 }
             }
             return self.guard.note_accum_bytes(self.accum_footprint());
         }
 
-        // Map one item against the pre-clause state: the live stores are
-        // never written while workers run, so visibility is identical at
-        // any parallelism.
+        // Each item maps against the pre-clause state: the live stores
+        // are never written while workers run, so visibility is identical
+        // at any parallelism.
         let guard = self.guard;
-        let map_item = |i: usize, out: &mut dyn FnMut(Emission<'r>) -> Result<()>| -> Result<()> {
-            guard.checkpoint()?;
-            let (bindings, mult) = bind(i);
-            let env = Env { row: Some(RowRef { vars, bindings, tables }), ..self.env() };
-            let mut acc_locals = FxHashMap::default();
-            for stmt in stmts {
-                if let Some(em) = emit(&env, stmt, &mut acc_locals, names, mult)? {
-                    out(em)?;
-                }
-            }
-            Ok(())
-        };
+        let env = self.env();
         let n_items = ranges.last().map_or(0, |r| r.end);
         let workers = self.workers_for(n_items);
         if sink == Sink::Partials {
@@ -2123,14 +2163,15 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // sequential item-order fold at any parallelism and any
             // morsel size.
             let registry = &self.eng.registry;
-            let seeds = Seeds {
-                v: names.iter().map(|n| self.vaccs.get(*n).map(|st| st.ty.clone())).collect(),
-                g: names.iter().map(|n| self.gacc_types.get(*n).cloned()).collect(),
-            };
+            let (vaccs, gtypes) = (&self.vaccs, &self.gacc_types);
             let run = dispatch(guard, workers, ranges, |_, range| {
+                let mut frame = Frame::new(prog);
                 let mut part = AccumPartial::default();
                 for i in range.clone() {
-                    map_item(i, &mut |em| part.fold(em, &seeds, registry))?;
+                    guard.checkpoint()?;
+                    map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
+                        part.fold(em, vaccs, gtypes, registry)
+                    })?;
                 }
                 Ok(part)
             })?;
@@ -2138,18 +2179,23 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 self.prof_op_workers = run.per_worker;
             }
             for part in run.results {
-                self.merge_partial(part, names)?;
+                self.merge_partial(part)?;
             }
         } else {
             // Float sums, heaps, concatenation, unproven assigns: the
             // Map still runs morsel-parallel — it only reads — but the
             // emissions concatenate in ascending morsel order (= item
             // order) and fold sequentially, exactly as at parallelism 1.
+            // Buffered emissions outlive their row, so they own their
+            // values.
             let run = dispatch(guard, workers, ranges, |_, range| {
+                let mut frame = Frame::new(prog);
                 let mut out = Vec::new();
                 for i in range.clone() {
-                    map_item(i, &mut |em| {
-                        out.push(em);
+                    guard.checkpoint()?;
+                    map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
+                        let Emission { target, value, combine, mult } = em;
+                        out.push(Emission { target, value: value.into_owned(), combine, mult });
                         Ok(())
                     })?;
                 }
@@ -2159,7 +2205,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 self.prof_op_workers = run.per_worker;
             }
             for em in run.results.into_iter().flatten() {
-                self.apply_emission(em, names)?;
+                self.apply_emission(em)?;
             }
         }
         self.guard.note_accum_bytes(self.accum_footprint())
@@ -2179,6 +2225,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         bp: &BlockPlan,
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
+        let prog = Binder::clause(self.scope(vars, tables), stmts);
         let ranges = self.note_morsels(rows.len());
         let sink = match (bp.accum_fold.parallel(), bp.accum_in_place) {
             (true, _) => Sink::Partials,
@@ -2189,14 +2236,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // Every morsel ran on the caller's thread.
             self.prof_op_workers = vec![ranges.len() as u64];
         }
-        self.run_clause(stmts, &ranges, vars, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
+        self.run_clause(&prog, &ranges, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
     }
 
     /// Estimated heap footprint of all live accumulator state, in bytes —
     /// O(stores): every accumulator and store keeps its own total.
     fn accum_footprint(&self) -> u64 {
-        let globals: u64 = self.gaccs.values().map(|a| a.estimated_bytes() as u64).sum();
-        globals + self.vaccs.values().map(VAccStore::estimated_bytes).sum::<u64>()
+        let globals: u64 = self.gaccs.iter().map(|a| a.estimated_bytes() as u64).sum();
+        globals + self.vaccs.iter().map(VAccStore::estimated_bytes).sum::<u64>()
     }
 
     /// POST_ACCUM: the clause runs once per distinct vertex of the one
@@ -2213,7 +2260,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let Some(var) = post_accum_var(stmts, vars)? else {
             let once = morsel_ranges(usize::from(!rows.is_empty()), 1);
             let bind = |_| (Bindings::Row(&[]), &one);
-            return self.run_clause(stmts, &once, &FxHashMap::default(), &[], bind, Sink::Live);
+            let prog = Binder::clause(self.scope(&FxHashMap::default(), &[]), stmts);
+            return self.run_clause(&prog, &once, &[], bind, Sink::Live);
         };
         let mut vertices: Vec<VertexId> = rows
             .col(vars[&var])
@@ -2229,8 +2277,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // Morsel accounting is a pure function of the distinct-vertex
         // count, independent of which sink runs below.
         let ranges = self.note_morsels(vertices.len());
-        let mut pvars = FxHashMap::default();
-        pvars.insert(var, 0usize);
+        let pvars = FxHashMap::from_iter([(var, 0usize)]);
+        let prog = Binder::clause(self.scope(&pvars, &[]), stmts);
         // The verdict licenses partials — no statement reads an
         // accumulator the clause writes, so the Map sees the same state
         // at every vertex — and they pay only with more than one worker.
@@ -2240,7 +2288,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             Sink::Live
         };
         let bind = |i: usize| (Bindings::Row(std::slice::from_ref(&vertices[i])), &one);
-        self.run_clause(stmts, &ranges, &pvars, &[], bind, sink)
+        self.run_clause(&prog, &ranges, &[], bind, sink)
     }
 
     // ---- outputs ----------------------------------------------------------------
@@ -2267,22 +2315,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let _ = frag;
         // ORDER BY over the vertex variable.
         if !block.order_by.is_empty() {
-            let mut pvars = FxHashMap::default();
-            pvars.insert(var.to_string(), 0usize);
+            let pvars = FxHashMap::from_iter([(var.to_string(), 0usize)]);
+            let mut binder = Binder::new(self.scope(&pvars, &[]));
+            let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
             let mut keyed: Vec<(Vec<Value>, VertexId)> = Vec::with_capacity(vs.len());
             for v in vs {
                 let bindings = [Binding::Vertex(v)];
-                let env = Env {
-                    row: Some(RowRef {
-                        vars: &pvars,
-                        bindings: Bindings::Row(&bindings),
-                        tables: &[],
-                    }),
-                    ..self.env()
-                };
-                let mut keys = Vec::with_capacity(block.order_by.len());
-                for o in &block.order_by {
-                    keys.push(eval(&env, &o.expr)?);
+                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                let mut keys = Vec::with_capacity(order.len());
+                for o in &order {
+                    keys.push(self.eval_in(o, row)?);
                 }
                 keyed.push((keys, v));
             }
@@ -2290,8 +2332,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             vs = keyed.into_iter().map(|(_, v)| v).collect();
         }
         if let Some(limit) = &block.limit {
-            let n = limit_value(&self.env(), limit)?;
-            vs.truncate(n);
+            vs.truncate(self.limit_value(limit)?);
         }
         Ok(vs)
     }
@@ -2322,25 +2363,20 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // Cell and ORDER-BY-key evaluation runs morsel-parallel over
             // the columnar table; multiplicity expansion, DISTINCT, sort
             // and LIMIT stay sequential in ascending row order.
+            let mut binder = Binder::new(self.scope(vars, tables));
+            let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
+            let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
             let ranges = self.note_morsels(rows.len());
             let workers = self.workers_for(rows.len());
             let guard = self.guard;
             let run = dispatch(guard, workers, &ranges, |_, range| {
+                let frame = Frame::default();
                 let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
                 for r in range.clone() {
-                    let env = Env {
-                        row: Some(RowRef { vars, bindings: rows.bindings_at(r), tables }),
-                        ..self.env()
-                    };
-                    let mut cells = Vec::with_capacity(frag.items.len());
-                    for it in &frag.items {
-                        cells.push(eval(&env, &it.expr)?);
-                    }
-                    let mut keys = Vec::with_capacity(block.order_by.len());
-                    for o in &block.order_by {
-                        keys.push(eval(&env, &o.expr)?);
-                    }
-                    out.push((keys, cells));
+                    let row = Row { bindings: rows.bindings_at(r), tables };
+                    let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
+                    let cells = eval_all(&ev, &items)?;
+                    out.push((eval_all(&ev, &order)?, cells));
                 }
                 Ok(out)
             })?;
@@ -2368,8 +2404,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 sort_by_order_keys(&mut keyed, &block.order_by);
             }
             if let Some(limit) = &block.limit {
-                let n = limit_value(&self.env(), limit)?;
-                keyed.truncate(n);
+                keyed.truncate(self.limit_value(limit)?);
             }
             for (_, cells) in keyed {
                 out.push(cells);
@@ -2417,31 +2452,29 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // morsel-parallel over the columnar table (both are independent
         // of group membership: aggregate arguments see no group context,
         // so hoisting them out of the per-group loop is value-preserving).
+        let mut binder = Binder::new(self.scope(vars, tables));
+        let keys: Vec<BExpr> = gb.keys.iter().map(|k| binder.bind(k)).collect();
+        // `count(*)` reads only multiplicities; the NULL placeholder keeps
+        // positions aligned.
+        let agg_args: Vec<BExpr> = agg_exprs
+            .iter()
+            .map(|ae| match ae {
+                Expr::Call { star: true, .. } => BExpr::Const(Value::Null),
+                Expr::Call { args, .. } => binder.bind(&args[0]),
+                _ => BExpr::Fail(Error::runtime("not an aggregate expression")),
+            })
+            .collect();
         let ranges = self.note_morsels(rows.len());
         let workers = self.workers_for(rows.len());
         let guard = self.guard;
-        let agg_exprs_ref = &agg_exprs;
         let run = dispatch(guard, workers, &ranges, |_, range| {
+            let frame = Frame::default();
             let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
             for r in range.clone() {
-                let env = Env {
-                    row: Some(RowRef { vars, bindings: rows.bindings_at(r), tables }),
-                    ..self.env()
-                };
-                let mut keys = Vec::with_capacity(gb.keys.len());
-                for k in &gb.keys {
-                    keys.push(eval(&env, k)?);
-                }
-                let mut avals = Vec::with_capacity(agg_exprs_ref.len());
-                for ae in agg_exprs_ref {
-                    let Expr::Call { args, star, .. } = ae else {
-                        return Err(Error::runtime("not an aggregate expression"));
-                    };
-                    // `count(*)` reads only multiplicities; the NULL
-                    // placeholder keeps positions aligned.
-                    avals.push(if *star { Value::Null } else { eval(&env, &args[0])? });
-                }
-                out.push((keys, avals));
+                let row = Row { bindings: rows.bindings_at(r), tables };
+                let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
+                let keys = eval_all(&ev, &keys)?;
+                out.push((keys, eval_all(&ev, &agg_args)?));
             }
             Ok(out)
         })?;
@@ -2452,6 +2485,21 @@ impl<'e, 'g> Runtime<'e, 'g> {
             agg_vals.push(avals);
         }
 
+        // Outputs, HAVING and ORDER BY read aggregates and group keys
+        // through slots of the current group.
+        let names = GroupNames { aggs: &agg_exprs, keys: &gb.keys };
+        let mut binder = Binder::grouped(self.scope(vars, tables), names);
+        let having = block.having.as_ref().map(|h| binder.bind(h));
+        let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
+        let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
+        // Aggregate names, lower-cased once rather than per group.
+        let kinds: Vec<String> = agg_exprs
+            .iter()
+            .map(|ae| match ae {
+                Expr::Call { func, .. } => func.to_ascii_lowercase(),
+                _ => String::new(),
+            })
+            .collect();
         let mut result_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new(); // (order keys, cells)
         for set in &gb.sets {
             // Group rows by the projection of keys onto this set.
@@ -2464,43 +2512,23 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 // Compute aggregates over the member rows.
                 let mut agg_values: Vec<Value> = Vec::with_capacity(agg_exprs.len());
                 for (pos, ae) in agg_exprs.iter().enumerate() {
-                    agg_values.push(self.eval_aggregate(ae, pos, &members, rows, &agg_vals)?);
+                    let kind = &kinds[pos];
+                    agg_values.push(self.eval_aggregate(ae, kind, pos, &members, rows, &agg_vals)?);
                 }
                 let rep = members[0];
-                // Resolver: grouped keys → their value; ungrouped keys →
-                // NULL; aggregates → computed value.
-                let resolver = |e: &Expr| -> Option<Value> {
-                    if let Some(pos) = agg_exprs.iter().position(|a| a == e) {
-                        return Some(agg_values[pos].clone());
-                    }
-                    if let Some(ki) = gb.keys.iter().position(|k| k == e) {
-                        return if set.contains(&ki) {
-                            Some(row_keys[rep][ki].clone())
-                        } else {
-                            Some(Value::Null)
-                        };
-                    }
-                    None
-                };
-                let env = Env {
-                    row: Some(RowRef { vars, bindings: rows.bindings_at(rep), tables }),
-                    agg: Some(&resolver),
-                    ..self.env()
-                };
-                if let Some(h) = &block.having {
-                    if !truthy(&eval(&env, h)?)? {
+                // Grouped keys → their value; ungrouped keys → NULL;
+                // aggregates → computed value.
+                let group = Group { aggs: &agg_values, keys: &row_keys[rep], set };
+                let frame = Frame::default();
+                let row = Row { bindings: rows.bindings_at(rep), tables };
+                let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: Some(&group) };
+                if let Some(h) = &having {
+                    if !truthy(&*ev.eval(h)?)? {
                         continue;
                     }
                 }
-                let mut cells = Vec::with_capacity(frag.items.len());
-                for it in &frag.items {
-                    cells.push(eval(&env, &it.expr)?);
-                }
-                let mut okeys = Vec::with_capacity(block.order_by.len());
-                for o in &block.order_by {
-                    okeys.push(eval(&env, &o.expr)?);
-                }
-                result_rows.push((okeys, cells));
+                let cells = eval_all(&ev, &items)?;
+                result_rows.push((eval_all(&ev, &order)?, cells));
             }
         }
         if frag.distinct {
@@ -2511,8 +2539,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             sort_by_order_keys(&mut result_rows, &block.order_by);
         }
         if let Some(limit) = &block.limit {
-            let n = limit_value(&self.env(), limit)?;
-            result_rows.truncate(n);
+            result_rows.truncate(self.limit_value(limit)?);
         }
         for (_, cells) in result_rows {
             out.push(cells);
@@ -2520,23 +2547,21 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(())
     }
 
-    /// Computes one aggregate over a group, multiplicity-weighted, from
-    /// the per-row argument values pre-evaluated during the morsel pass
-    /// (`agg_vals[row][pos]`).
+    /// Computes one aggregate (`f`, lower-cased) over a group,
+    /// multiplicity-weighted, from the per-row argument values
+    /// pre-evaluated during the morsel pass (`agg_vals[row][pos]`).
     fn eval_aggregate(
         &self,
         expr: &Expr,
+        f: &str,
         pos: usize,
         members: &[usize],
         rows: &MorselTable,
         agg_vals: &[Vec<Value>],
     ) -> Result<Value> {
-        let Expr::Call { func, star, .. } = expr else {
+        let Expr::Call { star, .. } = expr else {
             return Err(Error::runtime("not an aggregate expression"));
         };
-        let mut buf = [0u8; 16];
-        let f = crate::eval::ascii_lower(func, &mut buf);
-        let f = f.as_ref();
         if *star {
             // count(*): sum of multiplicities.
             let mut total = BigCount::zero();
@@ -2770,12 +2795,15 @@ fn column_label(e: &Expr, i: usize) -> String {
     }
 }
 
-fn limit_value(env: &Env, e: &Expr) -> Result<usize> {
-    let v = eval(env, e)?;
-    v.as_i64()
-        .filter(|n| *n >= 0)
-        .map(|n| n as usize)
-        .ok_or_else(|| Error::type_error("non-negative integer LIMIT", &v))
+/// Evaluates each of `es` to an owned value.
+fn eval_all<'a>(ev: &Eval<'a, '_, '_>, es: &'a [BExpr]) -> Result<Vec<Value>> {
+    es.iter().map(|e| ev.eval(e).map(Cow::into_owned)).collect()
+}
+
+/// The one-column row scope of an UPDATE / DELETE target variable.
+fn target_vars(target: &VSpec) -> FxHashMap<String, usize> {
+    let var = target.var.clone().unwrap_or_else(|| target.name.clone());
+    FxHashMap::from_iter([(var, 0usize)])
 }
 
 /// Sorts `(keys, payload)` pairs by the ORDER BY specification using the

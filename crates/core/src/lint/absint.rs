@@ -182,7 +182,7 @@ fn interval(lo: Option<i64>, hi: Option<i64>) -> AVal {
 /// declarations; every other identifier (binding variables, parameters,
 /// vertex sets) is ⊤, as are attributes, vertex accumulators, methods
 /// and calls.
-fn eval(e: &Expr, g: &Env, locals: &FxHashMap<String, AVal>) -> AVal {
+fn abstract_value(e: &Expr, g: &Env, locals: &FxHashMap<String, AVal>) -> AVal {
     match e {
         Expr::Null => Null,
         Expr::Int(v) => Int(*v, *v),
@@ -191,28 +191,28 @@ fn eval(e: &Expr, g: &Env, locals: &FxHashMap<String, AVal>) -> AVal {
         Expr::Bool(b) => bool_of(*b),
         Expr::Ident(n) => locals.get(n).cloned().unwrap_or(Top),
         Expr::GAcc(n) => g.get(n).cloned().unwrap_or(Top),
-        Expr::Unary { op: UnOp::Not, expr } => match eval(expr, g, locals) {
+        Expr::Unary { op: UnOp::Not, expr } => match abstract_value(expr, g, locals) {
             Bool(t, f) => Bool(f, t),
             _ => Top,
         },
-        Expr::Unary { op: UnOp::Neg, expr } => match eval(expr, g, locals) {
+        Expr::Unary { op: UnOp::Neg, expr } => match abstract_value(expr, g, locals) {
             Int(a, b) => interval(b.checked_neg(), a.checked_neg()),
             Dbl(v) => Dbl(-v),
             _ => Top,
         },
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, g, locals);
-            let r = eval(rhs, g, locals);
+            let l = abstract_value(lhs, g, locals);
+            let r = abstract_value(rhs, g, locals);
             binary(*op, &l, &r)
         }
         Expr::Case { branches, default } => {
             let mut acc: Option<AVal> = None;
             let mut decided = false;
             for (c, res) in branches {
-                match proven_bool(&eval(c, g, locals)) {
+                match proven_bool(&abstract_value(c, g, locals)) {
                     Some(false) => continue,
                     Some(true) => {
-                        let v = eval(res, g, locals);
+                        let v = abstract_value(res, g, locals);
                         acc = Some(match acc {
                             Some(a) => join(&a, &v),
                             None => v,
@@ -221,7 +221,7 @@ fn eval(e: &Expr, g: &Env, locals: &FxHashMap<String, AVal>) -> AVal {
                         break;
                     }
                     None => {
-                        let v = eval(res, g, locals);
+                        let v = abstract_value(res, g, locals);
                         acc = Some(match acc {
                             Some(a) => join(&a, &v),
                             None => v,
@@ -231,7 +231,7 @@ fn eval(e: &Expr, g: &Env, locals: &FxHashMap<String, AVal>) -> AVal {
             }
             if !decided {
                 let dv = match default {
-                    Some(d) => eval(d, g, locals),
+                    Some(d) => abstract_value(d, g, locals),
                     None => Null,
                 };
                 acc = Some(match acc {
@@ -427,7 +427,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                     for d in decls {
                         if d.global {
                             let v = match &d.init {
-                                Some(e) => eval(e, env, &FxHashMap::default()),
+                                Some(e) => abstract_value(e, env, &FxHashMap::default()),
                                 None => type_default(ty),
                             };
                             env_set(env, &d.name, v);
@@ -438,7 +438,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                     if *combine {
                         env_set(env, name, Top);
                     } else {
-                        let v = eval(expr, env, &FxHashMap::default());
+                        let v = abstract_value(expr, env, &FxHashMap::default());
                         env_set(env, name, v);
                     }
                 }
@@ -450,7 +450,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                     self.while_loop(cond, limit.as_ref(), body, *span, env, record, mult);
                 }
                 Stmt::If { cond, then_branch, else_branch } => {
-                    match proven_bool(&eval(cond, env, &FxHashMap::default())) {
+                    match proven_bool(&abstract_value(cond, env, &FxHashMap::default())) {
                         Some(true) => {
                             self.exec(then_branch, env, record, mult);
                             // Record facts for the dead branch without
@@ -514,12 +514,12 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         record: bool,
         mult: u64,
     ) {
-        let limit_const = limit.and_then(|l| match eval(l, env, &FxHashMap::default()) {
+        let limit_const = limit.and_then(|l| match abstract_value(l, env, &FxHashMap::default()) {
             Int(a, b) if a == b && a >= 0 => Some(a as u64),
             _ => None,
         });
         let head = self.fixpoint(body, env);
-        let cond_fix = proven_bool(&eval(cond, &head, &FxHashMap::default()));
+        let cond_fix = proven_bool(&abstract_value(cond, &head, &FxHashMap::default()));
         let (bound, min_iters) = match (cond_fix, limit, limit_const) {
             (Some(false), _, _) => (LoopBound::Bounded(0), 0),
             (Some(true), Some(_), Some(k)) => (LoopBound::Bounded(k), k),
@@ -562,9 +562,9 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 split_conjuncts(w, &mut conjuncts);
                 let per: Vec<Option<bool>> = conjuncts
                     .iter()
-                    .map(|c| proven_bool(&eval(c, env, &empty)))
+                    .map(|c| proven_bool(&abstract_value(c, env, &empty)))
                     .collect();
-                (proven_bool(&eval(w, env, &empty)), per)
+                (proven_bool(&abstract_value(w, env, &empty)), per)
             }
             None => (None, Vec::new()),
         };
@@ -649,7 +649,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 AccStmt::LocalDecl { name, expr } => {
                     let inv = row_invariant(expr, bound, &inv_locals);
                     inv_locals.insert(name.clone(), inv);
-                    let v = if inv { eval(expr, env, &locals) } else { Top };
+                    let v = if inv { abstract_value(expr, env, &locals) } else { Top };
                     locals.insert(name.clone(), v);
                     row_inv.push(false);
                 }
@@ -826,7 +826,7 @@ fn apply_block_effects(b: &SelectBlock, env: &mut Env) {
             let v = if *combine {
                 Top
             } else {
-                let new = eval(expr, env, &empty);
+                let new = abstract_value(expr, env, &empty);
                 let old = env.get(name.as_str()).cloned().unwrap_or(Top);
                 join(&old, &new)
             };

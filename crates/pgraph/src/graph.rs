@@ -875,8 +875,8 @@ impl Graph {
         &self.vertices[v.0 as usize].attrs.values()[idx]
     }
 
-    /// Vertex attribute by name (schema lookup each call; the evaluator
-    /// caches indices instead).
+    /// Vertex attribute by name (schema lookup each call; the query
+    /// binder resolves a per-vertex-type index once per block instead).
     pub fn vertex_attr_by_name(&self, v: VertexId, name: &str) -> Option<&Value> {
         let vt = self.vertex_type_of(v);
         let idx = self.schema.vertex_attr_index(vt, name)?;

@@ -8,6 +8,7 @@
 use crate::fxhash::FxHashMap;
 use crate::value::ValueType;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a vertex type within a [`Schema`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,6 +88,9 @@ pub struct Schema {
     edge_types: Vec<EdgeTypeDef>,
     vtype_by_name: FxHashMap<String, VTypeId>,
     etype_by_name: FxHashMap<String, ETypeId>,
+    /// Attribute name → [`Schema::attr_positions`], rebuilt whenever a
+    /// type is added.
+    attr_positions: FxHashMap<String, Arc<[Option<u32>]>>,
 }
 
 impl Schema {
@@ -108,6 +112,7 @@ impl Schema {
         let id = VTypeId(self.vertex_types.len() as u32);
         self.vtype_by_name.insert(name.clone(), id);
         self.vertex_types.push(VertexTypeDef { name, attrs });
+        self.index_attrs();
         Ok(id)
     }
 
@@ -144,7 +149,34 @@ impl Schema {
             to_types,
             attrs,
         });
+        self.index_attrs();
         Ok(id)
+    }
+
+    /// Recomputes [`Schema::attr_positions`] for every attribute name.
+    fn index_attrs(&mut self) {
+        let attrs = |t: usize| match t.checked_sub(self.vertex_types.len()) {
+            None => &self.vertex_types[t].attrs,
+            Some(e) => &self.edge_types[e].attrs,
+        };
+        let types = self.vertex_types.len() + self.edge_types.len();
+        let mut positions: FxHashMap<String, Vec<Option<u32>>> = FxHashMap::default();
+        for t in 0..types {
+            for (i, a) in attrs(t).iter().enumerate() {
+                positions.entry(a.name.clone()).or_insert_with(|| vec![None; types])[t] =
+                    Some(i as u32);
+            }
+        }
+        self.attr_positions = positions.into_iter().map(|(n, p)| (n, p.into())).collect();
+    }
+
+    /// Where attribute `attr` sits in each type: one entry per vertex type
+    /// (by [`VTypeId`]), then one per edge type (by [`ETypeId`]), `None`
+    /// where the type lacks it; `None` overall when no type has it. A
+    /// query binds `v.attr` to this table once instead of looking the
+    /// name up per row.
+    pub fn attr_positions(&self, attr: &str) -> Option<&Arc<[Option<u32>]>> {
+        self.attr_positions.get(attr)
     }
 
     pub fn vertex_type(&self, id: VTypeId) -> &VertexTypeDef {
