@@ -2380,7 +2380,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 }
                 Ok(out)
             })?;
-            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
             for (r, (keys, cells)) in run.results.into_iter().flatten().enumerate() {
                 let copies = if frag.distinct {
                     1
@@ -2392,8 +2392,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         )
                     })?
                 };
-                for _ in 0..copies {
+                // The last copy takes the evaluated row itself.
+                for _ in 1..copies {
                     keyed.push((keys.clone(), cells.clone()));
+                }
+                if copies > 0 {
+                    keyed.push((keys, cells));
                 }
             }
             if frag.distinct {
@@ -2797,7 +2801,13 @@ fn column_label(e: &Expr, i: usize) -> String {
 
 /// Evaluates each of `es` to an owned value.
 fn eval_all<'a>(ev: &Eval<'a, '_, '_>, es: &'a [BExpr]) -> Result<Vec<Value>> {
-    es.iter().map(|e| ev.eval(e).map(Cow::into_owned)).collect()
+    // Sized up front: collecting through `Result` would start at four
+    // slots, and output rows are kept until the block's table is built.
+    let mut out = Vec::with_capacity(es.len());
+    for e in es {
+        out.push(ev.eval(e)?.into_owned());
+    }
+    Ok(out)
 }
 
 /// The one-column row scope of an UPDATE / DELETE target variable.

@@ -187,20 +187,52 @@ pub fn save_to_string(g: &Graph) -> Result<String, LoadError> {
     Ok(out)
 }
 
-/// Writes `bytes` to `path` atomically: write to a sibling temp file,
-/// fsync it, rename over the target, then fsync the directory so the
-/// rename itself is durable. A crash at any point leaves either the old
-/// file or the new one — never a truncated hybrid.
+/// The [`std::fmt::Write`] face of an [`std::io::Write`], keeping the
+/// first I/O error so it can be returned as itself.
+struct IoSink<'a, W> {
+    out: &'a mut W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> std::fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            std::fmt::Error
+        })
+    }
+}
+
+/// Serializes `g` (schema + data) into an [`std::io::Write`] sink as it
+/// goes, so the text of a large graph is never held in memory at once.
+pub fn save_to_io<W: std::io::Write>(g: &Graph, out: &mut W) -> std::io::Result<()> {
+    let mut sink = IoSink { out, error: None };
+    save_to_writer(g, &mut sink)
+        .map_err(|e| sink.error.take().unwrap_or_else(|| std::io::Error::other(e.to_string())))
+}
+
+/// Writes `bytes` to `path` atomically (see [`atomic_write_with`]).
 pub fn atomic_write_bytes(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// Writes `path` atomically: `write` fills a sibling temp file, which is
+/// fsynced and renamed over the target, then the directory is fsynced so
+/// the rename itself is durable. A crash at any point leaves either the
+/// old file or the new one — never a truncated hybrid.
+pub fn atomic_write_with(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut f)?;
+        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = dir {
@@ -216,8 +248,7 @@ pub fn atomic_write_bytes(path: &std::path::Path, bytes: &[u8]) -> std::io::Resu
 /// Serializes `g` to `path` atomically (fsync + rename): a crash mid-save
 /// cannot leave a truncated file that a later load would misparse.
 pub fn save_to_file(g: &Graph, path: &std::path::Path) -> Result<(), LoadError> {
-    let text = save_to_string(g)?;
-    atomic_write_bytes(path, text.as_bytes())
+    atomic_write_with(path, |f| save_to_io(g, f))
         .map_err(|e| LoadError::Write(format!("{}: {e}", path.display())))
 }
 

@@ -494,11 +494,14 @@ const CKPT_CUR: &str = "checkpoint.cur";
 const CKPT_PREV: &str = "checkpoint.prev";
 const WALSEQ_PREFIX: &str = "#WALSEQ ";
 
-/// Serializes `g` with a `#WALSEQ <seq>` header (the checkpoint format).
-pub fn checkpoint_to_string(g: &Graph, seq: u64) -> Result<String, LoadError> {
-    let mut text = format!("{WALSEQ_PREFIX}{seq}\n");
-    loader::save_to_writer(g, &mut text)?;
-    Ok(text)
+/// Writes `g` with a `#WALSEQ <seq>` header (the checkpoint format) to
+/// `path` atomically, streaming it: a checkpoint never holds the graph's
+/// text in memory.
+fn write_checkpoint_file(path: &Path, g: &Graph, seq: u64) -> std::io::Result<()> {
+    loader::atomic_write_with(path, |f| {
+        writeln!(f, "{WALSEQ_PREFIX}{seq}")?;
+        loader::save_to_io(g, f)
+    })
 }
 
 /// Parses a checkpoint: the `#WALSEQ` header plus the loader text format.
@@ -689,10 +692,7 @@ impl LiveGraph {
             // Fresh directory: seed it so the state is self-contained.
             let mut seed = seed;
             seed.finalize();
-            let text = checkpoint_to_string(&seed, 0)
-                .map_err(|e| RecoveryError::Io(e.to_string()))?;
-            loader::atomic_write_bytes(&cur, text.as_bytes())
-                .map_err(|e| RecoveryError::Io(e.to_string()))?;
+            write_checkpoint_file(&cur, &seed, 0).map_err(|e| RecoveryError::Io(e.to_string()))?;
             report.checkpoint = "fresh".into();
             (seed, 0)
         } else {
@@ -922,13 +922,11 @@ impl LiveGraph {
         }
         let cur = dir.join(CKPT_CUR);
         let prev = dir.join(CKPT_PREV);
-        let text = checkpoint_to_string(snap, w.seq)
-            .map_err(|e| CommitError::Wal(e.to_string()))?;
         // Write the new checkpoint under a temp name first, then rotate:
         // cur -> prev must happen before tmp -> cur so a crash between
         // the renames still leaves one complete checkpoint behind.
         let tmp = dir.join("checkpoint.new");
-        loader::atomic_write_bytes(&tmp, text.as_bytes()).map_err(io)?;
+        write_checkpoint_file(&tmp, snap, w.seq).map_err(io)?;
         // A `cur` this process neither loaded nor wrote (recovery fell
         // back to `prev`) counts as seq 0: it is rotated, nothing is
         // trimmed on its account.

@@ -244,11 +244,24 @@ impl Server {
 
     /// Waits for the drain to complete and reaps every thread.
     pub fn join(self) {
-        let _ = self.acceptor.join();
-        for w in self.workers {
+        let Server { shared, acceptor, workers, watchdog, .. } = self;
+        let _ = acceptor.join();
+        for w in workers {
             let _ = w.join();
         }
-        let _ = self.watchdog.join();
+        let _ = watchdog.join();
+        // Release the graph versions the workers built on a thread that
+        // then exits. The allocator keeps a few freed blocks per size in a
+        // per-thread cache; left in a long-lived caller's cache they would
+        // pin the workers' heaps, so how much of them goes back to the OS
+        // would change from run to run. (If the thread cannot be started,
+        // the closure and with it `shared` is dropped right here.)
+        if let Ok(release) = std::thread::Builder::new()
+            .name("gsql-release".into())
+            .spawn(move || drop(shared))
+        {
+            let _ = release.join();
+        }
     }
 
     /// `begin_shutdown` + `join`.
