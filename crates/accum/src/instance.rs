@@ -6,8 +6,15 @@
 //! [`Accum::estimated_bytes`] — read by the engine's memory budget after
 //! every accumulator clause — costs O(1) instead of a walk over the
 //! contents.
+//!
+//! The two containers built per group or per kept tuple keep their state
+//! in flat blocks: a [`GroupTable`] holds every group's nested
+//! accumulators in one slab, and a heap holds its kept tuples' fields back
+//! to back in one `Vec<Value>`. The byte model charges what these render
+//! as — a heap row as its [`Value::Tuple`], a group as its key plus its
+//! nested accumulators — not the blocks' capacities.
 
-use crate::types::{AccumType, HeapField, SortDir};
+use crate::types::{AccumType, HeapSpec, SortDir};
 use crate::user::{UserAccum, UserAccumRegistry};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::FxHashMap;
@@ -17,12 +24,157 @@ use std::cmp::Ordering;
 use std::collections::{btree_map, hash_map, BTreeMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// A `GroupByAccum`'s group table: key fields → the group's nested
-/// accumulators. Hashed (`Value`'s `Hash` agrees with its `Eq`); the
-/// group order becomes visible only in [`Accum::value`], which sorts by
-/// key.
-pub type GroupTable = FxHashMap<GroupKey, Vec<Accum>>;
+/// A `GroupByAccum`'s groups. The nested accumulators of every group sit
+/// in one slab, `nested.len()` per group in group-number order; a hash
+/// index maps each [`GroupKey`] (`Value`'s `Hash` agrees with its `Eq`)
+/// to its group number. A new group costs its key and its neutral nested
+/// accumulators, nothing boxed per group. The group order becomes
+/// visible only in [`Accum::value`], which sorts by key.
+#[derive(Debug, Clone)]
+pub struct GroupTable {
+    key_arity: usize,
+    nested: Vec<AccumType>,
+    index: FxHashMap<GroupKey, usize>,
+    slab: Vec<Accum>,
+    /// Cached estimated bytes of the groups (keys and nested
+    /// accumulators).
+    bytes: usize,
+}
+
+impl GroupTable {
+    fn new(key_arity: usize, nested: Vec<AccumType>) -> GroupTable {
+        GroupTable { key_arity, nested, index: FxHashMap::default(), slab: Vec::new(), bytes: 0 }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Every group's key and nested accumulators, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &[Accum])> + '_ {
+        self.index.iter().map(|(k, &g)| (k, self.group(g)))
+    }
+
+    /// The nested accumulators of group number `g`.
+    fn group(&self, g: usize) -> &[Accum] {
+        let n = self.nested.len();
+        &self.slab[g * n..(g + 1) * n]
+    }
+
+    /// Appends a group of neutral nested accumulators to the slab and
+    /// indexes it under `key`, returning its group number.
+    fn push_group(&mut self, key: GroupKey, registry: &UserAccumRegistry) -> Result<usize, AccumError> {
+        let start = self.slab.len();
+        for ty in &self.nested {
+            match Accum::new(ty, registry) {
+                Ok(a) => self.slab.push(a),
+                Err(e) => {
+                    self.slab.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        let g = self.index.len();
+        self.bytes += key.estimated_bytes()
+            + self.slab[start..].iter().map(Accum::estimated_bytes).sum::<usize>();
+        self.index.insert(key, g);
+        Ok(g)
+    }
+
+    /// Runs `f` on each nested accumulator of the group keyed by the first
+    /// `key_arity` of `fields`, with the remaining fields as inputs. The
+    /// group is found by a borrowed probe; a new group (neutral nested
+    /// accumulators) is the only place a key is copied.
+    fn apply(
+        &mut self,
+        mut fields: Fields<'_>,
+        registry: &UserAccumRegistry,
+        f: impl Fn(&mut Accum, Input<'_>) -> Result<(), AccumError>,
+    ) -> Result<(), AccumError> {
+        let ka = self.key_arity;
+        let probe = KeyProbe { fields: &fields, arity: ka };
+        let g = match self.index.get(&probe as &dyn KeyFields) {
+            Some(&g) => g,
+            None => {
+                let key = GroupKey((0..ka).map(|i| fields.take(i).into_owned()).collect());
+                self.push_group(key, registry)?
+            }
+        };
+        let n = self.nested.len();
+        tracked(&mut self.bytes, &mut self.slab[g * n..(g + 1) * n], |accs| {
+            accs.iter_mut()
+                .enumerate()
+                .try_for_each(|(j, a)| f(a, Input::Value(fields.take(ka + j))))
+        })
+    }
+
+    /// Merges `other`'s groups in: a group both hold merges nested
+    /// accumulator by nested accumulator, a group only `other` holds moves
+    /// in wholesale (it already equals neutral ⊕ its inputs). Groups are
+    /// independent, so the order they are visited in cannot change the
+    /// merged state.
+    fn merge(&mut self, other: GroupTable, registry: &UserAccumRegistry) -> Result<(), AccumError> {
+        let n = self.nested.len();
+        if other.key_arity != self.key_arity || other.nested.len() != n {
+            return Err(AccumError::ArityMismatch {
+                expected: self.key_arity + n,
+                got: other.key_arity + other.nested.len(),
+            });
+        }
+        // Visit `other`'s groups in slab order, so their accumulators can
+        // be moved out of the slab front to back.
+        let mut keys: Vec<(GroupKey, usize)> = other.index.into_iter().collect();
+        keys.sort_unstable_by_key(|&(_, g)| g);
+        let mut theirs = other.slab.into_iter();
+        for (key, _) in keys {
+            let accs = theirs.by_ref().take(n);
+            let next = self.index.len();
+            match self.index.entry(key) {
+                hash_map::Entry::Occupied(e) => {
+                    let g = *e.get();
+                    tracked(&mut self.bytes, &mut self.slab[g * n..(g + 1) * n], |mine| {
+                        mine.iter_mut().zip(accs).try_for_each(|(a, b)| a.merge(b, registry))
+                    })?;
+                }
+                hash_map::Entry::Vacant(e) => {
+                    let start = self.slab.len();
+                    self.slab.extend(accs);
+                    self.bytes += e.key().estimated_bytes()
+                        + self.slab[start..].iter().map(Accum::estimated_bytes).sum::<usize>();
+                    e.insert(next);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops every group.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slab.clear();
+        self.bytes = 0;
+    }
+
+    /// The groups as a [`Value::Map`] from key tuple to the tuple of
+    /// nested values, ascending by key — the one place the group order is
+    /// observable.
+    fn value(&self) -> Value {
+        let mut by_key: Vec<(&GroupKey, usize)> = self.index.iter().map(|(k, &g)| (k, g)).collect();
+        by_key.sort_unstable_by(|a, b| a.0.fields().cmp(b.0.fields()));
+        Value::Map(
+            by_key
+                .into_iter()
+                .map(|(k, g)| {
+                    let key = Value::Tuple(k.fields().to_vec());
+                    (key, Value::Tuple(self.group(g).iter().map(Accum::value).collect()))
+                })
+                .collect(),
+        )
+    }
+}
 
 /// One accumulator input. Probes — a group or map lookup, a heap's rank
 /// test, a set's membership search — read it in place; an accumulator
@@ -75,15 +227,66 @@ impl<'a> Input<'a> {
         }
     }
 
-    /// The fields of a tuple input (an owned tuple gives its fields up);
-    /// any other input comes back as the value it is.
-    fn into_fields(self) -> Result<Vec<Cow<'a, Value>>, Value> {
+    /// The fields of a tuple input, read in place; any other input comes
+    /// back as the value it is.
+    fn into_fields(self) -> Result<Fields<'a>, Value> {
         match self {
-            Input::Tuple(fields) => Ok(fields),
-            Input::Value(Cow::Owned(Value::Tuple(xs))) => Ok(xs.into_iter().map(Cow::Owned).collect()),
-            Input::Value(Cow::Borrowed(Value::Tuple(xs))) => Ok(xs.iter().map(Cow::Borrowed).collect()),
+            Input::Tuple(fields) => Ok(Fields::Split(fields)),
+            Input::Value(Cow::Owned(Value::Tuple(xs))) => Ok(Fields::Owned(xs)),
+            Input::Value(Cow::Borrowed(Value::Tuple(xs))) => Ok(Fields::Lent(xs)),
             Input::Value(other) => Err(other.into_owned()),
         }
+    }
+}
+
+/// A tuple input's fields, however the input held them. Probes read a
+/// field in place ([`Fields::get`]); [`Fields::take`] hands a field on,
+/// moving it out when the input owned it, so splitting a tuple into a key
+/// and nested inputs, or copying a heap candidate, allocates nothing the
+/// accumulator does not keep.
+enum Fields<'a> {
+    /// A borrowed tuple's fields.
+    Lent(&'a [Value]),
+    /// An owned tuple's fields.
+    Owned(Vec<Value>),
+    /// A field-wise input ([`Input::Tuple`]).
+    Split(Vec<Cow<'a, Value>>),
+}
+
+impl<'a> Fields<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Fields::Lent(xs) => xs.len(),
+            Fields::Owned(xs) => xs.len(),
+            Fields::Split(xs) => xs.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> &Value {
+        match self {
+            Fields::Lent(xs) => &xs[i],
+            Fields::Owned(xs) => &xs[i],
+            Fields::Split(xs) => &xs[i],
+        }
+    }
+
+    /// Field `i`: borrowed if the input lent it, moved out (leaving NULL
+    /// behind) if the input owned it. Each field is taken at most once.
+    fn take(&mut self, i: usize) -> Cow<'a, Value> {
+        match self {
+            Fields::Lent(xs) => Cow::Borrowed(&xs[i]),
+            Fields::Owned(xs) => Cow::Owned(std::mem::replace(&mut xs[i], Value::Null)),
+            Fields::Split(xs) => std::mem::replace(&mut xs[i], Cow::Owned(Value::Null)),
+        }
+    }
+
+    /// The fields as one owned [`Value::Tuple`] (for error reports).
+    fn into_value(self) -> Value {
+        Value::Tuple(match self {
+            Fields::Lent(xs) => xs.to_vec(),
+            Fields::Owned(xs) => xs,
+            Fields::Split(xs) => xs.into_iter().map(Cow::into_owned).collect(),
+        })
     }
 }
 
@@ -180,15 +383,18 @@ impl MemSize for GroupKey {
     }
 }
 
-/// A lookup key borrowing an input's leading fields.
-struct KeyProbe<'s, 'a>(&'s [Cow<'a, Value>]);
+/// A lookup key borrowing an input's leading `arity` fields.
+struct KeyProbe<'s, 'a> {
+    fields: &'s Fields<'a>,
+    arity: usize,
+}
 
 impl KeyFields for KeyProbe<'_, '_> {
     fn arity(&self) -> usize {
-        self.0.len()
+        self.arity
     }
     fn field(&self, i: usize) -> &Value {
-        &self.0[i]
+        self.fields.get(i)
     }
 }
 
@@ -251,7 +457,8 @@ impl std::error::Error for AccumError {}
 /// operation errors instead of silently exploding.
 const EXPANSION_CAP: u64 = 1 << 20;
 
-/// A live accumulator instance.
+/// A live accumulator instance. It is 64 bytes (see [`Accum::Heap`]'s
+/// `reserved`), which [`Accum::estimated_bytes`] charges per instance.
 #[derive(Debug, Clone)]
 pub enum Accum {
     /// `SumAccum<int>`: integer addition.
@@ -317,28 +524,26 @@ pub enum Accum {
     },
     /// `HeapAccum`: capacity-bounded top-k of tuples.
     Heap {
-        /// Maximum number of retained tuples.
-        capacity: usize,
-        /// Lexicographic sort specification.
-        fields: Vec<HeapField>,
-        /// Retained tuples, kept sorted best-first.
-        items: Vec<Value>,
-        /// Cached estimated bytes of `items`.
+        /// The declaration's capacity, tuple arity and sort order, shared
+        /// with every other instance of it.
+        spec: Arc<HeapSpec>,
+        /// Retained tuples, kept sorted best-first, their fields back to
+        /// back: row `i` is `rows[i * arity..(i + 1) * arity]`.
+        rows: Vec<Value>,
+        /// Cached estimated bytes of the rows, each charged as the
+        /// [`Value::Tuple`] it renders as.
         bytes: usize,
+        /// Unused. The other fields need 40 bytes; this keeps `Accum` at
+        /// 64 bytes with 8-byte alignment, as before. The vertex stores'
+        /// `Option<Accum>` cells (one per graph vertex, allocated and
+        /// freed per query) at 48 bytes, or at 64 aligned to 64, made the
+        /// allocator hand their memory back to the OS between queries
+        /// (13x the page faults) and the in-process LDBC IC cycle 10–20 %
+        /// slower.
+        reserved: [usize; 3],
     },
     /// `GroupByAccum`: SQL GROUP BY as an accumulator (paper Example 12).
-    GroupBy {
-        /// Number of leading key fields in each input tuple.
-        key_arity: usize,
-        /// Declared types of the nested per-group accumulators.
-        nested: Vec<AccumType>,
-        /// Key tuple → live nested accumulators for that group (boxed,
-        /// keeping every `Accum` at 64 bytes).
-        groups: Box<GroupTable>,
-        /// Cached estimated bytes of `groups` (keys and nested
-        /// accumulators).
-        bytes: usize,
-    },
+    GroupBy(Box<GroupTable>),
     /// A user-defined accumulator behind the [`UserAccum`] trait object.
     User(Box<dyn UserAccum>),
 }
@@ -363,18 +568,10 @@ impl Accum {
             AccumType::Map(v) => {
                 Accum::Map { entries: BTreeMap::new(), value_type: v.clone(), bytes: 0 }
             }
-            AccumType::Heap { capacity, fields } => Accum::Heap {
-                capacity: *capacity,
-                fields: fields.clone(),
-                items: Vec::new(),
-                bytes: 0,
-            },
-            AccumType::GroupBy { key_arity, nested } => Accum::GroupBy {
-                key_arity: *key_arity,
-                nested: nested.clone(),
-                groups: Box::default(),
-                bytes: 0,
-            },
+            AccumType::Heap(spec) => Accum::Heap { spec: spec.clone(), rows: Vec::new(), bytes: 0, reserved: [0; 3] },
+            AccumType::GroupBy { key_arity, nested } => {
+                Accum::GroupBy(Box::new(GroupTable::new(*key_arity, nested.clone())))
+            }
             AccumType::User(name) => Accum::User(
                 registry
                     .instantiate(name)
@@ -405,8 +602,8 @@ impl Accum {
                 | Accum::List { bytes, .. }
                 | Accum::Array { bytes, .. }
                 | Accum::Map { bytes, .. }
-                | Accum::Heap { bytes, .. }
-                | Accum::GroupBy { bytes, .. } => *bytes,
+                | Accum::Heap { bytes, .. } => *bytes,
+                Accum::GroupBy(groups) => groups.bytes,
                 Accum::User(u) => u.estimated_bytes(),
             }
     }
@@ -419,11 +616,11 @@ impl Accum {
         match self {
             Accum::Set { items, .. }
             | Accum::List { items, .. }
-            | Accum::Array { items, .. }
-            | Accum::Heap { items, .. } => Some(items.len()),
+            | Accum::Array { items, .. } => Some(items.len()),
+            Accum::Heap { spec, rows, .. } => Some(rows.len() / spec.arity()),
             Accum::Bag { counts, .. } => Some(counts.len()),
             Accum::Map { entries, .. } => Some(entries.len()),
-            Accum::GroupBy { groups, .. } => Some(groups.len()),
+            Accum::GroupBy(groups) => Some(groups.len()),
             _ => None,
         }
     }
@@ -478,14 +675,12 @@ impl Accum {
                 let (k, v) = split_map_input(input)?;
                 map_apply(entries, bytes, k, value_type, registry, |n| n.combine(v, registry))?;
             }
-            Accum::Heap { capacity, fields, items, bytes } => {
-                heap_insert(items, bytes, input.into_cow(), fields, *capacity);
+            Accum::Heap { spec, rows, bytes, .. } => {
+                heap_insert(spec, rows, bytes, heap_fields(input, spec)?);
             }
-            Accum::GroupBy { key_arity, nested, groups, bytes } => {
-                let fields = split_groupby_input(input, *key_arity, nested.len())?;
-                group_apply(groups, bytes, fields, *key_arity, nested, registry, |a, v| {
-                    a.combine(v, registry)
-                })?;
+            Accum::GroupBy(groups) => {
+                let fields = split_groupby_input(input, groups)?;
+                groups.apply(fields, registry, |a, v| a.combine(v, registry))?;
             }
             Accum::User(u) => u.combine(input.into_value())?,
         }
@@ -523,12 +718,14 @@ impl Accum {
             }
             // A heap keeps at most `capacity` copies: inserting
             // min(μ, capacity) copies is exactly μ-fold insertion.
-            Accum::Heap { capacity, .. } => {
-                let copies = BigCount::from(*capacity as u64).min(mult.clone());
-                let copies = copies.to_u64().unwrap_or(*capacity as u64);
+            Accum::Heap { spec, rows, bytes, .. } => {
+                let capacity = spec.capacity() as u64;
+                let copies = BigCount::from(capacity).min(mult.clone());
+                let copies = copies.to_u64().unwrap_or(capacity);
                 let input = input.into_cow();
+                heap_fields(Input::from(&*input), spec)?;
                 for _ in 0..copies {
-                    self.combine(&*input, registry)?;
+                    heap_insert(spec, rows, bytes, heap_fields(Input::from(&*input), spec)?);
                 }
                 Ok(())
             }
@@ -565,11 +762,9 @@ impl Accum {
                     n.combine_with_multiplicity(v, mult, registry)
                 })
             }
-            Accum::GroupBy { key_arity, nested, groups, bytes } => {
-                let fields = split_groupby_input(input, *key_arity, nested.len())?;
-                group_apply(groups, bytes, fields, *key_arity, nested, registry, |a, v| {
-                    a.combine_with_multiplicity(v, mult, registry)
-                })
+            Accum::GroupBy(groups) => {
+                let fields = split_groupby_input(input, groups)?;
+                groups.apply(fields, registry, |a, v| a.combine_with_multiplicity(v, mult, registry))
             }
             // Order-dependent: expand literally while tolerable.
             Accum::SumStr(_) | Accum::List { .. } | Accum::Array { .. } | Accum::User(_) => {
@@ -669,35 +864,20 @@ impl Accum {
                     }
                 }
             }
-            (
-                Accum::Heap { capacity, fields, items, bytes },
-                Accum::Heap { items: other, .. },
-            ) => {
-                for v in other {
-                    heap_insert(items, bytes, Cow::Owned(v), fields, *capacity);
+            (Accum::Heap { spec, rows, bytes, .. }, Accum::Heap { spec: theirs, rows: other, .. }) => {
+                // Re-insert the other heap's rows in order, moving their
+                // fields.
+                let arity = spec.arity();
+                if theirs.arity() != arity {
+                    return Err(AccumError::ArityMismatch { expected: arity, got: theirs.arity() });
+                }
+                let mut other = other.into_iter();
+                while other.len() > 0 {
+                    let row = other.by_ref().take(arity).collect();
+                    heap_insert(spec, rows, bytes, Fields::Owned(row));
                 }
             }
-            (
-                Accum::GroupBy { groups, bytes, .. },
-                Accum::GroupBy { groups: other, .. },
-            ) => {
-                // Groups are independent, so the table's iteration order
-                // cannot change the merged state.
-                for (k, accs) in *other {
-                    match groups.entry(k) {
-                        hash_map::Entry::Occupied(e) => {
-                            tracked(bytes, e.into_mut(), |mine| {
-                                mine.iter_mut().zip(accs).try_for_each(|(a, b)| a.merge(b, registry))
-                            })?;
-                        }
-                        hash_map::Entry::Vacant(e) => {
-                            *bytes += e.key().estimated_bytes()
-                                + accs.iter().map(Accum::estimated_bytes).sum::<usize>();
-                            e.insert(accs);
-                        }
-                    }
-                }
-            }
+            (Accum::GroupBy(groups), Accum::GroupBy(other)) => groups.merge(*other, registry)?,
             (me, other) => {
                 return Err(AccumError::TypeMismatch {
                     expected: me.kind_name(),
@@ -784,8 +964,8 @@ impl Accum {
                     });
                 }
             }
-            Accum::Heap { items, bytes, .. } => {
-                items.clear();
+            Accum::Heap { rows, bytes, .. } => {
+                rows.clear();
                 *bytes = 0;
                 if !matches!(value, Value::Null) {
                     return Err(AccumError::TypeMismatch {
@@ -794,9 +974,8 @@ impl Accum {
                     });
                 }
             }
-            Accum::GroupBy { groups, bytes, .. } => {
+            Accum::GroupBy(groups) => {
                 groups.clear();
-                *bytes = 0;
                 if !matches!(value, Value::Null) {
                     return Err(AccumError::TypeMismatch {
                         expected: "null (group-by accumulators can only be cleared)",
@@ -847,22 +1026,10 @@ impl Accum {
                     .map(|(k, a)| (k.clone(), a.value()))
                     .collect(),
             ),
-            Accum::Heap { items, .. } => Value::List(items.clone()),
-            Accum::GroupBy { groups, .. } => {
-                // The one place the group order is observable: ascending
-                // key, as a `Value::Map` always is.
-                let mut by_key: Vec<(&GroupKey, &Vec<Accum>)> = groups.iter().collect();
-                by_key.sort_unstable_by(|a, b| a.0.fields().cmp(b.0.fields()));
-                Value::Map(
-                    by_key
-                        .into_iter()
-                        .map(|(k, accs)| {
-                            let key = Value::Tuple(k.fields().to_vec());
-                            (key, Value::Tuple(accs.iter().map(Accum::value).collect()))
-                        })
-                        .collect(),
-                )
-            }
+            Accum::Heap { spec, rows, .. } => Value::List(
+                rows.chunks_exact(spec.arity()).map(|row| Value::Tuple(row.to_vec())).collect(),
+            ),
+            Accum::GroupBy(groups) => groups.value(),
             Accum::User(u) => u.value(),
         }
     }
@@ -884,7 +1051,7 @@ impl Accum {
             Accum::Array { .. } => "ArrayAccum",
             Accum::Map { .. } => "MapAccum",
             Accum::Heap { .. } => "HeapAccum",
-            Accum::GroupBy { .. } => "GroupByAccum",
+            Accum::GroupBy(_) => "GroupByAccum",
             Accum::User(_) => "UserAccum",
         }
     }
@@ -904,47 +1071,44 @@ fn scalar<T>(input: Input<'_>, expected: &'static str, view: fn(&Value) -> Optio
 fn split_map_input(input: Input<'_>) -> Result<(Cow<'_, Value>, Input<'_>), AccumError> {
     let mismatch = |got| AccumError::TypeMismatch { expected: "(key -> value) pair", got };
     match input.into_fields() {
-        Ok(mut xs) if xs.len() == 2 => {
-            let v = xs.pop().expect("two fields");
-            let k = xs.pop().expect("two fields");
-            Ok((k, Input::Value(v)))
-        }
-        Ok(xs) => Err(mismatch(Input::Tuple(xs).into_value())),
+        Ok(mut xs) if xs.len() == 2 => Ok((xs.take(0), Input::Value(xs.take(1)))),
+        Ok(xs) => Err(mismatch(xs.into_value())),
         Err(other) => Err(mismatch(other)),
     }
 }
 
 /// The fields of a `GroupByAccum` input `(k1..kn -> a1..am)`, an
 /// `(n+m)`-tuple.
-fn split_groupby_input(
-    input: Input<'_>,
-    key_arity: usize,
-    value_arity: usize,
-) -> Result<Vec<Cow<'_, Value>>, AccumError> {
+fn split_groupby_input<'a>(input: Input<'a>, groups: &GroupTable) -> Result<Fields<'a>, AccumError> {
+    let arity = groups.key_arity + groups.nested.len();
     match input.into_fields() {
-        Ok(xs) if xs.len() == key_arity + value_arity => Ok(xs),
-        Ok(xs) => Err(AccumError::ArityMismatch { expected: key_arity + value_arity, got: xs.len() }),
+        Ok(xs) if xs.len() == arity => Ok(xs),
+        Ok(xs) => Err(AccumError::ArityMismatch { expected: arity, got: xs.len() }),
         Err(other) => Err(AccumError::TypeMismatch { expected: "group-by tuple", got: other }),
     }
 }
 
-/// Compares heap tuples under the lexicographic sort spec. Non-tuple
-/// items compare directly by the first field direction.
-fn heap_cmp(a: &Value, b: &Value, fields: &[HeapField]) -> Ordering {
-    if fields.is_empty() {
-        return a.cmp(b);
+/// The fields of a heap candidate: a tuple of the declared arity.
+fn heap_fields<'a>(input: Input<'a>, spec: &HeapSpec) -> Result<Fields<'a>, AccumError> {
+    match input.into_fields() {
+        Ok(xs) if xs.len() == spec.arity() => Ok(xs),
+        Ok(xs) => Err(AccumError::ArityMismatch { expected: spec.arity(), got: xs.len() }),
+        Err(other) => Err(AccumError::TypeMismatch { expected: "heap tuple", got: other }),
     }
-    let (ta, tb) = match (a, b) {
-        (Value::Tuple(x), Value::Tuple(y)) => (x.as_slice(), y.as_slice()),
-        _ => {
-            let o = a.cmp(b);
-            return if fields[0].dir == SortDir::Desc { o.reverse() } else { o };
-        }
-    };
-    for f in fields {
-        let xa = ta.get(f.index).unwrap_or(&Value::Null);
-        let xb = tb.get(f.index).unwrap_or(&Value::Null);
-        let o = xa.cmp(xb);
+}
+
+/// Compares a kept heap row with a candidate under the sort spec (an
+/// empty spec compares every field, ascending — the order of the tuples
+/// themselves).
+fn heap_cmp(row: &[Value], candidate: &Fields<'_>, spec: &HeapSpec) -> Ordering {
+    if spec.fields().is_empty() {
+        return (0..row.len())
+            .map(|i| row[i].cmp(candidate.get(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal);
+    }
+    for f in spec.fields() {
+        let o = row[f.index].cmp(candidate.get(f.index));
         if o != Ordering::Equal {
             return if f.dir == SortDir::Desc { o.reverse() } else { o };
         }
@@ -952,35 +1116,53 @@ fn heap_cmp(a: &Value, b: &Value, fields: &[HeapField]) -> Ordering {
     Ordering::Equal
 }
 
-/// Inserts `input` into the sorted, capacity-bounded `items`, keeping
-/// `bytes` in step. The candidate is ranked where it lies and copied
-/// only once it makes the cut: an input that ranks strictly below the
-/// last item of a full heap would only be inserted at the end and
-/// truncated again, so it is rejected before the search; ties still take
-/// the search, which keeps the tie order of the plain sort-insert.
-fn heap_insert(
-    items: &mut Vec<Value>,
-    bytes: &mut usize,
-    input: Cow<'_, Value>,
-    fields: &[HeapField],
-    capacity: usize,
-) {
-    if items.len() >= capacity
-        && items.last().is_some_and(|last| heap_cmp(last, &input, fields) == Ordering::Less)
+/// Where `candidate` goes among the kept `rows`: exactly the index
+/// `slice::binary_search_by` picks over the rows, ties included. The
+/// search runs over the first `n` slots of `rows`, one per row; a probe's
+/// offset in that slice names the row it stands for.
+fn heap_position(rows: &[Value], candidate: &Fields<'_>, spec: &HeapSpec) -> usize {
+    let arity = spec.arity();
+    let slots = &rows[..rows.len() / arity];
+    let base = slots.as_ptr().addr();
+    slots
+        .binary_search_by(|slot| {
+            let i = (std::ptr::from_ref(slot).addr() - base) / std::mem::size_of::<Value>();
+            heap_cmp(&rows[i * arity..(i + 1) * arity], candidate, spec)
+        })
+        .unwrap_or_else(|p| p)
+}
+
+/// Inserts `candidate` into the sorted, capacity-bounded `rows`, keeping
+/// `bytes` in step. The candidate is ranked where it lies and its fields
+/// are copied only once it makes the cut. A full heap rejects a candidate
+/// that ranks strictly below its last row before any search (it would be
+/// truncated again; a zero-capacity heap rejects everything), and drops
+/// its last row for any other: the search places that one within the
+/// capacity.
+fn heap_insert(spec: &HeapSpec, rows: &mut Vec<Value>, bytes: &mut usize, mut candidate: Fields<'_>) {
+    let arity = spec.arity();
+    let kept = rows.len() / arity;
+    let full = kept >= spec.capacity();
+    if full
+        && (kept == 0 || heap_cmp(&rows[(kept - 1) * arity..], &candidate, spec) == Ordering::Less)
     {
         return;
     }
-    let pos = items
-        .binary_search_by(|probe| heap_cmp(probe, &input, fields))
-        .unwrap_or_else(|p| p);
-    let input = input.into_owned();
-    *bytes += input.estimated_bytes();
-    items.insert(pos, input);
-    if items.len() > capacity {
-        for dropped in items.drain(capacity..) {
-            *bytes -= dropped.estimated_bytes();
-        }
+    let pos = heap_position(rows, &candidate, spec);
+    if full {
+        *bytes -= row_bytes(&rows[(kept - 1) * arity..]);
+        rows.truncate((kept - 1) * arity);
     }
+    // Append the row, then rotate it into place.
+    let at = pos * arity;
+    rows.extend((0..arity).map(|i| candidate.take(i).into_owned()));
+    rows[at..].rotate_right(arity);
+    *bytes += row_bytes(&rows[at..at + arity]);
+}
+
+/// Estimated bytes of a heap row: the [`Value::Tuple`] it renders as.
+fn row_bytes(row: &[Value]) -> usize {
+    std::mem::size_of::<Value>() + content_bytes(row)
 }
 
 /// Estimated bytes of a run of elements.
@@ -1034,37 +1216,6 @@ fn map_apply(
     tracked(bytes, std::slice::from_mut(n), |n| f(&mut n[0]))
 }
 
-/// Runs `f` on each nested accumulator of the group keyed by the first
-/// `key_arity` of `fields`, with the remaining fields as inputs. The
-/// group is found by a borrowed probe; a new group (neutral nested
-/// accumulators) is the only place a key is copied.
-fn group_apply(
-    groups: &mut GroupTable,
-    bytes: &mut usize,
-    mut fields: Vec<Cow<'_, Value>>,
-    key_arity: usize,
-    nested: &[AccumType],
-    registry: &UserAccumRegistry,
-    f: impl Fn(&mut Accum, Input<'_>) -> Result<(), AccumError>,
-) -> Result<(), AccumError> {
-    let fold = |accs: &mut [Accum], vals: std::vec::Drain<'_, Cow<'_, Value>>| {
-        accs.iter_mut().zip(vals).try_for_each(|(a, v)| f(a, Input::Value(v)))
-    };
-    let probe = KeyProbe(&fields[..key_arity]);
-    if let Some(accs) = groups.get_mut(&probe as &dyn KeyFields) {
-        return tracked(bytes, accs, |accs| fold(accs, fields.drain(key_arity..)));
-    }
-    let mut fresh = nested
-        .iter()
-        .map(|ty| Accum::new(ty, registry))
-        .collect::<Result<Vec<_>, _>>()?;
-    let key = GroupKey(fields.drain(..key_arity).map(Cow::into_owned).collect());
-    *bytes += key.estimated_bytes() + fresh.iter().map(Accum::estimated_bytes).sum::<usize>();
-    let out = tracked(bytes, &mut fresh, |accs| fold(accs, fields.drain(..)));
-    groups.insert(key, fresh);
-    out
-}
-
 /// Runs `f` over nested accumulators and moves their container's cached
 /// `bytes` by the change in their footprint — also when `f` fails part
 /// way, so the cache never drifts from the contents.
@@ -1079,6 +1230,7 @@ fn tracked<T>(bytes: &mut usize, accs: &mut [Accum], f: impl FnOnce(&mut [Accum]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::HeapField;
 
     fn reg() -> UserAccumRegistry {
         let mut r = UserAccumRegistry::new();
@@ -1216,13 +1368,14 @@ mod tests {
     #[test]
     fn heap_keeps_top_k() {
         let r = reg();
-        let ty = AccumType::Heap {
-            capacity: 2,
-            fields: vec![
+        let ty = AccumType::heap(
+            2,
+            2,
+            vec![
                 HeapField { index: 0, dir: SortDir::Desc },
                 HeapField { index: 1, dir: SortDir::Asc },
             ],
-        };
+        );
         let mut h = mk(&ty);
         let t = |score: i64, name: &str| Value::Tuple(vec![Value::Int(score), Value::from(name)]);
         for (s, n) in [(5, "e"), (9, "b"), (9, "a"), (1, "x"), (7, "c")] {
@@ -1474,6 +1627,69 @@ mod tests {
     }
 
     #[test]
+    fn heap_rejects_scalars_and_wrong_arity_tuples() {
+        let r = reg();
+        let ty = AccumType::heap(3, 2, vec![HeapField { index: 0, dir: SortDir::Asc }]);
+        let mut h = mk(&ty);
+        assert!(matches!(
+            h.combine(Value::Int(1), &r),
+            Err(AccumError::TypeMismatch { expected: "heap tuple", .. })
+        ));
+        assert!(matches!(
+            h.combine(Value::Tuple(vec![Value::Int(1)]), &r),
+            Err(AccumError::ArityMismatch { expected: 2, got: 1 })
+        ));
+        let three = Value::Tuple(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        assert!(matches!(
+            h.combine_with_multiplicity(three, &BigCount::from(5u64), &r),
+            Err(AccumError::ArityMismatch { expected: 2, got: 3 })
+        ));
+        // A capacity-0 heap keeps nothing but still checks its inputs.
+        let mut empty = mk(&AccumType::heap(0, 1, vec![]));
+        assert!(empty.combine(Value::Int(1), &r).is_err());
+        empty.combine(Value::Tuple(vec![Value::Int(1)]), &r).unwrap();
+        assert_eq!(empty.value(), Value::List(vec![]));
+        assert_eq!(h.size(), Some(0));
+        assert_eq!(h.estimated_bytes(), 64);
+    }
+
+    #[test]
+    fn heap_ties_land_where_binary_search_puts_them() {
+        // Every sorted run of 0s, 1s and 2s up to length 9 (4 under
+        // Miri), probed with each key and past both ends, against
+        // `slice::binary_search_by` over the same tuples.
+        let spec = HeapSpec::new(16, 2, vec![HeapField { index: 0, dir: SortDir::Asc }]);
+        let longest = if cfg!(miri) { 5 } else { 10 };
+        for n in 0..longest {
+            for (a, b) in (0..=n).flat_map(|a| (a..=n).map(move |b| (a, b))) {
+                let keys = (0..n).map(|i| i64::from(i >= a) + i64::from(i >= b));
+                let tuples: Vec<Value> = keys
+                    .enumerate()
+                    .map(|(i, k)| Value::Tuple(vec![Value::Int(k), Value::Int(i as i64)]))
+                    .collect();
+                let rows: Vec<Value> = tuples
+                    .iter()
+                    .flat_map(|t| match t {
+                        Value::Tuple(fields) => fields.clone(),
+                        _ => unreachable!(),
+                    })
+                    .collect();
+                for probe in -1..4 {
+                    let cand = [Value::Int(probe), Value::Int(-1)];
+                    let want = tuples
+                        .binary_search_by(|t| match t {
+                            Value::Tuple(fields) => fields[0].cmp(&cand[0]),
+                            _ => unreachable!(),
+                        })
+                        .unwrap_or_else(|p| p);
+                    let got = heap_position(&rows, &Fields::Lent(&cand), &spec);
+                    assert_eq!(got, want, "n={n} a={a} b={b} probe={probe}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exact_merge_classification() {
         assert!(AccumType::Sum(ValueType::Int).is_exact_merge());
         assert!(AccumType::Min.is_exact_merge());
@@ -1494,7 +1710,7 @@ mod tests {
         assert!(!AccumType::Avg.is_exact_merge());
         assert!(!AccumType::List.is_exact_merge());
         assert!(!AccumType::Array.is_exact_merge());
-        assert!(!AccumType::Heap { capacity: 2, fields: vec![] }.is_exact_merge());
+        assert!(!AccumType::heap(2, 1, vec![]).is_exact_merge());
         assert!(!AccumType::User("ProductAccum".into()).is_exact_merge());
         assert!(
             !AccumType::Map(Box::new(AccumType::Avg)).is_exact_merge(),

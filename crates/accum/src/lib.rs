@@ -32,6 +32,6 @@ pub mod instance;
 pub mod types;
 pub mod user;
 
-pub use instance::{Accum, AccumError, GroupKey, Input, KeyFields};
-pub use types::AccumType;
+pub use instance::{Accum, AccumError, GroupKey, GroupTable, Input, KeyFields};
+pub use types::{AccumType, HeapSpec};
 pub use user::{UserAccum, UserAccumRegistry};

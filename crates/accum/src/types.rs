@@ -3,6 +3,7 @@
 use crate::user::UserAccumRegistry;
 use pgraph::value::ValueType;
 use std::fmt;
+use std::sync::Arc;
 
 /// Sort direction for a [`AccumType::Heap`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +22,48 @@ pub struct HeapField {
     pub index: usize,
     /// Sort direction for that field.
     pub dir: SortDir,
+}
+
+/// A `HeapAccum`'s declared shape: how many tuples it keeps, the arity
+/// of those tuples, and the lexicographic order it keeps them in. Every
+/// instance of one declaration shares one spec (see [`AccumType::Heap`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct HeapSpec {
+    capacity: usize,
+    arity: usize,
+    fields: Box<[HeapField]>,
+}
+
+impl HeapSpec {
+    /// A spec keeping `capacity` tuples of `arity` fields, ordered by
+    /// `fields` (an empty list orders by every field, ascending).
+    ///
+    /// # Panics
+    ///
+    /// If `arity` is zero or a sort field indexes past `arity`.
+    pub fn new(capacity: usize, arity: usize, fields: Vec<HeapField>) -> HeapSpec {
+        assert!(arity > 0, "a heap keeps tuples of at least one field");
+        assert!(
+            fields.iter().all(|f| f.index < arity),
+            "heap sort field out of range for a {arity}-tuple"
+        );
+        HeapSpec { capacity, arity, fields: fields.into() }
+    }
+
+    /// Maximum number of retained tuples.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of fields of every retained tuple.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Lexicographic sort specification.
+    pub fn fields(&self) -> &[HeapField] {
+        &self.fields
+    }
 }
 
 /// The declared type of an accumulator (paper Section 3, "Accumulator
@@ -57,13 +100,9 @@ pub enum AccumType {
     /// `(k -> v)` route `v` into the nested accumulator at key `k`.
     Map(Box<AccumType>),
     /// `HeapAccum<T>(capacity, f1 ASC|DESC, ...)`: a capacity-bounded
-    /// priority queue of tuples under a lexicographic order.
-    Heap {
-        /// Maximum number of retained tuples.
-        capacity: usize,
-        /// Lexicographic sort specification.
-        fields: Vec<HeapField>,
-    },
+    /// priority queue of tuples under a lexicographic order. The spec is
+    /// shared: instantiating the type clones the `Arc`, not the spec.
+    Heap(Arc<HeapSpec>),
     /// `GroupByAccum<K1...Kn, A1...Am>`: SQL GROUP BY as an accumulator
     /// (paper Example 12); inputs `(k1..kn -> a1..am)` route each `aj`
     /// into nested accumulator `Aj` of the group keyed by the key tuple.
@@ -78,6 +117,12 @@ pub enum AccumType {
 }
 
 impl AccumType {
+    /// `HeapAccum` of `arity`-tuples: shorthand for [`AccumType::Heap`]
+    /// over [`HeapSpec::new`] (whose panics it shares).
+    pub fn heap(capacity: usize, arity: usize, fields: Vec<HeapField>) -> AccumType {
+        AccumType::Heap(Arc::new(HeapSpec::new(capacity, arity, fields)))
+    }
+
     /// Order-invariance of the combiner (paper Section 4.3): the Reduce
     /// phase result is deterministic iff the combiner is commutative and
     /// associative. `List`, `Array` and `SumAccum<STRING>` are the
@@ -181,9 +226,9 @@ impl fmt::Display for AccumType {
             AccumType::List => write!(f, "ListAccum"),
             AccumType::Array => write!(f, "ArrayAccum"),
             AccumType::Map(v) => write!(f, "MapAccum<_, {v}>"),
-            AccumType::Heap { capacity, fields } => {
-                write!(f, "HeapAccum({capacity}")?;
-                for h in fields {
+            AccumType::Heap(spec) => {
+                write!(f, "HeapAccum({}", spec.capacity())?;
+                for h in spec.fields() {
                     write!(
                         f,
                         ", #{} {}",
@@ -222,7 +267,7 @@ mod tests {
         assert!(!AccumType::List.is_order_invariant(&r));
         assert!(!AccumType::Array.is_order_invariant(&r));
         assert!(AccumType::Avg.is_order_invariant(&r));
-        assert!(AccumType::Heap { capacity: 3, fields: vec![] }.is_order_invariant(&r));
+        assert!(AccumType::heap(3, 1, vec![]).is_order_invariant(&r));
         assert!(AccumType::Map(Box::new(AccumType::Min)).is_order_invariant(&r));
         assert!(!AccumType::Map(Box::new(AccumType::List)).is_order_invariant(&r));
     }

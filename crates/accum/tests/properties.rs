@@ -13,7 +13,11 @@
 //!   with the length of `value()`;
 //! * an input lent by reference or field by field (borrowed group
 //!   probes, heap candidates ranked in place) leaves exactly the state an
-//!   owned input leaves.
+//!   owned input leaves;
+//! * the flat layouts — a group table's slab, a heap's field-inline rows —
+//!   match those references step by step through clears, overlapping
+//!   merges and nesting, with `size()` and the cached bytes recounted
+//!   after every step.
 
 use accum::types::{HeapField, SortDir};
 use accum::{Accum, AccumType, Input, UserAccumRegistry};
@@ -72,17 +76,21 @@ fn tricky_key(i: u64) -> Value {
 }
 
 /// The footprint recount the cached `bytes` replaced, over the public
-/// variants.
+/// variants: a heap row is charged as the tuple it renders as, a group as
+/// its key plus its nested accumulators.
 fn recount(a: &Accum) -> usize {
     let values = |xs: &[Value]| xs.iter().map(MemSize::estimated_bytes).sum::<usize>();
     std::mem::size_of::<Accum>()
         + match a {
             Accum::SumStr(s) => s.capacity(),
             Accum::Min(v) | Accum::Max(v) => v.as_ref().map_or(0, MemSize::estimated_bytes),
-            Accum::Set { items, .. }
-            | Accum::List { items, .. }
-            | Accum::Array { items, .. }
-            | Accum::Heap { items, .. } => values(items),
+            Accum::Set { items, .. } | Accum::List { items, .. } | Accum::Array { items, .. } => {
+                values(items)
+            }
+            Accum::Heap { spec, rows, .. } => rows
+                .chunks(spec.arity())
+                .map(|row| std::mem::size_of::<Value>() + values(row))
+                .sum(),
             Accum::Bag { counts, .. } => counts
                 .keys()
                 .map(|k| k.estimated_bytes() + std::mem::size_of::<BigCount>())
@@ -90,7 +98,7 @@ fn recount(a: &Accum) -> usize {
             Accum::Map { entries, .. } => {
                 entries.iter().map(|(k, v)| k.estimated_bytes() + recount(v)).sum()
             }
-            Accum::GroupBy { groups, .. } => groups
+            Accum::GroupBy(groups) => groups
                 .iter()
                 .map(|(k, accs)| k.estimated_bytes() + accs.iter().map(recount).sum::<usize>())
                 .sum(),
@@ -102,10 +110,7 @@ fn recount(a: &Accum) -> usize {
 /// Every built-in accumulator type, containers nesting containers
 /// included.
 fn all_types() -> Vec<AccumType> {
-    let heap = AccumType::Heap {
-        capacity: 3,
-        fields: vec![HeapField { index: 0, dir: SortDir::Desc }],
-    };
+    let heap = AccumType::heap(3, 2, vec![HeapField { index: 0, dir: SortDir::Desc }]);
     vec![
         AccumType::Sum(ValueType::Int),
         AccumType::Sum(ValueType::Double),
@@ -160,10 +165,7 @@ fn order_invariant_types() -> Vec<AccumType> {
         AccumType::And,
         AccumType::Set,
         AccumType::Bag,
-        AccumType::Heap {
-            capacity: 4,
-            fields: vec![HeapField { index: 0, dir: SortDir::Desc }],
-        },
+        AccumType::heap(4, 2, vec![HeapField { index: 0, dir: SortDir::Desc }]),
         AccumType::Map(Box::new(AccumType::Sum(ValueType::Int))),
     ]
 }
@@ -177,8 +179,216 @@ fn input_for(ty: &AccumType, x: i64) -> Value {
     }
 }
 
+/// How a test hands an input over: owned, borrowed whole, or field by
+/// field with every field borrowed.
+fn feed(a: &mut Accum, v: &Value, how: u8, mu: u64, r: &UserAccumRegistry) {
+    let mu = BigCount::from(mu);
+    match (how % 3, v) {
+        (0, _) => a.combine_with_multiplicity(v.clone(), &mu, r),
+        (1, _) => a.combine_with_multiplicity(v, &mu, r),
+        (_, Value::Tuple(fields)) => {
+            let lent = Input::Tuple(fields.iter().map(Cow::Borrowed).collect());
+            a.combine_with_multiplicity(lent, &mu, r)
+        }
+        _ => unreachable!("tuple inputs"),
+    }
+    .unwrap();
+}
+
+/// A reference group table: a `BTreeMap` from key tuple to the group's
+/// nested accumulators, each group a plain `Vec`.
+struct RefGroups {
+    key_arity: usize,
+    nested: Vec<AccumType>,
+    groups: BTreeMap<Value, Vec<Accum>>,
+}
+
+impl RefGroups {
+    fn new(key_arity: usize, nested: &[AccumType]) -> RefGroups {
+        RefGroups { key_arity, nested: nested.to_vec(), groups: BTreeMap::new() }
+    }
+
+    fn combine(&mut self, v: &Value, mu: u64, r: &UserAccumRegistry) {
+        let Value::Tuple(fields) = v else { unreachable!("tuple inputs") };
+        let (key, vals) = fields.split_at(self.key_arity);
+        let slot = self
+            .groups
+            .entry(Value::Tuple(key.to_vec()))
+            .or_insert_with(|| self.nested.iter().map(|t| Accum::new(t, r).unwrap()).collect());
+        for (a, v) in slot.iter_mut().zip(vals) {
+            a.combine_with_multiplicity(v.clone(), &BigCount::from(mu), r).unwrap();
+        }
+    }
+
+    fn merge(&mut self, other: RefGroups, r: &UserAccumRegistry) {
+        for (k, accs) in other.groups {
+            match self.groups.get_mut(&k) {
+                Some(mine) => {
+                    for (a, b) in mine.iter_mut().zip(accs) {
+                        a.merge(b, r).unwrap();
+                    }
+                }
+                None => {
+                    self.groups.insert(k, accs);
+                }
+            }
+        }
+    }
+
+    fn render(&self) -> Value {
+        Value::Map(
+            self.groups
+                .iter()
+                .map(|(k, accs)| (k.clone(), Value::Tuple(accs.iter().map(Accum::value).collect())))
+                .collect(),
+        )
+    }
+}
+
+/// Asserts `a` renders as `want`, has `len` elements, and caches exactly
+/// its recounted footprint.
+fn check_state(a: &Accum, want: &Value, len: usize, step: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.value().to_string(), want.to_string(), "value after {}", step);
+    prop_assert_eq!(a.size(), Some(len), "size() after {}", step);
+    prop_assert_eq!(a.estimated_bytes(), recount(a), "cached bytes after {}", step);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// A slab group table tracks the `BTreeMap` reference after every
+    /// step: combines handed over owned, borrowed and field-wise (with
+    /// multiplicities), `= NULL` followed by a refill, and merges of
+    /// partials whose groups overlap the table's — on its own and nested
+    /// in a `MapAccum`.
+    #[test]
+    fn slab_groupby_matches_btree_reference_step_by_step(
+        ops in prop::collection::vec((0u8..8, 0u64..14, -9i64..9, 1u64..3), 0..40),
+    ) {
+        let r = reg();
+        let nested = vec![
+            AccumType::heap(2, 2, vec![HeapField { index: 0, dir: SortDir::Desc }]),
+            AccumType::Sum(ValueType::Int),
+            AccumType::List,
+        ];
+        let group_by = AccumType::GroupBy { key_arity: 2, nested: nested.clone() };
+        let input = |k: u64, v: i64| {
+            Value::Tuple(vec![
+                tricky_key(k),
+                Value::from(format!("s{}", k % 3)),
+                Value::Tuple(vec![Value::Int(v), Value::Int(k as i64)]),
+                Value::Int(v),
+                Value::Int(v * 10 + k as i64),
+            ])
+        };
+        // The table alone, and the same table under map keys 0 and 1.
+        let mut g = Accum::new(&group_by, &r).unwrap();
+        let mut reference = RefGroups::new(2, &nested);
+        let in_map = AccumType::Map(Box::new(group_by.clone()));
+        let mut m = Accum::new(&in_map, &r).unwrap();
+        let mut ref_m: BTreeMap<Value, RefGroups> = BTreeMap::new();
+        for (step, &(op, k, v, mu)) in ops.iter().enumerate() {
+            let mk = Value::Int((k % 2) as i64);
+            match op {
+                0..=4 => {
+                    let x = input(k, v);
+                    feed(&mut g, &x, op, mu, &r);
+                    reference.combine(&x, mu, &r);
+                    let pair = Value::Tuple(vec![mk.clone(), x.clone()]);
+                    feed(&mut m, &pair, op, mu, &r);
+                    ref_m.entry(mk).or_insert_with(|| RefGroups::new(2, &nested)).combine(&x, mu, &r);
+                }
+                5 => {
+                    g.assign(Value::Null).unwrap();
+                    reference.groups.clear();
+                    m.assign(Value::Null).unwrap();
+                    ref_m.clear();
+                }
+                _ => {
+                    // A partial over keys k..k+5: it shares some groups
+                    // with the table and brings new ones.
+                    let mut part = Accum::new(&group_by, &r).unwrap();
+                    let mut ref_part = RefGroups::new(2, &nested);
+                    let mut map_part = Accum::new(&in_map, &r).unwrap();
+                    let mut ref_map_part = RefGroups::new(2, &nested);
+                    for (i, y) in (k..k + 5).enumerate() {
+                        let x = input(y, v + i as i64);
+                        feed(&mut part, &x, i as u8, 1, &r);
+                        ref_part.combine(&x, 1, &r);
+                        feed(&mut map_part, &Value::Tuple(vec![mk.clone(), x.clone()]), i as u8, 1, &r);
+                        ref_map_part.combine(&x, 1, &r);
+                    }
+                    g.merge(part, &r).unwrap();
+                    reference.merge(ref_part, &r);
+                    m.merge(map_part, &r).unwrap();
+                    match ref_m.get_mut(&mk) {
+                        Some(mine) => mine.merge(ref_map_part, &r),
+                        None => {
+                            ref_m.insert(mk, ref_map_part);
+                        }
+                    }
+                }
+            }
+            let what = format!("step {step} (op {op})");
+            check_state(&g, &reference.render(), reference.groups.len(), &what)?;
+            let want_m = Value::Map(ref_m.iter().map(|(k, gs)| (k.clone(), gs.render())).collect());
+            check_state(&m, &want_m, ref_m.len(), &what)?;
+        }
+    }
+
+    /// A field-inline heap tracks the plain sort-insert after every step:
+    /// candidates handed over owned, borrowed and field-wise, with
+    /// multiplicities above one, ties on both sort fields (distinct
+    /// payloads, strings among them), then merges of partials. Rejected
+    /// candidates — below the last row, or tied with it at capacity — must
+    /// leave the cached bytes where the recount puts them.
+    #[test]
+    fn flat_heap_matches_sort_insert_step_by_step(
+        xs in prop::collection::vec((0i64..3, 0i64..2, 0u64..1000, 1u64..4, 0u8..3), 0..50),
+        cap in 1usize..6,
+        parts in 1usize..4,
+    ) {
+        let r = reg();
+        let fields = vec![
+            HeapField { index: 0, dir: SortDir::Desc },
+            HeapField { index: 1, dir: SortDir::Asc },
+        ];
+        let ty = AccumType::heap(cap, 3, fields.clone());
+        let tuple = |&(a, b, payload, _, _): &(i64, i64, u64, u64, u8)| {
+            let payload = if payload % 2 == 0 {
+                Value::Int(payload as i64)
+            } else {
+                Value::from(format!("p{payload}"))
+            };
+            Value::Tuple(vec![Value::Int(a), Value::Int(b), payload])
+        };
+        let mut h = Accum::new(&ty, &r).unwrap();
+        let mut reference = Vec::new();
+        for (step, x) in xs.iter().enumerate() {
+            let (mu, how) = (x.3, x.4);
+            feed(&mut h, &tuple(x), how, mu, &r);
+            for _ in 0..mu.min(cap as u64) {
+                ref_heap_insert(&mut reference, tuple(x), &fields, cap);
+            }
+            check_state(&h, &Value::List(reference.clone()), reference.len(), &format!("insert {step}"))?;
+        }
+        let mut merged = Accum::new(&ty, &r).unwrap();
+        let mut ref_merged: Vec<Value> = Vec::new();
+        for (i, chunk) in xs.chunks(xs.len().div_ceil(parts).max(1)).enumerate() {
+            let mut part = Accum::new(&ty, &r).unwrap();
+            let mut ref_part = Vec::new();
+            for x in chunk {
+                feed(&mut part, &tuple(x), x.4, 1, &r);
+                ref_heap_insert(&mut ref_part, tuple(x), &fields, cap);
+            }
+            merged.merge(part, &r).unwrap();
+            for v in ref_part {
+                ref_heap_insert(&mut ref_merged, v, &fields, cap);
+            }
+            check_state(&merged, &Value::List(ref_merged.clone()), ref_merged.len(), &format!("merge {i}"))?;
+        }
+    }
 
     /// Any permutation of inputs yields the same value for order-invariant
     /// accumulator types. (Sum<double> is invariant up to FP rounding;
@@ -270,10 +480,7 @@ proptest! {
     #[test]
     fn heap_is_truncated_sort(xs in prop::collection::vec(-100i64..100, 0..40), cap in 1usize..8) {
         let r = reg();
-        let ty = AccumType::Heap {
-            capacity: cap,
-            fields: vec![HeapField { index: 0, dir: SortDir::Desc }],
-        };
+        let ty = AccumType::heap(cap, 1, vec![HeapField { index: 0, dir: SortDir::Desc }]);
         let mut h = Accum::new(&ty, &r).unwrap();
         for &x in &xs {
             h.combine(Value::Tuple(vec![Value::Int(x)]), &r).unwrap();
@@ -323,7 +530,7 @@ proptest! {
             HeapField { index: 0, dir: SortDir::Desc },
             HeapField { index: 1, dir: SortDir::Asc },
         ];
-        let ty = AccumType::Heap { capacity: cap, fields: fields.clone() };
+        let ty = AccumType::heap(cap, 3, fields.clone());
         let input = |&(a, b, payload, _): &(i64, i64, i64, u64)| {
             Value::Tuple(vec![Value::Int(a), Value::Int(b), Value::Int(payload)])
         };
@@ -367,7 +574,7 @@ proptest! {
         let r = reg();
         let nested = vec![
             AccumType::Sum(ValueType::Int),
-            AccumType::Heap { capacity: 2, fields: vec![HeapField { index: 0, dir: SortDir::Asc }] },
+            AccumType::heap(2, 2, vec![HeapField { index: 0, dir: SortDir::Asc }]),
             AccumType::List,
         ];
         let ty = AccumType::GroupBy { key_arity: 1, nested: nested.clone() };
@@ -506,7 +713,7 @@ proptest! {
             HeapField { index: 0, dir: SortDir::Desc },
             HeapField { index: 1, dir: SortDir::Asc },
         ];
-        let heap = AccumType::Heap { capacity: cap, fields: fields.clone() };
+        let heap = AccumType::heap(cap, 3, fields.clone());
         let nested = vec![heap.clone(), AccumType::Sum(ValueType::Int), AccumType::Bag];
         let group_by = AccumType::GroupBy { key_arity: 1, nested: nested.clone() };
         let tuple = |&(_, a, b, payload, _): &(u64, i64, i64, i64, u64)| {

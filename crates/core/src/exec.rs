@@ -372,6 +372,18 @@ impl<'g> Engine<'g> {
             pending_vertices: 0,
         };
         rt.exec_stmts(&query.body)?;
+        // A profiled run frees the accumulator state before the profile
+        // closes, so the root's wall time includes releasing it. An
+        // unprofiled run keeps the usual drop order: freeing the vertex
+        // stores first made the allocator return their memory to the OS
+        // between the IC queries (16x the page faults, 13 % slower).
+        if rt.prof.is_some() {
+            drop((
+                std::mem::take(&mut rt.gaccs),
+                std::mem::take(&mut rt.vaccs),
+                std::mem::take(&mut rt.prev_vaccs),
+            ));
+        }
         let prof = rt.prof.take().map(|p| {
             p.finish(
                 &query.name,
@@ -1343,7 +1355,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let gacc_types: FxHashMap<String, AccumType> = self
             .gacc_ids
             .iter()
-            .map(|(n, &id)| (n.clone(), proto_type(&self.gaccs[id])))
+            .map(|(n, &id)| (n.clone(), self.gacc_types[id].clone()))
             .collect();
         tractable::check_block(
             block,
@@ -2624,32 +2636,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
 }
 
 // ---- helpers -------------------------------------------------------------
-
-fn proto_type(acc: &Accum) -> AccumType {
-    // Recover a displayable type for diagnostics from the instance kind.
-    match acc {
-        Accum::SumInt(_) => AccumType::Sum(pgraph::value::ValueType::Int),
-        Accum::SumDouble(_) => AccumType::Sum(pgraph::value::ValueType::Double),
-        Accum::SumStr(_) => AccumType::Sum(pgraph::value::ValueType::Str),
-        Accum::Min(_) => AccumType::Min,
-        Accum::Max(_) => AccumType::Max,
-        Accum::Avg { .. } => AccumType::Avg,
-        Accum::Or(_) => AccumType::Or,
-        Accum::And(_) => AccumType::And,
-        Accum::Set { .. } => AccumType::Set,
-        Accum::Bag { .. } => AccumType::Bag,
-        Accum::List { .. } => AccumType::List,
-        Accum::Array { .. } => AccumType::Array,
-        Accum::Map { value_type, .. } => AccumType::Map(value_type.clone()),
-        Accum::Heap { capacity, fields, .. } => {
-            AccumType::Heap { capacity: *capacity, fields: fields.clone() }
-        }
-        Accum::GroupBy { key_arity, nested, .. } => {
-            AccumType::GroupBy { key_arity: *key_arity, nested: nested.clone() }
-        }
-        Accum::User(_) => AccumType::User("user".into()),
-    }
-}
 
 fn new_var(vars: &mut FxHashMap<String, usize>, name: &str) -> Result<usize> {
     if vars.contains_key(name) {

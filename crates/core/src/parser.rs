@@ -605,7 +605,7 @@ impl Parser {
                     fields.push(HeapField { index, dir });
                 }
                 self.expect(Tok::RParen)?;
-                Ok(AccumType::Heap { capacity, fields })
+                Ok(AccumType::heap(capacity, fields_decl.len(), fields))
             }
             "GroupByAccum" => {
                 self.expect(Tok::Lt)?;
@@ -1631,8 +1631,10 @@ mod tests {
         )
         .unwrap();
         match &q.body[1] {
-            Stmt::AccumDecl { ty: AccumType::Heap { capacity, fields }, .. } => {
-                assert_eq!(*capacity, 20);
+            Stmt::AccumDecl { ty: AccumType::Heap(spec), .. } => {
+                assert_eq!(spec.capacity(), 20);
+                assert_eq!(spec.arity(), 2);
+                let fields = spec.fields();
                 assert_eq!(fields.len(), 2);
                 assert_eq!(fields[0].index, 0);
                 assert_eq!(fields[1].index, 1);

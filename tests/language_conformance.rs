@@ -166,6 +166,48 @@ fn heap_accum_with_typedef() {
 }
 
 #[test]
+fn heap_inputs_must_be_tuples_of_the_declared_arity() {
+    // The runtime holds every input to the typedef's arity, whether or
+    // not the static checker (lint T001) runs first.
+    let g = sales_graph();
+    let eng = Engine::new(&g);
+    let heap_query = |input: &str| {
+        format!(
+            "CREATE QUERY G () {{
+               TYPEDEF TUPLE<FLOAT price, STRING name> PN;
+               HeapAccum<PN>(2, price DESC, name ASC) @@expensive;
+               S = SELECT p FROM Product:p ACCUM @@expensive += {input};
+               PRINT @@expensive;
+             }}"
+        )
+    };
+    let err = eng.run_text(&heap_query("p.list_price"), &[]).unwrap_err();
+    assert!(matches!(err, Error::Runtime(_)), "{err}");
+    assert!(err.to_string().contains("expected heap tuple input"), "{err}");
+    let err = eng.run_text(&heap_query("(p.list_price, p.name, 1)"), &[]).unwrap_err();
+    assert!(matches!(err, Error::Runtime(_)), "{err}");
+    assert!(err.to_string().contains("expected a 2-tuple input, got arity 3"), "{err}");
+    // A tuple-valued expression is held to the arity as well.
+    let err = eng
+        .run_text(
+            "CREATE QUERY G () {
+               TYPEDEF TUPLE<FLOAT price, STRING name> PN;
+               HeapAccum<PN>(2, price DESC) @@h;
+               SetAccum<STRING> @@names;
+               @@h += (1.0, 'a');
+               S = SELECT p FROM Product:p ACCUM @@names += p.name;
+               @@h += (2.0);
+             }",
+            &[],
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("heap tuple"), "{err}");
+    // The declared arity passes.
+    let out = eng.run_text(&heap_query("(p.list_price, p.name)"), &[]).unwrap();
+    assert_eq!(out.prints, vec!["@@expensive = [(30.0, robot), (20.0, kite)]".to_string()]);
+}
+
+#[test]
 fn or_and_accums_with_post_accum() {
     let out = run(r#"
         CREATE QUERY G () {
