@@ -12,7 +12,7 @@ use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
 use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
 use crate::profile::{Profile, Profiler, Span, SpanExtra};
-use crate::semantics::{reach, MatchStats, PathSemantics, ReachMap};
+use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
 use crate::tractable;
 use accum::{Accum, AccumType, Input, UserAccumRegistry};
@@ -25,6 +25,7 @@ use pgraph::schema::{AttrDef, ETypeId, VTypeId};
 use pgraph::value::{Value, ValueType};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Cap on literal row expansion when a non-aggregate projection meets a
 /// multiplicity > 1 (outside the compressed representation).
@@ -344,6 +345,22 @@ impl<'g> Engine<'g> {
                 }
                 (_, v) => v,
             };
+            // Every later read indexes the graph's stores (and the
+            // kernels' head arrays) by vertex id, so an id outside the
+            // graph is rejected here, once.
+            let members = match &arg {
+                Value::Set(items) => items.as_slice(),
+                single => std::slice::from_ref(single),
+            };
+            let outside = |v: &&Value| {
+                matches!(v, Value::Vertex(id) if id.0 as usize >= self.graph.vertex_count())
+            };
+            if let Some(bad) = members.iter().find(outside) {
+                return Err(Error::runtime(format!(
+                    "parameter `{}`: vertex `{bad}` is not in the graph",
+                    p.name
+                )));
+            }
             params.insert(p.name.clone(), arg);
         }
         let mut rt = Runtime {
@@ -1894,6 +1911,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let reverse_from_target =
             backward_capable && (target_bound || spec_targets.is_some());
         let rev_nfa = if reverse_from_target { Some(nfa.reversed()) } else { None };
+        let pool = KernelPool::new(graph, rev_nfa.as_ref().unwrap_or(&nfa));
 
         // Multi-source fan-out: pre-compute the distinct kernel keys the
         // row loop below will ask for (forward: source vertices; backward:
@@ -1938,7 +1956,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 }
             }
             if keys.len() >= KERNEL_PARALLEL_THRESHOLD {
-                cache = self.parallel_kernels(&keys, rev_nfa.as_ref().unwrap_or(&nfa))?;
+                cache = self.parallel_kernels(&keys, &pool)?;
             }
         }
         let n_extra = existing_to.is_none() as usize;
@@ -1962,7 +1980,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 },
                 (None, a) => a,
             };
-            if let Some(rev) = &rev_nfa {
+            if rev_nfa.is_some() {
                 // Backward kernel(s) keyed by target vertex.
                 let single;
                 let targets: &[VertexId] = match (bound_target, &spec_targets) {
@@ -1976,7 +1994,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 for &t in targets {
                     if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(t) {
                         cache_misses += 1;
-                        e.insert(self.reach_keyed(t, rev)?);
+                        e.insert(self.reach_keyed(t, &pool)?);
                     } else {
                         cache_hits += 1;
                     }
@@ -1992,7 +2010,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // Forward kernel keyed by the source vertex.
             if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(src) {
                 cache_misses += 1;
-                e.insert(self.reach_keyed(src, &nfa)?);
+                e.insert(self.reach_keyed(src, &pool)?);
             } else {
                 cache_hits += 1;
             }
@@ -2006,10 +2024,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     }
                 }
                 None => {
-                    // Deterministic order: sort targets.
-                    let mut targets: Vec<(&VertexId, &(u32, BigCount))> = m.iter().collect();
-                    targets.sort_by_key(|(v, _)| **v);
-                    for (t, (_, cnt)) in targets {
+                    // The map is in vertex order, so the rows are too.
+                    for (t, (_, cnt)) in m {
                         if to_spec.matches(graph, *t) {
                             extend(*t, cnt, &mut out);
                         }
@@ -2024,9 +2040,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     /// Runs one reachability kernel on the main thread (a reach-cache
     /// miss of the sequential row loop).
-    fn reach_keyed(&mut self, key: VertexId, nfa: &CompiledDarpe) -> Result<ReachMap> {
-        let (graph, semantics, guard) = (self.graph(), self.semantics, self.guard);
-        reach(graph, key, nfa, semantics, guard, &mut self.stats)
+    fn reach_keyed(&mut self, key: VertexId, pool: &KernelPool<'_>) -> Result<ReachMap> {
+        pool.reach(key, self.semantics, self.guard, &mut self.stats)
     }
 
     /// Runs one reachability kernel per key through the engine's one
@@ -2041,12 +2056,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
     fn parallel_kernels(
         &mut self,
         keys: &[VertexId],
-        nfa: &CompiledDarpe,
+        pool: &KernelPool<'_>,
     ) -> Result<FxHashMap<VertexId, ReachMap>> {
-        let (graph, semantics, guard) = (self.graph(), self.semantics, self.guard);
+        let (semantics, guard) = (self.semantics, self.guard);
         let run = dispatch(guard, self.eng.parallelism, keys, |_, &key| {
             let mut stats = MatchStats::default();
-            let map = reach(graph, key, nfa, semantics, guard, &mut stats)?;
+            let map = pool.reach(key, semantics, guard, &mut stats)?;
             Ok((map, stats))
         })?;
         if self.prof.is_some() {
@@ -2661,6 +2676,38 @@ fn take_target_conjuncts<'c>(
         }
     }
     taken
+}
+
+/// A Kleene hop's kernel contexts, all over the hop's one automaton. A
+/// kernel call takes a context and puts it back, so at most one exists
+/// per worker, and the automaton's table rows and the product-state
+/// allocations outlive single kernel calls.
+struct KernelPool<'a> {
+    graph: &'a Graph,
+    nfa: &'a CompiledDarpe,
+    free: Mutex<Vec<Kernel<'a>>>,
+}
+
+impl<'a> KernelPool<'a> {
+    fn new(graph: &'a Graph, nfa: &'a CompiledDarpe) -> Self {
+        KernelPool { graph, nfa, free: Mutex::new(Vec::new()) }
+    }
+
+    /// One reachability kernel from `key` on a pooled context.
+    fn reach(
+        &self,
+        key: VertexId,
+        semantics: PathSemantics,
+        guard: &QueryGuard,
+        stats: &mut MatchStats,
+    ) -> Result<ReachMap> {
+        let free = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = free().pop();
+        let mut kernel = taken.unwrap_or_else(|| Kernel::new(self.nfa, self.graph));
+        let out = kernel.reach(self.graph, key, semantics, guard, stats);
+        free().push(kernel);
+        out
+    }
 }
 
 /// The adjacency entries of `v` a single-edge hop over edge type `etype`

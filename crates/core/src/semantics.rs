@@ -14,13 +14,12 @@
 //! | `NonRepeatedVertex`          | no vertex repeated (Gremlin)  | DFS enumeration (exp) |
 //! | `ShortestOne`                | any path ⇒ multiplicity 1     | product-DFA BFS, counts clamped (SPARQL) |
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::governor::QueryGuard;
 use darpe::{CompiledDarpe, Dfa, DfaStateId};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::FxHashMap;
 use pgraph::graph::{EdgeId, Graph, VertexId};
-use std::collections::VecDeque;
 
 /// The pattern-match legality flavor used for Kleene (multi-edge) DARPEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,16 +99,66 @@ impl MatchStats {
     }
 }
 
-/// Per-target reachability result: shortest legal length and path count.
-pub type ReachMap = FxHashMap<VertexId, (u32, BigCount)>;
+/// Per-target reachability result: `(target, (shortest legal length,
+/// number of legal paths))`, sorted by target vertex and sized exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReachMap(Vec<(VertexId, (u32, BigCount))>);
+
+impl ReachMap {
+    /// Builds the map from entries in any order with distinct targets.
+    fn from_unsorted(mut entries: Vec<(VertexId, (u32, BigCount))>) -> ReachMap {
+        entries.sort_unstable_by_key(|(v, _)| *v);
+        entries.shrink_to_fit();
+        ReachMap(entries)
+    }
+
+    /// The entry for target `v`, by binary search.
+    #[inline]
+    pub fn get(&self, v: &VertexId) -> Option<&(u32, BigCount)> {
+        self.0.binary_search_by_key(v, |(t, _)| *t).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Entries in ascending target order.
+    #[inline]
+    pub fn iter(&self) -> std::slice::Iter<'_, (VertexId, (u32, BigCount))> {
+        self.0.iter()
+    }
+
+    /// Number of reached targets.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no target was reached.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl std::ops::Index<&VertexId> for ReachMap {
+    type Output = (u32, BigCount);
+
+    fn index(&self, v: &VertexId) -> &(u32, BigCount) {
+        self.get(v).expect("target not in reach map")
+    }
+}
+
+impl<'m> IntoIterator for &'m ReachMap {
+    type Item = &'m (VertexId, (u32, BigCount));
+    type IntoIter = std::slice::Iter<'m, (VertexId, (u32, BigCount))>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// Computes, for every target vertex reachable from `src` by a legal
 /// satisfying path, the pair `(shortest legal length, number of legal
-/// paths)` under `semantics`. The [`QueryGuard`] enforces the caller's
-/// resource budget — path-materialization caps for the enumerative
-/// kernels plus deadline/cancellation checks at every loop head (a
-/// structured error signals the trip, exactly like the paper's 10-minute
-/// cap on Neo4j).
+/// paths)` under `semantics`, on a fresh [`Kernel`]. Callers running many
+/// kernels over one automaton keep a [`Kernel`] and call
+/// [`Kernel::reach`] instead, as the engine does.
 pub fn reach(
     graph: &Graph,
     src: VertexId,
@@ -118,111 +167,202 @@ pub fn reach(
     guard: &QueryGuard,
     stats: &mut MatchStats,
 ) -> Result<ReachMap> {
-    stats.kernel_calls += 1;
-    match semantics {
-        PathSemantics::AllShortestPaths => bfs_count(graph, src, nfa, false, guard, stats),
-        PathSemantics::ShortestOne => bfs_count(graph, src, nfa, true, guard, stats),
-        PathSemantics::AllShortestPathsEnumerate => {
-            let targets = bfs_count(graph, src, nfa, false, guard, stats)?;
-            enumerate_shortest(graph, src, nfa, &targets, guard, stats)
+    Kernel::new(nfa, graph).reach(graph, src, semantics, guard, stats)
+}
+
+/// `head` / `next` value of an empty product-state chain.
+const NIL: u32 = u32::MAX;
+
+/// One product state `(vertex, automaton state)` of the counting BFS.
+#[derive(Clone, Copy)]
+struct ProductState {
+    v: VertexId,
+    q: DfaStateId,
+    dist: u32,
+    /// The state discovered at `v` before this one ([`NIL`] if none):
+    /// `v`'s states form a chain from `head[v]`, at most one per DFA
+    /// state.
+    next: u32,
+}
+
+/// The counting BFS's product states, indexed by arrays instead of a
+/// hash map.
+#[derive(Default)]
+struct Product {
+    /// Per vertex: its newest product state, [`NIL`] if it has none.
+    head: Vec<u32>,
+    /// Product states in discovery order — also the BFS queue.
+    states: Vec<ProductState>,
+    /// Path counts, parallel to `states`.
+    cnt: Vec<BigCount>,
+    /// The vertices whose `head` is set, in discovery order.
+    touched: Vec<VertexId>,
+    /// The result under construction, before it moves into an
+    /// exactly-sized [`ReachMap`].
+    out: Vec<(VertexId, (u32, BigCount))>,
+}
+
+impl Product {
+    /// Clears the previous call's heads, states and counts, and sizes
+    /// `head` for `vertices`.
+    fn reset(&mut self, vertices: usize) {
+        for v in self.touched.drain(..) {
+            self.head[v.0 as usize] = NIL;
         }
-        PathSemantics::NonRepeatedEdge => {
-            enumerate_simple(graph, src, nfa, false, guard, stats)
+        self.states.clear();
+        self.cnt.clear();
+        if self.head.len() < vertices {
+            self.head.resize(vertices, NIL);
         }
-        PathSemantics::NonRepeatedVertex => {
-            enumerate_simple(graph, src, nfa, true, guard, stats)
+    }
+
+    /// The index of product state `(v, q)`, [`NIL`] if undiscovered.
+    #[inline]
+    fn find(&self, v: VertexId, q: DfaStateId) -> u32 {
+        let mut j = self.head[v.0 as usize];
+        while j != NIL && self.states[j as usize].q != q {
+            j = self.states[j as usize].next;
         }
+        j
+    }
+
+    /// Appends product state `(v, q)` at distance `dist` with count `c`.
+    #[inline]
+    fn push(&mut self, v: VertexId, q: DfaStateId, dist: u32, c: BigCount) {
+        let head = &mut self.head[v.0 as usize];
+        if *head == NIL {
+            self.touched.push(v);
+        }
+        self.states.push(ProductState { v, q, dist, next: *head });
+        *head = (self.states.len() - 1) as u32;
+        self.cnt.push(c);
     }
 }
 
-/// The polynomial SDMC kernel (Theorem 6.1): BFS over the product of the
-/// graph with the lazily-determinized DARPE automaton, propagating
-/// shortest-path counts. Because the automaton is deterministic, each
-/// graph path has exactly one run, so run counts are path counts.
-fn bfs_count(
-    graph: &Graph,
-    src: VertexId,
-    nfa: &CompiledDarpe,
-    clamp_to_one: bool,
-    guard: &QueryGuard,
-    stats: &mut MatchStats,
-) -> Result<ReachMap> {
-    let mut dfa = Dfa::new(nfa);
-    // Product-state bookkeeping.
-    let mut index: FxHashMap<(VertexId, DfaStateId), usize> = FxHashMap::default();
-    let mut dist: Vec<u32> = Vec::new();
-    let mut cnt: Vec<BigCount> = Vec::new();
-    let mut states: Vec<(VertexId, DfaStateId)> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
+/// A reachability kernel's context for one automaton: the lazily filled
+/// [`Dfa`] plus the product-state arrays, kept across calls so table
+/// rows and allocations outlive a single kernel. One context serves one
+/// kernel call at a time; a call costs O(product states + entries
+/// walked), never O(V), because it resets only the heads its predecessor
+/// touched.
+pub struct Kernel<'a> {
+    dfa: Dfa<'a>,
+    product: Product,
+}
 
-    let start = (src, dfa.start());
-    index.insert(start, 0);
-    states.push(start);
-    dist.push(0);
-    cnt.push(BigCount::one());
-    queue.push_back(0);
+impl<'a> Kernel<'a> {
+    /// A context for kernels over `nfa` on `graph`.
+    pub fn new(nfa: &'a CompiledDarpe, graph: &Graph) -> Kernel<'a> {
+        let product = Product { head: vec![NIL; graph.vertex_count()], ..Product::default() };
+        Kernel { dfa: Dfa::new(nfa), product }
+    }
 
-    let mut edges_scanned = 0u64;
-    while let Some(i) = queue.pop_front() {
-        guard.checkpoint()?;
-        let (v, q) = states[i];
-        let d = dist[i];
-        // This state only adds into states one level deeper, never into
-        // itself: take its count out instead of cloning it.
-        let c = std::mem::take(&mut cnt[i]);
-        let adj = graph.adjacency(v);
-        edges_scanned += adj.len() as u64;
-        for a in adj {
-            let Some(nq) = dfa.next(q, a.etype, a.dir) else { continue };
-            let key = (a.other, nq);
-            match index.get(&key) {
-                None => {
-                    let j = states.len();
-                    index.insert(key, j);
-                    states.push(key);
-                    dist.push(d + 1);
-                    cnt.push(c.clone());
-                    queue.push_back(j);
-                }
-                Some(&j) => {
-                    if dist[j] == d + 1 {
-                        cnt[j].add_assign(&c);
+    /// [`reach`] on this context. The [`QueryGuard`] enforces the
+    /// caller's resource budget — path-materialization caps for the
+    /// enumerative kernels plus deadline/cancellation checks at every
+    /// loop head (a structured error signals the trip, exactly like the
+    /// paper's 10-minute cap on Neo4j).
+    pub fn reach(
+        &mut self,
+        graph: &Graph,
+        src: VertexId,
+        semantics: PathSemantics,
+        guard: &QueryGuard,
+        stats: &mut MatchStats,
+    ) -> Result<ReachMap> {
+        if src.0 as usize >= graph.vertex_count() {
+            return Err(Error::runtime(format!("vertex {} is not in the graph", src.0)));
+        }
+        stats.kernel_calls += 1;
+        match semantics {
+            PathSemantics::AllShortestPaths => self.bfs_count(graph, src, false, guard, stats),
+            PathSemantics::ShortestOne => self.bfs_count(graph, src, true, guard, stats),
+            PathSemantics::AllShortestPathsEnumerate => {
+                let targets = self.bfs_count(graph, src, false, guard, stats)?;
+                enumerate_shortest(graph, src, &mut self.dfa, &targets, guard, stats)
+            }
+            PathSemantics::NonRepeatedEdge => {
+                enumerate_simple(graph, src, &mut self.dfa, false, guard, stats)
+            }
+            PathSemantics::NonRepeatedVertex => {
+                enumerate_simple(graph, src, &mut self.dfa, true, guard, stats)
+            }
+        }
+    }
+
+    /// The polynomial SDMC kernel (Theorem 6.1): BFS over the product of
+    /// the graph with the lazily determinized DARPE automaton,
+    /// propagating shortest-path counts. Because the automaton is
+    /// deterministic, each graph path has exactly one run, so run counts
+    /// are path counts. From `(v, q)` the walk reads only `v`'s adjacency
+    /// groups of `q`'s live edge types. Counts are exact sums, so the
+    /// result does not depend on the order states are visited in.
+    fn bfs_count(
+        &mut self,
+        graph: &Graph,
+        src: VertexId,
+        clamp_to_one: bool,
+        guard: &QueryGuard,
+        stats: &mut MatchStats,
+    ) -> Result<ReachMap> {
+        let Kernel { dfa, product: p } = self;
+        p.reset(graph.vertex_count());
+        p.push(src, dfa.start(), 0, BigCount::one());
+
+        let mut edges_scanned = 0u64;
+        let mut i = 0;
+        while i < p.states.len() {
+            guard.checkpoint()?;
+            let ProductState { v, q, dist, .. } = p.states[i];
+            // This state only adds into states one level deeper, never
+            // into itself: take its count out instead of cloning it.
+            let c = std::mem::take(&mut p.cnt[i]);
+            let row = dfa.row(q);
+            for &ty in row.live() {
+                for a in graph.adjacency_of_type(v, ty.etype) {
+                    edges_scanned += 1;
+                    let Some(nq) = row.next(ty, a.dir) else { continue };
+                    let j = p.find(a.other, nq);
+                    if j == NIL {
+                        p.push(a.other, nq, dist + 1, c.clone());
+                    } else if p.states[j as usize].dist == dist + 1 {
+                        p.cnt[j as usize].add_assign(&c);
                     }
                 }
             }
+            p.cnt[i] = c;
+            i += 1;
         }
-        cnt[i] = c;
-    }
-    stats.product_states += states.len() as u64;
-    stats.vertices_touched += states.len() as u64;
-    stats.edges_scanned += edges_scanned;
-    guard.note_visits(states.len() as u64, edges_scanned);
+        let visited = p.states.len() as u64;
+        stats.product_states += visited;
+        stats.vertices_touched += visited;
+        stats.edges_scanned += edges_scanned;
+        guard.note_visits(visited, edges_scanned);
 
-    // Per target: min dist over accepting states, summed counts at it.
-    let mut out: ReachMap = FxHashMap::default();
-    for (i, &(v, q)) in states.iter().enumerate() {
-        if !dfa.is_accepting(q) {
-            continue;
-        }
-        match out.get_mut(&v) {
-            None => {
-                out.insert(v, (dist[i], cnt[i].clone()));
-            }
-            Some(slot) => {
-                if dist[i] < slot.0 {
-                    *slot = (dist[i], cnt[i].clone());
-                } else if dist[i] == slot.0 {
-                    slot.1.add_assign(&cnt[i]);
+        // Per target, in vertex order: the least distance over its
+        // accepting states and the summed counts at that distance.
+        p.touched.sort_unstable();
+        for &v in &p.touched {
+            let mut best: Option<(u32, BigCount)> = None;
+            let mut j = p.head[v.0 as usize];
+            while j != NIL {
+                let st = p.states[j as usize];
+                if dfa.is_accepting(st.q) {
+                    let c = std::mem::take(&mut p.cnt[j as usize]);
+                    match &mut best {
+                        Some((d, sum)) if *d == st.dist => sum.add_assign(&c),
+                        Some((d, _)) if *d < st.dist => {}
+                        _ => best = Some((st.dist, c)),
+                    }
                 }
+                j = st.next;
+            }
+            if let Some((d, c)) = best {
+                p.out.push((v, (d, if clamp_to_one { BigCount::one() } else { c })));
             }
         }
+        Ok(ReachMap(p.out.drain(..).collect()))
     }
-    if clamp_to_one {
-        for slot in out.values_mut() {
-            slot.1 = BigCount::one();
-        }
-    }
-    Ok(out)
 }
 
 /// Enumerates every *shortest* legal path explicitly (the suboptimal
@@ -234,14 +374,13 @@ fn bfs_count(
 fn enumerate_shortest(
     graph: &Graph,
     src: VertexId,
-    nfa: &CompiledDarpe,
+    dfa: &mut Dfa<'_>,
     targets: &ReachMap,
     guard: &QueryGuard,
     stats: &mut MatchStats,
 ) -> Result<ReachMap> {
-    let max_depth = targets.values().map(|(d, _)| *d).max().unwrap_or(0);
-    let mut dfa = Dfa::new(nfa);
-    let mut out: ReachMap = FxHashMap::default();
+    let max_depth = targets.iter().map(|(_, (d, _))| *d).max().unwrap_or(0);
+    let mut out: FxHashMap<VertexId, (u32, BigCount)> = FxHashMap::default();
     let mut enumerated = 0u64;
 
     struct Frame {
@@ -297,7 +436,7 @@ fn enumerate_shortest(
     stats.vertices_touched += vertices_touched;
     stats.edges_scanned += edges_scanned;
     guard.note_visits(vertices_touched, edges_scanned);
-    Ok(out)
+    Ok(ReachMap::from_unsorted(out.into_iter().collect()))
 }
 
 /// Enumerates simple paths (non-repeated edge or vertex) through the
@@ -306,13 +445,12 @@ fn enumerate_shortest(
 fn enumerate_simple(
     graph: &Graph,
     src: VertexId,
-    nfa: &CompiledDarpe,
+    dfa: &mut Dfa<'_>,
     vertex_flavor: bool,
     guard: &QueryGuard,
     stats: &mut MatchStats,
 ) -> Result<ReachMap> {
-    let mut dfa = Dfa::new(nfa);
-    let mut out: ReachMap = FxHashMap::default();
+    let mut out: FxHashMap<VertexId, (u32, BigCount)> = FxHashMap::default();
     let mut used_edges: FxHashMap<EdgeId, ()> = FxHashMap::default();
     let mut used_vertices: FxHashMap<VertexId, ()> = FxHashMap::default();
     let mut enumerated = 0u64;
@@ -392,7 +530,7 @@ fn enumerate_simple(
     stats.vertices_touched += vertices_touched;
     stats.edges_scanned += edges_scanned;
     guard.note_visits(vertices_touched, edges_scanned);
-    Ok(out)
+    Ok(ReachMap::from_unsorted(out.into_iter().collect()))
 }
 
 #[cfg(test)]

@@ -17,10 +17,12 @@
 //!   grammar in the paper (`E> . (F> | <G)* . H . <J`),
 //! * [`nfa`]  — Thompson construction over adorned-symbol specs, resolved
 //!   against a [`pgraph::Schema`], plus explicit-path matching,
-//! * [`dfa`]  — a lazily determinized automaton. Determinization is what
-//!   makes **path counting exact**: each graph path has exactly one DFA
-//!   run, so the BFS product construction of Theorem 6.1 never counts a
-//!   path twice.
+//! * [`dfa`]  — the deterministic automaton as a dense transition table,
+//!   filled lazily one whole row at a time when a state is first
+//!   expanded, with each state's live edge types beside its row.
+//!   Determinization is what makes **path counting exact**: each graph
+//!   path has exactly one DFA run, so the BFS product construction of
+//!   Theorem 6.1 never counts a path twice.
 //!
 //! # Example
 //!

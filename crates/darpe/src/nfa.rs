@@ -74,6 +74,9 @@ pub struct CompiledDarpe {
     eps: Vec<Vec<u32>>,
     start: u32,
     accept: u32,
+    /// The edge types a symbol can match, ascending: the named ones, or
+    /// every type of the schema if a wildcard occurs.
+    alphabet: Vec<ETypeId>,
 }
 
 struct Builder<'a> {
@@ -197,7 +200,15 @@ impl CompiledDarpe {
     pub fn compile(d: &Darpe, schema: &Schema) -> Result<Self, CompileError> {
         let mut b = Builder { schema, trans: Vec::new(), eps: Vec::new() };
         let (start, accept) = b.fragment(d)?;
-        Ok(CompiledDarpe { trans: b.trans, eps: b.eps, start, accept })
+        let specs = || b.trans.iter().flatten().map(|(spec, _)| spec);
+        let mut alphabet: Vec<ETypeId> = if specs().any(|s| s.etype.is_none()) {
+            schema.edge_types().map(|(id, _)| id).collect()
+        } else {
+            specs().filter_map(|s| s.etype).collect()
+        };
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        Ok(CompiledDarpe { trans: b.trans, eps: b.eps, start, accept, alphabet })
     }
 
     /// The reversal of this automaton: accepts exactly the reversed words
@@ -229,7 +240,19 @@ impl CompiledDarpe {
                 eps[t as usize].push(s as u32);
             }
         }
-        CompiledDarpe { trans, eps, start: self.accept, accept: self.start }
+        CompiledDarpe {
+            trans,
+            eps,
+            start: self.accept,
+            accept: self.start,
+            alphabet: self.alphabet.clone(),
+        }
+    }
+
+    /// The edge types a symbol of this expression can match, ascending:
+    /// the types it names, or every type of the schema under a wildcard.
+    pub fn alphabet(&self) -> &[ETypeId] {
+        &self.alphabet
     }
 
     /// Number of NFA states.

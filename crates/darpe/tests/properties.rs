@@ -71,7 +71,9 @@ proptest! {
         prop_assert_eq!(parsed.to_string(), text);
     }
 
-    /// The lazy DFA accepts exactly the words the NFA accepts.
+    /// The table-backed DFA accepts exactly the words the NFA accepts,
+    /// both through `matches_word` and through its rows: a symbol whose
+    /// type is missing from a row's live types is a dead transition.
     #[test]
     fn dfa_agrees_with_nfa(d in arb_darpe(), words in prop::collection::vec(arb_word(), 1..12)) {
         let s = schema();
@@ -79,11 +81,17 @@ proptest! {
         let mut dfa = Dfa::new(&nfa);
         for w in &words {
             let word = resolve_word(&s, w);
-            prop_assert_eq!(
-                nfa.matches_word(&word),
-                dfa.matches_word(&word),
-                "word {:?} on `{}`", word, d
-            );
+            let expected = nfa.matches_word(&word);
+            prop_assert_eq!(expected, dfa.matches_word(&word), "word {:?} on `{}`", word, d);
+            let mut state = Some(dfa.start());
+            for &(et, dir) in &word {
+                let Some(q) = state else { break };
+                let row = dfa.row(q);
+                state = row.live().iter().find(|l| l.etype == et).and_then(|&ty| row.next(ty, dir));
+                prop_assert_eq!(state, dfa.next(q, et, dir), "row and next disagree on `{}`", d);
+            }
+            let by_rows = state.is_some_and(|q| dfa.is_accepting(q));
+            prop_assert_eq!(expected, by_rows, "rows: word {:?} on `{}`", word, d);
         }
     }
 

@@ -185,6 +185,7 @@ impl CsrChunk {
     }
 
     /// The `i`-th vertex's type-`t` group (empty past the last vertex).
+    #[inline]
     fn type_slice(&self, i: usize, t: usize, ntypes: usize) -> &[AdjEntry] {
         let k = i * ntypes + t;
         if ntypes > 0 && k + 1 < self.type_offsets.len() {
@@ -934,8 +935,12 @@ impl Graph {
         etype: ETypeId,
     ) -> impl Iterator<Item = &AdjEntry> {
         let i = v.0 as usize;
-        let base = self.csr_groups(i, Some(etype)).flatten();
-        base.chain(self.pending(i).iter().filter(move |a| a.etype == etype))
+        let ntypes = self.schema.edge_type_count();
+        let base = match self.csr.get(i / CHUNK) {
+            Some(chunk) => chunk.type_slice(i % CHUNK, etype.0 as usize, ntypes),
+            None => &[],
+        };
+        base.iter().chain(self.pending(i).iter().filter(move |a| a.etype == etype))
     }
 
     /// All vertices of type `vt`, in insertion order.

@@ -550,6 +550,31 @@ fn bad_param_bindings_are_refused_422_with_the_param_name() {
 }
 
 #[test]
+fn vertex_argument_outside_the_graph_is_a_400_naming_the_param() {
+    let (server, addr) = start(|_| {});
+    let mut c = Client::connect(addr).unwrap();
+    let mut q = String::new();
+    write_json(
+        &mut q,
+        &Json::Str(
+            "CREATE QUERY Q (vertex src) { S = {src}; R = SELECT t FROM S:s -(E>*)- V:t; PRINT R.size(); }"
+                .into(),
+        ),
+    );
+    for (src, status) in [(1_000_000, 400), (0, 200)] {
+        let body = format!(r#"{{"query":{q},"args":{{"src":{{"vertex":{src}}}}}}}"#);
+        let resp = c.post_json("/query", &[], &body).unwrap();
+        assert_eq!(resp.status, status, "body: {}", String::from_utf8_lossy(&resp.body));
+        if status == 400 {
+            let err = resp.json().unwrap();
+            let msg = err.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+            assert!(msg.is_some_and(|m| m.contains("parameter `src`")), "body: {err}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn lint_endpoint_and_prepare_gate() {
     let (server, addr) = start(|_| {});
     let mut c = Client::connect(addr).unwrap();

@@ -848,3 +848,48 @@ fn update_sees_the_snapshot_not_its_own_writes() {
     // Snapshot price 30.0: the last write is 30 + 5 = 35.
     assert_eq!(out2.table("T").unwrap().rows, vec![vec![Value::Double(35.0)]]);
 }
+
+#[test]
+fn vertex_argument_outside_the_graph_is_a_runtime_error() {
+    // Each shape once indexed past the graph (a worker panic) or, when
+    // the vertex was only an anchor, silently matched nothing; all three
+    // now fail at argument binding and name the parameter.
+    let g = pgraph::generators::erdos_renyi(50, 0.1, 1);
+    let outside = Value::Vertex(pgraph::graph::VertexId(1_000_000));
+    let shapes = [
+        "CREATE QUERY Q (vertex src) {
+           S = {src};
+           R = SELECT t FROM S:s -(E>*)- V:t;
+           PRINT R.size();
+         }",
+        "CREATE QUERY Q (vertex src) {
+           R = SELECT t FROM V:s -(E>*)- V:t WHERE s == src;
+           PRINT R.size();
+         }",
+        "CREATE QUERY Q (vertex src) {
+           SumAccum<int> @@n;
+           R = SELECT s FROM V:s -(E>*)- V:src ACCUM @@n += 1;
+           PRINT @@n;
+         }",
+    ];
+    for parallelism in [1, 4] {
+        let eng = Engine::new(&g).with_parallelism(parallelism).with_morsel_size(1);
+        for shape in shapes {
+            let err = eng.run_text(shape, &[("src", outside.clone())]).unwrap_err();
+            assert_eq!(err.kind(), gsql_core::ErrorKind::Runtime, "{err}\n{shape}");
+            assert!(err.to_string().contains("parameter `src`"), "{err}");
+            // An in-range vertex still runs.
+            let ok = pgraph::graph::VertexId(0);
+            eng.run_text(shape, &[("src", Value::Vertex(ok))]).unwrap();
+        }
+    }
+    // Members of a vertex-set argument are checked too.
+    let err = Engine::new(&g)
+        .run_text(
+            "CREATE QUERY Q (set<vertex> seeds) { PRINT seeds.size(); }",
+            &[("seeds", Value::Set(vec![Value::Vertex(pgraph::graph::VertexId(3)), outside]))],
+        )
+        .unwrap_err();
+    assert_eq!(err.kind(), gsql_core::ErrorKind::Runtime, "{err}");
+    assert!(err.to_string().contains("parameter `seeds`"), "{err}");
+}
