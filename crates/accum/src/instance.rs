@@ -116,7 +116,7 @@ impl GroupTable {
     /// in wholesale (it already equals neutral ⊕ its inputs). Groups are
     /// independent, so the order they are visited in cannot change the
     /// merged state.
-    fn merge(&mut self, other: GroupTable, registry: &UserAccumRegistry) -> Result<(), AccumError> {
+    fn merge(&mut self, mut other: GroupTable, registry: &UserAccumRegistry) -> Result<(), AccumError> {
         let n = self.nested.len();
         if other.key_arity != self.key_arity || other.nested.len() != n {
             return Err(AccumError::ArityMismatch {
@@ -126,9 +126,9 @@ impl GroupTable {
         }
         // Visit `other`'s groups in slab order, so their accumulators can
         // be moved out of the slab front to back.
-        let mut keys: Vec<(GroupKey, usize)> = other.index.into_iter().collect();
+        let mut keys: Vec<(GroupKey, usize)> = other.index.drain().collect();
         keys.sort_unstable_by_key(|&(_, g)| g);
-        let mut theirs = other.slab.into_iter();
+        let mut theirs = std::mem::take(&mut other.slab).into_iter();
         for (key, _) in keys {
             let accs = theirs.by_ref().take(n);
             let next = self.index.len();
@@ -151,11 +151,23 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Drops every group.
+    /// Drops every group, freeing the keys in group-number order.
     fn clear(&mut self) {
-        self.index.clear();
+        self.release_keys();
         self.slab.clear();
         self.bytes = 0;
+    }
+
+    /// Empties the index, freeing its keys in group-number order — the
+    /// order they were allocated in. Hash order would scatter the frees,
+    /// which fragments the allocator's heap across queries.
+    fn release_keys(&mut self) {
+        let mut keys: Vec<Option<GroupKey>> = Vec::new();
+        keys.resize_with(self.index.len(), || None);
+        for (key, g) in self.index.drain() {
+            keys[g] = Some(key);
+        }
+        drop(keys);
     }
 
     /// The groups as a [`Value::Map`] from key tuple to the tuple of
@@ -173,6 +185,12 @@ impl GroupTable {
                 })
                 .collect(),
         )
+    }
+}
+
+impl Drop for GroupTable {
+    fn drop(&mut self) {
+        self.release_keys();
     }
 }
 
@@ -534,12 +552,9 @@ pub enum Accum {
         /// [`Value::Tuple`] it renders as.
         bytes: usize,
         /// Unused. The other fields need 40 bytes; this keeps `Accum` at
-        /// 64 bytes with 8-byte alignment, as before. The vertex stores'
-        /// `Option<Accum>` cells (one per graph vertex, allocated and
-        /// freed per query) at 48 bytes, or at 64 aligned to 64, made the
-        /// allocator hand their memory back to the OS between queries
-        /// (13x the page faults) and the in-process LDBC IC cycle 10–20 %
-        /// slower.
+        /// 64 bytes with 8-byte alignment, the size
+        /// [`Accum::estimated_bytes`] charges per instance, so memory
+        /// budgets and `peak_accum_bytes` read what they always read.
         reserved: [usize; 3],
     },
     /// `GroupByAccum`: SQL GROUP BY as an accumulator (paper Example 12).

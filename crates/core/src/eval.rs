@@ -70,7 +70,10 @@ impl Binding {
     }
 }
 
-/// Per-vertex accumulator storage for one declared `@name`.
+/// Per-vertex accumulator storage for one declared `@name`. A store
+/// holds only the cells a query touched: a zero-initialised index of one
+/// `u32` per vertex points into a vector of the populated cells, so an
+/// untouched vertex costs 4 bytes and reads the prototype.
 #[derive(Debug, Clone)]
 pub struct VAccStore {
     /// Declared accumulator type.
@@ -78,8 +81,12 @@ pub struct VAccStore {
     /// The freshly-initialized instance vertices start from (includes the
     /// declaration initializer, e.g. `SumAccum<float> @score = 1`).
     pub prototype: Accum,
-    /// Lazily-populated cells, indexed by `VertexId`.
-    cells: Vec<Option<Accum>>,
+    /// Per `VertexId`: 0 while untouched, else 1 + the cell's position in
+    /// `cells`.
+    index: Vec<u32>,
+    /// The touched cells, in first-touch order (never iterated: a walk
+    /// over the cells would go through `index`, in vertex order).
+    cells: Vec<Accum>,
     /// Running [`Accum::estimated_bytes`] total of the populated cells,
     /// kept by [`VAccStore::update`], the store's only write path.
     cell_bytes: u64,
@@ -88,12 +95,15 @@ pub struct VAccStore {
 impl VAccStore {
     /// A store for `vertices` vertices, every cell at `prototype`.
     pub(crate) fn new(ty: AccumType, prototype: Accum, vertices: usize) -> Self {
-        VAccStore { ty, prototype, cells: vec![None; vertices], cell_bytes: 0 }
+        VAccStore { ty, prototype, index: vec![0; vertices], cells: Vec::new(), cell_bytes: 0 }
     }
 
     /// The accumulator at `v` (the prototype if untouched).
     pub(crate) fn accum_at(&self, v: VertexId) -> &Accum {
-        self.cells.get(v.0 as usize).and_then(|c| c.as_ref()).unwrap_or(&self.prototype)
+        match self.index.get(v.0 as usize) {
+            Some(&slot) if slot > 0 => &self.cells[slot as usize - 1],
+            _ => &self.prototype,
+        }
     }
 
     /// Read the current value at `v` (prototype value if untouched).
@@ -105,16 +115,19 @@ impl VAccStore {
     /// first, and keeps the store's byte total in step.
     pub(crate) fn update<R>(&mut self, v: VertexId, f: impl FnOnce(&mut Accum) -> R) -> R {
         let idx = v.0 as usize;
-        if idx >= self.cells.len() {
-            self.cells.resize(idx + 1, None);
+        if idx >= self.index.len() {
+            self.index.resize(idx + 1, 0);
         }
-        let cell = self.cells[idx].get_or_insert_with(|| {
+        if self.index[idx] == 0 {
             // Charge the clone, not the prototype: a clone drops any spare
             // capacity the prototype's buffers had.
             let cell = self.prototype.clone();
             self.cell_bytes += cell.estimated_bytes() as u64;
-            cell
-        });
+            self.cells.push(cell);
+            self.index[idx] =
+                u32::try_from(self.cells.len()).expect("a store holds at most one cell per vertex");
+        }
+        let cell = &mut self.cells[self.index[idx] as usize - 1];
         let before = cell.estimated_bytes() as u64;
         let out = f(cell);
         self.cell_bytes = self.cell_bytes - before + cell.estimated_bytes() as u64;
@@ -122,7 +135,7 @@ impl VAccStore {
     }
 
     /// Estimated footprint of the store — prototype plus populated cells
-    /// — in O(1).
+    /// — in O(1). The index is not charged.
     pub(crate) fn estimated_bytes(&self) -> u64 {
         self.prototype.estimated_bytes() as u64 + self.cell_bytes
     }

@@ -9,7 +9,9 @@ use crate::eval::{
     Program, Row, Scope, VAccStore,
 };
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
-use crate::morsel::{dispatch, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE};
+use crate::morsel::{
+    dispatch, even_runs, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE,
+};
 use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
 use crate::profile::{Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
@@ -389,18 +391,13 @@ impl<'g> Engine<'g> {
             pending_vertices: 0,
         };
         rt.exec_stmts(&query.body)?;
-        // A profiled run frees the accumulator state before the profile
-        // closes, so the root's wall time includes releasing it. An
-        // unprofiled run keeps the usual drop order: freeing the vertex
-        // stores first made the allocator return their memory to the OS
-        // between the IC queries (16x the page faults, 13 % slower).
-        if rt.prof.is_some() {
-            drop((
-                std::mem::take(&mut rt.gaccs),
-                std::mem::take(&mut rt.vaccs),
-                std::mem::take(&mut rt.prev_vaccs),
-            ));
-        }
+        // The accumulator state is released before the profile closes, so
+        // a profiled root's wall time includes freeing it.
+        drop((
+            std::mem::take(&mut rt.gaccs),
+            std::mem::take(&mut rt.vaccs),
+            std::mem::take(&mut rt.prev_vaccs),
+        ));
         let prof = rt.prof.take().map(|p| {
             p.finish(
                 &query.name,
@@ -614,9 +611,9 @@ fn map_item<'p, 'm>(
 /// differs between ACCUM and POST_ACCUM, parallel and sequential.
 #[derive(Clone, Copy, PartialEq)]
 enum Sink {
-    /// The plan's [`FoldVerdict`] holds: each morsel folds into an
-    /// identity-seeded [`AccumPartial`]; partials merge into the live
-    /// stores in ascending morsel order.
+    /// The plan's [`FoldVerdict`] holds: each worker's contiguous run of
+    /// morsels folds into one identity-seeded [`AccumPartial`]; partials
+    /// merge into the live stores in ascending run order.
     Partials,
     /// ACCUM without the verdict whose statements read an accumulator
     /// the clause writes: emissions concatenate in row order and apply
@@ -631,10 +628,11 @@ enum Sink {
     Live,
 }
 
-/// Identity-seeded accumulator partials folded from one morsel. Globals
-/// key by store id, vertex cells by `(store, VertexId)`; both merge into
-/// the live stores in a deterministic order — ascending morsel, then
-/// ascending key — via [`Runtime::merge_partial`]. The `bool` in each
+/// Identity-seeded accumulator partials folded from one run of
+/// contiguous morsels. Globals key by store id, vertex cells by
+/// `(store, VertexId)`; both merge into the live stores in a
+/// deterministic order — ascending run, then ascending key — via
+/// [`Runtime::merge_partial`]. The `bool` in each
 /// cell records whether the cell was ever written by a plain `=`
 /// assignment: such cells *replace* the live state on merge instead of
 /// combining into it (sound only under [`FoldVerdict::Proven`] — see
@@ -2067,7 +2065,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         if self.prof.is_some() {
             // Per-worker kernel distribution for the enclosing hop span —
             // how evenly the work-stealing fan-out spread the kernels.
-            self.prof_hop_workers = run.per_worker;
+            self.prof_hop_workers = run.per_worker(|_| 1);
         }
         let mut maps = FxHashMap::default();
         for (key, (map, stats)) in keys.iter().zip(run.results) {
@@ -2107,16 +2105,16 @@ impl<'e, 'g> Runtime<'e, 'g> {
         })
     }
 
-    /// Merges one morsel's identity-seeded partial into the live stores:
+    /// Merges one run's identity-seeded partial into the live stores:
     /// globals in ascending store order, vertex cells in ascending
     /// `(store, VertexId)` order, so the merge sequence is a pure
-    /// function of the morsel boundaries, never of worker timing.
+    /// function of the run boundaries, never of worker timing.
     ///
     /// Cells marked as assigned *replace* the live state wholesale:
     /// under the proven ACCUM gate every partial assigned the same
     /// row-invariant value, and under the proven POST_ACCUM gate the
     /// last partial's state replays the sequential suffix exactly, so
-    /// replacement in ascending morsel order reproduces the sequential
+    /// replacement in ascending run order reproduces the sequential
     /// fold byte-for-byte.
     fn merge_partial(&mut self, part: AccumPartial) -> Result<()> {
         let mut globals: Vec<(usize, (Accum, bool))> = part.g.into_iter().collect();
@@ -2184,26 +2182,33 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let n_items = ranges.last().map_or(0, |r| r.end);
         let workers = self.workers_for(n_items);
         if sink == Sink::Partials {
-            // Exact-merge combiners are associative at the representation
-            // level and proven assigns replay, so merging the morsels'
-            // partials in ascending order is byte-identical to the
-            // sequential item-order fold at any parallelism and any
-            // morsel size.
+            // One partial per worker: the morsels split into contiguous
+            // runs, each run folds its morsels in order into one partial,
+            // and the partials merge in ascending run order. Exact-merge
+            // combiners are associative at the representation level and
+            // proven assigns replay, so this regrouping of the sequential
+            // item-order fold is byte-identical to it at any parallelism
+            // and any morsel size.
             let registry = &self.eng.registry;
             let (vaccs, gtypes) = (&self.vaccs, &self.gacc_types);
-            let run = dispatch(guard, workers, ranges, |_, range| {
+            let runs = even_runs(ranges.len(), workers);
+            let run = dispatch(guard, workers, &runs, |_, morsels| {
                 let mut frame = Frame::new(prog);
                 let mut part = AccumPartial::default();
-                for i in range.clone() {
+                for range in &ranges[morsels.clone()] {
                     guard.checkpoint()?;
-                    map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
-                        part.fold(em, vaccs, gtypes, registry)
-                    })?;
+                    for i in range.clone() {
+                        guard.checkpoint()?;
+                        map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
+                            part.fold(em, vaccs, gtypes, registry)
+                        })?;
+                    }
                 }
                 Ok(part)
             })?;
             if self.prof.is_some() {
-                self.prof_op_workers = run.per_worker;
+                // PROFILE counts morsels per worker, not runs.
+                self.prof_op_workers = run.per_worker(|r| runs[r].len() as u64);
             }
             for part in run.results {
                 self.merge_partial(part)?;
@@ -2229,7 +2234,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 Ok(out)
             })?;
             if self.prof.is_some() {
-                self.prof_op_workers = run.per_worker;
+                self.prof_op_workers = run.per_worker(|_| 1);
             }
             for em in run.results.into_iter().flatten() {
                 self.apply_emission(em)?;

@@ -13,8 +13,9 @@
 //! Parallel operators split the table into **morsels** — contiguous row
 //! ranges of [`Engine::morsel_size`](crate::Engine::with_morsel_size)
 //! rows (default [`DEFAULT_MORSEL_SIZE`]) — and feed them to
-//! `dispatch`, the engine's one scheduler (the Kleene-hop kernel
-//! fan-out feeds it kernel keys instead of row ranges): scoped workers
+//! `dispatch`, the engine's one scheduler (a proven accumulator fold
+//! feeds it one contiguous run of morsels per worker, the Kleene-hop
+//! kernel fan-out feeds it kernel keys): scoped workers
 //! steal item indices from a shared atomic counter, results land in a
 //! slot per item, and the caller consumes them in ascending item order.
 //! Ascending-order consumption is what keeps every merge deterministic:
@@ -170,14 +171,47 @@ pub fn morsel_ranges(len: usize, size: usize) -> Vec<Range<usize>> {
     (0..len.div_ceil(size)).map(|i| (i * size)..((i + 1) * size).min(len)).collect()
 }
 
+/// Splits `n` items into at most `k` contiguous runs covering `0..n` in
+/// order, the longer runs first and no two lengths differing by more
+/// than one. A pure function of `n` and `k`; `n == 0` yields no runs.
+pub(crate) fn even_runs(n: usize, k: usize) -> Vec<Range<usize>> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let k = k.clamp(1, n);
+    let (base, extra) = (n / k, n % k);
+    let mut start = 0;
+    (0..k)
+        .map(|j| {
+            let len = base + usize::from(j < extra);
+            start += len;
+            (start - len)..start
+        })
+        .collect()
+}
+
 /// The outcome of a [`dispatch`] run.
 #[derive(Debug)]
 pub(crate) struct MorselRun<T> {
     /// One result per item, in ascending item order.
     pub results: Vec<T>,
-    /// Items completed per worker (the PROFILE `workers` distribution;
-    /// varies with timing and is never consulted for results).
-    pub per_worker: Vec<u64>,
+    /// The worker that completed each item, by item index (timing
+    /// decides it, so it is never consulted for results).
+    owners: Vec<usize>,
+    /// Worker threads the run used.
+    workers: usize,
+}
+
+impl<T> MorselRun<T> {
+    /// Work completed per worker, item `i` counting `weight(i)` — the
+    /// PROFILE `workers` distribution.
+    pub fn per_worker(&self, weight: impl Fn(usize) -> u64) -> Vec<u64> {
+        let mut per = vec![0u64; self.workers];
+        for (i, &w) in self.owners.iter().enumerate() {
+            per[w] += weight(i);
+        }
+        per
+    }
 }
 
 /// The engine's one scheduler: runs `work(index, item)` over every item
@@ -205,7 +239,7 @@ where
 {
     let n = items.len();
     if n == 0 {
-        return Ok(MorselRun { results: Vec::new(), per_worker: Vec::new() });
+        return Ok(MorselRun { results: Vec::new(), owners: Vec::new(), workers: 0 });
     }
     let nworkers = workers.max(1).min(n);
     if nworkers == 1 {
@@ -214,7 +248,7 @@ where
             guard.checkpoint()?;
             results.push(work(i, item)?);
         }
-        return Ok(MorselRun { results, per_worker: vec![n as u64] });
+        return Ok(MorselRun { results, owners: vec![0; n], workers: 1 });
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     type Done<T> = Vec<(usize, Result<T>)>;
@@ -255,14 +289,14 @@ where
             })
             .collect()
     });
-    let mut per_worker = vec![0u64; nworkers];
+    let mut owners = vec![0; n];
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut first_err: Option<(usize, Error)> = None;
     for (w, done) in outs.into_iter().enumerate() {
         for (i, r) in done {
             match r {
                 Ok(t) => {
-                    per_worker[w] += 1;
+                    owners[i] = w;
                     slots[i] = Some(t);
                 }
                 Err(e) => {
@@ -293,7 +327,8 @@ where
             .into_iter()
             .map(|s| s.expect("item completed without result or error"))
             .collect(),
-        per_worker,
+        owners,
+        workers: nworkers,
     })
 }
 
@@ -319,6 +354,25 @@ mod tests {
             if len > 0 {
                 assert_eq!(rs[0].start, 0);
                 assert_eq!(rs.last().unwrap().end, len);
+            }
+        }
+    }
+
+    #[test]
+    fn even_runs_partition_in_order() {
+        assert!(even_runs(0, 3).is_empty());
+        assert_eq!(even_runs(5, 1), vec![0..5]);
+        assert_eq!(even_runs(2, 8), vec![0..1, 1..2]);
+        assert_eq!(even_runs(7, 3), vec![0..3, 3..5, 5..7]);
+        for n in 0..40 {
+            for k in 1..10 {
+                let runs = even_runs(n, k);
+                assert_eq!(runs.len(), k.min(n));
+                assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), n);
+                for w in runs.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                    assert!(w[0].len() >= w[1].len() && w[0].len() - w[1].len() <= 1);
+                }
             }
         }
     }
@@ -359,7 +413,9 @@ mod tests {
             let run = dispatch(&g, workers, &ranges, |i, r| Ok((i, r.len()))).unwrap();
             let idxs: Vec<usize> = run.results.iter().map(|(i, _)| *i).collect();
             assert_eq!(idxs, (0..ranges.len()).collect::<Vec<_>>());
-            assert_eq!(run.per_worker.iter().sum::<u64>(), ranges.len() as u64);
+            assert_eq!(run.per_worker(|_| 1).iter().sum::<u64>(), ranges.len() as u64);
+            let rows = run.per_worker(|i| ranges[i].len() as u64);
+            assert_eq!(rows.iter().sum::<u64>(), 100);
         }
     }
 
@@ -390,7 +446,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(run.results, vec![(0, 7)]);
-        assert_eq!(run.per_worker, vec![1]);
+        assert_eq!(run.per_worker(|_| 1), vec![1]);
     }
 
     #[test]

@@ -215,6 +215,15 @@ impl PartialOrd for Value {
     }
 }
 
+/// The `i64` a double equals exactly, if any: an integral value in
+/// `[-2^63, 2^63)` other than `-0.0` (which `Value`'s order keeps apart
+/// from `Int(0)`).
+fn integral_i64(d: f64) -> Option<i64> {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    let exact = d.trunc() == d && (-TWO_POW_63..TWO_POW_63).contains(&d);
+    (exact && !(d == 0.0 && d.is_sign_negative())).then_some(d as i64)
+}
+
 /// Compares an `i64` with an `f64` **exactly** (no lossy `as f64` cast,
 /// which collapses integers above 2^53 onto nearby doubles). The double
 /// side follows `f64::total_cmp`: NaNs sort by sign outside the
@@ -286,14 +295,20 @@ impl Hash for Value {
                 state.write_u8(1);
                 b.hash(state);
             }
-            // Int and Double must hash consistently with `Int(x) == Double(x as f64)`.
+            // An integral numeric hashes by its integer value, so that
+            // `Int(i) == Double(d)` (exact) implies equal hashes and
+            // integer keys spread under multiplicative hashers (the bits
+            // of `i as f64` end in zeros for every small `i`).
             Value::Int(i) => {
                 state.write_u8(2);
-                (*i as f64).to_bits().hash(state);
+                state.write_i64(*i);
             }
             Value::Double(d) => {
                 state.write_u8(2);
-                d.to_bits().hash(state);
+                match integral_i64(*d) {
+                    Some(i) => state.write_i64(i),
+                    None => state.write_u64(d.to_bits()),
+                }
             }
             Value::Str(s) => {
                 state.write_u8(4);

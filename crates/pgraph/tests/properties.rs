@@ -419,3 +419,77 @@ fn set_vertex_attr_persists() {
     let g2 = load_from_string(&save_to_string(&g).unwrap()).unwrap();
     assert_eq!(g2.vertex_attr_by_name(v, "name"), Some(&Value::from("new")));
 }
+
+/// `Value`'s hash under the standard library's and the engine's hasher.
+fn value_hashes(v: &Value) -> (u64, u64) {
+    let mut std_h = DefaultHasher::new();
+    v.hash(&mut std_h);
+    let mut fx = pgraph::fxhash::FxHasher::default();
+    v.hash(&mut fx);
+    (std_h.finish(), fx.finish())
+}
+
+/// Asserts that every equal pair among `vals` hashes alike under both
+/// hashers.
+fn assert_eq_implies_equal_hash(vals: &[Value]) {
+    for a in vals {
+        for b in vals {
+            if a == b {
+                assert_eq!(value_hashes(a), value_hashes(b), "{a:?} == {b:?}");
+            }
+        }
+    }
+}
+
+/// Numerics at the edges of exact `Int`/`Double` equality: beyond 2^53,
+/// at ±2^63, signed zeros and NaNs.
+#[test]
+fn numeric_eq_implies_equal_hash_at_the_edges() {
+    let p53 = 1i64 << 53;
+    let p63 = 9_223_372_036_854_775_808.0f64;
+    let mut vals = Vec::new();
+    for i in [0, 1, -1, 3, p53 - 1, p53, p53 + 1, -p53 - 1, i64::MAX, i64::MIN, i64::MIN + 1] {
+        vals.push(Value::Int(i));
+        vals.push(Value::Double(i as f64));
+    }
+    for d in [0.0, -0.0, 0.5, -1.5, p63, -p63, f64::NAN, -f64::NAN, f64::INFINITY, 1e300] {
+        vals.push(Value::Double(d));
+    }
+    assert_eq_implies_equal_hash(&vals);
+    // The exact equalities the hash must honour are really present.
+    assert_eq!(Value::Int(i64::MIN), Value::Double(-p63));
+    assert_eq!(Value::Int(p53), Value::Double(p53 as f64));
+    assert_ne!(Value::Int(0), Value::Double(-0.0));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random integers, the doubles nearest them, and doubles from random
+    /// bit patterns: equal values hash alike under both hashers.
+    #[test]
+    fn numeric_eq_implies_equal_hash(i in any::<i64>(), shift in 0u32..64, bits in any::<u64>()) {
+        let small = i >> shift;
+        let d = f64::from_bits(bits);
+        let vals = [
+            Value::Int(i),
+            Value::Double(i as f64),
+            Value::Int(small),
+            Value::Double(small as f64),
+            Value::Double(d),
+            Value::Double(d.trunc()),
+            Value::Int(d as i64),
+        ];
+        assert_eq_implies_equal_hash(&vals);
+    }
+}
+
+/// Integer keys spread under the engine's multiplicative hasher: the low
+/// 12 bits of the hash (a hash table's first probe for 4096 buckets) take
+/// nearly as many values as there are keys.
+#[test]
+fn int_hashes_spread_under_fxhash() {
+    let low: std::collections::HashSet<u64> =
+        (0..4096).map(|i| value_hashes(&Value::Int(i)).1 & 0xfff).collect();
+    assert!(low.len() >= 3500, "{} distinct low-12-bit hashes", low.len());
+}

@@ -311,6 +311,120 @@ fn mid_morsel_cancellation_is_honored() {
     }
 }
 
+// ---- run-partitioned folds --------------------------------------------------
+//
+// A proven fold splits its morsels into one contiguous run per worker and
+// merges the runs' partials in ascending order. The workload below is
+// built so that any other regrouping shows in the bytes: its tied `Int`
+// and `Double` inputs compare equal, so a Min/Max/Set/GroupBy cell keeps
+// whichever representation the sequential fold met first (the first half
+// of the rows feed `Int`s, the second half `Double`s), and its `=` cells
+// must replace the live state rather than merge into it.
+
+/// Exact-merge targets of every kind a partial carries, fed tied `Int` and
+/// `Double` values; a proven ACCUM assignment; a proven POST_ACCUM fold.
+const RUN_FOLD: &str = r#"
+    CREATE QUERY RunFold () {
+      MinAccum @@mn;
+      MaxAccum @@mx;
+      SetAccum<int> @@set;
+      GroupByAccum<int k, MinAccum m> @@g;
+      SumAccum<int> @@fixed = 100;
+      SumAccum<int> @@total;
+      MinAccum @lo;
+      SumAccum<int> @hits;
+      SumAccum<int> @twice = 7;
+      R = SELECT t FROM V:s -(E>)- V:t
+          ACCUM @@mn += CASE WHEN s.id() < 350 THEN 1 ELSE 1.0 END,
+                @@mx += CASE WHEN s.id() < 350 THEN 9 ELSE 9.0 END,
+                @@set += CASE WHEN s.id() < 350 THEN t.id() % 3 ELSE (t.id() % 3) * 1.0 END,
+                @@g += (t.id() % 5 -> CASE WHEN s.id() < 350 THEN 2 ELSE 2.0 END),
+                @@fixed = 5,
+                t.@lo += CASE WHEN s.id() < 350 THEN 4 ELSE 4.0 END,
+                t.@hits += 1
+          POST_ACCUM t.@twice = t.@hits * 2, @@total += t.@hits;
+      PRINT @@mn, @@mx, @@set, @@g, @@fixed, @@total;
+      PRINT R[R.@lo, R.@hits, R.@twice];
+    }
+"#;
+
+/// Every `op` node of a profile tree, depth first.
+fn profile_nodes<'p>(
+    node: &'p gsql_core::ProfileNode,
+    op: &str,
+    out: &mut Vec<&'p gsql_core::ProfileNode>,
+) {
+    if node.op == op {
+        out.push(node);
+    }
+    for child in &node.children {
+        profile_nodes(child, op, out);
+    }
+}
+
+#[test]
+fn run_partitioned_folds_are_byte_identical() {
+    // 700 vertices, ~2 800 edge rows: above the parallel threshold for the
+    // ACCUM rows and for POST_ACCUM's distinct targets.
+    let g = erdos_renyi(700, 4.0 / 700.0, 21);
+    let plan = Engine::new(&g).explain(&gsql_core::parse_query(RUN_FOLD).unwrap()).unwrap();
+    let plan = plan.render();
+    assert!(plan.contains("morsel-parallel proven fold (absint)"), "{plan}");
+    assert!(plan.contains("morsel-parallel proven apply (absint)"), "{plan}");
+
+    let run = |par: usize, morsel: usize| {
+        Engine::new(&g).with_parallelism(par).with_morsel_size(morsel).run_text(RUN_FOLD, &[])
+    };
+    let sequential = run(1, 1024).unwrap();
+    // The sequential fold met the first half's `Int`s first, and the
+    // proven assignments replaced their cells.
+    assert_eq!(
+        &sequential.prints[..6],
+        [
+            "@@mn = 1",
+            "@@mx = 9",
+            "@@set = {0, 1, 2}",
+            "@@g = {(0) -> (2), (1) -> (2), (2) -> (2), (3) -> (2), (4) -> (2)}",
+            "@@fixed = 5",
+            "@@total = 2764",
+        ]
+    );
+    for morsel in [1usize, 7, 1024] {
+        let reference = run(1, morsel).unwrap();
+        assert_eq!(reference.prints, sequential.prints, "morsel={morsel}");
+        for par in [1usize, 2, 3, 4, 8] {
+            let label = format!("run fold par={par} morsel={morsel}");
+            let out = run(par, morsel).unwrap();
+            assert_identical(&reference, &out, &label);
+
+            // PROFILE's `workers` counts morsels per worker, summed over
+            // each worker's runs. POST_ACCUM applies on the caller's
+            // thread, recording no distribution, at parallelism 1.
+            let q = gsql_core::parse_query(RUN_FOLD).unwrap();
+            let engine = Engine::new(&g).with_parallelism(par).with_morsel_size(morsel);
+            let (profiled, prof) = engine.run_profiled(&q, &[]).unwrap();
+            assert_eq!(profiled.prints, reference.prints, "{label}: profiled");
+            let mut accums = Vec::new();
+            profile_nodes(&prof.root, "accum", &mut accums);
+            profile_nodes(&prof.root, "post-accum", &mut accums);
+            assert_eq!(accums.len(), 2, "{label}");
+            for node in accums {
+                assert!(node.morsels > 0, "{label}: {} ran no morsels", node.op);
+                if node.op == "post-accum" && par == 1 {
+                    continue;
+                }
+                assert_eq!(
+                    node.workers.iter().sum::<u64>(),
+                    node.morsels,
+                    "{label}: {} workers {:?}",
+                    node.op,
+                    node.workers
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
