@@ -17,7 +17,7 @@
 use crate::types::{AccumType, HeapSpec, SortDir};
 use crate::user::{UserAccum, UserAccumRegistry};
 use pgraph::bigcount::BigCount;
-use pgraph::fxhash::FxHashMap;
+use pgraph::fxhash::{FxHashMap, FxHasher};
 use pgraph::value::{MemSize, Value, ValueType};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -30,8 +30,11 @@ use std::sync::Arc;
 /// in one slab, `nested.len()` per group in group-number order; a hash
 /// index maps each [`GroupKey`] (`Value`'s `Hash` agrees with its `Eq`)
 /// to its group number. A new group costs its key and its neutral nested
-/// accumulators, nothing boxed per group. The group order becomes
-/// visible only in [`Accum::value`], which sorts by key.
+/// accumulators, nothing boxed per group. A key carries the hash of its
+/// fields, computed once when it is first probed; the index hashes only
+/// that `u64`, so insertion, index growth and [`GroupTable::merge`] never
+/// hash a field again. The group order becomes visible only in
+/// [`Accum::value`], which sorts by key.
 #[derive(Debug, Clone)]
 pub struct GroupTable {
     key_arity: usize,
@@ -86,8 +89,9 @@ impl GroupTable {
 
     /// Runs `f` on each nested accumulator of the group keyed by the first
     /// `key_arity` of `fields`, with the remaining fields as inputs. The
-    /// group is found by a borrowed probe; a new group (neutral nested
-    /// accumulators) is the only place a key is copied.
+    /// group is found by a borrowed probe that hashes the key fields once;
+    /// a new group (neutral nested accumulators) is the only place a key
+    /// is copied, and it keeps the probe's hash.
     fn apply(
         &mut self,
         mut fields: Fields<'_>,
@@ -95,12 +99,13 @@ impl GroupTable {
         f: impl Fn(&mut Accum, Input<'_>) -> Result<(), AccumError>,
     ) -> Result<(), AccumError> {
         let ka = self.key_arity;
-        let probe = KeyProbe { fields: &fields, arity: ka };
+        let probe = KeyProbe::new(&fields, ka);
         let g = match self.index.get(&probe as &dyn KeyFields) {
             Some(&g) => g,
             None => {
-                let key = GroupKey((0..ka).map(|i| fields.take(i).into_owned()).collect());
-                self.push_group(key, registry)?
+                let hash = probe.hash;
+                let fields = (0..ka).map(|i| fields.take(i).into_owned()).collect();
+                self.push_group(GroupKey { hash, fields }, registry)?
             }
         };
         let n = self.nested.len();
@@ -125,7 +130,8 @@ impl GroupTable {
             });
         }
         // Visit `other`'s groups in slab order, so their accumulators can
-        // be moved out of the slab front to back.
+        // be moved out of the slab front to back. Each key moves with its
+        // stored hash, so no key field is hashed again.
         let mut keys: Vec<(GroupKey, usize)> = other.index.drain().collect();
         keys.sort_unstable_by_key(|&(_, g)| g);
         let mut theirs = std::mem::take(&mut other.slab).into_iter();
@@ -329,49 +335,59 @@ impl<'a> From<Cow<'a, Value>> for Input<'a> {
 /// A group key's fields, however they are held: a stored [`GroupKey`] or
 /// a probe borrowing an input's fields. A [`GroupTable`] hashes and
 /// compares keys through this view, so a probe finds its group without
-/// building an owned key.
+/// building an owned key. Both views carry the key's hash, computed once
+/// from its fields; the index hashes only that `u64`.
 pub trait KeyFields {
     /// Number of key fields.
     fn arity(&self) -> usize;
     /// Key field `i` (`i < arity()`).
     fn field(&self, i: usize) -> &Value;
+    /// The hash of the key's fields: the arity, then each field's `Hash`,
+    /// through an [`FxHasher`]. Keys equal under `Value`'s `Eq` hash alike.
+    fn hash64(&self) -> u64;
 }
 
 impl Hash for dyn KeyFields + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.arity());
-        for i in 0..self.arity() {
-            self.field(i).hash(state);
-        }
+        state.write_u64(self.hash64());
     }
 }
 
 impl PartialEq for dyn KeyFields + '_ {
     fn eq(&self, other: &Self) -> bool {
-        self.arity() == other.arity() && (0..self.arity()).all(|i| self.field(i) == other.field(i))
+        self.hash64() == other.hash64()
+            && self.arity() == other.arity()
+            && (0..self.arity()).all(|i| self.field(i) == other.field(i))
     }
 }
 
 impl Eq for dyn KeyFields + '_ {}
 
-/// A `GroupByAccum` group's key as stored: its fields, owned. It renders
-/// as the [`Value::Tuple`] of its fields and is charged as one.
+/// A `GroupByAccum` group's key as stored: its fields, owned, and their
+/// hash. It renders as the [`Value::Tuple`] of its fields and is
+/// charged as one; the stored hash is not charged.
 #[derive(Debug, Clone)]
-pub struct GroupKey(Vec<Value>);
+pub struct GroupKey {
+    hash: u64,
+    fields: Vec<Value>,
+}
 
 impl GroupKey {
     /// The key's fields, in declaration order.
     pub fn fields(&self) -> &[Value] {
-        &self.0
+        &self.fields
     }
 }
 
 impl KeyFields for GroupKey {
     fn arity(&self) -> usize {
-        self.0.len()
+        self.fields.len()
     }
     fn field(&self, i: usize) -> &Value {
-        &self.0[i]
+        &self.fields[i]
+    }
+    fn hash64(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -383,7 +399,7 @@ impl Hash for GroupKey {
 
 impl PartialEq for GroupKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
+        (self as &dyn KeyFields) == (other as &dyn KeyFields)
     }
 }
 
@@ -397,14 +413,27 @@ impl<'a> Borrow<dyn KeyFields + 'a> for GroupKey {
 
 impl MemSize for GroupKey {
     fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<Value>() + content_bytes(&self.0)
+        std::mem::size_of::<Value>() + content_bytes(&self.fields)
     }
 }
 
-/// A lookup key borrowing an input's leading `arity` fields.
+/// A lookup key borrowing an input's leading `arity` fields, hashed once
+/// at construction.
 struct KeyProbe<'s, 'a> {
     fields: &'s Fields<'a>,
     arity: usize,
+    hash: u64,
+}
+
+impl<'s, 'a> KeyProbe<'s, 'a> {
+    fn new(fields: &'s Fields<'a>, arity: usize) -> Self {
+        let mut h = FxHasher::default();
+        h.write_usize(arity);
+        for i in 0..arity {
+            fields.get(i).hash(&mut h);
+        }
+        KeyProbe { fields, arity, hash: h.finish() }
+    }
 }
 
 impl KeyFields for KeyProbe<'_, '_> {
@@ -413,6 +442,9 @@ impl KeyFields for KeyProbe<'_, '_> {
     }
     fn field(&self, i: usize) -> &Value {
         self.fields.get(i)
+    }
+    fn hash64(&self) -> u64 {
+        self.hash
     }
 }
 

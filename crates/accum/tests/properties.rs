@@ -75,6 +75,20 @@ fn tricky_key(i: u64) -> Value {
     }
 }
 
+/// Group keys whose `Value` equality crosses variants: for each `n` in
+/// 0..40, `Int(n)` and `Double(n)` (one group), `Double(n + 0.5)`, a
+/// string, and `Null`.
+fn eq_key(i: u64) -> Value {
+    let n = (i / 5 % 40) as i64;
+    match i % 5 {
+        0 => Value::Int(n),
+        1 => Value::Double(n as f64),
+        2 => Value::Double(n as f64 + 0.5),
+        3 => Value::from(format!("s{n}")),
+        _ => Value::Null,
+    }
+}
+
 /// The footprint recount the cached `bytes` replaced, over the public
 /// variants: a heap row is charged as the tuple it renders as, a group as
 /// its key plus its nested accumulators.
@@ -779,5 +793,86 @@ proptest! {
         );
         prop_assert_eq!(g.value().to_string(), rendered.to_string());
         prop_assert_eq!(g.size(), Some(ref_groups.len()));
+    }
+
+    /// A group key stores the hash its first probe computed; a probe, an
+    /// index growth and a merge use that hash, never a fresh one. Keys
+    /// still group by `Value` equality — `Int(n)` and `Double(n)` are one
+    /// group — through enough distinct keys to grow the index at least
+    /// three times, whether the inputs are combined into one table or
+    /// folded over a contiguous partition whose partials merge in
+    /// ascending order. Both equal a `BTreeMap` from the key's fields to
+    /// the fold of its inputs.
+    #[test]
+    fn stored_key_hashes_group_by_value_equality(
+        xs in prop::collection::vec((0u64..200, -20i64..20), 200..400),
+        parts in 2usize..6,
+    ) {
+        let r = reg();
+        let nested = vec![AccumType::Sum(ValueType::Int), AccumType::List];
+        let ty = AccumType::GroupBy { key_arity: 2, nested: nested.clone() };
+        let key = |k: u64| vec![eq_key(k), Value::Int((k / 5 % 40 % 3) as i64)];
+        let input = |&(k, v): &(u64, i64)| {
+            let mut fields = key(k);
+            fields.extend([Value::Int(v), Value::Int(v)]);
+            Value::Tuple(fields)
+        };
+        let mut reference: BTreeMap<Vec<Value>, Vec<Accum>> = BTreeMap::new();
+        for &(k, v) in &xs {
+            let slot = reference
+                .entry(key(k))
+                .or_insert_with(|| nested.iter().map(|t| Accum::new(t, &r).unwrap()).collect());
+            for a in slot.iter_mut() {
+                a.combine(Value::Int(v), &r).unwrap();
+            }
+        }
+        let want = Value::Map(
+            reference
+                .iter()
+                .map(|(k, accs)| {
+                    (Value::Tuple(k.clone()), Value::Tuple(accs.iter().map(Accum::value).collect()))
+                })
+                .collect(),
+        )
+        .to_string();
+        // An index that starts empty holds 3, 7, 14 and then 28 groups
+        // before its third growth.
+        prop_assert!(reference.len() > 28, "{} groups", reference.len());
+
+        let mut g = Accum::new(&ty, &r).unwrap();
+        for x in &xs {
+            g.combine(input(x), &r).unwrap();
+        }
+        prop_assert_eq!(g.size(), Some(reference.len()));
+        prop_assert_eq!(g.value().to_string(), want.clone());
+
+        // The first chunk is combined into the live table, as a fold's
+        // live store is; the later chunks' partials merge into it, so a
+        // merged key must be found by the hash a probe computes.
+        let mut chunks = xs.chunks(xs.len().div_ceil(parts));
+        let mut merged = Accum::new(&ty, &r).unwrap();
+        for x in chunks.next().unwrap() {
+            merged.combine(input(x), &r).unwrap();
+        }
+        for chunk in chunks {
+            let mut part = Accum::new(&ty, &r).unwrap();
+            for x in chunk {
+                part.combine(input(x), &r).unwrap();
+            }
+            merged.merge(part, &r).unwrap();
+        }
+        prop_assert_eq!(merged.size(), Some(reference.len()));
+        prop_assert_eq!(merged.value().to_string(), want);
+
+        // `Int(2)` and `Double(2.0)` keys land in one group, probed or merged.
+        let two_of = |k: Value| Value::Tuple(vec![k, Value::Int(2), Value::Int(1), Value::Int(1)]);
+        let mut two = Accum::new(&ty, &r).unwrap();
+        two.combine(two_of(Value::Int(2)), &r).unwrap();
+        two.combine(two_of(Value::Double(2.0)), &r).unwrap();
+        prop_assert_eq!(two.size(), Some(1));
+        let mut part = Accum::new(&ty, &r).unwrap();
+        part.combine(two_of(Value::Double(2.0)), &r).unwrap();
+        two.merge(part, &r).unwrap();
+        prop_assert_eq!(two.value().to_string(), "{(2, 2) -> (3, [1, 1, 1])}");
     }
 }

@@ -29,6 +29,7 @@
 use crate::ast::{AccStmt, BinOp, Expr, UnOp};
 use crate::datetime;
 use crate::error::{Error, Result};
+use crate::exec::VertexSet;
 use crate::table::Table;
 use accum::{Accum, AccumType, Input};
 use pgraph::fxhash::FxHashMap;
@@ -587,7 +588,7 @@ pub struct Scope<'s> {
     /// Statement locals (`FOREACH` variables).
     pub locals: &'s FxHashMap<String, Value>,
     /// Named vertex sets.
-    pub vsets: &'s FxHashMap<String, Vec<VertexId>>,
+    pub vsets: &'s FxHashMap<String, VertexSet>,
     /// Vertex accumulator name → store id.
     pub vacc_ids: &'s FxHashMap<String, usize>,
     /// Global accumulator name → store id.
@@ -772,7 +773,8 @@ impl<'s> Binder<'s> {
             return BExpr::Const(v.clone());
         }
         if let Some(set) = self.scope.vsets.get(name) {
-            return BExpr::Const(Value::new_set(set.iter().map(|v| Value::Vertex(*v)).collect()));
+            let members = set.members().iter().map(|v| Value::Vertex(*v)).collect();
+            return BExpr::Const(Value::new_set(members));
         }
         BExpr::Fail(Error::runtime(format!("unknown identifier `{name}`")))
     }
@@ -1064,7 +1066,7 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
             BExpr::Call { f, func, args } => Cow::Owned(match args.as_slice() {
                 [a] => call(f, func, std::slice::from_ref(&self.eval(a)?))?,
                 args => {
-                    let vals = args.iter().map(|a| self.eval(a)).collect::<Result<Vec<_>>>()?;
+                    let vals = self.eval_each(args, |v| v)?;
                     call(f, func, &vals)?
                 }
             }),
@@ -1130,9 +1132,20 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
                 })
             }
             BExpr::Binary { op, lhs, rhs } => Cow::Owned(self.binary(*op, lhs, rhs)?),
-            BExpr::Tuple(items) => Cow::Owned(Value::Tuple(
-                items.iter().map(|e| self.eval(e).map(Cow::into_owned)).collect::<Result<_>>()?,
-            )),
+            BExpr::Tuple(items) => {
+                // Never fewer than four slots — the capacity a heap's
+                // first row block of the same arity gets — so a heap
+                // candidate built per row and freed after it recycles
+                // the allocator size class the kept rows grow into. An
+                // exact three-slot candidate cost `Q_gs` ~4 000 minor
+                // page faults per run: glibc returned the freed state
+                // to the OS after every run (EXPERIMENTS E19).
+                let mut fields = Vec::with_capacity(items.len().max(4));
+                for e in items {
+                    fields.push(self.eval(e)?.into_owned());
+                }
+                Cow::Owned(Value::Tuple(fields))
+            }
             BExpr::Case { branches, default } => {
                 for (cond, val) in branches {
                     if truthy(&*self.eval(cond)?)? {
@@ -1161,11 +1174,24 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
     /// field, so a group or map probes it without building it.
     pub fn input(&self, e: &'a BExpr) -> Result<Input<'f>> {
         match e {
-            BExpr::Tuple(items) => {
-                Ok(Input::Tuple(items.iter().map(|e| self.eval(e)).collect::<Result<_>>()?))
-            }
+            BExpr::Tuple(items) => Ok(Input::Tuple(self.eval_each(items, |v| v)?)),
             e => Ok(Input::Value(self.eval(e)?)),
         }
+    }
+
+    /// Evaluates each of `es`, mapped through `f`, into a vector allocated
+    /// once at its final size. Collecting through `Result` would start at
+    /// four slots and regrow — three allocations for a 14-field emission.
+    pub(crate) fn eval_each<T>(
+        &self,
+        es: &'a [BExpr],
+        f: impl Fn(Cow<'f, Value>) -> T,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(es.len());
+        for e in es {
+            out.push(f(self.eval(e)?));
+        }
+        Ok(out)
     }
 
     /// Evaluates `e` into a value that outlives the row's registers:

@@ -27,7 +27,7 @@ use pgraph::schema::{AttrDef, ETypeId, VTypeId};
 use pgraph::value::{Value, ValueType};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cap on literal row expansion when a non-aggregate projection meets a
 /// multiplicity > 1 (outside the compressed representation).
@@ -486,11 +486,57 @@ fn coerce_attr(v: Value, ty: ValueType, attr: &str) -> Result<Value> {
     }
 }
 
+/// A named vertex set. A FROM scans and probes its members, ascending
+/// and each once; PRINT and RETURN show them in the order the set was
+/// made, which for a SELECT's output is its output order.
+#[derive(Debug, Clone)]
+pub struct VertexSet {
+    /// The members, ascending, each once.
+    members: Arc<[VertexId]>,
+    /// The output order, when it is not `members`' order.
+    order: Option<Vec<VertexId>>,
+}
+
+impl VertexSet {
+    /// The set of `ids`, given in any order and with any duplicates; it
+    /// shows its members ascending.
+    fn from_ids(ids: Vec<VertexId>) -> VertexSet {
+        VertexSet { members: ascending(ids), order: None }
+    }
+
+    /// A SELECT's vertex output, distinct `ids` in output order.
+    fn from_output(ids: Vec<VertexId>) -> VertexSet {
+        if ids.is_sorted_by(|a, b| a < b) {
+            return VertexSet::from_ids(ids);
+        }
+        VertexSet { members: ascending(ids.clone()), order: Some(ids) }
+    }
+
+    /// The members, ascending, each once.
+    pub(crate) fn members(&self) -> &[VertexId] {
+        &self.members
+    }
+
+    /// The members in the order the set was made.
+    pub(crate) fn order(&self) -> &[VertexId] {
+        self.order.as_deref().unwrap_or(&self.members)
+    }
+}
+
+/// `ids` sorted ascending with duplicates removed.
+fn ascending(mut ids: Vec<VertexId>) -> Arc<[VertexId]> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into()
+}
+
 /// A resolved vertex specifier.
 enum Spec {
     Any,
     Type(VTypeId),
-    Set(FxHashSet<VertexId>),
+    /// Vertex ids, ascending, each once: a stored set's members are
+    /// shared, not copied, and membership is a binary search.
+    Set(Arc<[VertexId]>),
     Single(VertexId),
 }
 
@@ -499,7 +545,7 @@ impl Spec {
         match self {
             Spec::Any => true,
             Spec::Type(t) => graph.vertex_type_of(v) == *t,
-            Spec::Set(s) => s.contains(&v),
+            Spec::Set(s) => s.binary_search(&v).is_ok(),
             Spec::Single(x) => *x == v,
         }
     }
@@ -508,11 +554,7 @@ impl Spec {
         match self {
             Spec::Any => graph.vertices().collect(),
             Spec::Type(t) => graph.vertices_of_type(*t).to_vec(),
-            Spec::Set(s) => {
-                let mut v: Vec<VertexId> = s.iter().copied().collect();
-                v.sort();
-                v
-            }
+            Spec::Set(s) => s.to_vec(),
             Spec::Single(x) => vec![*x],
         }
     }
@@ -694,7 +736,7 @@ struct Runtime<'e, 'g> {
     semantics: PathSemantics,
     params: FxHashMap<String, Value>,
     locals: FxHashMap<String, Value>,
-    vsets: FxHashMap<String, Vec<VertexId>>,
+    vsets: FxHashMap<String, VertexSet>,
     /// Vertex accumulator stores, by store id; `vacc_ids` names them.
     /// Only the binder looks a name up.
     vaccs: Vec<VAccStore>,
@@ -885,26 +927,23 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     for e in entries {
                         set.extend(self.resolve_spec(e)?.candidates(self.graph()));
                     }
-                    set.sort();
-                    set.dedup();
-                    self.vsets.insert(name.clone(), set);
+                    self.vsets.insert(name.clone(), VertexSet::from_ids(set));
                 }
                 VSetSource::SetOp { op, lhs, rhs } => {
-                    let l = self.resolve_spec(lhs)?.candidates(self.graph());
-                    let r: FxHashSet<VertexId> =
-                        self.resolve_spec(rhs)?.candidates(self.graph()).into_iter().collect();
-                    let mut out: Vec<VertexId> = match op {
+                    let graph = self.graph();
+                    let l = self.resolve_spec(lhs)?.candidates(graph);
+                    let r = self.resolve_spec(rhs)?;
+                    let in_r = |v: &VertexId| r.matches(graph, *v);
+                    let out: Vec<VertexId> = match op {
                         SetOp::Union => {
                             let mut v = l;
-                            v.extend(r.iter().copied());
+                            v.extend(r.candidates(graph));
                             v
                         }
-                        SetOp::Intersect => l.into_iter().filter(|v| r.contains(v)).collect(),
-                        SetOp::Minus => l.into_iter().filter(|v| !r.contains(v)).collect(),
+                        SetOp::Intersect => l.into_iter().filter(in_r).collect(),
+                        SetOp::Minus => l.into_iter().filter(|v| !in_r(v)).collect(),
                     };
-                    out.sort();
-                    out.dedup();
-                    self.vsets.insert(name.clone(), out);
+                    self.vsets.insert(name.clone(), VertexSet::from_ids(out));
                 }
                 VSetSource::Select(block) => {
                     let vres = self.exec_select(block)?;
@@ -914,7 +953,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                              (its first output must be a bare pattern vertex variable)"
                         ))
                     })?;
-                    self.vsets.insert(name.clone(), vres);
+                    self.vsets.insert(name.clone(), VertexSet::from_output(vres));
                 }
             },
             Stmt::Select(block) => {
@@ -1233,7 +1272,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 return Ok(ReturnValue::Table(t.clone()));
             }
             if let Some(s) = self.vsets.get(name) {
-                return Ok(ReturnValue::VSet(s.clone()));
+                return Ok(ReturnValue::VSet(s.order().to_vec()));
             }
         }
         Ok(ReturnValue::Value(self.eval_once(expr)?))
@@ -1259,7 +1298,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     let vs = self
                         .vsets
                         .get(set)
-                        .cloned()
+                        .map(|s| s.order().to_vec())
                         .ok_or_else(|| Error::runtime(format!("unknown vertex set `{set}`")))?;
                     let vars = FxHashMap::from_iter([(set.clone(), 0usize)]);
                     let mut binder = Binder::new(self.scope(&vars, &[]));
@@ -1286,7 +1325,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             return Ok(Spec::Any);
         }
         if let Some(set) = self.vsets.get(name) {
-            return Ok(Spec::Set(set.iter().copied().collect()));
+            return Ok(Spec::Set(Arc::clone(&set.members)));
         }
         if let Some(t) = self.graph().schema().vertex_type_id(name) {
             return Ok(Spec::Type(t));
@@ -1294,12 +1333,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
         match self.params.get(name) {
             Some(Value::Vertex(v)) => Ok(Spec::Single(*v)),
             Some(Value::Set(items)) => {
-                let mut set = FxHashSet::default();
+                let mut set = Vec::with_capacity(items.len());
                 for it in items {
                     match it {
-                        Value::Vertex(v) => {
-                            set.insert(*v);
-                        }
+                        Value::Vertex(v) => set.push(*v),
                         other => {
                             return Err(Error::runtime(format!(
                                 "`{name}` contains non-vertex `{other}`"
@@ -1307,7 +1344,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         }
                     }
                 }
-                Ok(Spec::Set(set))
+                Ok(Spec::Set(ascending(set)))
             }
             _ => Err(Error::runtime(format!(
                 "`{name}` is not a vertex type, vertex set, or vertex parameter"
@@ -1600,7 +1637,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 let vs = self.eval_vertex_fragment(block, frag, &var, &vars, &rows, &table_refs)?;
                 produced = vs.len() as u64;
                 if let Some(name) = &frag.into {
-                    self.vsets.insert(name.clone(), vs.clone());
+                    self.vsets.insert(name.clone(), VertexSet::from_output(vs.clone()));
                 }
                 if vertex_result.is_none() {
                     vertex_result = Some(vs);
@@ -1650,13 +1687,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
             return Ok(spec);
         }
         let conds = self.bind_target_conds(var, conds);
-        let mut keep = FxHashSet::default();
+        let mut keep = Vec::new();
         for v in spec.candidates(self.graph()) {
             if self.target_passes(v, &conds)? {
-                keep.insert(v);
+                keep.push(v);
             }
         }
-        Ok(Spec::Set(keep))
+        Ok(Spec::Set(ascending(keep)))
     }
 
     /// Applies every pending WHERE conjunct whose FROM variables are all
@@ -1896,11 +1933,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let spec_targets: Option<Vec<VertexId>> = if backward_capable && !target_bound {
             match &to_spec {
                 Spec::Single(v) => Some(vec![*v]),
-                Spec::Set(s) if s.len() <= 32 => {
-                    let mut v: Vec<VertexId> = s.iter().copied().collect();
-                    v.sort();
-                    Some(v)
-                }
+                Spec::Set(s) if s.len() <= 32 => Some(s.to_vec()),
                 _ => None,
             }
         } else {
@@ -2837,15 +2870,10 @@ fn column_label(e: &Expr, i: usize) -> String {
     }
 }
 
-/// Evaluates each of `es` to an owned value.
+/// Evaluates each of `es` to an owned value, in a vector of exactly
+/// `es.len()` slots (output rows are kept until the block's table is built).
 fn eval_all<'a>(ev: &Eval<'a, '_, '_>, es: &'a [BExpr]) -> Result<Vec<Value>> {
-    // Sized up front: collecting through `Result` would start at four
-    // slots, and output rows are kept until the block's table is built.
-    let mut out = Vec::with_capacity(es.len());
-    for e in es {
-        out.push(ev.eval(e)?.into_owned());
-    }
-    Ok(out)
+    ev.eval_each(es, Cow::into_owned)
 }
 
 /// The one-column row scope of an UPDATE / DELETE target variable.

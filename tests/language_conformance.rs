@@ -893,3 +893,75 @@ fn vertex_argument_outside_the_graph_is_a_runtime_error() {
     assert_eq!(err.kind(), gsql_core::ErrorKind::Runtime, "{err}");
     assert!(err.to_string().contains("parameter `seeds`"), "{err}");
 }
+
+#[test]
+fn vertex_set_scans_are_ascending_and_exact() {
+    // Vertex sets made by SELECT (in output order, here not ascending),
+    // by UNION / MINUS, and by a literal naming a set twice. A FROM over
+    // any of them binds its members in ascending id order, each once, and
+    // a hop into one keeps exactly its members. Products in id order:
+    // robot, blocks, kite, novel.
+    let g = sales_graph();
+    let out = Engine::new(&g)
+        .run_text(
+            r#"
+            CREATE QUERY G () {
+              ListAccum<string> @@byName;
+              ListAccum<string> @@cheap;
+              ListAccum<string> @@pricey;
+              ListAccum<string> @@again;
+              ListAccum<string> @@lit;
+              ByName = SELECT p FROM Product:p ORDER BY p.name DESC;
+              Cheap = SELECT p FROM Customer:c -(Bought>)- Product:p
+                      WHERE p.list_price < 20 ORDER BY p.list_price DESC;
+              Pricey = ByName MINUS Cheap;
+              Again = Cheap UNION Pricey;
+              Lit = {Cheap, Customer.*, Cheap};
+              PRINT ByName[ByName.name];
+              PRINT Cheap[Cheap.name];
+              S1 = SELECT v FROM ByName:v ACCUM @@byName += v.name;
+              S2 = SELECT v FROM Cheap:v ACCUM @@cheap += v.name;
+              S3 = SELECT v FROM Pricey:v ACCUM @@pricey += v.name;
+              S4 = SELECT v FROM Again:v ACCUM @@again += v.name;
+              S5 = SELECT v FROM Lit:v ACCUM @@lit += v.name;
+              PRINT @@byName, @@cheap, @@pricey, @@again, @@lit;
+              SELECT c.name AS c, p.name AS p INTO Hop FROM Customer:c -(Bought>)- Cheap:p;
+              SELECT c.name AS c, p.name AS p INTO Path FROM Customer:c -(Bought>*1..2)- Cheap:p;
+              SELECT c.name AS c, p.name AS p INTO Other FROM Customer:c -(Bought>)- Pricey:p;
+            }
+            "#,
+            &[],
+        )
+        .unwrap();
+    assert_eq!(
+        out.prints,
+        [
+            // PRINT and RETURN keep a SELECT's output order.
+            "ByName: robot",
+            "ByName: novel",
+            "ByName: kite",
+            "ByName: blocks",
+            "Cheap: novel",
+            "Cheap: blocks",
+            "@@byName = [robot, blocks, kite, novel]",
+            "@@cheap = [blocks, novel]",
+            "@@pricey = [robot, kite]",
+            "@@again = [robot, blocks, kite, novel]",
+            "@@lit = [alice, bob, carol, dave, blocks, novel]",
+        ]
+    );
+    let pairs = |name: &str| {
+        let mut rows: Vec<String> = out
+            .table(name)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{}-{}", r[0], r[1]))
+            .collect();
+        rows.sort();
+        rows
+    };
+    assert_eq!(pairs("Hop"), ["alice-blocks", "bob-novel", "dave-novel"]);
+    assert_eq!(pairs("Path"), ["alice-blocks", "bob-novel", "dave-novel"]);
+    assert_eq!(pairs("Other"), ["alice-robot", "bob-robot", "carol-kite"]);
+}
