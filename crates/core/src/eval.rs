@@ -43,6 +43,11 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 /// What a FROM-clause variable is bound to in one binding-table row.
+///
+/// Eight bytes, the width of one binding-table cell: a tag, and a
+/// vertex id, an edge id or a `(u16 table, u32 row)` pair. A table
+/// binding is made only through [`Binding::row`], which refuses an index
+/// that does not fit instead of truncating it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Binding {
     /// A bound vertex.
@@ -53,20 +58,34 @@ pub enum Binding {
     /// block's table list).
     Row {
         /// Index into the evaluated block's table list.
-        table: usize,
+        table: u16,
         /// Row index within that table.
-        row: usize,
+        row: u32,
     },
 }
 
 impl Binding {
+    /// The binding of row `row` of FROM table number `table`, or an
+    /// error when either index is too large for a binding cell.
+    pub fn row(table: usize, row: usize) -> Result<Binding> {
+        let too_many = |what: &str, n: usize| {
+            Error::runtime(format!("{what} {n} does not fit a binding-table cell"))
+        };
+        Ok(Binding::Row {
+            table: u16::try_from(table).map_err(|_| too_many("FROM table number", table))?,
+            row: u32::try_from(row).map_err(|_| too_many("table row", row))?,
+        })
+    }
+
     /// The value a binding denotes when used as a whole (comparisons,
     /// projections).
     pub fn to_value(&self, tables: &[&Table]) -> Value {
-        match self {
-            Binding::Vertex(v) => Value::Vertex(*v),
-            Binding::Edge(e) => Value::Edge(*e),
-            Binding::Row { table, row } => Value::Tuple(tables[*table].rows[*row].clone()),
+        match *self {
+            Binding::Vertex(v) => Value::Vertex(v),
+            Binding::Edge(e) => Value::Edge(e),
+            Binding::Row { table, row } => {
+                Value::Tuple(tables[usize::from(table)].rows[row as usize].clone())
+            }
         }
     }
 }
@@ -1278,13 +1297,14 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
                     None => Err(Error::runtime(format!("edge has no attribute `{}`", a.field))),
                 },
                 Binding::Row { table, row } => {
+                    let table = usize::from(table);
                     let t = *self.row.tables.get(table).ok_or_else(|| {
                         Error::runtime(format!(
                             "`{var}` is a table binding with no backing table in scope"
                         ))
                     })?;
                     match at(&a.tables, table) {
-                        Some(i) => Ok(Cow::Borrowed(&t.rows[row][i])),
+                        Some(i) => Ok(Cow::Borrowed(&t.rows[row as usize][i])),
                         None => Err(Error::runtime(format!(
                             "table `{}` has no column `{}`",
                             t.name, a.field

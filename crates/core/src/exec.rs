@@ -33,11 +33,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// multiplicity > 1 (outside the compressed representation).
 const ROW_EXPANSION_CAP: u64 = 1 << 20;
 
-/// Minimum number of distinct reachability-kernel sources before a Kleene
-/// hop fans kernels across worker threads (below this, thread setup costs
-/// more than the kernels).
-const KERNEL_PARALLEL_THRESHOLD: usize = 2;
-
 /// Threshold below which morsel-driven operators (ACCUM Map phase,
 /// WHERE residuals, group-by key evaluation) stay sequential even when
 /// parallelism is enabled.
@@ -1466,19 +1461,18 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         table_refs.push(t);
                         let col = new_var(&mut vars, alias)?;
                         debug_assert_eq!(col, rows.width());
-                        let mut b = MorselBuilder::new(&rows, 1);
+                        // The product's size is known up front: it is
+                        // ticked against the row budget before anything
+                        // is allocated.
+                        let n = product_rows(rows.len(), t.len())?;
+                        self.guard.tick_rows(n as u64)?;
+                        let mut b = MorselBuilder::new(&rows, 1, n);
                         for row in 0..rows.len() {
                             for r in 0..t.len() {
-                                b.push(
-                                    row,
-                                    &[Binding::Row { table: tidx, row: r }],
-                                    rows.mult(row).clone(),
-                                );
+                                b.push(row, &[Binding::row(tidx, r)?], rows.mult(row).clone())?;
                             }
                         }
-                        let next = b.finish();
-                        self.guard.tick_rows(next.len() as u64)?;
-                        rows = next;
+                        rows = b.finish();
                     } else {
                         // Vertex scan (type / set / param named `name`).
                         let spec = self.resolve_spec(name)?;
@@ -1748,10 +1742,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
             }
             Ok(keep)
         })?;
-        let mut b = MorselBuilder::new(&rows, 0);
+        let kept = run.results.iter().map(Vec::len).sum();
+        let mut b = MorselBuilder::new(&rows, 0, kept);
         for keep in &run.results {
             for &r in keep {
-                b.push(r, &[], rows.mult(r).clone());
+                b.push(r, &[], rows.mult(r).clone())?;
             }
         }
         Ok(b.finish())
@@ -1767,11 +1762,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
     ) -> Result<MorselTable> {
         if let Some(&col) = vars.get(var) {
             // Join on the existing column: one contiguous scan.
-            let mut b = MorselBuilder::new(&rows, 0);
+            let mut b = MorselBuilder::new(&rows, 0, rows.len());
             for (r, bind) in rows.col(col).iter().enumerate() {
                 if let Binding::Vertex(v) = bind {
                     if spec.matches(self.graph(), *v) {
-                        b.push(r, &[], rows.mult(r).clone());
+                        b.push(r, &[], rows.mult(r).clone())?;
                     }
                 } else {
                     return Err(Error::runtime(format!("`{var}` is not a vertex variable")));
@@ -1791,15 +1786,18 @@ impl<'e, 'g> Runtime<'e, 'g> {
             }
             None => spec.candidates(self.graph()),
         };
-        let mut b = MorselBuilder::new(&rows, 1);
+        // The cross product's size is known up front: it is ticked
+        // against the row budget before anything is allocated.
+        let n = product_rows(rows.len(), candidates.len())?;
+        self.guard.tick_rows(n as u64)?;
+        let mut b = MorselBuilder::new(&rows, 1, n);
         for row in 0..rows.len() {
             self.guard.checkpoint()?;
             for &v in &candidates {
-                b.push(row, &[Binding::Vertex(v)], rows.mult(row).clone());
+                b.push(row, &[Binding::Vertex(v)], rows.mult(row).clone())?;
             }
         }
         let next = b.finish();
-        self.guard.tick_rows(next.len() as u64)?;
         self.stats.vertices_touched += next.len() as u64;
         self.guard.note_visits(next.len() as u64, 0);
         Ok(next)
@@ -1851,7 +1849,15 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 None => new_var(vars, to_var)?,
             };
             let n_extra = edge_col.is_some() as usize + existing_to.is_none() as usize;
-            let mut b = MorselBuilder::new(&rows, n_extra);
+            // Room for every adjacency entry the hop will scan (an upper
+            // bound on its output), but no more rows than the row budget
+            // has left.
+            let scanned: usize = (0..rows.len())
+                .map_while(|r| vertex_at(&rows, r, prev_col, to_var).ok())
+                .map(|v| hop_degree(graph, v, spec.etype))
+                .sum();
+            let headroom = usize::try_from(self.guard.rows_headroom()).unwrap_or(usize::MAX);
+            let mut b = MorselBuilder::new(&rows, n_extra, scanned.min(headroom));
             let mut ex: Vec<Binding> = Vec::with_capacity(2);
             let mut edges_scanned = 0u64;
             for r in 0..rows.len() {
@@ -1895,7 +1901,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     if existing_to.is_none() {
                         ex.push(Binding::Vertex(a.other));
                     }
-                    b.push(r, &ex, rows.mult(r).clone());
+                    b.push(r, &ex, rows.mult(r).clone())?;
                 }
                 self.guard.tick_rows((b.len() - before) as u64)?;
             }
@@ -1943,148 +1949,80 @@ impl<'e, 'g> Runtime<'e, 'g> {
             backward_capable && (target_bound || spec_targets.is_some());
         let rev_nfa = if reverse_from_target { Some(nfa.reversed()) } else { None };
         let pool = KernelPool::new(graph, rev_nfa.as_ref().unwrap_or(&nfa));
-
-        // Multi-source fan-out: pre-compute the distinct kernel keys the
-        // row loop below will ask for (forward: source vertices; backward:
-        // target anchors), in first-appearance row order, and run the
-        // reachability kernels across scoped worker threads. The warmed
-        // cache is then consumed by the unchanged sequential row loop, so
-        // row order, multiplicities, and output bytes are identical to
-        // parallelism 1.
-        let mut cache: FxHashMap<VertexId, ReachMap> = FxHashMap::default();
-        if self.eng.parallelism > 1 {
-            let mut keys: Vec<VertexId> = Vec::new();
-            let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-            'scan: for r in 0..rows.len() {
-                // Any row the sequential loop would reject (non-vertex
-                // binding) ends the scan: kernels past that point are
-                // never reached sequentially, so don't compute them.
-                let Ok(src) = vertex_at(&rows, r, prev_col, to_var) else { break };
-                let bound_target = match (existing_to, anchored_to) {
-                    (Some(c), _) => match rows.binding(r, c) {
-                        Binding::Vertex(v) => Some(*v),
-                        _ => break 'scan,
-                    },
-                    (None, a) => a,
-                };
-                if rev_nfa.is_some() {
-                    let single;
-                    let targets: &[VertexId] = match (bound_target, &spec_targets) {
-                        (Some(t), _) => {
-                            single = [t];
-                            &single
-                        }
-                        (None, Some(ts)) => ts,
-                        (None, None) => unreachable!("reverse kernel requires a target anchor"),
-                    };
-                    for &t in targets {
-                        if seen.insert(t) {
-                            keys.push(t);
-                        }
-                    }
-                } else if seen.insert(src) {
-                    keys.push(src);
-                }
-            }
-            if keys.len() >= KERNEL_PARALLEL_THRESHOLD {
-                cache = self.parallel_kernels(&keys, &pool)?;
-            }
-        }
-        let n_extra = existing_to.is_none() as usize;
-        let mut out = MorselBuilder::new(&rows, n_extra);
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        for r in 0..rows.len() {
-            let before = out.len();
+        let rule = KeyRule { backward: rev_nfa.is_some(), spec_targets: spec_targets.as_deref() };
+        // A row's source vertex and bound target; an error is the one the
+        // hop raises at that row.
+        let ends = |r: usize| -> Result<(VertexId, Option<VertexId>)> {
             let src = vertex_at(&rows, r, prev_col, to_var)?;
-            let extend = |t: VertexId, cnt: &BigCount, out: &mut MorselBuilder<'_>| {
-                if existing_to.is_none() {
-                    out.push(r, &[Binding::Vertex(t)], rows.mult(r).mul(cnt));
-                } else {
-                    out.push(r, &[], rows.mult(r).mul(cnt));
-                }
-            };
-            let bound_target = match (existing_to, anchored_to) {
+            let bound = match (existing_to, anchored_to) {
                 (Some(c), _) => match rows.binding(r, c) {
                     Binding::Vertex(v) => Some(*v),
                     _ => return Err(Error::runtime(format!("`{to_var}` is not a vertex"))),
                 },
                 (None, a) => a,
             };
-            if rev_nfa.is_some() {
-                // Backward kernel(s) keyed by target vertex.
-                let single;
-                let targets: &[VertexId] = match (bound_target, &spec_targets) {
-                    (Some(t), _) => {
-                        single = [t];
-                        &single
-                    }
-                    (None, Some(ts)) => ts,
-                    (None, None) => unreachable!("reverse kernel requires a target anchor"),
-                };
-                for &t in targets {
-                    if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(t) {
-                        cache_misses += 1;
-                        e.insert(self.reach_keyed(t, &pool)?);
-                    } else {
-                        cache_hits += 1;
-                    }
-                    if let Some((_, cnt)) = cache[&t].get(&src) {
-                        if to_spec.matches(graph, t) {
-                            extend(t, cnt, &mut out);
-                        }
-                    }
-                }
-                self.guard.tick_rows((out.len() - before) as u64)?;
-                continue;
-            }
-            // Forward kernel keyed by the source vertex.
-            if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(src) {
-                cache_misses += 1;
-                e.insert(self.reach_keyed(src, &pool)?);
-            } else {
-                cache_hits += 1;
-            }
-            let m = &cache[&src];
-            match bound_target {
-                Some(t) => {
-                    if let Some((_, cnt)) = m.get(&t) {
-                        if to_spec.matches(graph, t) {
-                            extend(t, cnt, &mut out);
-                        }
-                    }
-                }
-                None => {
-                    // The map is in vertex order, so the rows are too.
-                    for (t, (_, cnt)) in m {
-                        if to_spec.matches(graph, *t) {
-                            extend(*t, cnt, &mut out);
-                        }
-                    }
+            Ok((src, bound))
+        };
+
+        // 1. The distinct kernel keys (forward: source vertices; backward:
+        // target anchors) in first-appearance row order, up to the first
+        // row the hop rejects: no kernel past that row ever runs.
+        let mut keys: Vec<VertexId> = Vec::new();
+        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
+        let mut lookups = 0u64;
+        for r in 0..rows.len() {
+            let Ok((src, bound)) = ends(r) else { break };
+            for &k in rule.keys(&src, &bound) {
+                lookups += 1;
+                if seen.insert(k) {
+                    keys.push(k);
                 }
             }
-            self.guard.tick_rows((out.len() - before) as u64)?;
         }
-        self.prof_hop_cache = (cache_hits, cache_misses);
+        // 2. One kernel per key, through the engine's one scheduler
+        // (inline on this thread with one worker).
+        let maps = self.run_kernels(&keys, &pool)?;
+        self.prof_hop_cache = (lookups - keys.len() as u64, keys.len() as u64);
+        let reach = HopReach { graph, to_spec: &to_spec, rule, maps };
+
+        // 3. Count each row's output rows and tick them against the row
+        // budget, so an over-budget hop fails before it allocates.
+        let mut total = 0usize;
+        for r in 0..rows.len() {
+            let (src, bound) = ends(r)?;
+            let mut n = 0usize;
+            reach.each_output(src, bound, |_, _| {
+                n += 1;
+                Ok(())
+            })?;
+            self.guard.tick_rows(n as u64)?;
+            total += n;
+        }
+        // 4. Allocate every column once, at its exact length, and fill it
+        // in row order: the rows and multiplicities of any parallelism.
+        let mut out = MorselBuilder::new(&rows, existing_to.is_none() as usize, total);
+        for r in 0..rows.len() {
+            let (src, bound) = ends(r)?;
+            let mult = rows.mult(r);
+            reach.each_output(src, bound, |t, cnt| {
+                let extra = [Binding::Vertex(t)];
+                let extras = if existing_to.is_none() { &extra[..] } else { &[] };
+                out.push(r, extras, mult.mul(cnt))
+            })?;
+        }
         Ok(out.finish())
     }
 
-    /// Runs one reachability kernel on the main thread (a reach-cache
-    /// miss of the sequential row loop).
-    fn reach_keyed(&mut self, key: VertexId, pool: &KernelPool<'_>) -> Result<ReachMap> {
-        pool.reach(key, self.semantics, self.guard, &mut self.stats)
-    }
-
     /// Runs one reachability kernel per key through the engine's one
-    /// scheduler ([`dispatch`], items = keys) and returns the per-key
-    /// [`ReachMap`]s.
+    /// scheduler ([`dispatch`], items = keys) and returns each key's
+    /// [`ReachMap`].
     ///
     /// Determinism: each kernel counts into its own [`MatchStats`] and
     /// the counters (all sums) merge into `self.stats` in key order, so
-    /// totals match sequential execution exactly. The shared
+    /// totals are the same at any worker count. The shared
     /// [`QueryGuard`] is checkpointed inside every kernel loop, so
     /// cancellation and budget exhaustion stop all workers.
-    fn parallel_kernels(
+    fn run_kernels(
         &mut self,
         keys: &[VertexId],
         pool: &KernelPool<'_>,
@@ -2098,9 +2036,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
         if self.prof.is_some() {
             // Per-worker kernel distribution for the enclosing hop span —
             // how evenly the work-stealing fan-out spread the kernels.
-            self.prof_hop_workers = run.per_worker(|_| 1);
+            // Kernels that ran on the caller's thread record none.
+            let per = run.per_worker(|_| 1);
+            if per.len() > 1 {
+                self.prof_hop_workers = per;
+            }
         }
         let mut maps = FxHashMap::default();
+        maps.reserve(keys.len());
         for (key, (map, stats)) in keys.iter().zip(run.results) {
             self.stats.merge(&stats);
             maps.insert(*key, map);
@@ -2748,6 +2691,86 @@ impl<'a> KernelPool<'a> {
     }
 }
 
+/// Which kernels a Kleene hop runs: forward from each row's source, or
+/// backward from target anchors.
+#[derive(Clone, Copy)]
+struct KeyRule<'a> {
+    backward: bool,
+    /// The spec-refined target anchors a backward row with no bound
+    /// target reads.
+    spec_targets: Option<&'a [VertexId]>,
+}
+
+impl<'a> KeyRule<'a> {
+    /// The kernel keys a row with source `src` and bound target `bound`
+    /// reads: its source forward; backward, its bound target, else every
+    /// spec-refined anchor.
+    fn keys<'k>(self, src: &'k VertexId, bound: &'k Option<VertexId>) -> &'k [VertexId]
+    where
+        'a: 'k,
+    {
+        if !self.backward {
+            return std::slice::from_ref(src);
+        }
+        match (bound, self.spec_targets) {
+            (Some(t), _) => std::slice::from_ref(t),
+            (None, Some(ts)) => ts,
+            (None, None) => unreachable!("reverse kernel requires a target anchor"),
+        }
+    }
+}
+
+/// One Kleene hop's kernel results, and how a binding row reads its
+/// output rows from them.
+struct HopReach<'a> {
+    graph: &'a Graph,
+    to_spec: &'a Spec,
+    rule: KeyRule<'a>,
+    maps: FxHashMap<VertexId, ReachMap>,
+}
+
+impl HopReach<'_> {
+    /// Calls `f(target, paths)` once per output row of a row with source
+    /// `src` and bound target `bound`, in output order: ascending target
+    /// forward, anchor order backward.
+    fn each_output(
+        &self,
+        src: VertexId,
+        bound: Option<VertexId>,
+        mut f: impl FnMut(VertexId, &BigCount) -> Result<()>,
+    ) -> Result<()> {
+        let keep = |t: VertexId| self.to_spec.matches(self.graph, t);
+        if self.rule.backward {
+            for &t in self.rule.keys(&src, &bound) {
+                if let Some((_, cnt)) = self.maps[&t].get(&src) {
+                    if keep(t) {
+                        f(t, cnt)?;
+                    }
+                }
+            }
+            return Ok(());
+        }
+        let m = &self.maps[&src];
+        match bound {
+            Some(t) => {
+                if let Some((_, cnt)) = m.get(&t) {
+                    if keep(t) {
+                        f(t, cnt)?;
+                    }
+                }
+            }
+            None => {
+                for (t, (_, cnt)) in m {
+                    if keep(*t) {
+                        f(*t, cnt)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The adjacency entries of `v` a single-edge hop over edge type `etype`
 /// can cross: that type's slice of the typed CSR, or every entry for the
 /// wildcard (`None`). Either way in adjacency order.
@@ -2761,6 +2784,23 @@ fn hop_adjacency(
         None => (None, Some(graph.adjacency(v))),
     };
     typed.into_iter().flatten().chain(any.into_iter().flatten())
+}
+
+/// How many entries [`hop_adjacency`] yields for `v`, counted from the
+/// CSR offsets without walking them.
+fn hop_degree(graph: &Graph, v: VertexId, etype: Option<ETypeId>) -> usize {
+    match etype {
+        Some(t) => graph.adjacency_of_type(v, t).count(),
+        None => graph.adjacency(v).len(),
+    }
+}
+
+/// Rows of the cross product of a `rows`-row binding table with
+/// `per_row` bindings per row.
+fn product_rows(rows: usize, per_row: usize) -> Result<usize> {
+    rows.checked_mul(per_row).ok_or_else(|| {
+        Error::runtime(format!("a {rows} × {per_row} binding-table cross product overflows"))
+    })
 }
 
 fn fresh_anon(counter: &mut usize) -> String {

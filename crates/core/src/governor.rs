@@ -304,6 +304,16 @@ impl QueryGuard {
         Ok(())
     }
 
+    /// Binding-table rows that may still be materialized before the row
+    /// limit trips (`u64::MAX` without one): the most rows an operator
+    /// makes room for before ticking them.
+    pub fn rows_headroom(&self) -> u64 {
+        match self.budget.max_binding_rows {
+            Some(max) => max.saturating_sub(self.rows.load(Ordering::Relaxed)),
+            None => u64::MAX,
+        }
+    }
+
     /// Accounts `n` newly materialized binding-table rows.
     pub fn tick_rows(&self, n: u64) -> Result<()> {
         let total = self.rows.fetch_add(n, Ordering::Relaxed) + n;

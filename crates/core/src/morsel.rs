@@ -2,13 +2,18 @@
 //! work-stealing dispatch loop that drives every parallel operator.
 //!
 //! The binding table is stored **column-major** ([`MorselTable`]): one
-//! `Vec<Binding>` per FROM variable plus a parallel multiplicity vector.
-//! Operators that walk one variable (hop expansion reading the source
-//! column, WHERE residuals probing a single binding) scan a contiguous
-//! slice instead of striding across row structs, and producing a new
-//! table is a *gather*: record a selection vector of surviving source
-//! rows ([`MorselBuilder`]), then materialize each output column in one
-//! sequential pass.
+//! `Vec<Binding>` per FROM variable plus a parallel multiplicity vector,
+//! 8 bytes per binding and 16 per multiplicity. Operators that walk one
+//! variable (hop expansion reading the source column, WHERE residuals
+//! probing a single binding) scan a contiguous slice instead of striding
+//! across row structs. Producing a new table is a *gather*
+//! ([`MorselBuilder`]): the operator pushes its output rows in ascending
+//! source-row order, the builder counts how many output rows each source
+//! row yields, and every inherited column is then materialized in one
+//! sequential pass that repeats each source binding that many times.
+//! Every builder is sized before it is written — exactly where the
+//! operator knows its output (scans, filters, Kleene hops), to an upper
+//! bound where it does not (single-edge hops) — so no column regrows.
 //!
 //! Parallel operators split the table into **morsels** — contiguous row
 //! ranges of [`Engine::morsel_size`](crate::Engine::with_morsel_size)
@@ -102,15 +107,22 @@ impl MorselTable {
 
 /// Builds a [`MorselTable`] derived from a source table by *gather*:
 /// callers push `(source row, appended bindings, multiplicity)` triples
-/// in output order; [`MorselBuilder::finish`] then materializes every
-/// inherited column in one pass over the selection vector. Filters push
+/// in ascending source-row order; [`MorselBuilder::finish`] then
+/// materializes every inherited column in one pass, repeating source row
+/// `r`'s binding once per output row pushed for `r`. Filters push
 /// surviving rows with no extras; expansions (vertex bind, table scan,
 /// hop) push one output row per extension with the new column(s)'
 /// bindings as extras.
+///
+/// The builder costs what the output holds: a `u32` count per source
+/// row, and the appended columns and multiplicities reserved at the row
+/// count the caller passes to [`MorselBuilder::new`].
 pub struct MorselBuilder<'a> {
     src: &'a MorselTable,
-    /// Selection vector: source row index per output row.
-    sel: Vec<usize>,
+    /// Output rows inherited from each source row.
+    counts: Vec<u32>,
+    /// The source row of the latest push.
+    last: usize,
     /// Data for the appended columns, one `Vec` per new column.
     extra: Vec<Vec<Binding>>,
     mults: Vec<BigCount>,
@@ -118,46 +130,65 @@ pub struct MorselBuilder<'a> {
 
 impl<'a> MorselBuilder<'a> {
     /// A builder deriving from `src` and appending `n_extra` new
-    /// columns.
-    pub fn new(src: &'a MorselTable, n_extra: usize) -> Self {
+    /// columns, with room for `rows` output rows: the exact output size
+    /// where the caller knows it, else an upper bound.
+    pub fn new(src: &'a MorselTable, n_extra: usize, rows: usize) -> Self {
         MorselBuilder {
             src,
-            sel: Vec::new(),
-            extra: (0..n_extra).map(|_| Vec::new()).collect(),
-            mults: Vec::new(),
+            counts: vec![0; src.len()],
+            last: 0,
+            extra: (0..n_extra).map(|_| Vec::with_capacity(rows)).collect(),
+            mults: Vec::with_capacity(rows),
         }
     }
 
     /// Appends an output row inheriting `src_row`'s bindings, extending
     /// it with `extras` (one binding per appended column, in column
-    /// order) at multiplicity `mult`.
-    pub fn push(&mut self, src_row: usize, extras: &[Binding], mult: BigCount) {
+    /// order) at multiplicity `mult`. Rows arrive in ascending
+    /// `src_row` order; one source row may yield at most `u32::MAX`
+    /// output rows.
+    pub fn push(&mut self, src_row: usize, extras: &[Binding], mult: BigCount) -> Result<()> {
         debug_assert_eq!(extras.len(), self.extra.len());
-        self.sel.push(src_row);
+        debug_assert!(src_row >= self.last, "rows pushed out of source order");
+        self.last = src_row;
+        let count = &mut self.counts[src_row];
+        *count = count.checked_add(1).ok_or_else(|| {
+            Error::runtime(format!("binding-table row {src_row} yields more than {} rows", u32::MAX))
+        })?;
         for (col, b) in self.extra.iter_mut().zip(extras) {
             col.push(*b);
         }
         self.mults.push(mult);
+        Ok(())
     }
 
     /// Rows pushed so far.
     pub fn len(&self) -> usize {
-        self.sel.len()
+        self.mults.len()
     }
 
     /// `true` when nothing has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.sel.is_empty()
+        self.mults.is_empty()
     }
 
-    /// Gathers the inherited columns through the selection vector and
+    /// Materializes the inherited columns at their exact length and
     /// appends the new columns, yielding the output table.
     pub fn finish(self) -> MorselTable {
+        let n = self.mults.len();
         let mut cols: Vec<Vec<Binding>> = Vec::with_capacity(self.src.width() + self.extra.len());
         for src_col in &self.src.cols {
-            // Contiguous write per column; the read side walks the
-            // selection vector once per column, staying in one array.
-            cols.push(self.sel.iter().map(|&r| src_col[r]).collect());
+            // One contiguous write per column, reading the source column
+            // and the counts in step.
+            let mut col = Vec::with_capacity(n);
+            for (&b, &k) in src_col.iter().zip(&self.counts) {
+                match k {
+                    0 => {}
+                    1 => col.push(b),
+                    k => col.extend(std::iter::repeat_n(b, k as usize)),
+                }
+            }
+            cols.push(col);
         }
         cols.extend(self.extra);
         MorselTable { cols, mults: self.mults }
@@ -381,20 +412,21 @@ mod tests {
     fn builder_gathers_columns_and_extras() {
         let mut src = MorselTable::unit();
         {
-            let mut b = MorselBuilder::new(&src, 1);
+            let mut b = MorselBuilder::new(&src, 1, 4);
             for v in 0..4u32 {
-                b.push(0, &[Binding::Vertex(VertexId(v))], BigCount::one());
+                b.push(0, &[Binding::Vertex(VertexId(v))], BigCount::one()).unwrap();
             }
             src = b.finish();
         }
         assert_eq!(src.len(), 4);
         assert_eq!(src.width(), 1);
         // Filter to even vertices, appending a second column.
-        let mut b = MorselBuilder::new(&src, 1);
+        let mut b = MorselBuilder::new(&src, 1, src.len());
         for r in 0..src.len() {
             if let Binding::Vertex(v) = src.binding(r, 0) {
                 if v.0 % 2 == 0 {
-                    b.push(r, &[Binding::Vertex(VertexId(v.0 + 10))], src.mult(r).clone());
+                    b.push(r, &[Binding::Vertex(VertexId(v.0 + 10))], src.mult(r).clone())
+                        .unwrap();
                 }
             }
         }
@@ -403,6 +435,29 @@ mod tests {
         assert_eq!(out.width(), 2);
         assert_eq!(out.col(0), &[Binding::Vertex(VertexId(0)), Binding::Vertex(VertexId(2))]);
         assert_eq!(out.col(1), &[Binding::Vertex(VertexId(10)), Binding::Vertex(VertexId(12))]);
+    }
+
+    #[test]
+    fn builder_repeats_each_source_row_by_its_count() {
+        let unit = MorselTable::unit();
+        let mut b = MorselBuilder::new(&unit, 1, 3);
+        for v in 0..3u32 {
+            b.push(0, &[Binding::Vertex(VertexId(v))], BigCount::from(u64::from(v) + 1)).unwrap();
+        }
+        let src = b.finish();
+        // Source row 0 yields two rows, row 1 none, row 2 one.
+        let mut b = MorselBuilder::new(&src, 1, 3);
+        for (r, e) in [(0, 7u32), (0, 8), (2, 9)] {
+            b.push(r, &[Binding::Edge(pgraph::graph::EdgeId(e))], src.mult(r).clone()).unwrap();
+        }
+        let out = b.finish();
+        let v = |i| Binding::Vertex(VertexId(i));
+        assert_eq!(out.col(0), &[v(0), v(0), v(2)]);
+        assert_eq!(out.col(0).len(), out.cols[0].capacity(), "inherited column regrown");
+        assert_eq!(out.col(1).len(), out.cols[1].capacity(), "appended column regrown");
+        assert_eq!(out.mults.capacity(), 3);
+        let mults: Vec<String> = (0..out.len()).map(|r| out.mult(r).to_string()).collect();
+        assert_eq!(mults, ["1", "1", "3"]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! a Kleene hop produced it, and only diamond-chain-like graphs push a
 //! count past `2^64`. So a count below `2^64` is held **inline** as one
 //! machine word — no heap allocation per row or per product state — and
-//! only a value that overflows it moves to a little-endian base-2^64 limb
-//! vector.
+//! only a value that overflows it moves to a boxed little-endian base-2^64
+//! limb vector.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -24,16 +24,20 @@ use std::fmt;
 ///
 /// Canonical form, so the derived `Eq`/`Hash` mean value equality: a
 /// value below `2^64` is always `Small`; `Big` holds at least two limbs
-/// and no trailing zero limb. The two variants fit in the 24 bytes of the
-/// limb vector alone, so `size_of::<BigCount>()` is 24.
+/// and no trailing zero limb. The limb vector is boxed, so either variant
+/// is one word beside the tag and `size_of::<BigCount>()` is 16: a
+/// binding table's multiplicity column costs 16 bytes a row.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BigCount(Repr);
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Small(u64),
-    /// Little-endian base-2^64 limbs of a value ≥ `2^64`.
-    Big(Vec<u64>),
+    /// Little-endian base-2^64 limbs of a value ≥ `2^64`, boxed so the
+    /// common inline case is not padded to the vector's three words (the
+    /// extra indirection is paid only past `2^64`).
+    #[allow(clippy::box_collection)]
+    Big(Box<Vec<u64>>),
 }
 
 impl Default for BigCount {
@@ -95,7 +99,7 @@ impl BigCount {
         match limbs.len() {
             0 => BigCount::zero(),
             1 => BigCount(Repr::Small(limbs[0])),
-            _ => BigCount(Repr::Big(limbs)),
+            _ => BigCount(Repr::Big(Box::new(limbs))),
         }
     }
 
@@ -113,7 +117,7 @@ impl BigCount {
     /// The caller restores the canonical form.
     fn limbs_mut(&mut self) -> &mut Vec<u64> {
         if let Repr::Small(v) = self.0 {
-            self.0 = Repr::Big(if v == 0 { Vec::new() } else { vec![v] });
+            self.0 = Repr::Big(Box::new(if v == 0 { Vec::new() } else { vec![v] }));
         }
         match &mut self.0 {
             Repr::Big(limbs) => limbs,
@@ -126,7 +130,7 @@ impl BigCount {
         if let (Repr::Small(a), Repr::Small(b)) = (&mut self.0, &other.0) {
             match a.checked_add(*b) {
                 Some(s) => *a = s,
-                None => self.0 = Repr::Big(vec![a.wrapping_add(*b), 1]),
+                None => self.0 = Repr::Big(Box::new(vec![a.wrapping_add(*b), 1])),
             }
             return;
         }
@@ -250,7 +254,7 @@ impl BigCount {
         }
         let mut limbs = vec![0u64; k / 64 + 1];
         limbs[k / 64] = 1u64 << (k % 64);
-        BigCount(Repr::Big(limbs))
+        BigCount(Repr::Big(Box::new(limbs)))
     }
 }
 
@@ -266,7 +270,7 @@ impl From<u128> for BigCount {
         if hi == 0 {
             BigCount(Repr::Small(lo))
         } else {
-            BigCount(Repr::Big(vec![lo, hi]))
+            BigCount(Repr::Big(Box::new(vec![lo, hi])))
         }
     }
 }
@@ -295,7 +299,7 @@ impl fmt::Display for BigCount {
         };
         // Peel 19 decimal digits at a time.
         const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut work = limbs.clone();
+        let mut work = limbs.to_vec();
         let mut parts: Vec<u64> = Vec::new();
         while !work.is_empty() {
             parts.push(div_rem_u64(&mut work, CHUNK));
@@ -322,10 +326,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_count_is_three_words() {
-        // Bag byte estimates charge `size_of::<BigCount>()` per entry, and
-        // `tests/golden/peak_accum_bytes.txt` pins those estimates.
-        assert_eq!(std::mem::size_of::<BigCount>(), 24);
+    fn a_count_is_two_words() {
+        // A binding-table row pays `size_of::<BigCount>()` for its
+        // multiplicity, and bag byte estimates charge it per entry.
+        assert_eq!(std::mem::size_of::<BigCount>(), 16);
     }
 
     #[test]

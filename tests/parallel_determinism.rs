@@ -127,6 +127,54 @@ fn multi_source_kernel_fanout_is_thread_count_invariant() {
 }
 
 #[test]
+fn reach_cache_counts_are_thread_count_invariant() {
+    // PROFILE's reach-cache counters count kernels run (misses) and
+    // lookups that reuse a kernel's map (hits), so they read the same at
+    // any parallelism. The fan-out runs one kernel per vertex and reuses
+    // none; the two-hop query meets each middle vertex once per in-edge,
+    // so it reuses maps.
+    let g = erdos_renyi(400, 5.0 / 400.0, 11);
+    let fanout = r#"
+        CREATE QUERY Fanout () {
+          SumAccum<int> @hits;
+          R = SELECT t FROM V:s -(E>*)- V:t ACCUM t.@hits += 1;
+          PRINT R.size();
+        }
+    "#;
+    let two_hop = r#"
+        CREATE QUERY TwoHop () {
+          SumAccum<int> @hits;
+          R = SELECT t FROM V:s -(E>)- V:m -(E>*1..2)- V:t ACCUM t.@hits += 1;
+          PRINT R.size();
+        }
+    "#;
+    for (name, text) in [("fanout", fanout), ("two-hop", two_hop)] {
+        let q = gsql_core::parse_query(text).unwrap();
+        let counts = |par: usize| {
+            let (out, prof) = Engine::new(&g).with_parallelism(par).run_profiled(&q, &[]).unwrap();
+            let mut hops = Vec::new();
+            profile_nodes(&prof.root, "hop", &mut hops);
+            let cache: Vec<(u64, u64, u64)> = hops
+                .iter()
+                .map(|h| (h.cache_hits, h.cache_misses, h.kernel_calls))
+                .collect();
+            (out.prints, cache)
+        };
+        let reference = counts(1);
+        let kleene = reference.1.last().copied().unwrap();
+        assert_eq!(kleene.1, kleene.2, "{name}: a miss is one kernel run");
+        if name == "fanout" {
+            assert_eq!((kleene.0, kleene.1), (0, 400), "{name}: one kernel per vertex");
+        } else {
+            assert!(kleene.0 > 0, "{name}: no map was reused");
+        }
+        for par in [2usize, 4] {
+            assert_eq!(counts(par), reference, "{name}: par={par}");
+        }
+    }
+}
+
+#[test]
 fn ic5_is_thread_count_invariant() {
     let g = generate(SnbParams::new(0.05, 31));
     let pt = g.schema().vertex_type_id("Person").unwrap();
