@@ -123,6 +123,9 @@ pub enum Stmt {
         body: Vec<Stmt>,
         /// Source position of the `WHILE` keyword.
         span: Span,
+        /// Dense position among the query's loops (`WHILE` and
+        /// `FOREACH`), in source order; stamped by the parser.
+        id: usize,
     },
     /// `IF cond THEN ... [ELSE ...] END;`
     If {
@@ -141,6 +144,9 @@ pub enum Stmt {
         iterable: Expr,
         /// Loop body.
         body: Vec<Stmt>,
+        /// Dense position among the query's loops, like
+        /// [`Stmt::While`]'s.
+        id: usize,
     },
     /// `PRINT e1, e2, ...;`
     Print(Vec<PrintItem>),
@@ -266,6 +272,10 @@ pub struct SelectBlock {
     pub limit: Option<Expr>,
     /// Source position of the `SELECT` keyword.
     pub span: Span,
+    /// Dense position among the query's SELECT blocks, in source order;
+    /// stamped by the parser. Plans, analysis facts and profile nodes
+    /// index by it.
+    pub id: usize,
 }
 
 /// One output fragment of a (multi-output) SELECT clause.
@@ -586,5 +596,21 @@ impl Expr {
             }
         });
         found
+    }
+}
+
+/// Calls `f` with the semantics each `USE SEMANTICS` in `stmts` names,
+/// loop and branch bodies included, in source order.
+pub fn named_semantics(stmts: &[Stmt], f: &mut impl FnMut(crate::semantics::PathSemantics)) {
+    for stmt in stmts {
+        match stmt {
+            Stmt::UseSemantics(s) => f(*s),
+            Stmt::While { body, .. } | Stmt::Foreach { body, .. } => named_semantics(body, f),
+            Stmt::If { then_branch, else_branch, .. } => {
+                named_semantics(then_branch, f);
+                named_semantics(else_branch, f);
+            }
+            _ => {}
+        }
     }
 }

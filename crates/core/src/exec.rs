@@ -10,10 +10,10 @@ use crate::eval::{
 };
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{
-    dispatch, even_runs, morsel_ranges, MorselBuilder, MorselTable, DEFAULT_MORSEL_SIZE,
+    dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
-use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, LowerCtx, QueryPlan};
-use crate::profile::{Profile, Profiler, Span, SpanExtra};
+use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, QueryPlan};
+use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
 use crate::tractable;
@@ -70,7 +70,7 @@ fn env_parallelism() -> usize {
 /// registry, and evaluation knobs.
 pub struct Engine<'g> {
     graph: &'g Graph,
-    tables: FxHashMap<String, Table>,
+    pub(crate) tables: FxHashMap<String, Table>,
     registry: UserAccumRegistry,
     semantics: PathSemantics,
     /// Resource envelope enforced across the whole execution stack
@@ -210,14 +210,7 @@ impl<'g> Engine<'g> {
         args: &[(&str, Value)],
         profile: bool,
     ) -> Result<(QueryOutput, Option<Profile>)> {
-        let plan = prepared.plan_for(self.graph.stats().epoch(), self.semantics, || {
-            std::sync::Arc::new(crate::plan::lower_query_with(
-                prepared.query(),
-                self.semantics,
-                Some(&self.lower_ctx()),
-                prepared.facts(self.semantics),
-            ))
-        });
+        let plan = self.prepared_plan(prepared);
         self.run_planned(prepared.query(), args, profile, &plan)
     }
 
@@ -283,24 +276,6 @@ impl<'g> Engine<'g> {
             Ok(Err(e)) => Err(e),
             Err(payload) => Err(guard.worker_panic_error(payload.as_ref())),
         }
-    }
-
-    /// Lowers `query` into the optimized [`QueryPlan`] this engine
-    /// executes: cost-based (per-type cardinalities, average degrees,
-    /// kernel-direction choices) against the graph's `finalize()`-time
-    /// statistics. This is the plan [`Engine::run`] runs and
-    /// [`Engine::explain`] renders.
-    pub fn plan(&self, query: &Query) -> std::sync::Arc<QueryPlan> {
-        std::sync::Arc::new(crate::plan::lower_query(
-            query,
-            self.semantics,
-            Some(&self.lower_ctx()),
-        ))
-    }
-
-    /// What the planner may consult about this engine's environment.
-    fn lower_ctx(&self) -> LowerCtx<'_> {
-        LowerCtx { graph: self.graph, tables: &self.tables }
     }
 
     /// Builds the query plan ([`crate::Plan`]) this engine executes
@@ -788,23 +763,24 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     /// Accounts a morsel dispatch over `n_rows` rows and returns the
-    /// morsel ranges. The count is a pure function of the row count and
+    /// split. The morsel count is a pure function of the row count and
     /// the configured morsel size — identical at any parallelism, so it
     /// is safe to compare across runs.
-    fn note_morsels(&mut self, n_rows: usize) -> Vec<std::ops::Range<usize>> {
-        let ranges = morsel_ranges(n_rows, self.eng.morsel_size);
-        self.stats.morsels_dispatched += ranges.len() as u64;
-        self.guard.note_morsels(ranges.len() as u64);
-        ranges
+    fn note_morsels(&mut self, n_rows: usize) -> Morsels {
+        let morsels = Morsels::new(n_rows, self.eng.morsel_size);
+        self.stats.morsels_dispatched += morsels.count() as u64;
+        self.guard.note_morsels(morsels.count() as u64);
+        morsels
     }
 
     /// Opens a profiling span for operator `(op, key)` — a no-op
-    /// returning `None` on unprofiled runs. `key` is the AST node's
-    /// address, so re-executions accumulate into one profile node.
+    /// returning `None` on unprofiled runs. `key` is the operator's
+    /// position ([`OpKey`]), so re-executions accumulate into one
+    /// profile node.
     fn prof_enter(
         &mut self,
         op: &'static str,
-        key: usize,
+        key: OpKey,
         detail: impl FnOnce() -> String,
     ) -> Option<Span> {
         let stats = &self.stats;
@@ -971,8 +947,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 }
                 self.guard.note_accum_bytes(self.accum_footprint())?;
             }
-            Stmt::While { cond, limit, body, .. } => {
-                let span = self.prof_enter("while", stmt as *const Stmt as usize, || {
+            Stmt::While { cond, limit, body, id, .. } => {
+                let span = self.prof_enter("while", (*id, 0), || {
                     format!(
                         "WHILE loop{}",
                         if limit.is_some() { " (bounded)" } else { "" }
@@ -989,11 +965,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     return Ok(Flow::Returned);
                 }
             }
-            Stmt::Foreach { var, iterable, body } => {
-                let span = self
-                    .prof_enter("foreach", stmt as *const Stmt as usize, || {
-                        format!("FOREACH {var}")
-                    });
+            Stmt::Foreach { var, iterable, body, id } => {
+                let span = self.prof_enter("foreach", (*id, 0), || format!("FOREACH {var}"));
                 let flow = self.exec_foreach(var, iterable, body);
                 self.prof_exit(span, SpanExtra::default());
                 return flow;
@@ -1384,7 +1357,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
     // ---- SELECT block -------------------------------------------------------
 
     fn exec_select(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
-        let span = self.prof_enter("block", block as *const SelectBlock as usize, || {
+        let span = self.prof_enter("block", (block.id, 0), || {
             crate::explain::block_label(block)
         });
         let result = self.exec_select_inner(block);
@@ -1394,21 +1367,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     fn exec_select_inner(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
         // Static tractability check against the declared accumulators.
-        let vacc_types: FxHashMap<String, AccumType> = self
-            .vacc_ids
-            .iter()
-            .map(|(n, &id)| (n.clone(), self.vaccs[id].ty.clone()))
-            .collect();
-        let gacc_types: FxHashMap<String, AccumType> = self
-            .gacc_ids
-            .iter()
-            .map(|(n, &id)| (n.clone(), self.gacc_types[id].clone()))
-            .collect();
         tractable::check_block(
             block,
             self.semantics,
-            &vacc_types,
-            &gacc_types,
+            |n| self.vacc_ids.get(n).map(|&id| &self.vaccs[id].ty),
+            |n| self.gacc_ids.get(n).map(|&id| &self.gacc_types[id]),
             &self.eng.registry,
         )?;
 
@@ -1418,44 +1381,35 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // Q_n query would run the reachability kernel from every vertex of
         // the graph before filtering on `s.name`). The conjunct split and
         // per-step assignment come from the lowered plan; the per-run
-        // worklist is just the not-yet-applied indices into it.
-        let bp: std::sync::Arc<BlockPlan> = match self.plan.block_for(block) {
-            Some(bp) if bp.semantics == self.semantics => bp.clone(),
-            // The static walk mispredicted the runtime semantics (an
-            // IF-guarded USE SEMANTICS) or the block reached us outside
-            // the planned query: lower it on the fly.
-            _ => std::sync::Arc::new(crate::plan::lower_block_only(
-                block,
-                self.semantics,
-                Some(&self.eng.lower_ctx()),
-                &self.plan.facts,
-            )),
-        };
+        // worklist is just the not-yet-applied indices into it. The plan
+        // holds the block under every semantics the query can reach it in.
+        let plan = self.plan;
+        let bp = plan.block_plan(block.id, self.semantics).ok_or_else(|| {
+            Error::runtime(format!(
+                "internal error: block {} has no plan under {:?} semantics",
+                block.id + 1,
+                self.semantics
+            ))
+        })?;
         let mut pending: Vec<usize> = (0..bp.conjuncts.len()).collect();
 
         let mut vars: FxHashMap<String, usize> = FxHashMap::default();
         let mut table_refs: Vec<&Table> = Vec::new();
         let mut rows = MorselTable::unit();
         let mut anon = 0usize;
-        // Execute FROM items in the plan's cost-chosen order (empty =
-        // source order); a permutation is only ever emitted when the
-        // output-invariance gate held, so results are unchanged.
-        let exec_order: Vec<usize> = if bp.from_order.is_empty() {
-            (0..block.from.len()).collect()
-        } else {
-            bp.from_order.clone()
-        };
-        for &item_idx in &exec_order {
+        // Execute FROM items in the plan's order; it leaves source order
+        // only when the output-invariance gate held, so results are
+        // unchanged.
+        for &item_idx in &bp.from_order {
             // Hop reordering: when the planner proved a reversed
             // traversal strictly cheaper and result-equivalent, walk the
             // rewritten item (same binding variables, same row multiset).
             let item = bp.rewritten_from.get(&item_idx).unwrap_or(&block.from[item_idx]);
             match item {
                 FromItem::Table { name, alias } => {
-                    let span =
-                        self.prof_enter("scan", item as *const FromItem as usize, || {
-                            format!("scan {name} AS {alias}")
-                        });
+                    let span = self.prof_enter("scan", (item_idx, 0), || {
+                        format!("scan {name} AS {alias}")
+                    });
                     if let Some(t) = self.eng.tables.get(name) {
                         let tidx = table_refs.len();
                         table_refs.push(t);
@@ -1484,10 +1438,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
                 }
                 FromItem::Pattern { start, hops, .. } => {
-                    let span =
-                        self.prof_enter("scan", start as *const VSpec as usize, || {
-                            format!("scan {}", crate::explain::vspec_label(start))
-                        });
+                    let span = self.prof_enter("scan", (item_idx, 0), || {
+                        format!("scan {}", crate::explain::vspec_label(start))
+                    });
                     let spec = self.resolve_spec(&start.name)?;
                     let var = start
                         .var
@@ -1499,15 +1452,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     let n = rows.len() as u64;
                     self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
                     let mut prev_col = vars[&var];
-                    for hop in hops {
-                        let span =
-                            self.prof_enter("hop", hop as *const Hop as usize, || {
-                                format!(
-                                    "hop -({})-> {}",
-                                    hop.darpe,
-                                    crate::explain::vspec_label(&hop.to)
-                                )
-                            });
+                    for (hop_idx, hop) in hops.iter().enumerate() {
+                        let span = self.prof_enter("hop", (item_idx, hop_idx), || {
+                            format!("hop -({})-> {}", hop.darpe, crate::explain::vspec_label(&hop.to))
+                        });
                         if span.is_some() {
                             self.prof_hop_cache = (0, 0);
                             self.prof_hop_workers.clear();
@@ -1528,7 +1476,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         };
                         rows = self.extend_hop(
                             rows, &mut vars, prev_col, hop, &to_var, to_spec,
-                            &target_conds, bp.strategy_for(hop),
+                            &target_conds, bp.strategies[item_idx][hop_idx],
                         )?;
                         rows = self.apply_ready_filters(
                             rows, &mut pending, &bp.conjuncts, &vars, &table_refs,
@@ -1551,10 +1499,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         // 2. Residual WHERE conjuncts (e.g. referencing no FROM variable).
         if !pending.is_empty() {
-            let span = self
-                .prof_enter("residual-filter", block as *const SelectBlock as usize, || {
-                    format!("residual filters ({})", pending.len())
-                });
+            let span = self.prof_enter("residual-filter", (0, 0), || {
+                format!("residual filters ({})", pending.len())
+            });
             for idx in pending.drain(..) {
                 let cond = &bp.conjuncts[idx].0;
                 rows = self.filter_rows(rows, cond, &vars, &table_refs)?;
@@ -1575,14 +1522,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         // 4. ACCUM (Map phase + Reduce phase, snapshot semantics).
         if !block.accum.is_empty() {
-            let span = self
-                .prof_enter("accum", block.accum.as_ptr() as usize, || {
-                    format!("ACCUM: {} statement(s)", block.accum.len())
-                });
+            let span = self.prof_enter("accum", (0, 0), || {
+                format!("ACCUM: {} statement(s)", block.accum.len())
+            });
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
-            self.run_accum(&block.accum, &rows, &vars, &table_refs, &bp)?;
+            self.run_accum(&block.accum, &rows, &vars, &table_refs, bp)?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
                 accum_bytes: bytes,
@@ -1594,10 +1540,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         // 5. POST_ACCUM.
         if !block.post_accum.is_empty() {
-            let span = self
-                .prof_enter("post-accum", block.post_accum.as_ptr() as usize, || {
-                    format!("POST_ACCUM: {} statement(s)", block.post_accum.len())
-                });
+            let span = self.prof_enter("post-accum", (0, 0), || {
+                format!("POST_ACCUM: {} statement(s)", block.post_accum.len())
+            });
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
@@ -1618,14 +1563,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
         // 6. Outputs.
         let mut vertex_result: Option<Vec<VertexId>> = None;
-        for frag in &block.outputs {
-            let span = self
-                .prof_enter("output", frag as *const OutputFragment as usize, || {
-                    format!(
-                        "output{}",
-                        frag.into.as_ref().map(|n| format!(" INTO {n}")).unwrap_or_default()
-                    )
-                });
+        for (frag_idx, frag) in block.outputs.iter().enumerate() {
+            let span = self.prof_enter("output", (frag_idx, 0), || {
+                let into = frag.into.as_ref().map(|n| format!(" INTO {n}"));
+                format!("output{}", into.unwrap_or_default())
+            });
             let produced;
             if let Some(var) = vertex_fragment_var(frag, &vars, &rows) {
                 let vs = self.eval_vertex_fragment(block, frag, &var, &vars, &rows, &table_refs)?;
@@ -1727,13 +1669,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
         tables: &[&Table],
     ) -> Result<MorselTable> {
         let cond = Binder::new(self.scope(vars, tables)).bind(cond);
-        let ranges = self.note_morsels(rows.len());
+        let morsels = self.note_morsels(rows.len());
         let workers = self.workers_for(rows.len());
         let rows_ref = &rows;
-        let run = dispatch(self.guard, workers, &ranges, |_, range| {
+        let run = dispatch(self.guard, workers, morsels.count(), |m| {
             let frame = Frame::default();
             let mut keep: Vec<usize> = Vec::new();
-            for r in range.clone() {
+            for r in morsels.range(m) {
                 let row = Row { bindings: rows_ref.bindings_at(r), tables };
                 let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
                 if truthy(&*ev.eval(&cond)?)? {
@@ -1814,8 +1756,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// `plan_strategy` is the planner's cost-based choice for this hop;
     /// it is advisory — runtime conditions (is the target actually
     /// anchored? how large did the spec-refined set turn out?) always
-    /// gate the backward kernels, so a stale or missing hint degrades
-    /// to the syntax-driven default, never to a wrong answer.
+    /// gate the backward kernels, so a stale hint degrades to the
+    /// syntax-driven default, never to a wrong answer.
     #[allow(clippy::too_many_arguments)]
     fn extend_hop(
         &mut self,
@@ -1826,7 +1768,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         to_var: &str,
         to_spec: Spec,
         target_conds: &[&Expr],
-        plan_strategy: Option<HopStrategy>,
+        plan_strategy: HopStrategy,
     ) -> Result<MorselTable> {
         let graph = self.graph();
         let existing_to = vars.get(to_var).copied();
@@ -1933,7 +1875,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // (fewer estimated targets than sources); enumerative kernels
         // always prefer the anchored side, hint or no hint.
         let backward_capable = self.semantics.is_enumerative()
-            || matches!(plan_strategy, Some(HopStrategy::CountingBackward));
+            || plan_strategy == HopStrategy::CountingBackward;
         // A small (spec-refined) target set also anchors the kernel: run
         // backward once per target instead of forward once per source.
         let spec_targets: Option<Vec<VertexId>> = if backward_capable && !target_bound {
@@ -2028,9 +1970,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
         pool: &KernelPool<'_>,
     ) -> Result<FxHashMap<VertexId, ReachMap>> {
         let (semantics, guard) = (self.semantics, self.guard);
-        let run = dispatch(guard, self.eng.parallelism, keys, |_, &key| {
+        let run = dispatch(guard, self.eng.parallelism, keys.len(), |i| {
             let mut stats = MatchStats::default();
-            let map = pool.reach(key, semantics, guard, &mut stats)?;
+            let map = pool.reach(keys[i], semantics, guard, &mut stats)?;
             Ok((map, stats))
         })?;
         if self.prof.is_some() {
@@ -2115,8 +2057,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(())
     }
 
-    /// Runs one bound accumulator clause over the items `ranges`
-    /// partition — the single implementation behind ACCUM (items are
+    /// Runs one bound accumulator clause over the items `morsels`
+    /// splits — the single implementation behind ACCUM (items are
     /// binding-table rows) and POST_ACCUM (items are the distinct
     /// vertices of one column). `bind(i)` yields item `i`'s bindings and
     /// multiplicity; every statement goes through [`emit`] with the
@@ -2125,14 +2067,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
     fn run_clause<'r>(
         &mut self,
         prog: &Program,
-        ranges: &[std::ops::Range<usize>],
+        morsels: Morsels,
         tables: &[&Table],
         bind: impl Fn(usize) -> (Bindings<'r>, &'r BigCount) + Sync,
         sink: Sink,
     ) -> Result<()> {
         if sink == Sink::Live {
             let mut frame = Frame::new(prog);
-            for i in ranges.iter().cloned().flatten() {
+            for i in 0..morsels.items {
                 self.guard.checkpoint()?;
                 let (bindings, mult) = bind(i);
                 frame.reset();
@@ -2155,8 +2097,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // at any parallelism.
         let guard = self.guard;
         let env = self.env();
-        let n_items = ranges.last().map_or(0, |r| r.end);
-        let workers = self.workers_for(n_items);
+        let workers = self.workers_for(morsels.items);
         if sink == Sink::Partials {
             // One partial per worker: the morsels split into contiguous
             // runs, each run folds its morsels in order into one partial,
@@ -2167,13 +2108,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // and any morsel size.
             let registry = &self.eng.registry;
             let (vaccs, gtypes) = (&self.vaccs, &self.gacc_types);
-            let runs = even_runs(ranges.len(), workers);
-            let run = dispatch(guard, workers, &runs, |_, morsels| {
+            let runs = even_runs(morsels.count(), workers);
+            let run = dispatch(guard, workers, runs.len(), |r| {
                 let mut frame = Frame::new(prog);
                 let mut part = AccumPartial::default();
-                for range in &ranges[morsels.clone()] {
+                for m in runs[r].clone() {
                     guard.checkpoint()?;
-                    for i in range.clone() {
+                    for i in morsels.range(m) {
                         guard.checkpoint()?;
                         map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
                             part.fold(em, vaccs, gtypes, registry)
@@ -2196,10 +2137,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // order) and fold sequentially, exactly as at parallelism 1.
             // Buffered emissions outlive their row, so they own their
             // values.
-            let run = dispatch(guard, workers, ranges, |_, range| {
+            let run = dispatch(guard, workers, morsels.count(), |m| {
                 let mut frame = Frame::new(prog);
                 let mut out = Vec::new();
-                for i in range.clone() {
+                for i in morsels.range(m) {
                     guard.checkpoint()?;
                     map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
                         let Emission { target, value, combine, mult } = em;
@@ -2234,17 +2175,17 @@ impl<'e, 'g> Runtime<'e, 'g> {
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
         let prog = Binder::clause(self.scope(vars, tables), stmts);
-        let ranges = self.note_morsels(rows.len());
+        let morsels = self.note_morsels(rows.len());
         let sink = match (bp.accum_fold.parallel(), bp.accum_in_place) {
             (true, _) => Sink::Partials,
             (false, true) => Sink::Live,
             (false, false) => Sink::Snapshot,
         };
-        if sink == Sink::Live && self.prof.is_some() && !ranges.is_empty() {
+        if sink == Sink::Live && self.prof.is_some() && morsels.count() > 0 {
             // Every morsel ran on the caller's thread.
-            self.prof_op_workers = vec![ranges.len() as u64];
+            self.prof_op_workers = vec![morsels.count() as u64];
         }
-        self.run_clause(&prog, &ranges, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
+        self.run_clause(&prog, morsels, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
     }
 
     /// Estimated heap footprint of all live accumulator state, in bytes —
@@ -2266,10 +2207,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
     ) -> Result<()> {
         let one = BigCount::one();
         let Some(var) = post_accum_var(stmts, vars)? else {
-            let once = morsel_ranges(usize::from(!rows.is_empty()), 1);
+            let once = Morsels::new(usize::from(!rows.is_empty()), 1);
             let bind = |_| (Bindings::Row(&[]), &one);
             let prog = Binder::clause(self.scope(&FxHashMap::default(), &[]), stmts);
-            return self.run_clause(&prog, &once, &[], bind, Sink::Live);
+            return self.run_clause(&prog, once, &[], bind, Sink::Live);
         };
         let mut vertices: Vec<VertexId> = rows
             .col(vars[&var])
@@ -2284,7 +2225,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let vertices: Vec<Binding> = vertices.into_iter().map(Binding::Vertex).collect();
         // Morsel accounting is a pure function of the distinct-vertex
         // count, independent of which sink runs below.
-        let ranges = self.note_morsels(vertices.len());
+        let morsels = self.note_morsels(vertices.len());
         let pvars = FxHashMap::from_iter([(var, 0usize)]);
         let prog = Binder::clause(self.scope(&pvars, &[]), stmts);
         // The verdict licenses partials — no statement reads an
@@ -2296,7 +2237,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             Sink::Live
         };
         let bind = |i: usize| (Bindings::Row(std::slice::from_ref(&vertices[i])), &one);
-        self.run_clause(&prog, &ranges, &[], bind, sink)
+        self.run_clause(&prog, morsels, &[], bind, sink)
     }
 
     // ---- outputs ----------------------------------------------------------------
@@ -2374,13 +2315,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
             let mut binder = Binder::new(self.scope(vars, tables));
             let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
             let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
-            let ranges = self.note_morsels(rows.len());
+            let morsels = self.note_morsels(rows.len());
             let workers = self.workers_for(rows.len());
             let guard = self.guard;
-            let run = dispatch(guard, workers, &ranges, |_, range| {
+            let run = dispatch(guard, workers, morsels.count(), |m| {
                 let frame = Frame::default();
+                let range = morsels.range(m);
                 let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
-                for r in range.clone() {
+                for r in range {
                     let row = Row { bindings: rows.bindings_at(r), tables };
                     let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
                     let cells = eval_all(&ev, &items)?;
@@ -2476,13 +2418,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 _ => BExpr::Fail(Error::runtime("not an aggregate expression")),
             })
             .collect();
-        let ranges = self.note_morsels(rows.len());
+        let morsels = self.note_morsels(rows.len());
         let workers = self.workers_for(rows.len());
         let guard = self.guard;
-        let run = dispatch(guard, workers, &ranges, |_, range| {
+        let run = dispatch(guard, workers, morsels.count(), |m| {
             let frame = Frame::default();
+            let range = morsels.range(m);
             let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(range.len());
-            for r in range.clone() {
+            for r in range {
                 let row = Row { bindings: rows.bindings_at(r), tables };
                 let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
                 let keys = eval_all(&ev, &keys)?;

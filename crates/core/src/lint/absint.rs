@@ -417,8 +417,8 @@ pub(super) fn run(cx: &Ctx<'_>, diags: &mut Vec<Diagnostic>) -> QueryFacts {
 
 impl<'a, 'c> Analyzer<'a, 'c> {
     /// Abstractly executes `stmts`. `record` is true only on the final
-    /// (fixpoint) pass over each region — facts, ordinals and
-    /// diagnostics are emitted exactly once. `mult` is the proven lower
+    /// (fixpoint) pass over each region — facts and diagnostics are
+    /// emitted exactly once. `mult` is the proven lower
     /// bound on how many times this statement list executes.
     fn exec(&mut self, stmts: &[Stmt], env: &mut Env, record: bool, mult: u64) {
         for stmt in stmts {
@@ -446,7 +446,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                     self.block(b, env, record);
                     apply_block_effects(b, env);
                 }
-                Stmt::While { cond, limit, body, span } => {
+                Stmt::While { cond, limit, body, span, .. } => {
                     self.while_loop(cond, limit.as_ref(), body, *span, env, record, mult);
                 }
                 Stmt::If { cond, then_branch, else_branch } => {
@@ -580,11 +580,9 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         let (accum_parallel, accum_reason, accum_row_invariant) =
             self.accum_gate(&b.accum, env, &bound);
         let (post_accum_parallel, post_accum_reason) = self.post_accum_gate(&b.post_accum, env);
-        let ordinal = self.facts.blocks.len() + 1;
-        let key = b as *const SelectBlock as usize;
-        let idx = self.facts.blocks.len();
+        // Blocks are recorded once each, in source order: position = id.
+        debug_assert_eq!(b.id, self.facts.blocks.len());
         self.facts.blocks.push(BlockFacts {
-            ordinal,
             span: b.span,
             where_const,
             has_where: b.where_clause.is_some(),
@@ -595,7 +593,6 @@ impl<'a, 'c> Analyzer<'a, 'c> {
             post_accum_reason,
             accum_row_invariant,
         });
-        self.facts.by_block.insert(key, idx);
     }
 
     /// `D004`: `+=` combines in ACCUM into order-dependent merge types.

@@ -112,7 +112,8 @@ pub(super) fn run(cx: &Ctx, facts: &QueryFacts, out: &mut Vec<Diagnostic>) {
         // parallel gate even folds such clauses in parallel.
         let row_invariant = |idx: usize| {
             facts
-                .block_facts(bc.block)
+                .blocks
+                .get(bc.block.id)
                 .is_some_and(|f| f.accum_row_invariant.get(idx).copied().unwrap_or(false))
         };
         for (idx, s) in bc.block.accum.iter().enumerate() {

@@ -13,11 +13,10 @@
 //! consumed by `gsql_shell CHECK` and `POST /lint` (under a `"facts"`
 //! key); it is golden-tested, so field names and order are contract.
 
-use crate::ast::{SelectBlock, Span};
+use crate::ast::Span;
 use crate::explain::json_string;
 use crate::governor::Budget;
 use crate::lint::Diagnostic;
-use pgraph::fxhash::FxHashMap;
 
 /// Proven upper bound of a WHILE loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,11 +46,9 @@ pub struct LoopFacts {
     pub guaranteed_ticks: u64,
 }
 
-/// Facts about one SELECT block, in execution-walk order.
+/// Facts about one SELECT block.
 #[derive(Debug, Clone)]
 pub struct BlockFacts {
-    /// 1-based position in the analyzer's walk order.
-    pub ordinal: usize,
     /// The block's span.
     pub span: Span,
     /// Proven constancy of the whole WHERE clause (`None` = unknown or
@@ -83,7 +80,7 @@ pub struct BlockFacts {
 /// The full fact bundle for one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryFacts {
-    /// Per-block facts in walk order.
+    /// Per-block facts, indexed by [`SelectBlock::id`](crate::ast::SelectBlock::id).
     pub blocks: Vec<BlockFacts>,
     /// Per-WHILE facts in walk order.
     pub loops: Vec<LoopFacts>,
@@ -92,19 +89,9 @@ pub struct QueryFacts {
     /// cumulative across loops, so this is directly comparable to
     /// `Budget::max_while_iters`). `u64::MAX` = provably unbounded.
     pub min_while_iters: u64,
-    /// AST-identity index: `&SelectBlock as *const _ as usize` → index
-    /// into `blocks`.
-    pub(crate) by_block: FxHashMap<usize, usize>,
 }
 
 impl QueryFacts {
-    /// Facts for a specific block of the *same* query AST the facts
-    /// were computed from (keyed by AST node identity).
-    pub fn block_facts(&self, block: &SelectBlock) -> Option<&BlockFacts> {
-        let key = block as *const SelectBlock as usize;
-        self.by_block.get(&key).map(|&i| &self.blocks[i])
-    }
-
     /// Stable JSON rendering (schema documented in `docs/LINTS.md`).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"min_while_iters\":");
@@ -118,7 +105,7 @@ impl QueryFacts {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"block\":{},\"line\":{}", b.ordinal, b.span.line));
+            out.push_str(&format!("{{\"block\":{},\"line\":{}", i + 1, b.span.line));
             out.push_str(",\"where\":");
             json_string(&mut out, tri_state(b.has_where, b.where_const));
             out.push_str(",\"conjuncts\":[");

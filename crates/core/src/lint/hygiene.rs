@@ -234,7 +234,7 @@ fn foreach_shadows(cx: &Ctx, stmts: &[Stmt], vsets: &[&str], out: &mut Vec<Diagn
 fn while_invariants(stmts: &[Stmt], out: &mut Vec<Diagnostic>) {
     for stmt in stmts {
         match stmt {
-            Stmt::While { cond, limit, body, span } => {
+            Stmt::While { cond, limit, body, span, .. } => {
                 if limit.is_none() {
                     let mut deps: Vec<String> = Vec::new();
                     cond.walk(&mut |e| match e {

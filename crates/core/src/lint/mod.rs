@@ -95,13 +95,10 @@ pub fn lint_query_and_facts(
 }
 
 /// Computes [`QueryFacts`] alone (no diagnostics) — the planner's entry
-/// point.
-pub fn compute_facts(
-    q: &Query,
-    ambient: PathSemantics,
-    registry: &UserAccumRegistry,
-) -> QueryFacts {
-    let cx = Ctx::build(q, ambient, registry);
+/// point. The facts read declarations, never the path semantics, so one
+/// analysis serves a query under every semantics.
+pub fn compute_facts(q: &Query, registry: &UserAccumRegistry) -> QueryFacts {
+    let cx = Ctx::build(q, PathSemantics::AllShortestPaths, registry);
     let mut diags = Vec::new();
     absint::run(&cx, &mut diags)
 }
@@ -147,7 +144,10 @@ impl<'a> Ctx<'a> {
 
     /// Walks statements in execution order, threading the effective path
     /// semantics the way the executor does (a `USE SEMANTICS` statement
-    /// affects everything after it, including loop bodies).
+    /// affects everything after it, including loop bodies). Each IF
+    /// branch starts from the semantics before the IF; after it, the
+    /// ELSE branch's semantics hold if it names one, else the THEN
+    /// branch's.
     fn collect(&mut self, stmts: &'a [Stmt], sem: &mut (PathSemantics, bool)) {
         for stmt in stmts {
             match stmt {
@@ -168,8 +168,15 @@ impl<'a> Ctx<'a> {
                 Stmt::Select(b) => self.push_block(b, sem),
                 Stmt::While { body, .. } | Stmt::Foreach { body, .. } => self.collect(body, sem),
                 Stmt::If { then_branch, else_branch, .. } => {
+                    let entry = *sem;
                     self.collect(then_branch, sem);
+                    let then_exit = std::mem::replace(sem, entry);
                     self.collect(else_branch, sem);
+                    let mut else_names = false;
+                    crate::ast::named_semantics(else_branch, &mut |_| else_names = true);
+                    if !else_names {
+                        *sem = then_exit;
+                    }
                 }
                 _ => {}
             }
@@ -256,7 +263,7 @@ fn stmts_exprs(stmts: &[Stmt], outer: Span, f: &mut impl FnMut(&Expr, Span)) {
             Stmt::VSetAssign { .. } => {}
             Stmt::Select(b) => block_exprs(b, f),
             Stmt::GAccAssign { expr, .. } => f(expr, outer),
-            Stmt::While { cond, limit, body, span } => {
+            Stmt::While { cond, limit, body, span, .. } => {
                 f(cond, *span);
                 if let Some(l) = limit {
                     f(l, *span);

@@ -195,11 +195,32 @@ impl<'a> MorselBuilder<'a> {
     }
 }
 
-/// Splits `len` rows into contiguous morsel ranges of at most `size`
-/// rows (the final morsel may be short). `len == 0` yields no morsels.
-pub fn morsel_ranges(len: usize, size: usize) -> Vec<Range<usize>> {
-    let size = size.max(1);
-    (0..len.div_ceil(size)).map(|i| (i * size)..((i + 1) * size).min(len)).collect()
+/// `items` rows (or vertices) split into contiguous morsels of at most
+/// `size` items; the final morsel may be short and zero items make no
+/// morsels. A morsel's range is computed when asked for, so a split
+/// costs nothing per morsel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Morsels {
+    /// Number of items split.
+    pub items: usize,
+    size: usize,
+}
+
+impl Morsels {
+    /// Splits `items` items into morsels of at most `size` items.
+    pub fn new(items: usize, size: usize) -> Self {
+        Morsels { items, size: size.max(1) }
+    }
+
+    /// Number of morsels.
+    pub fn count(self) -> usize {
+        self.items.div_ceil(self.size)
+    }
+
+    /// The items of morsel `i`.
+    pub fn range(self, i: usize) -> Range<usize> {
+        (i * self.size)..((i + 1) * self.size).min(self.items)
+    }
 }
 
 /// Splits `n` items into at most `k` contiguous runs covering `0..n` in
@@ -245,39 +266,36 @@ impl<T> MorselRun<T> {
     }
 }
 
-/// The engine's one scheduler: runs `work(index, item)` over every item
-/// — morsel row ranges for the vectorized operators, kernel keys for
-/// the Kleene-hop fan-out — on `min(workers, items.len())` scoped
-/// threads stealing item indices from a shared counter. One worker (or
-/// a single item) runs inline on the caller's thread — the same loop
-/// shape, so counters and error choice are identical at any worker
-/// count.
+/// The engine's one scheduler: runs `work(i)` for every item index
+/// `i < n` — morsels for the vectorized operators, kernel keys for the
+/// Kleene-hop fan-out — on `min(workers, n)` scoped threads stealing
+/// item indices from a shared counter. One worker (or a single item)
+/// runs inline on the caller's thread — the same loop shape, so
+/// counters and error choice are identical at any worker count.
 ///
 /// The guard is checkpointed before each item. On failure the error for
 /// the smallest item index is returned (a `WorkerPanic` outranks
 /// ordinary errors and poisons the guard, stopping siblings at their
 /// next checkpoint).
-pub(crate) fn dispatch<I, T, F>(
+pub(crate) fn dispatch<T, F>(
     guard: &QueryGuard,
     workers: usize,
-    items: &[I],
+    n: usize,
     work: F,
 ) -> Result<MorselRun<T>>
 where
-    I: Sync,
     T: Send,
-    F: Fn(usize, &I) -> Result<T> + Sync,
+    F: Fn(usize) -> Result<T> + Sync,
 {
-    let n = items.len();
     if n == 0 {
         return Ok(MorselRun { results: Vec::new(), owners: Vec::new(), workers: 0 });
     }
     let nworkers = workers.max(1).min(n);
     if nworkers == 1 {
         let mut results = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
+        for i in 0..n {
             guard.checkpoint()?;
-            results.push(work(i, item)?);
+            results.push(work(i)?);
         }
         return Ok(MorselRun { results, owners: vec![0; n], workers: 1 });
     }
@@ -296,7 +314,7 @@ where
                             if i >= n {
                                 break;
                             }
-                            let r = guard.checkpoint().and_then(|()| work(i, &items[i]));
+                            let r = guard.checkpoint().and_then(|()| work(i));
                             let failed = r.is_err();
                             done.push((i, r));
                             if failed {
@@ -376,7 +394,8 @@ mod tests {
     #[test]
     fn ranges_cover_exactly_once() {
         for (len, size) in [(0usize, 4usize), (1, 4), (4, 4), (5, 4), (1023, 1024), (1025, 1024)] {
-            let rs = morsel_ranges(len, size);
+            let m = Morsels::new(len, size);
+            let rs: Vec<Range<usize>> = (0..m.count()).map(|i| m.range(i)).collect();
             let total: usize = rs.iter().map(|r| r.len()).sum();
             assert_eq!(total, len, "len={len} size={size}");
             for w in rs.windows(2) {
@@ -463,13 +482,13 @@ mod tests {
     #[test]
     fn dispatch_results_are_in_morsel_order_at_any_worker_count() {
         let g = guard();
-        let ranges = morsel_ranges(100, 7);
+        let m = Morsels::new(100, 7);
         for workers in [1, 2, 8] {
-            let run = dispatch(&g, workers, &ranges, |i, r| Ok((i, r.len()))).unwrap();
+            let run = dispatch(&g, workers, m.count(), |i| Ok((i, m.range(i).len()))).unwrap();
             let idxs: Vec<usize> = run.results.iter().map(|(i, _)| *i).collect();
-            assert_eq!(idxs, (0..ranges.len()).collect::<Vec<_>>());
-            assert_eq!(run.per_worker(|_| 1).iter().sum::<u64>(), ranges.len() as u64);
-            let rows = run.per_worker(|i| ranges[i].len() as u64);
+            assert_eq!(idxs, (0..m.count()).collect::<Vec<_>>());
+            assert_eq!(run.per_worker(|_| 1).iter().sum::<u64>(), m.count() as u64);
+            let rows = run.per_worker(|i| m.range(i).len() as u64);
             assert_eq!(rows.iter().sum::<u64>(), 100);
         }
     }
@@ -477,9 +496,8 @@ mod tests {
     #[test]
     fn dispatch_smallest_morsel_error_wins() {
         let g = guard();
-        let ranges = morsel_ranges(64, 4);
         for workers in [1, 4] {
-            let err = dispatch(&g, workers, &ranges, |i, _| -> Result<()> {
+            let err = dispatch(&g, workers, 16, |i| -> Result<()> {
                 if i >= 3 {
                     Err(Error::runtime(format!("boom at {i}")))
                 } else {
@@ -495,12 +513,12 @@ mod tests {
     fn dispatch_runs_a_single_item_inline() {
         let g = guard();
         let caller = std::thread::current().id();
-        let run = dispatch(&g, 8, &[7u32], |i, item| {
+        let run = dispatch(&g, 8, 1, |i| {
             assert_eq!(std::thread::current().id(), caller, "single item left the caller's thread");
-            Ok((i, *item))
+            Ok(i)
         })
         .unwrap();
-        assert_eq!(run.results, vec![(0, 7)]);
+        assert_eq!(run.results, vec![0]);
         assert_eq!(run.per_worker(|_| 1), vec![1]);
     }
 
@@ -512,7 +530,7 @@ mod tests {
         // proceeds, so the ordinary error at index 0 and the panic at
         // index 1 are both guaranteed to happen.
         let both_started = std::sync::Barrier::new(2);
-        let err = dispatch(&g, 2, &items, |i, _| -> Result<()> {
+        let err = dispatch(&g, 2, items.len(), |i| -> Result<()> {
             if i < 2 {
                 both_started.wait();
             }
@@ -528,7 +546,7 @@ mod tests {
         // The guard is poisoned: anything still checkpointing it stops.
         assert!(g.checkpoint().is_err());
         // A fresh guard (what every `Engine::run` creates) is unaffected.
-        let run = dispatch(&guard(), 2, &items, |i, _| Ok(i)).unwrap();
+        let run = dispatch(&guard(), 2, items.len(), Ok).unwrap();
         assert_eq!(run.results, items);
     }
 }

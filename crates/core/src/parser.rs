@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// Parses a `CREATE QUERY` definition.
 pub fn parse_query(src: &str) -> Result<Query> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, typedefs: HashMap::new() };
+    let mut p = Parser::new(toks);
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -41,7 +41,7 @@ pub enum QueryMode {
 /// fingerprints and the plan cache are unaffected.
 pub fn parse_query_with_mode(src: &str) -> Result<(QueryMode, Query)> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, typedefs: HashMap::new() };
+    let mut p = Parser::new(toks);
     // EXPLAIN/PROFILE/CHECK are deliberately NOT reserved words — `INTO
     // Profile` must keep working — so the prefix is a leading
     // identifier, recognized case-insensitively only in this position.
@@ -68,7 +68,7 @@ pub fn parse_query_with_mode(src: &str) -> Result<(QueryMode, Query)> {
 /// Parses a standalone expression (used by tests and the REPL-style API).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, typedefs: HashMap::new() };
+    let mut p = Parser::new(toks);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -79,9 +79,17 @@ struct Parser {
     pos: usize,
     /// Tuple typedefs seen so far: name → field names in order.
     typedefs: HashMap<String, Vec<(String, ValueType)>>,
+    /// SELECT blocks parsed so far: the next block's id.
+    blocks: usize,
+    /// WHILE/FOREACH loops parsed so far: the next loop's id.
+    loops: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<SpannedTok>) -> Self {
+        Parser { toks, pos: 0, typedefs: HashMap::new(), blocks: 0, loops: 0 }
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -692,6 +700,8 @@ impl Parser {
 
     fn while_stmt(&mut self) -> Result<Stmt> {
         let span = self.span();
+        let id = self.loops;
+        self.loops += 1;
         self.expect_kw("WHILE")?;
         let cond = self.expr()?;
         let limit = if self.eat_kw("LIMIT") { Some(self.expr()?) } else { None };
@@ -699,7 +709,7 @@ impl Parser {
         let body = self.block_stmts()?;
         self.expect_kw("END")?;
         self.eat(Tok::Semi);
-        Ok(Stmt::While { cond, limit, body, span })
+        Ok(Stmt::While { cond, limit, body, span, id })
     }
 
     fn if_stmt(&mut self) -> Result<Stmt> {
@@ -714,6 +724,8 @@ impl Parser {
     }
 
     fn foreach_stmt(&mut self) -> Result<Stmt> {
+        let id = self.loops;
+        self.loops += 1;
         self.expect_kw("FOREACH")?;
         let var = self.ident()?;
         self.expect_kw("IN")?;
@@ -722,7 +734,7 @@ impl Parser {
         let body = self.block_stmts()?;
         self.expect_kw("END")?;
         self.eat(Tok::Semi);
-        Ok(Stmt::Foreach { var, iterable, body })
+        Ok(Stmt::Foreach { var, iterable, body, id })
     }
 
     fn print_stmt(&mut self) -> Result<Stmt> {
@@ -770,6 +782,8 @@ impl Parser {
 
     fn select_block(&mut self) -> Result<SelectBlock> {
         let span = self.span();
+        let id = self.blocks;
+        self.blocks += 1;
         self.expect_kw("SELECT")?;
         let mut outputs = vec![self.output_fragment()?];
         while *self.peek() == Tok::Semi && *self.peek2() != Tok::Kw("FROM") {
@@ -823,6 +837,7 @@ impl Parser {
             order_by,
             limit,
             span,
+            id,
         })
     }
 
@@ -1476,11 +1491,12 @@ mod tests {
         assert_eq!(q.params.len(), 3);
         assert_eq!(q.body.len(), 5);
         match &q.body[4] {
-            Stmt::While { limit: Some(_), body, .. } => {
+            Stmt::While { limit: Some(_), body, id: 0, .. } => {
                 assert_eq!(body.len(), 2);
                 match &body[1] {
                     Stmt::VSetAssign { name, source: VSetSource::Select(b), .. } => {
                         assert_eq!(name, "S");
+                        assert_eq!(b.id, 0);
                         assert_eq!(b.accum.len(), 1);
                         assert_eq!(b.post_accum.len(), 3);
                         // v.@score' parsed as prev-snapshot read.

@@ -45,7 +45,9 @@
 
 use crate::ast::*;
 use crate::explain::{Plan, PlanNode};
+use crate::exec::Engine;
 use crate::lint::QueryFacts;
+use crate::prepared::PreparedQuery;
 use crate::semantics::PathSemantics;
 use crate::table::Table;
 use darpe::{Darpe, DarpeDir, Symbol};
@@ -152,28 +154,30 @@ impl FoldVerdict {
     }
 }
 
-/// The executable plan for one SELECT block: the split WHERE conjuncts
-/// (with the FROM variables each references), the per-hop strategy
-/// choices and the fold verdict of each accumulator clause. The
-/// executor's pushdown worklist is a list of *indices* into
+/// The executable plan for one SELECT block under one path semantics:
+/// the split WHERE conjuncts (with the FROM variables each references),
+/// the per-hop strategy choices and the fold verdict of each accumulator
+/// clause. The executor's pushdown worklist is a list of *indices* into
 /// [`BlockPlan::conjuncts`], so per-execution bookkeeping never clones
 /// or re-walks the AST.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
-    /// The path semantics this block was lowered under. The executor
-    /// re-lowers on the fly if the runtime semantics diverge (an
-    /// `IF`-guarded `USE SEMANTICS` the static walk could not predict).
+    /// The path semantics this block was lowered under. A block has one
+    /// plan per semantics the query can be in when it reaches the block
+    /// ([`QueryPlan::block_plan`] picks one).
     pub semantics: PathSemantics,
     /// Split WHERE conjuncts in source order, each with the sorted,
     /// deduplicated FROM variables it references.
     pub conjuncts: Vec<(Expr, Vec<String>)>,
-    /// Hop strategies keyed by `&Hop as *const _ as usize` (the same
-    /// AST-identity keying the profiler uses).
-    strategies: FxHashMap<usize, HopStrategy>,
+    /// Hop strategies by FROM-item index, then by hop index within the
+    /// item — the item [`BlockPlan::rewritten_from`] substitutes where
+    /// it has one (a reversal keeps the hop count). Table items have
+    /// none.
+    pub strategies: Vec<Vec<HopStrategy>>,
     /// Execution order of the FROM items as indices into the source
-    /// list; empty = source order. Non-empty only when the cost model
-    /// found a strictly cheaper order *and* the output-invariance gate
-    /// held (see the module docs' determinism contract).
+    /// list: the source order unless the cost model found a strictly
+    /// cheaper order *and* the output-invariance gate held (see the
+    /// module docs' determinism contract).
     pub from_order: Vec<usize>,
     /// Fold verdict for the ACCUM clause.
     pub accum_fold: FoldVerdict,
@@ -191,31 +195,26 @@ pub struct BlockPlan {
     pub rewritten_from: FxHashMap<usize, FromItem>,
 }
 
-impl BlockPlan {
-    /// The strategy chosen for `hop`, if this plan covers it.
-    pub fn strategy_for(&self, hop: &Hop) -> Option<HopStrategy> {
-        self.strategies.get(&(hop as *const Hop as usize)).copied()
-    }
-}
-
 /// A lowered, optimized query plan: the renderable [`Plan`] tree plus
-/// the executable per-block plans, keyed by AST identity.
+/// the executable block plans, indexed by [`SelectBlock::id`].
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
-    /// The renderable plan tree (`EXPLAIN` output).
+    /// The renderable plan tree (`EXPLAIN` output), which names the
+    /// engine-default semantics the plan was lowered under.
     pub plan: Plan,
-    /// The engine-default semantics the plan was lowered under.
-    pub semantics: PathSemantics,
     /// The graph finalize-epoch the cost estimates were computed against
     /// (0 = lowered without statistics). Prepared-statement plan caches
     /// key on this: a re-finalized graph invalidates cached plans.
     pub epoch: u64,
-    blocks: FxHashMap<usize, Arc<BlockPlan>>,
-    /// The abstract-interpretation facts the fold verdicts and conjunct
-    /// constancy were read from (AST-identity keyed, like `blocks`) —
-    /// kept so a block re-lowered at run time decides from the same
-    /// facts.
-    pub(crate) facts: Arc<QueryFacts>,
+    /// Every semantics the query can be in when it reaches a block: the
+    /// ambient one, then each one a `USE SEMANTICS` names, in source
+    /// order.
+    variants: Vec<PathSemantics>,
+    /// Block `id` lowered under `variants[k]`, at `id * variants.len() + k`.
+    /// Each plan is its own allocation: stored inline, the plans moved
+    /// gsqlbench's `fold_seq` onto a heap layout that glibc trims and
+    /// re-faults after every query (1.11× slower p50; see ROADMAP).
+    blocks: Vec<Arc<BlockPlan>>,
     /// The vertex accumulators the query reads primed (`v.@a'`) anywhere,
     /// in first-appearance order: the only stores a block's start
     /// snapshots. (Query-wide, not per block: a WHERE clause or a PRINT
@@ -224,25 +223,52 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The executable plan for `block`, when this query plan covers it
-    /// (AST-identity keyed).
-    pub fn block_for(&self, block: &SelectBlock) -> Option<&Arc<BlockPlan>> {
-        self.blocks.get(&(block as *const SelectBlock as usize))
+    /// The executable plan for block `id` under `semantics`; `None` only
+    /// for a block or semantics this plan was not lowered for.
+    pub fn block_plan(&self, id: usize, semantics: PathSemantics) -> Option<&BlockPlan> {
+        let k = self.variants.iter().position(|&s| s == semantics)?;
+        self.blocks.get(id * self.variants.len() + k).map(|bp| &**bp)
     }
 }
 
 struct LowerState<'a, 'c> {
     ctx: Option<&'c LowerCtx<'a>>,
     params: &'a [Param],
-    blocks: FxHashMap<usize, Arc<BlockPlan>>,
-    block_no: usize,
+    /// As in [`QueryPlan`].
+    variants: Vec<PathSemantics>,
+    blocks: Vec<Arc<BlockPlan>>,
     /// Planner-visible vertex-set cardinalities (`S = SELECT ...` feeds
     /// later blocks' scans).
     vset_est: FxHashMap<String, f64>,
     /// Abstract-interpretation facts for the whole query (pass 6,
     /// `lint/absint.rs`): proven parallel gates, conjunct constancy and
-    /// WHILE bounds, keyed by AST block identity.
+    /// WHILE bounds, indexed by block id.
     facts: &'c QueryFacts,
+}
+
+impl Engine<'_> {
+    /// Lowers `query` into the optimized [`QueryPlan`] this engine
+    /// executes: cost-based (per-type cardinalities, average degrees,
+    /// kernel-direction choices) against the graph's `finalize()`-time
+    /// statistics. This is the plan [`Engine::run`] runs and
+    /// [`Engine::explain`] renders.
+    pub fn plan(&self, query: &Query) -> Arc<QueryPlan> {
+        Arc::new(lower_query(query, self.semantics(), Some(&self.lower_ctx())))
+    }
+
+    /// `prepared`'s cached plan for this engine's graph epoch and
+    /// semantics, lowered from the statement's cached facts on a miss.
+    pub(crate) fn prepared_plan(&self, prepared: &PreparedQuery) -> Arc<QueryPlan> {
+        prepared.plan_for(self.graph().stats().epoch(), self.semantics(), || {
+            let (ctx, facts) = (self.lower_ctx(), prepared.facts());
+            Arc::new(lower_query_with(prepared.query(), self.semantics(), Some(&ctx), facts))
+        })
+    }
+
+    /// What the planner may consult about this engine's environment.
+    fn lower_ctx(&self) -> LowerCtx<'_> {
+        LowerCtx { graph: self.graph(), tables: &self.tables }
+    }
 }
 
 /// Lowers `query` into a [`QueryPlan`] under `semantics`, cost-based
@@ -254,36 +280,39 @@ pub(crate) fn lower_query(
     semantics: PathSemantics,
     ctx: Option<&LowerCtx<'_>>,
 ) -> QueryPlan {
-    let facts =
-        crate::lint::compute_facts(query, semantics, &accum::UserAccumRegistry::new());
-    lower_query_with(query, semantics, ctx, Arc::new(facts))
+    let facts = crate::lint::compute_facts(query, &accum::UserAccumRegistry::new());
+    lower_query_with(query, semantics, ctx, &facts)
 }
 
 /// [`lower_query`] over facts the caller already holds. `facts` must be
-/// the abstract interpreter's result for this same `query` allocation
-/// (they are AST-identity keyed); they depend only on the AST and the
-/// semantics, so a prepared statement computes them once and passes
-/// them to every re-plan.
-pub(crate) fn lower_query_with(
+/// the abstract interpreter's result for this same query (they are
+/// indexed by block id); they depend only on the AST, so a prepared
+/// statement computes them once and passes them to every re-plan.
+fn lower_query_with(
     query: &Query,
     semantics: PathSemantics,
     ctx: Option<&LowerCtx<'_>>,
-    facts: Arc<QueryFacts>,
+    facts: &QueryFacts,
 ) -> QueryPlan {
     let mut root = PlanNode::new(
         "query",
         format!("QUERY {} [{:?} semantics]", query.name, semantics),
     );
+    let mut variants = vec![semantics];
+    named_semantics(&query.body, &mut |s| {
+        if !variants.contains(&s) {
+            variants.push(s);
+        }
+    });
     let mut st = LowerState {
         ctx,
         params: &query.params,
-        blocks: FxHashMap::default(),
-        block_no: 0,
+        variants,
+        blocks: Vec::new(),
         vset_est: FxHashMap::default(),
-        facts: &facts,
+        facts,
     };
     lower_stmts(&query.body, semantics, &mut st, &mut root.children);
-    let blocks = st.blocks;
     let mut primed_vaccs: Vec<String> = Vec::new();
     crate::lint::query_exprs(query, &mut |e, _| {
         e.walk(&mut |sub| {
@@ -296,34 +325,32 @@ pub(crate) fn lower_query_with(
     });
     QueryPlan {
         epoch: ctx.map_or(0, |c| c.graph.stats().epoch()),
-        semantics,
         plan: Plan { query: query.name.clone(), semantics, root },
-        blocks,
-        facts,
+        variants: st.variants,
+        blocks: st.blocks,
         primed_vaccs,
     }
 }
 
-/// Lowers a single block outside a whole-query walk — the executor's
-/// fallback when the runtime semantics diverge from the static plan.
-/// `facts` are the static plan's: fold verdicts do not depend on path
-/// semantics, so the re-lowered block folds exactly as planned.
-pub(crate) fn lower_block_only(
+/// Lowers `block` under every semantics in `st.variants`, with the same
+/// parameters and vertex-set estimates, and appends the plans. Returns
+/// the node and output estimate of the variant under `semantics` — the
+/// one the walk reaches the block in, which EXPLAIN renders.
+fn lower_block_variants(
     block: &SelectBlock,
     semantics: PathSemantics,
-    ctx: Option<&LowerCtx<'_>>,
-    facts: &QueryFacts,
-) -> BlockPlan {
-    let mut st = LowerState {
-        ctx,
-        params: &[],
-        blocks: FxHashMap::default(),
-        block_no: 0,
-        vset_est: FxHashMap::default(),
-        facts,
-    };
-    let (_, bp, _) = lower_block(block, semantics, 1, &mut st);
-    bp
+    st: &mut LowerState<'_, '_>,
+) -> (PlanNode, f64) {
+    debug_assert_eq!(block.id * st.variants.len(), st.blocks.len(), "blocks lowered in id order");
+    let mut walked = None;
+    for k in 0..st.variants.len() {
+        let (node, bp, est) = lower_block(block, st.variants[k], st);
+        if bp.semantics == semantics {
+            walked = Some((node, est));
+        }
+        st.blocks.push(Arc::new(bp));
+    }
+    walked.expect("the walk's semantics is one of the variants")
 }
 
 fn lower_stmts(
@@ -341,27 +368,14 @@ fn lower_stmts(
                     format!("USE SEMANTICS -> {semantics:?}"),
                 ));
             }
-            Stmt::Select(block) => {
-                st.block_no += 1;
-                let (node, bp, _) = lower_block(block, semantics, st.block_no, st);
-                st.blocks.insert(
-                    block.as_ref() as *const SelectBlock as usize,
-                    Arc::new(bp),
-                );
-                out.push(node);
-            }
+            Stmt::Select(block) => out.push(lower_block_variants(block, semantics, st).0),
             Stmt::VSetAssign { name, source, .. } => match source {
                 VSetSource::Select(block) => {
-                    st.block_no += 1;
                     out.push(PlanNode::new(
                         "vset-assign",
-                        format!("{name} = <block {}>", st.block_no),
+                        format!("{name} = <block {}>", block.id + 1),
                     ));
-                    let (node, bp, est) = lower_block(block, semantics, st.block_no, st);
-                    st.blocks.insert(
-                        block.as_ref() as *const SelectBlock as usize,
-                        Arc::new(bp),
-                    );
+                    let (node, est) = lower_block_variants(block, semantics, st);
                     st.vset_est.insert(name.clone(), est);
                     out.push(node);
                 }
@@ -913,17 +927,14 @@ fn choose_hop_reversal(
 fn lower_block(
     block: &SelectBlock,
     semantics: PathSemantics,
-    no: usize,
-    st: &mut LowerState<'_, '_>,
+    st: &LowerState<'_, '_>,
 ) -> (PlanNode, BlockPlan, f64) {
-    let mut node = PlanNode::new("block", format!("BLOCK {no}:"));
+    let mut node = PlanNode::new("block", format!("BLOCK {}:", block.id + 1));
     let with_est = st.ctx.is_some();
-    // Absint facts for this block (AST-identity keyed). The fold
-    // verdicts are decided here, once, from the gates the abstract
-    // interpreter proved (see `lint/absint.rs`); everything below and
-    // the executor read them.
-    let facts: &QueryFacts = st.facts;
-    let bf = facts.block_facts(block);
+    // Absint facts for this block. The fold verdicts are decided here,
+    // once, from the gates the abstract interpreter proved (see
+    // `lint/absint.rs`); everything below and the executor read them.
+    let bf = st.facts.blocks.get(block.id);
     let accum_fold =
         FoldVerdict::decide(bf.is_some_and(|f| f.accum_parallel), &block.accum);
     let post_accum_fold =
@@ -945,7 +956,7 @@ fn lower_block(
             conjuncts.push((c, refs));
         }
     }
-    let mut strategies: FxHashMap<usize, HopStrategy> = FxHashMap::default();
+    let mut strategies: Vec<Vec<HopStrategy>> = vec![Vec::new(); block.from.len()];
 
     // `live` tracks which conjuncts are still pending (pushdown state
     // machine over the binding steps, mirroring the executor).
@@ -992,8 +1003,10 @@ fn lower_block(
         }
     };
 
-    let from_order = choose_from_order(block, &conjuncts, accum_fold, st);
-    if !from_order.is_empty() {
+    let mut from_order = choose_from_order(block, &conjuncts, accum_fold, st);
+    if from_order.is_empty() {
+        from_order = (0..block.from.len()).collect();
+    } else {
         let order_str: Vec<String> = from_order.iter().map(|i| i.to_string()).collect();
         node.children.push(PlanNode::new(
             "from-reorder",
@@ -1023,12 +1036,7 @@ fn lower_block(
         ));
         rewritten_from.insert(0, rev);
     }
-    let exec_order: Vec<usize> = if from_order.is_empty() {
-        (0..block.from.len()).collect()
-    } else {
-        from_order.clone()
-    };
-    for &item_idx in &exec_order {
+    for &item_idx in &from_order {
         let item = rewritten_from.get(&item_idx).unwrap_or(&block.from[item_idx]);
         match item {
             FromItem::Table { name, alias } => {
@@ -1125,7 +1133,7 @@ fn lower_block(
                     } else {
                         HopStrategy::EnumForward
                     };
-                    strategies.insert(hop as *const Hop as usize, strategy);
+                    strategies[item_idx].push(strategy);
                     let mut hop_node = PlanNode::new(
                         "hop",
                         format!("hop -({})-> {to}: {}", hop.darpe, strategy.describe()),
@@ -1308,6 +1316,7 @@ mod tests {
         assert!(!text.contains("est_rows="), "{text}");
         // Qn's single SELECT block is covered by an executable block plan.
         assert_eq!(plan.blocks.len(), 1);
+        assert!(plan.block_plan(0, PathSemantics::AllShortestPaths).is_some());
     }
 
     #[test]
@@ -1371,12 +1380,15 @@ mod tests {
     }
 
     #[test]
-    fn block_plans_key_on_ast_identity_and_carry_strategies() {
+    fn block_plans_index_by_block_id_and_carry_strategies() {
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
         let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::NonRepeatedEdge, Some(&ctx));
+        // No USE SEMANTICS: exactly one plan per block.
+        assert_eq!(plan.variants, [PathSemantics::NonRepeatedEdge]);
+        assert_eq!(plan.blocks.len(), 1);
         let mut seen_backward = false;
         for stmt in &q.body {
             let block = match stmt {
@@ -1384,20 +1396,46 @@ mod tests {
                 Stmt::VSetAssign { source: VSetSource::Select(b), .. } => b.as_ref(),
                 _ => continue,
             };
-            let bp = plan.block_for(block).expect("block plan present");
+            let bp = plan
+                .block_plan(block.id, PathSemantics::NonRepeatedEdge)
+                .expect("block plan present");
             assert_eq!(bp.semantics, PathSemantics::NonRepeatedEdge);
-            for item in &block.from {
+            for (item, strategies) in block.from.iter().zip(&bp.strategies) {
                 if let FromItem::Pattern { hops, .. } = item {
-                    for hop in hops {
-                        let s = bp.strategy_for(hop).expect("strategy chosen");
-                        if s == HopStrategy::EnumBackward {
-                            seen_backward = true;
-                        }
-                    }
+                    assert_eq!(strategies.len(), hops.len(), "one strategy per hop");
                 }
+                seen_backward |= strategies.contains(&HopStrategy::EnumBackward);
             }
         }
         assert!(seen_backward, "qn's anchored target should enumerate backward");
+    }
+
+    /// A block is lowered under every semantics the query can be in when
+    /// it reaches the block, so an IF-guarded `USE SEMANTICS` finds its
+    /// plan at run time; EXPLAIN renders the walk's variant only.
+    #[test]
+    fn blocks_are_lowered_under_every_semantics_the_query_can_reach_them_in() {
+        let guarded = parse_query(
+            "CREATE QUERY g (INT flag) {
+               SumAccum<int> @hits;
+               IF flag == 1 THEN
+                 USE SEMANTICS 'shortest_one';
+               END;
+               R = SELECT t FROM V:s -(E>*)- V:t ACCUM t.@hits += 1;
+               PRINT R.size();
+             }",
+        )
+        .unwrap();
+        let plan = lower_query(&guarded, PathSemantics::AllShortestPaths, None);
+        assert_eq!(plan.variants, [PathSemantics::AllShortestPaths, PathSemantics::ShortestOne]);
+        assert_eq!(plan.blocks.len(), 2);
+        for s in [PathSemantics::AllShortestPaths, PathSemantics::ShortestOne] {
+            let bp = plan.block_plan(0, s).unwrap_or_else(|| panic!("no plan under {s:?}"));
+            assert_eq!(bp.semantics, s);
+            assert_eq!(bp.strategies, vec![vec![HopStrategy::CountingForward]]);
+        }
+        assert!(plan.block_plan(0, PathSemantics::NonRepeatedEdge).is_none());
+        assert_eq!(plan.plan.render().matches("BLOCK ").count(), 1);
     }
 
     /// Two disjoint FROM items, both filters single-item, vertex-set
@@ -1423,14 +1461,14 @@ mod tests {
             Stmt::VSetAssign { source: VSetSource::Select(b), .. } => b.as_ref(),
             other => panic!("unexpected stmt {other:?}"),
         };
-        let bp = plan.block_for(block).expect("block plan present");
+        let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
         assert_eq!(bp.from_order, vec![1, 0], "point-lookup scan anchors first");
         let text = plan.plan.render();
         assert!(text.contains("from-reorder"), "{text}");
         // Graph-less lowering never reorders (no statistics).
         let plain = lower_query(&q, PathSemantics::AllShortestPaths, None);
-        let bp = plain.block_for(block).expect("block plan present");
-        assert!(bp.from_order.is_empty());
+        let bp = plain.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
+        assert_eq!(bp.from_order, [0, 1]);
     }
 
     /// A cross-item conjunct makes first-occurrence order depend on
@@ -1455,7 +1493,8 @@ mod tests {
             Stmt::VSetAssign { source: VSetSource::Select(b), .. } => b.as_ref(),
             other => panic!("unexpected stmt {other:?}"),
         };
-        assert!(plan.block_for(block).unwrap().from_order.is_empty());
+        let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
+        assert_eq!(bp.from_order, [0, 1]);
         // ListAccum is order-dependent: combine order would show through.
         let inexact = parse_query(
             "CREATE QUERY two (STRING aName) {
@@ -1472,6 +1511,7 @@ mod tests {
             Stmt::VSetAssign { source: VSetSource::Select(b), .. } => b.as_ref(),
             other => panic!("unexpected stmt {other:?}"),
         };
-        assert!(plan.block_for(block).unwrap().from_order.is_empty());
+        let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
+        assert_eq!(bp.from_order, [0, 1]);
     }
 }

@@ -20,9 +20,9 @@
 //! to the operator that performs the work and are not rolled up.
 //!
 //! An operator that executes repeatedly (a SELECT block inside a WHILE
-//! loop) accumulates into a single node keyed by its AST identity:
-//! `calls` counts executions, every other counter sums (or maxes, for
-//! `accum_bytes`) across them.
+//! loop) accumulates into a single node keyed by its position
+//! ([`OpKey`]): `calls` counts executions, every other counter sums (or
+//! maxes, for `accum_bytes`) across them.
 //!
 //! Formats (text and JSON) are documented in `docs/PLAN_FORMAT.md`.
 
@@ -255,6 +255,12 @@ fn node_json(out: &mut String, node: &ProfileNode) {
 
 // ---- collection (crate-internal) ---------------------------------------
 
+/// An operator's position among its siblings of the same op: the block
+/// or loop id for a statement; inside a block, the FROM item for a scan,
+/// (item, hop) for a hop, the fragment for an output, and `(0, 0)` for
+/// the block's one residual filter, ACCUM and POST_ACCUM.
+pub(crate) type OpKey = (usize, usize);
+
 /// Extra per-span measurements the executor hands over at span exit —
 /// things a [`MatchStats`] delta cannot see.
 #[derive(Default)]
@@ -281,9 +287,9 @@ pub(crate) struct Span {
 struct Collected {
     op: &'static str,
     detail: String,
-    /// AST identity: the address of the AST node this operator executes,
-    /// so repeated executions accumulate into one profile node.
-    key: usize,
+    /// The operator's position under its parent, so repeated executions
+    /// accumulate into one profile node.
+    key: OpKey,
     calls: u64,
     wall: Duration,
     stats: MatchStats,
@@ -305,7 +311,7 @@ impl Profiler {
         let root = Collected {
             op: "query",
             detail: String::new(),
-            key: 0,
+            key: (0, 0),
             calls: 1,
             wall: Duration::ZERO,
             stats: MatchStats::default(),
@@ -321,7 +327,7 @@ impl Profiler {
     pub(crate) fn enter(
         &mut self,
         op: &'static str,
-        key: usize,
+        key: OpKey,
         detail: impl FnOnce() -> String,
         stats: &MatchStats,
     ) -> Span {
@@ -447,7 +453,7 @@ mod tests {
         let mut p = Profiler::new();
         let mut stats = MatchStats::default();
         for i in 0..3 {
-            let span = p.enter("block", 42, || "SELECT ...".into(), &stats);
+            let span = p.enter("block", (42, 0), || "SELECT ...".into(), &stats);
             stats.binding_rows += 10;
             stats.vertices_touched += 5;
             p.exit(span, &stats, SpanExtra::default());
@@ -468,8 +474,8 @@ mod tests {
     fn nested_spans_build_a_tree_and_self_wall_subtracts() {
         let mut p = Profiler::new();
         let stats = MatchStats::default();
-        let outer = p.enter("while", 1, || "WHILE loop".into(), &stats);
-        let inner = p.enter("block", 2, || "SELECT".into(), &stats);
+        let outer = p.enter("while", (1, 0), || "WHILE loop".into(), &stats);
+        let inner = p.enter("block", (2, 0), || "SELECT".into(), &stats);
         std::thread::sleep(Duration::from_millis(2));
         p.exit(inner, &stats, SpanExtra::default());
         p.exit(outer, &stats, SpanExtra::default());
@@ -488,7 +494,7 @@ mod tests {
         let mut p = Profiler::new();
         let stats = MatchStats::default();
         for _ in 0..2 {
-            let s = p.enter("hop", 7, || "hop".into(), &stats);
+            let s = p.enter("hop", (0, 7), || "hop".into(), &stats);
             p.exit(
                 s,
                 &stats,
@@ -504,7 +510,7 @@ mod tests {
     fn json_and_text_are_well_formed() {
         let mut p = Profiler::new();
         let stats = MatchStats::default();
-        let s = p.enter("scan", 1, || "scan V AS s".into(), &stats);
+        let s = p.enter("scan", (1, 0), || "scan V AS s".into(), &stats);
         p.exit(s, &stats, SpanExtra { rows: 4, ..SpanExtra::default() });
         let prof =
             p.finish("demo", PathSemantics::ShortestOne, 2, &stats, 0);

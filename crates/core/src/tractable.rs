@@ -22,15 +22,14 @@ use crate::ast::{AccStmt, FromItem, SelectBlock};
 use crate::error::{Error, Result};
 use crate::semantics::PathSemantics;
 use accum::{AccumType, UserAccumRegistry};
-use pgraph::fxhash::FxHashMap;
 
-/// Validates a SELECT block against the tractable class. `vacc_types` and
-/// `gacc_types` map declared accumulator names to their types.
-pub fn check_block(
+/// Validates a SELECT block against the tractable class. `vacc_type` and
+/// `gacc_type` look a declared accumulator's type up by name.
+pub fn check_block<'t>(
     block: &SelectBlock,
     semantics: PathSemantics,
-    vacc_types: &FxHashMap<String, AccumType>,
-    gacc_types: &FxHashMap<String, AccumType>,
+    vacc_type: impl Fn(&str) -> Option<&'t AccumType>,
+    gacc_type: impl Fn(&str) -> Option<&'t AccumType>,
     registry: &UserAccumRegistry,
 ) -> Result<()> {
     let mut has_kleene_hop = false;
@@ -61,8 +60,8 @@ pub fn check_block(
     // must support the multiplicity shortcut.
     for stmt in block.accum.iter().chain(&block.post_accum) {
         let (name, ty) = match stmt {
-            AccStmt::VAcc { name, combine: true, .. } => (name, vacc_types.get(name)),
-            AccStmt::GAcc { name, combine: true, .. } => (name, gacc_types.get(name)),
+            AccStmt::VAcc { name, combine: true, .. } => (name, vacc_type(name)),
+            AccStmt::GAcc { name, combine: true, .. } => (name, gacc_type(name)),
             _ => continue,
         };
         if let Some(ty) = ty {
@@ -101,10 +100,11 @@ mod tests {
         panic!("no select block in fixture");
     }
 
-    fn maps(
-        entries: &[(&str, AccumType)],
-    ) -> FxHashMap<String, AccumType> {
-        entries.iter().map(|(n, t)| (n.to_string(), t.clone())).collect()
+    /// Checks `b` with `vaccs` declared as vertex accumulators and no
+    /// globals.
+    fn check(b: &SelectBlock, semantics: PathSemantics, vaccs: &[(&str, AccumType)]) -> Result<()> {
+        let vacc = |n: &str| vaccs.iter().find(|(name, _)| *name == n).map(|(_, t)| t);
+        check_block(b, semantics, vacc, |_| None, &UserAccumRegistry::new())
     }
 
     #[test]
@@ -112,15 +112,7 @@ mod tests {
         let b = block_of(
             "CREATE QUERY x() { SELECT t FROM V:s -(E>*:e)- V:t ACCUM t.@c += 1; }",
         );
-        let empty = FxHashMap::default();
-        let err = check_block(
-            &b,
-            PathSemantics::AllShortestPaths,
-            &empty,
-            &empty,
-            &UserAccumRegistry::new(),
-        )
-        .unwrap_err();
+        let err = check(&b, PathSemantics::AllShortestPaths, &[]).unwrap_err();
         assert!(err.to_string().contains("Kleene"));
     }
 
@@ -129,12 +121,10 @@ mod tests {
         let b = block_of(
             "CREATE QUERY x() { SELECT t FROM V:s -(E>*)- V:t ACCUM t.@paths += s; }",
         );
-        let v = maps(&[("paths", AccumType::List)]);
-        let g = FxHashMap::default();
-        let reg = UserAccumRegistry::new();
-        assert!(check_block(&b, PathSemantics::AllShortestPaths, &v, &g, &reg).is_err());
+        let v = [("paths", AccumType::List)];
+        assert!(check(&b, PathSemantics::AllShortestPaths, &v).is_err());
         // Enumerative semantics allow it.
-        assert!(check_block(&b, PathSemantics::NonRepeatedEdge, &v, &g, &reg).is_ok());
+        assert!(check(&b, PathSemantics::NonRepeatedEdge, &v).is_ok());
     }
 
     #[test]
@@ -142,16 +132,8 @@ mod tests {
         let b = block_of(
             "CREATE QUERY x() { SELECT t FROM V:s -(E>*)- V:t ACCUM t.@c += 1; }",
         );
-        let v = maps(&[("c", AccumType::Sum(ValueType::Int))]);
-        let g = FxHashMap::default();
-        assert!(check_block(
-            &b,
-            PathSemantics::AllShortestPaths,
-            &v,
-            &g,
-            &UserAccumRegistry::new()
-        )
-        .is_ok());
+        let v = [("c", AccumType::Sum(ValueType::Int))];
+        assert!(check(&b, PathSemantics::AllShortestPaths, &v).is_ok());
     }
 
     #[test]
@@ -159,15 +141,7 @@ mod tests {
         let b = block_of(
             "CREATE QUERY x() { SELECT t FROM V:s -(E>)- V:t ACCUM t.@paths += s; }",
         );
-        let v = maps(&[("paths", AccumType::List)]);
-        let g = FxHashMap::default();
-        assert!(check_block(
-            &b,
-            PathSemantics::AllShortestPaths,
-            &v,
-            &g,
-            &UserAccumRegistry::new()
-        )
-        .is_ok());
+        let v = [("paths", AccumType::List)];
+        assert!(check(&b, PathSemantics::AllShortestPaths, &v).is_ok());
     }
 }

@@ -158,11 +158,7 @@ proptest! {
             o2 = OPS[op2],
         );
         let q = gsql_core::parse_query(&src).unwrap();
-        let facts = gsql_core::lint::compute_facts(
-            &q,
-            gsql_core::PathSemantics::AllShortestPaths,
-            &accum::UserAccumRegistry::new(),
-        );
+        let facts = gsql_core::lint::compute_facts(&q, &accum::UserAccumRegistry::new());
         let truth = eval(a, b, op1) && eval(c, d, op2);
         let proven = facts.blocks[0].where_const;
         // Constant comparisons must be decided, and decided correctly.

@@ -489,8 +489,8 @@ fn run_query(
     // or occupies an execution slot. The facts are cached on the
     // prepared statement: the analyzer runs once per statement, not once
     // per request.
-    let facts = prepared.facts(shared.cfg.semantics);
-    if let Some(d) = gsql_core::lint::budget_findings(&facts, &budget).into_iter().next() {
+    let facts = prepared.facts();
+    if let Some(d) = gsql_core::lint::budget_findings(facts, &budget).into_iter().next() {
         shared.metrics.proven_rejections.fetch_add(1, Ordering::Relaxed);
         return error_response(422, "provably-over-budget", &d.message, None);
     }

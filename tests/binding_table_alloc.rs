@@ -5,7 +5,8 @@
 //!   `Fanout` query) produces a two-column table of ~155k rows. Its output
 //!   may take at most `rows × (8·width + 16)` bytes plus 64 KiB of
 //!   allocations of 64 KiB or more, in at most `width + 1` of them: one
-//!   per column and one for the multiplicities, none for regrowth.
+//!   per column and one for the multiplicities, none for regrowth — at
+//!   the default morsel size and at one row per morsel alike.
 //! * A cross product over the row budget fails before it allocates: the
 //!   scan ticks the product's size first. A single-edge hop reserves the
 //!   adjacency entries it will scan, but never more rows than the budget
@@ -15,9 +16,7 @@
 //! A counting global allocator, delegating to [`System`], records the
 //! allocation and reallocation calls made on the test's own thread and
 //! their sizes; the queries run at parallelism 1, so all of their work
-//! stays on that thread, and at the default morsel size, so the ACCUM
-//! fold's list of morsel ranges stays below 64 KiB whatever
-//! `GSQL_MORSEL_SIZE` says.
+//! stays on that thread.
 
 #![allow(unsafe_code)]
 
@@ -115,28 +114,34 @@ fn a_binding_is_one_word() {
 fn a_kleene_hop_allocates_its_output_table_once_at_its_final_size() {
     let g = erdos_renyi(400, 0.01, 1);
     let q = parse_query(FANOUT).unwrap();
-    let engine = Engine::new(&g).with_parallelism(1).with_morsel_size(DEFAULT_MORSEL_SIZE);
-    let (_, prof) = engine.run_profiled(&q, &[]).unwrap();
-    let rows = find(&prof.root, "hop").expect("the query has a hop").rows;
-    assert!(rows > 10_000, "the fan-out should produce a large table, got {rows} rows");
-    // Warm up once: lazily built graph statistics and caches are not the
-    // table's cost.
-    let warm = engine.run(&q, &[]).unwrap();
-    let (out, _, (calls, bytes)) = allocations_in(|| engine.run(&q, &[]).unwrap());
-    assert_eq!(out.prints, warm.prints);
+    for morsel_size in [DEFAULT_MORSEL_SIZE, 1] {
+        let engine = Engine::new(&g).with_parallelism(1).with_morsel_size(morsel_size);
+        let (_, prof) = engine.run_profiled(&q, &[]).unwrap();
+        let rows = find(&prof.root, "hop").expect("the query has a hop").rows;
+        assert!(rows > 10_000, "the fan-out should produce a large table, got {rows} rows");
+        // Warm up once: lazily built graph statistics and caches are not
+        // the table's cost.
+        let warm = engine.run(&q, &[]).unwrap();
+        let (out, _, (calls, bytes)) = allocations_in(|| engine.run(&q, &[]).unwrap());
+        assert_eq!(out.prints, warm.prints);
 
-    let width = 2u64;
-    let budget = rows * (8 * width + 16) + LARGE as u64;
-    println!("{rows} rows: {calls} allocations of >= 64 KiB, {bytes} B (budget {budget} B)");
-    assert!(
-        bytes <= budget,
-        "{rows} output rows took {bytes} B in large allocations, more than \
-         rows × (8·{width} + 16) + 64 KiB = {budget} B"
-    );
-    assert!(
-        calls <= width + 1,
-        "{calls} allocations of >= 64 KiB for a {width}-column table: a column regrew"
-    );
+        let width = 2u64;
+        let budget = rows * (8 * width + 16) + LARGE as u64;
+        println!(
+            "morsel size {morsel_size}, {rows} rows: {calls} allocations of >= 64 KiB, \
+             {bytes} B (budget {budget} B)"
+        );
+        assert!(
+            bytes <= budget,
+            "morsel size {morsel_size}: {rows} output rows took {bytes} B in large \
+             allocations, more than rows × (8·{width} + 16) + 64 KiB = {budget} B"
+        );
+        assert!(
+            calls <= width + 1,
+            "morsel size {morsel_size}: {calls} allocations of >= 64 KiB for a \
+             {width}-column table: a column regrew or the morsels were listed"
+        );
+    }
 }
 
 #[test]

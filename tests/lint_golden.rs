@@ -401,6 +401,48 @@ fn p003_multiplicity_sensitive() {
     );
 }
 
+/// A `USE SEMANTICS` in a THEN branch does not reach the ELSE branch:
+/// there the block runs under the semantics before the IF (counting), so
+/// the linter reports what the engine fails it for — P003, not P001.
+#[test]
+fn use_semantics_in_then_does_not_reach_else() {
+    let src = r#"CREATE QUERY q (INT flag) {
+  ListAccum<int> @@l;
+  IF flag == 1 THEN
+    USE SEMANTICS 'non_repeated_edge';
+  ELSE
+    S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@l += 1;
+  END;
+  PRINT @@l;
+}"#;
+    let q = parse_query(src).unwrap();
+    let codes: Vec<&str> = lint_query(&q, COUNTING).iter().map(|d| d.code).collect();
+    assert!(codes.contains(&"P003"), "{codes:?}");
+    assert!(!codes.contains(&"P001"), "{codes:?}");
+    // The engine agrees: at flag = 0 the block fails as
+    // multiplicity-sensitive under counting.
+    let (g, _) = pgraph::generators::diamond_chain(3);
+    let err = gsql_core::Engine::new(&g)
+        .run(&q, &[("flag", pgraph::value::Value::Int(0))])
+        .unwrap_err();
+    assert!(err.to_string().contains("multiplicity-sensitive"), "{err}");
+
+    // After the IF, the THEN branch's USE SEMANTICS still holds when the
+    // ELSE branch names none.
+    let after = parse_query(
+        r#"CREATE QUERY q (INT flag) {
+  SumAccum<int> @cnt;
+  IF flag == 1 THEN
+    USE SEMANTICS 'non_repeated_edge';
+  END;
+  R = SELECT t FROM V:s -(E>*)- V:t ACCUM t.@cnt += 1;
+  PRINT R[R.@cnt];
+}"#,
+    )
+    .unwrap();
+    assert!(lint_query(&after, COUNTING).iter().any(|d| d.code == "P001"));
+}
+
 // ---- P004 bounded fan-out estimate under enumeration --------------------
 
 #[test]

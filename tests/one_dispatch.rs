@@ -120,11 +120,12 @@ fn observable(out: &QueryOutput) -> (String, String) {
 #[test]
 fn if_guarded_use_semantics_block_folds_as_planned() {
     // The static walk cannot see through the IF, so with `flag = 1` the
-    // block below runs under a semantics its block plan was not lowered
-    // for and is re-lowered at run time (`lower_block_only`). Its ACCUM
-    // is an exact-merge fold, its POST_ACCUM a proven `=` apply; both
-    // verdicts must carry over and the result must not depend on how the
-    // fold was scheduled.
+    // block below runs under a semantics other than the one EXPLAIN
+    // renders it in; the plan holds it lowered under both, and the
+    // executor picks the `shortest_one` variant. Its ACCUM is an
+    // exact-merge fold, its POST_ACCUM a proven `=` apply; both verdicts
+    // hold under either semantics and the result must not depend on how
+    // the fold was scheduled.
     let g = fanout_graph();
     let src = r#"
         CREATE QUERY Guarded (INT flag) {
