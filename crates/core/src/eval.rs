@@ -6,7 +6,8 @@
 //! ACCUM local > binding-row variable > statement local (`FOREACH`) >
 //! query parameter > vertex set:
 //!
-//! * a row column index ([`BExpr::Col`]) or an ACCUM-local slot
+//! * a row column index ([`BExpr::Col`]) — the column the block's plan
+//!   laid the variable out in ([`Vars`]) — or an ACCUM-local slot
 //!   ([`BExpr::Local`]);
 //! * a constant for parameters, statement locals and vertex sets, which
 //!   cannot change within a block;
@@ -21,10 +22,11 @@
 //! raises the runtime error when, and only when, it is evaluated.
 //!
 //! [`Eval::eval`] then evaluates the bound tree against one row with no
-//! name lookups. Inside an ACCUM or POST_ACCUM clause the binder also
-//! numbers values ([`Binder::clause`]): structurally identical subtrees
-//! share a register, computed at its first use in a row and reused for
-//! the rest of that row.
+//! name lookups, reading its columns through [`Bindings`], the one view
+//! of a binding-table row. Inside an ACCUM or POST_ACCUM clause the
+//! binder also numbers values ([`Binder::clause`]): structurally
+//! identical subtrees share a register, computed at its first use in a
+//! row and reused for the rest of that row.
 
 use crate::ast::{AccStmt, BinOp, Expr, UnOp};
 use crate::datetime;
@@ -161,31 +163,49 @@ impl VAccStore {
     }
 }
 
-/// Where a row's bindings live: a contiguous row-major slice (single
-/// synthesized rows — PRINT projections, POST_ACCUM's per-vertex row,
-/// target conjuncts) or one row of a column-major
-/// [`MorselTable`](crate::morsel::MorselTable) chunk, addressed without
-/// materializing the row.
+/// One row of a column-major binding table: row `row` across `cols`,
+/// addressed without materializing the row. A block's rows are views
+/// into its [`MorselTable`](crate::morsel::MorselTable); a row made for
+/// one vertex (a hop's target test, UPDATE/DELETE WHERE, `PRINT S[...]`,
+/// a vertex fragment's ORDER BY, POST_ACCUM) is a row of a one-column
+/// table its operator builds once (a `VertexRow`, or a column of every
+/// vertex it visits).
 #[derive(Clone, Copy)]
-pub enum Bindings<'a> {
-    /// A contiguous slice holding one row's bindings.
-    Row(&'a [Binding]),
-    /// Row `row` across the columns of a columnar binding table.
-    Columnar {
-        /// The table's columns (all the same length).
-        cols: &'a [Vec<Binding>],
-        /// The row index this view addresses.
-        row: usize,
-    },
+pub struct Bindings<'a> {
+    /// The table's columns (all the same length).
+    cols: &'a [Vec<Binding>],
+    /// The row this view addresses.
+    row: usize,
 }
 
 impl<'a> Bindings<'a> {
-    /// The binding at variable position `idx`, if bound.
+    /// No bindings: statement-level expressions.
+    pub const EMPTY: Bindings<'static> = Bindings { cols: &[], row: 0 };
+
+    /// Row `row` of the column-major table `cols`.
+    pub fn new(cols: &'a [Vec<Binding>], row: usize) -> Self {
+        Bindings { cols, row }
+    }
+
+    /// The binding at column `idx`, if the table has that column.
     pub fn get(&self, idx: usize) -> Option<&'a Binding> {
-        match self {
-            Bindings::Row(b) => b.get(idx),
-            Bindings::Columnar { cols, row } => cols.get(idx).map(|c| &c[*row]),
-        }
+        self.cols.get(idx).map(|c| &c[self.row])
+    }
+}
+
+/// A one-row, one-column binding table an operator builds once and
+/// rebinds to each vertex it evaluates alone.
+pub(crate) struct VertexRow(Vec<Vec<Binding>>);
+
+impl VertexRow {
+    pub(crate) fn new() -> Self {
+        VertexRow(vec![vec![Binding::Vertex(VertexId(0))]])
+    }
+
+    /// The row binding column 0 to `v`.
+    pub(crate) fn at(&mut self, v: VertexId) -> Bindings<'_> {
+        self.0[0][0] = Binding::Vertex(v);
+        Bindings::new(&self.0, 0)
     }
 }
 
@@ -193,7 +213,7 @@ impl<'a> Bindings<'a> {
 /// [`Binding::Row`] entries index.
 #[derive(Clone, Copy)]
 pub struct Row<'a> {
-    /// The row's bindings (row-major or columnar).
+    /// The row's bindings.
     pub bindings: Bindings<'a>,
     /// FROM-clause tables referenced by `Binding::Row`.
     pub tables: &'a [&'a Table],
@@ -201,7 +221,7 @@ pub struct Row<'a> {
 
 impl Row<'_> {
     /// No bindings: statement-level expressions.
-    pub const EMPTY: Row<'static> = Row { bindings: Bindings::Row(&[]), tables: &[] };
+    pub const EMPTY: Row<'static> = Row { bindings: Bindings::EMPTY, tables: &[] };
 }
 
 /// The accumulator state a bound expression reads, indexed by the store
@@ -597,6 +617,28 @@ pub struct Program {
     pub locals: usize,
 }
 
+/// The binding-row variables a [`Scope`] resolves, and their columns.
+#[derive(Clone, Copy)]
+pub enum Vars<'s> {
+    /// None: statement-level expressions.
+    None,
+    /// One variable, in column 0 of a row made for one vertex.
+    One(&'s str),
+    /// A block's FROM variables by column, as its plan laid them out.
+    Columns(&'s FxHashMap<String, usize>),
+}
+
+impl Vars<'_> {
+    /// The column holding `name`, if it is a row variable.
+    fn col(self, name: &str) -> Option<usize> {
+        match self {
+            Vars::None => None,
+            Vars::One(var) => (var == name).then_some(0),
+            Vars::Columns(cols) => cols.get(name).copied(),
+        }
+    }
+}
+
 /// What names resolve against while binding.
 #[derive(Clone, Copy)]
 pub struct Scope<'s> {
@@ -612,8 +654,8 @@ pub struct Scope<'s> {
     pub vacc_ids: &'s FxHashMap<String, usize>,
     /// Global accumulator name → store id.
     pub gacc_ids: &'s FxHashMap<String, usize>,
-    /// Binding-row variable → column.
-    pub vars: &'s FxHashMap<String, usize>,
+    /// Binding-row variables.
+    pub vars: Vars<'s>,
     /// FROM tables, in `Binding::Row` order.
     pub tables: &'s [&'s Table],
 }
@@ -785,7 +827,7 @@ impl<'s> Binder<'s> {
         if let Some(&slot) = self.acc_locals.get(name) {
             return BExpr::Local(slot);
         }
-        if let Some(&col) = self.scope.vars.get(name) {
+        if let Some(col) = self.scope.vars.col(name) {
             return BExpr::Col(col);
         }
         if let Some(v) = self.scope.locals.get(name).or_else(|| self.scope.params.get(name)) {
@@ -801,7 +843,7 @@ impl<'s> Binder<'s> {
     /// Resolves a variable that must denote a vertex (`v.@acc`, `v.attr`
     /// on vertices, `v.outdegree()`, ...).
     fn vsrc(&self, var: &str) -> VSrc {
-        if let Some(&col) = self.scope.vars.get(var) {
+        if let Some(col) = self.scope.vars.col(var) {
             return VSrc::Col { col, var: var.to_string() };
         }
         if let Some(Value::Vertex(v)) = self.scope.locals.get(var) {

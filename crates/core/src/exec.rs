@@ -6,13 +6,15 @@ use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::eval::{
     truthy, BExpr, BStmt, BTarget, Binder, Binding, Bindings, Env, Eval, Frame, Group, GroupNames,
-    Program, Row, Scope, VAccStore,
+    Program, Row, Scope, VAccStore, Vars, VertexRow,
 };
 use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{
     dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
-use crate::plan::{names_only, BlockPlan, FoldVerdict, HopStrategy, QueryPlan};
+use crate::plan::{
+    bound_twice, BlockPlan, HopStep, HopStrategy, QueryPlan, StepOp, VarCol,
+};
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
@@ -623,7 +625,7 @@ fn map_item<'p, 'm>(
 /// differs between ACCUM and POST_ACCUM, parallel and sequential.
 #[derive(Clone, Copy, PartialEq)]
 enum Sink {
-    /// The plan's [`FoldVerdict`] holds: each worker's contiguous run of
+    /// The plan's [`FoldVerdict`](crate::plan::FoldVerdict) holds: each worker's contiguous run of
     /// morsels folds into one identity-seeded [`AccumPartial`]; partials
     /// merge into the live stores in ascending run order.
     Partials,
@@ -647,7 +649,8 @@ enum Sink {
 /// [`Runtime::merge_partial`]. The `bool` in each
 /// cell records whether the cell was ever written by a plain `=`
 /// assignment: such cells *replace* the live state on merge instead of
-/// combining into it (sound only under [`FoldVerdict::Proven`] — see
+/// combining into it (sound only under
+/// [`FoldVerdict::Proven`](crate::plan::FoldVerdict::Proven) — see
 /// `lint/absint.rs`).
 #[derive(Default)]
 struct AccumPartial {
@@ -657,8 +660,9 @@ struct AccumPartial {
 
 impl AccumPartial {
     /// Folds one emission in. Only reached when the block plan's
-    /// [`FoldVerdict`] is parallel, which the abstract interpreter grants
-    /// only to clauses whose every target is declared. `+=` emissions
+    /// [`FoldVerdict`](crate::plan::FoldVerdict) is parallel, which the
+    /// abstract interpreter grants only to clauses whose every target is
+    /// declared. `+=` emissions
     /// combine into the cell, seeded with the identity of the store's
     /// declared type (`vaccs` / `gtypes`, by store id); `=` emissions
     /// assign and mark the cell so [`Runtime::merge_partial`] replaces
@@ -806,9 +810,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
     }
 
-    /// What names resolve against for a block whose rows bind `vars`
-    /// over FROM tables `tables`.
-    fn scope<'s>(&'s self, vars: &'s FxHashMap<String, usize>, tables: &'s [&'s Table]) -> Scope<'s> {
+    /// What names resolve against for rows binding `vars` over FROM
+    /// tables `tables`.
+    fn scope<'s>(&'s self, vars: Vars<'s>, tables: &'s [&'s Table]) -> Scope<'s> {
         Scope {
             graph: self.eng.graph,
             params: &self.params,
@@ -823,7 +827,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
 
     /// Binds `e` against the statement-level scope (no row).
     fn bind_once(&self, e: &Expr) -> BExpr {
-        Binder::new(self.scope(&FxHashMap::default(), &[])).bind(e)
+        Binder::new(self.scope(Vars::None, &[])).bind(e)
     }
 
     /// Evaluates bound `e` against `row`.
@@ -1102,9 +1106,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     /// Shared UPDATE/DELETE candidate loop: resolves the target spec,
-    /// binds `var` to each candidate vertex (snapshot order) as a
-    /// one-column row, applies the optional WHERE filter, and calls
-    /// `apply` for survivors.
+    /// binds the target variable to each candidate vertex (snapshot
+    /// order) as a one-column row, applies the optional WHERE filter, and
+    /// calls `apply` for survivors.
     fn for_each_target(
         &mut self,
         target: &VSpec,
@@ -1112,13 +1116,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
         mut apply: impl FnMut(&mut Self, VertexId) -> Result<()>,
     ) -> Result<()> {
         let candidates = self.resolve_spec(&target.name)?.candidates(self.graph());
-        let vars = target_vars(target);
-        let cond = where_clause.map(|c| Binder::new(self.scope(&vars, &[])).bind(c));
+        let var = target.var.as_deref().unwrap_or(&target.name);
+        let cond = where_clause.map(|c| Binder::new(self.scope(Vars::One(var), &[])).bind(c));
+        let mut one = VertexRow::new();
         for v in candidates {
             self.guard.note_visits(1, 0);
             if let Some(cond) = &cond {
-                let bindings = [Binding::Vertex(v)];
-                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                let row = Row { bindings: one.at(v), tables: &[] };
                 if !truthy(&self.eval_in(cond, row)?)? {
                     continue;
                 }
@@ -1142,9 +1146,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 )));
             }
         }
-        let vars = target_vars(target);
-        let mut binder = Binder::new(self.scope(&vars, &[]));
+        let mut binder = Binder::new(self.scope(Vars::One(&var), &[]));
         let values: Vec<BExpr> = sets.iter().map(|(_, _, e)| binder.bind(e)).collect();
+        let mut one = VertexRow::new();
         self.for_each_target(target, where_clause, |rt, v| {
             for ((_, attr, _), value) in sets.iter().zip(&values) {
                 let vt = rt.graph().vertex_type_of(v);
@@ -1156,8 +1160,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         ))
                     })?;
                 let ty = rt.graph().schema().vertex_type(vt).attrs[idx].ty;
-                let bindings = [Binding::Vertex(v)];
-                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                let row = Row { bindings: one.at(v), tables: &[] };
                 let val = coerce_attr(rt.eval_in(value, row)?, ty, attr)?;
                 rt.mutations.push(MutationOp::SetVertexAttr { v, attr: idx, value: val });
             }
@@ -1268,12 +1271,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         .get(set)
                         .map(|s| s.order().to_vec())
                         .ok_or_else(|| Error::runtime(format!("unknown vertex set `{set}`")))?;
-                    let vars = FxHashMap::from_iter([(set.clone(), 0usize)]);
-                    let mut binder = Binder::new(self.scope(&vars, &[]));
+                    let mut binder = Binder::new(self.scope(Vars::One(set), &[]));
                     let items: Vec<BExpr> = items.iter().map(|it| binder.bind(&it.expr)).collect();
+                    let mut one = VertexRow::new();
                     for v in vs {
-                        let bindings = [Binding::Vertex(v)];
-                        let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                        let row = Row { bindings: one.at(v), tables: &[] };
                         let mut cells = Vec::with_capacity(items.len());
                         for it in &items {
                             cells.push(self.eval_in(it, row)?.to_string());
@@ -1329,31 +1331,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
     }
 
-    /// The single vertex a scan into the not-yet-bound `var` seeds from,
-    /// if it is pinned to one: by a same-named pre-anchored name
-    /// ([`Runtime::anchor_for`]) or by a pending WHERE conjunct `var == p`
-    /// with `p` pre-anchored (a vertex parameter). Such a scan binds that
-    /// vertex instead of binding every candidate and filtering all but
-    /// one row away, so a point read does not slow down as its vertex
-    /// type grows; the conjunct stays pending and is still applied.
-    fn scan_anchor(
-        &self,
-        var: &str,
-        pending: &[usize],
-        conjuncts: &[(Expr, Vec<String>)],
-    ) -> Option<VertexId> {
-        self.anchor_for(var).or_else(|| {
-            pending.iter().find_map(|&i| match &conjuncts[i].0 {
-                Expr::Binary { op: BinOp::Eq, lhs, rhs } => match (&**lhs, &**rhs) {
-                    (Expr::Ident(a), Expr::Ident(b)) if a == var => self.anchor_for(b),
-                    (Expr::Ident(a), Expr::Ident(b)) if b == var => self.anchor_for(a),
-                    _ => None,
-                },
-                _ => None,
-            })
-        })
-    }
-
     // ---- SELECT block -------------------------------------------------------
 
     fn exec_select(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
@@ -1375,46 +1352,47 @@ impl<'e, 'g> Runtime<'e, 'g> {
             &self.eng.registry,
         )?;
 
-        // 1. FROM + WHERE pushdown: build the (compressed) binding table,
-        // applying each WHERE conjunct as soon as every FROM variable it
-        // references is bound (classic selection pushdown — without it the
-        // Q_n query would run the reachability kernel from every vertex of
-        // the graph before filtering on `s.name`). The conjunct split and
-        // per-step assignment come from the lowered plan; the per-run
-        // worklist is just the not-yet-applied indices into it. The plan
-        // holds the block under every semantics the query can reach it in.
+        // 1. FROM + WHERE pushdown: build the (compressed) binding table
+        // by running the block plan's match program. Each step binds its
+        // variables where the plan laid them out and filters its output
+        // by the conjuncts it made ready (classic selection pushdown —
+        // without it the Q_n query would run the reachability kernel
+        // from every vertex of the graph before filtering on `s.name`).
+        // The plan holds the block under every semantics the query can
+        // reach it in.
         let plan = self.plan;
         let bp = plan.block_plan(block.id, self.semantics).ok_or_else(|| {
-            Error::runtime(format!(
-                "internal error: block {} has no plan under {:?} semantics",
-                block.id + 1,
-                self.semantics
-            ))
+            Error::runtime(format!("internal error: block {} has no plan", block.id + 1))
         })?;
-        let mut pending: Vec<usize> = (0..bp.conjuncts.len()).collect();
-
-        let mut vars: FxHashMap<String, usize> = FxHashMap::default();
         let mut table_refs: Vec<&Table> = Vec::new();
         let mut rows = MorselTable::unit();
-        let mut anon = 0usize;
-        // Execute FROM items in the plan's order; it leaves source order
-        // only when the output-invariance gate held, so results are
-        // unchanged.
-        for &item_idx in &bp.from_order {
-            // Hop reordering: when the planner proved a reversed
-            // traversal strictly cheaper and result-equivalent, walk the
-            // rewritten item (same binding variables, same row multiset).
-            let item = bp.rewritten_from.get(&item_idx).unwrap_or(&block.from[item_idx]);
-            match item {
-                FromItem::Table { name, alias } => {
-                    let span = self.prof_enter("scan", (item_idx, 0), || {
-                        format!("scan {name} AS {alias}")
-                    });
+        for step in &bp.steps {
+            let item = bp.item_walked(block, step.item);
+            let (op, key) = match &step.op {
+                StepOp::Hop(hs) => ("hop", (step.item, hs.hop)),
+                StepOp::Scan { .. } => ("scan", (step.item, 0)),
+            };
+            let span = self.prof_enter(op, key, || match (&step.op, item) {
+                (StepOp::Hop(hs), FromItem::Pattern { hops, .. }) => {
+                    let hop = &hops[hs.hop];
+                    format!("hop -({})-> {}", hop.darpe, crate::explain::vspec_label(&hop.to))
+                }
+                (_, FromItem::Pattern { start, .. }) => {
+                    format!("scan {}", crate::explain::vspec_label(start))
+                }
+                (_, FromItem::Table { name, alias }) => format!("scan {name} AS {alias}"),
+            });
+            if span.is_some() {
+                self.prof_hop_cache = (0, 0);
+                self.prof_hop_workers.clear();
+            }
+            rows = match (&step.op, item) {
+                (StepOp::Scan { var, pins }, FromItem::Table { name, alias }) => {
                     if let Some(t) = self.eng.tables.get(name) {
+                        let VarCol::New(col) = *var else { return Err(bound_twice(alias)) };
+                        debug_assert_eq!(col, rows.width());
                         let tidx = table_refs.len();
                         table_refs.push(t);
-                        let col = new_var(&mut vars, alias)?;
-                        debug_assert_eq!(col, rows.width());
                         // The product's size is known up front: it is
                         // ticked against the row budget before anything
                         // is allocated.
@@ -1426,86 +1404,51 @@ impl<'e, 'g> Runtime<'e, 'g> {
                                 b.push(row, &[Binding::row(tidx, r)?], rows.mult(row).clone())?;
                             }
                         }
-                        rows = b.finish();
+                        b.finish()
                     } else {
                         // Vertex scan (type / set / param named `name`).
                         let spec = self.resolve_spec(name)?;
-                        let anchor = self.scan_anchor(alias, &pending, &bp.conjuncts);
-                        rows = self.bind_vertex(rows, &mut vars, alias, &spec, anchor)?;
+                        self.bind_vertex(rows, *var, alias, &spec, pins)?
                     }
-                    rows = self.apply_ready_filters(rows, &mut pending, &bp.conjuncts, &vars, &table_refs)?;
-                    let n = rows.len() as u64;
-                    self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
                 }
-                FromItem::Pattern { start, hops, .. } => {
-                    let span = self.prof_enter("scan", (item_idx, 0), || {
-                        format!("scan {}", crate::explain::vspec_label(start))
-                    });
+                (StepOp::Scan { var, pins }, FromItem::Pattern { start, .. }) => {
                     let spec = self.resolve_spec(&start.name)?;
-                    let var = start
-                        .var
-                        .clone()
-                        .unwrap_or_else(|| fresh_anon(&mut anon));
-                    let anchor = self.scan_anchor(&var, &pending, &bp.conjuncts);
-                    rows = self.bind_vertex(rows, &mut vars, &var, &spec, anchor)?;
-                    rows = self.apply_ready_filters(rows, &mut pending, &bp.conjuncts, &vars, &table_refs)?;
-                    let n = rows.len() as u64;
-                    self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
-                    let mut prev_col = vars[&var];
-                    for (hop_idx, hop) in hops.iter().enumerate() {
-                        let span = self.prof_enter("hop", (item_idx, hop_idx), || {
-                            format!("hop -({})-> {}", hop.darpe, crate::explain::vspec_label(&hop.to))
-                        });
-                        if span.is_some() {
-                            self.prof_hop_cache = (0, 0);
-                            self.prof_hop_workers.clear();
-                        }
-                        let to_spec = self.resolve_spec(&hop.to.name)?;
-                        let to_var = hop
-                            .to
-                            .var
-                            .clone()
-                            .unwrap_or_else(|| fresh_anon(&mut anon));
-                        // Sargable pushdown: WHERE conjuncts that
-                        // reference only the hop's unbound target are
-                        // consumed by the hop itself (see `extend_hop`).
-                        let target_conds = if vars.contains_key(&to_var) {
-                            Vec::new()
-                        } else {
-                            take_target_conjuncts(&to_var, &mut pending, &bp.conjuncts)
-                        };
-                        rows = self.extend_hop(
-                            rows, &mut vars, prev_col, hop, &to_var, to_spec,
-                            &target_conds, bp.strategies[item_idx][hop_idx],
-                        )?;
-                        rows = self.apply_ready_filters(
-                            rows, &mut pending, &bp.conjuncts, &vars, &table_refs,
-                        )?;
-                        prev_col = vars[&to_var];
-                        if span.is_some() {
-                            let extra = SpanExtra {
-                                rows: rows.len() as u64,
-                                cache_hits: self.prof_hop_cache.0,
-                                cache_misses: self.prof_hop_cache.1,
-                                workers: std::mem::take(&mut self.prof_hop_workers),
-                                ..SpanExtra::default()
-                            };
-                            self.prof_exit(span, extra);
-                        }
-                    }
+                    let name = start.var.as_deref().unwrap_or(&start.name);
+                    self.bind_vertex(rows, *var, name, &spec, pins)?
                 }
+                (StepOp::Hop(hs), FromItem::Pattern { hops, .. }) => {
+                    let hop = &hops[hs.hop];
+                    let to_spec = self.resolve_spec(&hop.to.name)?;
+                    // Sargable pushdown: the WHERE conjuncts that name
+                    // only the hop's unbound target are consumed by the
+                    // hop itself (see `extend_hop`).
+                    let targets: Vec<&Expr> =
+                        hs.targets.iter().map(|&i| &bp.conjuncts[i].0).collect();
+                    self.extend_hop(rows, hop, hs, to_spec, &targets)?
+                }
+                (StepOp::Hop(_), FromItem::Table { .. }) => {
+                    unreachable!("a hop step walks a pattern")
+                }
+            };
+            rows = self.filter_rows(rows, &step.ready, bp, &table_refs)?;
+            if span.is_some() {
+                let extra = SpanExtra {
+                    rows: rows.len() as u64,
+                    cache_hits: self.prof_hop_cache.0,
+                    cache_misses: self.prof_hop_cache.1,
+                    workers: std::mem::take(&mut self.prof_hop_workers),
+                    ..SpanExtra::default()
+                };
+                self.prof_exit(span, extra);
             }
         }
 
         // 2. Residual WHERE conjuncts (e.g. referencing no FROM variable).
-        if !pending.is_empty() {
+        if !bp.residual.is_empty() {
             let span = self.prof_enter("residual-filter", (0, 0), || {
-                format!("residual filters ({})", pending.len())
+                format!("residual filters ({})", bp.residual.len())
             });
-            for idx in pending.drain(..) {
-                let cond = &bp.conjuncts[idx].0;
-                rows = self.filter_rows(rows, cond, &vars, &table_refs)?;
-            }
+            rows = self.filter_rows(rows, &bp.residual, bp, &table_refs)?;
             let n = rows.len() as u64;
             self.prof_exit(span, SpanExtra { rows: n, ..SpanExtra::default() });
         }
@@ -1528,7 +1471,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
-            self.run_accum(&block.accum, &rows, &vars, &table_refs, bp)?;
+            self.run_accum(&block.accum, &rows, &table_refs, bp)?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
                 accum_bytes: bytes,
@@ -1546,12 +1489,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             if span.is_some() {
                 self.prof_op_workers.clear();
             }
-            self.run_post_accum(
-                &block.post_accum,
-                &rows,
-                &vars,
-                bp.post_accum_fold,
-            )?;
+            self.run_post_accum(&block.post_accum, &rows, bp)?;
             let bytes = if span.is_some() { self.accum_footprint() } else { 0 };
             let extra = SpanExtra {
                 accum_bytes: bytes,
@@ -1569,8 +1507,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 format!("output{}", into.unwrap_or_default())
             });
             let produced;
-            if let Some(var) = vertex_fragment_var(frag, &vars, &rows) {
-                let vs = self.eval_vertex_fragment(block, frag, &var, &vars, &rows, &table_refs)?;
+            if let Some((var, col)) = vertex_fragment_var(frag, bp, &rows) {
+                let vs = self.eval_vertex_fragment(block, var, col, &rows)?;
                 produced = vs.len() as u64;
                 if let Some(name) = &frag.into {
                     self.vsets.insert(name.clone(), VertexSet::from_output(vs.clone()));
@@ -1579,7 +1517,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     vertex_result = Some(vs);
                 }
             } else {
-                let table = self.eval_table_fragment(block, frag, &vars, &rows, &table_refs)?;
+                let table = self.eval_table_fragment(block, frag, bp, &rows, &table_refs)?;
                 produced = table.len() as u64;
                 self.out_tables.insert(table.name.clone(), table);
             }
@@ -1594,17 +1532,15 @@ impl<'e, 'g> Runtime<'e, 'g> {
         if conds.is_empty() {
             return Vec::new();
         }
-        let vars = FxHashMap::from_iter([(var.to_string(), 0usize)]);
-        let mut binder = Binder::new(self.scope(&vars, &[]));
+        let mut binder = Binder::new(self.scope(Vars::One(var), &[]));
         conds.iter().map(|c| binder.bind(c)).collect()
     }
 
-    /// Whether vertex `v`, bound alone to the target variable, satisfies
-    /// every conjunct of `conds` (tested in order, stopping at the first
-    /// that fails).
-    fn target_passes(&self, v: VertexId, conds: &[BExpr]) -> Result<bool> {
-        let bindings = [Binding::Vertex(v)];
-        let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+    /// Whether vertex `v`, bound alone to the target variable (in `one`),
+    /// satisfies every conjunct of `conds` (tested in order, stopping at
+    /// the first that fails).
+    fn target_passes(&self, one: &mut VertexRow, v: VertexId, conds: &[BExpr]) -> Result<bool> {
+        let row = Row { bindings: one.at(v), tables: &[] };
         let frame = Frame::default();
         let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
         for c in conds {
@@ -1624,85 +1560,72 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
         let conds = self.bind_target_conds(var, conds);
         let mut keep = Vec::new();
+        let mut one = VertexRow::new();
         for v in spec.candidates(self.graph()) {
-            if self.target_passes(v, &conds)? {
+            if self.target_passes(&mut one, v, &conds)? {
                 keep.push(v);
             }
         }
         Ok(Spec::Set(ascending(keep)))
     }
 
-    /// Applies every pending WHERE conjunct whose FROM variables are all
-    /// bound, removing it from `pending`.
-    fn apply_ready_filters(
+    /// Filters the binding table by each of `conjuncts` (indices into
+    /// the block plan's conjuncts) in turn, morsel-driven: workers
+    /// evaluate the predicate over contiguous row ranges and return
+    /// keep-lists; survivors gather into the output table in ascending
+    /// morsel order, so the result (and any error — smallest failing row
+    /// wins) is byte-identical at any worker count.
+    fn filter_rows(
         &mut self,
         mut rows: MorselTable,
-        pending: &mut Vec<usize>,
-        conjuncts: &[(Expr, Vec<String>)],
-        vars: &FxHashMap<String, usize>,
+        conjuncts: &[usize],
+        bp: &BlockPlan,
         tables: &[&Table],
     ) -> Result<MorselTable> {
-        let mut i = 0;
-        while i < pending.len() {
-            let refs = &conjuncts[pending[i]].1;
-            let ready = refs.iter().all(|v| vars.contains_key(v)) && !refs.is_empty();
-            if !ready {
-                i += 1;
-                continue;
+        for &i in conjuncts {
+            let cond = Binder::new(self.scope(Vars::Columns(&bp.columns), tables))
+                .bind(&bp.conjuncts[i].0);
+            let morsels = self.note_morsels(rows.len());
+            let workers = self.workers_for(rows.len());
+            let rows_ref = &rows;
+            let run = dispatch(self.guard, workers, morsels.count(), |m| {
+                let frame = Frame::default();
+                let mut keep: Vec<usize> = Vec::new();
+                for r in morsels.range(m) {
+                    let row = Row { bindings: rows_ref.bindings_at(r), tables };
+                    let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
+                    if truthy(&*ev.eval(&cond)?)? {
+                        keep.push(r);
+                    }
+                }
+                Ok(keep)
+            })?;
+            let kept = run.results.iter().map(Vec::len).sum();
+            let mut b = MorselBuilder::new(&rows, 0, kept);
+            for keep in &run.results {
+                for &r in keep {
+                    b.push(r, &[], rows.mult(r).clone())?;
+                }
             }
-            let cond = &conjuncts[pending.remove(i)].0;
-            rows = self.filter_rows(rows, cond, vars, tables)?;
+            rows = b.finish();
         }
         Ok(rows)
     }
 
-    /// Filters the binding table by one WHERE conjunct, morsel-driven:
-    /// workers evaluate the predicate over contiguous row ranges and
-    /// return keep-lists; survivors gather into the output table in
-    /// ascending morsel order, so the result (and any error — smallest
-    /// failing row wins) is byte-identical at any worker count.
-    fn filter_rows(
-        &mut self,
-        rows: MorselTable,
-        cond: &Expr,
-        vars: &FxHashMap<String, usize>,
-        tables: &[&Table],
-    ) -> Result<MorselTable> {
-        let cond = Binder::new(self.scope(vars, tables)).bind(cond);
-        let morsels = self.note_morsels(rows.len());
-        let workers = self.workers_for(rows.len());
-        let rows_ref = &rows;
-        let run = dispatch(self.guard, workers, morsels.count(), |m| {
-            let frame = Frame::default();
-            let mut keep: Vec<usize> = Vec::new();
-            for r in morsels.range(m) {
-                let row = Row { bindings: rows_ref.bindings_at(r), tables };
-                let ev = Eval { env: self.env(), row, regs: &[], frame: &frame, group: None };
-                if truthy(&*ev.eval(&cond)?)? {
-                    keep.push(r);
-                }
-            }
-            Ok(keep)
-        })?;
-        let kept = run.results.iter().map(Vec::len).sum();
-        let mut b = MorselBuilder::new(&rows, 0, kept);
-        for keep in &run.results {
-            for &r in keep {
-                b.push(r, &[], rows.mult(r).clone())?;
-            }
-        }
-        Ok(b.finish())
-    }
-
+    /// Binds vertex variable `name` to the vertices of `spec` in a new
+    /// column — only to the vertex the first pre-anchored name of `pins`
+    /// holds, if one does ([`Runtime::anchor_for`]; a point read then
+    /// does not slow down as its vertex type grows) — or, when its
+    /// column exists, keeps the rows whose vertex there `spec` matches.
     fn bind_vertex(
         &mut self,
         rows: MorselTable,
-        vars: &mut FxHashMap<String, usize>,
-        var: &str,
+        var: VarCol,
+        name: &str,
         spec: &Spec,
-        anchored: Option<VertexId>,
+        pins: &[String],
     ) -> Result<MorselTable> {
-        if let Some(&col) = vars.get(var) {
+        if let VarCol::Join(col) = var {
             // Join on the existing column: one contiguous scan.
             let mut b = MorselBuilder::new(&rows, 0, rows.len());
             for (r, bind) in rows.col(col).iter().enumerate() {
@@ -1711,14 +1634,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         b.push(r, &[], rows.mult(r).clone())?;
                     }
                 } else {
-                    return Err(Error::runtime(format!("`{var}` is not a vertex variable")));
+                    return Err(Error::runtime(format!("`{name}` is not a vertex variable")));
                 }
             }
             return Ok(b.finish());
         }
-        let col = new_var(vars, var)?;
-        debug_assert_eq!(col, rows.width());
-        let candidates: Vec<VertexId> = match anchored {
+        debug_assert_eq!(var, VarCol::New(rows.width()));
+        let candidates: Vec<VertexId> = match pins.iter().find_map(|n| self.anchor_for(n)) {
             Some(v) => {
                 if spec.matches(self.graph(), v) {
                     vec![v]
@@ -1745,34 +1667,40 @@ impl<'e, 'g> Runtime<'e, 'g> {
         Ok(next)
     }
 
-    /// Extends the binding table across one pattern hop.
+    /// Extends the binding table across one pattern hop, as its step
+    /// `hs` lays it out.
     ///
     /// `target_conds` are the WHERE conjuncts that name only the hop's
-    /// unbound target `to_var` (sargable anchors). A single-edge hop
-    /// tests them on each vertex it reaches, once per vertex; a Kleene
-    /// hop first narrows `to_spec` to the vertices that pass them, since
-    /// its kernel may anchor on that set.
+    /// unbound target (sargable anchors). A single-edge hop tests them on
+    /// each vertex it reaches, once per vertex; a Kleene hop first
+    /// narrows `to_spec` to the vertices that pass them, since its kernel
+    /// may anchor on that set.
     ///
-    /// `plan_strategy` is the planner's cost-based choice for this hop;
-    /// it is advisory — runtime conditions (is the target actually
+    /// The step's strategy is the planner's cost-based choice for this
+    /// hop; it is advisory — runtime conditions (is the target actually
     /// anchored? how large did the spec-refined set turn out?) always
     /// gate the backward kernels, so a stale hint degrades to the
     /// syntax-driven default, never to a wrong answer.
-    #[allow(clippy::too_many_arguments)]
     fn extend_hop(
         &mut self,
         rows: MorselTable,
-        vars: &mut FxHashMap<String, usize>,
-        prev_col: usize,
         hop: &Hop,
-        to_var: &str,
+        hs: &HopStep,
         to_spec: Spec,
         target_conds: &[&Expr],
-        plan_strategy: HopStrategy,
     ) -> Result<MorselTable> {
         let graph = self.graph();
-        let existing_to = vars.get(to_var).copied();
-        let anchored_to = if existing_to.is_none() { self.anchor_for(to_var) } else { None };
+        let prev_col = hs.from;
+        // The target's name in errors (its type for an anonymous one).
+        let to_var = hop.to.var.as_deref().unwrap_or(&hop.to.name);
+        let existing_to = match hs.to {
+            VarCol::Join(c) => Some(c),
+            VarCol::New(_) => None,
+        };
+        let anchored_to = match (existing_to, &hop.to.var) {
+            (None, Some(v)) => self.anchor_for(v),
+            _ => None,
+        };
 
         if let Some(sym) = hop.darpe.as_single_symbol() {
             // Single-edge hop: scan the source column contiguously,
@@ -1782,14 +1710,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
             // The target conjuncts' verdict per reached vertex.
             let mut passes: FxHashMap<VertexId, bool> = FxHashMap::default();
             let target_conds = self.bind_target_conds(to_var, target_conds);
-            let edge_col = match &hop.edge_var {
-                Some(name) => Some(new_var(vars, name)?),
-                None => None,
-            };
-            let _to_col = match existing_to {
-                Some(c) => c,
-                None => new_var(vars, to_var)?,
-            };
+            let mut one: Option<VertexRow> = None;
+            if let Some(var) = &hs.rebinds {
+                return Err(bound_twice(var));
+            }
+            let edge_col = hs.edge;
             let n_extra = edge_col.is_some() as usize + existing_to.is_none() as usize;
             // Room for every adjacency entry the hop will scan (an upper
             // bound on its output), but no more rows than the row budget
@@ -1827,7 +1752,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                         let pass = match passes.get(&a.other) {
                             Some(&pass) => pass,
                             None => {
-                                let pass = self.target_passes(a.other, &target_conds)?;
+                                let one = one.get_or_insert_with(VertexRow::new);
+                                let pass = self.target_passes(one, a.other, &target_conds)?;
                                 passes.insert(a.other, pass);
                                 pass
                             }
@@ -1861,9 +1787,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // (Q_n's `t.name == tgtName`).
         let to_spec = self.refine_spec(to_spec, to_var, target_conds)?;
         let nfa = CompiledDarpe::compile(&hop.darpe, graph.schema())?;
-        if existing_to.is_none() {
-            new_var(vars, to_var)?;
-        }
+        // An edge variable in Kleene scope fails the block before any step.
+        debug_assert!(hs.edge.is_none() && hs.rebinds.is_none());
         // Enumerative kernels with an anchored/bound target run **backward
         // from the target** over the reversed automaton (path reversal is
         // a bijection, so counts are identical). This mirrors what real
@@ -1875,7 +1800,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // (fewer estimated targets than sources); enumerative kernels
         // always prefer the anchored side, hint or no hint.
         let backward_capable = self.semantics.is_enumerative()
-            || plan_strategy == HopStrategy::CountingBackward;
+            || hs.strategy == HopStrategy::CountingBackward;
         // A small (spec-refined) target set also anchors the kernel: run
         // backward once per target instead of forward once per source.
         let spec_targets: Option<Vec<VertexId>> = if backward_capable && !target_bound {
@@ -2169,12 +2094,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
         &mut self,
         stmts: &[AccStmt],
         rows: &MorselTable,
-        vars: &FxHashMap<String, usize>,
         tables: &[&Table],
         bp: &BlockPlan,
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
-        let prog = Binder::clause(self.scope(vars, tables), stmts);
+        let prog = Binder::clause(self.scope(Vars::Columns(&bp.columns), tables), stmts);
         let morsels = self.note_morsels(rows.len());
         let sink = match (bp.accum_fold.parallel(), bp.accum_in_place) {
             (true, _) => Sink::Partials,
@@ -2202,18 +2126,17 @@ impl<'e, 'g> Runtime<'e, 'g> {
         &mut self,
         stmts: &[AccStmt],
         rows: &MorselTable,
-        vars: &FxHashMap<String, usize>,
-        fold: FoldVerdict,
+        bp: &BlockPlan,
     ) -> Result<()> {
         let one = BigCount::one();
-        let Some(var) = post_accum_var(stmts, vars)? else {
+        let Some((col, var)) = bp.post_accum_col.as_ref().map_err(Error::clone)? else {
             let once = Morsels::new(usize::from(!rows.is_empty()), 1);
-            let bind = |_| (Bindings::Row(&[]), &one);
-            let prog = Binder::clause(self.scope(&FxHashMap::default(), &[]), stmts);
+            let bind = |_| (Bindings::EMPTY, &one);
+            let prog = Binder::clause(self.scope(Vars::None, &[]), stmts);
             return self.run_clause(&prog, once, &[], bind, Sink::Live);
         };
         let mut vertices: Vec<VertexId> = rows
-            .col(vars[&var])
+            .col(*col)
             .iter()
             .filter_map(|b| match b {
                 Binding::Vertex(x) => Some(*x),
@@ -2222,36 +2145,36 @@ impl<'e, 'g> Runtime<'e, 'g> {
             .collect();
         vertices.sort();
         vertices.dedup();
-        let vertices: Vec<Binding> = vertices.into_iter().map(Binding::Vertex).collect();
+        // One column of the distinct vertices: row `i` binds the `i`th.
+        let vertices: [Vec<Binding>; 1] = [vertices.into_iter().map(Binding::Vertex).collect()];
         // Morsel accounting is a pure function of the distinct-vertex
         // count, independent of which sink runs below.
-        let morsels = self.note_morsels(vertices.len());
-        let pvars = FxHashMap::from_iter([(var, 0usize)]);
-        let prog = Binder::clause(self.scope(&pvars, &[]), stmts);
+        let morsels = self.note_morsels(vertices[0].len());
+        let prog = Binder::clause(self.scope(Vars::One(var), &[]), stmts);
         // The verdict licenses partials — no statement reads an
         // accumulator the clause writes, so the Map sees the same state
         // at every vertex — and they pay only with more than one worker.
-        let sink = if fold.parallel() && self.workers_for(vertices.len()) > 1 {
+        let sink = if bp.post_accum_fold.parallel() && self.workers_for(vertices[0].len()) > 1 {
             Sink::Partials
         } else {
             Sink::Live
         };
-        let bind = |i: usize| (Bindings::Row(std::slice::from_ref(&vertices[i])), &one);
+        let bind = |i: usize| (Bindings::new(&vertices, i), &one);
         self.run_clause(&prog, morsels, &[], bind, sink)
     }
 
     // ---- outputs ----------------------------------------------------------------
 
+    /// A vertex fragment's output: the distinct vertices of variable
+    /// `var` (column `col`) in first-occurrence row order, then ORDER BY
+    /// and LIMIT.
     fn eval_vertex_fragment(
         &mut self,
         block: &SelectBlock,
-        frag: &OutputFragment,
         var: &str,
-        vars: &FxHashMap<String, usize>,
+        col: usize,
         rows: &MorselTable,
-        _tables: &[&Table],
     ) -> Result<Vec<VertexId>> {
-        let col = vars[var];
         let mut seen = FxHashSet::default();
         let mut vs: Vec<VertexId> = Vec::new();
         for b in rows.col(col) {
@@ -2261,16 +2184,14 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 }
             }
         }
-        let _ = frag;
         // ORDER BY over the vertex variable.
         if !block.order_by.is_empty() {
-            let pvars = FxHashMap::from_iter([(var.to_string(), 0usize)]);
-            let mut binder = Binder::new(self.scope(&pvars, &[]));
+            let mut binder = Binder::new(self.scope(Vars::One(var), &[]));
             let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
             let mut keyed: Vec<(Vec<Value>, VertexId)> = Vec::with_capacity(vs.len());
+            let mut one = VertexRow::new();
             for v in vs {
-                let bindings = [Binding::Vertex(v)];
-                let row = Row { bindings: Bindings::Row(&bindings), tables: &[] };
+                let row = Row { bindings: one.at(v), tables: &[] };
                 let mut keys = Vec::with_capacity(order.len());
                 for o in &order {
                     keys.push(self.eval_in(o, row)?);
@@ -2290,7 +2211,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         &mut self,
         block: &SelectBlock,
         frag: &OutputFragment,
-        vars: &FxHashMap<String, usize>,
+        bp: &BlockPlan,
         rows: &MorselTable,
         tables: &[&Table],
     ) -> Result<Table> {
@@ -2306,13 +2227,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let grouped = block.group_by.is_some()
             || frag.items.iter().any(|i| i.expr.contains_aggregate());
         if grouped {
-            self.eval_grouped(block, frag, vars, rows, tables, &mut out)?;
+            self.eval_grouped(block, frag, bp, rows, tables, &mut out)?;
         } else {
             // Plain projection (bag semantics: rows carry multiplicities).
             // Cell and ORDER-BY-key evaluation runs morsel-parallel over
             // the columnar table; multiplicity expansion, DISTINCT, sort
             // and LIMIT stay sequential in ascending row order.
-            let mut binder = Binder::new(self.scope(vars, tables));
+            let mut binder = Binder::new(self.scope(Vars::Columns(&bp.columns), tables));
             let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
             let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
             let morsels = self.note_morsels(rows.len());
@@ -2372,7 +2293,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         &mut self,
         block: &SelectBlock,
         frag: &OutputFragment,
-        vars: &FxHashMap<String, usize>,
+        bp: &BlockPlan,
         rows: &MorselTable,
         tables: &[&Table],
         out: &mut Table,
@@ -2406,7 +2327,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // morsel-parallel over the columnar table (both are independent
         // of group membership: aggregate arguments see no group context,
         // so hoisting them out of the per-group loop is value-preserving).
-        let mut binder = Binder::new(self.scope(vars, tables));
+        let mut binder = Binder::new(self.scope(Vars::Columns(&bp.columns), tables));
         let keys: Vec<BExpr> = gb.keys.iter().map(|k| binder.bind(k)).collect();
         // `count(*)` reads only multiplicities; the NULL placeholder keeps
         // positions aligned.
@@ -2443,7 +2364,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // Outputs, HAVING and ORDER BY read aggregates and group keys
         // through slots of the current group.
         let names = GroupNames { aggs: &agg_exprs, keys: &gb.keys };
-        let mut binder = Binder::grouped(self.scope(vars, tables), names);
+        let mut binder = Binder::grouped(self.scope(Vars::Columns(&bp.columns), tables), names);
         let having = block.having.as_ref().map(|h| binder.bind(h));
         let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
         let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
@@ -2575,32 +2496,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
 }
 
 // ---- helpers -------------------------------------------------------------
-
-fn new_var(vars: &mut FxHashMap<String, usize>, name: &str) -> Result<usize> {
-    if vars.contains_key(name) {
-        return Err(Error::compile(format!("variable `{name}` bound twice in FROM")));
-    }
-    let idx = vars.len();
-    vars.insert(name.to_string(), idx);
-    Ok(idx)
-}
-
-/// Takes the pending WHERE conjuncts that name only `var` — the unbound
-/// target of the next hop — off the worklist, last pending first (the
-/// order the hop tests them in).
-fn take_target_conjuncts<'c>(
-    var: &str,
-    pending: &mut Vec<usize>,
-    conjuncts: &'c [(Expr, Vec<String>)],
-) -> Vec<&'c Expr> {
-    let mut taken = Vec::new();
-    for i in (0..pending.len()).rev() {
-        if names_only(&conjuncts[pending[i]].1, var) {
-            taken.push(&conjuncts[pending.remove(i)].0);
-        }
-    }
-    taken
-}
 
 /// A Kleene hop's kernel contexts, all over the hop's one automaton. A
 /// kernel call takes a context and puts it back, so at most one exists
@@ -2746,63 +2641,11 @@ fn product_rows(rows: usize, per_row: usize) -> Result<usize> {
     })
 }
 
-fn fresh_anon(counter: &mut usize) -> String {
-    *counter += 1;
-    format!("$anon{counter}")
-}
-
 fn vertex_at(rows: &MorselTable, row: usize, col: usize, ctx: &str) -> Result<VertexId> {
     match rows.binding(row, col) {
         Binding::Vertex(v) => Ok(*v),
         _ => Err(Error::runtime(format!("pattern source for `{ctx}` is not a vertex"))),
     }
-}
-
-/// Determines the single vertex variable a POST_ACCUM clause iterates
-/// over (paper Section 4.4 / real-GSQL restriction: POST_ACCUM statements
-/// may reference at most one vertex alias of the FROM clause).
-fn post_accum_var(
-    stmts: &[AccStmt],
-    vars: &FxHashMap<String, usize>,
-) -> Result<Option<String>> {
-    let mut found: Option<String> = None;
-    let mut names: Vec<String> = Vec::new();
-    for stmt in stmts {
-        match stmt {
-            AccStmt::VAcc { var, expr, .. } => {
-                names.push(var.clone());
-                collect_var_refs(expr, &mut names);
-            }
-            AccStmt::GAcc { expr, .. } | AccStmt::LocalDecl { expr, .. } => {
-                collect_var_refs(expr, &mut names);
-            }
-        }
-    }
-    for n in names {
-        if !vars.contains_key(&n) {
-            continue;
-        }
-        match &found {
-            None => found = Some(n),
-            Some(f) if *f == n => {}
-            Some(f) => {
-                return Err(Error::compile(format!(
-                    "POST_ACCUM references two FROM variables (`{f}` and `{n}`); \
-                     it may reference at most one vertex alias"
-                )))
-            }
-        }
-    }
-    Ok(found)
-}
-
-fn collect_var_refs(e: &Expr, out: &mut Vec<String>) {
-    e.walk(&mut |sub| match sub {
-        Expr::Ident(n) => out.push(n.clone()),
-        Expr::Attr { base, .. } => out.push(base.clone()),
-        Expr::VAcc { var, .. } => out.push(var.clone()),
-        _ => {}
-    });
 }
 
 fn is_aggregate_call(e: &Expr) -> bool {
@@ -2820,26 +2663,24 @@ fn is_aggregate_call(e: &Expr) -> bool {
 }
 
 /// A fragment is a *vertex fragment* iff it is a single un-aliased bare
-/// identifier bound to a vertex column.
-fn vertex_fragment_var(
-    frag: &OutputFragment,
-    vars: &FxHashMap<String, usize>,
+/// identifier bound to a vertex column; returns the variable and its
+/// column.
+fn vertex_fragment_var<'f>(
+    frag: &'f OutputFragment,
+    bp: &BlockPlan,
     rows: &MorselTable,
-) -> Option<String> {
+) -> Option<(&'f str, usize)> {
     if frag.items.len() != 1 || frag.items[0].alias.is_some() {
         return None;
     }
     let Expr::Ident(name) = &frag.items[0].expr else { return None };
-    let col = *vars.get(name)?;
+    let col = *bp.columns.get(name)?;
     if rows.is_empty() {
-        return Some(name.clone()); // empty result set: vacuously a vertex set
-    }
-    if col >= rows.width() {
-        return None;
+        return Some((name, col)); // empty result set: vacuously a vertex set
     }
     // Inspect any row to confirm the column holds vertices (all rows of a
     // column share a binding kind).
-    matches!(rows.col(col).first(), Some(Binding::Vertex(_))).then(|| name.clone())
+    matches!(rows.col(col).first(), Some(Binding::Vertex(_))).then_some((name, col))
 }
 
 fn column_label(e: &Expr, i: usize) -> String {
@@ -2857,12 +2698,6 @@ fn column_label(e: &Expr, i: usize) -> String {
 /// `es.len()` slots (output rows are kept until the block's table is built).
 fn eval_all<'a>(ev: &Eval<'a, '_, '_>, es: &'a [BExpr]) -> Result<Vec<Value>> {
     ev.eval_each(es, Cow::into_owned)
-}
-
-/// The one-column row scope of an UPDATE / DELETE target variable.
-fn target_vars(target: &VSpec) -> FxHashMap<String, usize> {
-    let var = target.var.clone().unwrap_or_else(|| target.name.clone());
-    FxHashMap::from_iter([(var, 0usize)])
 }
 
 /// Sorts `(keys, payload)` pairs by the ORDER BY specification using the

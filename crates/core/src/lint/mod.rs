@@ -110,13 +110,16 @@ pub(crate) struct AccInfo<'a> {
     pub span: Span,
 }
 
-/// One SELECT block together with the path semantics in force when it
-/// executes and whether that semantics was set by an inline
-/// `USE SEMANTICS` statement (vs. the engine's ambient default).
+/// The path semantics a statement can run under, each with whether an
+/// inline `USE SEMANTICS` statement set it (vs. the engine's ambient
+/// default), in the order the walk first reached them.
+pub(crate) type SemSet = Vec<(PathSemantics, bool)>;
+
+/// One SELECT block together with every path semantics it can execute
+/// under.
 pub(crate) struct BlockCtx<'a> {
     pub block: &'a SelectBlock,
-    pub semantics: PathSemantics,
-    pub inline_semantics: bool,
+    pub semantics: SemSet,
 }
 
 /// Shared analysis context built once per lint run.
@@ -125,6 +128,8 @@ pub(crate) struct Ctx<'a> {
     pub registry: &'a UserAccumRegistry,
     pub vaccs: FxHashMap<&'a str, AccInfo<'a>>,
     pub gaccs: FxHashMap<&'a str, AccInfo<'a>>,
+    /// Every SELECT block, once each, in the order the walk first
+    /// reached it.
     pub blocks: Vec<BlockCtx<'a>>,
 }
 
@@ -137,18 +142,20 @@ impl<'a> Ctx<'a> {
             gaccs: FxHashMap::default(),
             blocks: Vec::new(),
         };
-        let mut sem = (ambient, false);
+        let mut sem = vec![(ambient, false)];
         cx.collect(&q.body, &mut sem);
         cx
     }
 
-    /// Walks statements in execution order, threading the effective path
-    /// semantics the way the executor does (a `USE SEMANTICS` statement
-    /// affects everything after it, including loop bodies). Each IF
-    /// branch starts from the semantics before the IF; after it, the
-    /// ELSE branch's semantics hold if it names one, else the THEN
-    /// branch's.
-    fn collect(&mut self, stmts: &'a [Stmt], sem: &mut (PathSemantics, bool)) {
+    /// Walks statements in execution order, threading the set of path
+    /// semantics each can run under the way the executor switches them
+    /// (a `USE SEMANTICS` statement affects everything after it,
+    /// including loop bodies). Each IF branch starts from the set before
+    /// the IF, and after it either branch's exit set may hold. A loop
+    /// body runs zero or more times, so it is walked until the set it
+    /// starts from — the entry set plus its own exit sets — stops
+    /// growing, and that set holds after the loop.
+    fn collect(&mut self, stmts: &'a [Stmt], sem: &mut SemSet) {
         for stmt in stmts {
             match stmt {
                 Stmt::AccumDecl { ty, decls } => {
@@ -161,31 +168,48 @@ impl<'a> Ctx<'a> {
                         }
                     }
                 }
-                Stmt::UseSemantics(s) => *sem = (*s, true),
+                Stmt::UseSemantics(s) => *sem = vec![(*s, true)],
                 Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
                     self.push_block(b, sem)
                 }
                 Stmt::Select(b) => self.push_block(b, sem),
-                Stmt::While { body, .. } | Stmt::Foreach { body, .. } => self.collect(body, sem),
-                Stmt::If { then_branch, else_branch, .. } => {
-                    let entry = *sem;
-                    self.collect(then_branch, sem);
-                    let then_exit = std::mem::replace(sem, entry);
-                    self.collect(else_branch, sem);
-                    let mut else_names = false;
-                    crate::ast::named_semantics(else_branch, &mut |_| else_names = true);
-                    if !else_names {
-                        *sem = then_exit;
+                Stmt::While { body, .. } | Stmt::Foreach { body, .. } => loop {
+                    let mut exit = sem.clone();
+                    self.collect(body, &mut exit);
+                    if !union_into(sem, &exit) {
+                        break;
                     }
+                },
+                Stmt::If { then_branch, else_branch, .. } => {
+                    let mut then_exit = sem.clone();
+                    self.collect(then_branch, &mut then_exit);
+                    self.collect(else_branch, sem);
+                    union_into(sem, &then_exit);
                 }
                 _ => {}
             }
         }
     }
 
-    fn push_block(&mut self, b: &'a SelectBlock, sem: &(PathSemantics, bool)) {
-        self.blocks.push(BlockCtx { block: b, semantics: sem.0, inline_semantics: sem.1 });
+    fn push_block(&mut self, b: &'a SelectBlock, sem: &SemSet) {
+        match self.blocks.iter_mut().find(|bc| bc.block.id == b.id) {
+            Some(bc) => {
+                union_into(&mut bc.semantics, sem);
+            }
+            None => self.blocks.push(BlockCtx { block: b, semantics: sem.clone() }),
+        }
     }
+}
+
+/// Adds the members of `from` that `set` lacks; `true` when it grew.
+fn union_into(set: &mut SemSet, from: &SemSet) -> bool {
+    let before = set.len();
+    for s in from {
+        if !set.contains(s) {
+            set.push(*s);
+        }
+    }
+    set.len() > before
 }
 
 /// Per-declarator view of accumulator declarations, in source order.

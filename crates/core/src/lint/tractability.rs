@@ -7,105 +7,132 @@
 //! enumerative semantics pays worst-case exponential path
 //! materialization for the same query text.
 
-use super::{BlockCtx, Ctx, Diagnostic};
-use crate::ast::FromItem;
+use super::{Ctx, Diagnostic};
+use crate::ast::{FromItem, SelectBlock};
+use crate::semantics::PathSemantics;
 use accum::AccumType;
 use darpe::Darpe;
 
 pub(super) fn run(cx: &Ctx, out: &mut Vec<Diagnostic>) {
     for bc in &cx.blocks {
-        let mut has_kleene = false;
-        let mut hop_no = 0usize;
-        for item in &bc.block.from {
-            let FromItem::Pattern { hops, .. } = item else { continue };
-            for hop in hops {
-                hop_no += 1;
-                let single = hop.darpe.as_single_symbol().is_some();
-                if single {
-                    continue;
-                }
-                has_kleene = true;
-                // P002 — an edge variable inside Kleene scope has no
-                // single edge to bind; always outside the tractable class
-                // (tractable.rs rejects it at run time under every
-                // semantics).
-                if let Some(ev) = &hop.edge_var {
-                    out.push(Diagnostic::error(
-                        "P002",
-                        bc.block.span,
-                        format!(
-                            "edge variable `{ev}` binds inside the composite/Kleene DARPE \
-                             `{}` — variables in the scope of a Kleene star are outside \
-                             the tractable class (paper Section 7); bind variables on \
-                             single-edge hops only",
-                            hop.darpe
-                        ),
-                    ));
-                }
-                if bc.semantics.is_enumerative() {
-                    if hop.darpe.has_unbounded_repeat() {
-                        // P001 — Theorem 7.1's exponential blowup: an
-                        // unbounded Kleene pattern evaluated by
-                        // enumeration. Error when the query text itself
-                        // asked for the enumerative semantics (the fix is
-                        // a one-line edit); Warn when the semantics is
-                        // the engine's ambient default (a deployment
-                        // choice the query author may not control).
-                        let d = Diagnostic {
-                            code: "P001",
-                            severity: if bc.inline_semantics {
-                                super::Severity::Error
-                            } else {
-                                super::Severity::Warn
-                            },
-                            message: format!(
-                                "unbounded Kleene pattern `{}` under enumerative \
-                                 {:?} semantics: the kernel materializes every legal \
-                                 path, worst-case exponential in path length \
-                                 (Theorem 7.1); all-shortest-paths counting evaluates \
-                                 the same query in polynomial time",
-                                hop.darpe, bc.semantics
-                            ),
-                            span: bc.block.span,
-                            suggestion: Some(
-                                "USE SEMANTICS 'all_shortest_paths';".to_string(),
-                            ),
-                        };
-                        out.push(d);
-                    } else if let Some(k) = max_word_len(&hop.darpe) {
-                        // P004 — bounded repeats still fan out
-                        // multiplicatively under enumeration; estimate
-                        // with the explain-plan vocabulary.
-                        if k > 1 {
-                            out.push(Diagnostic::info(
-                                "P004",
-                                bc.block.span,
-                                format!(
-                                    "hop {hop_no} `{}`: enumerative kernel may \
-                                     materialize up to d^{k} paths per source vertex \
-                                     (d = max adjacency fan-out); the counting kernel \
-                                     visits each product state once",
-                                    hop.darpe
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        // P003 — counting semantics must fold path multiplicities into
-        // the accumulators, which only multiplicity-shortcut types
-        // support (paper Appendix A); mirrors the runtime check that
-        // would otherwise reject the query mid-execution.
-        if has_kleene && !bc.semantics.is_enumerative() {
-            check_multiplicity(cx, bc, out);
+        // Each block is checked once per semantics it can run under; a
+        // finding an earlier semantics made already is kept once.
+        let first = out.len();
+        for &(semantics, inline) in &bc.semantics {
+            let mut found = Vec::new();
+            check_block(cx, bc.block, semantics, inline, &mut found);
+            let earlier = out.len();
+            found.retain(|d| !out[first..earlier].contains(d));
+            out.extend(found);
         }
     }
 }
 
-fn check_multiplicity(cx: &Ctx, bc: &BlockCtx, out: &mut Vec<Diagnostic>) {
+/// Checks one block as it runs under `semantics` (`inline` when a
+/// `USE SEMANTICS` statement in the query set it).
+fn check_block(
+    cx: &Ctx,
+    block: &SelectBlock,
+    semantics: PathSemantics,
+    inline: bool,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut has_kleene = false;
+    let mut hop_no = 0usize;
+    for item in &block.from {
+        let FromItem::Pattern { hops, .. } = item else { continue };
+        for hop in hops {
+            hop_no += 1;
+            let single = hop.darpe.as_single_symbol().is_some();
+            if single {
+                continue;
+            }
+            has_kleene = true;
+            // P002 — an edge variable inside Kleene scope has no
+            // single edge to bind; always outside the tractable class
+            // (tractable.rs rejects it at run time under every
+            // semantics).
+            if let Some(ev) = &hop.edge_var {
+                out.push(Diagnostic::error(
+                    "P002",
+                    block.span,
+                    format!(
+                        "edge variable `{ev}` binds inside the composite/Kleene DARPE \
+                         `{}` — variables in the scope of a Kleene star are outside \
+                         the tractable class (paper Section 7); bind variables on \
+                         single-edge hops only",
+                        hop.darpe
+                    ),
+                ));
+            }
+            if semantics.is_enumerative() {
+                if hop.darpe.has_unbounded_repeat() {
+                    // P001 — Theorem 7.1's exponential blowup: an
+                    // unbounded Kleene pattern evaluated by
+                    // enumeration. Error when the query text itself
+                    // asked for the enumerative semantics (the fix is
+                    // a one-line edit); Warn when the semantics is
+                    // the engine's ambient default (a deployment
+                    // choice the query author may not control).
+                    let d = Diagnostic {
+                        code: "P001",
+                        severity: if inline {
+                            super::Severity::Error
+                        } else {
+                            super::Severity::Warn
+                        },
+                        message: format!(
+                            "unbounded Kleene pattern `{}` under enumerative \
+                             {:?} semantics: the kernel materializes every legal \
+                             path, worst-case exponential in path length \
+                             (Theorem 7.1); all-shortest-paths counting evaluates \
+                             the same query in polynomial time",
+                            hop.darpe, semantics
+                        ),
+                        span: block.span,
+                        suggestion: Some(
+                            "USE SEMANTICS 'all_shortest_paths';".to_string(),
+                        ),
+                    };
+                    out.push(d);
+                } else if let Some(k) = max_word_len(&hop.darpe) {
+                    // P004 — bounded repeats still fan out
+                    // multiplicatively under enumeration; estimate
+                    // with the explain-plan vocabulary.
+                    if k > 1 {
+                        out.push(Diagnostic::info(
+                            "P004",
+                            block.span,
+                            format!(
+                                "hop {hop_no} `{}`: enumerative kernel may \
+                                 materialize up to d^{k} paths per source vertex \
+                                 (d = max adjacency fan-out); the counting kernel \
+                                 visits each product state once",
+                                hop.darpe
+                            ),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    // P003 — counting semantics must fold path multiplicities into
+    // the accumulators, which only multiplicity-shortcut types
+    // support (paper Appendix A); mirrors the runtime check that
+    // would otherwise reject the query mid-execution.
+    if has_kleene && !semantics.is_enumerative() {
+        check_multiplicity(cx, block, semantics, out);
+    }
+}
+
+fn check_multiplicity(
+    cx: &Ctx,
+    block: &SelectBlock,
+    semantics: PathSemantics,
+    out: &mut Vec<Diagnostic>,
+) {
     use crate::ast::AccStmt;
-    for stmt in bc.block.accum.iter().chain(&bc.block.post_accum) {
+    for stmt in block.accum.iter().chain(&block.post_accum) {
         let (name, ty, sigil) = match stmt {
             AccStmt::VAcc { name, combine: true, .. } => {
                 (name, cx.vaccs.get(name.as_str()).map(|i| i.ty), "@")
@@ -121,12 +148,12 @@ fn check_multiplicity(cx: &Ctx, bc: &BlockCtx, out: &mut Vec<Diagnostic>) {
             out.push(
                 Diagnostic::error(
                     "P003",
-                    bc.block.span,
+                    block.span,
                     format!(
                         "accumulator `{sigil}{name}` of type {ty} is multiplicity-sensitive \
                          and order-dependent; it cannot absorb path multiplicities from a \
                          Kleene pattern under {:?} counting semantics (paper Section 7)",
-                        bc.semantics
+                        semantics
                     ),
                 )
                 .with_suggestion(format!(

@@ -97,11 +97,12 @@ impl MorselTable {
         &self.mults[row]
     }
 
-    /// A borrowed row view for expression evaluation (no row
-    /// materialization: the evaluator indexes straight into the
-    /// columns).
+    /// Row `row` as the evaluator reads it: the one binding-row view
+    /// ([`Bindings`](crate::eval::Bindings)) over these columns, with no
+    /// row materialized. Column `c` holds the variable the block's plan
+    /// laid out there.
     pub fn bindings_at(&self, row: usize) -> crate::eval::Bindings<'_> {
-        crate::eval::Bindings::Columnar { cols: &self.cols, row }
+        crate::eval::Bindings::new(&self.cols, row)
     }
 }
 

@@ -3,12 +3,14 @@
 //!
 //! `lower_query` compiles a parsed [`Query`] into a [`QueryPlan`]:
 //! the renderable [`Plan`] tree `EXPLAIN` prints **and** the per-block
-//! [`BlockPlan`]s the executor consumes. The executor no longer
-//! re-derives pushdown decisions per run — WHERE conjuncts are split
-//! once at plan time, each conjunct is assigned to the earliest binding
-//! step that can evaluate it, and every pattern hop carries a
-//! [`HopStrategy`] chosen by the cost model. `EXPLAIN` therefore renders
-//! the plan that actually executes.
+//! [`BlockPlan`]s the executor consumes. The executor decides nothing
+//! about a block's binding table: one walk over the block's binding
+//! steps (its match program) fixes each FROM variable's column and
+//! assigns every WHERE conjunct, split once here, to the earliest step
+//! that can evaluate it, to the hop whose unbound target it alone names,
+//! or to the residual list; every pattern hop carries a [`HopStrategy`]
+//! chosen by the cost model. `EXPLAIN` renders that same walk, so it
+//! prints the plan that actually executes.
 //!
 //! Planning is *cost-based* when graph statistics are available
 //! ([`pgraph::graph::GraphStats`], collected at `finalize()` time):
@@ -32,7 +34,7 @@
 //!
 //! Determinism contract: hops within one FROM item execute in pattern
 //! order (the cost model annotates but never reorders them). Whole FROM
-//! *items* may be reordered ([`BlockPlan::from_order`]) — but only when
+//! *items* may be reordered ([`BlockPlan`]'s steps) — but only when
 //! the reorder is provably output-invariant: items bind disjoint
 //! variables, every WHERE conjunct touches at most one item (so the
 //! surviving row set is a product of per-item filters and each alias's
@@ -44,6 +46,7 @@
 //! refreshes.
 
 use crate::ast::*;
+use crate::error::{Error, Result};
 use crate::explain::{Plan, PlanNode};
 use crate::exec::Engine;
 use crate::lint::QueryFacts;
@@ -156,10 +159,11 @@ impl FoldVerdict {
 
 /// The executable plan for one SELECT block under one path semantics:
 /// the split WHERE conjuncts (with the FROM variables each references),
-/// the per-hop strategy choices and the fold verdict of each accumulator
-/// clause. The executor's pushdown worklist is a list of *indices* into
-/// [`BlockPlan::conjuncts`], so per-execution bookkeeping never clones
-/// or re-walks the AST.
+/// the match program that builds the binding table — its binding steps,
+/// the column each FROM variable gets and where each conjunct runs — and
+/// the fold verdict of each accumulator clause. Steps name conjuncts by
+/// index into [`BlockPlan::conjuncts`], so running a block never clones
+/// or re-walks the AST and never decides a layout.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     /// The path semantics this block was lowered under. A block has one
@@ -169,16 +173,24 @@ pub struct BlockPlan {
     /// Split WHERE conjuncts in source order, each with the sorted,
     /// deduplicated FROM variables it references.
     pub conjuncts: Vec<(Expr, Vec<String>)>,
-    /// Hop strategies by FROM-item index, then by hop index within the
-    /// item — the item [`BlockPlan::rewritten_from`] substitutes where
-    /// it has one (a reversal keeps the hop count). Table items have
-    /// none.
-    pub strategies: Vec<Vec<HopStrategy>>,
-    /// Execution order of the FROM items as indices into the source
-    /// list: the source order unless the cost model found a strictly
-    /// cheaper order *and* the output-invariance gate held (see the
-    /// module docs' determinism contract).
-    pub from_order: Vec<usize>,
+    /// The binding steps, in execution order: each FROM item its scan,
+    /// then its hops in pattern order. The items run in source order
+    /// unless the cost model found a strictly cheaper order *and* the
+    /// output-invariance gate held (see the module docs' determinism
+    /// contract).
+    pub(crate) steps: Vec<MatchStep>,
+    /// The conjuncts no step ran (those naming no FROM variable among
+    /// them), in ascending order: they filter the finished table.
+    pub(crate) residual: Vec<usize>,
+    /// The column of every named FROM variable in the finished binding
+    /// table. Columns are appended in bind order (a hop's edge variable
+    /// before its target); anonymous pattern vertices hold a column but
+    /// no name. Every expression of the block binds its names here.
+    pub(crate) columns: FxHashMap<String, usize>,
+    /// The column POST_ACCUM iterates the distinct vertices of, and its
+    /// variable — the one FROM variable the clause names, if any — or
+    /// the error the clause raises when it names two.
+    pub(crate) post_accum_col: Result<Option<(usize, String)>>,
     /// Fold verdict for the ACCUM clause.
     pub accum_fold: FoldVerdict,
     /// No ACCUM statement reads (unprimed) an accumulator the clause
@@ -193,6 +205,79 @@ pub struct BlockPlan {
     /// the block's outputs invariant under row reordering, so the
     /// executor walks this item instead of the source one.
     pub rewritten_from: FxHashMap<usize, FromItem>,
+}
+
+impl BlockPlan {
+    /// The FROM item the steps of item `idx` walk: its rewrite, where
+    /// the planner made one, else `block`'s own item.
+    pub(crate) fn item_walked<'a>(&'a self, block: &'a SelectBlock, idx: usize) -> &'a FromItem {
+        self.rewritten_from.get(&idx).unwrap_or(&block.from[idx])
+    }
+}
+
+/// Where a binding step puts a FROM variable: a new column appended at
+/// this position, or the column an earlier step bound it to, which the
+/// step joins on (it keeps the rows whose binding there it matches).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum VarCol {
+    New(usize),
+    Join(usize),
+}
+
+impl VarCol {
+    pub(crate) fn col(self) -> usize {
+        match self {
+            VarCol::New(c) | VarCol::Join(c) => c,
+        }
+    }
+}
+
+/// One binding step of a block's match program: it walks FROM item
+/// `item` (index into the source list), then filters its output by each
+/// `ready` conjunct — those whose FROM variables are all bound once it
+/// has run — in ascending order.
+#[derive(Debug, Clone)]
+pub(crate) struct MatchStep {
+    pub item: usize,
+    pub op: StepOp,
+    pub ready: Vec<usize>,
+}
+
+/// What a [`MatchStep`] binds.
+#[derive(Debug, Clone)]
+pub(crate) enum StepOp {
+    /// A pattern's start vertex, or a `name:alias` item: the rows of the
+    /// engine's table `name` when it holds one, else a vertex scan.
+    /// Which one is decided when the step runs, since a prepared plan
+    /// may run on engines holding different tables; table rows need a
+    /// new column, so a joined alias then fails with [`bound_twice`].
+    /// `pins` may pin a new vertex column to one vertex ([`scan_pins`]).
+    Scan { var: VarCol, pins: Vec<String> },
+    Hop(HopStep),
+}
+
+/// Hop `hop` of a pattern, from the vertex in column `from`, binding its
+/// edge variable in a new column `edge` and its target in `to`.
+#[derive(Debug, Clone)]
+pub(crate) struct HopStep {
+    pub hop: usize,
+    pub from: usize,
+    pub edge: Option<usize>,
+    pub to: VarCol,
+    /// The conjuncts that name only the hop's unbound target (sargable
+    /// anchors), in the order the hop tests them: last conjunct first.
+    pub targets: Vec<usize>,
+    pub strategy: HopStrategy,
+    /// A variable the hop binds although it holds a column already and
+    /// the hop cannot join on it (its edge variable, or a target that
+    /// names the edge variable): the hop fails with [`bound_twice`].
+    pub rebinds: Option<String>,
+}
+
+/// The error of a FROM clause that binds `var` twice where the second
+/// binding cannot join on the first.
+pub(crate) fn bound_twice(var: &str) -> Error {
+    Error::compile(format!("variable `{var}` bound twice in FROM"))
 }
 
 /// A lowered, optimized query plan: the renderable [`Plan`] tree plus
@@ -451,8 +536,8 @@ fn annotate(node: &mut PlanNode, rows: f64, cost: f64) {
 
 /// Estimated cardinality of scanning `name` (vertex type, vertex-set
 /// variable, parameter, or `_`/`ANY`), narrowed to 1 when the binding
-/// variable is anchored by a same-named vertex parameter (mirroring the
-/// executor's `anchor_for`).
+/// variable is anchored by a same-named vertex parameter (as the
+/// executor pins such a scan).
 fn scan_est(name: &str, var: Option<&str>, st: &LowerState<'_, '_>) -> f64 {
     let Some(ctx) = st.ctx else { return 0.0 };
     let stats = ctx.graph.stats();
@@ -617,11 +702,9 @@ fn expr_label(e: &Expr) -> String {
     }
 }
 
-fn collect_refs(e: &Expr, out: &mut Vec<String>) {
+fn collect_refs<'e>(e: &'e Expr, out: &mut Vec<&'e str>) {
     e.walk(&mut |sub| match sub {
-        Expr::Ident(n) => out.push(n.clone()),
-        Expr::Attr { base, .. } => out.push(base.clone()),
-        Expr::VAcc { var, .. } => out.push(var.clone()),
+        Expr::Ident(n) | Expr::Attr { base: n, .. } | Expr::VAcc { var: n, .. } => out.push(n),
         _ => {}
     });
 }
@@ -629,7 +712,7 @@ fn collect_refs(e: &Expr, out: &mut Vec<String>) {
 /// Whether a WHERE conjunct whose FROM-variable references are `refs`
 /// names only `var` — a sargable anchor of the hop into an unbound `var`,
 /// consumed by that hop rather than by a later filter.
-pub(crate) fn names_only(refs: &[String], var: &str) -> bool {
+fn names_only(refs: &[String], var: &str) -> bool {
     refs.len() == 1 && refs[0] == var
 }
 
@@ -922,6 +1005,96 @@ fn choose_hop_reversal(
     }
 }
 
+/// The binding table's columns as the match-program walk binds them:
+/// named variables' columns, and the width (anonymous columns included).
+#[derive(Default)]
+struct Layout {
+    columns: FxHashMap<String, usize>,
+    width: usize,
+}
+
+impl Layout {
+    /// Appends a column for `var` (anonymous when `None`).
+    fn push(&mut self, var: Option<&str>) -> usize {
+        if let Some(v) = var {
+            self.columns.insert(v.to_string(), self.width);
+        }
+        self.width += 1;
+        self.width - 1
+    }
+
+    /// Where a vertex variable goes: the column it holds already, else a
+    /// new one.
+    fn slot(&mut self, var: Option<&str>) -> VarCol {
+        match var.and_then(|v| self.columns.get(v)) {
+            Some(&c) => VarCol::Join(c),
+            None => VarCol::New(self.push(var)),
+        }
+    }
+}
+
+/// What may pin a scan into `var` to one vertex: `var` itself, then the
+/// other side of each live `var == p` conjunct in ascending order. The
+/// first that names a vertex when the scan runs (a vertex parameter or
+/// FOREACH variable) wins; the conjunct still runs after the scan. Empty
+/// for an anonymous variable or one the scan joins on.
+fn scan_pins(
+    var: Option<&str>,
+    layout: &Layout,
+    live: &[bool],
+    conjuncts: &[(Expr, Vec<String>)],
+) -> Vec<String> {
+    let Some(var) = var.filter(|v| !layout.columns.contains_key(*v)) else { return Vec::new() };
+    let mut pins = vec![var.to_string()];
+    for (i, (c, _)) in conjuncts.iter().enumerate() {
+        if let (true, Expr::Binary { op: BinOp::Eq, lhs, rhs }) = (live[i], c) {
+            match (&**lhs, &**rhs) {
+                (Expr::Ident(a), Expr::Ident(b)) if a == var => pins.push(b.clone()),
+                (Expr::Ident(a), Expr::Ident(b)) if b == var => pins.push(a.clone()),
+                _ => {}
+            }
+        }
+    }
+    pins
+}
+
+/// The column and name of the one FROM variable a POST_ACCUM clause
+/// iterates (paper Section 4.4 / real-GSQL restriction: POST_ACCUM
+/// statements may reference at most one vertex alias of the FROM
+/// clause), `None` when it names none, or the error it raises when it
+/// names two.
+fn post_accum_col(
+    stmts: &[AccStmt],
+    columns: &FxHashMap<String, usize>,
+) -> Result<Option<(usize, String)>> {
+    let mut names: Vec<&str> = Vec::new();
+    for stmt in stmts {
+        match stmt {
+            AccStmt::VAcc { var, expr, .. } => {
+                names.push(var);
+                collect_refs(expr, &mut names);
+            }
+            AccStmt::GAcc { expr, .. } | AccStmt::LocalDecl { expr, .. } => {
+                collect_refs(expr, &mut names);
+            }
+        }
+    }
+    let mut found: Option<&str> = None;
+    for n in names.into_iter().filter(|n| columns.contains_key(*n)) {
+        match found {
+            None => found = Some(n),
+            Some(f) if f == n => {}
+            Some(f) => {
+                return Err(Error::compile(format!(
+                    "POST_ACCUM references two FROM variables (`{f}` and `{n}`); \
+                     it may reference at most one vertex alias"
+                )))
+            }
+        }
+    }
+    Ok(found.map(|n| (columns[n], n.to_string())))
+}
+
 /// Lowers one SELECT block: produces the renderable node, the
 /// executable [`BlockPlan`], and the estimated output cardinality.
 fn lower_block(
@@ -950,18 +1123,21 @@ fn lower_block(
         for c in parts {
             let mut refs = Vec::new();
             collect_refs(&c, &mut refs);
-            refs.retain(|r| will_bind.contains(r));
-            refs.sort();
+            refs.retain(|r| will_bind.contains(*r));
+            refs.sort_unstable();
             refs.dedup();
+            let refs = refs.into_iter().map(String::from).collect();
             conjuncts.push((c, refs));
         }
     }
-    let mut strategies: Vec<Vec<HopStrategy>> = vec![Vec::new(); block.from.len()];
-
-    // `live` tracks which conjuncts are still pending (pushdown state
-    // machine over the binding steps, mirroring the executor).
+    // The match program: one walk over the binding steps, in FROM order,
+    // decides each variable's column, which conjuncts each step makes
+    // ready, which ones a hop tests on its unbound target and which are
+    // left over. EXPLAIN's pushdown nodes and the executor's steps both
+    // come from it. `live` marks the conjuncts no step has taken yet.
     let mut live: Vec<bool> = vec![true; conjuncts.len()];
-    let mut bound: FxHashSet<String> = FxHashSet::default();
+    let mut layout = Layout::default();
+    let mut steps: Vec<MatchStep> = Vec::new();
     let mut rows = 1.0f64;
     let mut cost_total = 0.0f64;
     // Per-conjunct proven constancy from the interval analysis, aligned
@@ -976,19 +1152,21 @@ fn lower_block(
             None => (filtered_card(rows, c), ""),
         }
     };
-    // Attach every conjunct whose variables are all bound to `parent`
-    // (the binding step that made it ready) as a pushdown-filter child.
-    let emit_ready = |bound: &FxHashSet<String>,
+    // Takes every live conjunct whose variables are all bound, attaches
+    // it to `parent` (the binding step that made it ready) as a
+    // pushdown-filter child and returns the taken indices, ascending.
+    let take_ready = |layout: &Layout,
                       live: &mut Vec<bool>,
-                      conjuncts: &[(Expr, Vec<String>)],
                       rows: &mut f64,
-                      parent: &mut PlanNode,
-                      with_est: bool| {
+                      parent: &mut PlanNode|
+     -> Vec<usize> {
+        let mut ready = Vec::new();
         for (i, (c, refs)) in conjuncts.iter().enumerate() {
-            if !live[i] || refs.is_empty() || !refs.iter().all(|v| bound.contains(v)) {
+            if !live[i] || refs.is_empty() || !refs.iter().all(|v| layout.columns.contains_key(v)) {
                 continue;
             }
             live[i] = false;
+            ready.push(i);
             let cost = *rows;
             let (next, note) = conjunct_rows(i, *rows, c);
             *rows = next;
@@ -1001,6 +1179,7 @@ fn lower_block(
             }
             parent.children.push(f);
         }
+        ready
     };
 
     let mut from_order = choose_from_order(block, &conjuncts, accum_fold, st);
@@ -1018,8 +1197,8 @@ fn lower_block(
     }
     // Hop reordering: reverse the whole pattern when the far endpoint
     // is the cheaper anchor and every row consumer is order-invariant.
-    // The plan walk below (and the executor, via
-    // [`BlockPlan::rewritten_from`]) then traverses the rewritten item.
+    // The walk below (and so the executor) then traverses the rewritten
+    // item ([`BlockPlan::rewritten_from`]).
     let mut rewritten_from: FxHashMap<usize, FromItem> = FxHashMap::default();
     if let Some((rev, fwd, bwd)) =
         choose_hop_reversal(block, &conjuncts, accum_fold.parallel(), st)
@@ -1053,9 +1232,11 @@ fn lower_block(
                     cost_total += rows;
                     annotate(&mut scan, rows, rows);
                 }
-                bound.insert(alias.clone());
-                emit_ready(&bound, &mut live, &conjuncts, &mut rows, &mut scan, with_est);
+                let pins = scan_pins(Some(alias), &layout, &live, &conjuncts);
+                let var = layout.slot(Some(alias));
+                let ready = take_ready(&layout, &mut live, &mut rows, &mut scan);
                 node.children.push(scan);
+                steps.push(MatchStep { item: item_idx, op: StepOp::Scan { var, pins }, ready });
             }
             FromItem::Pattern { start, hops, .. } => {
                 let mut scan = PlanNode::new(
@@ -1072,23 +1253,28 @@ fn lower_block(
                     cost_total += rows;
                     annotate(&mut scan, rows, rows);
                 }
-                if let Some(v) = &start.var {
-                    bound.insert(v.clone());
-                }
-                emit_ready(&bound, &mut live, &conjuncts, &mut rows, &mut scan, with_est);
+                let pins = scan_pins(start.var.as_deref(), &layout, &live, &conjuncts);
+                let var = layout.slot(start.var.as_deref());
+                let ready = take_ready(&layout, &mut live, &mut rows, &mut scan);
                 node.children.push(scan);
-                for hop in hops {
+                steps.push(MatchStep { item: item_idx, op: StepOp::Scan { var, pins }, ready });
+                let mut from = var.col();
+                for (hop_idx, hop) in hops.iter().enumerate() {
                     let to = hop
                         .to
                         .var
                         .as_ref()
                         .map(|v| format!("{} AS {v}", hop.to.name))
                         .unwrap_or_else(|| hop.to.name.clone());
+                    // A target bound before the hop is joined on.
+                    let joined: Option<usize> =
+                        hop.to.var.as_ref().and_then(|tv| layout.columns.get(tv).copied());
+                    let target_already_bound = joined.is_some();
                     // Sargable conjuncts reference only the (not yet
                     // bound) hop target: they narrow the candidate set
                     // before the kernel runs.
                     let sargable_idx: Vec<usize> = match &hop.to.var {
-                        Some(tv) if !bound.contains(tv) => conjuncts
+                        Some(tv) if !target_already_bound => conjuncts
                             .iter()
                             .enumerate()
                             .filter(|(i, (_, refs))| live[*i] && names_only(refs, tv))
@@ -1096,8 +1282,6 @@ fn lower_block(
                             .collect(),
                         _ => Vec::new(),
                     };
-                    let target_already_bound =
-                        hop.to.var.as_ref().is_some_and(|tv| bound.contains(tv));
                     // Estimated distinct-target cardinality after
                     // sargable narrowing and parameter anchoring;
                     // `target_base` is the unnarrowed type population.
@@ -1133,7 +1317,6 @@ fn lower_block(
                     } else {
                         HopStrategy::EnumForward
                     };
-                    strategies[item_idx].push(strategy);
                     let mut hop_node = PlanNode::new(
                         "hop",
                         format!("hop -({})-> {to}: {}", hop.darpe, strategy.describe()),
@@ -1169,8 +1352,7 @@ fn lower_block(
                         cost_total += cost;
                         annotate(&mut hop_node, rows, cost);
                     }
-                    // Consume the sargable conjuncts (highest index
-                    // first so earlier indices stay valid).
+                    // The hop consumes its sargable conjuncts.
                     for &i in &sargable_idx {
                         live[i] = false;
                         let mut a = PlanNode::new(
@@ -1182,24 +1364,50 @@ fn lower_block(
                         }
                         hop_node.children.push(a);
                     }
-                    if let Some(ev) = &hop.edge_var {
-                        bound.insert(ev.clone());
-                    }
-                    if let Some(tv) = &hop.to.var {
-                        bound.insert(tv.clone());
-                    }
-                    emit_ready(
-                        &bound, &mut live, &conjuncts, &mut rows, &mut hop_node, with_est,
-                    );
+                    // The edge column comes before the target's. An edge
+                    // variable never joins: bound before, or named by the
+                    // target too, it fails the hop.
+                    let mut rebinds = None;
+                    let edge = hop.edge_var.as_ref().map(|ev| {
+                        if layout.columns.contains_key(ev) {
+                            rebinds = Some(ev.clone());
+                        }
+                        layout.push(Some(ev))
+                    });
+                    let to_col = match joined {
+                        Some(c) => VarCol::Join(c),
+                        None => {
+                            let tv = hop.to.var.as_ref();
+                            if tv.is_some_and(|tv| layout.columns.contains_key(tv)) {
+                                rebinds = rebinds.or_else(|| tv.cloned());
+                            }
+                            VarCol::New(layout.push(hop.to.var.as_deref()))
+                        }
+                    };
+                    let ready = take_ready(&layout, &mut live, &mut rows, &mut hop_node);
                     node.children.push(hop_node);
+                    let targets = sargable_idx.iter().rev().copied().collect();
+                    let step = HopStep {
+                        hop: hop_idx,
+                        from,
+                        edge,
+                        to: to_col,
+                        targets,
+                        strategy,
+                        rebinds,
+                    };
+                    steps.push(MatchStep { item: item_idx, op: StepOp::Hop(step), ready });
+                    from = to_col.col();
                 }
             }
         }
     }
+    let mut residual = Vec::new();
     for (i, (c, _)) in conjuncts.iter().enumerate() {
         if !live[i] {
             continue;
         }
+        residual.push(i);
         let (next, note) = conjunct_rows(i, rows, c);
         let mut f = PlanNode::new(
             "residual-filter",
@@ -1284,9 +1492,11 @@ fn lower_block(
         node,
         BlockPlan {
             semantics,
+            post_accum_col: post_accum_col(&block.post_accum, &layout.columns),
             conjuncts,
-            strategies,
-            from_order,
+            steps,
+            residual,
+            columns: layout.columns,
             accum_fold,
             accum_in_place: !crate::lint::reads_own_target(&block.accum),
             post_accum_fold,
@@ -1305,6 +1515,77 @@ mod tests {
 
     fn ctx_tables() -> FxHashMap<String, Table> {
         FxHashMap::default()
+    }
+
+    /// The FROM items in the order the match program scans them.
+    fn scan_order(bp: &BlockPlan) -> Vec<usize> {
+        bp.steps.iter().filter(|s| matches!(s.op, StepOp::Scan { .. })).map(|s| s.item).collect()
+    }
+
+    /// The strategies of FROM item `item`'s hop steps, in hop order.
+    fn hop_strategies(bp: &BlockPlan, item: usize) -> Vec<HopStrategy> {
+        bp.steps
+            .iter()
+            .filter(|s| s.item == item)
+            .filter_map(|s| match &s.op {
+                StepOp::Hop(h) => Some(h.strategy),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The match program lays columns out in bind order (an edge before
+    /// its target), joins a variable bound earlier, runs each conjunct
+    /// once — at the step that binds its last variable, at the hop whose
+    /// unbound target it alone names (last conjunct first), or as a
+    /// residual — and records the FROM errors instead of raising them.
+    #[test]
+    fn the_match_program_lays_out_columns_and_schedules_every_conjunct_once() {
+        let q = parse_query(
+            "CREATE QUERY m (vertex p) {
+               SumAccum<int> @n;
+               S = SELECT t FROM V:s -(E>:e)- V:t -(E>)- V -(E>)- V:s
+                   WHERE s == p AND t.x > 1 AND e.w > 0 AND 1 < 2 AND t.x < 9
+                   POST_ACCUM t.@n += 1;
+               T = SELECT s FROM V:s -(E>:s)- V:t POST_ACCUM s.@n += 1, t.@n += 1;
+             }",
+        )
+        .unwrap();
+        let plan = lower_query(&q, PathSemantics::AllShortestPaths, None);
+        let bp = plan.block_plan(0, PathSemantics::AllShortestPaths).unwrap();
+        let cols: Vec<(&str, usize)> =
+            ["s", "e", "t"].iter().map(|v| (*v, bp.columns[*v])).collect();
+        assert_eq!(cols, [("s", 0), ("e", 1), ("t", 2)]);
+        assert_eq!(bp.columns.len(), 3, "the anonymous vertex has a column but no name");
+        let ready: Vec<&[usize]> = bp.steps.iter().map(|s| s.ready.as_slice()).collect();
+        assert_eq!(ready, [&[0usize][..], &[2], &[], &[]]);
+        assert_eq!(bp.residual, [3]);
+        match &bp.steps[0].op {
+            StepOp::Scan { var, pins } => {
+                assert_eq!(*var, VarCol::New(0));
+                assert_eq!(pins, &["s", "p"]);
+            }
+            other => panic!("expected a scan, got {other:?}"),
+        }
+        let hops: Vec<&HopStep> = bp.steps[1..]
+            .iter()
+            .map(|s| match &s.op {
+                StepOp::Hop(h) => h,
+                other => panic!("expected a hop, got {other:?}"),
+            })
+            .collect();
+        assert_eq!((hops[0].from, hops[0].edge, hops[0].to), (0, Some(1), VarCol::New(2)));
+        assert_eq!(hops[0].targets, [4, 1], "target conjuncts, last first");
+        assert_eq!((hops[1].from, hops[1].to), (2, VarCol::New(3)));
+        assert_eq!((hops[2].from, hops[2].to), (3, VarCol::Join(0)));
+        assert!(hops.iter().all(|h| h.rebinds.is_none()));
+        assert_eq!(bp.post_accum_col, Ok(Some((2, "t".to_string()))));
+
+        let bp = plan.block_plan(1, PathSemantics::AllShortestPaths).unwrap();
+        let StepOp::Hop(h) = &bp.steps[1].op else { panic!("expected a hop") };
+        assert_eq!(h.rebinds.as_deref(), Some("s"));
+        let err = bp.post_accum_col.clone().unwrap_err();
+        assert!(err.to_string().contains("two FROM variables"), "{err}");
     }
 
     #[test]
@@ -1400,7 +1681,8 @@ mod tests {
                 .block_plan(block.id, PathSemantics::NonRepeatedEdge)
                 .expect("block plan present");
             assert_eq!(bp.semantics, PathSemantics::NonRepeatedEdge);
-            for (item, strategies) in block.from.iter().zip(&bp.strategies) {
+            for (i, item) in block.from.iter().enumerate() {
+                let strategies = hop_strategies(bp, i);
                 if let FromItem::Pattern { hops, .. } = item {
                     assert_eq!(strategies.len(), hops.len(), "one strategy per hop");
                 }
@@ -1432,7 +1714,7 @@ mod tests {
         for s in [PathSemantics::AllShortestPaths, PathSemantics::ShortestOne] {
             let bp = plan.block_plan(0, s).unwrap_or_else(|| panic!("no plan under {s:?}"));
             assert_eq!(bp.semantics, s);
-            assert_eq!(bp.strategies, vec![vec![HopStrategy::CountingForward]]);
+            assert_eq!(hop_strategies(bp, 0), vec![HopStrategy::CountingForward]);
         }
         assert!(plan.block_plan(0, PathSemantics::NonRepeatedEdge).is_none());
         assert_eq!(plan.plan.render().matches("BLOCK ").count(), 1);
@@ -1462,13 +1744,13 @@ mod tests {
             other => panic!("unexpected stmt {other:?}"),
         };
         let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
-        assert_eq!(bp.from_order, vec![1, 0], "point-lookup scan anchors first");
+        assert_eq!(scan_order(bp), [1, 0], "point-lookup scan anchors first");
         let text = plan.plan.render();
         assert!(text.contains("from-reorder"), "{text}");
         // Graph-less lowering never reorders (no statistics).
         let plain = lower_query(&q, PathSemantics::AllShortestPaths, None);
         let bp = plain.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
-        assert_eq!(bp.from_order, [0, 1]);
+        assert_eq!(scan_order(bp), [0, 1]);
     }
 
     /// A cross-item conjunct makes first-occurrence order depend on
@@ -1494,7 +1776,7 @@ mod tests {
             other => panic!("unexpected stmt {other:?}"),
         };
         let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
-        assert_eq!(bp.from_order, [0, 1]);
+        assert_eq!(scan_order(bp), [0, 1]);
         // ListAccum is order-dependent: combine order would show through.
         let inexact = parse_query(
             "CREATE QUERY two (STRING aName) {
@@ -1512,6 +1794,6 @@ mod tests {
             other => panic!("unexpected stmt {other:?}"),
         };
         let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
-        assert_eq!(bp.from_order, [0, 1]);
+        assert_eq!(scan_order(bp), [0, 1]);
     }
 }

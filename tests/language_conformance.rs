@@ -965,3 +965,59 @@ fn vertex_set_scans_are_ascending_and_exact() {
     assert_eq!(pairs("Path"), ["alice-blocks", "bob-novel", "dave-novel"]);
     assert_eq!(pairs("Other"), ["alice-robot", "bob-robot", "carol-kite"]);
 }
+
+/// Blocks whose FROM binds a variable twice, or whose POST_ACCUM names
+/// two FROM variables, each with the error it raises when it runs.
+const LAYOUT_ERRORS: [(&str, &str); 3] = [
+    (
+        "SELECT e FROM Employee:e, Employee:e;",
+        "variable `e` bound twice in FROM",
+    ),
+    (
+        "SELECT c FROM Customer:c -(Bought>:c)- Product:p;",
+        "variable `c` bound twice in FROM",
+    ),
+    (
+        "SELECT c FROM Customer:c -(Bought>)- Product:p POST_ACCUM c.@n += 1, p.@n += 1;",
+        "POST_ACCUM references two FROM variables (`c` and `p`); \
+         it may reference at most one vertex alias",
+    ),
+];
+
+/// An engine over the SalesGraph with a one-row `Employee` table.
+fn layout_engine(g: &pgraph::graph::Graph) -> Engine<'_> {
+    let employees =
+        Table::from_rows("Employee", &["name"], vec![vec![Value::from("ann")]]);
+    Engine::new(g).with_table(employees)
+}
+
+#[test]
+fn from_layout_errors_fail_the_block_that_runs() {
+    let g = sales_graph();
+    let engine = layout_engine(&g);
+    for (block, message) in LAYOUT_ERRORS {
+        let src = format!(
+            "CREATE QUERY L () {{ SumAccum<int> @n; S = {block} PRINT S.size(); }}"
+        );
+        let err = engine.run_text(&src, &[]).expect_err(block);
+        assert_eq!(err.kind(), gsql_core::ErrorKind::Compile, "{block}: {err}");
+        assert_eq!(err, Error::compile(message), "{block}");
+    }
+}
+
+#[test]
+fn from_layout_errors_in_an_untaken_branch_do_not_fail_the_query() {
+    let g = sales_graph();
+    let engine = layout_engine(&g);
+    for (block, _) in LAYOUT_ERRORS {
+        let src = format!(
+            "CREATE QUERY L () {{ SumAccum<int> @n; SumAccum<int> @@k; \
+             IF 1 > 2 THEN S = {block} @@k += 1; END; PRINT @@k; }}"
+        );
+        let out = engine.run_text(&src, &[]).unwrap_or_else(|e| panic!("{block}: {e}"));
+        assert_eq!(out.prints, vec!["@@k = 0".to_string()], "{block}");
+        let q = gsql_core::parse_query(&src).unwrap();
+        let plan = engine.explain(&q).unwrap_or_else(|e| panic!("{block}: {e}"));
+        assert!(plan.render().contains("BLOCK 1:"), "{block}");
+    }
+}

@@ -443,6 +443,55 @@ fn use_semantics_in_then_does_not_reach_else() {
     assert!(lint_query(&after, COUNTING).iter().any(|d| d.code == "P001"));
 }
 
+#[test]
+fn a_block_after_an_if_is_checked_under_every_semantics_it_can_run_in() {
+    // At flag = 1 the block runs under the THEN branch's
+    // non_repeated_edge (P001); at flag = 0 under the counting semantics
+    // the query had before the IF (P003).
+    let src = r#"CREATE QUERY q (INT flag) {
+  ListAccum<int> @@l;
+  IF flag == 1 THEN
+    USE SEMANTICS 'non_repeated_edge';
+  END;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@l += 1;
+  PRINT @@l;
+}"#;
+    let q = parse_query(src).unwrap();
+    let diags = lint_query(&q, COUNTING);
+    let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
+    assert!(codes.contains(&"P001"), "{codes:?}");
+    assert!(codes.contains(&"P003"), "{codes:?}");
+    for (i, d) in diags.iter().enumerate() {
+        assert!(!diags[..i].contains(d), "duplicate diagnostic {d:?}");
+    }
+    // The engine agrees: at flag = 0 the block fails as
+    // multiplicity-sensitive under counting.
+    let (g, _) = pgraph::generators::diamond_chain(3);
+    let err = gsql_core::Engine::new(&g)
+        .run(&q, &[("flag", pgraph::value::Value::Int(0))])
+        .unwrap_err();
+    assert!(err.to_string().contains("multiplicity-sensitive"), "{err}");
+
+    // A loop body runs zero or more times: after a WHILE whose body
+    // switches semantics, both the entry and the body's semantics hold.
+    let looped = parse_query(
+        r#"CREATE QUERY q (INT n) {
+  ListAccum<int> @@l;
+  SumAccum<int> @@i;
+  WHILE @@i < n DO
+    USE SEMANTICS 'non_repeated_edge';
+    @@i += 1;
+  END;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@l += 1;
+  PRINT @@l;
+}"#,
+    )
+    .unwrap();
+    let codes: Vec<&str> = lint_query(&looped, COUNTING).iter().map(|d| d.code).collect();
+    assert!(codes.contains(&"P001"), "{codes:?}");
+    assert!(codes.contains(&"P003"), "{codes:?}");
+}
+
 // ---- P004 bounded fan-out estimate under enumeration --------------------
 
 #[test]
