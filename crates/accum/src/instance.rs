@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// to its group number. A new group costs its key and its neutral nested
 /// accumulators, nothing boxed per group. A key carries the hash of its
 /// fields, computed once when it is first probed; the index hashes only
-/// that `u64`, so insertion, index growth and [`GroupTable::merge`] never
+/// that `u64`, so insertion, index growth and `GroupTable::merge` never
 /// hash a field again. The group order becomes visible only in
 /// [`Accum::value`], which sorts by key.
 #[derive(Debug, Clone)]

@@ -18,7 +18,6 @@ use crate::plan::{
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
-use crate::tractable;
 use accum::{Accum, AccumType, Input, UserAccumRegistry};
 use darpe::{resolve_symbol, CompiledDarpe, SymbolSpec};
 use pgraph::bigcount::BigCount;
@@ -1343,12 +1342,17 @@ impl<'e, 'g> Runtime<'e, 'g> {
     }
 
     fn exec_select_inner(&mut self, block: &SelectBlock) -> Result<Option<Vec<VertexId>>> {
-        // Static tractability check against the declared accumulators.
-        tractable::check_block(
-            block,
-            self.semantics,
-            |n| self.vacc_ids.get(n).map(|&id| &self.vaccs[id].ty),
-            |n| self.gacc_ids.get(n).map(|&id| &self.gacc_types[id]),
+        // The block's plan under the semantics in force. Its tractable
+        // class is raised first, against the accumulators declared now.
+        let plan = self.plan;
+        let bp = plan.block_plan(block.id, self.semantics).ok_or_else(|| {
+            Error::runtime(format!("internal error: block {} has no plan", block.id + 1))
+        })?;
+        bp.tractable.check(
+            |n, global| match global {
+                true => self.gacc_ids.get(n).map(|&id| &self.gacc_types[id]),
+                false => self.vacc_ids.get(n).map(|&id| &self.vaccs[id].ty),
+            },
             &self.eng.registry,
         )?;
 
@@ -1358,12 +1362,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // by the conjuncts it made ready (classic selection pushdown —
         // without it the Q_n query would run the reachability kernel
         // from every vertex of the graph before filtering on `s.name`).
-        // The plan holds the block under every semantics the query can
-        // reach it in.
-        let plan = self.plan;
-        let bp = plan.block_plan(block.id, self.semantics).ok_or_else(|| {
-            Error::runtime(format!("internal error: block {} has no plan", block.id + 1))
-        })?;
         let mut table_refs: Vec<&Table> = Vec::new();
         let mut rows = MorselTable::unit();
         for step in &bp.steps {
@@ -1799,8 +1797,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // Counting kernels reverse only when the cost model asked for it
         // (fewer estimated targets than sources); enumerative kernels
         // always prefer the anchored side, hint or no hint.
-        let backward_capable = self.semantics.is_enumerative()
-            || hs.strategy == HopStrategy::CountingBackward;
+        let backward_capable = hs.strategy != HopStrategy::CountingForward;
         // A small (spec-refined) target set also anchors the kernel: run
         // backward once per target instead of forward once per source.
         let spec_targets: Option<Vec<VertexId>> = if backward_capable && !target_bound {

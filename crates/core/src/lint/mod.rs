@@ -110,16 +110,28 @@ pub(crate) struct AccInfo<'a> {
     pub span: Span,
 }
 
-/// The path semantics a statement can run under, each with whether an
-/// inline `USE SEMANTICS` statement set it (vs. the engine's ambient
-/// default), in the order the walk first reached them.
-pub(crate) type SemSet = Vec<(PathSemantics, bool)>;
+/// What can reach a statement, in the order the walk first reached it:
+/// the path semantics it can run under, each with whether an inline
+/// `USE SEMANTICS` statement set it (vs. the engine's ambient default),
+/// and the accumulator declarations that can be in force there, each as
+/// `(name, global, type)`.
+#[derive(Clone)]
+pub(crate) struct Reach<'a> {
+    pub semantics: Vec<(PathSemantics, bool)>,
+    pub decls: Vec<(&'a str, bool, &'a AccumType)>,
+}
 
-/// One SELECT block together with every path semantics it can execute
-/// under.
+impl<'a> Reach<'a> {
+    /// Adds what `from` holds and `self` lacks; `true` when it grew.
+    fn union(&mut self, from: &Reach<'a>) -> bool {
+        union_into(&mut self.semantics, &from.semantics) | union_into(&mut self.decls, &from.decls)
+    }
+}
+
+/// One SELECT block together with everything that can reach it.
 pub(crate) struct BlockCtx<'a> {
     pub block: &'a SelectBlock,
-    pub semantics: SemSet,
+    pub reach: Reach<'a>,
 }
 
 /// Shared analysis context built once per lint run.
@@ -142,20 +154,19 @@ impl<'a> Ctx<'a> {
             gaccs: FxHashMap::default(),
             blocks: Vec::new(),
         };
-        let mut sem = vec![(ambient, false)];
-        cx.collect(&q.body, &mut sem);
+        let mut reach = Reach { semantics: vec![(ambient, false)], decls: Vec::new() };
+        cx.collect(&q.body, &mut reach);
         cx
     }
 
-    /// Walks statements in execution order, threading the set of path
-    /// semantics each can run under the way the executor switches them
-    /// (a `USE SEMANTICS` statement affects everything after it,
-    /// including loop bodies). Each IF branch starts from the set before
-    /// the IF, and after it either branch's exit set may hold. A loop
-    /// body runs zero or more times, so it is walked until the set it
-    /// starts from — the entry set plus its own exit sets — stops
-    /// growing, and that set holds after the loop.
-    fn collect(&mut self, stmts: &'a [Stmt], sem: &mut SemSet) {
+    /// Walks statements in execution order, threading what reaches each
+    /// as the executor runs them: a `USE SEMANTICS` or an accumulator
+    /// declaration holds for everything after it until the next one
+    /// replaces it. Each IF branch starts from what reached the IF, and
+    /// either branch's exit may hold after it. A loop body runs zero or
+    /// more times, so it is walked until what it starts from — the entry
+    /// plus its own exits — stops growing, and that holds after the loop.
+    fn collect(&mut self, stmts: &'a [Stmt], reach: &mut Reach<'a>) {
         for stmt in stmts {
             match stmt {
                 Stmt::AccumDecl { ty, decls } => {
@@ -166,43 +177,44 @@ impl<'a> Ctx<'a> {
                         } else {
                             self.vaccs.insert(&d.name, info);
                         }
+                        reach.decls.retain(|&(n, g, _)| (n, g) != (d.name.as_str(), d.global));
+                        reach.decls.push((&d.name, d.global, ty));
                     }
                 }
-                Stmt::UseSemantics(s) => *sem = vec![(*s, true)],
-                Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
-                    self.push_block(b, sem)
+                Stmt::UseSemantics(s) => reach.semantics = vec![(*s, true)],
+                Stmt::Select(b) | Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
+                    self.push_block(b, reach)
                 }
-                Stmt::Select(b) => self.push_block(b, sem),
                 Stmt::While { body, .. } | Stmt::Foreach { body, .. } => loop {
-                    let mut exit = sem.clone();
+                    let mut exit = reach.clone();
                     self.collect(body, &mut exit);
-                    if !union_into(sem, &exit) {
+                    if !reach.union(&exit) {
                         break;
                     }
                 },
                 Stmt::If { then_branch, else_branch, .. } => {
-                    let mut then_exit = sem.clone();
+                    let mut then_exit = reach.clone();
                     self.collect(then_branch, &mut then_exit);
-                    self.collect(else_branch, sem);
-                    union_into(sem, &then_exit);
+                    self.collect(else_branch, reach);
+                    reach.union(&then_exit);
                 }
                 _ => {}
             }
         }
     }
 
-    fn push_block(&mut self, b: &'a SelectBlock, sem: &SemSet) {
+    fn push_block(&mut self, b: &'a SelectBlock, reach: &Reach<'a>) {
         match self.blocks.iter_mut().find(|bc| bc.block.id == b.id) {
             Some(bc) => {
-                union_into(&mut bc.semantics, sem);
+                bc.reach.union(reach);
             }
-            None => self.blocks.push(BlockCtx { block: b, semantics: sem.clone() }),
+            None => self.blocks.push(BlockCtx { block: b, reach: reach.clone() }),
         }
     }
 }
 
 /// Adds the members of `from` that `set` lacks; `true` when it grew.
-fn union_into(set: &mut SemSet, from: &SemSet) -> bool {
+fn union_into<T: PartialEq + Copy>(set: &mut Vec<T>, from: &[T]) -> bool {
     let before = set.len();
     for s in from {
         if !set.contains(s) {

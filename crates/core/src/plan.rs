@@ -191,6 +191,9 @@ pub struct BlockPlan {
     /// variable — the one FROM variable the clause names, if any — or
     /// the error the clause raises when it names two.
     pub(crate) post_accum_col: Result<Option<(usize, String)>>,
+    /// The block's tractable class under `semantics` (paper Section 7),
+    /// which the executor raises each time the block runs.
+    pub tractable: crate::tractable::Class,
     /// Fold verdict for the ACCUM clause.
     pub accum_fold: FoldVerdict,
     /// No ACCUM statement reads (unprimed) an accumulator the clause
@@ -1493,6 +1496,7 @@ fn lower_block(
         BlockPlan {
             semantics,
             post_accum_col: post_accum_col(&block.post_accum, &layout.columns),
+            tractable: crate::tractable::classify(block, semantics),
             conjuncts,
             steps,
             residual,

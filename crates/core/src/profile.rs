@@ -21,7 +21,7 @@
 //!
 //! An operator that executes repeatedly (a SELECT block inside a WHILE
 //! loop) accumulates into a single node keyed by its position
-//! ([`OpKey`]): `calls` counts executions, every other counter sums (or
+//! (`OpKey`): `calls` counts executions, every other counter sums (or
 //! maxes, for `accum_bytes`) across them.
 //!
 //! Formats (text and JSON) are documented in `docs/PLAN_FORMAT.md`.

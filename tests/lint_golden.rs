@@ -492,6 +492,63 @@ fn a_block_after_an_if_is_checked_under_every_semantics_it_can_run_in() {
     assert!(codes.contains(&"P003"), "{codes:?}");
 }
 
+/// Whether the linter reports P003 for `src` under counting semantics,
+/// and whether the engine fails it as multiplicity-sensitive.
+fn p003_and_engine(src: &str) -> (bool, bool) {
+    let q = parse_query(src).unwrap();
+    let linted = lint_query(&q, COUNTING).iter().any(|d| d.code == "P003");
+    let (g, _) = pgraph::generators::diamond_chain(3);
+    let failed = match gsql_core::Engine::new(&g).run(&q, &[]) {
+        Ok(_) => false,
+        Err(e) => {
+            assert!(e.to_string().contains("multiplicity-sensitive"), "{e}");
+            true
+        }
+    };
+    (linted, failed)
+}
+
+/// P003 types a combine target by the declaration that reaches the
+/// block, as the engine does: a later redeclaration does not reach back.
+#[test]
+fn p003_reads_the_declaration_before_the_block() {
+    let list_then_sum = r#"CREATE QUERY q () {
+  ListAccum<int> @@x;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+  PRINT @@x;
+  SumAccum<int> @@x;
+}"#;
+    assert_eq!(p003_and_engine(list_then_sum), (true, true));
+}
+
+#[test]
+fn p003_ignores_a_declaration_after_the_block() {
+    let sum_then_list = r#"CREATE QUERY q () {
+  SumAccum<int> @@x;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+  PRINT @@x;
+  ListAccum<int> @@x;
+}"#;
+    assert_eq!(p003_and_engine(sum_then_list), (false, false));
+}
+
+/// A redeclaration at the end of a loop body reaches the block on the
+/// next iteration, where the engine fails it.
+#[test]
+fn p003_reads_a_redeclaration_that_reaches_around_a_loop() {
+    let looped = r#"CREATE QUERY q () {
+  SumAccum<int> @@i;
+  SumAccum<int> @@x;
+  WHILE @@i < 2 DO
+    S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+    @@i += 1;
+    ListAccum<int> @@x;
+  END;
+  PRINT @@x;
+}"#;
+    assert_eq!(p003_and_engine(looped), (true, true));
+}
+
 // ---- P004 bounded fan-out estimate under enumeration --------------------
 
 #[test]

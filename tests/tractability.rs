@@ -224,3 +224,162 @@ fn product_state_count_grows_linearly() {
     assert!(states[1] / states[0] < 2.6, "{states:?}");
     assert!(states[2] / states[1] < 2.6, "{states:?}");
 }
+
+/// The compile error an edge variable inside a Kleene hop raises.
+const EDGE_VAR_MSG: &str = "edge variable `e` binds inside a composite/Kleene DARPE `E>*` — \
+     variables in the scope of a Kleene star are outside the tractable class (paper Section 7); \
+     bind variables on single-edge hops only";
+
+/// The compile error a multiplicity-sensitive `@@x` of type `ty` fed
+/// from a Kleene hop raises under counting semantics.
+fn multiplicity_msg(ty: &str) -> String {
+    format!(
+        "accumulator `x` of type {ty} is multiplicity-sensitive and order-dependent; it cannot \
+         absorb path multiplicities from a Kleene pattern under all-shortest-paths counting \
+         semantics (paper Section 7). Use Sum/Avg/Bag or a multiplicity-insensitive \
+         accumulator, or switch to an enumerative path semantics"
+    )
+}
+
+/// The message of a compile error; panics on any other outcome.
+fn compile_msg(out: gsql_core::Result<gsql_core::QueryOutput>) -> String {
+    match out {
+        Err(Error::Compile(m)) => m,
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+}
+
+#[test]
+fn engine_tractability_messages_are_pinned() {
+    let (g, _) = diamond_chain(3);
+    let eng = Engine::new(&g);
+    let edge = eng.run_text(
+        "CREATE QUERY G () { SumAccum<int> @@x; \
+         S = SELECT t FROM V:s -(E>*:e)- V:t ACCUM @@x += 1; }",
+        &[],
+    );
+    assert_eq!(compile_msg(edge), EDGE_VAR_MSG);
+    let list = eng.run_text(
+        "CREATE QUERY G () { ListAccum<int> @@x; \
+         S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1; }",
+        &[],
+    );
+    assert_eq!(compile_msg(list), multiplicity_msg("ListAccum"));
+}
+
+/// A block that never runs never fails: the class is raised when the
+/// block runs, not when the query is planned.
+#[test]
+fn intractable_block_in_untaken_branch_runs_and_explains() {
+    let (g, _) = diamond_chain(3);
+    let q = gsql_core::parse_query(
+        r#"CREATE QUERY G (INT flag) {
+  ListAccum<int> @@x;
+  IF flag == 1 THEN
+    S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+  END;
+  PRINT @@x.size() AS n;
+}"#,
+    )
+    .unwrap();
+    let eng = Engine::new(&g);
+    let out = eng.run(&q, &[("flag", Value::Int(0))]).unwrap();
+    assert_eq!(out.prints, vec!["n = 0".to_string()]);
+    eng.explain(&q).unwrap();
+    assert_eq!(
+        compile_msg(eng.run(&q, &[("flag", Value::Int(1))])),
+        multiplicity_msg("ListAccum")
+    );
+}
+
+/// The accumulator type checked is the declaration in force when the
+/// block runs; a later redeclaration does not reach back.
+#[test]
+fn redeclaration_follows_the_live_declaration() {
+    let (g, _) = diamond_chain(3);
+    let eng = Engine::new(&g);
+    let list_then_sum = eng.run_text(
+        r#"CREATE QUERY G () {
+  ListAccum<int> @@x;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+  SumAccum<int> @@x;
+}"#,
+        &[],
+    );
+    assert_eq!(compile_msg(list_then_sum), multiplicity_msg("ListAccum"));
+    let sum_then_list = eng
+        .run_text(
+            r#"CREATE QUERY G () {
+  SumAccum<int> @@x;
+  S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+  PRINT @@x AS n;
+  ListAccum<int> @@x;
+}"#,
+            &[],
+        )
+        .unwrap();
+    assert_eq!(sum_then_list.prints, vec!["n = 92".to_string()]);
+    // A redeclaration at the end of a loop body reaches the block on the
+    // next iteration: one iteration runs, the second fails.
+    let looped = |n: i64| {
+        eng.run_text(
+            r#"CREATE QUERY G (INT n) {
+  SumAccum<int> @@i;
+  SumAccum<int> @@x;
+  WHILE @@i < n DO
+    S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@x += 1;
+    @@i += 1;
+    ListAccum<int> @@x;
+  END;
+}"#,
+            &[("n", Value::Int(n))],
+        )
+    };
+    looped(1).unwrap();
+    assert_eq!(compile_msg(looped(2)), multiplicity_msg("ListAccum"));
+}
+
+/// On straight-line queries, where every block runs, the engine fails a
+/// query with a tractability error exactly when the linter reports P002
+/// or P003 for it, under every path semantics.
+#[test]
+fn engine_and_linter_agree_on_the_tractable_class() {
+    let fixtures: &[(&str, &str)] = &[
+        ("SumAccum<int> @@x;", "V:s -(E>*:e)- V:t ACCUM @@x += 1"),
+        ("ListAccum<int> @@x;", "V:s -(E>*)- V:t ACCUM @@x += 1"),
+        ("ListAccum<int> @x;", "V:s -(E>*)- V:t ACCUM t.@x += 1"),
+        ("ArrayAccum<int> @@x;", "V:s -(E>*)- V:t ACCUM @@x += 1"),
+        ("SumAccum<STRING> @@x;", "V:s -(E>*)- V:t ACCUM @@x += t.name"),
+        ("SumAccum<int> @@x;", "V:s -(E>*)- V:t ACCUM @@x += 1"),
+        ("BagAccum<int> @@x;", "V:s -(E>*)- V:t ACCUM @@x += 1"),
+        (
+            "TYPEDEF TUPLE<INT n, STRING name> Rec; HeapAccum<Rec>(2, n DESC) @@x;",
+            "V:s -(E>*)- V:t ACCUM @@x += (1, t.name)",
+        ),
+        ("ListAccum<int> @@x;", "V:s -(E>*1..2)- V:t ACCUM @@x += 1"),
+        ("ListAccum<int> @@x;", "V:s -(E>*1..2:e)- V:t ACCUM @@x += 1"),
+        ("ListAccum<int> @@x;", "V:s -(E>:e)- V:t ACCUM @@x += 1"),
+        ("ListAccum<int> @@x;", "V:s -(E>)- V:m -(E>*)- V:t POST_ACCUM @@x += 1"),
+    ];
+    let semantics = [
+        PathSemantics::AllShortestPaths,
+        PathSemantics::AllShortestPathsEnumerate,
+        PathSemantics::NonRepeatedEdge,
+        PathSemantics::NonRepeatedVertex,
+        PathSemantics::ShortestOne,
+    ];
+    let (g, _) = diamond_chain(3);
+    for (decl, block) in fixtures {
+        let src = format!("CREATE QUERY G () {{ {decl} S = SELECT t FROM {block}; }}");
+        let q = gsql_core::parse_query(&src).unwrap();
+        for sem in semantics {
+            let eng = Engine::new(&g).with_semantics(sem);
+            let linted = eng.check(&q).iter().any(|d| d.code == "P002" || d.code == "P003");
+            let failed = match eng.run(&q, &[]) {
+                Err(Error::Compile(m)) => m.contains("Kleene"),
+                _ => false,
+            };
+            assert_eq!(failed, linted, "{src} under {sem:?}");
+        }
+    }
+}
