@@ -660,8 +660,9 @@ struct AccumPartial {
 impl AccumPartial {
     /// Folds one emission in. Only reached when the block plan's
     /// [`FoldVerdict`](crate::plan::FoldVerdict) is parallel, which the
-    /// abstract interpreter grants only to clauses whose every target is
-    /// declared. `+=` emissions
+    /// abstract interpreter grants only to clauses whose every target
+    /// some declaration can reach; a target still undeclared when the
+    /// block runs fails as it does on the sequential path. `+=` emissions
     /// combine into the cell, seeded with the identity of the store's
     /// declared type (`vaccs` / `gtypes`, by store id); `=` emissions
     /// assign and mark the cell so [`Runtime::merge_partial`] replaces
@@ -675,9 +676,7 @@ impl AccumPartial {
     ) -> Result<()> {
         use std::collections::hash_map::Entry;
         let seed = |ty: &AccumType| -> Result<(Accum, bool)> { Ok((Accum::new(ty, registry)?, false)) };
-        let cell = match em.target.cell().map_err(|_| {
-            Error::runtime("parallel-fold verdict admitted an undeclared accumulator")
-        })? {
+        let cell = match em.target.cell()? {
             Cell::V { store, vertex } => match self.v.entry((store, vertex)) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => e.insert(seed(&vaccs[store].ty)?),

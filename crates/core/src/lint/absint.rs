@@ -19,9 +19,10 @@
 //! * `D003` — emitted by [`super::facts::budget_findings`] when a
 //!   concrete budget is known: the proven minimum iteration count
 //!   already exceeds `max_while_iters`.
-//! * `D004` — a `+=` combine in ACCUM into an accumulator whose merge
-//!   is order-dependent (`ListAccum`, `ArrayAccum`, `SumAccum<STRING>`,
-//!   containers nesting them): the result observes row/merge order.
+//! * `D004` — a `+=` combine in ACCUM into an accumulator that some
+//!   declaration reaching the block gives an order-dependent merge
+//!   (`ListAccum`, `ArrayAccum`, `SumAccum<STRING>`, containers nesting
+//!   them): the result observes row/merge order.
 //!
 //! ## The proven parallel gates
 //!
@@ -29,11 +30,15 @@
 //! stores and defers all writes as emissions, so expression reads never
 //! observe same-phase writes on any execution path. That makes the
 //! following clause shapes byte-identical between the sequential fold
-//! and partial folds over morsel ranges:
+//! and partial folds over morsel ranges. Both gates type a target by the
+//! declarations that reach the block ([`Ctx::collect`]), not by the
+//! name: a target no declaration reaches fails them, and a `+=` target
+//! passes only when every reaching declaration merges exactly
+//! ([`AccumType::is_exact_merge`]), since any of them may be the one in
+//! force when the block runs.
 //!
 //! * **ACCUM**: per accumulator, either every write is a `+=` combine
-//!   and the accumulator type merges exactly
-//!   ([`AccumType::is_exact_merge`]), or every write is an `=` assign
+//!   into an exact-merge target, or every write is an `=` assign
 //!   whose RHS is proven row-invariant (the same value for every
 //!   binding of the phase — literals, parameters, global-accumulator
 //!   snapshot reads and pure functions thereof). Mixing `=` and `+=`
@@ -46,11 +51,11 @@
 //!   statement list replays exactly within one partial. The gate
 //!   requires: no expression reads an accumulator the clause itself
 //!   writes (those reads would observe partial state), every `+=`
-//!   combine is into an exact-merge type, and all vertex-accumulator
+//!   combine is into an exact-merge target, and all vertex-accumulator
 //!   statements target one vertex variable.
 
 use super::facts::{BlockFacts, LoopBound, LoopFacts, QueryFacts};
-use super::{Ctx, Diagnostic};
+use super::{Ctx, Diagnostic, Reach};
 use crate::ast::{AccStmt, BinOp, Expr, SelectBlock, Span, Stmt, UnOp, VSetSource};
 use crate::plan::{from_bound_vars, split_conjuncts};
 use accum::AccumType;
@@ -578,8 +583,9 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         self.order_dependence(b);
         let bound = from_bound_vars(&b.from);
         let (accum_parallel, accum_reason, accum_row_invariant) =
-            self.accum_gate(&b.accum, env, &bound);
-        let (post_accum_parallel, post_accum_reason) = self.post_accum_gate(&b.post_accum, env);
+            self.accum_gate(&b.accum, self.cx.reach_of(b), env, &bound);
+        let (post_accum_parallel, post_accum_reason) =
+            self.post_accum_gate(&b.post_accum, self.cx.reach_of(b));
         // Blocks are recorded once each, in source order: position = id.
         debug_assert_eq!(b.id, self.facts.blocks.len());
         self.facts.blocks.push(BlockFacts {
@@ -595,27 +601,29 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         });
     }
 
-    /// `D004`: `+=` combines in ACCUM into order-dependent merge types.
+    /// `D004`: `+=` combines in ACCUM into an accumulator that some
+    /// declaration reaching the block gives an order-dependent merge.
     fn order_dependence(&mut self, b: &SelectBlock) {
-        let mut reported: FxHashSet<String> = FxHashSet::default();
+        let reach = self.cx.reach_of(b);
+        let mut reported: FxHashSet<(bool, &str)> = FxHashSet::default();
         for s in &b.accum {
-            let (name, display, ty) = match s {
-                AccStmt::VAcc { name, combine: true, .. } => {
-                    (name, format!("@{name}"), self.cx.vaccs.get(name.as_str()).map(|i| i.ty))
-                }
-                AccStmt::GAcc { name, combine: true, .. } => {
-                    (name, format!("@@{name}"), self.cx.gaccs.get(name.as_str()).map(|i| i.ty))
-                }
+            let (name, global) = match s {
+                AccStmt::VAcc { name, combine: true, .. } => (name, false),
+                AccStmt::GAcc { name, combine: true, .. } => (name, true),
                 _ => continue,
             };
-            let Some(ty) = ty else { continue };
-            if !ty.is_order_invariant(self.cx.registry) && reported.insert(name.clone()) {
+            let Some(ty) = reach.types(name, global).find(|ty| !ty.is_order_invariant(self.cx.registry))
+            else {
+                continue;
+            };
+            if reported.insert((global, name)) {
                 self.diags.push(Diagnostic::warn(
                     "D004",
                     b.span,
                     format!(
-                        "merge-order dependence: `{display} +=` folds into {ty}, whose result \
-                         depends on row and merge order; it is reproducible only sequentially"
+                        "merge-order dependence: `{}{name} +=` folds into {ty}, whose result \
+                         depends on row and merge order; it is reproducible only sequentially",
+                        if global { "@@" } else { "@" }
                     ),
                 ));
             }
@@ -627,6 +635,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
     fn accum_gate(
         &self,
         stmts: &[AccStmt],
+        reach: &Reach,
         env: &Env,
         bound: &FxHashSet<String>,
     ) -> (bool, Option<String>, Vec<bool>) {
@@ -653,11 +662,6 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 AccStmt::VAcc { name, combine, expr, .. } | AccStmt::GAcc { name, combine, expr } => {
                     let global = matches!(s, AccStmt::GAcc { .. });
                     let display = if global { format!("@@{name}") } else { format!("@{name}") };
-                    let ty = if global {
-                        self.cx.gaccs.get(name.as_str()).map(|i| i.ty)
-                    } else {
-                        self.cx.vaccs.get(name.as_str()).map(|i| i.ty)
-                    };
                     let inv = !*combine && row_invariant(expr, bound, &inv_locals);
                     row_inv.push(inv);
                     let u = usage.entry((global, name.as_str())).or_insert((false, false));
@@ -672,22 +676,10 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                             &mut reason,
                         );
                     }
-                    match ty {
-                        None => note(format!("`{display}` is not declared"), &mut reason),
-                        Some(ty) => {
-                            if *combine && !ty.is_exact_merge() {
-                                note(
-                                    format!("`{display}` ({ty}) does not merge exactly across partials"),
-                                    &mut reason,
-                                );
-                            }
-                            if !*combine && !inv {
-                                note(
-                                    format!("`=` write to `{display}` is not proven row-invariant"),
-                                    &mut reason,
-                                );
-                            }
-                        }
+                    if let Some(r) = target_reason(reach, name, global, *combine) {
+                        note(r, &mut reason);
+                    } else if !*combine && !inv {
+                        note(format!("`=` write to `{display}` is not proven row-invariant"), &mut reason);
                     }
                 }
             }
@@ -696,8 +688,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
     }
 
     /// The proven POST-ACCUM gate (see module docs).
-    fn post_accum_gate(&self, stmts: &[AccStmt], env: &Env) -> (bool, Option<String>) {
-        let _ = env;
+    fn post_accum_gate(&self, stmts: &[AccStmt], reach: &Reach) -> (bool, Option<String>) {
         let mut reason: Option<String> = None;
         let note = |r: String, reason: &mut Option<String>| {
             if reason.is_none() {
@@ -716,33 +707,13 @@ impl<'a, 'c> Analyzer<'a, 'c> {
             note("statements target more than one vertex variable".to_string(), &mut reason);
         }
         for s in stmts {
-            let (expr, combine, display, ty) = match s {
-                AccStmt::LocalDecl { expr, .. } => (expr, false, None, None),
-                AccStmt::VAcc { name, combine, expr, .. } => (
-                    expr,
-                    *combine,
-                    Some(format!("@{name}")),
-                    self.cx.vaccs.get(name.as_str()).map(|i| i.ty),
-                ),
-                AccStmt::GAcc { name, combine, expr } => (
-                    expr,
-                    *combine,
-                    Some(format!("@@{name}")),
-                    self.cx.gaccs.get(name.as_str()).map(|i| i.ty),
-                ),
+            let (expr, target) = match s {
+                AccStmt::LocalDecl { expr, .. } => (expr, None),
+                AccStmt::VAcc { name, combine, expr, .. } => (expr, Some((name, false, *combine))),
+                AccStmt::GAcc { name, combine, expr } => (expr, Some((name, true, *combine))),
             };
-            if let Some(display) = &display {
-                match ty {
-                    None => note(format!("`{display}` is not declared"), &mut reason),
-                    Some(ty) => {
-                        if combine && !ty.is_exact_merge() {
-                            note(
-                                format!("`{display}` ({ty}) does not merge exactly across partials"),
-                                &mut reason,
-                            );
-                        }
-                    }
-                }
+            if let Some(r) = target.and_then(|(n, global, combine)| target_reason(reach, n, global, combine)) {
+                note(r, &mut reason);
             }
             // No expression may read an accumulator this clause writes:
             // such a read would observe partial (per-worker) state.
@@ -752,6 +723,19 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         }
         (reason.is_none(), reason)
     }
+}
+
+/// Why a write to `name` may not fold in partials, judged against every
+/// declaration that reaches the block: none does, or a `+=` combine
+/// meets one whose type does not merge exactly.
+fn target_reason(reach: &Reach, name: &str, global: bool, combine: bool) -> Option<String> {
+    let display = format!("{}{name}", if global { "@@" } else { "@" });
+    let mut tys = reach.types(name, global).peekable();
+    if tys.peek().is_none() {
+        return Some(format!("`{display}` is not declared"));
+    }
+    let ty = tys.find(|ty| combine && !ty.is_exact_merge())?;
+    Some(format!("`{display}` ({ty}) does not merge exactly across partials"))
 }
 
 /// The accumulators one ACCUM / POST_ACCUM clause writes, by namespace.

@@ -8,93 +8,86 @@
 //! pass hunts.
 
 use super::facts::QueryFacts;
-use super::{query_exprs, unique_binding_var, Ctx, Diagnostic};
-use crate::ast::{AccStmt, Expr, Span, Stmt};
-use pgraph::fxhash::FxHashMap;
+use super::{unique_binding_var, Ctx, Diagnostic, Reach, Sink};
+use crate::ast::{AccStmt, Expr, Span};
+use pgraph::fxhash::FxHashSet;
 
-pub(super) fn run(cx: &Ctx, facts: &QueryFacts, out: &mut Vec<Diagnostic>) {
-    // ---- read/write sets over the whole query --------------------------
-    let mut vacc_reads: FxHashMap<String, Span> = FxHashMap::default();
-    let mut gacc_reads: FxHashMap<String, Span> = FxHashMap::default();
-    query_exprs(cx.q, &mut |e, span| {
-        e.walk(&mut |e| match e {
-            Expr::VAcc { name, .. } => {
-                vacc_reads.entry(name.clone()).or_insert(span);
-            }
-            Expr::GAcc(name) => {
-                gacc_reads.entry(name.clone()).or_insert(span);
-            }
-            _ => {}
-        });
-    });
-    let mut vacc_writes: FxHashMap<String, Span> = FxHashMap::default();
-    let mut gacc_writes: FxHashMap<String, Span> = FxHashMap::default();
-    // Statement-level assignment can only target global accumulators;
-    // vertex-accumulator writes happen inside blocks (folded in below).
-    collect_writes(&cx.q.body, Span::default(), &mut gacc_writes);
+pub(super) fn run<'a>(cx: &Ctx<'a>, facts: &QueryFacts, out: &mut Vec<Diagnostic>) {
+    // ---- read/write sets, and references no declaration reaches --------
+    // Keyed `(global, name)`.
+    let mut reads: FxHashSet<(bool, &str)> = FxHashSet::default();
+    let mut writes: FxHashSet<(bool, &str)> = FxHashSet::default();
+    let mut unreached: Vec<(bool, &str, Span)> = Vec::new();
+    let mut note = |write: bool, key: (bool, &'a str), reach: &Reach, span: Span| {
+        if reach.types(key.1, key.0).next().is_none() {
+            unreached.push((key.0, key.1, span));
+        }
+        if write { &mut writes } else { &mut reads }.insert(key);
+    };
     for bc in &cx.blocks {
+        super::block_exprs(bc.block, &mut |e, span| {
+            e.walk(&mut |e| match e {
+                Expr::VAcc { name, .. } => note(false, (false, name), &bc.reach, span),
+                Expr::GAcc(name) => note(false, (true, name), &bc.reach, span),
+                _ => {}
+            })
+        });
         for s in bc.block.accum.iter().chain(&bc.block.post_accum) {
             match s {
-                AccStmt::VAcc { name, .. } => {
-                    vacc_writes.entry(name.clone()).or_insert(bc.block.span);
-                }
-                AccStmt::GAcc { name, .. } => {
-                    gacc_writes.entry(name.clone()).or_insert(bc.block.span);
-                }
+                AccStmt::VAcc { name, .. } => note(true, (false, name), &bc.reach, bc.block.span),
+                AccStmt::GAcc { name, .. } => note(true, (true, name), &bc.reach, bc.block.span),
                 AccStmt::LocalDecl { .. } => {}
             }
+        }
+    }
+    for site in &cx.sites {
+        site.expr.walk(&mut |e| match e {
+            Expr::VAcc { name, .. } => note(false, (false, name), &site.reach, site.span),
+            Expr::GAcc(name) => note(false, (true, name), &site.reach, site.span),
+            _ => {}
+        });
+        if let Sink::Global(name) = site.sink {
+            note(true, (true, name), &site.reach, site.span);
         }
     }
 
     // ---- A001 written-never-read / declared-never-used ------------------
     // ---- A002 read-never-written (and no initializer) -------------------
-    for (global, decls, reads, writes) in [
-        (false, &cx.vaccs, &vacc_reads, &vacc_writes),
-        (true, &cx.gaccs, &gacc_reads, &gacc_writes),
-    ] {
-        let sigil = if global { "@@" } else { "@" };
-        for (name, info) in decls.iter() {
-            let read = reads.contains_key(*name);
-            let written = writes.contains_key(*name);
-            if !read {
-                let msg = if written {
-                    format!(
-                        "accumulator `{sigil}{name}` is written but its value is never read; \
-                         the aggregation result is discarded"
-                    )
-                } else {
-                    format!("accumulator `{sigil}{name}` is declared but never used")
-                };
-                out.push(Diagnostic::warn("A001", info.span, msg));
-            } else if !written && info.init.is_none() {
-                out.push(Diagnostic::warn(
-                    "A002",
-                    info.span,
-                    format!(
-                        "accumulator `{sigil}{name}` is read but never written and has no \
-                         initializer; every read yields the type's default value"
-                    ),
-                ));
-            }
+    // One report per name, at its last declarator.
+    let mut reported: FxHashSet<(bool, &str)> = FxHashSet::default();
+    for &(_, d) in cx.decls.iter().rev() {
+        let (sigil, name, key) = (if d.global { "@@" } else { "@" }, &d.name, (d.global, d.name.as_str()));
+        if !reported.insert(key) {
+            continue;
+        }
+        let written = writes.contains(&key);
+        if !reads.contains(&key) {
+            let msg = if written {
+                format!(
+                    "accumulator `{sigil}{name}` is written but its value is never read; \
+                     the aggregation result is discarded"
+                )
+            } else {
+                format!("accumulator `{sigil}{name}` is declared but never used")
+            };
+            out.push(Diagnostic::warn("A001", d.span, msg));
+        } else if !written && d.init.is_none() {
+            out.push(Diagnostic::warn(
+                "A002",
+                d.span,
+                format!(
+                    "accumulator `{sigil}{name}` is read but never written and has no \
+                     initializer; every read yields the type's default value"
+                ),
+            ));
         }
     }
 
-    // ---- A006 undeclared accumulator references -------------------------
-    // One report per name, whether the reference is a read or a write.
-    let mut refs: Vec<(bool, &str, Span)> = Vec::new();
-    for (name, span) in vacc_reads.iter().chain(&vacc_writes) {
-        if !cx.vaccs.contains_key(name.as_str()) {
-            refs.push((false, name, *span));
-        }
-    }
-    for (name, span) in gacc_reads.iter().chain(&gacc_writes) {
-        if !cx.gaccs.contains_key(name.as_str()) {
-            refs.push((true, name, *span));
-        }
-    }
-    refs.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    refs.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
-    for (global, name, span) in refs {
+    // ---- A006 references no declaration reaches -------------------------
+    // One report per name, at its first such reference (blocks first).
+    unreached.sort_by_key(|&(global, name, _)| (global, name));
+    unreached.dedup_by_key(|&mut (global, name, _)| (global, name));
+    for (global, name, span) in unreached {
         let sigil = if global { "@@" } else { "@" };
         out.push(Diagnostic::error(
             "A006",
@@ -189,22 +182,5 @@ pub(super) fn run(cx: &Ctx, facts: &QueryFacts, out: &mut Vec<Diagnostic>) {
                 }
             });
         });
-    }
-}
-
-fn collect_writes(stmts: &[Stmt], outer: Span, gacc: &mut FxHashMap<String, Span>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::GAccAssign { name, .. } => {
-                gacc.entry(name.clone()).or_insert(outer);
-            }
-            Stmt::While { body, span, .. } => collect_writes(body, *span, gacc),
-            Stmt::Foreach { body, .. } => collect_writes(body, outer, gacc),
-            Stmt::If { then_branch, else_branch, .. } => {
-                collect_writes(then_branch, outer, gacc);
-                collect_writes(else_branch, outer, gacc);
-            }
-            _ => {}
-        }
     }
 }

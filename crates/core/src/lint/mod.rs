@@ -46,7 +46,6 @@ use crate::ast::{
 };
 use crate::semantics::PathSemantics;
 use accum::{AccumType, UserAccumRegistry};
-use pgraph::fxhash::FxHashMap;
 
 /// Lints a parsed query under `ambient` path semantics with an empty
 /// user-accumulator registry.
@@ -103,13 +102,6 @@ pub fn compute_facts(q: &Query, registry: &UserAccumRegistry) -> QueryFacts {
     absint::run(&cx, &mut diags)
 }
 
-/// One declared accumulator.
-pub(crate) struct AccInfo<'a> {
-    pub ty: &'a AccumType,
-    pub init: Option<&'a Expr>,
-    pub span: Span,
-}
-
 /// What can reach a statement, in the order the walk first reached it:
 /// the path semantics it can run under, each with whether an inline
 /// `USE SEMANTICS` statement set it (vs. the engine's ambient default),
@@ -126,6 +118,12 @@ impl<'a> Reach<'a> {
     fn union(&mut self, from: &Reach<'a>) -> bool {
         union_into(&mut self.semantics, &from.semantics) | union_into(&mut self.decls, &from.decls)
     }
+
+    /// The types `@name` (`@@name` when `global`) can have here: one per
+    /// declaration that can be in force, none when no declaration reaches.
+    pub fn types<'s>(&'s self, name: &'s str, global: bool) -> impl Iterator<Item = &'a AccumType> + 's {
+        self.decls.iter().filter(move |&&(n, g, _)| (n, g) == (name, global)).map(|d| d.2)
+    }
 }
 
 /// One SELECT block together with everything that can reach it.
@@ -134,48 +132,78 @@ pub(crate) struct BlockCtx<'a> {
     pub reach: Reach<'a>,
 }
 
-/// Shared analysis context built once per lint run.
+/// A statement-level expression together with what can reach it: a
+/// declarator's initializer, the value of `@@a = e` / `@@a += e`, a
+/// WHILE/IF/FOREACH condition, a PRINT item, a RETURN value or a
+/// mutation expression.
+pub(crate) struct SiteCtx<'a> {
+    pub expr: &'a Expr,
+    pub sink: Sink<'a>,
+    /// The nearest enclosing spanned construct.
+    pub span: Span,
+    pub reach: Reach<'a>,
+}
+
+/// Where a statement-level value goes.
+#[derive(Clone, Copy)]
+pub(crate) enum Sink<'a> {
+    /// Into no accumulator.
+    Read,
+    /// Into `@@name`, as whichever declaration reaches the statement.
+    Global(&'a str),
+    /// Into the declarator it initializes, as its own type.
+    Init(&'a AccumType, &'a AccumDecl),
+}
+
+/// Shared analysis context built once per lint run. [`Ctx::collect`] is
+/// the one place that decides which accumulator declarations are in
+/// force where; every pass reads the [`Reach`] it recorded.
 pub(crate) struct Ctx<'a> {
     pub q: &'a Query,
     pub registry: &'a UserAccumRegistry,
-    pub vaccs: FxHashMap<&'a str, AccInfo<'a>>,
-    pub gaccs: FxHashMap<&'a str, AccInfo<'a>>,
-    /// Every SELECT block, once each, in the order the walk first
-    /// reached it.
+    /// Every accumulator declarator, once each, in source order (nested
+    /// ones included).
+    pub decls: Vec<(&'a AccumType, &'a AccumDecl)>,
+    /// Every SELECT block, once each, in source order, so
+    /// `blocks[i].block.id == i`.
     pub blocks: Vec<BlockCtx<'a>>,
+    /// Every statement-level expression, once each, in source order.
+    pub sites: Vec<SiteCtx<'a>>,
 }
 
 impl<'a> Ctx<'a> {
     fn build(q: &'a Query, ambient: PathSemantics, registry: &'a UserAccumRegistry) -> Ctx<'a> {
-        let mut cx = Ctx {
-            q,
-            registry,
-            vaccs: FxHashMap::default(),
-            gaccs: FxHashMap::default(),
-            blocks: Vec::new(),
-        };
+        let mut cx = Ctx::empty(q, registry);
         let mut reach = Reach { semantics: vec![(ambient, false)], decls: Vec::new() };
-        cx.collect(&q.body, &mut reach);
+        cx.collect(&q.body, &mut reach, Span::default());
         cx
     }
 
-    /// Walks statements in execution order, threading what reaches each
-    /// as the executor runs them: a `USE SEMANTICS` or an accumulator
+    fn empty(q: &'a Query, registry: &'a UserAccumRegistry) -> Ctx<'a> {
+        Ctx { q, registry, decls: Vec::new(), blocks: Vec::new(), sites: Vec::new() }
+    }
+
+    /// What reaches block `b`.
+    pub fn reach_of(&self, b: &SelectBlock) -> &Reach<'a> {
+        &self.blocks[b.id].reach
+    }
+
+    /// Walks statements in execution order, recording what reaches each
+    /// block and statement-level expression, and threading it as the
+    /// executor runs them: a `USE SEMANTICS` or an accumulator
     /// declaration holds for everything after it until the next one
     /// replaces it. Each IF branch starts from what reached the IF, and
-    /// either branch's exit may hold after it. A loop body runs zero or
-    /// more times, so it is walked until what it starts from — the entry
-    /// plus its own exits — stops growing, and that holds after the loop.
-    fn collect(&mut self, stmts: &'a [Stmt], reach: &mut Reach<'a>) {
+    /// either branch's exit may hold after it. A loop body is walked
+    /// once, from what holds at the loop head (see [`Ctx::loop_head`]).
+    /// `outer` is the span of the nearest enclosing spanned construct.
+    fn collect(&mut self, stmts: &'a [Stmt], reach: &mut Reach<'a>, outer: Span) {
         for stmt in stmts {
             match stmt {
                 Stmt::AccumDecl { ty, decls } => {
                     for d in decls {
-                        let info = AccInfo { ty, init: d.init.as_ref(), span: d.span };
-                        if d.global {
-                            self.gaccs.insert(&d.name, info);
-                        } else {
-                            self.vaccs.insert(&d.name, info);
+                        self.decls.push((ty, d));
+                        if let Some(init) = &d.init {
+                            self.site(init, Sink::Init(ty, d), d.span, reach);
                         }
                         reach.decls.retain(|&(n, g, _)| (n, g) != (d.name.as_str(), d.global));
                         reach.decls.push((&d.name, d.global, ty));
@@ -183,33 +211,52 @@ impl<'a> Ctx<'a> {
                 }
                 Stmt::UseSemantics(s) => reach.semantics = vec![(*s, true)],
                 Stmt::Select(b) | Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
-                    self.push_block(b, reach)
+                    self.blocks.push(BlockCtx { block: b, reach: reach.clone() })
                 }
-                Stmt::While { body, .. } | Stmt::Foreach { body, .. } => loop {
-                    let mut exit = reach.clone();
-                    self.collect(body, &mut exit);
-                    if !reach.union(&exit) {
-                        break;
+                Stmt::GAccAssign { name, expr, .. } => {
+                    self.site(expr, Sink::Global(name), outer, reach)
+                }
+                Stmt::While { cond, limit, body, span, .. } => {
+                    if let Some(l) = limit {
+                        self.site(l, Sink::Read, *span, reach);
                     }
-                },
-                Stmt::If { then_branch, else_branch, .. } => {
+                    self.loop_head(body, reach, *span);
+                    self.site(cond, Sink::Read, *span, reach);
+                    self.collect(body, &mut reach.clone(), *span);
+                }
+                Stmt::Foreach { iterable, body, .. } => {
+                    self.site(iterable, Sink::Read, outer, reach);
+                    self.loop_head(body, reach, outer);
+                    self.collect(body, &mut reach.clone(), outer);
+                }
+                Stmt::If { cond, then_branch, else_branch } => {
+                    self.site(cond, Sink::Read, outer, reach);
                     let mut then_exit = reach.clone();
-                    self.collect(then_branch, &mut then_exit);
-                    self.collect(else_branch, reach);
+                    self.collect(then_branch, &mut then_exit, outer);
+                    self.collect(else_branch, reach, outer);
                     reach.union(&then_exit);
                 }
-                _ => {}
+                _ => output_exprs(stmt, outer, &mut |e, span| self.site(e, Sink::Read, span, reach)),
             }
         }
     }
 
-    fn push_block(&mut self, b: &'a SelectBlock, reach: &Reach<'a>) {
-        match self.blocks.iter_mut().find(|bc| bc.block.id == b.id) {
-            Some(bc) => {
-                bc.reach.union(reach);
+    /// Grows `reach` to what holds at the head of a loop over `body`. The
+    /// body runs zero or more times, so it is walked, recording nothing,
+    /// until what it starts from — the loop's entry plus the body's own
+    /// exits — stops growing.
+    fn loop_head(&self, body: &'a [Stmt], reach: &mut Reach<'a>, outer: Span) {
+        loop {
+            let mut exit = reach.clone();
+            Ctx::empty(self.q, self.registry).collect(body, &mut exit, outer);
+            if !reach.union(&exit) {
+                break;
             }
-            None => self.blocks.push(BlockCtx { block: b, reach: reach.clone() }),
         }
+    }
+
+    fn site(&mut self, expr: &'a Expr, sink: Sink<'a>, span: Span, reach: &Reach<'a>) {
+        self.sites.push(SiteCtx { expr, sink, span, reach: reach.clone() });
     }
 }
 
@@ -224,15 +271,6 @@ fn union_into<T: PartialEq + Copy>(set: &mut Vec<T>, from: &[T]) -> bool {
     set.len() > before
 }
 
-/// Per-declarator view of accumulator declarations, in source order.
-pub(crate) fn accum_decls(q: &Query) -> impl Iterator<Item = (&AccumType, &AccumDecl)> {
-    q.body.iter().filter_map(|s| match s {
-        Stmt::AccumDecl { ty, decls } => Some(decls.iter().map(move |d| (ty, d))),
-        _ => None,
-    })
-    .flatten()
-}
-
 // ---- expression walkers -------------------------------------------------
 //
 // The passes share one recursive statement walker that surfaces every
@@ -242,7 +280,7 @@ pub(crate) fn accum_decls(q: &Query) -> impl Iterator<Item = (&AccumType, &Accum
 
 /// Visits every top-level expression of a SELECT block. `f` receives the
 /// expression and the block's span.
-pub(crate) fn block_exprs(b: &SelectBlock, f: &mut impl FnMut(&Expr, Span)) {
+pub(crate) fn block_exprs<'e>(b: &'e SelectBlock, f: &mut impl FnMut(&'e Expr, Span)) {
     for frag in &b.outputs {
         for it in &frag.items {
             f(&it.expr, b.span);
@@ -270,7 +308,7 @@ pub(crate) fn block_exprs(b: &SelectBlock, f: &mut impl FnMut(&Expr, Span)) {
     }
 }
 
-fn acc_stmt_expr(s: &AccStmt, span: Span, f: &mut impl FnMut(&Expr, Span)) {
+fn acc_stmt_expr<'e>(s: &'e AccStmt, span: Span, f: &mut impl FnMut(&'e Expr, Span)) {
     match s {
         AccStmt::LocalDecl { expr, .. }
         | AccStmt::VAcc { expr, .. }
@@ -294,10 +332,9 @@ fn stmts_exprs(stmts: &[Stmt], outer: Span, f: &mut impl FnMut(&Expr, Span)) {
                     }
                 }
             }
-            Stmt::TupleTypedef { .. } | Stmt::UseSemantics(_) => {}
-            Stmt::VSetAssign { source: VSetSource::Select(b), .. } => block_exprs(b, f),
-            Stmt::VSetAssign { .. } => {}
-            Stmt::Select(b) => block_exprs(b, f),
+            Stmt::Select(b) | Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
+                block_exprs(b, f)
+            }
             Stmt::GAccAssign { expr, .. } => f(expr, outer),
             Stmt::While { cond, limit, body, span, .. } => {
                 f(cond, *span);
@@ -315,45 +352,50 @@ fn stmts_exprs(stmts: &[Stmt], outer: Span, f: &mut impl FnMut(&Expr, Span)) {
                 f(iterable, outer);
                 stmts_exprs(body, outer, f);
             }
-            Stmt::Print(items) => {
-                for item in items {
-                    match item {
-                        PrintItem::Expr { expr, .. } => f(expr, outer),
-                        PrintItem::VSetProjection { items, .. } => {
-                            for it in items {
-                                f(&it.expr, outer);
-                            }
+            _ => output_exprs(stmt, outer, f),
+        }
+    }
+}
+
+/// Visits the expressions of a PRINT, RETURN or mutation statement;
+/// other statements have none of their own here.
+fn output_exprs<'e>(stmt: &'e Stmt, outer: Span, f: &mut impl FnMut(&'e Expr, Span)) {
+    match stmt {
+        Stmt::Print(items) => {
+            for item in items {
+                match item {
+                    PrintItem::Expr { expr, .. } => f(expr, outer),
+                    PrintItem::VSetProjection { items, .. } => {
+                        for it in items {
+                            f(&it.expr, outer);
                         }
                     }
                 }
             }
-            Stmt::Return(e) => f(e, outer),
-            Stmt::InsertVertex { values, span, .. } => {
-                for e in values {
-                    f(e, *span);
-                }
-            }
-            Stmt::InsertEdge { src, dst, values, span, .. } => {
-                f(src, *span);
-                f(dst, *span);
-                for e in values {
-                    f(e, *span);
-                }
-            }
-            Stmt::Update { sets, where_clause, span, .. } => {
-                for (_, _, e) in sets {
-                    f(e, *span);
-                }
-                if let Some(w) = where_clause {
-                    f(w, *span);
-                }
-            }
-            Stmt::Delete { where_clause, span, .. } => {
-                if let Some(w) = where_clause {
-                    f(w, *span);
-                }
+        }
+        Stmt::Return(e) => f(e, outer),
+        Stmt::InsertVertex { values, span, .. } => {
+            for e in values {
+                f(e, *span);
             }
         }
+        Stmt::InsertEdge { src, dst, values, span, .. } => {
+            f(src, *span);
+            f(dst, *span);
+            for e in values {
+                f(e, *span);
+            }
+        }
+        Stmt::Update { sets, where_clause, span, .. } => {
+            for (_, _, e) in sets {
+                f(e, *span);
+            }
+            if let Some(w) = where_clause {
+                f(w, *span);
+            }
+        }
+        Stmt::Delete { where_clause: Some(w), span, .. } => f(w, *span),
+        _ => {}
     }
 }
 

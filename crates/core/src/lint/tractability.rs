@@ -86,9 +86,7 @@ fn diagnose(cx: &Ctx, bc: &BlockCtx, sem: (PathSemantics, bool)) -> Vec<Diagnost
     // P003 — counting folds path multiplicities into the accumulators
     // (paper Appendix A). A target is typed by every declaration that
     // can reach the block; the engine, by the one in force when it runs.
-    let reaching = |name, global| {
-        bc.reach.decls.iter().filter(move |&&(n, g, _)| (n, g) == (name, global)).map(|d| d.2)
-    };
+    let reaching = |name, global| bc.reach.types(name, global);
     for (name, global, ty) in class.sensitive_targets(reaching, cx.registry) {
         let sigil = if global { "@@" } else { "@" };
         out.push(

@@ -5,10 +5,12 @@
 //! the accumulator's element type. This pass statically types the
 //! obvious expressions (literals, arithmetic, comparisons) and flags
 //! certain mismatches; anything it cannot type stays silent — the lint
-//! never guesses.
+//! never guesses. A written value is checked against each declaration
+//! of its target that reaches the write; an initializer, against its
+//! own declarator.
 
-use super::{accum_decls, Ctx, Diagnostic};
-use crate::ast::{AccStmt, BinOp, Expr, Span, Stmt, UnOp};
+use super::{Ctx, Diagnostic, Reach, Sink};
+use crate::ast::{AccStmt, BinOp, Expr, Span, UnOp};
 use accum::AccumType;
 use pgraph::value::ValueType;
 
@@ -81,48 +83,43 @@ fn infer(e: &Expr) -> Ty {
 }
 
 pub(super) fn run(cx: &Ctx, out: &mut Vec<Diagnostic>) {
-    // Declaration initializers follow the same value contract as `=`.
-    for (ty, d) in accum_decls(cx.q) {
-        if let Some(init) = &d.init {
-            check_operand(ty, init, &d.name, d.global, d.span, out);
+    // Statement-level `@@a = e;` / `@@a += e;` and declaration
+    // initializers, which follow the same value contract as `=`.
+    for site in &cx.sites {
+        match site.sink {
+            Sink::Global(name) => check_reaching(&site.reach, name, true, site.expr, site.span, out),
+            Sink::Init(ty, d) => check_operand(ty, site.expr, &d.name, d.global, d.span, out),
+            Sink::Read => {}
         }
     }
-    // Statement-level `@@a = e;` / `@@a += e;`.
-    check_stmts(cx, &cx.q.body, out);
     // ACCUM / POST_ACCUM writes.
     for bc in &cx.blocks {
         for s in bc.block.accum.iter().chain(&bc.block.post_accum) {
-            match s {
-                AccStmt::VAcc { name, expr, .. } => {
-                    if let Some(info) = cx.vaccs.get(name.as_str()) {
-                        check_operand(info.ty, expr, name, false, bc.block.span, out);
-                    }
-                }
-                AccStmt::GAcc { name, expr, .. } => {
-                    if let Some(info) = cx.gaccs.get(name.as_str()) {
-                        check_operand(info.ty, expr, name, true, bc.block.span, out);
-                    }
-                }
-                AccStmt::LocalDecl { .. } => {}
-            }
+            let (name, global, expr) = match s {
+                AccStmt::VAcc { name, expr, .. } => (name, false, expr),
+                AccStmt::GAcc { name, expr, .. } => (name, true, expr),
+                AccStmt::LocalDecl { .. } => continue,
+            };
+            check_reaching(&bc.reach, name, global, expr, bc.block.span, out);
         }
     }
 }
 
-fn check_stmts(cx: &Ctx, stmts: &[Stmt], out: &mut Vec<Diagnostic>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::GAccAssign { name, expr, .. } => {
-                if let Some(info) = cx.gaccs.get(name.as_str()) {
-                    check_operand(info.ty, expr, name, true, Span::default(), out);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::Foreach { body, .. } => check_stmts(cx, body, out),
-            Stmt::If { then_branch, else_branch, .. } => {
-                check_stmts(cx, then_branch, out);
-                check_stmts(cx, else_branch, out);
-            }
-            _ => {}
+/// Checks a value written into `name` against each declaration that can
+/// be in force there, and reports the first that rejects it.
+fn check_reaching(
+    reach: &Reach,
+    name: &str,
+    global: bool,
+    expr: &Expr,
+    span: Span,
+    out: &mut Vec<Diagnostic>,
+) {
+    for ty in reach.types(name, global) {
+        let before = out.len();
+        check_operand(ty, expr, name, global, span, out);
+        if out.len() > before {
+            return;
         }
     }
 }

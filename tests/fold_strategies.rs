@@ -11,7 +11,7 @@
 //! Regenerate after an intentional gate change with
 //! `GSQL_BLESS=1 cargo test -p bench --test fold_strategies`.
 
-use gsql_core::{explain_plan, parse_query, PathSemantics, PlanNode};
+use gsql_core::{explain_plan, parse_query, Engine, PathSemantics, PlanNode};
 use gsql_core::stdlib;
 use ldbc_snb::queries;
 use std::path::PathBuf;
@@ -126,4 +126,35 @@ fn fold_strategies_are_golden() {
         actual, expected,
         "a clause's fold strategy changed; if intentional, regenerate with GSQL_BLESS=1"
     );
+}
+
+/// A `ListAccum` fold stays sequential, in source row order, when a
+/// `MaxAccum` of the same name is declared after the block: that
+/// declaration is not in force when the block runs, so it cannot make
+/// the fold an exact merge or license a reversed traversal.
+#[test]
+fn a_later_redeclaration_does_not_make_a_list_fold_parallel() {
+    let body = r#"CREATE QUERY q () {
+  ListAccum<string> @@l;
+  SELECT count(*) AS n INTO R FROM V:s -(E>)- V:t -(E>)- V:u -(E>)- V:w
+    WHERE w.name == 'v30' ACCUM @@l += s.name + "-" + u.name;
+  PRINT @@l;
+"#;
+    let (g, _) = pgraph::generators::diamond_chain(30);
+    for redeclared in ["", "  MaxAccum<string> @@l;\n"] {
+        let q = parse_query(&format!("{body}{redeclared}}}")).unwrap();
+        for (p, morsel) in [(1, 1), (1, 1024), (4, 1), (4, 1024)] {
+            let engine = Engine::new(&g).with_parallelism(p).with_morsel_size(morsel);
+            let out = engine.run(&q, &[]).unwrap();
+            assert_eq!(
+                out.prints,
+                ["@@l = [d28a-d29a, d28a-d29b, d28b-d29a, d28b-d29b]"],
+                "redeclared: {redeclared:?}, parallelism {p}, morsel {morsel}"
+            );
+        }
+        let plan = Engine::new(&g).explain(&q).unwrap();
+        let block = &plan.root.children[0];
+        assert_eq!(phrase(block, "accum"), "snapshot Map/Reduce, sequential emission fold");
+        assert!(block.children.iter().all(|c| c.op != "hop-reorder"), "{}", plan.render());
+    }
 }

@@ -549,6 +549,109 @@ fn p003_reads_a_redeclaration_that_reaches_around_a_loop() {
     assert_eq!(p003_and_engine(looped), (true, true));
 }
 
+/// Whether the linter reports an Error-severity T001 or A006 for `src`,
+/// and the engine's error, if it fails, at parallelism `p`.
+fn typing_and_engine(src: &str, p: usize) -> (bool, Option<String>) {
+    let q = parse_query(src).unwrap();
+    let (g, _) = pgraph::generators::diamond_chain(3);
+    let engine = gsql_core::Engine::new(&g).with_parallelism(p).with_morsel_size(1);
+    let linted = engine
+        .check(&q)
+        .iter()
+        .any(|d| matches!(d.code, "T001" | "A006") && d.severity == Severity::Error);
+    (linted, engine.run(&q, &[]).err().map(|e| e.to_string()))
+}
+
+/// An accumulator is typed by the declaration in force where it is used,
+/// by the linter as by the engine: T001 and A006 report an error exactly
+/// when the query fails, and a target no declaration reaches fails with
+/// the same message at every parallelism.
+#[test]
+fn t001_and_a006_read_the_declaration_in_force() {
+    let shapes: [(&str, &str, Option<&str>); 8] = [
+        (
+            "1. use in a block before the declaration",
+            "S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += 1;
+  PRINT @@x;
+  SumAccum<int> @@x;",
+            Some("runtime error: undeclared accumulator `@@x`"),
+        ),
+        (
+            "2. PRINT before the declaration",
+            "PRINT @@y;
+  SumAccum<int> @@y;",
+            Some("runtime error: undeclared accumulator `@@y`"),
+        ),
+        (
+            "3. a redeclaration of another type after the use",
+            "SumAccum<string> @@x;
+  @@x += \"a\";
+  PRINT @@x;
+  SumAccum<int> @@x;",
+            None,
+        ),
+        (
+            "4. a redeclaration before the use",
+            "SumAccum<string> @@x;
+  SumAccum<int> @@x;
+  S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += \"a\";
+  PRINT @@x;",
+            Some("integer"),
+        ),
+        (
+            "5. a declaration only in an IF branch",
+            "IF 1 < 2 THEN
+    SumAccum<string> @@x;
+  END;
+  S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += \"a\";
+  PRINT @@x;",
+            None,
+        ),
+        (
+            "6. a redeclaration at the end of a WHILE body",
+            "SumAccum<int> @@i;
+  SumAccum<int> @@x;
+  WHILE @@i < 2 DO
+    S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += 1;
+    @@i += 1;
+    SumAccum<string> @@x;
+  END;
+  PRINT @@x;",
+            Some("string"),
+        ),
+        (
+            "7. a nested initializer of the wrong type",
+            "SumAccum<int> @@i;
+  WHILE @@i < 1 DO
+    SumAccum<int> @@z = \"s\";
+    @@i += 1;
+  END;
+  PRINT @@i;",
+            Some("accumulator expected integer input"),
+        ),
+        (
+            "8. a string SumAccum redeclared as an int after its block",
+            "SumAccum<string> @@x;
+  S = SELECT t FROM V:s -(E>)- V:t WHERE s.name == \"v0\" ACCUM @@x += \"a\";
+  PRINT @@x;
+  SumAccum<int> @@x;",
+            None,
+        ),
+    ];
+    for (shape, body, failure) in shapes {
+        let src = format!("CREATE QUERY q () {{\n  {body}\n}}");
+        for p in [1, 4] {
+            let (linted, failed) = typing_and_engine(&src, p);
+            match (&failed, failure) {
+                (Some(e), Some(want)) => assert!(e.contains(want), "{shape} (p={p}): {e}"),
+                (None, None) => {}
+                _ => panic!("{shape} (p={p}): engine gave {failed:?}, expected {failure:?}"),
+            }
+            assert_eq!(linted, failed.is_some(), "{shape} (p={p}): lint and engine disagree");
+        }
+    }
+}
+
 // ---- P004 bounded fan-out estimate under enumeration --------------------
 
 #[test]
