@@ -107,6 +107,8 @@ pub enum Stmt {
         combine: bool,
         /// Right-hand side.
         expr: Expr,
+        /// Source position of the `@@` target.
+        span: Span,
     },
     /// `USE SEMANTICS 'non_repeated_edge';` — the per-query matching-
     /// semantics selection the paper announces as planned syntax
@@ -149,9 +151,19 @@ pub enum Stmt {
         id: usize,
     },
     /// `PRINT e1, e2, ...;`
-    Print(Vec<PrintItem>),
+    Print {
+        /// Printed items, in order.
+        items: Vec<PrintItem>,
+        /// Source position of the `PRINT` keyword.
+        span: Span,
+    },
     /// `RETURN e;`
-    Return(Expr),
+    Return {
+        /// Returned expression.
+        expr: Expr,
+        /// Source position of the `RETURN` keyword.
+        span: Span,
+    },
     /// `INSERT VERTEX Type [(attr, ...)] VALUES (e, ...);` — omitted
     /// attributes take their type defaults; with no column list the
     /// values are positional over the declared attributes.

@@ -935,7 +935,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             Stmt::UseSemantics(sem) => {
                 self.semantics = *sem;
             }
-            Stmt::GAccAssign { name, combine, expr } => {
+            Stmt::GAccAssign { name, combine, expr, .. } => {
                 let v = self.eval_once(expr)?;
                 let acc = self
                     .gacc_ids
@@ -973,8 +973,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 self.prof_exit(span, SpanExtra::default());
                 return flow;
             }
-            Stmt::Print(items) => self.exec_print(items)?,
-            Stmt::Return(expr) => {
+            Stmt::Print { items, .. } => self.exec_print(items)?,
+            Stmt::Return { expr, .. } => {
                 self.returned = Some(self.eval_return(expr)?);
                 return Ok(Flow::Returned);
             }
@@ -1673,11 +1673,12 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// narrows `to_spec` to the vertices that pass them, since its kernel
     /// may anchor on that set.
     ///
-    /// The step's strategy is the planner's cost-based choice for this
-    /// hop; it is advisory — runtime conditions (is the target actually
-    /// anchored? how large did the spec-refined set turn out?) always
-    /// gate the backward kernels, so a stale hint degrades to the
-    /// syntax-driven default, never to a wrong answer.
+    /// The step's strategy is the planner's choice for this hop. The
+    /// adjacency scan runs exactly when the plan chose it; between the
+    /// kernels the choice is advisory — runtime conditions (is the
+    /// target actually anchored? how large did the spec-refined set turn
+    /// out?) always gate the backward kernels, so a stale hint degrades
+    /// to the syntax-driven default, never to a wrong answer.
     fn extend_hop(
         &mut self,
         rows: MorselTable,
@@ -1699,7 +1700,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
             _ => None,
         };
 
-        if let Some(sym) = hop.darpe.as_single_symbol() {
+        if hs.strategy == HopStrategy::Adjacency {
+            let sym = hop
+                .darpe
+                .as_single_symbol()
+                .expect("the plan scans adjacency only for a single-edge hop");
             // Single-edge hop: scan the source column contiguously,
             // walk each source's typed adjacency slice, optionally
             // binding the edge variable.

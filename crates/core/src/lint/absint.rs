@@ -439,7 +439,7 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                         }
                     }
                 }
-                Stmt::GAccAssign { name, combine, expr } => {
+                Stmt::GAccAssign { name, combine, expr, .. } => {
                     if *combine {
                         env_set(env, name, Top);
                     } else {

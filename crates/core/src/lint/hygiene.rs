@@ -84,7 +84,7 @@ fn collect_vset_uses<'a>(stmts: &'a [Stmt], used: &mut Vec<&'a str>) {
                 }
             },
             Stmt::Select(b) => block_uses(b, used),
-            Stmt::Print(items) => {
+            Stmt::Print { items, .. } => {
                 for item in items {
                     if let PrintItem::VSetProjection { set, .. } = item {
                         used.push(set);

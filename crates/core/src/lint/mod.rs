@@ -213,8 +213,8 @@ impl<'a> Ctx<'a> {
                 Stmt::Select(b) | Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
                     self.blocks.push(BlockCtx { block: b, reach: reach.clone() })
                 }
-                Stmt::GAccAssign { name, expr, .. } => {
-                    self.site(expr, Sink::Global(name), outer, reach)
+                Stmt::GAccAssign { name, expr, span, .. } => {
+                    self.site(expr, Sink::Global(name), *span, reach)
                 }
                 Stmt::While { cond, limit, body, span, .. } => {
                     if let Some(l) = limit {
@@ -236,7 +236,7 @@ impl<'a> Ctx<'a> {
                     self.collect(else_branch, reach, outer);
                     reach.union(&then_exit);
                 }
-                _ => output_exprs(stmt, outer, &mut |e, span| self.site(e, Sink::Read, span, reach)),
+                _ => output_exprs(stmt, &mut |e, span| self.site(e, Sink::Read, span, reach)),
             }
         }
     }
@@ -276,7 +276,8 @@ fn union_into<T: PartialEq + Copy>(set: &mut Vec<T>, from: &[T]) -> bool {
 // The passes share one recursive statement walker that surfaces every
 // top-level expression together with the span of the nearest enclosing
 // spanned construct (SELECT block, WHILE, vertex-set assignment,
-// accumulator declarator). Sub-expressions are reached via `Expr::walk`.
+// accumulator declarator, PRINT, RETURN, `@@` assignment, mutation).
+// Sub-expressions are reached via `Expr::walk`.
 
 /// Visits every top-level expression of a SELECT block. `f` receives the
 /// expression and the block's span.
@@ -335,7 +336,7 @@ fn stmts_exprs(stmts: &[Stmt], outer: Span, f: &mut impl FnMut(&Expr, Span)) {
             Stmt::Select(b) | Stmt::VSetAssign { source: VSetSource::Select(b), .. } => {
                 block_exprs(b, f)
             }
-            Stmt::GAccAssign { expr, .. } => f(expr, outer),
+            Stmt::GAccAssign { expr, span, .. } => f(expr, *span),
             Stmt::While { cond, limit, body, span, .. } => {
                 f(cond, *span);
                 if let Some(l) = limit {
@@ -352,28 +353,28 @@ fn stmts_exprs(stmts: &[Stmt], outer: Span, f: &mut impl FnMut(&Expr, Span)) {
                 f(iterable, outer);
                 stmts_exprs(body, outer, f);
             }
-            _ => output_exprs(stmt, outer, f),
+            _ => output_exprs(stmt, f),
         }
     }
 }
 
-/// Visits the expressions of a PRINT, RETURN or mutation statement;
-/// other statements have none of their own here.
-fn output_exprs<'e>(stmt: &'e Stmt, outer: Span, f: &mut impl FnMut(&'e Expr, Span)) {
+/// Visits the expressions of a PRINT, RETURN or mutation statement, each
+/// with its statement's own span; other statements have none here.
+fn output_exprs<'e>(stmt: &'e Stmt, f: &mut impl FnMut(&'e Expr, Span)) {
     match stmt {
-        Stmt::Print(items) => {
+        Stmt::Print { items, span } => {
             for item in items {
                 match item {
-                    PrintItem::Expr { expr, .. } => f(expr, outer),
+                    PrintItem::Expr { expr, .. } => f(expr, *span),
                     PrintItem::VSetProjection { items, .. } => {
                         for it in items {
-                            f(&it.expr, outer);
+                            f(&it.expr, *span);
                         }
                     }
                 }
             }
         }
-        Stmt::Return(e) => f(e, outer),
+        Stmt::Return { expr, span } => f(expr, *span),
         Stmt::InsertVertex { values, span, .. } => {
             for e in values {
                 f(e, *span);

@@ -304,10 +304,11 @@ impl Parser {
             Tok::Kw("FOREACH") => self.foreach_stmt(),
             Tok::Kw("PRINT") => self.print_stmt(),
             Tok::Kw("RETURN") => {
+                let span = self.span();
                 self.bump();
-                let e = self.expr()?;
+                let expr = self.expr()?;
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Return(e))
+                Ok(Stmt::Return { expr, span })
             }
             Tok::Kw("SELECT") => {
                 let block = self.select_block()?;
@@ -315,6 +316,7 @@ impl Parser {
                 Ok(Stmt::Select(Box::new(block)))
             }
             Tok::GAcc(name) => {
+                let span = self.span();
                 self.bump();
                 let combine = match self.bump() {
                     Tok::PlusEq => true,
@@ -323,7 +325,7 @@ impl Parser {
                 };
                 let expr = self.expr()?;
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::GAccAssign { name, combine, expr })
+                Ok(Stmt::GAccAssign { name, combine, expr, span })
             }
             Tok::Ident(name) if name.ends_with("Accum") => self.accum_decl(),
             Tok::Ident(_) | Tok::Kw(_) => {
@@ -738,6 +740,7 @@ impl Parser {
     }
 
     fn print_stmt(&mut self) -> Result<Stmt> {
+        let span = self.span();
         self.expect_kw("PRINT")?;
         let mut items = Vec::new();
         loop {
@@ -775,7 +778,7 @@ impl Parser {
             }
         }
         self.expect(Tok::Semi)?;
-        Ok(Stmt::Print(items))
+        Ok(Stmt::Print { items, span })
     }
 
     // ---- SELECT blocks -------------------------------------------------
@@ -1619,7 +1622,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match &q.body[2] {
-            Stmt::Print(items) => match &items[0] {
+            Stmt::Print { items, .. } => match &items[0] {
                 PrintItem::VSetProjection { set, items } => {
                     assert_eq!(set, "R");
                     assert_eq!(items.len(), 2);

@@ -2,6 +2,7 @@
 //! suite and the `bench_server` load generator. Speaks just enough of
 //! the protocol to talk to our own server (and keeps connections alive).
 
+use crate::http;
 use crate::json::{self, Json};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -54,23 +55,11 @@ impl Client {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> io::Result<ClientResponse> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nhost: gsql-serve\r\n");
-        for (k, v) in headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
         // A server may reject early (e.g. 413 on the declared length)
         // and close its read side while we are still writing the body;
         // the response is already in flight, so a write error must not
         // stop us from reading it.
-        let wrote = self
-            .writer
-            .write_all(head.as_bytes())
-            .and_then(|()| self.writer.write_all(body))
-            .and_then(|()| self.writer.flush());
+        let wrote = write_request(&mut self.writer, method, path, headers, body);
         match self.read_response() {
             Ok(resp) => Ok(resp),
             Err(read_err) => Err(wrote.err().unwrap_or(read_err)),
@@ -129,5 +118,47 @@ impl Client {
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
         Ok(ClientResponse { status, headers, body })
+    }
+}
+
+/// Writes one request, head and body, in one message.
+fn write_request<W: Write>(
+    w: &mut W,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: gsql-serve\r\n");
+    for (k, v) in headers {
+        head.push_str(k);
+        head.push_str(": ");
+        head.push_str(v);
+        head.push_str("\r\n");
+    }
+    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+    http::write_message(w, head.as_bytes(), body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWriter;
+
+    #[test]
+    fn a_request_is_one_write_call_and_parses_back() {
+        let body = br#"{"query":"CREATE QUERY q() { PRINT 1; }"}"#;
+        let mut w = CountingWriter::new(usize::MAX);
+        write_request(&mut w, "POST", "/query", &[("x-gsql-profile", "1")], body).unwrap();
+        assert_eq!(w.calls, 1);
+
+        let mut piecewise = CountingWriter::new(2);
+        write_request(&mut piecewise, "POST", "/query", &[("x-gsql-profile", "1")], body).unwrap();
+        assert_eq!(piecewise.bytes, w.bytes);
+
+        let req = http::read_request(&mut BufReader::new(w.bytes.as_slice()), 1024).unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/query"));
+        assert_eq!(req.header("x-gsql-profile"), Some("1"));
+        assert_eq!(req.body, body);
     }
 }

@@ -16,7 +16,7 @@
 use crate::admission::request_budget;
 use crate::http::{Request, Response};
 use crate::json::{self, write_json, Json};
-use crate::server::Shared;
+use crate::server::{Conn, Shared};
 use gsql_core::exec::{QueryOutput, ReturnValue};
 use gsql_core::{Engine, ErrorKind, PreparedQuery, ResourceReport};
 use pgraph::mutate::BatchSummary;
@@ -26,19 +26,19 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Routes one parsed request. `stream` is the client socket, borrowed so
-/// long-running executions can register with the disconnect watchdog.
-pub fn handle(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Response {
+/// Routes one parsed request. `conn` is the client connection's registry
+/// handle, which a running query arms for disconnect detection.
+pub fn handle(shared: &Shared, req: &Request, conn: &Conn<'_>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/metrics") => metrics(shared),
-        ("POST", "/query") => query(shared, req, stream),
-        ("POST", "/mutate") => mutate(shared, req, stream),
+        ("POST", "/query") => query(shared, req, conn),
+        ("POST", "/mutate") => mutate(shared, req, conn),
         ("POST", "/explain") => explain(shared, req),
         ("POST", "/lint") => lint(shared, req),
         ("POST", "/prepare") => prepare(shared, req),
         ("POST", p) if p.starts_with("/execute/") => {
-            execute(shared, req, stream, &p["/execute/".len()..])
+            execute(shared, req, conn, &p["/execute/".len()..])
         }
         (_, "/query" | "/mutate" | "/explain" | "/lint" | "/prepare") => {
             error_response(405, "method-not-allowed", "use POST", None)
@@ -145,7 +145,7 @@ fn profile_requested(req: &Request) -> bool {
 /// may start with `EXPLAIN` (returns the plan without executing) or
 /// `PROFILE` (executes with per-operator profiling, like the
 /// `x-gsql-profile: 1` header).
-fn query(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Response {
+fn query(shared: &Shared, req: &Request, conn: &Conn<'_>) -> Response {
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return *resp,
@@ -173,7 +173,7 @@ fn query(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Respon
         return lint_response(shared, &cached.prepared, cached.hit);
     }
     let profiled = mode == TextMode::Profile || profile_requested(req);
-    run_query(shared, req, stream, &cached.prepared, &args, cached.hit, profiled, false)
+    run_query(shared, req, conn, &cached.prepared, &args, cached.hit, profiled, false)
 }
 
 /// `POST /mutate` — like `/query`, but the batch of mutation ops the
@@ -181,7 +181,7 @@ fn query(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Respon
 /// the WAL after a successful run. The query executes against a pinned
 /// pre-write snapshot; its batch becomes visible atomically on commit.
 /// Refused with 503 while the server is degraded read-only.
-fn mutate(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Response {
+fn mutate(shared: &Shared, req: &Request, conn: &Conn<'_>) -> Response {
     if shared.read_only() {
         return error_response(
             503,
@@ -211,7 +211,7 @@ fn mutate(shared: &Shared, req: &Request, stream: &std::net::TcpStream) -> Respo
         }
     };
     count_cache(shared, cached.hit);
-    run_query(shared, req, stream, &cached.prepared, &args, cached.hit, false, true)
+    run_query(shared, req, conn, &cached.prepared, &args, cached.hit, false, true)
 }
 
 /// `POST /explain` — return the logical plan without executing. Accepts
@@ -402,7 +402,7 @@ fn prepare(shared: &Shared, req: &Request) -> Response {
 /// parameters *before* admission: a missing parameter, a type mismatch,
 /// or an undeclared name is refused with 422 and a structured
 /// `bad-param` error naming the parameter at fault.
-fn execute(shared: &Shared, req: &Request, stream: &std::net::TcpStream, id: &str) -> Response {
+fn execute(shared: &Shared, req: &Request, conn: &Conn<'_>, id: &str) -> Response {
     let Some(prepared) = shared.plans.get_by_id(id) else {
         return error_response(
             404,
@@ -429,7 +429,7 @@ fn execute(shared: &Shared, req: &Request, stream: &std::net::TcpStream, id: &st
     }
     // Executing a resident plan is by definition a cache hit.
     count_cache(shared, true);
-    run_query(shared, req, stream, &prepared, &args, true, profile_requested(req), false)
+    run_query(shared, req, conn, &prepared, &args, true, profile_requested(req), false)
 }
 
 /// Maps a [`gsql_core::BindError`] to the 422 `bad-param` envelope:
@@ -461,7 +461,7 @@ fn bind_error_response(e: &gsql_core::BindError) -> Response {
 fn run_query(
     shared: &Shared,
     req: &Request,
-    stream: &std::net::TcpStream,
+    conn: &Conn<'_>,
     prepared: &Arc<PreparedQuery>,
     args: &[(String, Value)],
     cache_hit: bool,
@@ -508,9 +508,9 @@ fn run_query(
         .with_parallelism(shared.cfg.parallelism)
         .with_budget(budget);
     let outcome = {
-        // Register with the watchdog only for the duration of the run:
-        // the token must drop before we touch the socket to respond.
-        let _watch = shared.watchdog.watch(stream, engine.cancel_handle());
+        // Armed for disconnect detection only for the duration of the
+        // run: the token must drop before we touch the socket to respond.
+        let _armed = conn.arm(engine.cancel_handle());
         let arg_refs: Vec<(&str, Value)> =
             args.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
         // Lowered-plan execution: the prepared handle's plan slot caches

@@ -6,8 +6,12 @@
 //! honored, and hard limits on header and body size so untrusted peers
 //! cannot balloon memory. No chunked encoding, no TLS, no pipelining —
 //! a request is read only after the previous response is written.
+//!
+//! Every message, request or response, leaves in one write call
+//! ([`write_message`]): on a `TCP_NODELAY` socket a head and a body
+//! written apart cross the wire as two segments and wake the peer twice.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Cap on the request line + header section.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -202,14 +206,29 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<bool> 
         head.push_str("\r\n");
     }
     head.push_str(if keep_alive { "connection: keep-alive\r\n\r\n" } else { "connection: close\r\n\r\n" });
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
-    w.flush()?;
+    write_message(w, head.as_bytes(), &resp.body)?;
     Ok(keep_alive)
 }
 
+/// Sends `head` and `body` as one message: a single vectored write when
+/// the writer takes it whole (a socket does, up to its send buffer), and
+/// a loop over the remainder when it takes less.
+pub fn write_message<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
 
@@ -263,5 +282,81 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 2"), "{text}");
         assert!(text.ends_with("{}"), "{text}");
+    }
+
+    fn written(resp: &Response, max_per_call: usize) -> (Vec<u8>, usize) {
+        let mut w = CountingWriter::new(max_per_call);
+        write_response(&mut w, resp).unwrap();
+        (w.bytes, w.calls)
+    }
+
+    #[test]
+    fn every_response_is_one_write_call() {
+        let ok = Response::json(200, br#"{"ok":true,"result":[1,2,3]}"#.to_vec());
+        let shed =
+            Response::json(503, br#"{"ok":false}"#.to_vec()).with_header("retry-after", "1");
+        let closing = Response::json(400, br#"{"ok":false}"#.to_vec()).closing();
+        for resp in [&ok, &shed, &closing] {
+            let (bytes, calls) = written(resp, usize::MAX);
+            assert_eq!(calls, 1, "status {}: {}", resp.status, String::from_utf8_lossy(&bytes));
+            assert!(bytes.ends_with(&resp.body));
+        }
+        let text = String::from_utf8(written(&shed, usize::MAX).0).unwrap();
+        assert!(text.contains("\r\nretry-after: 1\r\n"), "{text}");
+        let text = String::from_utf8(written(&closing, usize::MAX).0).unwrap();
+        assert!(text.contains("\r\nconnection: close\r\n\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_writer_that_takes_two_bytes_a_call_gets_the_same_bytes() {
+        let resp = Response::json(503, br#"{"ok":false,"error":{}}"#.to_vec())
+            .with_header("retry-after", "1")
+            .closing();
+        let (whole, _) = written(&resp, usize::MAX);
+        let (piecewise, calls) = written(&resp, 2);
+        assert_eq!(piecewise, whole);
+        assert_eq!(calls, whole.len().div_ceil(2));
+    }
+
+    #[test]
+    fn a_bodiless_message_is_its_head() {
+        let mut w = CountingWriter::new(usize::MAX);
+        write_message(&mut w, b"GET / HTTP/1.1\r\n\r\n", b"").unwrap();
+        assert_eq!((w.bytes.as_slice(), w.calls), (&b"GET / HTTP/1.1\r\n\r\n"[..], 1));
+    }
+
+    /// A sink that counts the write calls it receives and takes at most
+    /// `max_per_call` bytes in each, for the one-write-per-message tests.
+    pub(crate) struct CountingWriter {
+        pub bytes: Vec<u8>,
+        pub calls: usize,
+        max_per_call: usize,
+    }
+
+    impl CountingWriter {
+        pub fn new(max_per_call: usize) -> Self {
+            CountingWriter { bytes: Vec::new(), calls: 0, max_per_call }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut budget = self.max_per_call;
+            for b in bufs {
+                let take = b.len().min(budget);
+                self.bytes.extend_from_slice(&b[..take]);
+                budget -= take;
+            }
+            Ok(self.max_per_call - budget)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 }

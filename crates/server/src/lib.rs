@@ -6,10 +6,13 @@
 //!
 //! Everything is built on `std` only (no external network crates):
 //! blocking sockets from [`std::net`], a hand-rolled minimal HTTP/1.1
-//! layer ([`http`]), and a hand-rolled JSON codec ([`json`]).
+//! layer ([`http`]) that sends every message in one write call, and a
+//! hand-rolled JSON codec ([`json`]).
 //!
 //! The moving parts:
-//! * [`server`] — acceptor, bounded worker pool, disconnect watchdog,
+//! * [`server`] — acceptor, bounded worker pool, a per-connection socket
+//!   registry (drain half-closes it; a watchdog thread peeks the
+//!   connections running a query and cancels those whose client left),
 //!   graceful drain-then-shutdown;
 //! * [`admission`] — bounded connection queue (503 on overflow), a
 //!   non-blocking concurrent-query gate (429 when saturated), and

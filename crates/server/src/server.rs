@@ -1,21 +1,27 @@
-//! The serving core: acceptor, bounded worker pool, client-disconnect
-//! watchdog, and graceful drain-then-shutdown.
+//! The serving core: acceptor, bounded worker pool, connection registry
+//! with its client-disconnect watchdog, and graceful drain-then-shutdown.
 //!
 //! Thread layout:
 //! * **acceptor** — non-blocking accept loop; pushes connections into the
 //!   bounded [`ConnQueue`] or sheds them inline with 503.
 //! * **workers** (N) — pop connections and serve keep-alive request
 //!   loops; all query execution happens here, one query per worker at a
-//!   time, gated by [`QueryGate`].
-//! * **watchdog** — polls in-flight requests' sockets with `MSG_PEEK`;
-//!   a half-closed peer cancels its query via [`CancelHandle`] so an
-//!   abandoned request stops consuming CPU at the next governor
-//!   checkpoint.
+//!   time, gated by [`QueryGate`]. A worker registers each connection's
+//!   socket once in the connection registry (one fd clone per connection)
+//!   and, while a query runs, arms that entry with the engine's
+//!   [`CancelHandle`]; it disarms before writing the response. Every
+//!   HTTP message leaves in one write call ([`http::write_message`]).
+//! * **watchdog** — every 20 ms, under the registry lock, polls the
+//!   sockets of armed entries with `MSG_PEEK`; a half-closed peer
+//!   cancels its query so an abandoned request stops consuming CPU at
+//!   the next governor checkpoint. Idle connections are never peeked.
 //!
 //! Shutdown ([`Server::begin_shutdown`], wired to SIGTERM / stdin EOF by
-//! `main`): the acceptor stops admitting and closes the queue; workers
-//! drain the backlog, finish in-flight requests (responses carry
-//! `Connection: close`), and exit; `join` then reaps every thread.
+//! `main`): the acceptor stops admitting and closes the queue; the
+//! registry half-closes every connection's read side so idle keep-alive
+//! reads wake; workers drain the backlog, finish in-flight requests
+//! (responses carry `Connection: close`), and exit; `join` then reaps
+//! every thread.
 
 use crate::admission::{ConnQueue, QueryGate};
 use crate::config::ServerConfig;
@@ -43,41 +49,11 @@ pub struct Shared {
     pub plans: PlanCache,
     pub gate: QueryGate,
     pub queue: ConnQueue,
-    pub watchdog: Watchdog,
     pub shutdown: AtomicBool,
     /// Set on the first WAL write failure: mutations are refused with
     /// 503 while reads keep serving the last durable snapshot.
     pub read_only: AtomicBool,
     conns: ConnRegistry,
-}
-
-/// Live connections, so drain can unblock workers parked in idle
-/// keep-alive reads: `shutdown_reads` half-closes every socket's read
-/// side (blocked reads see EOF immediately) while leaving the write
-/// side intact for in-flight responses.
-#[derive(Default)]
-struct ConnRegistry {
-    streams: Mutex<Vec<(u64, TcpStream)>>,
-    next_id: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().unwrap().push((id, clone));
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.streams.lock().unwrap().retain(|(i, _)| *i != id);
-    }
-
-    fn shutdown_reads(&self) {
-        for (_, s) in self.streams.lock().unwrap().iter() {
-            let _ = s.shutdown(std::net::Shutdown::Read);
-        }
-    }
 }
 
 impl Shared {
@@ -90,54 +66,101 @@ impl Shared {
     }
 }
 
-// ---- client-disconnect watchdog -----------------------------------------
+// ---- the connection registry --------------------------------------------
 
-struct WatchEntry {
-    id: u64,
-    stream: TcpStream,
-    cancel: CancelHandle,
-}
-
-/// Registry of requests currently executing, polled for peer disconnect.
+/// Every live connection's socket, one clone each, registered when the
+/// connection starts and dropped when it ends. The registry serves two
+/// masters:
+/// * the watchdog, which peeks the sockets of *armed* entries (those
+///   whose connection is running a query) for a departed peer and
+///   cancels that query through the entry's [`CancelHandle`];
+/// * drain, which half-closes every entry's read side so workers parked
+///   in idle keep-alive reads see EOF at once, while the write side
+///   stays open for in-flight responses.
 #[derive(Default)]
-pub struct Watchdog {
-    entries: Mutex<Vec<WatchEntry>>,
+struct ConnRegistry {
+    entries: Mutex<Vec<ConnEntry>>,
     next_id: AtomicU64,
 }
 
-/// RAII registration; dropping unregisters (taken before the response is
-/// written, so the watchdog never touches a socket a worker is using).
-pub struct WatchToken<'a> {
-    watchdog: &'a Watchdog,
+struct ConnEntry {
+    id: u64,
+    stream: TcpStream,
+    /// The running query's cancel handle, while there is one.
+    armed: Option<CancelHandle>,
+}
+
+/// A connection's registration; dropping it deregisters the connection.
+pub struct Conn<'a> {
+    registry: &'a ConnRegistry,
     id: u64,
 }
 
-impl Watchdog {
-    /// Registers `stream`'s peer as the owner of a running query.
-    /// Returns `None` (no disconnect detection, query still runs) if the
-    /// fd cannot be duplicated.
-    pub fn watch(&self, stream: &TcpStream, cancel: CancelHandle) -> Option<WatchToken<'_>> {
+/// A connection armed for disconnect detection; dropping it disarms the
+/// entry. It is dropped before the response is written: the watchdog's
+/// peek flips `O_NONBLOCK`, which the registry's clone shares with the
+/// worker's socket, and disarming takes the registry lock, so it waits
+/// out a peek in progress and no later peek touches the socket.
+pub struct Armed<'a> {
+    conn: &'a Conn<'a>,
+}
+
+impl ConnRegistry {
+    /// Registers `stream`; `None` if its fd cannot be duplicated.
+    fn register(&self, stream: &TcpStream) -> Option<Conn<'_>> {
         let clone = stream.try_clone().ok()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().unwrap().push(WatchEntry { id, stream: clone, cancel });
-        Some(WatchToken { watchdog: self, id })
+        self.entries.lock().unwrap().push(ConnEntry { id, stream: clone, armed: None });
+        Some(Conn { registry: self, id })
     }
 
-    /// One poll pass: cancel every query whose client is gone.
+    /// Sets connection `id`'s cancel handle (`None` disarms).
+    fn set_armed(&self, id: u64, cancel: Option<CancelHandle>) {
+        if let Some(e) = self.entries.lock().unwrap().iter_mut().find(|e| e.id == id) {
+            e.armed = cancel;
+        }
+    }
+
+    /// One watchdog pass: cancel every running query whose client is gone.
     fn scan(&self) {
-        let entries = self.entries.lock().unwrap();
-        for e in entries.iter() {
-            if peer_disconnected(&e.stream) {
-                e.cancel.cancel();
+        for e in self.entries.lock().unwrap().iter() {
+            if let Some(cancel) = &e.armed {
+                if peer_disconnected(&e.stream) {
+                    cancel.cancel();
+                }
             }
+        }
+    }
+
+    fn shutdown_reads(&self) {
+        for e in self.entries.lock().unwrap().iter() {
+            let _ = e.stream.shutdown(std::net::Shutdown::Read);
         }
     }
 }
 
-impl Drop for WatchToken<'_> {
+impl Conn<'_> {
+    /// Arms this connection with a running query's `cancel` handle until
+    /// the returned token drops.
+    pub fn arm(&self, cancel: CancelHandle) -> Armed<'_> {
+        self.registry.set_armed(self.id, Some(cancel));
+        Armed { conn: self }
+    }
+
+    fn is_armed(&self) -> bool {
+        self.registry.entries.lock().unwrap().iter().any(|e| e.id == self.id && e.armed.is_some())
+    }
+}
+
+impl Drop for Armed<'_> {
     fn drop(&mut self) {
-        let mut entries = self.watchdog.entries.lock().unwrap();
-        entries.retain(|e| e.id != self.id);
+        self.conn.registry.set_armed(self.conn.id, None);
+    }
+}
+
+impl Drop for Conn<'_> {
+    fn drop(&mut self) {
+        self.registry.entries.lock().unwrap().retain(|e| e.id != self.id);
     }
 }
 
@@ -183,7 +206,6 @@ impl Server {
             gate: QueryGate::new(cfg.max_concurrent_queries),
             plans: PlanCache::new(cfg.plan_cache_capacity, cfg.max_prepared),
             metrics: Metrics::default(),
-            watchdog: Watchdog::default(),
             shutdown: AtomicBool::new(false),
             read_only: AtomicBool::new(false),
             conns: ConnRegistry::default(),
@@ -218,7 +240,7 @@ impl Server {
                     // shutdown is flagged (scan of an empty registry is
                     // free).
                     while !shared.shutting_down() {
-                        shared.watchdog.scan();
+                        shared.conns.scan();
                         std::thread::sleep(Duration::from_millis(20));
                     }
                 })?
@@ -308,22 +330,22 @@ fn shed_connection(mut conn: TcpStream) {
     let _ = http::write_response(&mut conn, &resp);
 }
 
-/// Serves one connection's keep-alive request loop.
+/// Serves one connection's keep-alive request loop. The stream itself
+/// is read through a buffer and written directly; the registry holds the
+/// connection's one clone.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.idle_timeout));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let reg_id = shared.conns.register(&stream);
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-
-    serve_requests(shared, &mut reader, &mut writer);
-    if let Some(id) = reg_id {
-        shared.conns.deregister(id);
-    }
+    let Some(conn) = shared.conns.register(&stream) else { return };
+    serve_requests(shared, &conn, &mut BufReader::new(&stream), &stream);
 }
 
-fn serve_requests(shared: &Shared, reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
+fn serve_requests(
+    shared: &Shared,
+    conn: &Conn<'_>,
+    reader: &mut BufReader<&TcpStream>,
+    mut writer: &TcpStream,
+) {
     loop {
         if shared.shutting_down() {
             // Serve anything already pipelined, but don't park waiting
@@ -333,11 +355,12 @@ fn serve_requests(shared: &Shared, reader: &mut BufReader<TcpStream>, writer: &m
         match http::read_request(reader, shared.cfg.max_body_bytes) {
             Ok(req) => {
                 let draining = shared.shutting_down();
-                let mut resp = handlers::handle(shared, &req, writer);
+                let mut resp = handlers::handle(shared, &req, conn);
                 if draining || req.wants_close() {
                     resp.close = true;
                 }
-                match http::write_response(writer, &resp) {
+                debug_assert!(!conn.is_armed(), "a query disarms its connection before the response");
+                match http::write_response(&mut writer, &resp) {
                     Ok(true) => continue,
                     _ => return,
                 }
@@ -351,14 +374,14 @@ fn serve_requests(shared: &Shared, reader: &mut BufReader<TcpStream>, writer: &m
                 );
                 // The oversized body was never read, so the connection
                 // cannot be reused.
-                let _ = http::write_response(writer, &Response::json(413, body).closing());
+                let _ = http::write_response(&mut writer, &Response::json(413, body).closing());
                 return;
             }
             Err(RecvError::Malformed(msg)) => {
                 let mut body = String::from(r#"{"ok":false,"error":{"kind":"bad-request","message":"#);
                 crate::json::write_escaped(&mut body, &msg);
                 body.push_str("}}");
-                let _ = http::write_response(writer, &Response::json(400, body).closing());
+                let _ = http::write_response(&mut writer, &Response::json(400, body).closing());
                 return;
             }
             Err(RecvError::Io(_)) => {

@@ -266,6 +266,78 @@ fn client_disconnect_cancels_the_running_query() {
     server.shutdown();
 }
 
+/// Writes one `POST /query` on a raw socket.
+fn post_raw(w: &mut std::net::TcpStream, body: &str) {
+    use std::io::Write as _;
+    let msg = format!(
+        "POST /query HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    w.write_all(msg.as_bytes()).unwrap();
+}
+
+/// Reads one response from a raw socket; returns its status.
+fn read_raw_status(r: &mut impl std::io::BufRead) -> u16 {
+    let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    let status = line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
+    let mut len = 0usize;
+    loop {
+        line.clear();
+        r.read_line(&mut line).unwrap();
+        let h = line.trim_end();
+        if h.is_empty() {
+            break;
+        }
+        if let Some(v) = h.strip_prefix("content-length: ") {
+            len = v.parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body).unwrap();
+    status
+}
+
+#[test]
+fn keep_alive_connection_rearms_for_each_query() {
+    let (server, addr) = start(|cfg| {
+        cfg.default_budget.max_while_iters = None;
+        cfg.default_budget.deadline = Some(Duration::from_secs(20));
+    });
+    let shared = server.shared().clone();
+
+    // Two ordinary round trips on one keep-alive connection: each run
+    // arms the connection and disarms it before its response.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    for tgt in ["v3", "v5"] {
+        post_raw(&mut raw, &qn_body(tgt));
+        assert_eq!(read_raw_status(&mut reader), 200);
+    }
+
+    // The third request on the same connection runs long; vanishing
+    // mid-run must cancel it, so the connection's entry armed again.
+    let spin = r#"{"query":"CREATE QUERY Spin (int n) {\n  SumAccum<int> @@s;\n  WHILE @@s < n LIMIT 1000000000 DO @@s += 1; END;\n  PRINT @@s;\n}","args":{"n":2000000000}}"#;
+    post_raw(&mut raw, spin);
+    let started = Instant::now();
+    while shared.gate.inflight() == 0 {
+        assert!(started.elapsed() < Duration::from_secs(10), "query never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(reader);
+    drop(raw);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while shared.metrics.cancelled.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "watchdog never cancelled the abandoned query");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(shared.metrics.cancelled.load(Ordering::Relaxed), 1);
+    assert_eq!(shared.metrics.completed.load(Ordering::Relaxed), 2);
+    assert_eq!(shared.metrics.failed.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}
+
 #[test]
 fn metrics_reconcile_and_drain_is_graceful() {
     let (server, addr) = start(|_| {});

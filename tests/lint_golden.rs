@@ -227,6 +227,26 @@ fn a006_undeclared_accumulator() {
     );
 }
 
+/// A top-level statement carries its own position, so an A006 on a PRINT,
+/// a RETURN or an `@@` assignment points at that statement.
+#[test]
+fn a006_on_top_level_statements_is_positioned() {
+    let src = r#"CREATE QUERY q () {
+  PRINT @@y;
+  @@z += 1;
+  SumAccum<int> @@y;
+  RETURN @@w;
+}"#;
+    let text = lint_text(src, COUNTING);
+    for (line, stmt) in [(2, "PRINT @@y;"), (3, "@@z += 1;"), (5, "RETURN @@w;")] {
+        assert!(
+            text.contains(&format!("  --> {line}:3\n  {line} |   {stmt}\n")),
+            "A006 on line {line} lacks its position and snippet:\n{text}"
+        );
+    }
+    positive("a006_top_level", "A006", src, COUNTING);
+}
+
 // ---- T001 combine operand type mismatch ---------------------------------
 
 #[test]

@@ -42,6 +42,7 @@ STEPS=(
   "docs|Docs (rustdoc -D warnings + doctests)"
   "gsql-check|gsql check (static analyzer smoke)"
   "server-smoke|Server smoke (gsql-serve + bench_server --smoke)"
+  "server-cancel-repeat|Server cancel repeat (watchdog e2e tests 20 times, one thread)"
   "parallel-smoke|Parallel smoke (byte-identical parallelism 1 vs 4 diff)"
   "crash-recovery-smoke|Crash-recovery smoke (kill -9 + WAL replay)"
   "flip-regression|Flip regression (proven gates, parallelism sweep)"
@@ -195,6 +196,18 @@ GSQL
     diff "$dir/$q.p1.out" "$dir/$q.p4.out"
   done
 )
+
+# The connection registry arms an entry while its query runs and disarms
+# it before the response; a race between that and the watchdog's scan
+# shows only now and then, so the two watchdog e2e tests run 20 times.
+step_server-cancel-repeat() {
+  local i
+  for i in $(seq 1 20); do
+    cargo test -q -p gsql-serve --test e2e -- --test-threads=1 --exact \
+      client_disconnect_cancels_the_running_query keep_alive_connection_rearms_for_each_query ||
+      { echo "failed on run $i of 20"; return 1; }
+  done
+}
 
 step_crash-recovery-smoke() (
   set -euo pipefail
