@@ -12,14 +12,11 @@ use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{
     dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
-use crate::plan::{
-    bound_twice, BlockPlan, HopStep, HopStrategy, QueryPlan, StepOp, VarCol,
-};
+use crate::plan::{bound_twice, BlockPlan, HopRun, HopStep, QueryPlan, StepOp, VarCol};
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
-use crate::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
+use crate::semantics::{KernelPool, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
 use accum::{Accum, AccumType, Input, UserAccumRegistry};
-use darpe::{resolve_symbol, CompiledDarpe, SymbolSpec};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::{AdjEntry, Graph, VertexId};
@@ -28,7 +25,7 @@ use pgraph::schema::{AttrDef, ETypeId, VTypeId};
 use pgraph::value::{Value, ValueType};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Cap on literal row expansion when a non-aggregate projection meets a
 /// multiplicity > 1 (outside the compressed representation).
@@ -1364,67 +1361,49 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let mut table_refs: Vec<&Table> = Vec::new();
         let mut rows = MorselTable::unit();
         for step in &bp.steps {
-            let item = bp.item_walked(block, step.item);
             let (op, key) = match &step.op {
                 StepOp::Hop(hs) => ("hop", (step.item, hs.hop)),
                 StepOp::Scan { .. } => ("scan", (step.item, 0)),
             };
-            let span = self.prof_enter(op, key, || match (&step.op, item) {
-                (StepOp::Hop(hs), FromItem::Pattern { hops, .. }) => {
-                    let hop = &hops[hs.hop];
-                    format!("hop -({})-> {}", hop.darpe, crate::explain::vspec_label(&hop.to))
-                }
-                (_, FromItem::Pattern { start, .. }) => {
-                    format!("scan {}", crate::explain::vspec_label(start))
-                }
-                (_, FromItem::Table { name, alias }) => format!("scan {name} AS {alias}"),
-            });
+            let span = self.prof_enter(op, key, || step.label.clone());
             if span.is_some() {
                 self.prof_hop_cache = (0, 0);
                 self.prof_hop_workers.clear();
             }
-            rows = match (&step.op, item) {
-                (StepOp::Scan { var, pins }, FromItem::Table { name, alias }) => {
-                    if let Some(t) = self.eng.tables.get(name) {
-                        let VarCol::New(col) = *var else { return Err(bound_twice(alias)) };
-                        debug_assert_eq!(col, rows.width());
-                        let tidx = table_refs.len();
-                        table_refs.push(t);
-                        // The product's size is known up front: it is
-                        // ticked against the row budget before anything
-                        // is allocated.
-                        let n = product_rows(rows.len(), t.len())?;
-                        self.guard.tick_rows(n as u64)?;
-                        let mut b = MorselBuilder::new(&rows, 1, n);
-                        for row in 0..rows.len() {
-                            for r in 0..t.len() {
-                                b.push(row, &[Binding::row(tidx, r)?], rows.mult(row).clone())?;
-                            }
+            rows = match &step.op {
+                StepOp::Scan { source, var, table: true, col, .. }
+                    if self.eng.tables.contains_key(source) =>
+                {
+                    let t = &self.eng.tables[source];
+                    let VarCol::New(col) = *col else { return Err(bound_twice(var)) };
+                    debug_assert_eq!(col, rows.width());
+                    let tidx = table_refs.len();
+                    table_refs.push(t);
+                    // The product's size is known up front: it is ticked
+                    // against the row budget before anything is allocated.
+                    let n = product_rows(rows.len(), t.len())?;
+                    self.guard.tick_rows(n as u64)?;
+                    let mut b = MorselBuilder::new(&rows, 1, n);
+                    for row in 0..rows.len() {
+                        for r in 0..t.len() {
+                            b.push(row, &[Binding::row(tidx, r)?], rows.mult(row).clone())?;
                         }
-                        b.finish()
-                    } else {
-                        // Vertex scan (type / set / param named `name`).
-                        let spec = self.resolve_spec(name)?;
-                        self.bind_vertex(rows, *var, alias, &spec, pins)?
                     }
+                    b.finish()
                 }
-                (StepOp::Scan { var, pins }, FromItem::Pattern { start, .. }) => {
-                    let spec = self.resolve_spec(&start.name)?;
-                    let name = start.var.as_deref().unwrap_or(&start.name);
-                    self.bind_vertex(rows, *var, name, &spec, pins)?
+                StepOp::Scan { source, var, col, pins, .. } => {
+                    // Vertex scan (type / set / param named `source`).
+                    let spec = self.resolve_spec(source)?;
+                    self.bind_vertex(rows, *col, var, &spec, pins)?
                 }
-                (StepOp::Hop(hs), FromItem::Pattern { hops, .. }) => {
-                    let hop = &hops[hs.hop];
-                    let to_spec = self.resolve_spec(&hop.to.name)?;
+                StepOp::Hop(hs) => {
+                    let to_spec = self.resolve_spec(&hs.to_source)?;
                     // Sargable pushdown: the WHERE conjuncts that name
                     // only the hop's unbound target are consumed by the
                     // hop itself (see `extend_hop`).
                     let targets: Vec<&Expr> =
                         hs.targets.iter().map(|&i| &bp.conjuncts[i].0).collect();
-                    self.extend_hop(rows, hop, hs, to_spec, &targets)?
-                }
-                (StepOp::Hop(_), FromItem::Table { .. }) => {
-                    unreachable!("a hop step walks a pattern")
+                    self.extend_hop(rows, hs, to_spec, &targets)?
                 }
             };
             rows = self.filter_rows(rows, &step.ready, bp, &table_refs)?;
@@ -1682,7 +1661,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
     fn extend_hop(
         &mut self,
         rows: MorselTable,
-        hop: &Hop,
         hs: &HopStep,
         to_spec: Spec,
         target_conds: &[&Expr],
@@ -1690,97 +1668,96 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let graph = self.graph();
         let prev_col = hs.from;
         // The target's name in errors (its type for an anonymous one).
-        let to_var = hop.to.var.as_deref().unwrap_or(&hop.to.name);
+        let to_var = hs.to_var.as_deref().unwrap_or(&hs.to_source);
         let existing_to = match hs.to {
             VarCol::Join(c) => Some(c),
             VarCol::New(_) => None,
         };
-        let anchored_to = match (existing_to, &hop.to.var) {
+        let anchored_to = match (existing_to, &hs.to_var) {
             (None, Some(v)) => self.anchor_for(v),
             _ => None,
         };
 
-        if hs.strategy == HopStrategy::Adjacency {
-            let sym = hop
-                .darpe
-                .as_single_symbol()
-                .expect("the plan scans adjacency only for a single-edge hop");
-            // Single-edge hop: scan the source column contiguously,
-            // walk each source's typed adjacency slice, optionally
-            // binding the edge variable.
-            let spec: SymbolSpec = resolve_symbol(sym, graph.schema())?;
-            // The target conjuncts' verdict per reached vertex.
-            let mut passes: FxHashMap<VertexId, bool> = FxHashMap::default();
-            let target_conds = self.bind_target_conds(to_var, target_conds);
-            let mut one: Option<VertexRow> = None;
-            if let Some(var) = &hs.rebinds {
-                return Err(bound_twice(var));
-            }
-            let edge_col = hs.edge;
-            let n_extra = edge_col.is_some() as usize + existing_to.is_none() as usize;
-            // Room for every adjacency entry the hop will scan (an upper
-            // bound on its output), but no more rows than the row budget
-            // has left.
-            let scanned: usize = (0..rows.len())
-                .map_while(|r| vertex_at(&rows, r, prev_col, to_var).ok())
-                .map(|v| hop_degree(graph, v, spec.etype))
-                .sum();
-            let headroom = usize::try_from(self.guard.rows_headroom()).unwrap_or(usize::MAX);
-            let mut b = MorselBuilder::new(&rows, n_extra, scanned.min(headroom));
-            let mut ex: Vec<Binding> = Vec::with_capacity(2);
-            let mut edges_scanned = 0u64;
-            for r in 0..rows.len() {
-                let before = b.len();
-                let src = vertex_at(&rows, r, prev_col, to_var)?;
-                for a in hop_adjacency(graph, src, spec.etype) {
-                    edges_scanned += 1;
-                    if !spec.matches(a.etype, a.dir) {
-                        continue;
-                    }
-                    if !to_spec.matches(graph, a.other) {
-                        continue;
-                    }
-                    if let Some(anchor) = anchored_to {
-                        if a.other != anchor {
-                            continue;
-                        }
-                    }
-                    if let Some(c) = existing_to {
-                        if *rows.binding(r, c) != Binding::Vertex(a.other) {
-                            continue;
-                        }
-                    }
-                    if !target_conds.is_empty() {
-                        let pass = match passes.get(&a.other) {
-                            Some(&pass) => pass,
-                            None => {
-                                let one = one.get_or_insert_with(VertexRow::new);
-                                let pass = self.target_passes(one, a.other, &target_conds)?;
-                                passes.insert(a.other, pass);
-                                pass
-                            }
-                        };
-                        if !pass {
-                            continue;
-                        }
-                    }
-                    ex.clear();
-                    if edge_col.is_some() {
-                        ex.push(Binding::Edge(a.edge));
-                    }
-                    if existing_to.is_none() {
-                        ex.push(Binding::Vertex(a.other));
-                    }
-                    b.push(r, &ex, rows.mult(r).clone())?;
+        let automata = match &hs.run {
+            HopRun::Kernel(automata) => automata,
+            HopRun::Adjacency(spec) => {
+                // Single-edge hop: scan the source column contiguously,
+                // walk each source's typed adjacency slice, optionally
+                // binding the edge variable.
+                let spec = spec.clone()?;
+                // The target conjuncts' verdict per reached vertex.
+                let mut passes: FxHashMap<VertexId, bool> = FxHashMap::default();
+                let target_conds = self.bind_target_conds(to_var, target_conds);
+                let mut one: Option<VertexRow> = None;
+                if let Some(var) = &hs.rebinds {
+                    return Err(bound_twice(var));
                 }
-                self.guard.tick_rows((b.len() - before) as u64)?;
+                let edge_col = hs.edge;
+                let n_extra = edge_col.is_some() as usize + existing_to.is_none() as usize;
+                // Room for every adjacency entry the hop will scan (an upper
+                // bound on its output), but no more rows than the row budget
+                // has left.
+                let scanned: usize = (0..rows.len())
+                    .map_while(|r| vertex_at(&rows, r, prev_col, to_var).ok())
+                    .map(|v| hop_degree(graph, v, spec.etype))
+                    .sum();
+                let headroom = usize::try_from(self.guard.rows_headroom()).unwrap_or(usize::MAX);
+                let mut b = MorselBuilder::new(&rows, n_extra, scanned.min(headroom));
+                let mut ex: Vec<Binding> = Vec::with_capacity(2);
+                let mut edges_scanned = 0u64;
+                for r in 0..rows.len() {
+                    let before = b.len();
+                    let src = vertex_at(&rows, r, prev_col, to_var)?;
+                    for a in hop_adjacency(graph, src, spec.etype) {
+                        edges_scanned += 1;
+                        if !spec.matches(a.etype, a.dir) {
+                            continue;
+                        }
+                        if !to_spec.matches(graph, a.other) {
+                            continue;
+                        }
+                        if let Some(anchor) = anchored_to {
+                            if a.other != anchor {
+                                continue;
+                            }
+                        }
+                        if let Some(c) = existing_to {
+                            if *rows.binding(r, c) != Binding::Vertex(a.other) {
+                                continue;
+                            }
+                        }
+                        if !target_conds.is_empty() {
+                            let pass = match passes.get(&a.other) {
+                                Some(&pass) => pass,
+                                None => {
+                                    let one = one.get_or_insert_with(VertexRow::new);
+                                    let pass = self.target_passes(one, a.other, &target_conds)?;
+                                    passes.insert(a.other, pass);
+                                    pass
+                                }
+                            };
+                            if !pass {
+                                continue;
+                            }
+                        }
+                        ex.clear();
+                        if edge_col.is_some() {
+                            ex.push(Binding::Edge(a.edge));
+                        }
+                        if existing_to.is_none() {
+                            ex.push(Binding::Vertex(a.other));
+                        }
+                        b.push(r, &ex, rows.mult(r).clone())?;
+                    }
+                    self.guard.tick_rows((b.len() - before) as u64)?;
+                }
+                let next = b.finish();
+                self.stats.vertices_touched += next.len() as u64;
+                self.stats.edges_scanned += edges_scanned;
+                self.guard.note_visits(next.len() as u64, edges_scanned);
+                return Ok(next);
             }
-            let next = b.finish();
-            self.stats.vertices_touched += next.len() as u64;
-            self.stats.edges_scanned += edges_scanned;
-            self.guard.note_visits(next.len() as u64, edges_scanned);
-            return Ok(next);
-        }
+        };
 
         // Kleene / composite hop: reachability kernel per distinct source,
         // producing (target, multiplicity) pairs — never paths. The target
@@ -1788,7 +1765,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // this is what lets enumerative kernels anchor on the target
         // (Q_n's `t.name == tgtName`).
         let to_spec = self.refine_spec(to_spec, to_var, target_conds)?;
-        let nfa = CompiledDarpe::compile(&hop.darpe, graph.schema())?;
+        let automata = automata.as_ref().map_err(Clone::clone)?;
         // An edge variable in Kleene scope fails the block before any step.
         debug_assert!(hs.edge.is_none() && hs.rebinds.is_none());
         // Enumerative kernels with an anchored/bound target run **backward
@@ -1798,26 +1775,21 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // what makes the Table-1 enumeration cost grow with the target's
         // distance rather than with the whole graph's path population.
         let target_bound = existing_to.is_some() || anchored_to.is_some();
-        // Counting kernels reverse only when the cost model asked for it
-        // (fewer estimated targets than sources); enumerative kernels
-        // always prefer the anchored side, hint or no hint.
-        let backward_capable = hs.strategy != HopStrategy::CountingForward;
-        // A small (spec-refined) target set also anchors the kernel: run
+        // The plan holds a reversal only where the strategy may run
+        // backward: counting kernels reverse only when the cost model
+        // asked for it (fewer estimated targets than sources); enumerative
+        // kernels always prefer the anchored side, hint or no hint. A
+        // small (spec-refined) target set also anchors the kernel: run
         // backward once per target instead of forward once per source.
-        let spec_targets: Option<Vec<VertexId>> = if backward_capable && !target_bound {
-            match &to_spec {
-                Spec::Single(v) => Some(vec![*v]),
-                Spec::Set(s) if s.len() <= 32 => Some(s.to_vec()),
-                _ => None,
-            }
-        } else {
-            None
+        let spec_targets = match (&automata.backward, target_bound, &to_spec) {
+            (Some(_), false, Spec::Single(v)) => Some(vec![*v]),
+            (Some(_), false, Spec::Set(s)) if s.len() <= 32 => Some(s.to_vec()),
+            _ => None,
         };
-        let reverse_from_target =
-            backward_capable && (target_bound || spec_targets.is_some());
-        let rev_nfa = if reverse_from_target { Some(nfa.reversed()) } else { None };
-        let pool = KernelPool::new(graph, rev_nfa.as_ref().unwrap_or(&nfa));
-        let rule = KeyRule { backward: rev_nfa.is_some(), spec_targets: spec_targets.as_deref() };
+        let backward =
+            automata.backward.as_deref().filter(|_| target_bound || spec_targets.is_some());
+        let pool = KernelPool::new(graph, backward.unwrap_or(&automata.forward));
+        let rule = KeyRule { backward: backward.is_some(), spec_targets: spec_targets.as_deref() };
         // A row's source vertex and bound target; an error is the one the
         // hop raises at that row.
         let ends = |r: usize| -> Result<(VertexId, Option<VertexId>)> {
@@ -2497,38 +2469,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
 }
 
 // ---- helpers -------------------------------------------------------------
-
-/// A Kleene hop's kernel contexts, all over the hop's one automaton. A
-/// kernel call takes a context and puts it back, so at most one exists
-/// per worker, and the automaton's table rows and the product-state
-/// allocations outlive single kernel calls.
-struct KernelPool<'a> {
-    graph: &'a Graph,
-    nfa: &'a CompiledDarpe,
-    free: Mutex<Vec<Kernel<'a>>>,
-}
-
-impl<'a> KernelPool<'a> {
-    fn new(graph: &'a Graph, nfa: &'a CompiledDarpe) -> Self {
-        KernelPool { graph, nfa, free: Mutex::new(Vec::new()) }
-    }
-
-    /// One reachability kernel from `key` on a pooled context.
-    fn reach(
-        &self,
-        key: VertexId,
-        semantics: PathSemantics,
-        guard: &QueryGuard,
-        stats: &mut MatchStats,
-    ) -> Result<ReachMap> {
-        let free = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        let taken = free().pop();
-        let mut kernel = taken.unwrap_or_else(|| Kernel::new(self.nfa, self.graph));
-        let out = kernel.reach(self.graph, key, semantics, guard, stats);
-        free().push(kernel);
-        out
-    }
-}
 
 /// Which kernels a Kleene hop runs: forward from each row's source, or
 /// backward from target anchors.

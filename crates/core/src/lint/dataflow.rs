@@ -13,14 +13,16 @@ use crate::ast::{AccStmt, Expr, Span};
 use pgraph::fxhash::FxHashSet;
 
 pub(super) fn run<'a>(cx: &Ctx<'a>, facts: &QueryFacts, out: &mut Vec<Diagnostic>) {
-    // ---- read/write sets, and references no declaration reaches --------
-    // Keyed `(global, name)`.
+    // ---- read/write sets, and references a declaration may not reach ---
+    // Keyed `(global, name)`. `unreached` marks whether no declaration
+    // reaches the reference at all (else one reaches on some paths only).
     let mut reads: FxHashSet<(bool, &str)> = FxHashSet::default();
     let mut writes: FxHashSet<(bool, &str)> = FxHashSet::default();
-    let mut unreached: Vec<(bool, &str, Span)> = Vec::new();
+    let mut unreached: Vec<(bool, &str, bool, Span)> = Vec::new();
     let mut note = |write: bool, key: (bool, &'a str), reach: &Reach, span: Span| {
-        if reach.types(key.1, key.0).next().is_none() {
-            unreached.push((key.0, key.1, span));
+        if !reach.declared_on_every_path(key.1, key.0) {
+            let none = reach.types(key.1, key.0).next().is_none();
+            unreached.push((key.0, key.1, none, span));
         }
         if write { &mut writes } else { &mut reads }.insert(key);
     };
@@ -83,17 +85,27 @@ pub(super) fn run<'a>(cx: &Ctx<'a>, facts: &QueryFacts, out: &mut Vec<Diagnostic
         }
     }
 
-    // ---- A006 references no declaration reaches -------------------------
-    // One report per name, at its first such reference (blocks first).
-    unreached.sort_by_key(|&(global, name, _)| (global, name));
-    unreached.dedup_by_key(|&mut (global, name, _)| (global, name));
-    for (global, name, span) in unreached {
+    // ---- A006 references a declaration may not reach -------------------
+    // One report per name: an error at its first reference no declaration
+    // reaches, else a warning at its first reference some path reaches
+    // with no declaration in force (blocks first).
+    unreached.sort_by_key(|&(global, name, none, _)| (global, name, !none));
+    unreached.dedup_by_key(|&mut (global, name, _, _)| (global, name));
+    for (global, name, none, span) in unreached {
         let sigil = if global { "@@" } else { "@" };
-        out.push(Diagnostic::error(
-            "A006",
-            span,
-            format!("reference to undeclared accumulator `{sigil}{name}`"),
-        ));
+        out.push(if none {
+            let msg = format!("reference to undeclared accumulator `{sigil}{name}`");
+            Diagnostic::error("A006", span, msg)
+        } else {
+            Diagnostic::warn(
+                "A006",
+                span,
+                format!(
+                    "accumulator `{sigil}{name}` may be undeclared here: a declaration reaches \
+                     this reference on some paths only, so a run that takes another path fails"
+                ),
+            )
+        });
     }
 
     // ---- per-block rules A003/A004/A005 ---------------------------------

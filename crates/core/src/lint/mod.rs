@@ -106,17 +106,34 @@ pub fn compute_facts(q: &Query, registry: &UserAccumRegistry) -> QueryFacts {
 /// the path semantics it can run under, each with whether an inline
 /// `USE SEMANTICS` statement set it (vs. the engine's ambient default),
 /// and the accumulator declarations that can be in force there, each as
-/// `(name, global, type)`.
+/// `(name, global, type)`. `must` holds the `(name, global)` accumulators
+/// a declaration is in force for on *every* path there: a name `decls`
+/// holds and `must` lacks is reached by some path with no declaration in
+/// force (one in an IF branch that may not run, or in a loop body that
+/// may run zero times).
 #[derive(Clone)]
 pub(crate) struct Reach<'a> {
     pub semantics: Vec<(PathSemantics, bool)>,
     pub decls: Vec<(&'a str, bool, &'a AccumType)>,
+    pub must: Vec<(&'a str, bool)>,
 }
 
 impl<'a> Reach<'a> {
-    /// Adds what `from` holds and `self` lacks; `true` when it grew.
+    /// Joins what reaches along `from` into `self`: adds the semantics and
+    /// declarations `from` holds and `self` lacks, and keeps in `must`
+    /// only what both have. `true` when anything changed.
     fn union(&mut self, from: &Reach<'a>) -> bool {
-        union_into(&mut self.semantics, &from.semantics) | union_into(&mut self.decls, &from.decls)
+        let must = self.must.len();
+        self.must.retain(|m| from.must.contains(m));
+        union_into(&mut self.semantics, &from.semantics)
+            | union_into(&mut self.decls, &from.decls)
+            | (self.must.len() < must)
+    }
+
+    /// Whether a declaration of `@name` (`@@name` when `global`) is in
+    /// force on every path here.
+    pub fn declared_on_every_path(&self, name: &str, global: bool) -> bool {
+        self.must.contains(&(name, global))
     }
 
     /// The types `@name` (`@@name` when `global`) can have here: one per
@@ -174,7 +191,8 @@ pub(crate) struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     fn build(q: &'a Query, ambient: PathSemantics, registry: &'a UserAccumRegistry) -> Ctx<'a> {
         let mut cx = Ctx::empty(q, registry);
-        let mut reach = Reach { semantics: vec![(ambient, false)], decls: Vec::new() };
+        let mut reach =
+            Reach { semantics: vec![(ambient, false)], decls: Vec::new(), must: Vec::new() };
         cx.collect(&q.body, &mut reach, Span::default());
         cx
     }
@@ -207,6 +225,7 @@ impl<'a> Ctx<'a> {
                         }
                         reach.decls.retain(|&(n, g, _)| (n, g) != (d.name.as_str(), d.global));
                         reach.decls.push((&d.name, d.global, ty));
+                        union_into(&mut reach.must, &[(d.name.as_str(), d.global)]);
                     }
                 }
                 Stmt::UseSemantics(s) => reach.semantics = vec![(*s, true)],

@@ -8,9 +8,13 @@
 //! steps (its match program) fixes each FROM variable's column and
 //! assigns every WHERE conjunct, split once here, to the earliest step
 //! that can evaluate it, to the hop whose unbound target it alone names,
-//! or to the residual list; every pattern hop carries a [`HopStrategy`]
-//! chosen by the cost model. `EXPLAIN` renders that same walk, so it
-//! prints the plan that actually executes.
+//! or to the residual list. Every pattern hop carries the
+//! [`HopStrategy`] the cost model chose, resolved against the schema
+//! once per lowering into what it runs over — a symbol, or a compiled
+//! automaton and its reversal — which a block's semantics variants
+//! share. The steps hold what the executor needs of the FROM clause, so
+//! it never reads that part of the AST. `EXPLAIN` renders that same
+//! walk, so it prints the plan that actually executes.
 //!
 //! Planning is *cost-based* when graph statistics are available
 //! ([`pgraph::graph::GraphStats`], collected at `finalize()` time):
@@ -47,16 +51,16 @@
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::explain::{Plan, PlanNode};
+use crate::explain::{vspec_label, Plan, PlanNode};
 use crate::exec::Engine;
 use crate::lint::QueryFacts;
 use crate::prepared::PreparedQuery;
 use crate::semantics::PathSemantics;
 use crate::table::Table;
-use darpe::{Darpe, DarpeDir, Symbol};
+use darpe::{resolve_symbol, CompiledDarpe, Darpe, DarpeDir, Symbol, SymbolSpec};
 use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::Graph;
-use pgraph::schema::ETypeId;
+use pgraph::schema::{ETypeId, Schema};
 use std::sync::Arc;
 
 /// Rows an equality conjunct (`x.a == c`) is assumed to keep: a point
@@ -160,10 +164,12 @@ impl FoldVerdict {
 /// The executable plan for one SELECT block under one path semantics:
 /// the split WHERE conjuncts (with the FROM variables each references),
 /// the match program that builds the binding table — its binding steps,
-/// the column each FROM variable gets and where each conjunct runs — and
-/// the fold verdict of each accumulator clause. Steps name conjuncts by
-/// index into [`BlockPlan::conjuncts`], so running a block never clones
-/// or re-walks the AST and never decides a layout.
+/// each self-contained (what it scans or hops to, and a hop's resolved
+/// symbol or automata), the column each FROM variable gets and where
+/// each conjunct runs — and the fold verdict of each accumulator clause.
+/// Steps name conjuncts by index into [`BlockPlan::conjuncts`], so
+/// running a block never clones or re-walks the FROM clause, never
+/// decides a layout and never resolves a DARPE.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     /// The path semantics this block was lowered under. A block has one
@@ -174,9 +180,10 @@ pub struct BlockPlan {
     /// deduplicated FROM variables it references.
     pub conjuncts: Vec<(Expr, Vec<String>)>,
     /// The binding steps, in execution order: each FROM item its scan,
-    /// then its hops in pattern order. The items run in source order
-    /// unless the cost model found a strictly cheaper order *and* the
-    /// output-invariance gate held (see the module docs' determinism
+    /// then its hops in pattern order — of the reversed pattern where
+    /// the hop-reordering gate rewrote the item. The items run in source
+    /// order unless the cost model found a strictly cheaper order *and*
+    /// the output-invariance gate held (see the module docs' determinism
     /// contract).
     pub(crate) steps: Vec<MatchStep>,
     /// The conjuncts no step ran (those naming no FROM variable among
@@ -203,19 +210,6 @@ pub struct BlockPlan {
     pub accum_in_place: bool,
     /// Fold verdict for the POST_ACCUM clause.
     pub post_accum_fold: FoldVerdict,
-    /// Reversed whole-pattern rewrites, keyed by FROM-item index: the
-    /// cost model proved the reversed traversal strictly cheaper and
-    /// the block's outputs invariant under row reordering, so the
-    /// executor walks this item instead of the source one.
-    pub rewritten_from: FxHashMap<usize, FromItem>,
-}
-
-impl BlockPlan {
-    /// The FROM item the steps of item `idx` walk: its rewrite, where
-    /// the planner made one, else `block`'s own item.
-    pub(crate) fn item_walked<'a>(&'a self, block: &'a SelectBlock, idx: usize) -> &'a FromItem {
-        self.rewritten_from.get(&idx).unwrap_or(&block.from[idx])
-    }
 }
 
 /// Where a binding step puts a FROM variable: a new column appended at
@@ -235,46 +229,111 @@ impl VarCol {
     }
 }
 
-/// One binding step of a block's match program: it walks FROM item
-/// `item` (index into the source list), then filters its output by each
-/// `ready` conjunct — those whose FROM variables are all bound once it
-/// has run — in ascending order.
+/// One binding step of a block's match program: it binds part of FROM
+/// item `item` (index into the source list), then filters its output by
+/// each `ready` conjunct — those whose FROM variables are all bound once
+/// it has run — in ascending order. `label` names the step in PROFILE.
 #[derive(Debug, Clone)]
 pub(crate) struct MatchStep {
     pub item: usize,
     pub op: StepOp,
     pub ready: Vec<usize>,
+    pub label: String,
 }
 
 /// What a [`MatchStep`] binds.
 #[derive(Debug, Clone)]
 pub(crate) enum StepOp {
-    /// A pattern's start vertex, or a `name:alias` item: the rows of the
-    /// engine's table `name` when it holds one, else a vertex scan.
+    /// A pattern's start vertex, or a `source:var` item (`table`): the
+    /// rows of the engine's table `source` when it holds one, else a
+    /// vertex scan of `source` (a vertex type, vertex set or parameter).
     /// Which one is decided when the step runs, since a prepared plan
     /// may run on engines holding different tables; table rows need a
-    /// new column, so a joined alias then fails with [`bound_twice`].
-    /// `pins` may pin a new vertex column to one vertex ([`scan_pins`]).
-    Scan { var: VarCol, pins: Vec<String> },
+    /// new column, so a joined `var` then fails with [`bound_twice`].
+    /// `var` is the variable's name in errors (`source` for an anonymous
+    /// start vertex), `col` its column, and `pins` may pin a new vertex
+    /// column to one vertex ([`scan_pins`]).
+    Scan { source: String, var: String, table: bool, col: VarCol, pins: Vec<String> },
     Hop(HopStep),
 }
 
 /// Hop `hop` of a pattern, from the vertex in column `from`, binding its
-/// edge variable in a new column `edge` and its target in `to`.
+/// edge variable in a new column `edge` and its target — vertices of
+/// `to_source`, named `to_var` — in `to`.
 #[derive(Debug, Clone)]
 pub(crate) struct HopStep {
     pub hop: usize,
     pub from: usize,
     pub edge: Option<usize>,
     pub to: VarCol,
+    pub to_source: String,
+    pub to_var: Option<String>,
     /// The conjuncts that name only the hop's unbound target (sargable
     /// anchors), in the order the hop tests them: last conjunct first.
     pub targets: Vec<usize>,
-    pub strategy: HopStrategy,
+    pub run: HopRun,
     /// A variable the hop binds although it holds a column already and
     /// the hop cannot join on it (its edge variable, or a target that
     /// names the edge variable): the hop fails with [`bound_twice`].
     pub rebinds: Option<String>,
+}
+
+/// What a hop step runs: as much of its [`HopStrategy`] as the executor
+/// reads (adjacency scan, or a kernel that may run backward or not;
+/// counting vs. enumerative is the semantics') in one value with what
+/// the hop's DARPE resolved to against the schema. A resolution error
+/// (an unknown edge type, a direction its type lacks) is kept here and
+/// raised when the step runs, never at lowering.
+#[derive(Debug, Clone)]
+pub(crate) enum HopRun {
+    /// A single-edge hop's adjacency scan, over the edges it matches.
+    Adjacency(Result<SymbolSpec>),
+    /// A Kleene or composite hop's reachability kernel.
+    Kernel(Result<Automata>),
+}
+
+/// A kernel hop's compiled automaton, and its reversal when the strategy
+/// may run backward from an anchored target (every kernel strategy but
+/// [`HopStrategy::CountingForward`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Automata {
+    pub forward: Arc<CompiledDarpe>,
+    pub backward: Option<Arc<CompiledDarpe>>,
+}
+
+/// A block's hops resolved against the schema, by (FROM item, hop): once
+/// per lowering, shared by the block's semantics variants, which walk
+/// the same hops. A reversal is built for the first variant that needs
+/// it.
+#[derive(Default)]
+struct Resolutions(FxHashMap<(usize, usize), HopRun>);
+
+impl Resolutions {
+    /// What hop `key`, whose DARPE is `d`, runs under `strategy`.
+    fn run(
+        &mut self,
+        key: (usize, usize),
+        d: &Darpe,
+        strategy: HopStrategy,
+        schema: &Schema,
+    ) -> HopRun {
+        let resolved = self.0.entry(key).or_insert_with(|| match d.as_single_symbol() {
+            Some(sym) => HopRun::Adjacency(resolve_symbol(sym, schema).map_err(Error::from)),
+            None => HopRun::Kernel(match CompiledDarpe::compile(d, schema) {
+                Ok(nfa) => Ok(Automata { forward: Arc::new(nfa), backward: None }),
+                Err(e) => Err(e.into()),
+            }),
+        });
+        let backward = strategy != HopStrategy::CountingForward;
+        if let (HopRun::Kernel(Ok(a)), true) = (&mut *resolved, backward) {
+            a.backward.get_or_insert_with(|| Arc::new(a.forward.reversed()));
+        }
+        let mut run = resolved.clone();
+        if let (HopRun::Kernel(Ok(a)), false) = (&mut run, backward) {
+            a.backward = None;
+        }
+        run
+    }
 }
 
 /// The error of a FROM clause that binds `var` twice where the second
@@ -321,6 +380,9 @@ impl QueryPlan {
 
 struct LowerState<'a, 'c> {
     ctx: Option<&'c LowerCtx<'a>>,
+    /// The schema hops resolve against: the graph's, or an empty one for
+    /// the graph-less EXPLAIN, whose plan never runs.
+    schema: &'c Schema,
     params: &'a [Param],
     /// As in [`QueryPlan`].
     variants: Vec<PathSemantics>,
@@ -344,10 +406,11 @@ impl Engine<'_> {
         Arc::new(lower_query(query, self.semantics(), Some(&self.lower_ctx())))
     }
 
-    /// `prepared`'s cached plan for this engine's graph epoch and
+    /// `prepared`'s cached plan for this engine's graph epoch, schema and
     /// semantics, lowered from the statement's cached facts on a miss.
     pub(crate) fn prepared_plan(&self, prepared: &PreparedQuery) -> Arc<QueryPlan> {
-        prepared.plan_for(self.graph().stats().epoch(), self.semantics(), || {
+        let graph = self.graph();
+        prepared.plan_for(graph.stats().epoch(), graph.shared_schema(), self.semantics(), || {
             let (ctx, facts) = (self.lower_ctx(), prepared.facts());
             Arc::new(lower_query_with(prepared.query(), self.semantics(), Some(&ctx), facts))
         })
@@ -392,8 +455,10 @@ fn lower_query_with(
             variants.push(s);
         }
     });
+    let empty = Schema::default();
     let mut st = LowerState {
         ctx,
+        schema: ctx.map_or(&empty, |c| c.graph.schema()),
         params: &query.params,
         variants,
         blocks: Vec::new(),
@@ -431,8 +496,9 @@ fn lower_block_variants(
 ) -> (PlanNode, f64) {
     debug_assert_eq!(block.id * st.variants.len(), st.blocks.len(), "blocks lowered in id order");
     let mut walked = None;
+    let mut resolved = Resolutions::default();
     for k in 0..st.variants.len() {
-        let (node, bp, est) = lower_block(block, st.variants[k], st);
+        let (node, bp, est) = lower_block(block, st.variants[k], st, &mut resolved);
         if bp.semantics == semantics {
             walked = Some((node, est));
         }
@@ -1099,11 +1165,13 @@ fn post_accum_col(
 }
 
 /// Lowers one SELECT block: produces the renderable node, the
-/// executable [`BlockPlan`], and the estimated output cardinality.
+/// executable [`BlockPlan`], and the estimated output cardinality. Its
+/// hops resolve through `resolved`, which the block's variants share.
 fn lower_block(
     block: &SelectBlock,
     semantics: PathSemantics,
     st: &LowerState<'_, '_>,
+    resolved: &mut Resolutions,
 ) -> (PlanNode, BlockPlan, f64) {
     let mut node = PlanNode::new("block", format!("BLOCK {}:", block.id + 1));
     let with_est = st.ctx.is_some();
@@ -1200,9 +1268,8 @@ fn lower_block(
     }
     // Hop reordering: reverse the whole pattern when the far endpoint
     // is the cheaper anchor and every row consumer is order-invariant.
-    // The walk below (and so the executor) then traverses the rewritten
-    // item ([`BlockPlan::rewritten_from`]).
-    let mut rewritten_from: FxHashMap<usize, FromItem> = FxHashMap::default();
+    // The walk below then lays its steps out from the rewritten item.
+    let mut rewritten: Option<FromItem> = None;
     if let Some((rev, fwd, bwd)) =
         choose_hop_reversal(block, &conjuncts, accum_fold.parallel(), st)
     {
@@ -1216,193 +1283,182 @@ fn lower_block(
                 fwd.round()
             ),
         ));
-        rewritten_from.insert(0, rev);
+        rewritten = Some(rev);
     }
     for &item_idx in &from_order {
-        let item = rewritten_from.get(&item_idx).unwrap_or(&block.from[item_idx]);
-        match item {
-            FromItem::Table { name, alias } => {
-                let mut scan = PlanNode::new(
-                    "scan",
-                    format!("scan {name} AS {alias} (table or vertex set)"),
-                );
-                if with_est {
-                    let card = match st.ctx.and_then(|c| c.tables.get(name)) {
-                        Some(t) => t.len() as f64,
-                        None => scan_est(name, Some(alias), st),
-                    };
-                    rows *= card.max(1.0);
-                    cost_total += rows;
-                    annotate(&mut scan, rows, rows);
-                }
-                let pins = scan_pins(Some(alias), &layout, &live, &conjuncts);
-                let var = layout.slot(Some(alias));
-                let ready = take_ready(&layout, &mut live, &mut rows, &mut scan);
-                node.children.push(scan);
-                steps.push(MatchStep { item: item_idx, op: StepOp::Scan { var, pins }, ready });
-            }
+        let item = match &rewritten {
+            Some(rev) if item_idx == 0 => rev,
+            _ => &block.from[item_idx],
+        };
+        // A `name:alias` item binds its alias like a start vertex with no
+        // hops, from the engine's table `name` when it holds one.
+        let (source, var, table, hops) = match item {
+            FromItem::Table { name, alias } => (name, Some(alias), true, &[][..]),
             FromItem::Pattern { start, hops, .. } => {
-                let mut scan = PlanNode::new(
-                    "scan",
-                    format!(
-                        "scan {}{}",
-                        start.name,
-                        start.var.as_ref().map(|v| format!(" AS {v}")).unwrap_or_default()
-                    ),
+                (&start.name, start.var.as_ref(), false, &hops[..])
+            }
+        };
+        let (detail, label) = match (var, table) {
+            (Some(v), true) => {
+                (format!("{source} AS {v} (table or vertex set)"), format!("{source} AS {v}"))
+            }
+            (Some(v), false) => (format!("{source} AS {v}"), format!("{source}:{v}")),
+            (None, _) => (source.clone(), source.clone()),
+        };
+        let mut scan = PlanNode::new("scan", format!("scan {detail}"));
+        if with_est {
+            let card = match st.ctx.and_then(|c| c.tables.get(source)).filter(|_| table) {
+                Some(t) => t.len() as f64,
+                None => scan_est(source, var.map(String::as_str), st),
+            };
+            rows *= card.max(1.0);
+            cost_total += rows;
+            annotate(&mut scan, rows, rows);
+        }
+        let pins = scan_pins(var.map(String::as_str), &layout, &live, &conjuncts);
+        let col = layout.slot(var.map(String::as_str));
+        let ready = take_ready(&layout, &mut live, &mut rows, &mut scan);
+        node.children.push(scan);
+        let var = var.unwrap_or(source).clone();
+        steps.push(MatchStep {
+            item: item_idx,
+            label: format!("scan {label}"),
+            op: StepOp::Scan { source: source.clone(), var, table, col, pins },
+            ready,
+        });
+        let mut from = col.col();
+        for (hop_idx, hop) in hops.iter().enumerate() {
+            let to = hop.to.var.as_ref().map(|v| format!("{} AS {v}", hop.to.name));
+            let to = to.unwrap_or_else(|| hop.to.name.clone());
+            // A target bound before the hop is joined on.
+            let joined: Option<usize> =
+                hop.to.var.as_ref().and_then(|tv| layout.columns.get(tv).copied());
+            let target_already_bound = joined.is_some();
+            // Sargable conjuncts reference only the (not yet
+            // bound) hop target: they narrow the candidate set
+            // before the kernel runs.
+            let sargable_idx: Vec<usize> = match &hop.to.var {
+                Some(tv) if !target_already_bound => conjuncts
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, (_, refs))| live[*i] && names_only(refs, tv))
+                    .map(|(i, _)| i)
+                    .collect(),
+                _ => Vec::new(),
+            };
+            // Estimated distinct-target cardinality after sargable
+            // narrowing and parameter anchoring; `target_base` is the
+            // unnarrowed type population.
+            let target_base = scan_est(&hop.to.name, hop.to.var.as_deref(), st).max(1.0);
+            let mut target_card = target_base;
+            for &i in &sargable_idx {
+                target_card = filtered_card(target_card, &conjuncts[i].0);
+            }
+            let target_anchored = !sargable_idx.is_empty()
+                || target_already_bound
+                || hop.to.var.as_ref().is_some_and(|tv| {
+                    st.params.iter().any(|p| p.name == *tv && matches!(p.ty, ParamType::Vertex(_)))
+                });
+            if target_already_bound {
+                target_card = 1.0;
+            }
+            let strategy = if hop.darpe.as_single_symbol().is_some() {
+                HopStrategy::Adjacency
+            } else if !semantics.is_enumerative() {
+                // Counting kernels may flip direction when the target
+                // side is anchored and estimated strictly smaller;
+                // forward is kept on ties.
+                if target_anchored && with_est && target_card < rows {
+                    HopStrategy::CountingBackward
+                } else {
+                    HopStrategy::CountingForward
+                }
+            } else if target_anchored {
+                HopStrategy::EnumBackward
+            } else {
+                HopStrategy::EnumForward
+            };
+            let hop_detail = format!("hop -({})-> {to}: {}", hop.darpe, strategy.describe());
+            let mut hop_node = PlanNode::new("hop", hop_detail);
+            if with_est {
+                let ctx = st.ctx.unwrap();
+                let (out_rows, cost) = match strategy {
+                    HopStrategy::Adjacency => {
+                        let sym = hop.darpe.as_single_symbol().unwrap();
+                        let fanout = symbol_fanout(sym, ctx);
+                        // Anchoring keeps only the narrowed fraction of
+                        // the target type; an unanchored hop keeps every
+                        // neighbor (the edge type already constrains the
+                        // target type, so no further scaling).
+                        let frac = (target_card / target_base).min(1.0);
+                        (rows * fanout * frac, rows * fanout)
+                    }
+                    HopStrategy::CountingForward | HopStrategy::EnumForward => {
+                        let e_sub = darpe_edge_total(&hop.darpe, ctx);
+                        let reach = (target_card * REACH_FRACTION).max(1.0);
+                        (rows * reach, rows * e_sub)
+                    }
+                    HopStrategy::CountingBackward | HopStrategy::EnumBackward => {
+                        let e_sub = darpe_edge_total(&hop.darpe, ctx);
+                        let reach = (target_card * REACH_FRACTION).max(1.0);
+                        (rows * reach, target_card.max(1.0) * e_sub)
+                    }
+                };
+                rows = out_rows;
+                cost_total += cost;
+                annotate(&mut hop_node, rows, cost);
+            }
+            // The hop consumes its sargable conjuncts.
+            for &i in &sargable_idx {
+                live[i] = false;
+                let mut a = PlanNode::new(
+                    "sargable-anchor",
+                    format!("sargable anchor: {}", expr_label(&conjuncts[i].0)),
                 );
                 if with_est {
-                    let card = scan_est(&start.name, start.var.as_deref(), st);
-                    rows *= card.max(1.0);
-                    cost_total += rows;
-                    annotate(&mut scan, rows, rows);
+                    annotate(&mut a, rows, 0.0);
                 }
-                let pins = scan_pins(start.var.as_deref(), &layout, &live, &conjuncts);
-                let var = layout.slot(start.var.as_deref());
-                let ready = take_ready(&layout, &mut live, &mut rows, &mut scan);
-                node.children.push(scan);
-                steps.push(MatchStep { item: item_idx, op: StepOp::Scan { var, pins }, ready });
-                let mut from = var.col();
-                for (hop_idx, hop) in hops.iter().enumerate() {
-                    let to = hop
-                        .to
-                        .var
-                        .as_ref()
-                        .map(|v| format!("{} AS {v}", hop.to.name))
-                        .unwrap_or_else(|| hop.to.name.clone());
-                    // A target bound before the hop is joined on.
-                    let joined: Option<usize> =
-                        hop.to.var.as_ref().and_then(|tv| layout.columns.get(tv).copied());
-                    let target_already_bound = joined.is_some();
-                    // Sargable conjuncts reference only the (not yet
-                    // bound) hop target: they narrow the candidate set
-                    // before the kernel runs.
-                    let sargable_idx: Vec<usize> = match &hop.to.var {
-                        Some(tv) if !target_already_bound => conjuncts
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, (_, refs))| live[*i] && names_only(refs, tv))
-                            .map(|(i, _)| i)
-                            .collect(),
-                        _ => Vec::new(),
-                    };
-                    // Estimated distinct-target cardinality after
-                    // sargable narrowing and parameter anchoring;
-                    // `target_base` is the unnarrowed type population.
-                    let target_base =
-                        scan_est(&hop.to.name, hop.to.var.as_deref(), st).max(1.0);
-                    let mut target_card = target_base;
-                    for &i in &sargable_idx {
-                        target_card = filtered_card(target_card, &conjuncts[i].0);
-                    }
-                    let target_anchored = !sargable_idx.is_empty()
-                        || target_already_bound
-                        || hop.to.var.as_ref().is_some_and(|tv| {
-                            st.params.iter().any(|p| {
-                                p.name == *tv && matches!(p.ty, ParamType::Vertex(_))
-                            })
-                        });
-                    if target_already_bound {
-                        target_card = 1.0;
-                    }
-                    let strategy = if hop.darpe.as_single_symbol().is_some() {
-                        HopStrategy::Adjacency
-                    } else if !semantics.is_enumerative() {
-                        // Counting kernels may flip direction when the
-                        // target side is anchored and estimated strictly
-                        // smaller; forward is kept on ties.
-                        if target_anchored && with_est && target_card < rows {
-                            HopStrategy::CountingBackward
-                        } else {
-                            HopStrategy::CountingForward
-                        }
-                    } else if target_anchored {
-                        HopStrategy::EnumBackward
-                    } else {
-                        HopStrategy::EnumForward
-                    };
-                    let mut hop_node = PlanNode::new(
-                        "hop",
-                        format!("hop -({})-> {to}: {}", hop.darpe, strategy.describe()),
-                    );
-                    if with_est {
-                        let ctx = st.ctx.unwrap();
-                        let (out_rows, cost) = match strategy {
-                            HopStrategy::Adjacency => {
-                                let sym = hop.darpe.as_single_symbol().unwrap();
-                                let fanout = symbol_fanout(sym, ctx);
-                                // Anchoring keeps only the narrowed
-                                // fraction of the target type; an
-                                // unanchored hop keeps every neighbor
-                                // (the edge type already constrains the
-                                // target type, so no further scaling).
-                                let frac = (target_card / target_base).min(1.0);
-                                (rows * fanout * frac, rows * fanout)
-                            }
-                            HopStrategy::CountingForward | HopStrategy::EnumForward => {
-                                let e_sub = darpe_edge_total(&hop.darpe, ctx);
-                                let reach =
-                                    (target_card * REACH_FRACTION).max(1.0);
-                                (rows * reach, rows * e_sub)
-                            }
-                            HopStrategy::CountingBackward | HopStrategy::EnumBackward => {
-                                let e_sub = darpe_edge_total(&hop.darpe, ctx);
-                                let reach =
-                                    (target_card * REACH_FRACTION).max(1.0);
-                                (rows * reach, target_card.max(1.0) * e_sub)
-                            }
-                        };
-                        rows = out_rows;
-                        cost_total += cost;
-                        annotate(&mut hop_node, rows, cost);
-                    }
-                    // The hop consumes its sargable conjuncts.
-                    for &i in &sargable_idx {
-                        live[i] = false;
-                        let mut a = PlanNode::new(
-                            "sargable-anchor",
-                            format!("sargable anchor: {}", expr_label(&conjuncts[i].0)),
-                        );
-                        if with_est {
-                            annotate(&mut a, rows, 0.0);
-                        }
-                        hop_node.children.push(a);
-                    }
-                    // The edge column comes before the target's. An edge
-                    // variable never joins: bound before, or named by the
-                    // target too, it fails the hop.
-                    let mut rebinds = None;
-                    let edge = hop.edge_var.as_ref().map(|ev| {
-                        if layout.columns.contains_key(ev) {
-                            rebinds = Some(ev.clone());
-                        }
-                        layout.push(Some(ev))
-                    });
-                    let to_col = match joined {
-                        Some(c) => VarCol::Join(c),
-                        None => {
-                            let tv = hop.to.var.as_ref();
-                            if tv.is_some_and(|tv| layout.columns.contains_key(tv)) {
-                                rebinds = rebinds.or_else(|| tv.cloned());
-                            }
-                            VarCol::New(layout.push(hop.to.var.as_deref()))
-                        }
-                    };
-                    let ready = take_ready(&layout, &mut live, &mut rows, &mut hop_node);
-                    node.children.push(hop_node);
-                    let targets = sargable_idx.iter().rev().copied().collect();
-                    let step = HopStep {
-                        hop: hop_idx,
-                        from,
-                        edge,
-                        to: to_col,
-                        targets,
-                        strategy,
-                        rebinds,
-                    };
-                    steps.push(MatchStep { item: item_idx, op: StepOp::Hop(step), ready });
-                    from = to_col.col();
-                }
+                hop_node.children.push(a);
             }
+            // The edge column comes before the target's. An edge variable
+            // never joins: bound before, or named by the target too, it
+            // fails the hop.
+            let mut rebinds = None;
+            let edge = hop.edge_var.as_ref().map(|ev| {
+                if layout.columns.contains_key(ev) {
+                    rebinds = Some(ev.clone());
+                }
+                layout.push(Some(ev))
+            });
+            let to_col = match joined {
+                Some(c) => VarCol::Join(c),
+                None => {
+                    let tv = hop.to.var.as_ref();
+                    if tv.is_some_and(|tv| layout.columns.contains_key(tv)) {
+                        rebinds = rebinds.or_else(|| tv.cloned());
+                    }
+                    VarCol::New(layout.push(hop.to.var.as_deref()))
+                }
+            };
+            let ready = take_ready(&layout, &mut live, &mut rows, &mut hop_node);
+            node.children.push(hop_node);
+            steps.push(MatchStep {
+                item: item_idx,
+                label: format!("hop -({})-> {}", hop.darpe, vspec_label(&hop.to)),
+                op: StepOp::Hop(HopStep {
+                    hop: hop_idx,
+                    from,
+                    edge,
+                    to: to_col,
+                    to_source: hop.to.name.clone(),
+                    to_var: hop.to.var.clone(),
+                    targets: sargable_idx.iter().rev().copied().collect(),
+                    run: resolved.run((item_idx, hop_idx), &hop.darpe, strategy, st.schema),
+                    rebinds,
+                }),
+                ready,
+            });
+            from = to_col.col();
         }
     }
     let mut residual = Vec::new();
@@ -1504,7 +1560,6 @@ fn lower_block(
             accum_fold,
             accum_in_place: !crate::lint::reads_own_target(&block.accum),
             post_accum_fold,
-            rewritten_from,
         },
         rows,
     )
@@ -1526,16 +1581,24 @@ mod tests {
         bp.steps.iter().filter(|s| matches!(s.op, StepOp::Scan { .. })).map(|s| s.item).collect()
     }
 
-    /// The strategies of FROM item `item`'s hop steps, in hop order.
-    fn hop_strategies(bp: &BlockPlan, item: usize) -> Vec<HopStrategy> {
+    /// What FROM item `item`'s hop steps run, in hop order.
+    fn hop_runs(bp: &BlockPlan, item: usize) -> Vec<&HopRun> {
         bp.steps
             .iter()
             .filter(|s| s.item == item)
             .filter_map(|s| match &s.op {
-                StepOp::Hop(h) => Some(h.strategy),
+                StepOp::Hop(h) => Some(&h.run),
                 _ => None,
             })
             .collect()
+    }
+
+    /// A kernel hop's automata.
+    fn automata(run: &HopRun) -> &Automata {
+        match run {
+            HopRun::Kernel(Ok(a)) => a,
+            other => panic!("expected a resolved kernel hop, got {other:?}"),
+        }
     }
 
     /// The match program lays columns out in bind order (an edge before
@@ -1565,8 +1628,8 @@ mod tests {
         assert_eq!(ready, [&[0usize][..], &[2], &[], &[]]);
         assert_eq!(bp.residual, [3]);
         match &bp.steps[0].op {
-            StepOp::Scan { var, pins } => {
-                assert_eq!(*var, VarCol::New(0));
+            StepOp::Scan { col, pins, .. } => {
+                assert_eq!(*col, VarCol::New(0));
                 assert_eq!(pins, &["s", "p"]);
             }
             other => panic!("expected a scan, got {other:?}"),
@@ -1674,6 +1737,11 @@ mod tests {
         // No USE SEMANTICS: exactly one plan per block.
         assert_eq!(plan.variants, [PathSemantics::NonRepeatedEdge]);
         assert_eq!(plan.blocks.len(), 1);
+        assert!(
+            plan.plan.render().contains("enumerative kernel, backward from anchored target"),
+            "{}",
+            plan.plan.render()
+        );
         let mut seen_backward = false;
         for stmt in &q.body {
             let block = match stmt {
@@ -1686,11 +1754,11 @@ mod tests {
                 .expect("block plan present");
             assert_eq!(bp.semantics, PathSemantics::NonRepeatedEdge);
             for (i, item) in block.from.iter().enumerate() {
-                let strategies = hop_strategies(bp, i);
+                let runs = hop_runs(bp, i);
                 if let FromItem::Pattern { hops, .. } = item {
-                    assert_eq!(strategies.len(), hops.len(), "one strategy per hop");
+                    assert_eq!(runs.len(), hops.len(), "one strategy per hop");
                 }
-                seen_backward |= strategies.contains(&HopStrategy::EnumBackward);
+                seen_backward |= runs.iter().any(|r| automata(r).backward.is_some());
             }
         }
         assert!(seen_backward, "qn's anchored target should enumerate backward");
@@ -1712,13 +1780,18 @@ mod tests {
              }",
         )
         .unwrap();
-        let plan = lower_query(&guarded, PathSemantics::AllShortestPaths, None);
+        let (g, _) = diamond_chain(12);
+        let tables = ctx_tables();
+        let ctx = LowerCtx { graph: &g, tables: &tables };
+        let plan = lower_query(&guarded, PathSemantics::AllShortestPaths, Some(&ctx));
         assert_eq!(plan.variants, [PathSemantics::AllShortestPaths, PathSemantics::ShortestOne]);
         assert_eq!(plan.blocks.len(), 2);
         for s in [PathSemantics::AllShortestPaths, PathSemantics::ShortestOne] {
             let bp = plan.block_plan(0, s).unwrap_or_else(|| panic!("no plan under {s:?}"));
             assert_eq!(bp.semantics, s);
-            assert_eq!(hop_strategies(bp, 0), vec![HopStrategy::CountingForward]);
+            let runs = hop_runs(bp, 0);
+            assert_eq!(runs.len(), 1);
+            assert!(automata(runs[0]).backward.is_none(), "counting forward: no reversal");
         }
         assert!(plan.block_plan(0, PathSemantics::NonRepeatedEdge).is_none());
         assert_eq!(plan.plan.render().matches("BLOCK ").count(), 1);
@@ -1799,5 +1872,59 @@ mod tests {
         };
         let bp = plan.block_plan(block.id, PathSemantics::AllShortestPaths).unwrap();
         assert_eq!(scan_order(bp), [0, 1]);
+    }
+
+    /// Each hop is resolved against the schema once per lowering: the
+    /// block's semantics variants share one automaton (and one reversal,
+    /// built for the variants that may run backward). A resolution error
+    /// is recorded in the step, and lowering succeeds.
+    #[test]
+    fn hops_resolve_once_per_lowering_and_record_their_errors() {
+        let (g, _) = diamond_chain(12);
+        let tables = ctx_tables();
+        let ctx = LowerCtx { graph: &g, tables: &tables };
+        let q = parse_query(
+            "CREATE QUERY r (INT flag) {
+               SumAccum<int> @@n;
+               IF flag == 1 THEN
+                 USE SEMANTICS 'non_repeated_edge';
+               END;
+               IF flag == 2 THEN
+                 USE SEMANTICS 'non_repeated_vertex';
+               END;
+               R = SELECT t FROM V:s -(E>*1..3)- V:t -(E>)- V:u ACCUM @@n += 1;
+               S = SELECT t FROM V:s -(Nope>)- V:t -(Nope>*)- V:u;
+               PRINT @@n;
+             }",
+        )
+        .unwrap();
+        let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
+        let variants = [
+            PathSemantics::AllShortestPaths,
+            PathSemantics::NonRepeatedEdge,
+            PathSemantics::NonRepeatedVertex,
+        ];
+        let runs: Vec<Vec<&HopRun>> =
+            variants.iter().map(|&s| hop_runs(plan.block_plan(0, s).unwrap(), 0)).collect();
+        let counting = automata(runs[0][0]);
+        assert!(counting.backward.is_none(), "counting forward: no reversal");
+        let reversal = automata(runs[1][0]).backward.as_ref().expect("enumeration may reverse");
+        for r in &runs[1..] {
+            let enumerating = automata(r[0]);
+            assert!(Arc::ptr_eq(&counting.forward, &enumerating.forward));
+            assert!(Arc::ptr_eq(reversal, enumerating.backward.as_ref().unwrap()));
+            assert!(matches!(r[1], HopRun::Adjacency(Ok(_))));
+        }
+        for s in variants {
+            let runs = hop_runs(plan.block_plan(1, s).unwrap(), 0);
+            for run in runs {
+                let err = match run {
+                    HopRun::Adjacency(Err(e)) | HopRun::Kernel(Err(e)) => e,
+                    other => panic!("expected a recorded error, got {other:?}"),
+                };
+                assert_eq!(err.kind(), crate::ErrorKind::Compile);
+                assert_eq!(err.to_string(), "compile error: unknown edge type `Nope`");
+            }
+        }
     }
 }

@@ -20,6 +20,7 @@ use darpe::{CompiledDarpe, Dfa, DfaStateId};
 use pgraph::bigcount::BigCount;
 use pgraph::fxhash::FxHashMap;
 use pgraph::graph::{EdgeId, Graph, VertexId};
+use std::sync::{Mutex, PoisonError};
 
 /// The pattern-match legality flavor used for Kleene (multi-edge) DARPEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -531,6 +532,38 @@ fn enumerate_simple(
     stats.edges_scanned += edges_scanned;
     guard.note_visits(vertices_touched, edges_scanned);
     Ok(ReachMap::from_unsorted(out.into_iter().collect()))
+}
+
+/// A Kleene hop's kernel contexts, all over the hop's one automaton. A
+/// kernel call takes a context and puts it back, so at most one exists
+/// per worker, and the automaton's table rows and the product-state
+/// allocations outlive single kernel calls.
+pub(crate) struct KernelPool<'a> {
+    graph: &'a Graph,
+    nfa: &'a CompiledDarpe,
+    free: Mutex<Vec<Kernel<'a>>>,
+}
+
+impl<'a> KernelPool<'a> {
+    pub(crate) fn new(graph: &'a Graph, nfa: &'a CompiledDarpe) -> Self {
+        KernelPool { graph, nfa, free: Mutex::new(Vec::new()) }
+    }
+
+    /// One reachability kernel from `key` on a pooled context.
+    pub(crate) fn reach(
+        &self,
+        key: VertexId,
+        semantics: PathSemantics,
+        guard: &QueryGuard,
+        stats: &mut MatchStats,
+    ) -> Result<ReachMap> {
+        let free = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = free().pop();
+        let mut kernel = taken.unwrap_or_else(|| Kernel::new(self.nfa, self.graph));
+        let out = kernel.reach(self.graph, key, semantics, guard, stats);
+        free().push(kernel);
+        out
+    }
 }
 
 #[cfg(test)]

@@ -632,6 +632,13 @@ impl Graph {
         &self.schema
     }
 
+    /// The schema as shared by this graph, its clones and the graphs
+    /// built from it: one allocation per schema, never mutated, so two
+    /// graphs hold the same `Arc` exactly when they share their schema.
+    pub fn shared_schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
     pub fn vertex_count(&self) -> usize {
         self.vertices.len()
     }

@@ -1021,3 +1021,92 @@ fn from_layout_errors_in_an_untaken_branch_do_not_fail_the_query() {
         assert!(plan.render().contains("BLOCK 1:"), "{block}");
     }
 }
+
+/// Hops over an edge type the schema lacks: a single-edge hop and a
+/// Kleene one. Each fails the block that runs it, as a compile error,
+/// and nothing else: the query is lowered, explained and prepared.
+const UNKNOWN_EDGE_HOPS: [&str; 2] = ["-(Nope>)-", "-(Nope>*1..2)-"];
+
+#[test]
+fn an_unknown_edge_type_fails_the_hop_that_runs() {
+    let g = sales_graph();
+    let engine = Engine::new(&g);
+    for hop in UNKNOWN_EDGE_HOPS {
+        let block = format!("S = SELECT p FROM Customer:c {hop} Product:p ACCUM @@x += 1;");
+        let taken = format!("CREATE QUERY U () {{ SumAccum<int> @@x; {block} PRINT @@x; }}");
+        let untaken = format!(
+            "CREATE QUERY U () {{ SumAccum<int> @@x; IF 1 > 2 THEN {block} END; PRINT @@x; }}"
+        );
+        let q = gsql_core::parse_query(&taken).unwrap();
+        assert!(engine.explain(&q).unwrap().render().contains("Nope"), "{hop}");
+        let prepared = gsql_core::PreparedQuery::prepare(&taken).unwrap();
+        let runs = [
+            engine.run_text(&taken, &[]),
+            engine.run_prepared(&prepared, &[]),
+            engine.run_prepared(&prepared, &[]),
+        ];
+        for run in runs {
+            let err = run.expect_err(hop);
+            assert_eq!(err.kind(), gsql_core::ErrorKind::Compile, "{hop}: {err}");
+            assert_eq!(err.to_string(), "compile error: unknown edge type `Nope`", "{hop}");
+        }
+        let prepared = gsql_core::PreparedQuery::prepare(&untaken).unwrap();
+        let runs = [
+            engine.run_text(&untaken, &[]),
+            engine.run_prepared(&prepared, &[]),
+            engine.run_prepared(&prepared, &[]),
+        ];
+        for run in runs {
+            let out = run.unwrap_or_else(|e| panic!("{hop}: {e}"));
+            assert_eq!(out.prints, vec!["@@x = 0".to_string()], "{hop}");
+        }
+    }
+}
+
+/// A never-finalized graph over `V` with edge types `types` (declared in
+/// that order, so their ids differ between orders) and the edges
+/// `v0 -E-> v1 -F-> v2 -F-> v3`.
+fn numbered_graph(types: [&str; 2]) -> pgraph::graph::Graph {
+    let mut s = pgraph::schema::Schema::new();
+    let name = pgraph::schema::AttrDef::new("name", pgraph::value::ValueType::Str);
+    s.add_vertex_type("V", vec![name]).unwrap();
+    for t in types {
+        s.add_edge_type(t, true, vec![]).unwrap();
+    }
+    let mut g = pgraph::graph::Graph::new(s);
+    let vt = g.schema().vertex_type_id("V").unwrap();
+    let v: Vec<_> = (0..4)
+        .map(|i| g.add_vertex(vt, vec![Value::from(format!("v{i}"))]).unwrap())
+        .collect();
+    for (t, a, b) in [("E", 0, 1), ("F", 1, 2), ("F", 2, 3)] {
+        let et = g.schema().edge_type_id(t).unwrap();
+        g.add_edge(et, v[a], v[b], vec![]).unwrap();
+    }
+    g
+}
+
+
+/// One prepared statement run on two never-finalized graphs (both at
+/// finalize epoch 0) whose schemas number their edge types differently:
+/// each run answers as a fresh run on its own graph, so the cached plan,
+/// whose hops are resolved against one schema, never runs on the other.
+#[test]
+fn one_prepared_plan_on_two_schemas() {
+    let src = "CREATE QUERY two () {
+      SumAccum<int> @@n;
+      SetAccum<string> @@ends;
+      S = SELECT t FROM V:s -(E>)- V:m -(F>*)- V:t ACCUM @@n += 1, @@ends += t.name;
+      PRINT @@n;
+      PRINT @@ends;
+    }";
+    let (a, b) = (numbered_graph(["E", "F"]), numbered_graph(["F", "E"]));
+    assert_eq!((a.stats().epoch(), b.stats().epoch()), (0, 0));
+    let prepared = gsql_core::PreparedQuery::prepare(src).unwrap();
+    for g in [&a, &b, &a] {
+        let engine = Engine::new(g);
+        let fresh = engine.run_text(src, &[]).unwrap();
+        assert_eq!(fresh.prints[0], "@@n = 3");
+        let cached = engine.run_prepared(&prepared, &[]).unwrap();
+        assert_eq!(cached.prints, fresh.prints);
+    }
+}

@@ -227,6 +227,60 @@ fn a006_undeclared_accumulator() {
     );
 }
 
+/// A declaration that reaches a reference on some paths only: the run
+/// fails when it takes another, so A006 warns. Declared before the IF as
+/// well, or on both branches, it reaches on every path and nothing fires.
+#[test]
+fn a006_warns_on_a_declaration_some_paths_miss() {
+    let src = r#"CREATE QUERY q () {
+  IF 1 > 2 THEN
+    SumAccum<int> @@x;
+  END;
+  S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += 1;
+  PRINT @@x;
+}"#;
+    let q = parse_query(src).unwrap();
+    let diags = lint_query(&q, COUNTING);
+    let a006: Vec<_> = diags.iter().filter(|d| d.code == "A006").collect();
+    assert_eq!(a006.len(), 1, "one report per name: {diags:?}");
+    assert_eq!(a006[0].severity, Severity::Warn);
+    positive("a006_some_paths", "A006", src, COUNTING);
+    let (g, _) = pgraph::generators::diamond_chain(3);
+    let err = gsql_core::Engine::new(&g).run(&q, &[]).unwrap_err();
+    assert_eq!(err.to_string(), "runtime error: undeclared accumulator `@@x`");
+    for near in [
+        "SumAccum<int> @@x;
+  IF 1 > 2 THEN
+    SumAccum<int> @@x;
+  END;",
+        "IF 1 > 2 THEN
+    SumAccum<int> @@x;
+  ELSE
+    SumAccum<int> @@x;
+  END;",
+        "SumAccum<int> @@x;
+  WHILE false DO
+    SumAccum<int> @@x;
+  END;",
+    ] {
+        let block = "S = SELECT t FROM V:s -(E>)- V:t ACCUM @@x += 1;";
+        let src = format!("CREATE QUERY q () {{\n  {near}\n  {block}\n  PRINT @@x;\n}}");
+        near_miss("a006_some_paths", "A006", &src, COUNTING);
+    }
+    // Declared only in a loop body, which may run zero times.
+    let looped = "CREATE QUERY q () {
+  WHILE false DO
+    SumAccum<int> @@x;
+  END;
+  PRINT @@x;
+}";
+    let diags = lint_query(&parse_query(looped).unwrap(), COUNTING);
+    assert!(
+        diags.iter().any(|d| d.code == "A006" && d.severity == Severity::Warn),
+        "{diags:?}"
+    );
+}
+
 /// A top-level statement carries its own position, so an A006 on a PRINT,
 /// a RETURN or an `@@` assignment points at that statement.
 #[test]

@@ -31,6 +31,7 @@ STEPS=(
   "goldens-morsel-1|Appendix B + target-anchor + bound-evaluation + operator-rows goldens, kernel oracle, determinism suite, sequential-fold boundaries (4 threads, morsel size 1)"
   "one-scheduler|One scheduler (exactly one thread::scope in crates/core/src)"
   "one-pushdown-walk|One pushdown walk (no pushdown decisions in crates/core/src/exec.rs)"
+  "one-hop-lowering|One hop lowering (no DARPE resolution or FROM AST reads in crates/core/src/exec.rs)"
   "one-theorem-walk|One Theorem 7.1 walk (no tractable-class decisions in the linter or executor)"
   "one-declaration-walk|One declaration walk (no second accumulator-declaration lookup in the linter)"
   "no-address-identity|No address identity (no pointer-to-integer casts in crates/core/src)"
@@ -85,6 +86,10 @@ step_goldens-morsel-1() {
 step_one-scheduler() { test "$(grep -r 'thread::scope' crates/core/src | wc -l)" -eq 1; }
 step_one-pushdown-walk() {
   no_match 'names_only\(|fn new_var|fn apply_ready_filters' crates/core/src/exec.rs
+}
+step_one-hop-lowering() {
+  no_match 'darpe::|CompiledDarpe|resolve_symbol|as_single_symbol|item_walked|rewritten_from|block\.from' \
+    crates/core/src/exec.rs
 }
 step_one-theorem-walk() {
   no_match 'as_single_symbol|has_unbounded_repeat|supports_multiplicity_shortcut' crates/core/src/lint/ &&
