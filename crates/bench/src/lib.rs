@@ -1,2 +1,2 @@
-//! Benchmark-harness support crate; see `src/bin/*` and `benches/*`.
+//! Support crate for the paper experiment binaries in `src/bin/*`.
 pub mod harness;

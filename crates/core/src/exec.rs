@@ -12,7 +12,9 @@ use crate::governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 use crate::morsel::{
     dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
-use crate::plan::{bound_twice, BlockPlan, HopRun, HopStep, QueryPlan, StepOp, VarCol};
+use crate::plan::{
+    bound_twice, BlockPlan, HopRun, HopStep, QueryPlan, StepOp, VarCol, SMALL_TARGET_SET,
+};
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{KernelPool, MatchStats, PathSemantics, ReachMap};
 use crate::table::Table;
@@ -1783,7 +1785,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // backward once per target instead of forward once per source.
         let spec_targets = match (&automata.backward, target_bound, &to_spec) {
             (Some(_), false, Spec::Single(v)) => Some(vec![*v]),
-            (Some(_), false, Spec::Set(s)) if s.len() <= 32 => Some(s.to_vec()),
+            (Some(_), false, Spec::Set(s)) if s.len() <= SMALL_TARGET_SET => Some(s.to_vec()),
             _ => None,
         };
         let backward =

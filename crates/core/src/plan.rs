@@ -73,6 +73,9 @@ const SEL_OTHER: f64 = 0.5;
 const REACH_FRACTION: f64 = 0.5;
 /// Default cardinality guess for a `SET<VERTEX>` parameter.
 const VSET_PARAM_EST: f64 = 8.0;
+/// The most targets an enumerative hop into a vertex set runs backward
+/// from (one kernel each); a larger set runs forward from each source.
+pub(crate) const SMALL_TARGET_SET: usize = 32;
 
 /// Everything the planner may consult about the execution environment.
 /// `graph` supplies schema + [`pgraph::graph::GraphStats`]; `tables`
@@ -101,11 +104,15 @@ pub enum HopStrategy {
     /// Enumerative kernel, backward from the anchored target
     /// (exponential, but bounded by the target's path population).
     EnumBackward,
+    /// Enumerative kernel into a vertex set not anchored at lowering:
+    /// backward from each target when the set has at most
+    /// `SMALL_TARGET_SET` vertices at run time, else forward.
+    EnumTargetSet,
 }
 
 impl HopStrategy {
     /// The stable human-readable strategy phrase used in plan details.
-    pub fn describe(self) -> &'static str {
+    pub fn describe(self) -> String {
         match self {
             HopStrategy::Adjacency => "adjacency scan",
             HopStrategy::CountingForward => {
@@ -118,7 +125,14 @@ impl HopStrategy {
             HopStrategy::EnumBackward => {
                 "enumerative kernel, backward from anchored target (EXPONENTIAL)"
             }
+            HopStrategy::EnumTargetSet => {
+                return format!(
+                    "enumerative kernel, backward from each target when the target set \
+                     has at most {SMALL_TARGET_SET} vertices, else forward (EXPONENTIAL)"
+                )
+            }
         }
+        .to_string()
     }
 }
 
@@ -631,6 +645,17 @@ fn scan_est(name: &str, var: Option<&str>, st: &LowerState<'_, '_>) -> f64 {
     } else {
         est
     }
+}
+
+/// Whether a hop target named `name` is an explicit vertex set — a
+/// vertex-set variable, or a set or vertex parameter — rather than a
+/// vertex type or `_`, resolved in the executor's order.
+fn names_vertex_set(name: &str, st: &LowerState<'_, '_>) -> bool {
+    let param = |p: &Param| {
+        p.name == name && matches!(p.ty, ParamType::Vertex(_) | ParamType::VertexSet)
+    };
+    st.vset_est.contains_key(name)
+        || st.schema.vertex_type_id(name).is_none() && st.params.iter().any(param)
 }
 
 /// Cardinality left after applying one WHERE conjunct to `card` input
@@ -1375,6 +1400,8 @@ fn lower_block(
                 }
             } else if target_anchored {
                 HopStrategy::EnumBackward
+            } else if names_vertex_set(&hop.to.name, st) {
+                HopStrategy::EnumTargetSet
             } else {
                 HopStrategy::EnumForward
             };
@@ -1393,15 +1420,16 @@ fn lower_block(
                         let frac = (target_card / target_base).min(1.0);
                         (rows * fanout * frac, rows * fanout)
                     }
-                    HopStrategy::CountingForward | HopStrategy::EnumForward => {
+                    kernel => {
+                        let backward = match kernel {
+                            HopStrategy::CountingBackward | HopStrategy::EnumBackward => true,
+                            HopStrategy::EnumTargetSet => target_card <= SMALL_TARGET_SET as f64,
+                            _ => false,
+                        };
                         let e_sub = darpe_edge_total(&hop.darpe, ctx);
                         let reach = (target_card * REACH_FRACTION).max(1.0);
-                        (rows * reach, rows * e_sub)
-                    }
-                    HopStrategy::CountingBackward | HopStrategy::EnumBackward => {
-                        let e_sub = darpe_edge_total(&hop.darpe, ctx);
-                        let reach = (target_card * REACH_FRACTION).max(1.0);
-                        (rows * reach, target_card.max(1.0) * e_sub)
+                        let kernels = if backward { target_card.max(1.0) } else { rows };
+                        (rows * reach, kernels * e_sub)
                     }
                 };
                 rows = out_rows;

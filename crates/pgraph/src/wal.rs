@@ -1351,6 +1351,37 @@ mod tests {
         assert!(w.sync().unwrap_err().to_string().contains("poisoned"));
     }
 
+    /// Group commit, counted: `n` commits fsync `n` times under `always`,
+    /// ⌊n/64⌋ under `every=64`, none under `never`; the drain barrier
+    /// (`flush`) adds one when appends are left unsynced. Same bytes.
+    #[test]
+    #[cfg_attr(miri, ignore)] // real filesystem
+    fn fsyncs_per_policy_are_exact_and_bytes_identical() {
+        const N: u64 = 130;
+        let seed = sales_graph();
+        let mut bytes = Vec::new();
+        for (name, policy, commit_fsyncs, barrier) in [
+            ("always", FlushPolicy::Always, N, 0),
+            ("every64", FlushPolicy::EveryN(64), N / 64, 1),
+            ("never", FlushPolicy::OnFlushOnly, 0, 1),
+        ] {
+            let dir = std::env::temp_dir().join(format!("gsql-wal-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (live, _) = LiveGraph::open(&dir, seed.clone(), policy, 0).unwrap();
+            for _ in 0..N {
+                live.commit(&mk_ops(&live.snapshot(), 1)).unwrap();
+            }
+            let fsyncs = || live.stats().fsyncs.load(Ordering::Relaxed);
+            assert_eq!(fsyncs(), commit_fsyncs, "{name}");
+            live.flush().unwrap();
+            assert_eq!(fsyncs(), commit_fsyncs + barrier, "{name} after the drain barrier");
+            bytes.push(live.stats().bytes.load(Ordering::Relaxed));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(bytes[0] > 0);
+        assert_eq!(bytes, [bytes[0]; 3]);
+    }
+
     #[test]
     fn flush_policy_parsing() {
         assert_eq!(FlushPolicy::parse("always"), Some(FlushPolicy::Always));

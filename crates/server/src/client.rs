@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for `gsql-serve`, used by the e2e
-//! suite and the `bench_server` load generator. Speaks just enough of
+//! suite and the gsqlbench served workloads. Speaks just enough of
 //! the protocol to talk to our own server (and keeps connections alive).
 
 use crate::http;

@@ -756,7 +756,7 @@ fn parse_call_args(body: &Json) -> Result<Vec<(String, Value)>, Box<Response>> {
 // ---- deterministic result serialization ----------------------------------
 
 /// The deterministic portion of a [`QueryOutput`]: prints, tables and the
-/// returned value — everything except timing. `bench_server` serializes
+/// returned value — everything except timing. The e2e suite serializes
 /// the output of a local [`Engine::run_text`] through this same function
 /// and compares bytes against the server response.
 pub fn result_json(out: &QueryOutput) -> Json {

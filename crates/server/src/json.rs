@@ -1,5 +1,5 @@
 //! Minimal JSON: a hand-rolled parser and writer (the vendored deps only
-//! cover rand/proptest/criterion — no serde in this build environment).
+//! cover rand/proptest — no serde in this build environment).
 //!
 //! Integers and doubles are kept as distinct variants so `Value::Int`
 //! round-trips at full `i64` precision (vertex ids and epoch timestamps

@@ -2,7 +2,7 @@
 //! and aggregated [`ResourceReport`] totals, all exported as JSON by
 //! `GET /metrics`.
 //!
-//! Invariant the e2e suite and `bench_server` reconcile against:
+//! Invariant the e2e suite reconciles against:
 //! `admitted == completed + failed + cancelled` once the server is
 //! drained, and every query request is counted exactly once in exactly
 //! one of `admitted`, `rejected_busy` (429), `rejected_queue` (503) or

@@ -937,24 +937,34 @@ fn mutate_commits_while_query_rejects_mutating_statements() {
     server.shutdown();
 }
 
-/// Spawns the real `gsql-serve` binary, returns (child, addr). The
-/// child's stdin is kept open (closing it triggers a graceful drain).
+/// The real `gsql-serve` process. Dropping it kills the process, so a
+/// failed assertion leaves no server running.
 #[cfg(unix)]
-fn spawn_serve(data_dir: &std::path::Path) -> (std::process::Child, std::net::SocketAddr) {
+struct Serve(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns the real `gsql-serve` binary on an ephemeral port with `args`.
+/// The child's stdin is kept open (closing it triggers a graceful drain).
+#[cfg(unix)]
+fn spawn_serve(args: &[&str]) -> (Serve, std::net::SocketAddr) {
     use std::io::BufRead as _;
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_gsql-serve"))
-        .arg("--graph")
-        .arg(":diamond12")
-        .arg("--data-dir")
-        .arg(data_dir)
-        .arg("--wal-fsync")
-        .arg("always")
+        .args(["--port", "0"])
+        .args(args)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn gsql-serve");
     let stdout = child.stdout.take().expect("piped stdout");
+    let serve = Serve(child);
     let mut lines = std::io::BufReader::new(stdout).lines();
     let addr = loop {
         let line = lines
@@ -965,7 +975,7 @@ fn spawn_serve(data_dir: &std::path::Path) -> (std::process::Child, std::net::So
             break rest.trim().parse().expect("addr parses");
         }
     };
-    (child, addr)
+    (serve, addr)
 }
 
 #[test]
@@ -975,8 +985,10 @@ fn kill_nine_then_restart_recovers_byte_identical_results() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
+    let durable =
+        ["--graph", ":diamond12", "--data-dir", dir.to_str().unwrap(), "--wal-fsync", "always"];
     // Generation 1: seed, mutate durably, record query bytes, kill -9.
-    let (mut child, addr) = spawn_serve(&dir);
+    let (serve, addr) = spawn_serve(&durable);
     let before_crash = {
         let mut c = Client::connect(addr).unwrap();
         let resp = c.post_json("/mutate", &[], &mutate_body()).unwrap();
@@ -988,12 +1000,11 @@ fn kill_nine_then_restart_recovers_byte_identical_results() {
         assert_eq!(resp.status, 200);
         result_bytes(&resp)
     };
-    child.kill().unwrap(); // SIGKILL: no drain, no final checkpoint
-    child.wait().unwrap();
+    drop(serve); // SIGKILL: no drain, no final checkpoint
 
     // Generation 2: recovery replays the WAL suffix; the same query is
     // byte-identical to the pre-crash answer.
-    let (mut child, addr) = spawn_serve(&dir);
+    let (serve, addr) = spawn_serve(&durable);
     {
         let mut c = Client::connect(addr).unwrap();
         let resp = c.post_json("/query", &[], &qn_body("w0")).unwrap();
@@ -1008,7 +1019,76 @@ fn kill_nine_then_restart_recovers_byte_identical_results() {
             "the crash left a WAL suffix to replay: {m}"
         );
     }
-    child.kill().unwrap();
-    child.wait().unwrap();
+    drop(serve);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shipped binary end to end, byte-identical results and reconciled
+/// metrics through to a SIGTERM drain that exits 0.
+#[test]
+#[cfg(unix)]
+fn the_binary_serves_and_drains_on_sigterm() {
+    let (mut serve, addr) = spawn_serve(&["--graph", ":diamond30"]);
+    let graph = diamond_chain(30).0;
+    let engine = Engine::new(&graph);
+    let local = |src: &str, args: &[(&str, Value)]| {
+        handlers::result_json(&engine.run_text(src, args).unwrap()).to_string()
+    };
+    let query = |src: &str| format!(r#"{{"query":{}}}"#, Json::Str(src.to_string()));
+    let mut c = Client::connect(addr).unwrap();
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+
+    // Qn prepared once, executed over several targets.
+    let qn = stdlib::qn("V", "E");
+    let resp = c.post_json("/prepare", &[], &query(&qn)).unwrap();
+    assert_eq!(resp.status, 200, "body: {}", String::from_utf8_lossy(&resp.body));
+    let id = resp.json().unwrap().get("id").and_then(Json::as_str).unwrap().to_string();
+    let mut ok = 0;
+    for i in (2..=30).step_by(4) {
+        let tgt = format!("v{i}");
+        let body = format!(r#"{{"params":{{"srcName":"v0","tgtName":"{tgt}"}}}}"#);
+        let resp = c.post_json(&format!("/execute/{id}"), &[], &body).unwrap();
+        assert_eq!(resp.status, 200, "body: {}", String::from_utf8_lossy(&resp.body));
+        let args = [("srcName", Value::from("v0")), ("tgtName", Value::from(tgt))];
+        assert_eq!(result_bytes(&resp), local(&qn, &args));
+        ok += 1;
+    }
+
+    // A mistyped binding is refused with a 422 naming the parameter.
+    let resp = c
+        .post_json(&format!("/execute/{id}"), &[], r#"{"params":{"srcName":7,"tgtName":"v2"}}"#)
+        .unwrap();
+    assert_eq!(resp.status, 422, "body: {}", String::from_utf8_lossy(&resp.body));
+    let err = resp.json().unwrap();
+    let field = |k: &str| err.get("error").and_then(|e| e.get(k)).and_then(Json::as_str);
+    assert_eq!((field("kind"), field("param")), (Some("bad-param"), Some("srcName")));
+
+    // An ad-hoc query under a per-request deadline header.
+    let triangles = stdlib::triangle_count("V", "E");
+    let resp = c.post_json("/query", &[("x-gsql-deadline-ms", "30000")], &query(&triangles)).unwrap();
+    assert_eq!(resp.status, 200, "body: {}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(result_bytes(&resp), local(&triangles, &[]));
+    ok += 1;
+
+    // A body over the default 1 MiB cap is refused and closes the
+    // connection; the metrics come over a fresh one.
+    let huge = format!(r#"{{"query":"{}"}}"#, "x".repeat(2 << 20));
+    assert_eq!(c.post_json("/query", &[], &huge).unwrap().status, 413);
+    let m = Client::connect(addr).unwrap().get("/metrics").unwrap().json().unwrap();
+    let get = |k: &str| m.get(k).and_then(Json::as_i64).unwrap();
+    assert_eq!(get("admitted"), get("completed") + get("failed") + get("cancelled"), "{m}");
+    // `completed` is the 200s the client saw; the 413 was counted.
+    let counts = ["completed", "rejected_body", "failed"].map(get);
+    assert_eq!(counts, [ok, 1, 0], "{m}");
+
+    // SIGTERM drains the server, which then exits 0.
+    let mut kill = std::process::Command::new("kill");
+    assert!(kill.arg("-TERM").arg(serve.0.id().to_string()).status().unwrap().success());
+    let status = (0..1500)
+        .find_map(|_| {
+            std::thread::sleep(Duration::from_millis(20));
+            serve.0.try_wait().unwrap()
+        })
+        .expect("gsql-serve exits within 30 s of SIGTERM");
+    assert!(status.success(), "gsql-serve exited with {status} after SIGTERM");
 }

@@ -147,3 +147,26 @@ fn explain_prefix_parses_and_matches_engine_explain() {
     assert_eq!(via_prefix, direct);
     assert!(direct.contains("est_rows="), "{direct}");
 }
+
+#[test]
+fn an_enumerative_hop_into_a_vertex_set_is_explained_as_it_runs() {
+    // A target set's size at run time decides the kernel direction; the
+    // plan states the rule, and PROFILE counts the kernels it names: one
+    // per target up to 32 (1 of 91 here), else one per source (1 of 34).
+    let rule = "backward from each target when the target set has at most 32 vertices, \
+                else forward (EXPONENTIAL)";
+    let one = |v: &str| format!("WHERE v.name == \"{v}\"");
+    for (n, source, target) in [(30, String::new(), one("v3")), (11, one("v0"), String::new())] {
+        let g = pgraph::generators::diamond_chain(n).0;
+        let src = format!(
+            "CREATE QUERY R () {{ Src = SELECT v FROM V:v {source}; T = SELECT v FROM V:v {target}; \
+             S = SELECT t FROM Src:s -(E>*)- T:t; }}"
+        );
+        let q = parse_query(&src).unwrap();
+        let engine = Engine::new(&g).with_semantics(PathSemantics::NonRepeatedEdge);
+        let plan = engine.explain(&q).unwrap().render();
+        assert!(plan.contains(&format!("-(E>*)-> T AS t: enumerative kernel, {rule}")), "{plan}");
+        let (_, profile) = engine.run_profiled(&q, &[]).unwrap();
+        assert_eq!(profile.root.kernel_calls, 1, "diamond_chain({n}): {plan}");
+    }
+}

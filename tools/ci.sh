@@ -42,7 +42,7 @@ STEPS=(
   "clippy|Clippy"
   "docs|Docs (rustdoc -D warnings + doctests)"
   "gsql-check|gsql check (static analyzer smoke)"
-  "server-smoke|Server smoke (gsql-serve + bench_server --smoke)"
+  "server-smoke|Server smoke (gsql-serve binary e2e + SIGTERM drain)"
   "server-cancel-repeat|Server cancel repeat (watchdog e2e tests 20 times, one thread)"
   "parallel-smoke|Parallel smoke (byte-identical parallelism 1 vs 4 diff)"
   "crash-recovery-smoke|Crash-recovery smoke (kill -9 + WAL replay)"
@@ -154,16 +154,9 @@ unserve() {
   return $status
 }
 
-step_server-smoke() (
-  set -euo pipefail
-  cargo build --release -p gsql-serve -p bench --bin gsql-serve --bin bench_server
-  dir=$(mktemp -d)
-  trap 'test -f "$dir/pid" && unserve "$dir" KILL; rm -rf "$dir"' EXIT
-  serve "$dir" --graph :diamond30
-  ./target/release/bench_server --smoke --addr "$(cat "$dir/addr")"
-  unserve "$dir"
-  cat "$dir/stderr"
-)
+step_server-smoke() {
+  cargo test --release -q -p gsql-serve --test e2e the_binary_serves_and_drains_on_sigterm
+}
 
 step_parallel-smoke() (
   set -euo pipefail
