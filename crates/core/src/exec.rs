@@ -13,7 +13,7 @@ use crate::morsel::{
     dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
 use crate::plan::{
-    bound_twice, BlockPlan, HopRun, HopStep, QueryPlan, StepOp, VarCol, SMALL_TARGET_SET,
+    bound_twice, runs_backward, BlockPlan, HopRun, HopStep, HopTarget, QueryPlan, StepOp, VarCol,
 };
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{KernelPool, MatchStats, PathSemantics, ReachMap};
@@ -504,10 +504,10 @@ fn ascending(mut ids: Vec<VertexId>) -> Arc<[VertexId]> {
 enum Spec {
     Any,
     Type(VTypeId),
-    /// Vertex ids, ascending, each once: a stored set's members are
-    /// shared, not copied, and membership is a binary search.
+    /// Vertex ids, ascending, each once (one for a vertex parameter): a
+    /// stored set's members are shared, not copied, and membership is a
+    /// binary search.
     Set(Arc<[VertexId]>),
-    Single(VertexId),
 }
 
 impl Spec {
@@ -516,7 +516,6 @@ impl Spec {
             Spec::Any => true,
             Spec::Type(t) => graph.vertex_type_of(v) == *t,
             Spec::Set(s) => s.binary_search(&v).is_ok(),
-            Spec::Single(x) => *x == v,
         }
     }
 
@@ -525,7 +524,6 @@ impl Spec {
             Spec::Any => graph.vertices().collect(),
             Spec::Type(t) => graph.vertices_of_type(*t).to_vec(),
             Spec::Set(s) => s.to_vec(),
-            Spec::Single(x) => vec![*x],
         }
     }
 }
@@ -1298,7 +1296,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             return Ok(Spec::Type(t));
         }
         match self.params.get(name) {
-            Some(Value::Vertex(v)) => Ok(Spec::Single(*v)),
+            Some(Value::Vertex(v)) => Ok(Spec::Set(Arc::from([*v]))),
             Some(Value::Set(items)) => {
                 let mut set = Vec::with_capacity(items.len());
                 for it in items {
@@ -1654,12 +1652,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// narrows `to_spec` to the vertices that pass them, since its kernel
     /// may anchor on that set.
     ///
-    /// The step's strategy is the planner's choice for this hop. The
-    /// adjacency scan runs exactly when the plan chose it; between the
-    /// kernels the choice is advisory — runtime conditions (is the
-    /// target actually anchored? how large did the spec-refined set turn
-    /// out?) always gate the backward kernels, so a stale hint degrades
-    /// to the syntax-driven default, never to a wrong answer.
+    /// The adjacency scan runs exactly when the plan chose it. A kernel's
+    /// direction is the plan's one rule, `runs_backward`, on the target
+    /// the hop observes.
     fn extend_hop(
         &mut self,
         rows: MorselTable,
@@ -1770,28 +1765,21 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let automata = automata.as_ref().map_err(Clone::clone)?;
         // An edge variable in Kleene scope fails the block before any step.
         debug_assert!(hs.edge.is_none() && hs.rebinds.is_none());
-        // Enumerative kernels with an anchored/bound target run **backward
-        // from the target** over the reversed automaton (path reversal is
-        // a bijection, so counts are identical). This mirrors what real
-        // planners do for bound-endpoint variable-length patterns and is
-        // what makes the Table-1 enumeration cost grow with the target's
-        // distance rather than with the whole graph's path population.
-        let target_bound = existing_to.is_some() || anchored_to.is_some();
-        // The plan holds a reversal only where the strategy may run
-        // backward: counting kernels reverse only when the cost model
-        // asked for it (fewer estimated targets than sources); enumerative
-        // kernels always prefer the anchored side, hint or no hint. A
-        // small (spec-refined) target set also anchors the kernel: run
-        // backward once per target instead of forward once per source.
-        let spec_targets = match (&automata.backward, target_bound, &to_spec) {
-            (Some(_), false, Spec::Single(v)) => Some(vec![*v]),
-            (Some(_), false, Spec::Set(s)) if s.len() <= SMALL_TARGET_SET => Some(s.to_vec()),
-            _ => None,
+        // The target as the hop observes it, and the anchors a backward
+        // kernel starts from (Table 1's enumeration cost then grows with
+        // the target's distance, not with the graph's path population).
+        let (target, anchors) = match (existing_to.is_some() || anchored_to.is_some(), &to_spec) {
+            (true, _) => (HopTarget::Bound, KeyRule::Bound),
+            (false, Spec::Set(s)) => (HopTarget::Set(s.len()), KeyRule::Anchors(s)),
+            (false, Spec::Any | Spec::Type(_)) => (HopTarget::Open, KeyRule::Forward),
         };
-        let backward =
-            automata.backward.as_deref().filter(|_| target_bound || spec_targets.is_some());
-        let pool = KernelPool::new(graph, backward.unwrap_or(&automata.forward));
-        let rule = KeyRule { backward: backward.is_some(), spec_targets: spec_targets.as_deref() };
+        // The plan holds a reversal exactly where the kernel may reverse.
+        let may_reverse = automata.backward.is_some();
+        let (nfa, rule) = match (&automata.backward, runs_backward(may_reverse, target)) {
+            (Some(rev), true) => (rev, anchors),
+            _ => (&automata.forward, KeyRule::Forward),
+        };
+        let pool = KernelPool::new(graph, nfa);
         // A row's source vertex and bound target; an error is the one the
         // hop raises at that row.
         let ends = |r: usize| -> Result<(VertexId, Option<VertexId>)> {
@@ -2473,30 +2461,26 @@ impl<'e, 'g> Runtime<'e, 'g> {
 // ---- helpers -------------------------------------------------------------
 
 /// Which kernels a Kleene hop runs: forward from each row's source, or
-/// backward from target anchors.
+/// backward from each row's bound target or from every target anchor.
 #[derive(Clone, Copy)]
-struct KeyRule<'a> {
-    backward: bool,
-    /// The spec-refined target anchors a backward row with no bound
-    /// target reads.
-    spec_targets: Option<&'a [VertexId]>,
+enum KeyRule<'a> {
+    Forward,
+    Bound,
+    /// The (spec-refined) target set, ascending.
+    Anchors(&'a [VertexId]),
 }
 
 impl<'a> KeyRule<'a> {
     /// The kernel keys a row with source `src` and bound target `bound`
-    /// reads: its source forward; backward, its bound target, else every
-    /// spec-refined anchor.
+    /// reads.
     fn keys<'k>(self, src: &'k VertexId, bound: &'k Option<VertexId>) -> &'k [VertexId]
     where
         'a: 'k,
     {
-        if !self.backward {
-            return std::slice::from_ref(src);
-        }
-        match (bound, self.spec_targets) {
-            (Some(t), _) => std::slice::from_ref(t),
-            (None, Some(ts)) => ts,
-            (None, None) => unreachable!("reverse kernel requires a target anchor"),
+        match self {
+            KeyRule::Forward => std::slice::from_ref(src),
+            KeyRule::Bound => bound.as_slice(),
+            KeyRule::Anchors(ts) => ts,
         }
     }
 }
@@ -2521,7 +2505,7 @@ impl HopReach<'_> {
         mut f: impl FnMut(VertexId, &BigCount) -> Result<()>,
     ) -> Result<()> {
         let keep = |t: VertexId| self.to_spec.matches(self.graph, t);
-        if self.rule.backward {
+        if !matches!(self.rule, KeyRule::Forward) {
             for &t in self.rule.keys(&src, &bound) {
                 if let Some((_, cnt)) = self.maps[&t].get(&src) {
                     if keep(t) {

@@ -224,11 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn qn_plan_under_enumeration_warns_and_anchors_backward() {
+    fn qn_plan_under_enumeration_warns_and_states_the_target_set_rule() {
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = explain(&q, PathSemantics::NonRepeatedEdge).unwrap();
         assert!(plan.contains("EXPONENTIAL"), "{plan}");
-        assert!(plan.contains("backward from anchored target"), "{plan}");
+        assert!(
+            plan.contains(
+                "backward from each target when the target set has at most 32 vertices, \
+                 else forward"
+            ),
+            "{plan}"
+        );
         assert!(plan.contains("sargable anchor: t.name Eq tgtName"), "{plan}");
     }
 

@@ -80,7 +80,7 @@ pub use governor::{Budget, CancelHandle, QueryGuard, ResourceReport};
 pub use lint::{lint_query, lint_query_with, Diagnostic, Severity};
 pub use morsel::{MorselTable, DEFAULT_MORSEL_SIZE};
 pub use parser::{parse_query, parse_query_with_mode, QueryMode};
-pub use plan::{BlockPlan, HopStrategy, QueryPlan};
+pub use plan::{BlockPlan, QueryPlan};
 pub use prepared::{BindError, BindErrorKind, PreparedQuery};
 pub use profile::{Profile, ProfileNode};
 pub use semantics::{MatchStats, PathSemantics};

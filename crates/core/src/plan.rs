@@ -8,8 +8,8 @@
 //! steps (its match program) fixes each FROM variable's column and
 //! assigns every WHERE conjunct, split once here, to the earliest step
 //! that can evaluate it, to the hop whose unbound target it alone names,
-//! or to the residual list. Every pattern hop carries the
-//! [`HopStrategy`] the cost model chose, resolved against the schema
+//! or to the residual list. Every pattern hop carries the strategy
+//! (`HopStrategy`) the cost model chose, resolved against the schema
 //! once per lowering into what it runs over — a symbol, or a compiled
 //! automaton and its reversal — which a block's semantics variants
 //! share. The steps hold what the executor needs of the FROM clause, so
@@ -19,15 +19,15 @@
 //! Planning is *cost-based* when graph statistics are available
 //! ([`pgraph::graph::GraphStats`], collected at `finalize()` time):
 //! per-type cardinalities and average degrees drive `est_rows` /
-//! `est_cost` annotations on every data-producing node, and decide the
-//! kernel direction for Kleene hops — a counting kernel runs **backward
-//! from an anchored target** when the estimated number of distinct
-//! targets is strictly smaller than the estimated number of sources
-//! (path reversal is a bijection, so shortest-path counts are
-//! identical). Without statistics (`ctx = None`, the graph-less
-//! `EXPLAIN` entry point) the same lowering runs with estimates omitted
-//! and every choice falling back to the syntax-driven default, so plan
-//! *shape* is independent of statistics.
+//! `est_cost` annotations on every data-producing node, and let a
+//! counting kernel reverse when the estimated number of distinct anchored
+//! targets is strictly smaller than the estimated number of sources.
+//! Whether a kernel that may reverse runs backward is one rule,
+//! `runs_backward`, which the cost model, EXPLAIN and the executor call.
+//! Without statistics (`ctx = None`, the graph-less `EXPLAIN` entry
+//! point) the same lowering runs with estimates omitted and every choice
+//! falling back to the syntax-driven default, so plan *shape* is
+//! independent of statistics.
 //!
 //! Estimator constants are deliberately coarse (equality conjuncts are
 //! point lookups clamped to ~1 row, other predicates keep half their
@@ -73,9 +73,9 @@ const SEL_OTHER: f64 = 0.5;
 const REACH_FRACTION: f64 = 0.5;
 /// Default cardinality guess for a `SET<VERTEX>` parameter.
 const VSET_PARAM_EST: f64 = 8.0;
-/// The most targets an enumerative hop into a vertex set runs backward
-/// from (one kernel each); a larger set runs forward from each source.
-pub(crate) const SMALL_TARGET_SET: usize = 32;
+/// The most targets a kernel hop runs backward from (one kernel each);
+/// a larger target set runs forward from each source.
+const SMALL_TARGET_SET: usize = 32;
 
 /// Everything the planner may consult about the execution environment.
 /// `graph` supplies schema + [`pgraph::graph::GraphStats`]; `tables`
@@ -87,52 +87,69 @@ pub(crate) struct LowerCtx<'a> {
     pub tables: &'a FxHashMap<String, Table>,
 }
 
+/// A kernel hop's target, as its direction rule ([`runs_backward`]) reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HopTarget {
+    /// One vertex per row: a joined column, or a vertex value.
+    Bound,
+    /// A set of (about) this many vertices: a named vertex set, or the
+    /// vertices the hop's sargable conjuncts keep.
+    Set(usize),
+    /// Every vertex of the target's type.
+    Open,
+}
+
+/// The one rule for a kernel hop's direction: a kernel that may reverse
+/// runs backward from a bound target, or from each vertex of a target set
+/// of at most [`SMALL_TARGET_SET`]; else forward from each source. Path
+/// reversal is a bijection, so counts are equal either way.
+pub(crate) fn runs_backward(may_reverse: bool, target: HopTarget) -> bool {
+    match target {
+        HopTarget::Bound => may_reverse,
+        HopTarget::Set(n) => may_reverse && n <= SMALL_TARGET_SET,
+        HopTarget::Open => false,
+    }
+}
+
 /// The execution strategy the planner chose for one pattern hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopStrategy {
+pub(crate) enum HopStrategy {
     /// Single-edge hop: enumerate the CSR adjacency of each source.
     Adjacency,
-    /// Polynomial SDMC counting kernel, forward from each source.
-    CountingForward,
-    /// Polynomial SDMC counting kernel, run backward from the anchored
-    /// target over the reversed automaton (chosen when the estimated
-    /// target count is strictly smaller than the source count; path
-    /// reversal is a bijection so counts are identical).
-    CountingBackward,
-    /// Enumerative kernel, forward from each source (exponential).
-    EnumForward,
-    /// Enumerative kernel, backward from the anchored target
-    /// (exponential, but bounded by the target's path population).
-    EnumBackward,
-    /// Enumerative kernel into a vertex set not anchored at lowering:
-    /// backward from each target when the set has at most
-    /// `SMALL_TARGET_SET` vertices at run time, else forward.
-    EnumTargetSet,
+    /// Kleene or composite hop: a reachability kernel, polynomial SDMC
+    /// counting (Thm 6.1) or enumerative (exponential), with its target as
+    /// lowering sees it. `loop_bound`: the target variable is a FOREACH
+    /// variable's name, which binds it when its value is a vertex.
+    Kernel { counting: bool, may_reverse: bool, target: HopTarget, loop_bound: bool },
 }
 
 impl HopStrategy {
-    /// The stable human-readable strategy phrase used in plan details.
-    pub fn describe(self) -> String {
-        match self {
-            HopStrategy::Adjacency => "adjacency scan",
-            HopStrategy::CountingForward => {
-                "SDMC counting kernel, forward (polynomial, Thm 6.1)"
-            }
-            HopStrategy::CountingBackward => {
-                "SDMC counting kernel, backward from anchored target (polynomial, Thm 6.1)"
-            }
-            HopStrategy::EnumForward => "enumerative kernel, forward (EXPONENTIAL)",
-            HopStrategy::EnumBackward => {
-                "enumerative kernel, backward from anchored target (EXPONENTIAL)"
-            }
-            HopStrategy::EnumTargetSet => {
-                return format!(
-                    "enumerative kernel, backward from each target when the target set \
-                     has at most {SMALL_TARGET_SET} vertices, else forward (EXPONENTIAL)"
-                )
-            }
-        }
-        .to_string()
+    /// The stable human-readable strategy phrase used in plan details:
+    /// the kernel and the direction [`runs_backward`] gives for the target
+    /// lowering sees, or the rule itself where only the run sees what
+    /// decides it (a target set's size, a FOREACH variable's value).
+    fn describe(self) -> String {
+        let HopStrategy::Kernel { counting, may_reverse, target, loop_bound } = self else {
+            return "adjacency scan".to_string();
+        };
+        let (kernel, class) = match counting {
+            true => ("SDMC counting kernel", "polynomial, Thm 6.1"),
+            false => ("enumerative kernel", "EXPONENTIAL"),
+        };
+        let dir = match target {
+            HopTarget::Set(_) if may_reverse => format!(
+                "backward from each target when the target set has at most \
+                 {SMALL_TARGET_SET} vertices, else forward"
+            ),
+            _ if runs_backward(may_reverse, target) => "backward from anchored target".into(),
+            _ => "forward".into(),
+        };
+        let unseen = match may_reverse && loop_bound {
+            true => "backward from anchored target when a FOREACH variable binds it to a \
+                     vertex, else ",
+            false => "",
+        };
+        format!("{kernel}, {unseen}{dir} ({class})")
     }
 }
 
@@ -293,8 +310,8 @@ pub(crate) struct HopStep {
 }
 
 /// What a hop step runs: as much of its [`HopStrategy`] as the executor
-/// reads (adjacency scan, or a kernel that may run backward or not;
-/// counting vs. enumerative is the semantics') in one value with what
+/// reads (adjacency scan, or a kernel that may reverse or not; counting
+/// vs. enumerative is the semantics') in one value with what
 /// the hop's DARPE resolved to against the schema. A resolution error
 /// (an unknown edge type, a direction its type lacks) is kept here and
 /// raised when the step runs, never at lowering.
@@ -306,9 +323,8 @@ pub(crate) enum HopRun {
     Kernel(Result<Automata>),
 }
 
-/// A kernel hop's compiled automaton, and its reversal when the strategy
-/// may run backward from an anchored target (every kernel strategy but
-/// [`HopStrategy::CountingForward`]).
+/// A kernel hop's compiled automaton, and its reversal exactly when the
+/// strategy may reverse (the `may_reverse` that [`runs_backward`] reads).
 #[derive(Debug, Clone)]
 pub(crate) struct Automata {
     pub forward: Arc<CompiledDarpe>,
@@ -323,14 +339,9 @@ pub(crate) struct Automata {
 struct Resolutions(FxHashMap<(usize, usize), HopRun>);
 
 impl Resolutions {
-    /// What hop `key`, whose DARPE is `d`, runs under `strategy`.
-    fn run(
-        &mut self,
-        key: (usize, usize),
-        d: &Darpe,
-        strategy: HopStrategy,
-        schema: &Schema,
-    ) -> HopRun {
+    /// What hop `key`, whose DARPE is `d`, runs: a kernel with its
+    /// reversal when it may `reverse`.
+    fn run(&mut self, key: (usize, usize), d: &Darpe, reverse: bool, schema: &Schema) -> HopRun {
         let resolved = self.0.entry(key).or_insert_with(|| match d.as_single_symbol() {
             Some(sym) => HopRun::Adjacency(resolve_symbol(sym, schema).map_err(Error::from)),
             None => HopRun::Kernel(match CompiledDarpe::compile(d, schema) {
@@ -338,12 +349,11 @@ impl Resolutions {
                 Err(e) => Err(e.into()),
             }),
         });
-        let backward = strategy != HopStrategy::CountingForward;
-        if let (HopRun::Kernel(Ok(a)), true) = (&mut *resolved, backward) {
+        if let (HopRun::Kernel(Ok(a)), true) = (&mut *resolved, reverse) {
             a.backward.get_or_insert_with(|| Arc::new(a.forward.reversed()));
         }
         let mut run = resolved.clone();
-        if let (HopRun::Kernel(Ok(a)), false) = (&mut run, backward) {
+        if let (HopRun::Kernel(Ok(a)), false) = (&mut run, reverse) {
             a.backward = None;
         }
         run
@@ -404,6 +414,8 @@ struct LowerState<'a, 'c> {
     /// Planner-visible vertex-set cardinalities (`S = SELECT ...` feeds
     /// later blocks' scans).
     vset_est: FxHashMap<String, f64>,
+    /// The FOREACH variables in scope.
+    loop_vars: Vec<String>,
     /// Abstract-interpretation facts for the whole query (pass 6,
     /// `lint/absint.rs`): proven parallel gates, conjunct constancy and
     /// WHILE bounds, indexed by block id.
@@ -477,6 +489,7 @@ fn lower_query_with(
         variants,
         blocks: Vec::new(),
         vset_est: FxHashMap::default(),
+        loop_vars: Vec::new(),
         facts,
     };
     lower_stmts(&query.body, semantics, &mut st, &mut root.children);
@@ -552,10 +565,10 @@ fn lower_stmts(
                         "vset-assign",
                         format!("{name} = scan {{{}}}", entries.join(", ")),
                     );
+                    // Recorded without statistics too: it names a vertex set.
+                    let est: f64 = entries.iter().map(|e| scan_est(e, None, st)).sum();
+                    st.vset_est.insert(name.clone(), est);
                     if st.ctx.is_some() {
-                        let est: f64 =
-                            entries.iter().map(|e| scan_est(e, None, st)).sum();
-                        st.vset_est.insert(name.clone(), est);
                         annotate(&mut node, est, est);
                     }
                     out.push(node);
@@ -565,15 +578,14 @@ fn lower_stmts(
                         "vset-assign",
                         format!("{name} = {lhs} {op:?} {rhs}"),
                     );
+                    let (l, r) = (scan_est(lhs, None, st), scan_est(rhs, None, st));
+                    let est = match op {
+                        SetOp::Union => l + r,
+                        SetOp::Intersect => l.min(r),
+                        SetOp::Minus => l,
+                    };
+                    st.vset_est.insert(name.clone(), est);
                     if st.ctx.is_some() {
-                        let l = scan_est(lhs, None, st);
-                        let r = scan_est(rhs, None, st);
-                        let est = match op {
-                            SetOp::Union => l + r,
-                            SetOp::Intersect => l.min(r),
-                            SetOp::Minus => l,
-                        };
-                        st.vset_est.insert(name.clone(), est);
                         annotate(&mut node, est, l + r);
                     }
                     out.push(node);
@@ -602,7 +614,9 @@ fn lower_stmts(
             }
             Stmt::Foreach { var, body, .. } => {
                 let mut node = PlanNode::new("foreach", format!("FOREACH {var}:"));
+                st.loop_vars.push(var.clone());
                 lower_stmts(body, semantics, st, &mut node.children);
+                st.loop_vars.pop();
                 out.push(node);
             }
             _ => {}
@@ -1379,31 +1393,31 @@ fn lower_block(
             for &i in &sargable_idx {
                 target_card = filtered_card(target_card, &conjuncts[i].0);
             }
-            let target_anchored = !sargable_idx.is_empty()
-                || target_already_bound
-                || hop.to.var.as_ref().is_some_and(|tv| {
-                    st.params.iter().any(|p| p.name == *tv && matches!(p.ty, ParamType::Vertex(_)))
-                });
+            let param_bound = hop.to.var.as_ref().is_some_and(|tv| {
+                st.params.iter().any(|p| p.name == *tv && matches!(p.ty, ParamType::Vertex(_)))
+            });
+            let loop_bound = !target_already_bound
+                && hop.to.var.as_ref().is_some_and(|tv| st.loop_vars.contains(tv));
+            let target_anchored = !sargable_idx.is_empty() || target_already_bound || param_bound;
             if target_already_bound {
                 target_card = 1.0;
             }
-            let strategy = if hop.darpe.as_single_symbol().is_some() {
-                HopStrategy::Adjacency
-            } else if !semantics.is_enumerative() {
-                // Counting kernels may flip direction when the target
-                // side is anchored and estimated strictly smaller;
-                // forward is kept on ties.
-                if target_anchored && with_est && target_card < rows {
-                    HopStrategy::CountingBackward
-                } else {
-                    HopStrategy::CountingForward
-                }
-            } else if target_anchored {
-                HopStrategy::EnumBackward
-            } else if names_vertex_set(&hop.to.name, st) {
-                HopStrategy::EnumTargetSet
+            // What the executor will observe (a FOREACH variable shadows a parameter).
+            let target = if target_already_bound || param_bound && !loop_bound {
+                HopTarget::Bound
+            } else if !sargable_idx.is_empty() || names_vertex_set(&hop.to.name, st) {
+                HopTarget::Set(target_card.ceil() as usize)
             } else {
-                HopStrategy::EnumForward
+                HopTarget::Open
+            };
+            // An enumerative kernel may always reverse; a counting one
+            // when its target side is anchored and estimated strictly
+            // smaller (forward is kept on ties).
+            let counting = !semantics.is_enumerative();
+            let may_reverse = !counting || target_anchored && with_est && target_card < rows;
+            let strategy = match hop.darpe.as_single_symbol() {
+                Some(_) => HopStrategy::Adjacency,
+                None => HopStrategy::Kernel { counting, may_reverse, target, loop_bound },
             };
             let hop_detail = format!("hop -({})-> {to}: {}", hop.darpe, strategy.describe());
             let mut hop_node = PlanNode::new("hop", hop_detail);
@@ -1420,14 +1434,10 @@ fn lower_block(
                         let frac = (target_card / target_base).min(1.0);
                         (rows * fanout * frac, rows * fanout)
                     }
-                    kernel => {
-                        let backward = match kernel {
-                            HopStrategy::CountingBackward | HopStrategy::EnumBackward => true,
-                            HopStrategy::EnumTargetSet => target_card <= SMALL_TARGET_SET as f64,
-                            _ => false,
-                        };
+                    HopStrategy::Kernel { .. } => {
                         let e_sub = darpe_edge_total(&hop.darpe, ctx);
                         let reach = (target_card * REACH_FRACTION).max(1.0);
+                        let backward = runs_backward(may_reverse, target);
                         let kernels = if backward { target_card.max(1.0) } else { rows };
                         (rows * reach, kernels * e_sub)
                     }
@@ -1481,7 +1491,7 @@ fn lower_block(
                     to_source: hop.to.name.clone(),
                     to_var: hop.to.var.clone(),
                     targets: sargable_idx.iter().rev().copied().collect(),
-                    run: resolved.run((item_idx, hop_idx), &hop.darpe, strategy, st.schema),
+                    run: resolved.run((item_idx, hop_idx), &hop.darpe, may_reverse, st.schema),
                     rebinds,
                 }),
                 ready,
@@ -1715,7 +1725,8 @@ mod tests {
     fn counting_kernel_flips_backward_when_target_is_cheaper() {
         // No source filter: every vertex is a source. The sargable
         // target anchor narrows targets to a point lookup — strictly
-        // cheaper, so the planner runs the counting kernel backward.
+        // cheaper, so the counting kernel may reverse, and the rule for
+        // a target set decides its direction.
         let (g, _) = diamond_chain(12);
         let tables = ctx_tables();
         let ctx = LowerCtx { graph: &g, tables: &tables };
@@ -1730,7 +1741,10 @@ mod tests {
         let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
         let text = plan.plan.render();
         assert!(
-            text.contains("SDMC counting kernel, backward from anchored target"),
+            text.contains(
+                "SDMC counting kernel, backward from each target when the target set has \
+                 at most 32 vertices, else forward"
+            ),
             "{text}"
         );
         // Without statistics the same query keeps the forward default.
@@ -1755,6 +1769,61 @@ mod tests {
         assert!(text.contains("SDMC counting kernel, forward"), "{text}");
     }
 
+    /// The one direction rule over every target and `may_reverse`, with
+    /// the target-set boundary, and the phrase EXPLAIN composes from it.
+    #[test]
+    fn one_rule_decides_a_kernel_hops_direction_and_its_phrase() {
+        use HopTarget::{Bound, Open, Set};
+        let set_rule = "backward from each target when the target set has at most 32 vertices, \
+                        else forward";
+        let cases = [
+            (true, Bound, true, "backward from anchored target"),
+            (true, Set(1), true, set_rule),
+            (true, Set(32), true, set_rule),
+            (true, Set(33), false, set_rule),
+            (true, Open, false, "forward"),
+            (false, Bound, false, "forward"),
+            (false, Set(1), false, "forward"),
+            (false, Set(32), false, "forward"),
+            (false, Set(33), false, "forward"),
+            (false, Open, false, "forward"),
+        ];
+        for (may_reverse, target, backward, dir) in cases {
+            assert_eq!(runs_backward(may_reverse, target), backward, "{may_reverse} {target:?}");
+            for (counting, kernel) in [
+                (true, "SDMC counting kernel, {} (polynomial, Thm 6.1)"),
+                (false, "enumerative kernel, {} (EXPONENTIAL)"),
+            ] {
+                let phrase = |loop_bound| {
+                    HopStrategy::Kernel { counting, may_reverse, target, loop_bound }.describe()
+                };
+                assert_eq!(phrase(false), kernel.replace("{}", dir));
+                let unseen = match may_reverse {
+                    true => format!(
+                        "backward from anchored target when a FOREACH variable binds it to a \
+                         vertex, else {dir}"
+                    ),
+                    false => dir.to_string(),
+                };
+                assert_eq!(phrase(true), kernel.replace("{}", &unseen));
+            }
+        }
+        assert_eq!(HopStrategy::Adjacency.describe(), "adjacency scan");
+        // Lowering sees a FOREACH variable's name, not its value; and a
+        // literal vertex set is a set without statistics too.
+        let q = parse_query(
+            "CREATE QUERY l () { SetAccum<vertex> @@ts; T = {V.*};
+               FOREACH t IN @@ts DO S = SELECT t FROM V:s -(E>*)- V:t; END;
+               R = SELECT t FROM V:s -(E>*)- T:t; }",
+        )
+        .unwrap();
+        let text = lower_query(&q, PathSemantics::NonRepeatedEdge, None).plan.render();
+        let phrase = "V AS t: enumerative kernel, backward from anchored target when a FOREACH \
+                      variable binds it to a vertex, else forward (EXPONENTIAL)";
+        assert!(text.contains(phrase), "{text}");
+        assert!(text.contains(&format!("T AS t: enumerative kernel, {set_rule} (")), "{text}");
+    }
+
     #[test]
     fn block_plans_index_by_block_id_and_carry_strategies() {
         let (g, _) = diamond_chain(12);
@@ -1766,7 +1835,7 @@ mod tests {
         assert_eq!(plan.variants, [PathSemantics::NonRepeatedEdge]);
         assert_eq!(plan.blocks.len(), 1);
         assert!(
-            plan.plan.render().contains("enumerative kernel, backward from anchored target"),
+            plan.plan.render().contains("enumerative kernel, backward from each target when"),
             "{}",
             plan.plan.render()
         );

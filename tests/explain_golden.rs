@@ -149,24 +149,57 @@ fn explain_prefix_parses_and_matches_engine_explain() {
 }
 
 #[test]
-fn an_enumerative_hop_into_a_vertex_set_is_explained_as_it_runs() {
+fn a_kernel_hop_into_a_target_set_is_explained_as_it_runs() {
     // A target set's size at run time decides the kernel direction; the
-    // plan states the rule, and PROFILE counts the kernels it names: one
-    // per target up to 32 (1 of 91 here), else one per source (1 of 34).
+    // plan states the rule, and PROFILE counts the kernels that run: one
+    // per target up to 32, else one per source. Into a vertex set: 1 of
+    // 91 targets (1 kernel), all 34 targets from 1 source (1). Into the
+    // targets sargable conjuncts keep: 90 of 91 from 1 source (1), and,
+    // counting, 91 from 90 sources (90), where the cost model's estimate
+    // of 11 targets alone would have said backward.
     let rule = "backward from each target when the target set has at most 32 vertices, \
-                else forward (EXPONENTIAL)";
+                else forward";
+    let (enumerate, count) = (PathSemantics::NonRepeatedEdge, PathSemantics::AllShortestPaths);
     let one = |v: &str| format!("WHERE v.name == \"{v}\"");
-    for (n, source, target) in [(30, String::new(), one("v3")), (11, one("v0"), String::new())] {
+    let into_set = |source: String, target: String| {
+        format!(
+            "Src = SELECT v FROM V:v {source}; T = SELECT v FROM V:v {target}; \
+             S = SELECT t FROM Src:s -(E>*)- T:t;"
+        )
+    };
+    let cases = [
+        (30, enumerate, into_set(String::new(), one("v3")), "T", 1),
+        (11, enumerate, into_set(one("v0"), String::new()), "T", 1),
+        (
+            30,
+            enumerate,
+            "S0 = SELECT v FROM V:v WHERE v.name == \"v27\"; \
+             S = SELECT t FROM S0:s -(E>*)- V:t WHERE t.name != \"zz\" ACCUM @@n += 1;"
+                .to_string(),
+            "V",
+            1,
+        ),
+        (
+            30,
+            count,
+            "S = SELECT t FROM V:s -(E>*)- V:t WHERE s.name != \"v0\" AND t.name != \"zz\" \
+             AND t.name != \"yy\" AND t.name != \"xx\" ACCUM @@n += 1;"
+                .to_string(),
+            "V",
+            90,
+        ),
+    ];
+    for (n, semantics, body, to, kernels) in cases {
         let g = pgraph::generators::diamond_chain(n).0;
-        let src = format!(
-            "CREATE QUERY R () {{ Src = SELECT v FROM V:v {source}; T = SELECT v FROM V:v {target}; \
-             S = SELECT t FROM Src:s -(E>*)- T:t; }}"
-        );
-        let q = parse_query(&src).unwrap();
-        let engine = Engine::new(&g).with_semantics(PathSemantics::NonRepeatedEdge);
+        let q = parse_query(&format!("CREATE QUERY R () {{ SumAccum<int> @@n; {body} }}")).unwrap();
+        let engine = Engine::new(&g).with_semantics(semantics);
         let plan = engine.explain(&q).unwrap().render();
-        assert!(plan.contains(&format!("-(E>*)-> T AS t: enumerative kernel, {rule}")), "{plan}");
+        let kernel = match semantics {
+            PathSemantics::AllShortestPaths => "SDMC counting kernel",
+            _ => "enumerative kernel",
+        };
+        assert!(plan.contains(&format!("-(E>*)-> {to} AS t: {kernel}, {rule} (")), "{plan}");
         let (_, profile) = engine.run_profiled(&q, &[]).unwrap();
-        assert_eq!(profile.root.kernel_calls, 1, "diamond_chain({n}): {plan}");
+        assert_eq!(profile.root.kernel_calls, kernels, "diamond_chain({n}): {plan}");
     }
 }

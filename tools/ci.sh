@@ -63,6 +63,23 @@ no_match() {
   test -z "$found" || { echo "$found"; return 1; }
 }
 
+# `exact_tests <cargo test arg>... -- <test arg>...` runs the tests named
+# among the test args (those not starting with `-`) with `--exact`, and
+# fails unless the run reports as many passed as there are names: a
+# renamed or deleted test fails the step instead of matching nothing.
+exact_tests() {
+  local cargo_args=() names=0 out passed a
+  while [ "$1" != -- ]; do cargo_args+=("$1"); shift; done
+  shift
+  for a in "$@"; do [[ $a == -* ]] || names=$((names + 1)); done
+  out=$(cargo test "${cargo_args[@]}" -- --exact "$@" 2>&1)
+  local status=$?
+  echo "$out"
+  test $status -eq 0 || return 1
+  passed=$(grep -oE 'test result: [a-zA-Z]+\. [0-9]+ passed' <<< "$out" | awk '{s += $4} END {print s + 0}')
+  test "$passed" -eq "$names" || { echo "exact_tests: $passed passed, $names named"; return 1; }
+}
+
 # Skips (locally) or fails (under CI) when a nightly component is missing.
 missing() {
   echo "missing: $1"
@@ -155,7 +172,7 @@ unserve() {
 }
 
 step_server-smoke() {
-  cargo test --release -q -p gsql-serve --test e2e the_binary_serves_and_drains_on_sigterm
+  exact_tests --release -q -p gsql-serve --test e2e -- the_binary_serves_and_drains_on_sigterm
 }
 
 step_parallel-smoke() (
@@ -201,7 +218,7 @@ GSQL
 step_server-cancel-repeat() {
   local i
   for i in $(seq 1 20); do
-    cargo test -q -p gsql-serve --test e2e -- --test-threads=1 --exact \
+    exact_tests -q -p gsql-serve --test e2e -- --test-threads=1 \
       client_disconnect_cancels_the_running_query keep_alive_connection_rearms_for_each_query ||
       { echo "failed on run $i of 20"; return 1; }
   done
