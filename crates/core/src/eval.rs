@@ -232,11 +232,33 @@ pub struct Env<'a, 's> {
     pub graph: &'a Graph,
     /// Live vertex accumulator stores (`v.@a`), by store id.
     pub vaccs: &'s [VAccStore],
-    /// Pre-block snapshots (`v.@a'`) of the stores the query reads
-    /// primed, by store id (`None` for the others).
+    /// Block-start snapshots of the stores the query reads primed
+    /// (`v.@a'`) and of those the block's ACCUM reads while it writes
+    /// them, by store id (`None` for the others).
     pub prev_vaccs: &'s [Option<VAccStore>],
     /// Live global accumulators (`@@a`), by store id.
     pub gaccs: &'s [Accum],
+    /// Block-start snapshots of the globals the block's ACCUM reads
+    /// while it writes them, by store id (`None` for the others).
+    pub prev_gaccs: &'s [Option<Accum>],
+}
+
+impl<'s> Env<'_, 's> {
+    /// Vertex store `id`, live or its block-start snapshot.
+    fn vacc(&self, id: usize, prev: bool) -> Option<&'s VAccStore> {
+        match prev {
+            false => self.vaccs.get(id),
+            true => self.prev_vaccs.get(id).and_then(Option::as_ref),
+        }
+    }
+
+    /// Global `id`, live or its block-start snapshot.
+    fn gacc(&self, id: usize, prev: bool) -> Option<&'s Accum> {
+        match prev {
+            false => self.gaccs.get(id),
+            true => self.prev_gaccs.get(id).and_then(Option::as_ref),
+        }
+    }
 }
 
 /// A vertex an expression names through a variable, resolved like
@@ -309,7 +331,12 @@ pub enum Degree {
 #[derive(Debug, Clone)]
 pub enum AccSize {
     /// `@@a.size()`.
-    G(usize),
+    G {
+        /// Store id.
+        store: usize,
+        /// Reads the block-start snapshot.
+        prev: bool,
+    },
     /// `v.@a.size()` / `v.@a'.size()`.
     V {
         /// The vertex.
@@ -454,6 +481,8 @@ pub enum BExpr {
     GAcc {
         /// Store id (`None`: undeclared).
         store: Option<usize>,
+        /// Reads the block-start snapshot.
+        prev: bool,
         /// The accumulator, for error messages.
         name: String,
     },
@@ -685,6 +714,9 @@ struct Numbering {
 /// Lowers expressions to [`BExpr`]s against a [`Scope`].
 pub struct Binder<'s> {
     scope: Scope<'s>,
+    /// The accumulators whose unprimed reads bind to the block-start
+    /// snapshot, as `(global, name)`.
+    snapshot: &'s [(bool, String)],
     group: Option<GroupNames<'s>>,
     acc_locals: FxHashMap<String, usize>,
     numbering: Option<Numbering>,
@@ -693,7 +725,7 @@ pub struct Binder<'s> {
 impl<'s> Binder<'s> {
     /// A binder over `scope`.
     pub fn new(scope: Scope<'s>) -> Self {
-        Binder { scope, group: None, acc_locals: FxHashMap::default(), numbering: None }
+        Binder { scope, snapshot: &[], group: None, acc_locals: FxHashMap::default(), numbering: None }
     }
 
     /// A binder for grouped SELECT output over `scope`.
@@ -702,10 +734,11 @@ impl<'s> Binder<'s> {
     }
 
     /// Binds an ACCUM / POST_ACCUM clause, numbering its values when some
-    /// subexpression occurs twice.
-    pub fn clause(scope: Scope<'s>, stmts: &[AccStmt]) -> Program {
+    /// subexpression occurs twice. Every unprimed read of an accumulator
+    /// in `snapshot` (`(global, name)`) reads the block-start snapshot.
+    pub fn clause(scope: Scope<'s>, snapshot: &'s [(bool, String)], stmts: &[AccStmt]) -> Program {
         let numbering = repeats_a_subexpression(stmts).then(Numbering::default);
-        let mut b = Binder { numbering, ..Binder::new(scope) };
+        let mut b = Binder { snapshot, numbering, ..Binder::new(scope) };
         let mut locals = 0;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in stmts {
@@ -768,13 +801,17 @@ impl<'s> Binder<'s> {
                 BExpr::VAcc {
                     vertex: self.vsrc(var),
                     store: self.scope.vacc_ids.get(name).copied(),
-                    prev: *prev,
+                    prev: *prev || self.snapshotted(false, name),
                     name: name.clone(),
                 },
                 Some((false, name)),
             ),
             Expr::GAcc(name) => (
-                BExpr::GAcc { store: self.scope.gacc_ids.get(name).copied(), name: name.clone() },
+                BExpr::GAcc {
+                    store: self.scope.gacc_ids.get(name).copied(),
+                    prev: self.snapshotted(true, name),
+                    name: name.clone(),
+                },
                 Some((true, name)),
             ),
             Expr::Call { func, args, star } => (self.call(func, args, *star), None),
@@ -821,6 +858,11 @@ impl<'s> Binder<'s> {
             n.regs.push(e);
         }
         BExpr::Reg(reg)
+    }
+
+    /// Whether unprimed reads of this accumulator bind to the snapshot.
+    fn snapshotted(&self, global: bool, name: &str) -> bool {
+        self.snapshot.iter().any(|(g, n)| *g == global && n == name)
     }
 
     fn ident(&self, name: &str) -> BExpr {
@@ -919,12 +961,16 @@ impl<'s> Binder<'s> {
         // `.size()` of a collection accumulator reads its length instead
         // of building its value.
         let acc = match (kind, base) {
-            (Method::Size, Expr::GAcc(name)) => self.scope.gacc_ids.get(name).map(|&id| AccSize::G(id)),
+            (Method::Size, Expr::GAcc(name)) => self
+                .scope
+                .gacc_ids
+                .get(name)
+                .map(|&store| AccSize::G { store, prev: self.snapshotted(true, name) }),
             (Method::Size, Expr::VAcc { var, name, prev }) => {
                 self.scope.vacc_ids.get(name).map(|&store| AccSize::V {
                     vertex: self.vsrc(var),
                     store,
-                    prev: *prev,
+                    prev: *prev || self.snapshotted(false, name),
                 })
             }
             _ => None,
@@ -1109,18 +1155,14 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
             BExpr::Attr(a) => self.attr(a)?,
             BExpr::VAcc { vertex, store, prev, name } => {
                 let v = self.vertex(vertex)?;
-                let store = match (store, prev) {
-                    (Some(id), false) => self.env.vaccs.get(*id),
-                    (Some(id), true) => self.env.prev_vaccs.get(*id).and_then(Option::as_ref),
-                    (None, _) => None,
-                };
                 let store = store
+                    .and_then(|id| self.env.vacc(id, *prev))
                     .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@{name}`")))?;
                 Cow::Owned(store.value_at(v))
             }
-            BExpr::GAcc { store, name } => {
+            BExpr::GAcc { store, prev, name } => {
                 let acc = store
-                    .and_then(|id| self.env.gaccs.get(id))
+                    .and_then(|id| self.env.gacc(id, *prev))
                     .ok_or_else(|| Error::runtime(format!("undeclared accumulator `@@{name}`")))?;
                 Cow::Owned(acc.value())
             }
@@ -1161,14 +1203,9 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
             BExpr::VId(vertex) => Cow::Owned(Value::Int(self.vertex(vertex)?.0 as i64)),
             BExpr::AccSize { acc, fallback } => {
                 let acc = match acc {
-                    AccSize::G(id) => self.env.gaccs.get(*id),
+                    AccSize::G { store, prev } => self.env.gacc(*store, *prev),
                     AccSize::V { vertex, store, prev } => {
-                        let store = if *prev {
-                            self.env.prev_vaccs.get(*store).and_then(Option::as_ref)
-                        } else {
-                            self.env.vaccs.get(*store)
-                        };
-                        match store {
+                        match self.env.vacc(*store, *prev) {
                             Some(store) => Some(store.accum_at(self.vertex(vertex)?)),
                             None => None,
                         }

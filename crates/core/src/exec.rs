@@ -13,7 +13,7 @@ use crate::morsel::{
     dispatch, even_runs, MorselBuilder, MorselTable, Morsels, DEFAULT_MORSEL_SIZE,
 };
 use crate::plan::{
-    bound_twice, runs_backward, BlockPlan, HopRun, HopStep, HopTarget, QueryPlan, StepOp, VarCol,
+    bound_twice, runs_backward, BlockPlan, FoldVerdict, HopRun, HopStep, HopTarget, QueryPlan, StepOp, VarCol,
 };
 use crate::profile::{OpKey, Profile, Profiler, Span, SpanExtra};
 use crate::semantics::{KernelPool, MatchStats, PathSemantics, ReachMap};
@@ -349,6 +349,7 @@ impl<'g> Engine<'g> {
             gacc_types: Vec::new(),
             gacc_ids: FxHashMap::default(),
             prev_vaccs: Vec::new(),
+            prev_gaccs: Vec::new(),
             out_tables: BTreeMap::new(),
             prints: Vec::new(),
             returned: None,
@@ -367,6 +368,7 @@ impl<'g> Engine<'g> {
             std::mem::take(&mut rt.gaccs),
             std::mem::take(&mut rt.vaccs),
             std::mem::take(&mut rt.prev_vaccs),
+            std::mem::take(&mut rt.prev_gaccs),
         ));
         let prof = rt.prof.take().map(|p| {
             p.finish(
@@ -529,7 +531,8 @@ impl Spec {
 }
 
 /// One accumulator write produced by interpreting an ACCUM / POST_ACCUM
-/// statement ([`emit`]); where it lands is the clause's [`Sink`]. The
+/// statement ([`emit`]): applied to the live stores at once, or folded
+/// into a run's partial, as the clause's [`FoldVerdict`] decides. The
 /// value borrows the row's registers, the graph and the bound clause
 /// where it can, so an accumulator copies only what it keeps.
 struct Emission<'p, 'f, 'm> {
@@ -617,27 +620,6 @@ fn map_item<'p, 'm>(
     Ok(())
 }
 
-/// How a clause's emissions reach the live stores — the only thing that
-/// differs between ACCUM and POST_ACCUM, parallel and sequential.
-#[derive(Clone, Copy, PartialEq)]
-enum Sink {
-    /// The plan's [`FoldVerdict`](crate::plan::FoldVerdict) holds: each worker's contiguous run of
-    /// morsels folds into one identity-seeded [`AccumPartial`]; partials
-    /// merge into the live stores in ascending run order.
-    Partials,
-    /// ACCUM without the verdict whose statements read an accumulator
-    /// the clause writes: emissions concatenate in row order and apply
-    /// after the whole Map (snapshot semantics, the row-order Reduce of
-    /// parallelism 1).
-    Snapshot,
-    /// Sequential apply on the caller's thread: each statement lands
-    /// immediately, visible to the next statement and the next item —
-    /// POST_ACCUM's per-vertex apply, and ACCUM without the verdict when
-    /// no statement reads what the clause writes (nothing can see the
-    /// early writes, so the row-order Reduce needs no buffer).
-    Live,
-}
-
 /// Identity-seeded accumulator partials folded from one run of
 /// contiguous morsels. Globals key by store id, vertex cells by
 /// `(store, VertexId)`; both merge into the live stores in a
@@ -718,8 +700,13 @@ struct Runtime<'e, 'g> {
     gacc_types: Vec<AccumType>,
     gacc_ids: FxHashMap<String, usize>,
     /// Snapshots, taken at each block's start, of the stores the query
-    /// reads primed (`v.@a'`; [`QueryPlan`] lists them), by store id.
+    /// reads primed (`v.@a'`; [`QueryPlan`] lists them) and of those the
+    /// block's ACCUM reads while it writes them
+    /// ([`BlockPlan`]`::accum_snapshot`), by store id.
     prev_vaccs: Vec<Option<VAccStore>>,
+    /// The globals the block's ACCUM reads while it writes them,
+    /// snapshotted at the block's start, by store id.
+    prev_gaccs: Vec<Option<Accum>>,
     out_tables: BTreeMap<String, Table>,
     prints: Vec<String>,
     returned: Option<ReturnValue>,
@@ -802,6 +789,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             vaccs: &self.vaccs,
             prev_vaccs: &self.prev_vaccs,
             gaccs: &self.gaccs,
+            prev_gaccs: &self.prev_gaccs,
         }
     }
 
@@ -1430,12 +1418,22 @@ impl<'e, 'g> Runtime<'e, 'g> {
         }
         self.stats.binding_rows += rows.len() as u64;
 
-        // 3. Snapshot for `@a'` reads — of the stores something reads
-        // primed, not of every store.
+        // 3. The block-start snapshot: of the stores something reads
+        // primed (`@a'`) and of those the ACCUM clause reads while it
+        // writes them, not of every store.
         self.prev_vaccs = vec![None; self.vaccs.len()];
-        for n in &self.plan.primed_vaccs {
-            if let Some(&id) = self.vacc_ids.get(n) {
-                self.prev_vaccs[id] = Some(self.vaccs[id].clone());
+        self.prev_gaccs.clear();
+        let primed = self.plan.primed_vaccs.iter().map(|n| (false, n));
+        for (global, n) in primed.chain(bp.accum_snapshot.iter().map(|(g, n)| (*g, n))) {
+            if global {
+                if let Some(&id) = self.gacc_ids.get(n) {
+                    self.prev_gaccs.resize(self.gaccs.len(), None);
+                    self.prev_gaccs[id] = Some(self.gaccs[id].clone());
+                }
+            } else if let Some(&id) = self.vacc_ids.get(n) {
+                if self.prev_vaccs[id].is_none() {
+                    self.prev_vaccs[id] = Some(self.vaccs[id].clone());
+                }
             }
         }
 
@@ -1950,17 +1948,19 @@ impl<'e, 'g> Runtime<'e, 'g> {
     /// binding-table rows) and POST_ACCUM (items are the distinct
     /// vertices of one column). `bind(i)` yields item `i`'s bindings and
     /// multiplicity; every statement goes through [`emit`] with the
-    /// item's registers in a [`Frame`], and `sink` alone decides how the
-    /// emissions reach the live stores.
+    /// item's registers in a [`Frame`], and the clause's verdict alone
+    /// decides how the emissions reach the live stores.
     fn run_clause<'r>(
         &mut self,
         prog: &Program,
         morsels: Morsels,
         tables: &[&Table],
         bind: impl Fn(usize) -> (Bindings<'r>, &'r BigCount) + Sync,
-        sink: Sink,
+        fold: FoldVerdict,
     ) -> Result<()> {
-        if sink == Sink::Live {
+        if !fold.parallel() {
+            // The row-order fold, in place on the caller's thread: each
+            // write lands before the next statement runs.
             let mut frame = Frame::new(prog);
             for i in 0..morsels.items {
                 self.guard.checkpoint()?;
@@ -1977,82 +1977,54 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     }
                 }
             }
+            if self.prof.is_some() && morsels.count() > 0 {
+                self.prof_op_workers = vec![morsels.count() as u64];
+            }
             return self.guard.note_accum_bytes(self.accum_footprint());
         }
 
-        // Each item maps against the pre-clause state: the live stores
-        // are never written while workers run, so visibility is identical
-        // at any parallelism.
+        // One partial per worker: the morsels split into contiguous runs,
+        // each run folds its morsels in order into one partial, and the
+        // partials merge in ascending run order. The live stores are not
+        // written while workers run, so every item maps against the
+        // pre-clause state. Exact-merge combiners are associative at the
+        // representation level and proven assigns replay, so this
+        // regrouping of the sequential item-order fold is byte-identical
+        // to it at any parallelism and any morsel size.
         let guard = self.guard;
         let env = self.env();
         let workers = self.workers_for(morsels.items);
-        if sink == Sink::Partials {
-            // One partial per worker: the morsels split into contiguous
-            // runs, each run folds its morsels in order into one partial,
-            // and the partials merge in ascending run order. Exact-merge
-            // combiners are associative at the representation level and
-            // proven assigns replay, so this regrouping of the sequential
-            // item-order fold is byte-identical to it at any parallelism
-            // and any morsel size.
-            let registry = &self.eng.registry;
-            let (vaccs, gtypes) = (&self.vaccs, &self.gacc_types);
-            let runs = even_runs(morsels.count(), workers);
-            let run = dispatch(guard, workers, runs.len(), |r| {
-                let mut frame = Frame::new(prog);
-                let mut part = AccumPartial::default();
-                for m in runs[r].clone() {
-                    guard.checkpoint()?;
-                    for i in morsels.range(m) {
-                        guard.checkpoint()?;
-                        map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
-                            part.fold(em, vaccs, gtypes, registry)
-                        })?;
-                    }
-                }
-                Ok(part)
-            })?;
-            if self.prof.is_some() {
-                // PROFILE counts morsels per worker, not runs.
-                self.prof_op_workers = run.per_worker(|r| runs[r].len() as u64);
-            }
-            for part in run.results {
-                self.merge_partial(part)?;
-            }
-        } else {
-            // Float sums, heaps, concatenation, unproven assigns: the
-            // Map still runs morsel-parallel — it only reads — but the
-            // emissions concatenate in ascending morsel order (= item
-            // order) and fold sequentially, exactly as at parallelism 1.
-            // Buffered emissions outlive their row, so they own their
-            // values.
-            let run = dispatch(guard, workers, morsels.count(), |m| {
-                let mut frame = Frame::new(prog);
-                let mut out = Vec::new();
+        let registry = &self.eng.registry;
+        let (vaccs, gtypes) = (&self.vaccs, &self.gacc_types);
+        let runs = even_runs(morsels.count(), workers);
+        let run = dispatch(guard, workers, runs.len(), |r| {
+            let mut frame = Frame::new(prog);
+            let mut part = AccumPartial::default();
+            for m in runs[r].clone() {
+                guard.checkpoint()?;
                 for i in morsels.range(m) {
                     guard.checkpoint()?;
                     map_item(env, prog, &mut frame, bind(i), tables, &mut |em| {
-                        let Emission { target, value, combine, mult } = em;
-                        out.push(Emission { target, value: value.into_owned(), combine, mult });
-                        Ok(())
+                        part.fold(em, vaccs, gtypes, registry)
                     })?;
                 }
-                Ok(out)
-            })?;
-            if self.prof.is_some() {
-                self.prof_op_workers = run.per_worker(|_| 1);
             }
-            for em in run.results.into_iter().flatten() {
-                self.apply_emission(em)?;
-            }
+            Ok(part)
+        })?;
+        if self.prof.is_some() {
+            // PROFILE counts morsels per worker, not runs.
+            self.prof_op_workers = run.per_worker(|r| runs[r].len() as u64);
+        }
+        for part in run.results {
+            self.merge_partial(part)?;
         }
         self.guard.note_accum_bytes(self.accum_footprint())
     }
 
-    /// ACCUM: one Map over the binding-table rows against the pre-clause
-    /// snapshot, then the Reduce the plan's verdict allows. A sequential
-    /// verdict whose statements read none of the clause's targets applies
-    /// each emission as it is produced: with no such read, the rows see
-    /// the pre-clause state either way, and nothing is buffered.
+    /// ACCUM: one Map over the binding-table rows, then the Reduce the
+    /// plan's verdict allows. The clause's reads of its own targets bind
+    /// to the block-start snapshot, so every row sees the pre-clause
+    /// state whichever Reduce runs.
     fn run_accum(
         &mut self,
         stmts: &[AccStmt],
@@ -2061,18 +2033,11 @@ impl<'e, 'g> Runtime<'e, 'g> {
         bp: &BlockPlan,
     ) -> Result<()> {
         self.stats.acc_executions += rows.len() as u64;
-        let prog = Binder::clause(self.scope(Vars::Columns(&bp.columns), tables), stmts);
+        let scope = self.scope(Vars::Columns(&bp.columns), tables);
+        let prog = Binder::clause(scope, &bp.accum_snapshot, stmts);
         let morsels = self.note_morsels(rows.len());
-        let sink = match (bp.accum_fold.parallel(), bp.accum_in_place) {
-            (true, _) => Sink::Partials,
-            (false, true) => Sink::Live,
-            (false, false) => Sink::Snapshot,
-        };
-        if sink == Sink::Live && self.prof.is_some() && morsels.count() > 0 {
-            // Every morsel ran on the caller's thread.
-            self.prof_op_workers = vec![morsels.count() as u64];
-        }
-        self.run_clause(&prog, morsels, tables, |r| (rows.bindings_at(r), rows.mult(r)), sink)
+        let bind = |r| (rows.bindings_at(r), rows.mult(r));
+        self.run_clause(&prog, morsels, tables, bind, bp.accum_fold)
     }
 
     /// Estimated heap footprint of all live accumulator state, in bytes —
@@ -2095,8 +2060,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let Some((col, var)) = bp.post_accum_col.as_ref().map_err(Error::clone)? else {
             let once = Morsels::new(usize::from(!rows.is_empty()), 1);
             let bind = |_| (Bindings::EMPTY, &one);
-            let prog = Binder::clause(self.scope(Vars::None, &[]), stmts);
-            return self.run_clause(&prog, once, &[], bind, Sink::Live);
+            let prog = Binder::clause(self.scope(Vars::None, &[]), &[], stmts);
+            return self.run_clause(&prog, once, &[], bind, bp.post_accum_fold);
         };
         let mut vertices: Vec<VertexId> = rows
             .col(*col)
@@ -2110,20 +2075,10 @@ impl<'e, 'g> Runtime<'e, 'g> {
         vertices.dedup();
         // One column of the distinct vertices: row `i` binds the `i`th.
         let vertices: [Vec<Binding>; 1] = [vertices.into_iter().map(Binding::Vertex).collect()];
-        // Morsel accounting is a pure function of the distinct-vertex
-        // count, independent of which sink runs below.
         let morsels = self.note_morsels(vertices[0].len());
-        let prog = Binder::clause(self.scope(Vars::One(var), &[]), stmts);
-        // The verdict licenses partials — no statement reads an
-        // accumulator the clause writes, so the Map sees the same state
-        // at every vertex — and they pay only with more than one worker.
-        let sink = if bp.post_accum_fold.parallel() && self.workers_for(vertices[0].len()) > 1 {
-            Sink::Partials
-        } else {
-            Sink::Live
-        };
+        let prog = Binder::clause(self.scope(Vars::One(var), &[]), &[], stmts);
         let bind = |i: usize| (Bindings::new(&vertices, i), &one);
-        self.run_clause(&prog, morsels, &[], bind, sink)
+        self.run_clause(&prog, morsels, &[], bind, bp.post_accum_fold)
     }
 
     // ---- outputs ----------------------------------------------------------------

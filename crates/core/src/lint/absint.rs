@@ -26,11 +26,12 @@
 //!
 //! ## The proven parallel gates
 //!
-//! The executor's Map phase evaluates every row against the *snapshot*
-//! stores and defers all writes as emissions, so expression reads never
-//! observe same-phase writes on any execution path. That makes the
-//! following clause shapes byte-identical between the sequential fold
-//! and partial folds over morsel ranges. Both gates type a target by the
+//! Every ACCUM read sees the pre-clause state on any execution path: a
+//! partial fold never writes the live stores while rows map, and a read
+//! of an accumulator the clause itself writes binds to the block-start
+//! snapshot ([`own_target_reads`]). That makes the following clause
+//! shapes byte-identical between the sequential fold and partial folds
+//! over morsel ranges. Both gates type a target by the
 //! declarations that reach the block ([`Ctx::collect`]), not by the
 //! name: a target no declaration reaches fails them, and a `+=` target
 //! passes only when every reaching declaration merges exactly
@@ -695,7 +696,9 @@ impl<'a, 'c> Analyzer<'a, 'c> {
                 *reason = Some(r);
             }
         };
-        let targets = ClauseTargets::of(stmts);
+        // No expression may read an accumulator this clause writes: such
+        // a read would observe partial (per-worker) state.
+        let own_read = own_target_reads(stmts).first().copied();
         let vars: FxHashSet<&str> = stmts
             .iter()
             .filter_map(|s| match s {
@@ -706,19 +709,18 @@ impl<'a, 'c> Analyzer<'a, 'c> {
         if vars.len() > 1 {
             note("statements target more than one vertex variable".to_string(), &mut reason);
         }
-        for s in stmts {
-            let (expr, target) = match s {
-                AccStmt::LocalDecl { expr, .. } => (expr, None),
-                AccStmt::VAcc { name, combine, expr, .. } => (expr, Some((name, false, *combine))),
-                AccStmt::GAcc { name, combine, expr } => (expr, Some((name, true, *combine))),
+        for (i, s) in stmts.iter().enumerate() {
+            let target = match s {
+                AccStmt::LocalDecl { .. } => None,
+                AccStmt::VAcc { name, combine, .. } => Some((name, false, *combine)),
+                AccStmt::GAcc { name, combine, .. } => Some((name, true, *combine)),
             };
             if let Some(r) = target.and_then(|(n, global, combine)| target_reason(reach, n, global, combine)) {
                 note(r, &mut reason);
             }
-            // No expression may read an accumulator this clause writes:
-            // such a read would observe partial (per-worker) state.
-            if let Some(r) = targets.read_in(expr) {
-                note(r, &mut reason);
+            if let Some((_, global, name)) = own_read.filter(|&(at, ..)| at == i) {
+                let display = if global { format!("@@{name}") } else { format!("@{name}") };
+                note(format!("reads `{display}` while the same clause writes it"), &mut reason);
             }
         }
         (reason.is_none(), reason)
@@ -738,63 +740,37 @@ fn target_reason(reach: &Reach, name: &str, global: bool, combine: bool) -> Opti
     Some(format!("`{display}` ({ty}) does not merge exactly across partials"))
 }
 
-/// The accumulators one ACCUM / POST_ACCUM clause writes, by namespace.
-struct ClauseTargets<'s> {
-    v: FxHashSet<&'s str>,
-    g: FxHashSet<&'s str>,
-}
-
-impl<'s> ClauseTargets<'s> {
-    fn of(stmts: &'s [AccStmt]) -> Self {
-        let mut t = ClauseTargets { v: FxHashSet::default(), g: FxHashSet::default() };
-        for s in stmts {
-            match s {
-                AccStmt::VAcc { name, .. } => {
-                    t.v.insert(name);
-                }
-                AccStmt::GAcc { name, .. } => {
-                    t.g.insert(name);
-                }
-                AccStmt::LocalDecl { .. } => {}
-            }
-        }
-        t
-    }
-
-    /// The first read in `expr` of an accumulator the clause writes —
-    /// `v.@a` (the primed snapshot `v.@a'` is exempt) or `@@a` — as a
-    /// reason.
-    fn read_in(&self, expr: &Expr) -> Option<String> {
-        let mut found = None;
+/// Every accumulator a clause reads unprimed (`v.@a`, `@@a`, a
+/// `.size()` or method base included) while the same clause writes it,
+/// as `(statement index, global, name)`: once each, at its first read
+/// in statement and walk order. The primed snapshot `v.@a'` is exempt.
+/// The plan binds an ACCUM clause's reads of these to the block-start
+/// snapshot; the POST_ACCUM gate rejects any.
+pub(crate) fn own_target_reads(stmts: &[AccStmt]) -> Vec<(usize, bool, &str)> {
+    let written: FxHashSet<(bool, &str)> = stmts
+        .iter()
+        .filter_map(|s| match s {
+            AccStmt::VAcc { name, .. } => Some((false, name.as_str())),
+            AccStmt::GAcc { name, .. } => Some((true, name.as_str())),
+            AccStmt::LocalDecl { .. } => None,
+        })
+        .collect();
+    let mut reads: Vec<(usize, bool, &str)> = Vec::new();
+    for (i, s) in stmts.iter().enumerate() {
+        let (AccStmt::LocalDecl { expr, .. } | AccStmt::VAcc { expr, .. } | AccStmt::GAcc { expr, .. }) =
+            s;
         expr.walk(&mut |e| {
-            if found.is_some() {
-                return;
-            }
-            found = match e {
-                Expr::VAcc { name, prev: false, .. } if self.v.contains(name.as_str()) => {
-                    Some(format!("reads `@{name}` while the same clause writes it"))
-                }
-                Expr::GAcc(name) if self.g.contains(name.as_str()) => {
-                    Some(format!("reads `@@{name}` while the same clause writes it"))
-                }
-                _ => None,
+            let read = match e {
+                Expr::VAcc { name, prev: false, .. } => (false, name.as_str()),
+                Expr::GAcc(name) => (true, name.as_str()),
+                _ => return,
             };
+            if written.contains(&read) && !reads.iter().any(|&(_, g, n)| (g, n) == read) {
+                reads.push((i, read.0, read.1));
+            }
         });
-        found
     }
-}
-
-/// Whether any statement of a clause reads (unprimed) an accumulator the
-/// clause writes — the read-your-target walk behind both the POST_ACCUM
-/// gate and the in-place apply of a sequential ACCUM fold.
-pub(crate) fn reads_own_target(stmts: &[AccStmt]) -> bool {
-    let targets = ClauseTargets::of(stmts);
-    stmts.iter().any(|s| {
-        let (AccStmt::LocalDecl { expr, .. }
-        | AccStmt::VAcc { expr, .. }
-        | AccStmt::GAcc { expr, .. }) = s;
-        targets.read_in(expr).is_some()
-    })
+    reads
 }
 
 /// Applies a SELECT block's global-accumulator effects to the abstract

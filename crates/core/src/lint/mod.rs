@@ -39,7 +39,7 @@ pub use diag::{
     Severity,
 };
 pub use facts::{budget_findings, BlockFacts, LoopBound, LoopFacts, QueryFacts};
-pub(crate) use absint::reads_own_target;
+pub(crate) use absint::own_target_reads;
 
 use crate::ast::{
     AccStmt, AccumDecl, Expr, FromItem, PrintItem, Query, SelectBlock, Span, Stmt, VSetSource,

@@ -234,11 +234,11 @@ pub struct BlockPlan {
     pub tractable: crate::tractable::Class,
     /// Fold verdict for the ACCUM clause.
     pub accum_fold: FoldVerdict,
-    /// No ACCUM statement reads (unprimed) an accumulator the clause
-    /// writes (the read-your-target walk behind the POST_ACCUM gate), so
-    /// under a [`FoldVerdict::Sequential`] verdict each emission applies
-    /// as it is produced instead of after the whole Map.
-    pub accum_in_place: bool,
+    /// The accumulators the ACCUM clause reads while it writes them, as
+    /// `(global, name)`: the block's start snapshots them, and the
+    /// clause's reads of them bind to that snapshot, so every row reads
+    /// the pre-clause state however its writes are applied.
+    pub(crate) accum_snapshot: Vec<(bool, String)>,
     /// Fold verdict for the POST_ACCUM clause.
     pub post_accum_fold: FoldVerdict,
 }
@@ -1596,7 +1596,10 @@ fn lower_block(
             residual,
             columns: layout.columns,
             accum_fold,
-            accum_in_place: !crate::lint::reads_own_target(&block.accum),
+            accum_snapshot: crate::lint::own_target_reads(&block.accum)
+                .into_iter()
+                .map(|(_, global, name)| (global, name.to_string()))
+                .collect(),
             post_accum_fold,
         },
         rows,

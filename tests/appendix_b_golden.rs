@@ -119,12 +119,13 @@ fn appendix_b_contents_are_golden_at_any_parallelism_and_morsel_size() {
 #[test]
 fn a_clause_reading_its_own_target_sees_the_pre_clause_value() {
     // ~2k binding rows, enough to run on dispatch workers at
-    // parallelism 4. Float sums keep the fold sequential (they do not
-    // merge exactly); `@@b` and `t.@b` read what the same clause writes,
-    // so every row must see the value from before the clause — the
-    // buffered Map, not the in-place apply.
+    // parallelism 4. Every read of an accumulator the same clause writes
+    // sees its value from before the clause, whichever way the fold
+    // runs: float sums and lists fold sequentially in place, integer sums
+    // by partials. Expected values are computed by hand from the row
+    // count and the vertex count.
     let g = barabasi_albert(400, 5, 3);
-    let src = r#"
+    let float_sums = r#"
         CREATE QUERY OwnTarget () {
           SumAccum<float> @@a = 5;
           SumAccum<float> @@b;
@@ -136,20 +137,90 @@ fn a_clause_reading_its_own_target_sees_the_pre_clause_value() {
                     t.@a += 1, t.@b += t.@a;
           SumAccum<float> @@bsum;
           S = SELECT t FROM R:t POST_ACCUM @@bsum += t.@b;
-          PRINT @@a, @@b, @@rows, @@bsum;
+          PRINT @@rows, @@a, @@b, @@bsum;
         }
     "#;
-    let run = |par: usize| Engine::new(&g).with_parallelism(par).run_text(src, &[]).unwrap();
-    let seq = run(1);
-    let rows = match seq.prints[2].split_once(" = ") {
+    let exact_merge = r#"
+        CREATE QUERY OwnTargetExact () {
+          SumAccum<int> @@n = 3;
+          SumAccum<int> @@m;
+          SumAccum<int> @@rows;
+          R = SELECT t FROM V:s -(E>)- V:t ACCUM @@n += 1, @@m += @@n, @@rows += 1;
+          PRINT @@rows, @@n, @@m;
+        }
+    "#;
+    let list_size = r#"
+        CREATE QUERY OwnTargetSize () {
+          ListAccum<int> @@xs;
+          SumAccum<int> @@sizes;
+          SumAccum<int> @@rows;
+          A = SELECT v FROM V:v ACCUM @@xs += 7;
+          R = SELECT t FROM V:s -(E>)- V:t
+              ACCUM @@rows += 1, @@xs += @@xs.size(), @@sizes += @@xs.size();
+          PRINT @@rows, @@xs.size(), @@sizes;
+        }
+    "#;
+    let in_a_loop = r#"
+        CREATE QUERY OwnTargetLoop () {
+          SumAccum<float> @@w;
+          SumAccum<float> @@x;
+          SumAccum<int> @@rows;
+          SumAccum<int> @@i;
+          WHILE @@i < 3 LIMIT 3 DO
+            R = SELECT t FROM V:s -(E>)- V:t ACCUM @@w += 1, @@x += @@w, @@rows += 1;
+            @@i += 1;
+          END;
+          PRINT @@rows, @@w, @@x;
+        }
+    "#;
+    let rows_of = |prints: &[String]| match prints[0].split_once(" = ") {
         Some((_, n)) => n.parse::<i64>().unwrap(),
-        None => panic!("unexpected print {:?}", seq.prints),
+        None => panic!("unexpected print {prints:?}"),
     };
+    let reference = Engine::new(&g).run_text(float_sums, &[]).unwrap();
+    let rows = rows_of(&reference.prints);
     assert!(rows > 1_000, "too few rows ({rows}) to exercise the parallel Map");
-    assert_eq!(seq.prints[0], format!("@@a = {}.0", 5 + rows));
-    assert_eq!(seq.prints[1], format!("@@b = {}.0", 5 * rows));
-    assert_eq!(seq.prints[3], format!("@@bsum = {}.0", 2 * rows));
-    assert_eq!(run(4).prints, seq.prints, "parallelism 4 diverged");
+    let vertices = 400;
+    let cases: [(&str, Vec<String>); 4] = [
+        (
+            float_sums,
+            vec![
+                format!("@@rows = {rows}"),
+                format!("@@a = {}.0", 5 + rows),
+                format!("@@b = {}.0", 5 * rows),
+                format!("@@bsum = {}.0", 2 * rows),
+            ],
+        ),
+        (
+            exact_merge,
+            vec![format!("@@rows = {rows}"), format!("@@n = {}", 3 + rows), format!("@@m = {}", 3 * rows)],
+        ),
+        (
+            list_size,
+            vec![
+                format!("@@rows = {rows}"),
+                format!("@@xs.size() = {}", vertices + rows),
+                format!("@@sizes = {}", vertices * rows),
+            ],
+        ),
+        (
+            // Iteration k reads `@@w = k * rows` on every row: the
+            // snapshot is taken again each time the block runs.
+            in_a_loop,
+            vec![
+                format!("@@rows = {}", 3 * rows),
+                format!("@@w = {}.0", 3 * rows),
+                format!("@@x = {}.0", 3 * rows * rows),
+            ],
+        ),
+    ];
+    for (src, expected) in &cases {
+        for (par, morsel) in [(1usize, 1usize), (1, 1024), (4, 1), (4, 1024)] {
+            let engine = Engine::new(&g).with_parallelism(par).with_morsel_size(morsel);
+            let out = engine.run_text(src, &[]).unwrap();
+            assert_eq!(&out.prints, expected, "parallelism={par} morsel={morsel}: {src}");
+        }
+    }
 }
 
 /// The `workers` of every ACCUM node of a profiled run.
@@ -166,11 +237,12 @@ fn accum_workers(engine: &Engine, src: &str) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn a_sequential_fold_applies_in_place_unless_it_reads_its_targets() {
+fn a_sequential_fold_applies_in_place_whether_or_not_it_reads_its_targets() {
     // At parallelism 4 over thousands of rows, a float-sum clause (a
-    // sequential fold) that reads none of its targets runs every morsel
-    // on the caller's thread; the same clause reading what it writes
-    // keeps the buffered Map, dispatched across workers.
+    // sequential fold) runs every morsel on the caller's thread, whether
+    // or not it reads what it writes: its reads of its own targets bind
+    // to the block-start snapshot, so no Map needs to run ahead of the
+    // writes.
     let snb = generate(SnbParams::new(0.05, 2024));
     let engine = Engine::new(&snb).with_parallelism(4).with_morsel_size(64);
     let clause = |accum: &str| {
@@ -179,33 +251,33 @@ fn a_sequential_fold_applies_in_place_unless_it_reads_its_targets() {
              S = SELECT m FROM Message:m ACCUM {accum}; PRINT @@a, @@b; }}"
         )
     };
-    let in_place = accum_workers(&engine, &clause("@@a += 1, @@b += 2"));
-    assert!(in_place.len() == 1 && in_place[0].len() == 1, "not applied in place: {in_place:?}");
-    let buffered = accum_workers(&engine, &clause("@@a += 1, @@b += @@a"));
-    assert!(buffered.len() == 1 && buffered[0].len() > 1, "buffered Map not dispatched: {buffered:?}");
+    for accum in ["@@a += 1, @@b += 2", "@@a += 1, @@b += @@a"] {
+        let workers = accum_workers(&engine, &clause(accum));
+        assert!(workers.len() == 1 && workers[0].len() == 1, "{accum}: not applied in place: {workers:?}");
+    }
 }
 
 #[test]
 fn an_accum_memory_trip_fails_alike_at_any_parallelism() {
-    // One clause whose writes are never read (applied in place) and one
-    // that reads its own target (buffered); both grow a ListAccum past
+    // One clause whose writes are never read and one that reads its own
+    // target (from the block-start snapshot); both grow a ListAccum past
     // the budget inside ACCUM.
     let g = barabasi_albert(400, 5, 3);
-    let in_place = r#"
+    let writes_only = r#"
         CREATE QUERY Grow () {
           ListAccum<int> @@xs;
           R = SELECT t FROM V:s -(E>)- V:t ACCUM @@xs += t.id();
           PRINT @@xs.size();
         }
     "#;
-    let buffered = r#"
+    let reads_target = r#"
         CREATE QUERY GrowRead () {
           ListAccum<int> @@xs;
           R = SELECT t FROM V:s -(E>)- V:t ACCUM @@xs += @@xs.size();
           PRINT @@xs.size();
         }
     "#;
-    for src in [in_place, buffered] {
+    for src in [writes_only, reads_target] {
         let run = |par: usize| {
             Engine::new(&g)
                 .with_parallelism(par)

@@ -17,10 +17,13 @@ use darpe::CompiledDarpe;
 use gsql_core::governor::QueryGuard;
 use gsql_core::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use gsql_core::Engine;
-use pgraph::graph::{Dir, EdgeId, Graph, GraphBuilder, VertexId};
-use pgraph::schema::{AttrDef, ETypeId, Schema};
-use pgraph::value::{Value, ValueType};
+use pgraph::graph::{Dir, EdgeId, Graph, VertexId};
+use pgraph::schema::ETypeId;
 use std::collections::{BTreeMap, BTreeSet};
+
+#[path = "common/random_graphs.rs"]
+mod random_graphs;
+use random_graphs::{random_graphs, Rng};
 
 /// Generated cases.
 const CASES: u64 = 500;
@@ -30,61 +33,6 @@ const MAX_WALK: usize = 5;
 /// Walk prefixes the oracle extends per source and semantics before it
 /// gives up on that comparison (simple walks grow exponentially).
 const WALK_BUDGET: u64 = 20_000;
-
-/// SplitMix64: a fixed-seed generator with no dependencies.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn schema() -> Schema {
-    let mut s = Schema::new();
-    s.add_vertex_type("V", vec![AttrDef::new("k", ValueType::Int)]).unwrap();
-    s.add_edge_type("A", true, vec![]).unwrap();
-    s.add_edge_type("B", true, vec![]).unwrap();
-    s.add_edge_type("U", false, vec![]).unwrap();
-    s
-}
-
-/// A random edge: (type, source, target) over `n` vertices.
-fn random_edge(rng: &mut Rng, n: u64) -> (ETypeId, VertexId, VertexId) {
-    let et = ETypeId(rng.below(3) as u32);
-    (et, VertexId(rng.below(n) as u32), VertexId(rng.below(n) as u32))
-}
-
-/// A finalized random graph of 1–10 vertices, and a copy with 1–3 more
-/// edges pending in the overlay.
-fn random_graphs(rng: &mut Rng) -> (Graph, Graph) {
-    let n = 1 + rng.below(10);
-    let mut b = GraphBuilder::new(schema());
-    for k in 0..n {
-        b.vertex("V", &[("k", Value::Int(k as i64))]).unwrap();
-    }
-    let names = ["A", "B", "U"];
-    for _ in 0..rng.below(n + 4) {
-        let (et, s, t) = random_edge(rng, n);
-        b.edge(names[et.0 as usize], s, t, &[]).unwrap();
-    }
-    let finalized = b.build();
-    let mut pending = finalized.clone();
-    for _ in 0..1 + rng.below(3) {
-        let (et, s, t) = random_edge(rng, n);
-        pending.add_edge(et, s, t, vec![]).unwrap();
-    }
-    assert!(finalized.is_finalized() && !pending.is_finalized());
-    (finalized, pending)
-}
 
 /// A random DARPE over `A`, `B` (directed) and `U` (undirected).
 fn random_darpe(rng: &mut Rng, depth: u32) -> String {

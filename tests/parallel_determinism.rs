@@ -446,8 +446,7 @@ fn run_partitioned_folds_are_byte_identical() {
             assert_identical(&reference, &out, &label);
 
             // PROFILE's `workers` counts morsels per worker, summed over
-            // each worker's runs. POST_ACCUM applies on the caller's
-            // thread, recording no distribution, at parallelism 1.
+            // each worker's runs, at any parallelism.
             let q = gsql_core::parse_query(RUN_FOLD).unwrap();
             let engine = Engine::new(&g).with_parallelism(par).with_morsel_size(morsel);
             let (profiled, prof) = engine.run_profiled(&q, &[]).unwrap();
@@ -458,9 +457,6 @@ fn run_partitioned_folds_are_byte_identical() {
             assert_eq!(accums.len(), 2, "{label}");
             for node in accums {
                 assert!(node.morsels > 0, "{label}: {} ran no morsels", node.op);
-                if node.op == "post-accum" && par == 1 {
-                    continue;
-                }
                 assert_eq!(
                     node.workers.iter().sum::<u64>(),
                     node.morsels,

@@ -63,16 +63,17 @@ no_match() {
   test -z "$found" || { echo "$found"; return 1; }
 }
 
-# `exact_tests <cargo test arg>... -- <test arg>...` runs the tests named
+# `exact_tests <cargo test command>... -- <test arg>...` runs the command
+# (`cargo test ...`, `cargo +nightly miri test ...`) on the tests named
 # among the test args (those not starting with `-`) with `--exact`, and
 # fails unless the run reports as many passed as there are names: a
 # renamed or deleted test fails the step instead of matching nothing.
 exact_tests() {
-  local cargo_args=() names=0 out passed a
-  while [ "$1" != -- ]; do cargo_args+=("$1"); shift; done
+  local cmd=() names=0 out passed a
+  while [ "$1" != -- ]; do cmd+=("$1"); shift; done
   shift
   for a in "$@"; do [[ $a == -* ]] || names=$((names + 1)); done
-  out=$(cargo test "${cargo_args[@]}" -- --exact "$@" 2>&1)
+  out=$("${cmd[@]}" -- --exact "$@" 2>&1)
   local status=$?
   echo "$out"
   test $status -eq 0 || return 1
@@ -172,7 +173,7 @@ unserve() {
 }
 
 step_server-smoke() {
-  exact_tests --release -q -p gsql-serve --test e2e -- the_binary_serves_and_drains_on_sigterm
+  exact_tests cargo test --release -q -p gsql-serve --test e2e -- the_binary_serves_and_drains_on_sigterm
 }
 
 step_parallel-smoke() (
@@ -218,7 +219,7 @@ GSQL
 step_server-cancel-repeat() {
   local i
   for i in $(seq 1 20); do
-    exact_tests -q -p gsql-serve --test e2e -- --test-threads=1 \
+    exact_tests cargo test -q -p gsql-serve --test e2e -- --test-threads=1 \
       client_disconnect_cancels_the_running_query keep_alive_connection_rearms_for_each_query ||
       { echo "failed on run $i of 20"; return 1; }
   done
@@ -270,7 +271,11 @@ step_miri() (
   cargo +nightly miri test -p accum --test properties
   # The inline-or-limbs BigCount against its limb-vector reference,
   # around 2^64 and 2^128, at a Miri-sized case count.
-  cargo +nightly miri test -p pgraph --test properties bigcount
+  exact_tests cargo +nightly miri test -p pgraph --test properties -- \
+    bigcount_add_commutes bigcount_add_matches_u128 bigcount_display_matches_u128 \
+    bigcount_has_one_canonical_form bigcount_matches_reference_through_op_sequences \
+    bigcount_mul_matches_u128 bigcount_mul_u64_matches_mul \
+    bigcount_order_and_equality_match_reference bigcount_ordering_matches_u128
   # gsql-core's lib tests include the lint passes — among them the
   # pass-6 abstract interpreter (interval join/widen, WHILE fixpoints,
   # gate proofs), so interpreter-state aliasing bugs surface here too.
