@@ -951,7 +951,7 @@ impl Accum {
                 })?
             }
             Accum::SumStr(v) => match value {
-                Value::Str(s) => *v = s,
+                Value::Str(s) => *v = s.to_string(),
                 other => return Err(AccumError::TypeMismatch { expected: "string", got: other }),
             },
             Accum::Min(slot) | Accum::Max(slot) => *slot = Some(value),
@@ -1040,7 +1040,7 @@ impl Accum {
         match self {
             Accum::SumInt(v) => Value::Int(*v),
             Accum::SumDouble(v) => Value::Double(*v),
-            Accum::SumStr(v) => Value::Str(v.clone()),
+            Accum::SumStr(v) => Value::from(v.as_str()),
             Accum::Min(slot) | Accum::Max(slot) => slot.clone().unwrap_or(Value::Null),
             Accum::Avg { sum, count } => {
                 if *count == 0 {
@@ -1060,7 +1060,7 @@ impl Accum {
                             let cv = c
                                 .to_i64()
                                 .map(Value::Int)
-                                .unwrap_or_else(|| Value::Str(c.to_string()));
+                                .unwrap_or_else(|| Value::from(c.to_string()));
                             (k.clone(), cv)
                         })
                         .collect(),
@@ -1508,7 +1508,7 @@ mod tests {
         // Count exceeds i64 so it surfaces as a decimal string.
         assert_eq!(
             b.value(),
-            Value::Map(vec![(Value::Int(1), Value::Str(BigCount::pow2(100).to_string()))])
+            Value::Map(vec![(Value::Int(1), Value::from(BigCount::pow2(100).to_string()))])
         );
     }
 

@@ -733,8 +733,8 @@ proptest! {
         let tuple = |&(_, a, b, payload, _): &(u64, i64, i64, i64, u64)| {
             Value::Tuple(vec![Value::Int(a), Value::Int(b), Value::Int(payload)])
         };
-        // Inputs are clones, so their strings carry no spare capacity and
-        // an owned copy is charged exactly like a cloned borrow.
+        // A string is charged by its length, so an owned copy is charged
+        // exactly like a cloned borrow.
         let group_input = |x: &(u64, i64, i64, i64, u64)| {
             Value::Tuple(vec![tricky_key(x.0), tuple(x), Value::Int(x.1), Value::Int(x.2)]).clone()
         };

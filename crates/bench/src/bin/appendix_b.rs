@@ -5,12 +5,23 @@
 //!
 //! The paper reports medians of 5 runs and speedups of 2.48–3.05× on
 //! graphs from 1 GB to 1 TB. Scale factors here default to
-//! `0.05,0.1,0.2,0.4` (override with `APPENDIX_B_SFS`).
+//! `0.05,0.1,0.2,0.4` (override with `APPENDIX_B_SFS`). After each scale
+//! factor the process's peak resident set so far (`VmHWM`) is printed,
+//! so one run with ascending scale factors gives the memory axis too.
 
 use bench::harness::timed;
 use gsql_core::Engine;
 use ldbc_snb::{generate, queries, SnbParams};
 use std::time::Duration;
+
+/// This process's peak resident set so far, in MB (`VmHWM` in
+/// `/proc/self/status`; `None` where that file does not exist).
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
 
 fn median_of(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
@@ -55,6 +66,9 @@ fn main() {
             m_acc.as_secs_f64(),
             m_gs.as_secs_f64() / m_acc.as_secs_f64()
         );
+        if let Some(mb) = peak_rss_mb() {
+            println!("{:>8}   peak resident set (VmHWM) so far: {mb:.1} MB", "");
+        }
     }
     println!(
         "\nShape check vs paper: Q_acc beats Q_gs by a stable constant factor\n\

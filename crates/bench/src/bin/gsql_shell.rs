@@ -149,7 +149,7 @@ fn parse_arg_value(raw: &str) -> Value {
     match raw {
         "true" => Value::Bool(true),
         "false" => Value::Bool(false),
-        other => Value::Str(other.to_string()),
+        other => Value::from(other),
     }
 }
 

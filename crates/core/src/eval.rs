@@ -793,7 +793,7 @@ impl<'s> Binder<'s> {
             Expr::Null => (BExpr::Const(Value::Null), None),
             Expr::Int(v) => (BExpr::Const(Value::Int(*v)), None),
             Expr::Double(v) => (BExpr::Const(Value::Double(*v)), None),
-            Expr::Str(s) => (BExpr::Const(Value::Str(s.clone())), None),
+            Expr::Str(s) => (BExpr::Const(Value::from(s.as_str())), None),
             Expr::Bool(b) => (BExpr::Const(Value::Bool(*b)), None),
             Expr::Ident(name) => (self.ident(name), None),
             Expr::Attr { base, field } => (self.attr(base, field), None),
@@ -938,7 +938,7 @@ impl<'s> Binder<'s> {
             if let Some(kind) = kind {
                 let etype = match args.first() {
                     None => EdgeArg::Any,
-                    Some(Expr::Str(s)) => self.edge_type(&Value::Str(s.clone())),
+                    Some(Expr::Str(s)) => self.edge_type(&Value::from(s.as_str())),
                     Some(e) => match self.bind(e) {
                         BExpr::Const(v) => self.edge_type(&v),
                         e => EdgeArg::Dyn(Box::new(e)),
@@ -1073,20 +1073,11 @@ fn inline_single_uses(mut p: Program) -> Program {
     p
 }
 
-/// A register's value: the value, and whether handing it out must copy
-/// it with its strings' spare capacity (an owned computed string — a
-/// concatenation — is charged by capacity, and each use of the
-/// expression it stands for would have computed its own).
-struct Slot<'a> {
-    v: Cow<'a, Value>,
-    exact: bool,
-}
-
 /// One item's ACCUM-local slots and registers, reset between items.
 #[derive(Default)]
 pub struct Frame<'a> {
     locals: Vec<OnceCell<Cow<'a, Value>>>,
-    regs: Vec<OnceCell<Slot<'a>>>,
+    regs: Vec<OnceCell<Cow<'a, Value>>>,
 }
 
 impl<'a> Frame<'a> {
@@ -1313,20 +1304,19 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
     /// Register `i`: computed at its first use in the row, then reused.
     #[inline]
     fn reg(&self, i: usize) -> Result<Cow<'f, Value>> {
-        let slot = match self.frame.regs[i].get() {
-            Some(slot) => slot,
+        let v = match self.frame.regs[i].get() {
+            Some(v) => v,
             None => self.fill(i)?,
         };
-        Ok(if slot.exact { Cow::Owned(clone_exact(&slot.v)) } else { Cow::Borrowed(&*slot.v) })
+        Ok(Cow::Borrowed(&**v))
     }
 
     #[inline(never)]
-    fn fill(&self, i: usize) -> Result<&'f Slot<'a>> {
+    fn fill(&self, i: usize) -> Result<&'f Cow<'a, Value>> {
         let regs = self.regs;
         let v = self.detached(&regs[i])?;
-        let exact = matches!(v, Cow::Owned(ref v) if spare_capacity(v));
         let cell = &self.frame.regs[i];
-        let _ = cell.set(Slot { v, exact });
+        let _ = cell.set(v);
         Ok(cell.get().expect("register just set"))
     }
 
@@ -1360,7 +1350,7 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
         let vertex_attr = |v: VertexId| -> Result<Cow<'a, Value>> {
             let vt = g.vertex_type_of(v);
             match at(&types[..a.edges_at.min(types.len())], vt.0 as usize) {
-                Some(i) => Ok(Cow::Borrowed(g.vertex_attr(v, i))),
+                Some(i) => Ok(g.vertex_attr(v, i)),
                 None => Err(Error::runtime(format!(
                     "vertex type `{}` has no attribute `{}`",
                     g.schema().vertex_type(vt).name,
@@ -1372,7 +1362,7 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
             VSrc::Col { col, var } => match *self.binding(*col)? {
                 Binding::Vertex(v) => vertex_attr(v),
                 Binding::Edge(e) => match at(&types[a.edges_at.min(types.len())..], g.edge_type_of(e).0 as usize) {
-                    Some(i) => Ok(Cow::Borrowed(g.edge_attr(e, i))),
+                    Some(i) => Ok(g.edge_attr(e, i)),
                     None => Err(Error::runtime(format!("edge has no attribute `{}`", a.field))),
                 },
                 Binding::Row { table, row } => {
@@ -1441,8 +1431,8 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
         match op {
             BinOp::Add => match (l, r) {
                 (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-                (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-                (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+                (Value::Str(a), b) => Ok(Value::from(format!("{a}{b}"))),
+                (a, Value::Str(b)) => Ok(Value::from(format!("{a}{b}"))),
                 _ => numeric_op(l, r, |a, b| a + b),
             },
             BinOp::Sub => match (l, r) {
@@ -1471,32 +1461,6 @@ impl<'a: 'f, 'f> Eval<'a, 'f, '_> {
             BinOp::Ge => Ok(Value::Bool(l.cmp(r) != Ordering::Less)),
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }
-    }
-}
-
-/// Whether `v` holds a string with spare capacity.
-fn spare_capacity(v: &Value) -> bool {
-    match v {
-        Value::Str(s) => s.capacity() != s.len(),
-        Value::Tuple(xs) | Value::List(xs) | Value::Set(xs) => xs.iter().any(spare_capacity),
-        Value::Map(xs) => xs.iter().any(|(k, v)| spare_capacity(k) || spare_capacity(v)),
-        _ => false,
-    }
-}
-
-/// A deep copy of `v` whose strings keep their capacity.
-fn clone_exact(v: &Value) -> Value {
-    match v {
-        Value::Str(s) => {
-            let mut t = String::with_capacity(s.capacity());
-            t.push_str(s);
-            Value::Str(t)
-        }
-        Value::Tuple(xs) => Value::Tuple(xs.iter().map(clone_exact).collect()),
-        Value::List(xs) => Value::List(xs.iter().map(clone_exact).collect()),
-        Value::Set(xs) => Value::Set(xs.iter().map(clone_exact).collect()),
-        Value::Map(xs) => Value::Map(xs.iter().map(|(k, v)| (clone_exact(k), clone_exact(v))).collect()),
-        other => other.clone(),
     }
 }
 
@@ -1550,15 +1514,15 @@ fn call(f: &Builtin, func: &str, vals: &[Cow<'_, Value>]) -> Result<Value> {
         }
         Builtin::Str => {
             arity(1)?;
-            Ok(Value::Str(vals[0].to_string()))
+            Ok(Value::from(vals[0].to_string()))
         }
         Builtin::Lower => {
             arity(1)?;
-            Ok(Value::Str(str_arg(&vals[0])?.to_lowercase()))
+            Ok(Value::from(str_arg(&vals[0])?.to_lowercase()))
         }
         Builtin::Upper => {
             arity(1)?;
-            Ok(Value::Str(str_arg(&vals[0])?.to_uppercase()))
+            Ok(Value::from(str_arg(&vals[0])?.to_uppercase()))
         }
         Builtin::Length => {
             arity(1)?;

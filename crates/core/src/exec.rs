@@ -24,7 +24,7 @@ use pgraph::fxhash::{FxHashMap, FxHashSet};
 use pgraph::graph::{AdjEntry, Graph, VertexId};
 use pgraph::mutate::MutationOp;
 use pgraph::schema::{AttrDef, ETypeId, VTypeId};
-use pgraph::value::{Value, ValueType};
+use pgraph::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -439,23 +439,11 @@ enum Flow {
     Returned,
 }
 
-/// Coerces an INSERT/UPDATE value to the declared attribute type.
-/// Int widens to Double/DateTime (and DateTime narrows back to Int);
-/// anything else must match exactly — collections are never storable.
-fn coerce_attr(v: Value, ty: ValueType, attr: &str) -> Result<Value> {
-    match (v, ty) {
-        (v @ Value::Bool(_), ValueType::Bool)
-        | (v @ Value::Int(_), ValueType::Int)
-        | (v @ Value::Double(_), ValueType::Double)
-        | (v @ Value::Str(_), ValueType::Str)
-        | (v @ Value::DateTime(_), ValueType::DateTime) => Ok(v),
-        (Value::Int(i), ValueType::Double) => Ok(Value::Double(i as f64)),
-        (Value::Int(i), ValueType::DateTime) => Ok(Value::DateTime(i)),
-        (Value::DateTime(t), ValueType::Int) => Ok(Value::Int(t)),
-        (v, ty) => {
-            Err(Error::runtime(format!("attribute `{attr}` expects {ty}, got `{v}`")))
-        }
-    }
+/// An INSERT or UPDATE value as the store will keep it: the store's own
+/// type rule, [`pgraph::graph::coerce_attr`], checked before the write
+/// is queued.
+fn coerce_attr(v: Value, def: &AttrDef) -> Result<Value> {
+    pgraph::graph::coerce_attr(v, def).map_err(|e| Error::runtime(e.to_string()))
 }
 
 /// A named vertex set. A FROM scans and probes its members, ascending
@@ -1002,7 +990,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             }
             for (i, e) in values.iter().enumerate() {
                 let v = self.eval_once(e)?;
-                row[i] = coerce_attr(v, attrs[i].ty, &attrs[i].name)?;
+                row[i] = coerce_attr(v, &attrs[i])?;
             }
         } else {
             if columns.len() != values.len() {
@@ -1024,7 +1012,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 }
                 seen[idx] = true;
                 let v = self.eval_once(e)?;
-                row[idx] = coerce_attr(v, attrs[idx].ty, c)?;
+                row[idx] = coerce_attr(v, &attrs[idx])?;
             }
         }
         Ok(row)
@@ -1142,9 +1130,9 @@ impl<'e, 'g> Runtime<'e, 'g> {
                             rt.graph().schema().vertex_type(vt).name
                         ))
                     })?;
-                let ty = rt.graph().schema().vertex_type(vt).attrs[idx].ty;
+                let def = &rt.graph().schema().vertex_type(vt).attrs[idx];
                 let row = Row { bindings: one.at(v), tables: &[] };
-                let val = coerce_attr(rt.eval_in(value, row)?, ty, attr)?;
+                let val = coerce_attr(rt.eval_in(value, row)?, def)?;
                 rt.mutations.push(MutationOp::SetVertexAttr { v, attr: idx, value: val });
             }
             Ok(())
@@ -2365,7 +2353,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             return Ok(total
                 .to_i64()
                 .map(Value::Int)
-                .unwrap_or_else(|| Value::Str(total.to_string())));
+                .unwrap_or_else(|| Value::from(total.to_string())));
         }
         let mut count = BigCount::zero();
         let mut sum = 0.0f64;
@@ -2397,7 +2385,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
             "count" => count
                 .to_i64()
                 .map(Value::Int)
-                .unwrap_or_else(|| Value::Str(count.to_string())),
+                .unwrap_or_else(|| Value::from(count.to_string())),
             "sum" => Value::Double(sum),
             "avg" => {
                 if count.is_zero() {

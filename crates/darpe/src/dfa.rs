@@ -349,7 +349,7 @@ mod tests {
         let mut q = 0;
         while q < dfa.materialized_states() {
             let row = dfa.row(DfaStateId(q as u32));
-            let names = row.live().iter().map(|l| s.edge_type(l.etype).name.clone()).collect();
+            let names = row.live().iter().map(|l| s.edge_type(l.etype).name.to_string()).collect();
             lives.push(names);
             q += 1;
         }

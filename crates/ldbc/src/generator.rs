@@ -699,8 +699,8 @@ mod tests {
         let mt = g.schema().vertex_type_id("Message").unwrap();
         let mut years: std::collections::BTreeSet<i64> = Default::default();
         for &m in g.vertices_of_type(mt) {
-            let ts = match g.vertex_attr_by_name(m, "creationDate").unwrap() {
-                Value::DateTime(t) => *t,
+            let ts = match g.vertex_attr_by_name(m, "creationDate").unwrap().into_owned() {
+                Value::DateTime(t) => t,
                 other => panic!("{other:?}"),
             };
             years.insert(pgraph::datetime::year(ts));

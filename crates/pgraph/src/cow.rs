@@ -13,38 +13,38 @@
 use std::ops::Index;
 use std::sync::Arc;
 
-/// Elements per chunk — of this vector and, in vertices, of the CSR
-/// adjacency chunks in [`crate::graph`]. A power of two, so locating an
-/// element is a shift and a mask. A write to a shared chunk copies at
-/// most this many elements.
+/// Elements per chunk — of this vector by default and, in vertices, of
+/// the CSR adjacency chunks in [`crate::graph`]. A power of two, so
+/// locating an element is a shift and a mask. A write to a shared chunk
+/// copies at most this many elements.
 pub(crate) const CHUNK: usize = 256;
-const SHIFT: u32 = CHUNK.trailing_zeros();
-const MASK: usize = CHUNK - 1;
 
+/// `N` elements per chunk (a power of two; [`CHUNK`] unless an element
+/// is costly to copy).
 #[derive(Debug)]
-pub(crate) struct CowVec<T> {
+pub(crate) struct CowVec<T, const N: usize = CHUNK> {
     /// Fixed-size chunks, so an element is two loads from the spine and
     /// its position inside a chunk needs no bounds check. Slots at and
     /// past `len` in the last chunk hold `T::default()` and are never
     /// handed out.
-    chunks: Vec<Arc<[T; CHUNK]>>,
+    chunks: Vec<Arc<[T; N]>>,
     len: usize,
 }
 
-impl<T> Default for CowVec<T> {
+impl<T, const N: usize> Default for CowVec<T, N> {
     fn default() -> Self {
         CowVec { chunks: Vec::new(), len: 0 }
     }
 }
 
 // Not derived: sharing chunks needs no `T: Clone`.
-impl<T> Clone for CowVec<T> {
+impl<T, const N: usize> Clone for CowVec<T, N> {
     fn clone(&self) -> Self {
         CowVec { chunks: self.chunks.clone(), len: self.len }
     }
 }
 
-impl<T> CowVec<T> {
+impl<T, const N: usize> CowVec<T, N> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -58,7 +58,7 @@ impl<T> CowVec<T> {
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Option<&T> {
         if i < self.len {
-            Some(&self.chunks[i >> SHIFT][i & MASK])
+            Some(&self.chunks[i / N][i % N])
         } else {
             None
         }
@@ -74,7 +74,7 @@ impl<T> CowVec<T> {
         self.chunks
             .iter()
             .enumerate()
-            .map(move |(ci, c)| if ci == last { &c[..=(self.len - 1) & MASK] } else { &c[..] })
+            .map(move |(ci, c)| if ci == last { &c[..=(self.len - 1) % N] } else { &c[..] })
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
@@ -83,20 +83,18 @@ impl<T> CowVec<T> {
 
     /// How many of this vector's chunks are the very same allocation as
     /// the chunk at that position in `other`.
-    #[cfg(test)]
-    pub(crate) fn shared_chunks(&self, other: &CowVec<T>) -> usize {
+    pub(crate) fn shared_chunks(&self, other: &CowVec<T, N>) -> usize {
         self.chunks.iter().zip(&other.chunks).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    #[cfg(test)]
     pub(crate) fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
 }
 
-impl<T: Clone + Default> CowVec<T> {
+impl<T: Clone + Default, const N: usize> CowVec<T, N> {
     pub(crate) fn push(&mut self, value: T) {
-        if self.len & MASK == 0 {
+        if self.len.is_multiple_of(N) {
             self.chunks.push(Arc::new(std::array::from_fn(|_| T::default())));
         }
         self.len += 1;
@@ -108,11 +106,11 @@ impl<T: Clone + Default> CowVec<T> {
     /// stores those are `Arc` bumps and plain integers).
     pub(crate) fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of range for length {}", self.len);
-        &mut Arc::make_mut(&mut self.chunks[i >> SHIFT])[i & MASK]
+        &mut Arc::make_mut(&mut self.chunks[i / N])[i % N]
     }
 }
 
-impl<T> Index<usize> for CowVec<T> {
+impl<T, const N: usize> Index<usize> for CowVec<T, N> {
     type Output = T;
 
     #[inline]
@@ -127,7 +125,7 @@ mod tests {
 
     #[test]
     fn push_index_iterate_across_chunks() {
-        let mut v = CowVec::default();
+        let mut v: CowVec<usize> = CowVec::default();
         assert!(v.is_empty() && v.last().is_none() && v.get(0).is_none());
         for i in 0..2 * CHUNK + 3 {
             v.push(i);
@@ -143,7 +141,7 @@ mod tests {
 
     #[test]
     fn writes_copy_only_the_chunk_they_land_in() {
-        let mut a = CowVec::default();
+        let mut a: CowVec<usize> = CowVec::default();
         for i in 0..3 * CHUNK {
             a.push(i);
         }

@@ -442,11 +442,11 @@ mod tests {
     fn diamond_chain_names() {
         let (g, spine) = diamond_chain(2);
         assert_eq!(
-            g.vertex_attr_by_name(spine[0], "name"),
+            g.vertex_attr_by_name(spine[0], "name").as_deref(),
             Some(&Value::from("v0"))
         );
         assert_eq!(
-            g.vertex_attr_by_name(spine[2], "name"),
+            g.vertex_attr_by_name(spine[2], "name").as_deref(),
             Some(&Value::from("v2"))
         );
     }

@@ -1,6 +1,15 @@
 //! In-memory property graph storage.
 //!
-//! Vertices and edges carry typed attribute rows. Adjacency is stored in
+//! **Records and attribute columns.** A vertex is 8 bytes — its type and
+//! its index among the vertices of that type — and an edge 16 — type,
+//! endpoints, index within its type. Attributes live in one typed column
+//! per (vertex or edge type, attribute), indexed by that type-local
+//! index: 8 bytes a cell for INT, DOUBLE and DATETIME, 4 for VERTEX and
+//! EDGE ids, one bit for BOOL, and for STRING a [`Value::Str`] holding a
+//! shared `Arc<str>` — equal strings written by one build or one batch
+//! share one allocation. A read lends a string from its column and builds
+//! a scalar ([`Graph::vertex_attr`] returns a `Cow`). Every write passes
+//! [`coerce_attr`], the store's one type rule. Adjacency is stored in
 //! **compressed sparse row** (CSR) form, cut into chunks of 256
 //! consecutive vertices: each chunk holds one flat `Vec<AdjEntry>` for
 //! its vertices, a per-vertex offset array, and a per-`(vertex, edge
@@ -13,12 +22,15 @@
 //! never of how many finalizes, commits or checkpoints produced it.
 //!
 //! **Structural sharing.** Everything bulky sits behind an `Arc`: the
-//! schema, the vertex / edge / per-type id stores (chunked copy-on-write
-//! vectors of 256 elements, attribute rows `Arc<[Value]>`), and the
-//! CSR chunks. [`Graph::clone`] therefore copies a few chunk-pointer
-//! spines and shares the rest; a write copies only the chunk it lands
-//! in. This is what lets [`crate::wal::LiveGraph`] publish a new
-//! snapshot per mutation batch at a cost proportional to the batch.
+//! schema, the vertex / edge / per-type id stores and the attribute
+//! columns (chunked copy-on-write vectors of 256 elements, 32 for
+//! strings, whose cells cost a reference count each to copy), each
+//! type's set of columns, and the CSR chunks. [`Graph::clone`] therefore
+//! copies a few chunk-pointer spines and shares the rest; a write copies
+//! only the chunk it lands in — an attribute update, one chunk of one
+//! column, after the spines of that type's columns. This is what lets
+//! [`crate::wal::LiveGraph`] publish a new snapshot per mutation batch at
+//! a cost proportional to the batch.
 //!
 //! Mutation stays cheap: `add_vertex`/`add_edge` only append to the
 //! stores. The adjacency entries of edges added since the last finalize
@@ -32,8 +44,10 @@
 //! traversal touches only contiguous memory.
 
 use crate::cow::{CowVec, CHUNK};
-use crate::schema::{ETypeId, Schema, SchemaError, VTypeId};
-use crate::value::Value;
+use crate::fxhash::FxHashSet;
+use crate::schema::{AttrDef, ETypeId, Schema, SchemaError, VTypeId};
+use crate::value::{Value, ValueType};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
 use std::sync::{Arc, OnceLock};
@@ -81,43 +95,242 @@ pub struct AdjEntry {
     pub other: VertexId,
 }
 
-/// One vertex's or edge's attribute values. Shared between snapshots, so
-/// copying a store chunk bumps reference counts instead of deep-cloning
-/// values; a row without attributes (most edge types) allocates nothing.
-#[derive(Debug, Clone, Default)]
-struct Row(Option<Arc<[Value]>>);
+/// One attribute of one vertex or edge type: the value of every element
+/// of that type, by type-local index, in copy-on-write chunks. Scalars
+/// are stored unboxed in [`CHUNK`]-element chunks — 8 bytes an INT,
+/// DOUBLE or DATETIME, 4 a VERTEX or EDGE id, a bit a BOOL — and a
+/// STRING cell is a [`Value::Str`], so a read lends the stored string
+/// instead of copying it. A write copies the one chunk it lands in if a
+/// snapshot still shares it.
+#[derive(Debug, Clone)]
+enum Column {
+    /// Bit `i % 64` of word `i / 64` is element `i`.
+    Bool(CowVec<u64>),
+    Int(CowVec<i64>),
+    Double(CowVec<f64>),
+    Str(CowVec<StrCell, STR_CHUNK>),
+    DateTime(CowVec<i64>),
+    Vertex(CowVec<u32>),
+    Edge(CowVec<u32>),
+}
 
-impl Row {
-    fn new(values: Vec<Value>) -> Row {
-        Row(if values.is_empty() { None } else { Some(values.into()) })
-    }
+/// Cells per STRING column chunk. Copying a string cell bumps a reference
+/// count (and dropping the copy drops it again), so a write to a shared
+/// chunk of strings copies 32 cells, where a scalar chunk copies 256
+/// plain words.
+const STR_CHUNK: usize = 32;
 
-    #[inline]
-    fn values(&self) -> &[Value] {
-        self.0.as_deref().unwrap_or(&[])
-    }
+/// A STRING column's cell: a [`Value::Str`] (the `Null` default only
+/// fills the unused slots of a column's last chunk).
+#[derive(Debug, Clone)]
+struct StrCell(Value);
 
-    /// Overwrites one value, copying the row first if a snapshot shares it.
-    fn set(&mut self, idx: usize, value: Value) {
-        let row = self.0.as_mut().expect("attribute index out of range");
-        Arc::make_mut(row)[idx] = value;
+impl Default for StrCell {
+    fn default() -> Self {
+        StrCell(Value::Null)
     }
 }
 
-// `Default` (all ids 0, no attributes) only fills the unused slots of a
-// store's last chunk; such a value is never read as a vertex or an edge.
+impl Column {
+    fn new(ty: ValueType) -> Column {
+        match ty {
+            ValueType::Bool => Column::Bool(CowVec::default()),
+            ValueType::Int => Column::Int(CowVec::default()),
+            ValueType::Double => Column::Double(CowVec::default()),
+            ValueType::Str => Column::Str(CowVec::default()),
+            ValueType::DateTime => Column::DateTime(CowVec::default()),
+            ValueType::Vertex => Column::Vertex(CowVec::default()),
+            ValueType::Edge => Column::Edge(CowVec::default()),
+        }
+    }
+
+    /// Element `i`: lent for a string, built for a scalar.
+    #[inline]
+    fn get(&self, i: usize) -> Cow<'_, Value> {
+        Cow::Owned(match self {
+            Column::Str(c) => return Cow::Borrowed(&c[i].0),
+            Column::Bool(c) => Value::Bool((c[i / 64] >> (i % 64)) & 1 == 1),
+            Column::Int(c) => Value::Int(c[i]),
+            Column::Double(c) => Value::Double(c[i]),
+            Column::DateTime(c) => Value::DateTime(c[i]),
+            Column::Vertex(c) => Value::Vertex(VertexId(c[i])),
+            Column::Edge(c) => Value::Edge(EdgeId(c[i])),
+        })
+    }
+
+    /// Appends `v` as element `i` (the column's length). `v` has passed
+    /// [`coerce_attr`] for this column's type.
+    fn push(&mut self, i: usize, v: Value) {
+        match (self, v) {
+            (Column::Bool(c), Value::Bool(b)) if i.is_multiple_of(64) => c.push(b as u64),
+            (Column::Bool(c), Value::Bool(b)) => *c.get_mut(i / 64) |= (b as u64) << (i % 64),
+            (Column::Int(c), Value::Int(x)) | (Column::DateTime(c), Value::DateTime(x)) => {
+                c.push(x)
+            }
+            (Column::Double(c), Value::Double(x)) => c.push(x),
+            (Column::Str(c), v @ Value::Str(_)) => c.push(StrCell(v)),
+            (Column::Vertex(c), Value::Vertex(x)) => c.push(x.0),
+            (Column::Edge(c), Value::Edge(x)) => c.push(x.0),
+            (_, v) => unreachable!("`{v}` was not coerced to its column's type"),
+        }
+    }
+
+    /// Overwrites element `i` with `v`, which has passed [`coerce_attr`]
+    /// for this column's type.
+    fn set(&mut self, i: usize, v: Value) {
+        match (self, v) {
+            (Column::Bool(c), Value::Bool(b)) => {
+                let word = c.get_mut(i / 64);
+                *word = (*word & !(1 << (i % 64))) | ((b as u64) << (i % 64));
+            }
+            (Column::Int(c), Value::Int(x)) | (Column::DateTime(c), Value::DateTime(x)) => {
+                *c.get_mut(i) = x
+            }
+            (Column::Double(c), Value::Double(x)) => *c.get_mut(i) = x,
+            (Column::Str(c), v @ Value::Str(_)) => c.get_mut(i).0 = v,
+            (Column::Vertex(c), Value::Vertex(x)) => *c.get_mut(i) = x.0,
+            (Column::Edge(c), Value::Edge(x)) => *c.get_mut(i) = x.0,
+            (_, v) => unreachable!("`{v}` was not coerced to its column's type"),
+        }
+    }
+
+    /// How many of this column's chunks are the very same allocation as
+    /// `other`'s chunk at that position, and how many it has.
+    fn chunks_shared_with(&self, other: &Column) -> (usize, usize) {
+        match (self, other) {
+            (Column::Bool(a), Column::Bool(b)) => (a.shared_chunks(b), a.chunk_count()),
+            (Column::Int(a), Column::Int(b)) | (Column::DateTime(a), Column::DateTime(b)) => {
+                (a.shared_chunks(b), a.chunk_count())
+            }
+            (Column::Double(a), Column::Double(b)) => (a.shared_chunks(b), a.chunk_count()),
+            (Column::Str(a), Column::Str(b)) => (a.shared_chunks(b), a.chunk_count()),
+            (Column::Vertex(a), Column::Vertex(b)) | (Column::Edge(a), Column::Edge(b)) => {
+                (a.shared_chunks(b), a.chunk_count())
+            }
+            _ => unreachable!("columns of different types"),
+        }
+    }
+}
+
+/// The attribute columns of one vertex or edge type, one per declared
+/// attribute, and how many elements of the type they hold. A graph holds
+/// them behind an `Arc`, so a clone shares them whole and only a type
+/// that is written copies its column spines.
 #[derive(Debug, Clone, Default)]
+struct Columns {
+    len: u32,
+    cols: Vec<Column>,
+}
+
+impl Columns {
+    fn new(attrs: &[AttrDef]) -> Columns {
+        Columns { len: 0, cols: attrs.iter().map(|a| Column::new(a.ty)).collect() }
+    }
+
+    /// Appends one element's values, coerced and in declaration order;
+    /// returns its type-local index.
+    fn push(&mut self, values: Vec<Value>) -> u32 {
+        let local = self.len;
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(local as usize, v);
+        }
+        self.len += 1;
+        local
+    }
+}
+
+/// The strings written since the last [`Graph::finalize`], so that equal
+/// values written by one build or one batch share one allocation. Not
+/// part of the graph's contents: a clone starts empty and a finalize
+/// drops it.
+#[derive(Debug, Default)]
+struct Interner(FxHashSet<Arc<str>>);
+
+impl Clone for Interner {
+    fn clone(&self) -> Self {
+        Interner::default()
+    }
+}
+
+impl Interner {
+    /// `attrs` checked against `defs`: the declared arity, then each
+    /// value as [`Interner::admit`] checks it.
+    fn admit_row(
+        &mut self,
+        defs: &[AttrDef],
+        mut attrs: Vec<Value>,
+    ) -> Result<Vec<Value>, GraphError> {
+        if attrs.len() != defs.len() {
+            return Err(GraphError::AttrArity { expected: defs.len(), got: attrs.len() });
+        }
+        for (v, def) in attrs.iter_mut().zip(defs) {
+            *v = self.intern(coerce_attr(std::mem::replace(v, Value::Null), def)?);
+        }
+        Ok(attrs)
+    }
+
+    /// `v` as attribute `idx` of `defs` stores it: through
+    /// [`coerce_attr`], a string shared with an equal one written since
+    /// the last finalize.
+    fn admit(&mut self, defs: &[AttrDef], idx: usize, v: Value) -> Result<Value, GraphError> {
+        let def =
+            defs.get(idx).ok_or(GraphError::AttrArity { expected: defs.len(), got: idx + 1 })?;
+        Ok(self.intern(coerce_attr(v, def)?))
+    }
+
+    fn intern(&mut self, v: Value) -> Value {
+        match v {
+            Value::Str(s) => Value::Str(match self.0.get(&*s) {
+                Some(shared) => shared.clone(),
+                None => {
+                    self.0.insert(s.clone());
+                    s
+                }
+            }),
+            v => v,
+        }
+    }
+}
+
+/// Checks `v` against attribute `def`'s declared type, the one rule
+/// every store write and every INSERT or UPDATE follows: a value of the
+/// declared type is kept, an INT widens to DOUBLE or DATETIME and a
+/// DATETIME narrows to INT, and anything else — `Null` and collections
+/// included — is refused with an error naming the attribute.
+pub fn coerce_attr(v: Value, def: &AttrDef) -> Result<Value, GraphError> {
+    match (v, def.ty) {
+        (v @ Value::Bool(_), ValueType::Bool)
+        | (v @ Value::Int(_), ValueType::Int)
+        | (v @ Value::Double(_), ValueType::Double)
+        | (v @ Value::Str(_), ValueType::Str)
+        | (v @ Value::DateTime(_), ValueType::DateTime)
+        | (v @ Value::Vertex(_), ValueType::Vertex)
+        | (v @ Value::Edge(_), ValueType::Edge) => Ok(v),
+        (Value::Int(i), ValueType::Double) => Ok(Value::Double(i as f64)),
+        (Value::Int(i), ValueType::DateTime) => Ok(Value::DateTime(i)),
+        (Value::DateTime(t), ValueType::Int) => Ok(Value::Int(t)),
+        (got, expected) => Err(GraphError::AttrType { attr: def.name.clone(), expected, got }),
+    }
+}
+
+/// A vertex: its type and its index among the vertices of that type,
+/// which is its row in the type's attribute columns.
+// `Default` (all ids 0) only fills the unused slots of a store's last
+// chunk; such a value is never read as a vertex or an edge.
+#[derive(Debug, Clone, Copy, Default)]
 struct VertexData {
     vtype: VTypeId,
-    attrs: Row,
+    local: u32,
 }
 
-#[derive(Debug, Clone, Default)]
+/// An edge: its type, endpoints, and its index among the edges of that
+/// type.
+#[derive(Debug, Clone, Copy, Default)]
 struct EdgeData {
     etype: ETypeId,
     src: VertexId,
     dst: VertexId,
-    attrs: Row,
+    local: u32,
 }
 
 /// Errors raised by graph mutation.
@@ -127,6 +340,8 @@ pub enum GraphError {
     BadVertexId(VertexId),
     BadEdgeId(EdgeId),
     AttrArity { expected: usize, got: usize },
+    /// A value that [`coerce_attr`] refuses for attribute `attr`.
+    AttrType { attr: String, expected: ValueType, got: Value },
     EndpointType { edge_type: String, endpoint: String },
 }
 
@@ -138,6 +353,9 @@ impl fmt::Display for GraphError {
             GraphError::BadEdgeId(e) => write!(f, "edge id {} out of range", e.0),
             GraphError::AttrArity { expected, got } => {
                 write!(f, "expected {expected} attribute values, got {got}")
+            }
+            GraphError::AttrType { attr, expected, got } => {
+                write!(f, "attribute `{attr}` expects {expected}, got `{got}`")
             }
             GraphError::EndpointType { edge_type, endpoint } => {
                 write!(f, "edge type `{edge_type}` does not allow endpoint type `{endpoint}`")
@@ -569,6 +787,10 @@ pub struct Graph {
     vertices: CowVec<VertexData>,
     edges: CowVec<EdgeData>,
     by_type: Vec<CowVec<VertexId>>,
+    /// Attribute columns per vertex type and per edge type.
+    vertex_attrs: Vec<Arc<Columns>>,
+    edge_attrs: Vec<Arc<Columns>>,
+    strings: Interner,
     /// Finalized adjacency: chunk `c` covers vertices
     /// `c * CHUNK..(c + 1) * CHUNK`, up to `finalized_vertices`.
     csr: Vec<Arc<CsrChunk>>,
@@ -603,11 +825,15 @@ impl Graph {
 
     fn with_schema(schema: Arc<Schema>) -> Self {
         let (nvt, net) = (schema.vertex_type_count(), schema.edge_type_count());
+        let columns = |attrs: &[AttrDef]| Arc::new(Columns::new(attrs));
         Graph {
+            vertex_attrs: schema.vertex_types().map(|(_, t)| columns(&t.attrs)).collect(),
+            edge_attrs: schema.edge_types().map(|(_, t)| columns(&t.attrs)).collect(),
             schema,
             vertices: CowVec::default(),
             edges: CowVec::default(),
             by_type: vec![CowVec::default(); nvt],
+            strings: Interner::default(),
             csr: Vec::new(),
             overlay: OnceLock::new(),
             overlay_entries: 0,
@@ -661,19 +887,14 @@ impl Graph {
         self.overlay_entries
     }
 
-    /// Adds a vertex of type `vt`. `attrs` must match the declared arity;
-    /// missing trailing values are *not* defaulted — use
-    /// [`GraphBuilder`] for name-based convenience.
+    /// Adds a vertex of type `vt`. `attrs` must match the declared arity
+    /// and types (see [`coerce_attr`]); missing trailing values are *not*
+    /// defaulted — use [`GraphBuilder`] for name-based convenience.
     pub fn add_vertex(&mut self, vt: VTypeId, attrs: Vec<Value>) -> Result<VertexId, GraphError> {
-        let def = self.schema.vertex_type(vt);
-        if attrs.len() != def.attrs.len() {
-            return Err(GraphError::AttrArity {
-                expected: def.attrs.len(),
-                got: attrs.len(),
-            });
-        }
+        let attrs = self.strings.admit_row(&self.schema.vertex_type(vt).attrs, attrs)?;
         let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(VertexData { vtype: vt, attrs: Row::new(attrs) });
+        let local = Arc::make_mut(&mut self.vertex_attrs[vt.0 as usize]).push(attrs);
+        self.vertices.push(VertexData { vtype: vt, local });
         self.by_type[vt.0 as usize].push(id);
         Ok(id)
     }
@@ -696,28 +917,24 @@ impl Graph {
             return Err(GraphError::BadVertexId(dst));
         }
         let def = self.schema.edge_type(et);
-        if attrs.len() != def.attrs.len() {
-            return Err(GraphError::AttrArity {
-                expected: def.attrs.len(),
-                got: attrs.len(),
-            });
-        }
         let src_t = self.vertices[src.0 as usize].vtype;
         let dst_t = self.vertices[dst.0 as usize].vtype;
         if !def.from_types.is_empty() && !def.from_types.contains(&src_t) {
             return Err(GraphError::EndpointType {
-                edge_type: def.name.clone(),
-                endpoint: self.schema.vertex_type(src_t).name.clone(),
+                edge_type: def.name.to_string(),
+                endpoint: self.schema.vertex_type(src_t).name.to_string(),
             });
         }
         if !def.to_types.is_empty() && !def.to_types.contains(&dst_t) {
             return Err(GraphError::EndpointType {
-                edge_type: def.name.clone(),
-                endpoint: self.schema.vertex_type(dst_t).name.clone(),
+                edge_type: def.name.to_string(),
+                endpoint: self.schema.vertex_type(dst_t).name.to_string(),
             });
         }
+        let attrs = self.strings.admit_row(&def.attrs, attrs)?;
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(EdgeData { etype: et, src, dst, attrs: Row::new(attrs) });
+        let local = Arc::make_mut(&mut self.edge_attrs[et.0 as usize]).push(attrs);
+        self.edges.push(EdgeData { etype: et, src, dst, local });
         // An overlay a reader already derived is kept current, so a
         // build-and-probe loop pays for the derivation once.
         let entries = self.endpoint_entries(id);
@@ -787,14 +1004,19 @@ impl Graph {
         let chunks = nv.div_ceil(CHUNK);
 
         // Rebuild every chunk that gains a vertex the CSR does not cover
-        // yet or holds an endpoint of a pending edge — and only those.
+        // yet or holds an endpoint of a pending edge — and only those (a
+        // batch that only wrote attributes rebuilds none, and allocates
+        // nothing per chunk).
         let first_grown = if nv > self.finalized_vertices {
             self.finalized_vertices / CHUNK
         } else {
             chunks
         };
-        let mut builders: Vec<Option<Box<ChunkBuilder>>> =
-            (0..chunks).map(|c| (c >= first_grown).then(ChunkBuilder::new)).collect();
+        let pending = first_grown < chunks || self.finalized_edges < self.edges.len();
+        let mut builders: Vec<Option<Box<ChunkBuilder>>> = match pending {
+            true => (0..chunks).map(|c| (c >= first_grown).then(ChunkBuilder::new)).collect(),
+            false => Vec::new(),
+        };
         for e in self.pending_edges() {
             for (v, _) in self.endpoint_entries(e) {
                 builders[v.0 as usize / CHUNK].get_or_insert_with(ChunkBuilder::new).count(v);
@@ -856,6 +1078,7 @@ impl Graph {
             }
         }
         s.epoch = FINALIZE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.strings = Interner::default();
         self.overlay = OnceLock::new();
         self.overlay_entries = 0;
         self.finalized_vertices = nv;
@@ -878,40 +1101,60 @@ impl Graph {
         (d.src, d.dst)
     }
 
-    /// Vertex attribute by column index.
-    pub fn vertex_attr(&self, v: VertexId, idx: usize) -> &Value {
-        &self.vertices[v.0 as usize].attrs.values()[idx]
+    /// Vertex attribute by column index: a string is lent from its
+    /// column (no bytes copied, no reference count touched), a scalar
+    /// is built from its unboxed cell.
+    #[inline]
+    pub fn vertex_attr(&self, v: VertexId, idx: usize) -> Cow<'_, Value> {
+        let d = self.vertices[v.0 as usize];
+        self.vertex_attrs[d.vtype.0 as usize].cols[idx].get(d.local as usize)
     }
 
     /// Vertex attribute by name (schema lookup each call; the query
     /// binder resolves a per-vertex-type index once per block instead).
-    pub fn vertex_attr_by_name(&self, v: VertexId, name: &str) -> Option<&Value> {
+    pub fn vertex_attr_by_name(&self, v: VertexId, name: &str) -> Option<Cow<'_, Value>> {
         let vt = self.vertex_type_of(v);
         let idx = self.schema.vertex_attr_index(vt, name)?;
         Some(self.vertex_attr(v, idx))
     }
 
-    /// Edge attribute by column index.
-    pub fn edge_attr(&self, e: EdgeId, idx: usize) -> &Value {
-        &self.edges[e.0 as usize].attrs.values()[idx]
+    /// Edge attribute by column index (see [`Graph::vertex_attr`]).
+    #[inline]
+    pub fn edge_attr(&self, e: EdgeId, idx: usize) -> Cow<'_, Value> {
+        let d = self.edges[e.0 as usize];
+        self.edge_attrs[d.etype.0 as usize].cols[idx].get(d.local as usize)
     }
 
     /// Edge attribute by name.
-    pub fn edge_attr_by_name(&self, e: EdgeId, name: &str) -> Option<&Value> {
+    pub fn edge_attr_by_name(&self, e: EdgeId, name: &str) -> Option<Cow<'_, Value>> {
         let et = self.edge_type_of(e);
         let idx = self.schema.edge_attr_index(et, name)?;
         Some(self.edge_attr(e, idx))
     }
 
-    /// Overwrites a vertex attribute (used by loaders and mutation tests).
-    pub fn set_vertex_attr(&mut self, v: VertexId, idx: usize, value: Value) {
-        self.vertices.get_mut(v.0 as usize).attrs.set(idx, value);
+    /// Overwrites a vertex attribute, after [`coerce_attr`]; copies only
+    /// the column chunk the value lands in if a snapshot shares it.
+    pub fn set_vertex_attr(
+        &mut self,
+        v: VertexId,
+        idx: usize,
+        value: Value,
+    ) -> Result<(), GraphError> {
+        let d = *self.vertices.get(v.0 as usize).ok_or(GraphError::BadVertexId(v))?;
+        let value = self.strings.admit(&self.schema.vertex_type(d.vtype).attrs, idx, value)?;
+        let columns = Arc::make_mut(&mut self.vertex_attrs[d.vtype.0 as usize]);
+        columns.cols[idx].set(d.local as usize, value);
+        Ok(())
     }
 
     /// Overwrites an edge attribute (the edge twin of
-    /// [`Graph::set_vertex_attr`], used by the mutation batch applier).
-    pub fn set_edge_attr(&mut self, e: EdgeId, idx: usize, value: Value) {
-        self.edges.get_mut(e.0 as usize).attrs.set(idx, value);
+    /// [`Graph::set_vertex_attr`]).
+    pub fn set_edge_attr(&mut self, e: EdgeId, idx: usize, value: Value) -> Result<(), GraphError> {
+        let d = *self.edges.get(e.0 as usize).ok_or(GraphError::BadEdgeId(e))?;
+        let value = self.strings.admit(&self.schema.edge_type(d.etype).attrs, idx, value)?;
+        let columns = Arc::make_mut(&mut self.edge_attrs[d.etype.0 as usize]);
+        columns.cols[idx].set(d.local as usize, value);
+        Ok(())
     }
 
     /// `v`'s finalized adjacency slice (empty if the CSR does not cover
@@ -1023,10 +1266,11 @@ impl Graph {
         self.adjacency(v).len()
     }
 
-    /// `(shared, total)`: of this graph's store and CSR chunks, how many
-    /// are the very same allocation as `other`'s chunk at that position.
-    #[cfg(test)]
-    pub(crate) fn chunks_shared_with(&self, other: &Graph) -> (usize, usize) {
+    /// `(shared, total)`: of this graph's store, attribute-column and CSR
+    /// chunks, how many are the very same allocation as `other`'s chunk
+    /// at that position — what a snapshot shares with the one it was
+    /// derived from.
+    pub fn chunks_shared_with(&self, other: &Graph) -> (usize, usize) {
         let mut shared = self.vertices.shared_chunks(&other.vertices)
             + self.edges.shared_chunks(&other.edges)
             + self.csr.iter().zip(&other.csr).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
@@ -1034,6 +1278,13 @@ impl Graph {
         for (ids, theirs) in self.by_type.iter().zip(&other.by_type) {
             shared += ids.shared_chunks(theirs);
             total += ids.chunk_count();
+        }
+        let mine = self.vertex_attrs.iter().chain(&self.edge_attrs);
+        let theirs = other.vertex_attrs.iter().chain(&other.edge_attrs);
+        for (col, their) in mine.flat_map(|c| &c.cols).zip(theirs.flat_map(|c| &c.cols)) {
+            let (s, t) = col.chunks_shared_with(their);
+            shared += s;
+            total += t;
         }
         (shared, total)
     }
@@ -1124,8 +1375,6 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::AttrDef;
-    use crate::value::ValueType;
 
     fn mixed_schema() -> Schema {
         let mut s = Schema::new();
@@ -1199,8 +1448,8 @@ mod tests {
         let a = g.add_vertex(vt, vec![Value::from("alice")]).unwrap();
         let b = g.add_vertex(vt, vec![Value::from("bob")]).unwrap();
         let e = g.add_edge(et, a, b, vec![Value::Int(2016)]).unwrap();
-        assert_eq!(g.vertex_attr_by_name(a, "name"), Some(&Value::from("alice")));
-        assert_eq!(g.edge_attr_by_name(e, "since"), Some(&Value::Int(2016)));
+        assert_eq!(g.vertex_attr_by_name(a, "name").as_deref(), Some(&Value::from("alice")));
+        assert_eq!(g.edge_attr_by_name(e, "since").as_deref(), Some(&Value::Int(2016)));
         assert_eq!(g.vertex_attr_by_name(a, "nope"), None);
     }
 
@@ -1246,9 +1495,132 @@ mod tests {
         b.edge("Knows", a, c, &[("since", Value::Int(2020))]).unwrap();
         let g = b.build();
         assert!(g.is_finalized());
-        assert_eq!(g.vertex_attr_by_name(c, "name"), Some(&Value::Str(String::new())));
+        assert_eq!(g.vertex_attr_by_name(c, "name").as_deref(), Some(&Value::from("")));
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.edge_count(), 1);
+    }
+
+    /// Every value kind against every declared type, through every store
+    /// write: a value of the declared type is kept, INT widens to DOUBLE
+    /// and DATETIME, DATETIME narrows to INT, and everything else is
+    /// refused with an error naming the attribute and nothing stored.
+    #[test]
+    fn one_type_rule_for_every_store_write() {
+        const TYPES: [ValueType; 7] = [
+            ValueType::Bool,
+            ValueType::Int,
+            ValueType::Double,
+            ValueType::Str,
+            ValueType::DateTime,
+            ValueType::Vertex,
+            ValueType::Edge,
+        ];
+        let mut s = Schema::new();
+        s.add_vertex_type("P", vec![]).unwrap();
+        for ty in TYPES {
+            s.add_vertex_type(format!("V{ty}"), vec![AttrDef::new(format!("v{ty}"), ty)]).unwrap();
+            s.add_edge_type(format!("E{ty}"), true, vec![AttrDef::new(format!("e{ty}"), ty)])
+                .unwrap();
+        }
+        let values = [
+            Value::Bool(true),
+            Value::Int(3),
+            Value::Double(2.5),
+            Value::from("s"),
+            Value::DateTime(5),
+            Value::Vertex(VertexId(0)),
+            Value::Edge(EdgeId(0)),
+            Value::Null,
+            Value::Tuple(vec![Value::Int(1)]),
+            Value::List(vec![]),
+            Value::Set(vec![]),
+            Value::Map(vec![]),
+        ];
+        let stored = |v: &Value, ty: ValueType| -> Option<Value> {
+            match (v, ty) {
+                (Value::Int(i), ValueType::Double) => Some(Value::Double(*i as f64)),
+                (Value::Int(i), ValueType::DateTime) => Some(Value::DateTime(*i)),
+                (Value::DateTime(t), ValueType::Int) => Some(Value::Int(*t)),
+                (v, ty) => (v.value_type() == Some(ty)).then(|| v.clone()),
+            }
+        };
+        let refused = |r: Result<(), GraphError>, name: &str| match r {
+            Err(GraphError::AttrType { attr, .. }) => assert_eq!(attr, name),
+            other => panic!("{name}: expected a type error, got {other:?}"),
+        };
+        for ty in TYPES {
+            let (vname, ename) = (format!("V{ty}"), format!("E{ty}"));
+            let (vattr, eattr) = (format!("v{ty}"), format!("e{ty}"));
+            for v in &values {
+                let mut b = GraphBuilder::new(s.clone());
+                let p = b.vertex("P", &[]).unwrap();
+                let want = stored(v, ty);
+                let (via_builder_v, via_builder_e) = (
+                    b.vertex(&vname, &[(&vattr, v.clone())]).map(|_| ()),
+                    b.edge(&ename, p, p, &[(&eattr, v.clone())]).map(|_| ()),
+                );
+                let mut g = b.build();
+                let vt = g.schema().vertex_type_id(&vname).unwrap();
+                let et = g.schema().edge_type_id(&ename).unwrap();
+                let via_add_v = g.add_vertex(vt, vec![v.clone()]);
+                let via_add_e = g.add_edge(et, p, p, vec![v.clone()]);
+                match &want {
+                    Some(want) => {
+                        via_builder_v.unwrap();
+                        via_builder_e.unwrap();
+                        let (x, e) = (via_add_v.unwrap(), via_add_e.unwrap());
+                        let reads = [
+                            g.vertex_attr(VertexId(1), 0),
+                            g.vertex_attr(x, 0),
+                            g.edge_attr(EdgeId(0), 0),
+                            g.edge_attr(e, 0),
+                        ];
+                        for got in reads {
+                            let got = (&*got, got.value_type());
+                            assert_eq!(got, (want, Some(ty)), "{v:?} as {ty}");
+                        }
+                        g.set_vertex_attr(x, 0, v.clone()).unwrap();
+                        g.set_edge_attr(e, 0, v.clone()).unwrap();
+                        assert_eq!(&*g.vertex_attr(x, 0), want);
+                        assert_eq!(&*g.edge_attr(e, 0), want);
+                    }
+                    None => {
+                        refused(via_builder_v, &vattr);
+                        refused(via_builder_e, &eattr);
+                        refused(via_add_v.map(|_| ()), &vattr);
+                        refused(via_add_e.map(|_| ()), &eattr);
+                        assert_eq!((g.vertex_count(), g.edge_count()), (1, 0), "{v:?} as {ty}");
+                    }
+                }
+            }
+            // Overwrites follow the same rule.
+            let mut g = Graph::new(s.clone());
+            let vt = g.schema().vertex_type_id(&vname).unwrap();
+            let et = g.schema().edge_type_id(&ename).unwrap();
+            let seed = stored(&values[TYPES.iter().position(|&t| t == ty).unwrap()], ty).unwrap();
+            let x = g.add_vertex(vt, vec![seed.clone()]).unwrap();
+            let e = g.add_edge(et, x, x, vec![seed.clone()]).unwrap();
+            for v in &values {
+                match stored(v, ty) {
+                    Some(want) => {
+                        g.set_vertex_attr(x, 0, v.clone()).unwrap();
+                        g.set_edge_attr(e, 0, v.clone()).unwrap();
+                        assert_eq!(g.vertex_attr(x, 0).value_type(), Some(ty));
+                        assert_eq!(&*g.vertex_attr(x, 0), &want);
+                        assert_eq!(&*g.edge_attr(e, 0), &want);
+                    }
+                    None => {
+                        let read = |g: &Graph| {
+                            (g.vertex_attr(x, 0).into_owned(), g.edge_attr(e, 0).into_owned())
+                        };
+                        let before = read(&g);
+                        refused(g.set_vertex_attr(x, 0, v.clone()), &vattr);
+                        refused(g.set_edge_attr(e, 0, v.clone()), &eattr);
+                        assert_eq!(read(&g), before);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

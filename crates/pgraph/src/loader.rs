@@ -119,7 +119,10 @@ fn field_to_value(ty: ValueType, field: &str, line: usize) -> Result<Value, Load
                 .parse::<f64>()
                 .map_err(|_| err(format!("bad double `{field}`")))?,
         ),
-        ValueType::Str => Value::Str(unescape(field)),
+        // Most fields hold no escape: build the shared string straight
+        // from the line, without an intermediate `String`.
+        ValueType::Str if !field.contains('\\') => Value::from(field),
+        ValueType::Str => Value::from(unescape(field)),
         ValueType::DateTime => Value::DateTime(
             field
                 .trim_start_matches('@')
@@ -163,7 +166,7 @@ pub fn save_to_writer<W: std::fmt::Write>(g: &Graph, out: &mut W) -> Result<(), 
         let def = g.schema().vertex_type(vt);
         write!(out, "V\t{}", def.name)?;
         for i in 0..def.attrs.len() {
-            write!(out, "\t{}", value_to_field(g.vertex_attr(v, i)))?;
+            write!(out, "\t{}", value_to_field(&g.vertex_attr(v, i)))?;
         }
         out.write_char('\n')?;
     }
@@ -173,7 +176,7 @@ pub fn save_to_writer<W: std::fmt::Write>(g: &Graph, out: &mut W) -> Result<(), 
         let (s, t) = g.edge_endpoints(e);
         write!(out, "E\t{}\t{}\t{}", def.name, s.0, t.0)?;
         for i in 0..def.attrs.len() {
-            write!(out, "\t{}", value_to_field(g.edge_attr(e, i)))?;
+            write!(out, "\t{}", value_to_field(&g.edge_attr(e, i)))?;
         }
         out.write_char('\n')?;
     }
@@ -419,8 +422,8 @@ mod tests {
         g.add_vertex(vt, vec![Value::Str("a\tb\\c\nd".into())]).unwrap();
         let g2 = load_from_string(&save_to_string(&g).unwrap()).unwrap();
         assert_eq!(
-            g2.vertex_attr_by_name(crate::graph::VertexId(0), "v"),
-            Some(&Value::Str("a\tb\\c\nd".into()))
+            g2.vertex_attr_by_name(crate::graph::VertexId(0), "v").as_deref(),
+            Some(&Value::from("a\tb\\c\nd"))
         );
     }
 

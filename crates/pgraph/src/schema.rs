@@ -31,10 +31,11 @@ impl AttrDef {
     }
 }
 
-/// A vertex type: a name plus its attribute columns.
+/// A vertex type: a name plus its attribute columns. The name is shared,
+/// so a query reading a vertex's type gets it without a copy.
 #[derive(Debug, Clone)]
 pub struct VertexTypeDef {
-    pub name: String,
+    pub name: Arc<str>,
     pub attrs: Vec<AttrDef>,
 }
 
@@ -42,7 +43,7 @@ pub struct VertexTypeDef {
 /// unconstrained) and attribute columns.
 #[derive(Debug, Clone)]
 pub struct EdgeTypeDef {
-    pub name: String,
+    pub name: Arc<str>,
     pub directed: bool,
     /// Allowed source vertex types; empty means any.
     pub from_types: Vec<VTypeId>,
@@ -111,7 +112,7 @@ impl Schema {
         check_attrs(&name, &attrs)?;
         let id = VTypeId(self.vertex_types.len() as u32);
         self.vtype_by_name.insert(name.clone(), id);
-        self.vertex_types.push(VertexTypeDef { name, attrs });
+        self.vertex_types.push(VertexTypeDef { name: name.into(), attrs });
         self.index_attrs();
         Ok(id)
     }
@@ -143,7 +144,7 @@ impl Schema {
         let id = ETypeId(self.edge_types.len() as u32);
         self.etype_by_name.insert(name.clone(), id);
         self.edge_types.push(EdgeTypeDef {
-            name,
+            name: name.into(),
             directed,
             from_types,
             to_types,
@@ -258,7 +259,7 @@ mod tests {
         let knows = s.add_edge_type("Knows", false, vec![]).unwrap();
         assert_eq!(s.vertex_type_id("Person"), Some(person));
         assert_eq!(s.edge_type_id("Knows"), Some(knows));
-        assert_eq!(s.vertex_type(person).name, "Person");
+        assert_eq!(&*s.vertex_type(person).name, "Person");
         assert!(!s.is_directed(knows));
         assert_eq!(s.vertex_attr_index(person, "name"), Some(0));
         assert_eq!(s.vertex_attr_index(person, "nope"), None);

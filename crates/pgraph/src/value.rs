@@ -11,6 +11,7 @@ use crate::graph::{EdgeId, VertexId};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The type of a [`Value`], used by schema attribute declarations and by
 /// accumulator type parameters.
@@ -47,7 +48,7 @@ impl ValueType {
             ValueType::Bool => Value::Bool(false),
             ValueType::Int => Value::Int(0),
             ValueType::Double => Value::Double(0.0),
-            ValueType::Str => Value::Str(String::new()),
+            ValueType::Str => Value::from(""),
             ValueType::DateTime => Value::DateTime(0),
             ValueType::Vertex | ValueType::Edge => Value::Null,
         }
@@ -70,14 +71,17 @@ impl fmt::Display for ValueType {
 }
 
 /// A runtime value. `DateTime` is epoch seconds; collection variants keep
-/// canonical (sorted) representations so equality is structural.
+/// canonical (sorted) representations so equality is structural. A string
+/// is shared, not owned: copying one into a group key, a heap row or a
+/// result costs a reference-count bump, and the graph's string columns
+/// hand out the very allocation they store.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Double(f64),
-    Str(String),
+    Str(Arc<str>),
     DateTime(i64),
     Vertex(VertexId),
     Edge(EdgeId),
@@ -424,12 +428,12 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<VertexId> for Value {
@@ -453,7 +457,7 @@ impl MemSize for Value {
         let inline = std::mem::size_of::<Value>();
         inline
             + match self {
-                Value::Str(s) => s.capacity(),
+                Value::Str(s) => s.len(),
                 Value::Tuple(xs) | Value::List(xs) | Value::Set(xs) => {
                     xs.iter().map(MemSize::estimated_bytes).sum()
                 }
@@ -598,6 +602,6 @@ mod tests {
     #[test]
     fn defaults_match_types() {
         assert_eq!(ValueType::Int.default_value(), Value::Int(0));
-        assert_eq!(ValueType::Str.default_value(), Value::Str(String::new()));
+        assert_eq!(ValueType::Str.default_value(), Value::from(""));
     }
 }

@@ -177,7 +177,7 @@ fn decode_value(c: &mut Cur<'_>) -> Option<Value> {
         4 => {
             let n = c.u32()? as usize;
             let bytes = c.take(n)?;
-            Value::Str(String::from_utf8(bytes.to_vec()).ok()?)
+            Value::from(std::str::from_utf8(bytes).ok()?)
         }
         5 => Value::DateTime(c.i64()?),
         6 => Value::Vertex(VertexId(c.u32()?)),
@@ -991,7 +991,7 @@ mod tests {
             .map(|i| MutationOp::AddVertex {
                 vtype: vt,
                 attrs: (0..nattrs)
-                    .map(|k| if k == 0 { Value::Str(format!("p{i}")) } else { Value::Int(i as i64) })
+                    .map(|k| if k == 0 { Value::from(format!("p{i}")) } else { Value::Int(i as i64) })
                     .collect(),
             })
             .collect()

@@ -1,13 +1,15 @@
 //! Property-based tests for the pgraph substrate: BigCount arithmetic
 //! against u128 ground truth and against a reference limb-vector
-//! implementation, loader round-trips on random graphs, and BFS-counting
-//! invariants.
+//! implementation, loader round-trips on random graphs, BFS-counting
+//! invariants, and the attribute store against a plain row model.
 
 use pgraph::bigcount::BigCount;
 use pgraph::generators::{erdos_renyi, grid, ve_schema};
-use pgraph::graph::{Graph, GraphBuilder, VertexId};
+use pgraph::graph::{EdgeId, Graph, GraphBuilder, VertexId};
 use pgraph::loader::{load_from_string, save_to_string};
-use pgraph::value::Value;
+use pgraph::mutate::{apply_batch, MutationOp};
+use pgraph::schema::{AttrDef, ETypeId, Schema, VTypeId};
+use pgraph::value::{Value, ValueType};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -415,9 +417,9 @@ fn set_vertex_attr_persists() {
     let mut b = GraphBuilder::new(ve_schema());
     let v = b.vertex("V", &[("name", Value::from("old"))]).unwrap();
     let mut g = b.build();
-    g.set_vertex_attr(v, 0, Value::from("new"));
+    g.set_vertex_attr(v, 0, Value::from("new")).unwrap();
     let g2 = load_from_string(&save_to_string(&g).unwrap()).unwrap();
-    assert_eq!(g2.vertex_attr_by_name(v, "name"), Some(&Value::from("new")));
+    assert_eq!(g2.vertex_attr_by_name(v, "name").as_deref(), Some(&Value::from("new")));
 }
 
 /// `Value`'s hash under the standard library's and the engine's hasher.
@@ -492,4 +494,259 @@ fn int_hashes_spread_under_fxhash() {
     let low: std::collections::HashSet<u64> =
         (0..4096).map(|i| value_hashes(&Value::Int(i)).1 & 0xfff).collect();
     assert!(low.len() >= 3500, "{} distinct low-12-bit hashes", low.len());
+}
+
+/// The store model: every vertex's and edge's type, endpoints and
+/// attribute values as plain rows, updated the way `apply_batch`
+/// documents — ids against the batch start, deletions compacted once at
+/// the end with surviving order kept.
+#[derive(Clone, Default)]
+struct Model {
+    vertices: Vec<(VTypeId, Vec<Value>)>,
+    edges: Vec<(ETypeId, VertexId, VertexId, Vec<Value>)>,
+}
+
+impl Model {
+    fn apply(&mut self, ops: &[MutationOp]) {
+        let (mut dead_v, mut dead_e) = (vec![false; 0], vec![false; 0]);
+        for op in ops {
+            match op {
+                MutationOp::AddVertex { vtype, attrs } => {
+                    self.vertices.push((*vtype, attrs.clone()))
+                }
+                MutationOp::AddEdge { etype, src, dst, attrs } => {
+                    self.edges.push((*etype, *src, *dst, attrs.clone()))
+                }
+                MutationOp::SetVertexAttr { v, attr, value } => {
+                    self.vertices[v.0 as usize].1[*attr] = value.clone()
+                }
+                MutationOp::SetEdgeAttr { e, attr, value } => {
+                    self.edges[e.0 as usize].3[*attr] = value.clone()
+                }
+                MutationOp::DeleteVertex { v } => {
+                    dead_v.resize(self.vertices.len(), false);
+                    dead_v[v.0 as usize] = true;
+                }
+                MutationOp::DeleteEdge { e } => {
+                    dead_e.resize(self.edges.len(), false);
+                    dead_e[e.0 as usize] = true;
+                }
+            }
+        }
+        if !dead_v.contains(&true) && !dead_e.contains(&true) {
+            return;
+        }
+        let is_dead = |flags: &[bool], i: usize| flags.get(i).copied().unwrap_or(false);
+        let mut renumber = Vec::with_capacity(self.vertices.len());
+        let mut next = 0u32;
+        for i in 0..self.vertices.len() {
+            renumber.push((!is_dead(&dead_v, i)).then(|| {
+                next += 1;
+                VertexId(next - 1)
+            }));
+        }
+        let vertices = std::mem::take(&mut self.vertices);
+        self.vertices = vertices
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !is_dead(&dead_v, *i))
+            .map(|(_, v)| v)
+            .collect();
+        let edges = std::mem::take(&mut self.edges);
+        self.edges = edges
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !is_dead(&dead_e, *i))
+            .filter_map(|(_, (t, s, d, attrs))| {
+                Some((t, renumber[s.0 as usize]?, renumber[d.0 as usize]?, attrs))
+            })
+            .collect();
+    }
+
+    /// Every type, endpoint and attribute of `g` equals the model's, each
+    /// value of its declared type (so `Int(3)` and `Double(3.0)`, equal
+    /// as values, still differ).
+    fn check(&self, g: &Graph, when: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.vertex_count(), self.vertices.len(), "{}", when);
+        prop_assert_eq!(g.edge_count(), self.edges.len(), "{}", when);
+        let same = |got: &Value, want: &Value, what: String| -> Result<(), TestCaseError> {
+            prop_assert_eq!(got, want, "{} {}", when, what);
+            prop_assert_eq!(got.value_type(), want.value_type(), "{} {}", when, what);
+            Ok(())
+        };
+        for (i, (vt, attrs)) in self.vertices.iter().enumerate() {
+            let v = VertexId(i as u32);
+            prop_assert_eq!(g.vertex_type_of(v), *vt, "{} vertex {}", when, i);
+            for (k, want) in attrs.iter().enumerate() {
+                same(&g.vertex_attr(v, k), want, format!("vertex {i} attribute {k}"))?;
+            }
+        }
+        for (i, (et, src, dst, attrs)) in self.edges.iter().enumerate() {
+            let e = EdgeId(i as u32);
+            prop_assert_eq!(g.edge_type_of(e), *et, "{} edge {}", when, i);
+            prop_assert_eq!(g.edge_endpoints(e), (*src, *dst), "{} edge {}", when, i);
+            for (k, want) in attrs.iter().enumerate() {
+                same(&g.edge_attr(e, k), want, format!("edge {i} attribute {k}"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A vertex type with one attribute of every storable scalar type but
+/// VERTEX and EDGE, a one-string vertex type, an attributed directed edge
+/// type and a bare undirected one.
+fn store_schema() -> Schema {
+    let mut s = Schema::new();
+    let attrs = [
+        ("i", ValueType::Int),
+        ("s", ValueType::Str),
+        ("b", ValueType::Bool),
+        ("d", ValueType::Double),
+        ("t", ValueType::DateTime),
+    ];
+    s.add_vertex_type("A", attrs.iter().map(|&(n, t)| AttrDef::new(n, t)).collect()).unwrap();
+    s.add_vertex_type("B", vec![AttrDef::new("name", ValueType::Str)]).unwrap();
+    let edge_attrs = vec![
+        AttrDef::new("w", ValueType::Double),
+        AttrDef::new("tag", ValueType::Str),
+        AttrDef::new("on", ValueType::Bool),
+    ];
+    s.add_edge_type("L", true, edge_attrs).unwrap();
+    s.add_edge_type("U", false, vec![]).unwrap();
+    s
+}
+
+/// A value of type `ty` drawn from `n`: strings from a small pool, so
+/// equal strings are written again and again.
+fn sample(ty: ValueType, n: i64) -> Value {
+    match ty {
+        ValueType::Bool => Value::Bool(n % 3 == 0),
+        ValueType::Int => Value::Int(n - 50_000),
+        ValueType::Double => Value::Double(n as f64 / 8.0),
+        ValueType::Str => Value::from(format!("s{}", n % 7)),
+        ValueType::DateTime => Value::DateTime(n * 3_600),
+        ValueType::Vertex | ValueType::Edge => unreachable!("not in the store schema"),
+    }
+}
+
+fn vertex_row(s: &Schema, vt: VTypeId, n: i64) -> Vec<Value> {
+    s.vertex_type(vt).attrs.iter().enumerate().map(|(k, a)| sample(a.ty, n + k as i64)).collect()
+}
+
+fn edge_row(s: &Schema, et: ETypeId, n: i64) -> Vec<Value> {
+    s.edge_type(et).attrs.iter().enumerate().map(|(k, a)| sample(a.ty, n + k as i64)).collect()
+}
+
+/// The first batch: 300 `A` vertices (two chunks of every `A` column),
+/// 20 `B`s, and 300 edges.
+fn initial_batch(s: &Schema) -> Vec<MutationOp> {
+    let (a, b) = (VTypeId(0), VTypeId(1));
+    let mut ops: Vec<MutationOp> =
+        (0..300).map(|n| MutationOp::AddVertex { vtype: a, attrs: vertex_row(s, a, n) }).collect();
+    ops.extend((0..20).map(|n| MutationOp::AddVertex { vtype: b, attrs: vertex_row(s, b, n) }));
+    for n in 0..300u32 {
+        let etype = ETypeId(n % 2);
+        let (src, dst) = (VertexId(n * 7 % 320), VertexId(n * 13 % 320));
+        ops.push(MutationOp::AddEdge { etype, src, dst, attrs: edge_row(s, etype, n as i64) });
+    }
+    ops
+}
+
+/// Turns raw `(kind, x, y, n)` draws into a valid batch against `m`'s
+/// state: inserts (edges may attach to vertices the batch inserted),
+/// attribute writes of the declared type, and the occasional deletion.
+fn resolve(s: &Schema, m: &Model, raw: &[(u8, u32, u32, i64)]) -> Vec<MutationOp> {
+    let (mut nv, ne) = (m.vertices.len() as u32, m.edges.len());
+    let mut vtypes: Vec<VTypeId> = m.vertices.iter().map(|(t, _)| *t).collect();
+    let mut ops = Vec::new();
+    for &(kind, x, y, n) in raw {
+        match kind {
+            0..=2 => {
+                let vtype = VTypeId(x % 2);
+                ops.push(MutationOp::AddVertex { vtype, attrs: vertex_row(s, vtype, n) });
+                vtypes.push(vtype);
+                nv += 1;
+            }
+            3 | 4 if nv > 0 => {
+                let etype = ETypeId(y % 2);
+                let (src, dst) = (VertexId(x % nv), VertexId(y % nv));
+                ops.push(MutationOp::AddEdge { etype, src, dst, attrs: edge_row(s, etype, n) });
+            }
+            5..=7 if nv > 0 => {
+                let v = VertexId(x % nv);
+                let attrs = &s.vertex_type(vtypes[v.0 as usize]).attrs;
+                let attr = y as usize % attrs.len();
+                ops.push(MutationOp::SetVertexAttr { v, attr, value: sample(attrs[attr].ty, n) });
+            }
+            8 if ne > 0 => {
+                let e = EdgeId(x % ne as u32);
+                let attrs = &s.edge_type(m.edges[e.0 as usize].0).attrs;
+                if !attrs.is_empty() {
+                    let attr = y as usize % attrs.len();
+                    ops.push(MutationOp::SetEdgeAttr { e, attr, value: sample(attrs[attr].ty, n) });
+                }
+            }
+            9 if nv > 0 && n % 4 == 0 => ops.push(MutationOp::DeleteVertex { v: VertexId(x % nv) }),
+            10 if ne > 0 && n % 4 == 0 => {
+                ops.push(MutationOp::DeleteEdge { e: EdgeId(x % ne as u32) })
+            }
+            _ => {}
+        }
+    }
+    ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
+
+    /// Random batches through `apply_batch` agree with the row model after
+    /// every batch, and after a checkpoint text round trip.
+    #[test]
+    fn attribute_store_matches_a_row_model(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..11, any::<u32>(), any::<u32>(), 0i64..100_000), 1..12),
+            1..6,
+        ),
+    ) {
+        let schema = store_schema();
+        let mut g = Graph::new(schema.clone());
+        let mut model = Model::default();
+        let first = initial_batch(&schema);
+        apply_batch(&mut g, &first).unwrap();
+        model.apply(&first);
+        model.check(&g, "after the initial batch")?;
+        for (i, raw) in batches.iter().enumerate() {
+            let ops = resolve(&schema, &model, raw);
+            apply_batch(&mut g, &ops).unwrap();
+            model.apply(&ops);
+            model.check(&g, &format!("after batch {i}"))?;
+            let reloaded = load_from_string(&save_to_string(&g).unwrap()).unwrap();
+            model.check(&reloaded, &format!("after batch {i} and a round trip"))?;
+        }
+    }
+}
+
+/// A batch that writes one attribute of one vertex or edge copies one
+/// chunk — of the column it writes — and shares every other store,
+/// column and adjacency chunk with the snapshot it was applied to.
+#[test]
+fn a_one_attribute_update_copies_only_its_column_chunk() {
+    let schema = store_schema();
+    let mut parent = Graph::new(schema.clone());
+    apply_batch(&mut parent, &initial_batch(&schema)).unwrap();
+    let updates = [
+        MutationOp::SetVertexAttr { v: VertexId(3), attr: 0, value: Value::Int(7) },
+        MutationOp::SetVertexAttr { v: VertexId(290), attr: 1, value: Value::from("renamed") },
+        MutationOp::SetVertexAttr { v: VertexId(5), attr: 2, value: Value::Bool(true) },
+        MutationOp::SetVertexAttr { v: VertexId(310), attr: 0, value: Value::from("b") },
+        MutationOp::SetEdgeAttr { e: EdgeId(4), attr: 1, value: Value::from("t") },
+    ];
+    for op in updates {
+        let mut child = parent.clone();
+        apply_batch(&mut child, std::slice::from_ref(&op)).unwrap();
+        let (shared, total) = child.chunks_shared_with(&parent);
+        assert_eq!(total - shared, 1, "{op:?}: {shared} of {total} chunks shared");
+        assert!(total > 20, "{total} chunks");
+    }
 }

@@ -406,7 +406,7 @@ pub fn value_to_json(v: &Value) -> Json {
         Value::Bool(b) => Json::Bool(*b),
         Value::Int(i) => Json::Int(*i),
         Value::Double(d) => Json::Double(*d),
-        Value::Str(s) => Json::Str(s.clone()),
+        Value::Str(s) => Json::Str(s.to_string()),
         Value::DateTime(secs) => Json::Obj(vec![("datetime".into(), Json::Int(*secs))]),
         Value::Vertex(id) => Json::Obj(vec![("vertex".into(), Json::Int(i64::from(id.0)))]),
         Value::Edge(id) => Json::Obj(vec![("edge".into(), Json::Int(i64::from(id.0)))]),
@@ -456,7 +456,7 @@ pub fn json_to_arg(j: &Json) -> Result<Value, String> {
                     .map_err(|_| format!("bad datetime `{secs}`"))?;
                 Ok(Value::DateTime(secs))
             } else {
-                Ok(Value::Str(s.clone()))
+                Ok(Value::from(s.as_str()))
             }
         }
         Json::Obj(entries) => match entries.as_slice() {

@@ -538,7 +538,7 @@ fn parameterized_reuse_roundtrip(parallelism: usize) {
         // ...and so must a local engine run.
         let expected = local_result(
             &stdlib::qn("V", "E"),
-            &[("srcName", Value::Str("v0".into())), ("tgtName", Value::Str(tgt.clone()))],
+            &[("srcName", Value::Str("v0".into())), ("tgtName", Value::from(tgt.as_str()))],
         );
         assert_eq!(via_prepared, expected, "tgt {tgt}");
     }

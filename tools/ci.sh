@@ -26,6 +26,7 @@ STEPS=(
   "alloc-vertex-stores|Allocation budget (vertex stores)"
   "alloc-emission|Allocation budget (emission)"
   "alloc-binding-tables|Allocation budget (binding tables)"
+  "alloc-graph-store|Allocation budget (graph store)"
   "test-parallel|Test (parallel engine, 4 threads)"
   "determinism-3|Determinism suite (3 threads, uneven runs)"
   "goldens-morsel-1|Appendix B + target-anchor + bound-evaluation + operator-rows goldens, kernel oracle, determinism suite, sequential-fold boundaries (4 threads, morsel size 1)"
@@ -94,6 +95,7 @@ step_alloc-accum() { cargo test -q -p accum --test alloc_per_group; }
 step_alloc-vertex-stores() { cargo test -q -p bench --test vertex_store_alloc; }
 step_alloc-emission() { cargo test -q -p bench --test emission_alloc; }
 step_alloc-binding-tables() { cargo test -q -p bench --test binding_table_alloc; }
+step_alloc-graph-store() { cargo test -q -p bench --test graph_store_alloc; }
 step_test-parallel() { GSQL_PARALLELISM=4 cargo test -q; }
 step_determinism-3() { GSQL_PARALLELISM=3 cargo test -q -p bench --test parallel_determinism; }
 step_goldens-morsel-1() {
