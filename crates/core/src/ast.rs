@@ -1,5 +1,6 @@
 //! GSQL abstract syntax.
 
+use crate::error::{Error, Result};
 use accum::AccumType;
 use pgraph::value::ValueType;
 
@@ -591,24 +592,55 @@ impl Expr {
         }
     }
 
-    /// True if any sub-expression is an aggregate function call
-    /// (`count`/`sum`/`avg`/`min`/`max` with one argument or `count(*)`).
+    /// The one rule for which calls are aggregates: `count(*)`, and
+    /// `count`, `sum`, `avg`, `min` or `max` of one argument. `min` and
+    /// `max` of any other arity are the scalar builtins, so they — like
+    /// every other call and every non-call — give `Ok(None)`. `count`,
+    /// `sum` and `avg` of any other arity are an error that names it.
+    pub fn aggregate(&self) -> Result<Option<Aggregate>> {
+        use Aggregate::*;
+        const NAMES: [(&str, Aggregate); 5] =
+            [("count", Count), ("sum", Sum), ("avg", Avg), ("min", Min), ("max", Max)];
+        let Expr::Call { func, args, star } = self else { return Ok(None) };
+        let Some(&(_, agg)) = NAMES.iter().find(|(name, _)| func.eq_ignore_ascii_case(name)) else {
+            return Ok(None);
+        };
+        match (agg, *star, args.len()) {
+            (Count, true, _) => Ok(Some(CountStar)),
+            (_, false, 1) => Ok(Some(agg)),
+            (Min | Max, ..) => Ok(None),
+            (_, star, n) => {
+                let got = if star { "`*`".to_string() } else { n.to_string() };
+                Err(Error::runtime(format!("aggregate `{func}` takes one argument, got {got}")))
+            }
+        }
+    }
+
+    /// True if any sub-expression is an aggregate call (see
+    /// [`Expr::aggregate`]).
     pub fn contains_aggregate(&self) -> bool {
         let mut found = false;
-        self.walk(&mut |e| {
-            if let Expr::Call { func, args, star } = e {
-                if *star
-                    || (args.len() == 1
-                        && ["count", "sum", "avg", "min", "max"]
-                            .iter()
-                            .any(|a| func.eq_ignore_ascii_case(a)))
-                {
-                    found = true;
-                }
-            }
-        });
+        self.walk(&mut |e| found |= matches!(e.aggregate(), Ok(Some(_))));
         found
     }
+}
+
+/// An aggregate function of SELECT, HAVING and ORDER BY, as
+/// [`Expr::aggregate`] recognizes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Aggregate {
+    /// `count(*)`: the sum of the rows' multiplicities.
+    CountStar,
+    /// `count(x)`: the multiplicity sum of the rows where `x` is not NULL.
+    Count,
+    /// `sum(x)`, as a DOUBLE.
+    Sum,
+    /// `avg(x)`: NULL over no non-NULL value.
+    Avg,
+    /// `min(x)`.
+    Min,
+    /// `max(x)`.
+    Max,
 }
 
 /// Calls `f` with the semantics each `USE SEMANTICS` in `stmts` names,

@@ -814,7 +814,7 @@ impl<'s> Binder<'s> {
                 },
                 Some((true, name)),
             ),
-            Expr::Call { func, args, star } => (self.call(func, args, *star), None),
+            Expr::Call { func, args, .. } => (self.call(e, func, args), None),
             Expr::Method { base, method, args } => (self.method(base, method, args), None),
             Expr::Unary { op, expr } => {
                 (BExpr::Unary { op: *op, expr: Box::new(self.bind(expr)) }, None)
@@ -908,18 +908,18 @@ impl<'s> Binder<'s> {
         }))
     }
 
-    fn call(&mut self, func: &str, args: &[Expr], star: bool) -> BExpr {
-        let lower = func.to_ascii_lowercase();
-        let is_aggregate = star
-            || matches!(lower.as_str(), "count" | "sum" | "avg")
-            || (args.len() == 1 && matches!(lower.as_str(), "min" | "max"));
-        if is_aggregate {
-            return BExpr::Fail(Error::runtime(format!(
-                "aggregate `{func}` used outside SELECT/HAVING/ORDER BY context"
-            )));
+    fn call(&mut self, call: &Expr, func: &str, args: &[Expr]) -> BExpr {
+        match call.aggregate() {
+            Ok(None) => {}
+            Ok(Some(_)) => {
+                return BExpr::Fail(Error::runtime(format!(
+                    "aggregate `{func}` used outside SELECT/HAVING/ORDER BY context"
+                )))
+            }
+            Err(e) => return BExpr::Fail(e),
         }
         BExpr::Call {
-            f: Builtin::parse(&lower),
+            f: Builtin::parse(&func.to_ascii_lowercase()),
             func: func.to_string(),
             args: args.iter().map(|a| self.bind(a)).collect(),
         }

@@ -1682,7 +1682,7 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 // has left.
                 let scanned: usize = (0..rows.len())
                     .map_while(|r| vertex_at(&rows, r, prev_col, to_var).ok())
-                    .map(|v| hop_degree(graph, v, spec.etype))
+                    .map(|v| hop_adjacency(graph, v, spec.etype).len())
                     .sum();
                 let headroom = usize::try_from(self.guard.rows_headroom()).unwrap_or(usize::MAX);
                 let mut b = MorselBuilder::new(&rows, n_extra, scanned.min(headroom));
@@ -2177,21 +2177,34 @@ impl<'e, 'g> Runtime<'e, 'g> {
                     keyed.push((keys, cells));
                 }
             }
-            if frag.distinct {
-                let mut seen = std::collections::BTreeSet::new();
-                keyed.retain(|(_, cells)| seen.insert(cells.clone()));
-            }
-            if !block.order_by.is_empty() {
-                sort_by_order_keys(&mut keyed, &block.order_by);
-            }
-            if let Some(limit) = &block.limit {
-                keyed.truncate(self.limit_value(limit)?);
-            }
-            for (_, cells) in keyed {
-                out.push(cells);
-            }
+            self.emit_rows(block, frag.distinct, keyed, &mut out)?;
         }
         Ok(out)
+    }
+
+    /// The tail every table fragment ends in: `(order keys, cells)` rows
+    /// through DISTINCT (on the cells), ORDER BY and LIMIT into `out`.
+    fn emit_rows(
+        &self,
+        block: &SelectBlock,
+        distinct: bool,
+        mut keyed: Vec<(Vec<Value>, Vec<Value>)>,
+        out: &mut Table,
+    ) -> Result<()> {
+        if distinct {
+            let mut seen = std::collections::BTreeSet::new();
+            keyed.retain(|(_, cells)| seen.insert(cells.clone()));
+        }
+        if !block.order_by.is_empty() {
+            sort_by_order_keys(&mut keyed, &block.order_by);
+        }
+        if let Some(limit) = &block.limit {
+            keyed.truncate(self.limit_value(limit)?);
+        }
+        for (_, cells) in keyed {
+            out.push(cells);
+        }
+        Ok(())
     }
 
     /// Grouped evaluation: grouping sets × aggregate computation.
@@ -2208,13 +2221,17 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let gb = block.group_by.as_ref().unwrap_or(&default_gb);
 
         // Collect every aggregate sub-expression appearing in outputs,
-        // HAVING and ORDER BY.
+        // HAVING and ORDER BY, and which aggregate each is.
         let mut agg_exprs: Vec<Expr> = Vec::new();
+        let mut kinds: Vec<Aggregate> = Vec::new();
         {
             let mut collect = |e: &Expr| {
                 e.walk(&mut |sub| {
-                    if is_aggregate_call(sub) && !agg_exprs.contains(sub) {
-                        agg_exprs.push(sub.clone());
+                    if let Ok(Some(kind)) = sub.aggregate() {
+                        if !agg_exprs.contains(sub) {
+                            agg_exprs.push(sub.clone());
+                            kinds.push(kind);
+                        }
                     }
                 });
             };
@@ -2235,14 +2252,13 @@ impl<'e, 'g> Runtime<'e, 'g> {
         // so hoisting them out of the per-group loop is value-preserving).
         let mut binder = Binder::new(self.scope(Vars::Columns(&bp.columns), tables));
         let keys: Vec<BExpr> = gb.keys.iter().map(|k| binder.bind(k)).collect();
-        // `count(*)` reads only multiplicities; the NULL placeholder keeps
-        // positions aligned.
+        // `count(*)` is `count` of a value that is never NULL: the sum of
+        // the rows' multiplicities.
         let agg_args: Vec<BExpr> = agg_exprs
             .iter()
             .map(|ae| match ae {
-                Expr::Call { star: true, .. } => BExpr::Const(Value::Null),
-                Expr::Call { args, .. } => binder.bind(&args[0]),
-                _ => BExpr::Fail(Error::runtime("not an aggregate expression")),
+                Expr::Call { star: false, args, .. } => binder.bind(&args[0]),
+                _ => BExpr::Const(Value::Bool(true)),
             })
             .collect();
         let morsels = self.note_morsels(rows.len());
@@ -2274,14 +2290,6 @@ impl<'e, 'g> Runtime<'e, 'g> {
         let having = block.having.as_ref().map(|h| binder.bind(h));
         let items: Vec<BExpr> = frag.items.iter().map(|it| binder.bind(&it.expr)).collect();
         let order: Vec<BExpr> = block.order_by.iter().map(|o| binder.bind(&o.expr)).collect();
-        // Aggregate names, lower-cased once rather than per group.
-        let kinds: Vec<String> = agg_exprs
-            .iter()
-            .map(|ae| match ae {
-                Expr::Call { func, .. } => func.to_ascii_lowercase(),
-                _ => String::new(),
-            })
-            .collect();
         let mut result_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new(); // (order keys, cells)
         for set in &gb.sets {
             // Group rows by the projection of keys onto this set.
@@ -2293,9 +2301,8 @@ impl<'e, 'g> Runtime<'e, 'g> {
             for (_gkey, members) in groups {
                 // Compute aggregates over the member rows.
                 let mut agg_values: Vec<Value> = Vec::with_capacity(agg_exprs.len());
-                for (pos, ae) in agg_exprs.iter().enumerate() {
-                    let kind = &kinds[pos];
-                    agg_values.push(self.eval_aggregate(ae, kind, pos, &members, rows, &agg_vals)?);
+                for (pos, &kind) in kinds.iter().enumerate() {
+                    agg_values.push(self.eval_aggregate(kind, pos, &members, rows, &agg_vals)?);
                 }
                 let rep = members[0];
                 // Grouped keys → their value; ungrouped keys → NULL;
@@ -2313,48 +2320,20 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 result_rows.push((eval_all(&ev, &order)?, cells));
             }
         }
-        if frag.distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            result_rows.retain(|(_, cells)| seen.insert(cells.clone()));
-        }
-        if !block.order_by.is_empty() {
-            sort_by_order_keys(&mut result_rows, &block.order_by);
-        }
-        if let Some(limit) = &block.limit {
-            result_rows.truncate(self.limit_value(limit)?);
-        }
-        for (_, cells) in result_rows {
-            out.push(cells);
-        }
-        Ok(())
+        self.emit_rows(block, frag.distinct, result_rows, out)
     }
 
-    /// Computes one aggregate (`f`, lower-cased) over a group,
-    /// multiplicity-weighted, from the per-row argument values
-    /// pre-evaluated during the morsel pass (`agg_vals[row][pos]`).
+    /// Computes one aggregate over a group, multiplicity-weighted, from
+    /// the per-row argument values pre-evaluated during the morsel pass
+    /// (`agg_vals[row][pos]`).
     fn eval_aggregate(
         &self,
-        expr: &Expr,
-        f: &str,
+        kind: Aggregate,
         pos: usize,
         members: &[usize],
         rows: &MorselTable,
         agg_vals: &[Vec<Value>],
     ) -> Result<Value> {
-        let Expr::Call { star, .. } = expr else {
-            return Err(Error::runtime("not an aggregate expression"));
-        };
-        if *star {
-            // count(*): sum of multiplicities.
-            let mut total = BigCount::zero();
-            for &i in members {
-                total.add_assign(rows.mult(i));
-            }
-            return Ok(total
-                .to_i64()
-                .map(Value::Int)
-                .unwrap_or_else(|| Value::from(total.to_string())));
-        }
         let mut count = BigCount::zero();
         let mut sum = 0.0f64;
         let mut min: Option<Value> = None;
@@ -2365,38 +2344,26 @@ impl<'e, 'g> Runtime<'e, 'g> {
                 continue;
             }
             count.add_assign(rows.mult(i));
-            match f {
-                "sum" | "avg" => {
+            match kind {
+                Aggregate::Sum | Aggregate::Avg => {
                     let x = v.as_f64().ok_or_else(|| Error::type_error("numeric", &v))?;
                     sum += x * rows.mult(i).to_f64();
                 }
-                "min"
-                    if min.as_ref().is_none_or(|m| v < *m) => {
-                        min = Some(v);
-                    }
-                "max"
-                    if max.as_ref().is_none_or(|m| v > *m) => {
-                        max = Some(v);
-                    }
+                Aggregate::Min if min.as_ref().is_none_or(|m| v < *m) => min = Some(v),
+                Aggregate::Max if max.as_ref().is_none_or(|m| v > *m) => max = Some(v),
                 _ => {}
             }
         }
-        Ok(match f {
-            "count" => count
+        Ok(match kind {
+            Aggregate::CountStar | Aggregate::Count => count
                 .to_i64()
                 .map(Value::Int)
                 .unwrap_or_else(|| Value::from(count.to_string())),
-            "sum" => Value::Double(sum),
-            "avg" => {
-                if count.is_zero() {
-                    Value::Null
-                } else {
-                    Value::Double(sum / count.to_f64())
-                }
-            }
-            "min" => min.unwrap_or(Value::Null),
-            "max" => max.unwrap_or(Value::Null),
-            other => return Err(Error::runtime(format!("unknown aggregate `{other}`"))),
+            Aggregate::Sum => Value::Double(sum),
+            Aggregate::Avg if count.is_zero() => Value::Null,
+            Aggregate::Avg => Value::Double(sum / count.to_f64()),
+            Aggregate::Min => min.unwrap_or(Value::Null),
+            Aggregate::Max => max.unwrap_or(Value::Null),
         })
     }
 }
@@ -2482,24 +2449,10 @@ impl HopReach<'_> {
 /// The adjacency entries of `v` a single-edge hop over edge type `etype`
 /// can cross: that type's slice of the typed CSR, or every entry for the
 /// wildcard (`None`). Either way in adjacency order.
-fn hop_adjacency(
-    graph: &Graph,
-    v: VertexId,
-    etype: Option<ETypeId>,
-) -> impl Iterator<Item = &AdjEntry> {
-    let (typed, any) = match etype {
-        Some(t) => (Some(graph.adjacency_of_type(v, t)), None),
-        None => (None, Some(graph.adjacency(v))),
-    };
-    typed.into_iter().flatten().chain(any.into_iter().flatten())
-}
-
-/// How many entries [`hop_adjacency`] yields for `v`, counted from the
-/// CSR offsets without walking them.
-fn hop_degree(graph: &Graph, v: VertexId, etype: Option<ETypeId>) -> usize {
+fn hop_adjacency(graph: &Graph, v: VertexId, etype: Option<ETypeId>) -> &[AdjEntry] {
     match etype {
-        Some(t) => graph.adjacency_of_type(v, t).count(),
-        None => graph.adjacency(v).len(),
+        Some(t) => graph.adjacency_of_type(v, t),
+        None => graph.adjacency(v),
     }
 }
 
@@ -2515,20 +2468,6 @@ fn vertex_at(rows: &MorselTable, row: usize, col: usize, ctx: &str) -> Result<Ve
     match rows.binding(row, col) {
         Binding::Vertex(v) => Ok(*v),
         _ => Err(Error::runtime(format!("pattern source for `{ctx}` is not a vertex"))),
-    }
-}
-
-fn is_aggregate_call(e: &Expr) -> bool {
-    match e {
-        Expr::Call { func, args, star } => {
-            let is = |name: &str| func.eq_ignore_ascii_case(name);
-            *star
-                || is("count")
-                || is("sum")
-                || is("avg")
-                || (args.len() == 1 && (is("min") || is("max")))
-        }
-        _ => false,
     }
 }
 

@@ -372,12 +372,11 @@ fn row_invariant(e: &Expr, bound: &FxHashSet<String>, inv_locals: &FxHashMap<Str
         Expr::Ident(n) => inv_locals.get(n).copied().unwrap_or_else(|| !bound.contains(n)),
         Expr::Attr { .. } | Expr::VAcc { .. } | Expr::Method { .. } => false,
         Expr::GAcc(_) => true,
-        Expr::Call { func, args, star } => {
-            let f = func.to_ascii_lowercase();
-            let aggregate = *star
-                || matches!(f.as_str(), "count" | "sum" | "avg")
-                || (args.len() == 1 && matches!(f.as_str(), "min" | "max"));
-            !aggregate && args.iter().all(|a| row_invariant(a, bound, inv_locals))
+        // An aggregate, or a call that fails as a malformed one, is not
+        // a scalar of the row.
+        Expr::Call { args, .. } => {
+            matches!(e.aggregate(), Ok(None))
+                && args.iter().all(|a| row_invariant(a, bound, inv_locals))
         }
         Expr::Unary { expr, .. } => row_invariant(expr, bound, inv_locals),
         Expr::Binary { lhs, rhs, .. } => {

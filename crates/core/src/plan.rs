@@ -373,10 +373,6 @@ pub struct QueryPlan {
     /// The renderable plan tree (`EXPLAIN` output), which names the
     /// engine-default semantics the plan was lowered under.
     pub plan: Plan,
-    /// The graph finalize-epoch the cost estimates were computed against
-    /// (0 = lowered without statistics). Prepared-statement plan caches
-    /// key on this: a re-finalized graph invalidates cached plans.
-    pub epoch: u64,
     /// Every semantics the query can be in when it reaches a block: the
     /// ambient one, then each one a `USE SEMANTICS` names, in source
     /// order.
@@ -432,11 +428,10 @@ impl Engine<'_> {
         Arc::new(lower_query(query, self.semantics(), Some(&self.lower_ctx())))
     }
 
-    /// `prepared`'s cached plan for this engine's graph epoch, schema and
+    /// `prepared`'s cached plan for this engine's graph epoch and
     /// semantics, lowered from the statement's cached facts on a miss.
     pub(crate) fn prepared_plan(&self, prepared: &PreparedQuery) -> Arc<QueryPlan> {
-        let graph = self.graph();
-        prepared.plan_for(graph.stats().epoch(), graph.shared_schema(), self.semantics(), || {
+        prepared.plan_for(self.graph().stats().epoch(), self.semantics(), || {
             let (ctx, facts) = (self.lower_ctx(), prepared.facts());
             Arc::new(lower_query_with(prepared.query(), self.semantics(), Some(&ctx), facts))
         })
@@ -504,7 +499,6 @@ fn lower_query_with(
         })
     });
     QueryPlan {
-        epoch: ctx.map_or(0, |c| c.graph.stats().epoch()),
         plan: Plan { query: query.name.clone(), semantics, root },
         variants: st.variants,
         blocks: st.blocks,
@@ -1021,15 +1015,7 @@ fn reversed_pattern(graph: &Option<String>, start: &VSpec, hops: &[Hop]) -> From
 fn exact_aggregates_only(e: &Expr) -> bool {
     let mut ok = true;
     e.walk(&mut |sub| {
-        if let Expr::Call { func, args, star } = sub {
-            let f = func.to_ascii_lowercase();
-            let is_agg = *star
-                || (args.len() == 1
-                    && matches!(f.as_str(), "count" | "sum" | "avg" | "min" | "max"));
-            if is_agg && !*star && !matches!(f.as_str(), "count" | "min" | "max") {
-                ok = false;
-            }
-        }
+        ok &= !matches!(sub.aggregate(), Ok(Some(Aggregate::Sum | Aggregate::Avg)));
     });
     ok
 }
@@ -1700,7 +1686,6 @@ mod tests {
     fn statless_lowering_matches_graphless_explain_shape() {
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::AllShortestPaths, None);
-        assert_eq!(plan.epoch, 0);
         let text = plan.plan.render();
         assert!(!text.contains("est_rows="), "{text}");
         // Qn's single SELECT block is covered by an executable block plan.
@@ -1715,7 +1700,6 @@ mod tests {
         let ctx = LowerCtx { graph: &g, tables: &tables };
         let q = parse_query(&stdlib::qn("V", "E")).unwrap();
         let plan = lower_query(&q, PathSemantics::AllShortestPaths, Some(&ctx));
-        assert_eq!(plan.epoch, g.stats().epoch());
         let text = plan.plan.render();
         assert!(text.contains("est_rows="), "{text}");
         assert!(text.contains("est_cost="), "{text}");

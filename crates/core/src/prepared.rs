@@ -32,7 +32,6 @@ use crate::error::Result;
 use crate::lint::QueryFacts;
 use crate::plan::QueryPlan;
 use crate::semantics::PathSemantics;
-use pgraph::schema::Schema;
 use pgraph::value::Value;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -133,9 +132,9 @@ fn value_label(v: &Value) -> &'static str {
 /// through the cost-based planner and caches the resulting
 /// [`QueryPlan`]; subsequent executions with *different parameter
 /// bindings* reuse that one optimized plan. The slot is keyed on the
-/// graph's finalize epoch, its schema and the ambient semantics, so a
-/// re-finalized graph, a graph over another schema or a semantics switch
-/// re-plans. Clones share the slot.
+/// graph's finalize epoch and the ambient semantics, so another graph, a
+/// re-finalized graph or a semantics switch re-plans. Clones share the
+/// slot.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     source: Arc<str>,
@@ -151,13 +150,13 @@ pub struct PreparedQuery {
 }
 
 /// Shared cache slot for the statement's one optimized plan, keyed on
-/// the graph finalize epoch, the schema and the semantics it was lowered
-/// under. The plan's hops are resolved against the schema (edge-type ids
-/// and directions), and every graph that was never finalized has epoch
-/// 0, so the epoch alone cannot tell two schemas apart: the slot holds
-/// the schema's `Arc` and matches it by identity (holding it keeps the
-/// address from being reused).
-type PlanSlot = Arc<Mutex<Option<(u64, Arc<Schema>, PathSemantics, Arc<QueryPlan>)>>>;
+/// the graph finalize epoch and the semantics it was lowered under. The
+/// plan's hops are resolved against the schema (edge-type ids and
+/// directions) and costed against the statistics; every graph a caller
+/// can hold is finalized, and each finalize stamps a process-unique
+/// epoch, so an equal epoch means the same schema and topology (a clone
+/// shares its original's).
+type PlanSlot = Arc<Mutex<Option<(u64, PathSemantics, Arc<QueryPlan>)>>>;
 
 impl PreparedQuery {
     /// Parses `src` into a reusable handle. All lexer/parser rejections
@@ -174,26 +173,24 @@ impl PreparedQuery {
         })
     }
 
-    /// Returns the cached optimized plan for `(epoch, schema,
-    /// semantics)`, building (and caching) it with `build` on the first
-    /// call or when the graph has been re-finalized, the schema or the
-    /// semantics changed since the cached plan was built. All clones of
-    /// this handle share the slot.
+    /// Returns the cached optimized plan for `(epoch, semantics)`,
+    /// building (and caching) it with `build` on the first call or when
+    /// the graph epoch or the semantics changed since the cached plan
+    /// was built. All clones of this handle share the slot.
     pub fn plan_for(
         &self,
         epoch: u64,
-        schema: &Arc<Schema>,
         semantics: PathSemantics,
         build: impl FnOnce() -> Arc<QueryPlan>,
     ) -> Arc<QueryPlan> {
         let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((e, sc, s, plan)) = slot.as_ref() {
-            if *e == epoch && Arc::ptr_eq(sc, schema) && *s == semantics {
+        if let Some((e, s, plan)) = slot.as_ref() {
+            if *e == epoch && *s == semantics {
                 return plan.clone();
             }
         }
         let plan = build();
-        *slot = Some((epoch, schema.clone(), semantics, plan.clone()));
+        *slot = Some((epoch, semantics, plan.clone()));
         plan
     }
 
@@ -373,27 +370,22 @@ mod tests {
                 None,
             ))
         };
-        let schema = Arc::new(Schema::new());
-        let a = p.plan_for(7, &schema, PathSemantics::AllShortestPaths, mk);
+        let a = p.plan_for(7, PathSemantics::AllShortestPaths, mk);
         // Same key: the builder must not run again.
-        let b = p.plan_for(7, &schema, PathSemantics::AllShortestPaths, || {
+        let b = p.plan_for(7, PathSemantics::AllShortestPaths, || {
             panic!("plan slot missed on identical key")
         });
         assert!(Arc::ptr_eq(&a, &b));
         // Clones share the slot.
-        let c = p.clone().plan_for(7, &schema, PathSemantics::AllShortestPaths, || {
+        let c = p.clone().plan_for(7, PathSemantics::AllShortestPaths, || {
             panic!("clone does not share the plan slot")
         });
         assert!(Arc::ptr_eq(&a, &c));
         // New epoch or different semantics re-plan.
-        let d = p.plan_for(8, &schema, PathSemantics::AllShortestPaths, mk);
+        let d = p.plan_for(8, PathSemantics::AllShortestPaths, mk);
         assert!(!Arc::ptr_eq(&a, &d));
-        let e = p.plan_for(8, &schema, PathSemantics::NonRepeatedEdge, mk);
+        let e = p.plan_for(8, PathSemantics::NonRepeatedEdge, mk);
         assert!(!Arc::ptr_eq(&d, &e));
-        // So does another schema at the same epoch, even an equal one.
-        let other = Arc::new(Schema::new());
-        let f = p.plan_for(8, &other, PathSemantics::NonRepeatedEdge, mk);
-        assert!(!Arc::ptr_eq(&e, &f));
     }
 
     #[test]

@@ -418,7 +418,7 @@ fn enumerate_shortest(
         let adj = graph.adjacency(v);
         let mut advanced = false;
         let start_edge = stack.last().unwrap().next_edge;
-        for (off, a) in adj.iter_from(start_edge).enumerate() {
+        for (off, a) in adj[start_edge..].iter().enumerate() {
             edges_scanned += 1;
             if let Some(nq) = dfa.next(q, a.etype, a.dir) {
                 let idx = start_edge + off;
@@ -493,7 +493,7 @@ fn enumerate_simple(
         let adj = graph.adjacency(v);
         let start_edge = stack.last().unwrap().next_edge;
         let mut advanced = false;
-        for (off, a) in adj.iter_from(start_edge).enumerate() {
+        for (off, a) in adj[start_edge..].iter().enumerate() {
             edges_scanned += 1;
             let idx = start_edge + off;
             if vertex_flavor {

@@ -137,6 +137,7 @@ mod tests {
         let a = g.add_vertex(vt, vec![]).unwrap();
         let b = g.add_vertex(vt, vec![]).unwrap();
         g.add_edge(et, a, b, vec![]).unwrap();
+        g.finalize();
         let (_, count) = strongly_connected_components(&g);
         assert_eq!(count, 1);
     }

@@ -162,6 +162,7 @@ mod dijkstra_tests {
             g.add_edge(et, vs[i], vs[(i * 7 + 3) % 20], vec![Value::Double(1.0)]).unwrap();
             g.add_edge(et, vs[i], vs[i + 1], vec![Value::Double(1.0)]).unwrap();
         }
+        g.finalize();
         let dj = dijkstra(&g, vs[0], 0);
         let bfs = bfs_distances(&g, vs[0]);
         for i in 0..20 {

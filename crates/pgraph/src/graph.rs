@@ -32,16 +32,16 @@
 //! [`crate::wal::LiveGraph`] publish a new snapshot per mutation batch at
 //! a cost proportional to the batch.
 //!
-//! Mutation stays cheap: `add_vertex`/`add_edge` only append to the
-//! stores. The adjacency entries of edges added since the last finalize
-//! form a per-vertex *overlay* that readers transparently chain after the
-//! CSR range; it is derived from the edge store the first time such a
-//! graph is read, so a bulk load never materializes it.
-//! [`Graph::finalize`] (called by [`GraphBuilder::build`], the loaders,
-//! the generators and [`crate::mutate::apply_batch`]) folds those entries
-//! into the CSR — rebuilding only the chunks that hold an endpoint of a
-//! new edge or a vertex added since the last finalize — so steady-state
-//! traversal touches only contiguous memory.
+//! **One adjacency representation.** Every edge a reader can see is in
+//! the CSR: `add_vertex`, `add_edge` and `finalize` are private to this
+//! crate, and each way a [`Graph`] reaches a caller — [`Graph::new`]
+//! (empty), [`GraphBuilder::build`], the loaders, the generators and
+//! [`crate::mutate::apply_batch`] (and so [`crate::wal::LiveGraph`]) —
+//! finalizes it first. [`Graph::adjacency`] and
+//! [`Graph::adjacency_of_type`] are therefore plain slices, and every
+//! graph a caller holds carries a process-unique finalize epoch. A
+//! finalize rebuilds only the chunks that hold an endpoint of a new edge
+//! or a vertex added since the last one, so a commit costs O(batch).
 
 use crate::cow::{CowVec, CHUNK};
 use crate::fxhash::FxHashSet;
@@ -50,7 +50,7 @@ use crate::value::{Value, ValueType};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifier of a vertex (dense, global across vertex types).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -512,89 +512,6 @@ impl ChunkBuilder {
     }
 }
 
-/// A borrowed view of one vertex's adjacency: the finalized CSR slice
-/// chained with the mutation overlay's tail. Cheap to copy; iterates as
-/// `&AdjEntry` and supports positional indexing so enumeration kernels
-/// can suspend/resume at an edge offset.
-#[derive(Clone, Copy)]
-pub struct AdjView<'a> {
-    base: &'a [AdjEntry],
-    tail: &'a [AdjEntry],
-}
-
-/// Iterator over an [`AdjView`].
-pub type AdjIter<'a> =
-    std::iter::Chain<std::slice::Iter<'a, AdjEntry>, std::slice::Iter<'a, AdjEntry>>;
-
-impl<'a> AdjView<'a> {
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.base.len() + self.tail.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.base.is_empty() && self.tail.is_empty()
-    }
-
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&'a AdjEntry> {
-        if i < self.base.len() {
-            self.base.get(i)
-        } else {
-            self.tail.get(i - self.base.len())
-        }
-    }
-
-    #[inline]
-    pub fn iter(&self) -> AdjIter<'a> {
-        self.base.iter().chain(self.tail.iter())
-    }
-
-    /// Iterates entries starting at position `start` (O(1) setup — used
-    /// by the DFS kernels to resume a partially-walked vertex).
-    #[inline]
-    pub fn iter_from(&self, start: usize) -> AdjIter<'a> {
-        if start <= self.base.len() {
-            self.base[start..].iter().chain(self.tail.iter())
-        } else {
-            let t = (start - self.base.len()).min(self.tail.len());
-            self.base[self.base.len()..].iter().chain(self.tail[t..].iter())
-        }
-    }
-
-    pub fn to_vec(&self) -> Vec<AdjEntry> {
-        self.iter().copied().collect()
-    }
-}
-
-impl Index<usize> for AdjView<'_> {
-    type Output = AdjEntry;
-
-    #[inline]
-    fn index(&self, i: usize) -> &AdjEntry {
-        self.get(i).expect("adjacency index out of range")
-    }
-}
-
-impl<'a> IntoIterator for AdjView<'a> {
-    type Item = &'a AdjEntry;
-    type IntoIter = AdjIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<'a> IntoIterator for &AdjView<'a> {
-    type Item = &'a AdjEntry;
-    type IntoIter = AdjIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// Log₂ degree-histogram buckets: bucket `i` counts vertices whose total
 /// degree has bit length `i` (bucket 0 = isolated vertices, bucket 1 =
 /// degree 1, bucket 2 = degrees 2–3, ...). 33 buckets cover any `u32`
@@ -606,20 +523,21 @@ fn degree_bucket(degree: usize) -> usize {
     ((usize::BITS - degree.leading_zeros()) as usize).min(DEGREE_BUCKETS - 1)
 }
 
-/// Cardinality and degree statistics kept current by [`Graph::finalize`]
+/// Cardinality and degree statistics kept current by each finalize
 /// (which adds what arrived since the previous one — the result equals a
 /// recount from scratch), consumed by the query planner's cost model.
 ///
-/// All numbers describe the finalized topology (the CSR arrays); edges
-/// added to the mutation overlay afterwards are not counted until the
-/// next finalize. Everything is deterministic: the same graph always
+/// All numbers describe the finalized topology (the CSR arrays), which
+/// is all of the graph a caller can hold. Everything is deterministic:
+/// the same graph always
 /// produces the same statistics, which is what keeps cost-based plans —
 /// and therefore query results — reproducible.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
-    /// Identity of the finalized topology: a process-unique, monotone
-    /// token stamped by each [`Graph::finalize`] call (0 = never
-    /// finalized). Plan caches key on this to detect snapshot changes.
+    /// Identity of the finalized topology and schema: a process-unique,
+    /// monotone token stamped by each [`Graph::finalize`] call (0 only
+    /// inside this crate, before a graph's first finalize). Plan caches
+    /// key on this to detect snapshot changes.
     epoch: u64,
     /// Vertex count per [`VTypeId`].
     vertex_counts: Vec<u64>,
@@ -652,7 +570,7 @@ impl GraphStats {
         }
     }
 
-    /// The finalize token (0 = never finalized).
+    /// The finalize token: never 0 on a graph a caller holds.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -722,7 +640,7 @@ impl GraphStats {
 }
 
 /// Process-global source of finalize tokens. Starts at 1 so epoch 0
-/// always means "never finalized".
+/// always means "never finalized", which no graph outside this crate is.
 static FINALIZE_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// The vertices of one type, ascending by id (= insertion order): a
@@ -781,6 +699,40 @@ impl<'a> IntoIterator for VertexList<'a> {
 ///
 /// Cloning is cheap and shares storage with the original (see the module
 /// docs); the clone and the original then diverge copy-on-write.
+///
+/// A graph is built through [`GraphBuilder`] (or a loader, a generator
+/// or [`crate::mutate::apply_batch`]), which finalizes it:
+///
+/// ```
+/// use pgraph::graph::GraphBuilder;
+/// use pgraph::schema::Schema;
+///
+/// let mut s = Schema::new();
+/// s.add_vertex_type("V", vec![]).unwrap();
+/// s.add_edge_type("E", true, vec![]).unwrap();
+/// let mut b = GraphBuilder::new(s);
+/// let (x, y) = (b.vertex("V", &[]).unwrap(), b.vertex("V", &[]).unwrap());
+/// b.edge("E", x, y, &[]).unwrap();
+/// let g = b.build();
+/// assert_eq!(g.adjacency(x).len(), 1);
+/// ```
+///
+/// Outside this crate an edge cannot be added to a graph directly, so no
+/// caller ever holds one whose adjacency lags its edges:
+///
+/// ```compile_fail,E0624
+/// use pgraph::graph::GraphBuilder;
+/// use pgraph::schema::Schema;
+///
+/// let mut s = Schema::new();
+/// s.add_vertex_type("V", vec![]).unwrap();
+/// s.add_edge_type("E", true, vec![]).unwrap();
+/// let mut b = GraphBuilder::new(s);
+/// let (x, y) = (b.vertex("V", &[]).unwrap(), b.vertex("V", &[]).unwrap());
+/// let mut g = b.build();
+/// let e = g.schema().edge_type_id("E").unwrap();
+/// g.add_edge(e, x, y, vec![]).unwrap();
+/// ```
 #[derive(Debug, Clone)]
 pub struct Graph {
     schema: Arc<Schema>,
@@ -791,18 +743,9 @@ pub struct Graph {
     vertex_attrs: Vec<Arc<Columns>>,
     edge_attrs: Vec<Arc<Columns>>,
     strings: Interner,
-    /// Finalized adjacency: chunk `c` covers vertices
+    /// The adjacency: chunk `c` covers vertices
     /// `c * CHUNK..(c + 1) * CHUNK`, up to `finalized_vertices`.
     csr: Vec<Arc<CsrChunk>>,
-    /// The adjacency entries of the edges added since the last finalize,
-    /// per vertex in insertion order (readers chain these after the CSR
-    /// slice). Derived from `edges[finalized_edges..]` by the first read
-    /// that needs it and kept current by `add_edge` from then on; never
-    /// built for a graph that is finalized before it is read.
-    overlay: OnceLock<Vec<Vec<AdjEntry>>>,
-    /// Total entries the overlay holds once derived (0 ⇔ no pending
-    /// edges).
-    overlay_entries: usize,
     /// How many vertices and edges the CSR chunks and `stats` cover: the
     /// counts at the last [`Graph::finalize`].
     finalized_vertices: usize,
@@ -818,9 +761,12 @@ impl Default for Graph {
 }
 
 impl Graph {
-    /// Creates an empty graph over `schema`.
+    /// Creates an empty, finalized graph over `schema`: it has its own
+    /// epoch, and adjacency reads on it are valid.
     pub fn new(schema: Schema) -> Self {
-        Graph::with_schema(Arc::new(schema))
+        let mut g = Graph::with_schema(Arc::new(schema));
+        g.finalize();
+        g
     }
 
     fn with_schema(schema: Arc<Schema>) -> Self {
@@ -835,33 +781,23 @@ impl Graph {
             by_type: vec![CowVec::default(); nvt],
             strings: Interner::default(),
             csr: Vec::new(),
-            overlay: OnceLock::new(),
-            overlay_entries: 0,
             finalized_vertices: 0,
             finalized_edges: 0,
             stats: GraphStats::new(nvt, net),
         }
     }
 
-    /// An empty graph sharing this graph's schema.
+    /// An empty graph sharing this graph's schema, not yet finalized.
     pub(crate) fn empty_like(&self) -> Graph {
         Graph::with_schema(self.schema.clone())
     }
 
-    /// Planner statistics as of the last [`Graph::finalize`] (all zero,
-    /// epoch 0, if the graph was never finalized).
+    /// Planner statistics as of the last finalize.
     pub fn stats(&self) -> &GraphStats {
         &self.stats
     }
 
     pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The schema as shared by this graph, its clones and the graphs
-    /// built from it: one allocation per schema, never mutated, so two
-    /// graphs hold the same `Arc` exactly when they share their schema.
-    pub fn shared_schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
@@ -873,24 +809,15 @@ impl Graph {
         self.edges.len()
     }
 
-    /// Whether every adjacency entry lives in the CSR chunks (no pending
-    /// mutation overlay, no vertex added since the last finalize).
-    pub fn is_finalized(&self) -> bool {
-        self.overlay_entries == 0 && self.finalized_vertices == self.vertices.len()
-    }
-
-    /// Number of adjacency entries currently living in the mutation
-    /// overlay (0 right after [`Graph::finalize`]). Together with the
-    /// stats epoch and the vertex/edge counts this fingerprints the
-    /// adjacency structure.
-    pub fn overlay_entry_count(&self) -> usize {
-        self.overlay_entries
-    }
-
     /// Adds a vertex of type `vt`. `attrs` must match the declared arity
     /// and types (see [`coerce_attr`]); missing trailing values are *not*
-    /// defaulted — use [`GraphBuilder`] for name-based convenience.
-    pub fn add_vertex(&mut self, vt: VTypeId, attrs: Vec<Value>) -> Result<VertexId, GraphError> {
+    /// defaulted — use [`GraphBuilder`] for name-based convenience. Its
+    /// adjacency is readable after the next [`Graph::finalize`].
+    pub(crate) fn add_vertex(
+        &mut self,
+        vt: VTypeId,
+        attrs: Vec<Value>,
+    ) -> Result<VertexId, GraphError> {
         let attrs = self.strings.admit_row(&self.schema.vertex_type(vt).attrs, attrs)?;
         let id = VertexId(self.vertices.len() as u32);
         let local = Arc::make_mut(&mut self.vertex_attrs[vt.0 as usize]).push(attrs);
@@ -901,9 +828,9 @@ impl Graph {
 
     /// Adds an edge of type `et` from `src` to `dst`. For undirected edge
     /// types the (src, dst) order is storage-only; traversal treats both
-    /// endpoints symmetrically. The new adjacency entries land in the
-    /// mutation overlay until the next [`Graph::finalize`].
-    pub fn add_edge(
+    /// endpoints symmetrically. The new adjacency entries are readable
+    /// after the next [`Graph::finalize`].
+    pub(crate) fn add_edge(
         &mut self,
         et: ETypeId,
         src: VertexId,
@@ -935,26 +862,13 @@ impl Graph {
         let id = EdgeId(self.edges.len() as u32);
         let local = Arc::make_mut(&mut self.edge_attrs[et.0 as usize]).push(attrs);
         self.edges.push(EdgeData { etype: et, src, dst, local });
-        // An overlay a reader already derived is kept current, so a
-        // build-and-probe loop pays for the derivation once.
-        let entries = self.endpoint_entries(id);
-        self.overlay_entries += entries.clone().count();
-        if let Some(tails) = self.overlay.get_mut() {
-            tails.resize(self.vertices.len(), Vec::new());
-            for (v, entry) in entries {
-                tails[v.0 as usize].push(entry);
-            }
-        }
         Ok(id)
     }
 
     /// The adjacency entries edge `e` contributes, in the order they
     /// enter their vertices' adjacency: the source's, then the target's
     /// (an undirected self-loop is recorded once).
-    fn endpoint_entries(
-        &self,
-        e: EdgeId,
-    ) -> impl Iterator<Item = (VertexId, AdjEntry)> + Clone + 'static {
+    fn endpoint_entries(&self, e: EdgeId) -> impl Iterator<Item = (VertexId, AdjEntry)> + 'static {
         let EdgeData { etype, src, dst, .. } = self.edges[e.0 as usize];
         let entry = |dir, other| AdjEntry { etype, dir, edge: e, other };
         let entries = if self.schema.edge_type(etype).directed {
@@ -970,35 +884,17 @@ impl Graph {
         (self.finalized_edges as u32..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// `v`'s overlay tail (empty on a finalized graph).
-    #[inline]
-    fn pending(&self, v: usize) -> &[AdjEntry] {
-        if self.overlay_entries == 0 {
-            return &[];
-        }
-        let tails = self.overlay.get_or_init(|| {
-            let mut tails = vec![Vec::new(); self.vertices.len()];
-            for e in self.pending_edges() {
-                for (v, entry) in self.endpoint_entries(e) {
-                    tails[v.0 as usize].push(entry);
-                }
-            }
-            tails
-        });
-        tails.get(v).map_or(&[], Vec::as_slice)
-    }
-
     /// Folds the edges added since the last finalize into the CSR and
     /// brings the statistics up to date under a fresh epoch. Only the CSR
     /// chunks that hold an endpoint of such an edge, or a vertex added
     /// since the last finalize, are rebuilt — O(V + E) for a bulk load,
     /// O(what changed) plus one pass over the chunk spine afterwards —
     /// and the result is the same adjacency, in the same order, as
-    /// finalizing a from-scratch copy of the graph once. Loaders,
-    /// generators, [`GraphBuilder::build`] and
-    /// [`crate::mutate::apply_batch`] call this so query execution sees
-    /// flat, type-grouped adjacency.
-    pub fn finalize(&mut self) {
+    /// finalizing a from-scratch copy of the graph once. [`Graph::new`],
+    /// the loaders, the generators, [`GraphBuilder::build`] and
+    /// [`crate::mutate::apply_batch`] call this before a graph leaves
+    /// the crate, so every reader sees flat, type-grouped adjacency.
+    pub(crate) fn finalize(&mut self) {
         let nv = self.vertices.len();
         let net = self.schema.edge_type_count();
         let chunks = nv.div_ceil(CHUNK);
@@ -1079,8 +975,6 @@ impl Graph {
         }
         s.epoch = FINALIZE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.strings = Interner::default();
-        self.overlay = OnceLock::new();
-        self.overlay_entries = 0;
         self.finalized_vertices = nv;
         self.finalized_edges = self.edges.len();
     }
@@ -1157,40 +1051,43 @@ impl Graph {
         Ok(())
     }
 
-    /// `v`'s finalized adjacency slice (empty if the CSR does not cover
-    /// it yet).
+    /// The CSR chunk holding vertex `v` (`None` past the last vertex).
+    /// Every adjacency read goes through here; they are valid only on a
+    /// finalized graph, which every graph outside this crate is.
     #[inline]
-    fn csr_slice(&self, v: usize) -> &[AdjEntry] {
-        match self.csr.get(v / CHUNK) {
-            Some(chunk) => chunk.vertex_slice(v % CHUNK),
-            None => &[],
+    fn csr_chunk(&self, v: usize) -> Option<&CsrChunk> {
+        debug_assert!(
+            self.finalized_vertices == self.vertices.len()
+                && self.finalized_edges == self.edges.len(),
+            "adjacency read on a graph with unfinalized vertices or edges"
+        );
+        self.csr.get(v / CHUNK).map(Arc::as_ref)
+    }
+
+    /// `v`'s CSR slice: all its entries, or its `etype` group.
+    #[inline]
+    fn csr_slice(&self, v: usize, etype: Option<ETypeId>) -> &[AdjEntry] {
+        match (self.csr_chunk(v), etype) {
+            (None, _) => &[],
+            (Some(chunk), None) => chunk.vertex_slice(v % CHUNK),
+            (Some(chunk), Some(t)) => {
+                chunk.type_slice(v % CHUNK, t.0 as usize, self.schema.edge_type_count())
+            }
         }
     }
 
-    /// All adjacency entries of `v`: the finalized CSR slice chained with
-    /// any overlay tail. On a finalized graph the tail is empty and
-    /// iteration is a single contiguous scan.
+    /// All adjacency entries of `v`: one contiguous slice, grouped by
+    /// edge type, then `Out < Und < In`, then edge id.
     #[inline]
-    pub fn adjacency(&self, v: VertexId) -> AdjView<'_> {
-        let i = v.0 as usize;
-        AdjView { base: self.csr_slice(i), tail: self.pending(i) }
+    pub fn adjacency(&self, v: VertexId) -> &[AdjEntry] {
+        self.csr_slice(v.0 as usize, None)
     }
 
-    /// Adjacency entries of `v` with edge type `etype` — a direct slice
-    /// lookup on a finalized graph (plus a filtered overlay tail
-    /// otherwise).
-    pub fn adjacency_of_type(
-        &self,
-        v: VertexId,
-        etype: ETypeId,
-    ) -> impl Iterator<Item = &AdjEntry> {
-        let i = v.0 as usize;
-        let ntypes = self.schema.edge_type_count();
-        let base = match self.csr.get(i / CHUNK) {
-            Some(chunk) => chunk.type_slice(i % CHUNK, etype.0 as usize, ntypes),
-            None => &[],
-        };
-        base.iter().chain(self.pending(i).iter().filter(move |a| a.etype == etype))
+    /// Adjacency entries of `v` with edge type `etype`: `v`'s type group,
+    /// a slice of [`Graph::adjacency`].
+    #[inline]
+    pub fn adjacency_of_type(&self, v: VertexId, etype: ETypeId) -> &[AdjEntry] {
+        self.csr_slice(v.0 as usize, Some(etype))
     }
 
     /// All vertices of type `vt`, in insertion order.
@@ -1215,15 +1112,14 @@ impl Graph {
         group.partition_point(|a| dir_rank(a.dir) < below)
     }
 
-    /// `v`'s finalized type groups — the one for `etype`, or all of them
-    /// (empty slices if the CSR does not cover `v` yet).
+    /// `v`'s type groups — the one for `etype`, or all of them.
     fn csr_groups(
         &self,
         v: usize,
         etype: Option<ETypeId>,
     ) -> impl Iterator<Item = &[AdjEntry]> + '_ {
         let ntypes = self.schema.edge_type_count();
-        let chunk = self.csr.get(v / CHUNK);
+        let chunk = self.csr_chunk(v);
         let types = match etype {
             Some(t) => t.0 as usize..t.0 as usize + 1,
             None => 0..ntypes,
@@ -1234,31 +1130,16 @@ impl Graph {
     /// GSQL's `v.outdegree()`: number of edges leaving `v` (directed out
     /// plus undirected incident). With `etype`, restricted to that type.
     pub fn outdegree(&self, v: VertexId, etype: Option<ETypeId>) -> usize {
-        let i = v.0 as usize;
-        // CSR part: per type group, `Out` + `Und` entries form the prefix
-        // before the first `In` entry.
-        let base: usize = self.csr_groups(i, etype).map(|g| Self::rank_prefix(g, 2)).sum();
-        let tail = self
-            .pending(i)
-            .iter()
-            .filter(|a| a.dir != Dir::In && etype.is_none_or(|t| a.etype == t))
-            .count();
-        base + tail
+        // Per type group, `Out` + `Und` entries form the prefix before the
+        // first `In` entry.
+        self.csr_groups(v.0 as usize, etype).map(|g| Self::rank_prefix(g, 2)).sum()
     }
 
     /// Number of edges entering `v` (directed in plus undirected incident).
     pub fn indegree(&self, v: VertexId, etype: Option<ETypeId>) -> usize {
-        let i = v.0 as usize;
-        // CSR part: `Und` + `In` entries form the suffix at and after the
-        // first non-`Out` entry.
-        let base: usize =
-            self.csr_groups(i, etype).map(|g| g.len() - Self::rank_prefix(g, 1)).sum();
-        let tail = self
-            .pending(i)
-            .iter()
-            .filter(|a| a.dir != Dir::Out && etype.is_none_or(|t| a.etype == t))
-            .count();
-        base + tail
+        // `Und` + `In` entries form the suffix at and after the first
+        // non-`Out` entry.
+        self.csr_groups(v.0 as usize, etype).map(|g| g.len() - Self::rank_prefix(g, 1)).sum()
     }
 
     /// Total degree of `v`.
@@ -1359,16 +1240,11 @@ impl GraphBuilder {
         self.graph.add_edge(et, src, dst, row)
     }
 
-    /// Finishes building: folds the mutation overlay into the flat CSR
-    /// arrays and returns the finalized graph.
+    /// Finishes building: lays the added edges out in the CSR and
+    /// returns the finalized graph.
     pub fn build(mut self) -> Graph {
         self.graph.finalize();
         self.graph
-    }
-
-    /// Read access to the graph under construction.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
     }
 }
 
@@ -1398,6 +1274,7 @@ mod tests {
         let a = g.add_vertex(vt, vec![Value::from("a")]).unwrap();
         let b = g.add_vertex(vt, vec![Value::from("b")]).unwrap();
         let e = g.add_edge(et, a, b, vec![]).unwrap();
+        g.finalize();
         assert_eq!(
             g.adjacency(a).to_vec(),
             vec![AdjEntry { etype: et, dir: Dir::Out, edge: e, other: b }]
@@ -1419,6 +1296,7 @@ mod tests {
         let a = g.add_vertex(vt, vec![Value::from("a")]).unwrap();
         let b = g.add_vertex(vt, vec![Value::from("b")]).unwrap();
         g.add_edge(et, a, b, vec![Value::Int(2016)]).unwrap();
+        g.finalize();
         assert_eq!(g.adjacency(a)[0].dir, Dir::Und);
         assert_eq!(g.adjacency(b)[0].dir, Dir::Und);
         assert_eq!(g.adjacency(a)[0].other, b);
@@ -1435,9 +1313,9 @@ mod tests {
         let et = g.schema().edge_type_id("Knows").unwrap();
         let a = g.add_vertex(vt, vec![Value::from("a")]).unwrap();
         g.add_edge(et, a, a, vec![Value::Int(0)]).unwrap();
-        assert_eq!(g.adjacency(a).len(), 1);
         g.finalize();
         assert_eq!(g.adjacency(a).len(), 1);
+        assert_eq!((g.outdegree(a, None), g.indegree(a, None)), (1, 1));
     }
 
     #[test]
@@ -1494,7 +1372,7 @@ mod tests {
         let c = b.vertex("Person", &[]).unwrap();
         b.edge("Knows", a, c, &[("since", Value::Int(2020))]).unwrap();
         let g = b.build();
-        assert!(g.is_finalized());
+        assert_eq!(g.adjacency(a).len(), 1);
         assert_eq!(g.vertex_attr_by_name(c, "name").as_deref(), Some(&Value::from("")));
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.edge_count(), 1);
@@ -1670,20 +1548,48 @@ mod tests {
         g
     }
 
+    /// `g` built from scratch: its vertices and edges re-added in id
+    /// order to an empty graph, then finalized once.
+    fn rebuilt(g: &Graph) -> Graph {
+        let mut out = g.empty_like();
+        for v in g.vertices() {
+            let vt = g.vertex_type_of(v);
+            let n = g.schema().vertex_type(vt).attrs.len();
+            out.add_vertex(vt, (0..n).map(|i| g.vertex_attr(v, i).into_owned()).collect())
+                .unwrap();
+        }
+        for e in g.edges() {
+            let et = g.edge_type_of(e);
+            let n = g.schema().edge_type(et).attrs.len();
+            let (s, t) = g.edge_endpoints(e);
+            out.add_edge(et, s, t, (0..n).map(|i| g.edge_attr(e, i).into_owned()).collect())
+                .unwrap();
+        }
+        out.finalize();
+        out
+    }
+
+    /// Every vertex's adjacency in `g` is the one a from-scratch build
+    /// gives, entry for entry, and holds the entries `naive_adjacency`
+    /// derives from the edge store.
+    fn assert_adjacency_matches_rebuild(g: &Graph, ctx: &str) {
+        let (fresh, naive) = (rebuilt(g), naive_adjacency(g));
+        for v in g.vertices() {
+            assert_eq!(g.adjacency(v), fresh.adjacency(v), "{ctx}: order of {v:?}");
+            let mut got = g.adjacency(v).to_vec();
+            got.sort_by_key(|a| (a.edge, a.dir as u8));
+            let mut want = naive[v.0 as usize].clone();
+            want.sort_by_key(|a| (a.edge, a.dir as u8));
+            assert_eq!(got, want, "{ctx}: entries of {v:?}");
+        }
+        assert_eq!(g.stats().sans_epoch(), fresh.stats().sans_epoch(), "{ctx}: stats");
+    }
+
     #[test]
     fn finalize_preserves_entry_sets_and_degrees() {
         let mut g = scrambled_graph();
         let naive = naive_adjacency(&g);
-        // Pre-finalize: overlay order is exactly insertion order.
-        for v in g.vertices() {
-            assert_eq!(g.adjacency(v).to_vec(), naive[v.0 as usize]);
-        }
-        let degrees: Vec<(usize, usize, usize)> = g
-            .vertices()
-            .map(|v| (g.outdegree(v, None), g.indegree(v, None), g.degree(v)))
-            .collect();
         g.finalize();
-        assert!(g.is_finalized());
         for v in g.vertices() {
             // Same entries (as a set) after grouping.
             let mut got = g.adjacency(v).to_vec();
@@ -1700,12 +1606,12 @@ mod tests {
             let mut sorted = keys.clone();
             sorted.sort();
             assert_eq!(keys, sorted, "CSR slice not grouped for {v:?}");
+            // Degrees answered from the groups count the model's entries.
+            let model = &naive[v.0 as usize];
+            assert_eq!(g.outdegree(v, None), model.iter().filter(|a| a.dir != Dir::In).count());
+            assert_eq!(g.indegree(v, None), model.iter().filter(|a| a.dir != Dir::Out).count());
+            assert_eq!(g.degree(v), model.len());
         }
-        let after: Vec<(usize, usize, usize)> = g
-            .vertices()
-            .map(|v| (g.outdegree(v, None), g.indegree(v, None), g.degree(v)))
-            .collect();
-        assert_eq!(degrees, after);
     }
 
     #[test]
@@ -1716,7 +1622,7 @@ mod tests {
         let knows = g.schema().edge_type_id("Knows").unwrap();
         for v in g.vertices() {
             for et in [follows, knows] {
-                let typed: Vec<AdjEntry> = g.adjacency_of_type(v, et).copied().collect();
+                let typed = g.adjacency_of_type(v, et).to_vec();
                 let filtered: Vec<AdjEntry> = g
                     .adjacency(v)
                     .iter()
@@ -1737,45 +1643,31 @@ mod tests {
     }
 
     #[test]
-    fn mutation_after_finalize_lands_in_overlay() {
+    fn mutation_after_finalize_lands_on_refinalize() {
         let mut g = scrambled_graph();
         g.finalize();
         let vt = g.schema().vertex_type_id("Person").unwrap();
         let follows = g.schema().edge_type_id("Follows").unwrap();
-        let nv = g.add_vertex(vt, vec![Value::from("late")]).unwrap();
         let v0 = VertexId(0);
         let before = g.adjacency(v0).len();
+        let nv = g.add_vertex(vt, vec![Value::from("late")]).unwrap();
         let e = g.add_edge(follows, v0, nv, vec![]).unwrap();
-        assert!(!g.is_finalized());
-        // Readers see the new entry chained after the CSR slice.
-        assert_eq!(g.adjacency(v0).len(), before + 1);
-        assert_eq!(g.adjacency(v0)[before], AdjEntry {
-            etype: follows,
-            dir: Dir::Out,
-            edge: e,
-            other: nv
-        });
-        assert_eq!(g.adjacency(nv).to_vec(), vec![AdjEntry {
-            etype: follows,
-            dir: Dir::In,
-            edge: e,
-            other: v0
-        }]);
-        assert_eq!(g.outdegree(v0, Some(follows)), {
-            let naive = naive_adjacency(&g);
-            naive[0].iter().filter(|a| a.dir != Dir::In && a.etype == follows).count()
-        });
-        // Re-finalize folds it in.
         g.finalize();
-        assert!(g.is_finalized());
-        assert_eq!(g.adjacency(v0).len(), before + 1);
-        assert_eq!(g.adjacency(nv).len(), 1);
+        // The new entry closes v0's Follows/Out run, ahead of its In run.
+        let adj = g.adjacency(v0);
+        assert_eq!(adj.len(), before + 1);
+        let at = adj.iter().position(|a| a.edge == e).unwrap();
+        assert_eq!(adj[at], AdjEntry { etype: follows, dir: Dir::Out, edge: e, other: nv });
+        assert_eq!(adj[at + 1].dir, Dir::In);
+        let back = AdjEntry { etype: follows, dir: Dir::In, edge: e, other: v0 };
+        assert_eq!(g.adjacency(nv), [back]);
+        assert_adjacency_matches_rebuild(&g, "one late edge");
     }
 
     #[test]
     fn reads_between_adds_see_every_pending_edge() {
-        // A reader derives the overlay; later adds must keep it current,
-        // for old and for newly added vertices alike.
+        // Old and newly added vertices alike: every finalize between adds
+        // leaves the adjacency a from-scratch build gives.
         let mut g = scrambled_graph();
         g.finalize();
         let vt = g.schema().vertex_type_id("Person").unwrap();
@@ -1785,25 +1677,19 @@ mod tests {
             let nv = g.add_vertex(vt, vec![Value::from(format!("late{i}"))]).unwrap();
             g.add_edge(follows, VertexId(i), nv, vec![]).unwrap();
             g.add_edge(knows, nv, nv, vec![Value::Int(1)]).unwrap();
-            let naive = naive_adjacency(&g);
-            for v in g.vertices() {
-                let mut got = g.adjacency(v).to_vec();
-                got.sort_by_key(|a| (a.edge, a.dir as u8));
-                let mut want = naive[v.0 as usize].clone();
-                want.sort_by_key(|a| (a.edge, a.dir as u8));
-                assert_eq!(got, want, "after add {i}, {v:?}");
-            }
-            assert_eq!(g.overlay_entry_count(), 3 * (i as usize + 1));
+            g.finalize();
+            assert_adjacency_matches_rebuild(&g, &format!("after add {i}"));
         }
     }
 
     #[test]
     fn finalize_collects_planner_stats() {
         let mut g = scrambled_graph();
-        assert_eq!(g.stats().epoch(), 0, "unfinalized graph has no stats epoch");
+        let new_epoch = g.stats().epoch();
+        assert!(new_epoch > 0, "a new graph has its own epoch");
         g.finalize();
         let first_epoch = g.stats().epoch();
-        assert!(first_epoch > 0);
+        assert!(first_epoch > new_epoch);
         let vt = g.schema().vertex_type_id("Person").unwrap();
         let follows = g.schema().edge_type_id("Follows").unwrap();
         let knows = g.schema().edge_type_id("Knows").unwrap();
@@ -1837,22 +1723,25 @@ mod tests {
 
     #[test]
     fn adjview_indexing_and_iter_from() {
+        // A kernel suspends at an offset into a vertex's slice and resumes
+        // there: after an incremental finalize, offsets into the full and
+        // the typed slices address the entries a from-scratch build has.
         let mut g = scrambled_graph();
         g.finalize();
         let vt = g.schema().vertex_type_id("Person").unwrap();
         let follows = g.schema().edge_type_id("Follows").unwrap();
         let nv = g.add_vertex(vt, vec![Value::from("late")]).unwrap();
         g.add_edge(follows, VertexId(0), nv, vec![]).unwrap();
-        let view = g.adjacency(VertexId(0));
-        let all = view.to_vec();
-        assert_eq!(view.len(), all.len());
-        for i in 0..all.len() {
-            assert_eq!(view[i], all[i]);
-            let rest: Vec<AdjEntry> = view.iter_from(i).copied().collect();
-            assert_eq!(rest, all[i..].to_vec());
+        g.finalize();
+        let fresh = rebuilt(&g);
+        for v in g.vertices() {
+            let (all, want) = (g.adjacency(v), fresh.adjacency(v));
+            for i in 0..=all.len() {
+                assert_eq!(all[i..], want[i..], "{v:?} from {i}");
+            }
+            let typed = g.adjacency_of_type(v, follows);
+            let start = all.iter().position(|a| a.etype == follows).unwrap_or(0);
+            assert_eq!(typed, &all[start..start + typed.len()]);
         }
-        assert_eq!(view.iter_from(all.len()).count(), 0);
-        assert_eq!(view.iter_from(all.len() + 7).count(), 0);
-        assert!(view.get(all.len()).is_none());
     }
 }

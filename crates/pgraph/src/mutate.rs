@@ -11,7 +11,7 @@
 //! **Cost.** A batch of inserts and attribute updates costs O(batch): the
 //! graph it is applied to shares its storage with the snapshot it was
 //! cloned from (see [`crate::graph`]), each write copies only the store
-//! chunk it lands in, and the closing [`Graph::finalize`] rebuilds only
+//! chunk it lands in, and the closing finalize rebuilds only
 //! the CSR chunks holding a touched vertex. The result is nevertheless
 //! fully finalized, and identical — adjacency order included — to a
 //! from-scratch build of the same logical graph, which is what makes WAL
@@ -62,14 +62,15 @@ impl BatchSummary {
 /// published snapshot) as one atomic batch. On error the graph must be
 /// discarded — it may hold a prefix of the batch.
 ///
-/// The returned graph is always finalized: readers of the next published
-/// snapshot pay zero overlay-chasing cost.
+/// Either way `g` is left finalized, like every graph outside this
+/// crate: all of its edges are in the CSR, and it has a fresh epoch.
+/// Only the CSR chunks the batch touched are rebuilt.
 pub fn apply_batch(g: &mut Graph, ops: &[MutationOp]) -> Result<BatchSummary, GraphError> {
     let mut summary = BatchSummary::default();
     let mut dead_vertices: Vec<bool> = Vec::new();
     let mut dead_edges: Vec<bool> = Vec::new();
 
-    for op in ops {
+    let applied = ops.iter().try_for_each(|op| {
         match op {
             MutationOp::AddVertex { vtype, attrs } => {
                 if vtype.0 as usize >= g.schema().vertex_type_count() {
@@ -110,6 +111,13 @@ pub fn apply_batch(g: &mut Graph, ops: &[MutationOp]) -> Result<BatchSummary, Gr
                 mark(&mut dead_edges, e.0 as usize);
             }
         }
+        Ok(())
+    });
+    if let Err(e) = applied {
+        // Even a failed batch leaves a readable graph: none leaves this
+        // crate with edges outside the CSR.
+        g.finalize();
+        return Err(e);
     }
 
     if dead_vertices.iter().any(|&d| d) || dead_edges.iter().any(|&d| d) {
@@ -221,7 +229,7 @@ mod tests {
         assert_eq!(s.inserted_vertices, 2);
         assert_eq!(s.inserted_edges, 1);
         assert_eq!(g.vertex_count(), base_v + 2);
-        assert!(g.is_finalized());
+        assert_eq!(g.adjacency(VertexId(base_v as u32)).len(), 1);
     }
 
     #[test]
@@ -241,7 +249,22 @@ mod tests {
         for v in g.vertices() {
             let _ = g.vertex_type_of(v);
         }
-        assert!(g.is_finalized());
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_a_readable_graph() {
+        // The batch fails after adding an edge; the graph it leaves is to
+        // be discarded, but reading it is still valid and sees the edge.
+        let mut g = sales_graph();
+        let likes = g.schema().edge_type_id("Likes").unwrap();
+        let (v0, v1) = (VertexId(0), VertexId(1));
+        let before = g.adjacency(v0).len();
+        let ops = [
+            MutationOp::AddEdge { etype: likes, src: v0, dst: v1, attrs: vec![] },
+            MutationOp::DeleteVertex { v: VertexId(u32::MAX) },
+        ];
+        assert!(apply_batch(&mut g, &ops).is_err());
+        assert_eq!(g.adjacency(v0).len(), before + 1);
     }
 
     #[test]
@@ -457,7 +480,7 @@ mod tests {
                 let degrees = types
                     .iter()
                     .map(|&t| {
-                        let typed = t.map_or(g.degree(v), |t| g.adjacency_of_type(v, t).count());
+                        let typed = t.map_or(g.degree(v), |t| g.adjacency_of_type(v, t).len());
                         (g.outdegree(v, t), g.indegree(v, t), typed)
                     })
                     .collect();
@@ -470,7 +493,6 @@ mod tests {
     /// from-scratch build of its serialisation gives: bytes, adjacency
     /// order, degrees, statistics.
     fn assert_equals_rebuild(g: &Graph) -> Result<(), TestCaseError> {
-        prop_assert!(g.is_finalized());
         let bytes = save_to_string(g).unwrap();
         let rebuilt = load_from_string(&bytes).unwrap();
         prop_assert_eq!(&save_to_string(&rebuilt).unwrap(), &bytes);

@@ -690,8 +690,6 @@ impl LiveGraph {
                 }
             }
             // Fresh directory: seed it so the state is self-contained.
-            let mut seed = seed;
-            seed.finalize();
             write_checkpoint_file(&cur, &seed, 0).map_err(|e| RecoveryError::Io(e.to_string()))?;
             report.checkpoint = "fresh".into();
             (seed, 0)
@@ -1179,7 +1177,6 @@ mod tests {
         assert_eq!((rep.checkpoint.as_str(), rep.frames_replayed), ("prev", 2));
         assert_eq!(save_to_string(&live2.snapshot()).unwrap(), expect);
         assert_eq!(adjacency_lists(&live2.snapshot()), expect_adjacency);
-        assert!(live2.snapshot().is_finalized());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -380,8 +380,9 @@ proptest! {
             let mut g2 = g.clone();
             let e0 = g2.edges().next().unwrap();
             let (s, t) = g2.edge_endpoints(e0);
-            let et = g2.edge_type_of(e0);
-            g2.add_edge(et, s, t, vec![]).unwrap();
+            let etype = g2.edge_type_of(e0);
+            apply_batch(&mut g2, &[MutationOp::AddEdge { etype, src: s, dst: t, attrs: vec![] }])
+                .unwrap();
             let after = pgraph::algo::count_shortest_paths(&g2, src, dst);
             match (before, after) {
                 (Some((d1, c1)), Some((d2, c2))) => {

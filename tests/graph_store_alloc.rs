@@ -14,7 +14,7 @@
 
 #![allow(unsafe_code)]
 
-use pgraph::graph::{Graph, VertexId};
+use pgraph::graph::{Graph, GraphBuilder, VertexId};
 use pgraph::mutate::{apply_batch, MutationOp};
 use pgraph::schema::{AttrDef, Schema};
 use pgraph::value::{Value, ValueType};
@@ -91,20 +91,18 @@ fn schema() -> Schema {
 }
 
 fn build(n: usize) -> Graph {
-    let mut g = Graph::new(schema());
-    let vt = g.schema().vertex_type_id("Message").unwrap();
+    let mut b = GraphBuilder::new(schema());
     for i in 0..n as i64 {
-        let row = vec![
-            Value::Int(i),
-            Value::Int(i % 300),
-            Value::DateTime(1_300_000_000 + i),
-            Value::from(BROWSERS[i as usize % 4]),
-            Value::Bool(i % 3 == 0),
+        let row = [
+            ("id", Value::Int(i)),
+            ("length", Value::Int(i % 300)),
+            ("creationDate", Value::DateTime(1_300_000_000 + i)),
+            ("browser", Value::from(BROWSERS[i as usize % 4])),
+            ("isPost", Value::Bool(i % 3 == 0)),
         ];
-        g.add_vertex(vt, row).unwrap();
+        b.vertex("Message", &row).unwrap();
     }
-    g.finalize();
-    g
+    b.build()
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! Inputs are small random mixed graphs (two directed edge types, one
 //! undirected) and random DARPEs with wildcards, alternation,
 //! concatenation and bounded and unbounded repetition. Each graph runs
-//! twice: finalized, and with extra edges left in the mutation overlay.
+//! twice: as built, and after a commit of extra edges, whose incremental
+//! finalize rebuilds only the CSR chunks those edges touch.
 //! One [`Kernel`] serves every source of a graph, so state left behind
 //! by one kernel call shows up in the next; a many-source hop through
 //! the engine at parallelism {1, 4} × morsel size {1, 1024} covers the
@@ -17,22 +18,21 @@ use darpe::CompiledDarpe;
 use gsql_core::governor::QueryGuard;
 use gsql_core::semantics::{Kernel, MatchStats, PathSemantics, ReachMap};
 use gsql_core::Engine;
-use pgraph::graph::{Dir, EdgeId, Graph, VertexId};
-use pgraph::schema::ETypeId;
-use std::collections::{BTreeMap, BTreeSet};
+use pgraph::graph::{Graph, VertexId};
+use std::collections::BTreeMap;
 
 #[path = "common/random_graphs.rs"]
 mod random_graphs;
 use random_graphs::{random_graphs, Rng};
+#[path = "common/walks.rs"]
+mod walks;
+use walks::{walks, Legal};
 
 /// Generated cases.
 const CASES: u64 = 500;
 /// Longest walk the shortest-path oracle enumerates; kernel targets
 /// farther away than this are left unchecked by it.
 const MAX_WALK: usize = 5;
-/// Walk prefixes the oracle extends per source and semantics before it
-/// gives up on that comparison (simple walks grow exponentially).
-const WALK_BUDGET: u64 = 20_000;
 
 /// A random DARPE over `A`, `B` (directed) and `U` (undirected).
 fn random_darpe(rng: &mut Rng, depth: u32) -> String {
@@ -50,101 +50,6 @@ fn random_darpe(rng: &mut Rng, depth: u32) -> String {
         }
         _ => format!("({a})*"),
     }
-}
-
-/// Which walks a semantics makes legal.
-#[derive(Clone, Copy)]
-enum Legal {
-    Any,
-    NoRepeatedEdge,
-    NoRepeatedVertex,
-}
-
-/// The NFA's ε-closed state set after reading `(et, dir)` from `set`.
-fn nfa_step(nfa: &CompiledDarpe, set: &BTreeSet<u32>, et: ETypeId, dir: Dir) -> BTreeSet<u32> {
-    let mut next = BTreeSet::new();
-    for &s in set {
-        for &(spec, t) in nfa.transitions(s) {
-            if spec.matches(et, dir) {
-                next.insert(t);
-            }
-        }
-    }
-    nfa.eps_close(&mut next);
-    next
-}
-
-/// Calls `accept(target, length)` for every legal walk of at most
-/// `max_len` edges from `src` that the NFA accepts. Prefixes on which
-/// the NFA has no live state are cut: no extension of them is accepted.
-/// Returns false if the walks outnumber [`WALK_BUDGET`].
-fn walks(
-    g: &Graph,
-    nfa: &CompiledDarpe,
-    src: VertexId,
-    max_len: usize,
-    legal: Legal,
-    accept: &mut dyn FnMut(VertexId, usize),
-) -> bool {
-    struct Walk<'w> {
-        g: &'w Graph,
-        nfa: &'w CompiledDarpe,
-        max_len: usize,
-        legal: Legal,
-        word: Vec<(ETypeId, Dir)>,
-        edges: Vec<EdgeId>,
-        vertices: Vec<VertexId>,
-        budget: u64,
-    }
-    fn go(
-        w: &mut Walk<'_>,
-        v: VertexId,
-        set: &BTreeSet<u32>,
-        accept: &mut dyn FnMut(VertexId, usize),
-    ) {
-        if w.budget == 0 {
-            return;
-        }
-        w.budget -= 1;
-        if w.nfa.matches_word(&w.word) {
-            accept(v, w.word.len());
-        }
-        if w.word.len() == w.max_len {
-            return;
-        }
-        for a in w.g.adjacency(v) {
-            let legal = match w.legal {
-                Legal::Any => true,
-                Legal::NoRepeatedEdge => !w.edges.contains(&a.edge),
-                Legal::NoRepeatedVertex => !w.vertices.contains(&a.other),
-            };
-            let next = nfa_step(w.nfa, set, a.etype, a.dir);
-            if !legal || next.is_empty() {
-                continue;
-            }
-            w.word.push((a.etype, a.dir));
-            w.edges.push(a.edge);
-            w.vertices.push(a.other);
-            go(w, a.other, &next, accept);
-            w.word.pop();
-            w.edges.pop();
-            w.vertices.pop();
-        }
-    }
-    let mut start = BTreeSet::from([nfa.start()]);
-    nfa.eps_close(&mut start);
-    let mut w = Walk {
-        g,
-        nfa,
-        max_len,
-        legal,
-        word: Vec::new(),
-        edges: Vec::new(),
-        vertices: vec![src],
-        budget: WALK_BUDGET,
-    };
-    go(&mut w, src, &start, accept);
-    w.budget > 0
 }
 
 type Reach = BTreeMap<VertexId, (u32, u64)>;
@@ -302,12 +207,12 @@ fn kernels_agree_with_brute_force_walks() {
     let mut rng = Rng(0x05EE_D0F0_AC1E);
     let mut tally = Tally::default();
     for case in 0..CASES {
-        let (finalized, pending) = random_graphs(&mut rng);
+        let (built, committed) = random_graphs(&mut rng);
         let text = random_darpe(&mut rng, 3);
         // A single-symbol pattern is a plain edge hop in the engine, not
         // a kernel call.
         let kleene = darpe::parse(&text).unwrap().as_single_symbol().is_none();
-        for g in [&finalized, &pending] {
+        for g in [&built, &committed] {
             let counted = check_kernels(g, &text, &mut tally);
             if kleene && case % 5 == 0 {
                 check_engine(g, &text, &counted);

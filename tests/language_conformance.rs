@@ -1063,8 +1063,8 @@ fn an_unknown_edge_type_fails_the_hop_that_runs() {
     }
 }
 
-/// A never-finalized graph over `V` with edge types `types` (declared in
-/// that order, so their ids differ between orders) and the edges
+/// A graph over `V` with edge types `types` (declared in that order, so
+/// their ids differ between orders) and the edges
 /// `v0 -E-> v1 -F-> v2 -F-> v3`.
 fn numbered_graph(types: [&str; 2]) -> pgraph::graph::Graph {
     let mut s = pgraph::schema::Schema::new();
@@ -1073,23 +1073,21 @@ fn numbered_graph(types: [&str; 2]) -> pgraph::graph::Graph {
     for t in types {
         s.add_edge_type(t, true, vec![]).unwrap();
     }
-    let mut g = pgraph::graph::Graph::new(s);
-    let vt = g.schema().vertex_type_id("V").unwrap();
+    let mut b = pgraph::graph::GraphBuilder::new(s);
     let v: Vec<_> = (0..4)
-        .map(|i| g.add_vertex(vt, vec![Value::from(format!("v{i}"))]).unwrap())
+        .map(|i| b.vertex("V", &[("name", Value::from(format!("v{i}")))]).unwrap())
         .collect();
-    for (t, a, b) in [("E", 0, 1), ("F", 1, 2), ("F", 2, 3)] {
-        let et = g.schema().edge_type_id(t).unwrap();
-        g.add_edge(et, v[a], v[b], vec![]).unwrap();
+    for (t, x, y) in [("E", 0, 1), ("F", 1, 2), ("F", 2, 3)] {
+        b.edge(t, v[x], v[y], &[]).unwrap();
     }
-    g
+    b.build()
 }
 
-
-/// One prepared statement run on two never-finalized graphs (both at
-/// finalize epoch 0) whose schemas number their edge types differently:
-/// each run answers as a fresh run on its own graph, so the cached plan,
-/// whose hops are resolved against one schema, never runs on the other.
+/// One prepared statement run on two graphs whose schemas number their
+/// edge types differently: each run answers as a fresh run on its own
+/// graph, so the cached plan, whose hops are resolved against one
+/// schema, never runs on the other. The plan slot tells them apart by
+/// finalize epoch alone.
 #[test]
 fn one_prepared_plan_on_two_schemas() {
     let src = "CREATE QUERY two () {
@@ -1100,7 +1098,7 @@ fn one_prepared_plan_on_two_schemas() {
       PRINT @@ends;
     }";
     let (a, b) = (numbered_graph(["E", "F"]), numbered_graph(["F", "E"]));
-    assert_eq!((a.stats().epoch(), b.stats().epoch()), (0, 0));
+    assert_ne!(a.stats().epoch(), b.stats().epoch());
     let prepared = gsql_core::PreparedQuery::prepare(src).unwrap();
     for g in [&a, &b, &a] {
         let engine = Engine::new(g);
@@ -1108,5 +1106,36 @@ fn one_prepared_plan_on_two_schemas() {
         assert_eq!(fresh.prints[0], "@@n = 3");
         let cached = engine.run_prepared(&prepared, &[]).unwrap();
         assert_eq!(cached.prints, fresh.prints);
+    }
+}
+
+/// An aggregate takes one argument (`count(*)` aside). `count`, `sum`
+/// and `avg` of any other arity fail, with GROUP BY or without, with one
+/// message that names the arity; `min` and `max` of two arguments are
+/// the scalar builtins, of one the aggregates.
+#[test]
+fn aggregate_arity_has_one_rule() {
+    let g = pgraph::generators::diamond_chain(30).0;
+    let v1 = r#"FROM V:s WHERE s.name == "v1""#;
+    let bad = [
+        (format!("SELECT s.name, sum(1, 100) AS t INTO T {v1} GROUP BY s.name"), "`sum`", 2),
+        (format!("SELECT s.name, sum(1, 100) AS t INTO T {v1}"), "`sum`", 2),
+        (format!("SELECT s.name, count() AS t INTO T {v1}"), "`count`", 0),
+    ];
+    let scalar = r#"CREATE QUERY Q () {
+      SELECT s.name, max(1, 100) AS m, min(s.name) AS n, count(*) AS c INTO T
+      FROM V:s WHERE s.name == "v1" GROUP BY s.name;
+    }"#;
+    for parallelism in [1, 4] {
+        let eng = Engine::new(&g).with_parallelism(parallelism).with_morsel_size(1);
+        for (block, func, arity) in &bad {
+            let src = format!("CREATE QUERY Q () {{ {block}; }}");
+            let err = eng.run_text(&src, &[]).unwrap_err();
+            let msg = format!("aggregate {func} takes one argument, got {arity}");
+            assert!(err.to_string().contains(&msg), "p{parallelism}: {err}\n{src}");
+        }
+        let out = eng.run_text(scalar, &[]).unwrap();
+        let row = [Value::from("v1"), Value::Int(100), Value::from("v1"), Value::Int(1)];
+        assert_eq!(out.table("T").unwrap().rows, vec![row.to_vec()], "p{parallelism}");
     }
 }

@@ -92,8 +92,9 @@ fn example7_pagerank_matches_native() {
     // Give vertex 0 an out-edge: like real GSQL, the POST_ACCUM of Figure 4
     // only updates vertices matched as the source `v`, so the cross-check
     // needs every vertex to have outdegree >= 1.
-    g.add_edge(et, pgraph::graph::VertexId(0), pgraph::graph::VertexId(1), vec![])
-        .unwrap();
+    let (src, dst) = (pgraph::graph::VertexId(0), pgraph::graph::VertexId(1));
+    let op = pgraph::mutate::MutationOp::AddEdge { etype: et, src, dst, attrs: vec![] };
+    pgraph::mutate::apply_batch(&mut g, &[op]).unwrap();
     let g = g;
     let native = pgraph::algo::pagerank(&g, et, 0.85, 1e-10, 100);
 

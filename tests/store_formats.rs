@@ -109,7 +109,7 @@ fn checkpoint_text_and_wal_frames_are_pinned() {
     let since = s.edge_attr_index(knows, "since").unwrap();
     let p0 = g.vertices_of_type(person)[0];
     let p3 = g.vertices_of_type(person)[3];
-    let knows_edge = g.adjacency_of_type(p0, knows).next().expect("p0 knows someone").edge;
+    let knows_edge = g.adjacency_of_type(p0, knows).first().expect("p0 knows someone").edge;
 
     let mut out = String::new();
     describe(&mut out, "base", &g, &[Record::V(p0), Record::V(p3), Record::E(knows_edge)]);

@@ -165,7 +165,7 @@ fn a_single_edge_hop_scans_only_its_edge_types_adjacency() {
     let person = g.schema().vertex_type_id("Person").unwrap();
     let has_creator = g.schema().edge_type_id("HasCreator").unwrap();
     let persons = g.vertices_of_type(person);
-    let typed: usize = persons.iter().map(|&p| g.adjacency_of_type(p, has_creator).count()).sum();
+    let typed: usize = persons.iter().map(|&p| g.adjacency_of_type(p, has_creator).len()).sum();
     let all: usize = persons.iter().map(|&p| g.adjacency(p).len()).sum();
     assert!(typed < all, "no other edge types at the persons: {typed} vs {all}");
     let scanned = |darpe: &str| {
